@@ -229,11 +229,11 @@ fn main() {
     );
 
     // Memo: caching must never change results, must still hit, and the
-    // delta-keyed ladder must keep beating both the uncached and the
-    // whole-artifact (PR 4) paths. The whole-matrix speedup hovers near
-    // 1.1x and has been observed below 1.0 under container jitter, so
-    // its floor is only a catastrophe check; the ladder ratios (~2.9x /
-    // ~1.8x recorded) and the hit rate (~0.39) carry the real signal.
+    // delta-keyed ladder must keep beating the uncached path. The
+    // whole-matrix speedup hovers near 1.1x and has been observed below
+    // 1.0 under container jitter, so its floor is only a catastrophe
+    // check; the ladder ratio (~2.8x recorded) and the hit rate (~0.39)
+    // carry the real signal.
     let (_, f) = doc("BENCH_memo.json");
     gate.must_be_true(
         "BENCH_memo.json",
@@ -251,7 +251,6 @@ fn main() {
         "speedup_vs_uncached",
         1.5,
     );
-    gate.floor("BENCH_memo.json", f, "\"ladder\"", "speedup_vs_pr4", 1.1);
 
     // Bus: windowed arbitration must keep restoring batched dispatch
     // (same floor the CI awk gate has enforced since the arbiter PR),

@@ -24,9 +24,8 @@
 //! and the shared artifact cache's hit rate under service load.
 //!
 //! Since PR 7 `BENCH_memo.json` gains a `ladder` subsection: a
-//! threshold-ladder matrix timed uncached vs whole-artifact keying
-//! (PR 4, `without_delta`) vs delta-keyed per-process reuse, recording
-//! `speedup_vs_uncached` and `speedup_vs_pr4`. The `bench_gate` bin
+//! threshold-ladder matrix timed uncached vs delta-keyed per-process
+//! reuse, recording `speedup_vs_uncached`. The `bench_gate` bin
 //! compares fresh summaries against the checked-in baselines in CI.
 //!
 //! Since PR 10 it also writes `BENCH_arrivals.json`: a million-process
@@ -354,65 +353,49 @@ fn ladder_matrix() -> ScenarioMatrix {
 struct LadderBench {
     jobs: usize,
     uncached_ms: f64,
-    whole_ms: f64,
     delta_ms: f64,
     speedup_vs_uncached: f64,
-    speedup_vs_pr4: f64,
     pilot_hits: u64,
     per_process_hits: u64,
     identical: bool,
 }
 
-/// Times the threshold ladder three ways — memo disabled, whole-artifact
-/// keying only (`without_delta`, the PR 4 behaviour), and full
-/// delta-keyed reuse — asserting all three sweeps report byte-identical
-/// results.
+/// Times the threshold ladder two ways — memo disabled and delta-keyed
+/// reuse — asserting both sweeps report byte-identical results.
 fn ladder_bench(samples: usize) -> LadderBench {
     let matrix = ladder_matrix();
     let runner = SweepRunner::sequential();
-    let mut csvs: [String; 3] = Default::default();
-    let mut time_mode = |mode: usize, stats_out: &mut [u64]| {
+    let time_mode = |fresh_memo: fn() -> std::sync::Arc<ArtifactCache>| {
         let mut csv = String::new();
+        let mut hits = (0, 0);
         let ns = time_ns(
             || {
                 // A fresh cache per sample, as in `memo_bench`: the win
                 // measured is intra-matrix reuse only.
-                let memo = match mode {
-                    0 => ArtifactCache::disabled(),
-                    1 => std::sync::Arc::new(ArtifactCache::new().without_delta()),
-                    _ => ArtifactCache::shared(),
-                };
+                let memo = fresh_memo();
                 let reports = matrix
                     .run_with_memo(&runner, &memo)
                     .expect("ladder sweep runs");
                 csv = reports.iter().map(|r| r.to_csv()).collect();
                 let s = memo.stats();
-                stats_out[0] = s.pilot_hits;
-                stats_out[1] = s.per_process_hits;
+                hits = (s.pilot_hits, s.per_process_hits);
                 black_box(&csv);
             },
             1,
             samples,
         );
-        csvs[mode] = csv;
-        ns
+        (ns, csv, hits)
     };
-    let mut sink = [0u64; 2];
-    let uncached_ns = time_mode(0, &mut sink);
-    let whole_ns = time_mode(1, &mut sink);
-    let mut delta_stats = [0u64; 2];
-    let delta_ns = time_mode(2, &mut delta_stats);
-    let [pilot_hits, per_process_hits] = delta_stats;
+    let (uncached_ns, uncached_csv, _) = time_mode(ArtifactCache::disabled);
+    let (delta_ns, delta_csv, (pilot_hits, per_process_hits)) = time_mode(ArtifactCache::shared);
     LadderBench {
         jobs: matrix.len(),
         uncached_ms: uncached_ns / 1e6,
-        whole_ms: whole_ns / 1e6,
         delta_ms: delta_ns / 1e6,
         speedup_vs_uncached: uncached_ns / delta_ns,
-        speedup_vs_pr4: whole_ns / delta_ns,
         pilot_hits,
         per_process_hits,
-        identical: csvs[0] == csvs[1] && csvs[1] == csvs[2],
+        identical: uncached_csv == delta_csv,
     }
 }
 
@@ -955,15 +938,15 @@ fn main() {
     let lb = ladder_bench(5);
     assert!(
         lb.identical,
-        "ladder reports diverged across uncached / whole-artifact / delta-keyed"
+        "ladder reports diverged across uncached / delta-keyed"
     );
     eprintln!(
-        "  ladder           {} jobs: uncached {:.3} ms, whole-artifact {:.3} ms, delta {:.3} ms",
-        lb.jobs, lb.uncached_ms, lb.whole_ms, lb.delta_ms
+        "  ladder           {} jobs: uncached {:.3} ms, delta {:.3} ms",
+        lb.jobs, lb.uncached_ms, lb.delta_ms
     );
     eprintln!(
-        "  speedup          {:.2}x vs uncached, {:.2}x vs whole-artifact ({} ls-result hits, {} per-process hits)",
-        lb.speedup_vs_uncached, lb.speedup_vs_pr4, lb.pilot_hits, lb.per_process_hits
+        "  speedup          {:.2}x vs uncached ({} ls-result hits, {} per-process hits)",
+        lb.speedup_vs_uncached, lb.pilot_hits, lb.per_process_hits
     );
 
     let mut mj = String::new();
@@ -1005,15 +988,10 @@ fn main() {
         lb.jobs
     ));
     mj.push_str(&format!("    \"uncached_ms\": {:.4},\n", lb.uncached_ms));
-    mj.push_str(&format!("    \"whole_artifact_ms\": {:.4},\n", lb.whole_ms));
     mj.push_str(&format!("    \"delta_keyed_ms\": {:.4},\n", lb.delta_ms));
     mj.push_str(&format!(
         "    \"speedup_vs_uncached\": {:.3},\n",
         lb.speedup_vs_uncached
-    ));
-    mj.push_str(&format!(
-        "    \"speedup_vs_pr4\": {:.3},\n",
-        lb.speedup_vs_pr4
     ));
     mj.push_str(&format!("    \"ls_result_hits\": {},\n", lb.pilot_hits));
     mj.push_str(&format!(

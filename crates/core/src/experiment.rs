@@ -196,13 +196,10 @@ impl Experiment {
             // layout): serve both from one memo slot. The pilot slot is
             // keyed on (workload, machine) only, so an open-system run
             // (whose result depends on the arrival config too) must not
-            // read or fill it — it runs the engine directly instead.
+            // read or fill it — it runs the engine directly instead,
+            // through the arm the other policies take.
             PolicyKind::Locality if self.arrivals.is_none() => {
                 Ok(self.pilot(memo)?.as_ref().clone())
-            }
-            PolicyKind::Locality => {
-                let linear = Layout::linear(self.workload.arrays());
-                self.run_with_layout(PolicyKind::Locality, &linear, memo)
             }
             _ => {
                 let layout = Layout::linear(self.workload.arrays());
@@ -517,16 +514,10 @@ impl Experiment {
         // program set reuses every pilot program whose process the
         // remap does not touch (per-process memo slots), and the whole
         // simulation is skipped when the candidate's delta key matches
-        // an LS result already in the memo. `without_delta` caches
-        // restore the PR 4 whole-artifact behaviour (no candidate
-        // result reuse) for the bench ladder's middle rung.
+        // an LS result already in the memo.
         let results = runner.run(cands.len(), |i| {
-            if memo.delta_enabled() {
-                self.ls_cached(&cands[i].2, memo)
-                    .map(|r| r.as_ref().clone())
-            } else {
-                self.run_with_layout(PolicyKind::LocalityMap, &cands[i].2, memo)
-            }
+            self.ls_cached(&cands[i].2, memo)
+                .map(|r| r.as_ref().clone())
         });
         let mut best: Option<(RunResult, RemapAssignment)> = None;
         for ((t, assignment, _), result) in cands.into_iter().zip(results) {

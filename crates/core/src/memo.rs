@@ -9,7 +9,8 @@
 //! those artifacts depend only on the workload (and machine), not on
 //! the policy or knob under test.
 //!
-//! [`ArtifactCache`] is an `Arc`-shared, lock-striped memo holding:
+//! [`ArtifactCache`] is an `Arc`-shared memo: one lock-striped map from
+//! a kind-tagged key to an artifact, holding five kinds of entry:
 //!
 //! * **compiled trace program sets**, keyed on `(workload fingerprint,
 //!   delta key)` where the delta key
@@ -59,12 +60,11 @@
 //! **memory bound** — a batch sweep drops its cache wholesale, but a
 //! daemon's cache would otherwise grow with every distinct scenario it
 //! ever served. [`ArtifactCache::bounded`] therefore caps the entry
-//! count, evicting per a pluggable [`EvictionPolicy`] (exact LRU by
-//! default; Clock and SIEVE as cheap approximations — see
-//! [`crate::replacement`]). Eviction is *safe by construction*: every
-//! artifact is a pure function of its key, so evicting early only means
-//! recomputing later — any capacity, including 0, stays bit-identical
-//! to an unbounded or disabled cache (differentially tested in
+//! count, evicting in SIEVE order (see [`crate::replacement`]).
+//! Eviction is *safe by construction*: every artifact is a pure
+//! function of its key, so evicting early only means recomputing later
+//! — any capacity, including 0, stays bit-identical to an unbounded or
+//! disabled cache (differentially tested in
 //! `crates/core/tests/memo.rs`).
 //!
 //! Hit/miss/eviction/occupancy counters are kept per cache
@@ -85,25 +85,10 @@ use lams_workloads::Workload;
 use crate::replacement::{lock_witness, EvictionPolicy, ReplacementTracker};
 use crate::{Result, RunResult, SharingMatrix};
 
-/// Number of lock stripes per map. Sweeps run at most a few dozen
+/// Number of lock stripes of the map. Sweeps run at most a few dozen
 /// workers; 16 stripes keep contention negligible without bloating the
 /// (per-experiment) cache.
 const STRIPES: usize = 16;
-
-/// Stripe index of a single-fingerprint key (both words folded so
-/// correlated halves cannot skew the distribution).
-fn stripe_of(fp: Fingerprint) -> usize {
-    ((fp.0 ^ fp.1) as usize) & (STRIPES - 1)
-}
-
-/// Stripe index of a two-fingerprint key. Folds **both** fingerprints:
-/// sweeps typically hold one of the pair constant (one machine config
-/// across a whole matrix, one layout across many workloads), and
-/// striping on the varying half alone would serialize every lookup of
-/// that map on a single stripe.
-fn stripe_of2(a: Fingerprint, b: Fingerprint) -> usize {
-    ((a.0 ^ a.1 ^ b.0 ^ b.1) as usize) & (STRIPES - 1)
-}
 
 /// One lock-striped hash map: `STRIPES` independent `Mutex<HashMap>`
 /// shards, so concurrent fills of different artifacts rarely contend.
@@ -168,17 +153,58 @@ impl<K: Eq + Hash, V: Clone> Striped<K, V> {
     }
 }
 
-/// A tracked cache entry, uniform across the five artifact maps so one
-/// replacement order spans the whole cache (a pilot can evict a
-/// program set and vice versa — total occupancy is what a server
-/// budgets, not per-kind occupancy).
+/// The five artifact kinds; the discriminant indexes the hit/miss
+/// counter block.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
-enum SlotKey {
-    Program(Fingerprint, Fingerprint),
-    ProcProgram(Fingerprint, Fingerprint),
-    Sharing(Fingerprint),
-    Pilot(Fingerprint, Fingerprint),
-    Weight(Fingerprint),
+enum Kind {
+    Program,
+    ProcProgram,
+    Sharing,
+    Pilot,
+    Weight,
+}
+
+/// The key of one cache entry, uniform across the five artifact kinds
+/// so one map and one replacement order span the whole cache (a pilot
+/// can evict a program set and vice versa — total occupancy is what a
+/// server budgets, not per-kind occupancy). The kind tag keeps kinds
+/// that key on the same fingerprint (a workload's sharing matrix and
+/// its weight) apart.
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
+struct SlotKey {
+    kind: Kind,
+    a: Fingerprint,
+    b: Fingerprint,
+}
+
+impl SlotKey {
+    /// A key over one fingerprint (the kinds that depend on the
+    /// workload alone).
+    fn single(kind: Kind, a: Fingerprint) -> Self {
+        let b = Fingerprint(0, 0);
+        SlotKey { kind, a, b }
+    }
+
+    /// Stripe index. Folds **both** fingerprints (and both words of
+    /// each, so correlated halves cannot skew the distribution): sweeps
+    /// typically hold one of the pair constant (one machine config
+    /// across a whole matrix, one layout across many workloads), and
+    /// striping on the varying half alone would serialize every lookup
+    /// of that kind on a single stripe.
+    fn stripe(&self) -> usize {
+        ((self.a.0 ^ self.a.1 ^ self.b.0 ^ self.b.1) as usize) & (STRIPES - 1)
+    }
+}
+
+/// One cached value: a small enum over the five value types, every
+/// variant a cheap clone (`Arc` or `u64`).
+#[derive(Clone)]
+enum Artifact {
+    Programs(Arc<[Arc<Program>]>),
+    ProcProgram(Arc<Program>),
+    Sharing(Arc<SharingMatrix>),
+    LsResult(Arc<RunResult>),
+    Weight(u64),
 }
 
 /// Hit/miss counters per artifact kind, plus eviction and occupancy
@@ -278,15 +304,6 @@ impl fmt::Display for MemoStats {
     }
 }
 
-/// Indices into the counter block (hit = kind, miss = kind + 1).
-const PROGRAM: usize = 0;
-const SHARING: usize = 2;
-const PILOT: usize = 4;
-const WEIGHT: usize = 6;
-const PROC: usize = 8;
-/// Single counter: entries evicted by a bounded cache.
-const EVICTIONS: usize = 10;
-
 /// The `Arc`-shared artifact memo (see the module docs).
 ///
 /// Every [`Experiment`](crate::Experiment) owns one (fresh by default,
@@ -299,27 +316,19 @@ const EVICTIONS: usize = 10;
 /// against.
 pub struct ArtifactCache {
     enabled: bool,
-    /// Whether program sets are keyed (and assembled) at per-process
-    /// delta granularity and LS results are memoized per layout delta.
-    /// On by default; [`ArtifactCache::without_delta`] restores the
-    /// whole-artifact keying of the original cache (kept as the
-    /// mid-rung of the `BENCH_memo.json` ladder comparison).
-    delta: bool,
-    /// Maximum resident entries across all five maps; `None` is
+    /// Maximum resident entries across all five kinds; `None` is
     /// unbounded (the batch-sweep default).
     capacity: Option<usize>,
-    programs: Striped<(Fingerprint, Fingerprint), Arc<[Arc<Program>]>>,
-    proc_programs: Striped<(Fingerprint, Fingerprint), Arc<Program>>,
-    sharing: Striped<Fingerprint, Arc<SharingMatrix>>,
-    pilots: Striped<(Fingerprint, Fingerprint), Arc<RunResult>>,
-    weights: Striped<Fingerprint, u64>,
+    slots: Striped<SlotKey, Artifact>,
     /// Replacement order for bounded caches. Lock ordering: the tracker
     /// lock is only ever taken while holding **no** stripe lock, and
     /// stripe locks for victim removal are taken *under* it — one
     /// consistent order, so hits, publishes and evictions cannot
     /// deadlock.
     tracker: Mutex<ReplacementTracker<SlotKey>>,
-    counters: [AtomicU64; 11],
+    /// `[hits, misses]` per [`Kind`].
+    lookups: [[AtomicU64; 2]; Kind::Weight as usize + 1],
+    evictions: AtomicU64,
 }
 
 impl ArtifactCache {
@@ -329,31 +338,30 @@ impl ArtifactCache {
     pub fn new() -> Self {
         ArtifactCache {
             enabled: true,
-            delta: true,
             capacity: None,
-            programs: Striped::new(),
-            proc_programs: Striped::new(),
-            sharing: Striped::new(),
-            pilots: Striped::new(),
-            weights: Striped::new(),
-            tracker: Mutex::new(ReplacementTracker::new(EvictionPolicy::default())),
-            counters: Default::default(),
+            slots: Striped::new(),
+            tracker: Mutex::new(ReplacementTracker::new()),
+            lookups: Default::default(),
+            evictions: AtomicU64::new(0),
         }
     }
 
     /// A fresh enabled cache bounded to at most `capacity_entries`
-    /// resident entries (across all four artifact kinds), evicting per
-    /// `policy`. Capacity 0 stores nothing (every lookup recomputes but
-    /// counters still move); capacity 1 holds exactly one entry.
+    /// resident entries (across all five artifact kinds), evicting in
+    /// SIEVE order. Capacity 0 stores nothing (every lookup recomputes
+    /// but counters still move); capacity 1 holds exactly one entry.
     ///
     /// Any capacity is **bit-identical** to unbounded/disabled — every
     /// artifact is a pure function of its key, so eviction only trades
     /// recompute time for memory (differential proptests in
     /// `crates/core/tests/memo.rs`).
-    pub fn bounded(capacity_entries: usize, policy: EvictionPolicy) -> Self {
+    ///
+    /// The policy argument selects nothing: [`EvictionPolicy`] has one
+    /// variant, and the parameter stays only because the frozen repo
+    /// benchmark calls `bounded(cap, config.eviction)`.
+    pub fn bounded(capacity_entries: usize, _policy: EvictionPolicy) -> Self {
         ArtifactCache {
             capacity: Some(capacity_entries),
-            tracker: Mutex::new(ReplacementTracker::new(policy)),
             ..ArtifactCache::new()
         }
     }
@@ -375,25 +383,6 @@ impl ArtifactCache {
         })
     }
 
-    /// An enabled cache with delta-granularity memoization switched
-    /// **off**: program sets are keyed on the raw
-    /// [`Layout::fingerprint`] (no per-process assembly, no
-    /// cross-candidate reuse) and candidate LS results are never
-    /// memoized — exactly the whole-artifact behaviour this cache had
-    /// before delta keys. Kept as the middle rung of the
-    /// `BENCH_memo.json` ladder (uncached → whole-artifact →
-    /// delta-keyed); results are bit-identical in every mode.
-    pub fn without_delta(mut self) -> Self {
-        self.delta = false;
-        self
-    }
-
-    /// Whether delta-granularity memoization is on (see
-    /// [`ArtifactCache::without_delta`]).
-    pub fn delta_enabled(&self) -> bool {
-        self.delta
-    }
-
     /// Whether lookups may be served from the cache.
     pub fn is_enabled(&self) -> bool {
         self.enabled
@@ -404,12 +393,8 @@ impl ArtifactCache {
         self.capacity
     }
 
-    fn count(&self, kind: usize, hit: bool) {
-        self.counters[kind + usize::from(!hit)].fetch_add(1, Ordering::Relaxed);
-    }
-
     /// Whether publishes may store entries (bounded-to-zero caches keep
-    /// the maps empty and skip all replacement bookkeeping).
+    /// the map empty and skip all replacement bookkeeping).
     fn stores(&self) -> bool {
         self.capacity != Some(0)
     }
@@ -440,35 +425,59 @@ impl ArtifactCache {
         }
         while tracker.len() > cap {
             let Some(victim) = tracker.evict() else { break };
-            self.remove_slot(victim);
-            self.counters[EVICTIONS].fetch_add(1, Ordering::Relaxed);
+            self.slots.remove(victim.stripe(), &victim);
+            self.evictions.fetch_add(1, Ordering::Relaxed);
         }
     }
 
-    /// Drops an evicted entry from its artifact map.
-    fn remove_slot(&self, key: SlotKey) {
-        match key {
-            SlotKey::Program(w, l) => self.programs.remove(stripe_of2(w, l), &(w, l)),
-            SlotKey::ProcProgram(p, l) => self.proc_programs.remove(stripe_of2(p, l), &(p, l)),
-            SlotKey::Sharing(w) => self.sharing.remove(stripe_of(w), &w),
-            SlotKey::Pilot(w, m) => self.pilots.remove(stripe_of2(w, m), &(w, m)),
-            SlotKey::Weight(w) => self.weights.remove(stripe_of(w), &w),
+    /// The one lookup path behind every public entry point: key →
+    /// stripe lookup → count → compute → publish → admit. A disabled
+    /// cache computes without building the key; `compute` runs with no
+    /// lock held (see the module docs), and its error is propagated
+    /// without caching anything.
+    fn get_or_try_compute<E>(
+        &self,
+        key: impl FnOnce() -> SlotKey,
+        compute: impl FnOnce() -> std::result::Result<Artifact, E>,
+    ) -> std::result::Result<Artifact, E> {
+        if !self.enabled {
+            return compute();
         }
+        let key = key();
+        let stripe = key.stripe();
+        let counters = &self.lookups[key.kind as usize];
+        if let Some(hit) = self.slots.get(stripe, &key) {
+            counters[0].fetch_add(1, Ordering::Relaxed);
+            self.note_hit(key);
+            return Ok(hit);
+        }
+        counters[1].fetch_add(1, Ordering::Relaxed);
+        let computed = compute()?;
+        if !self.stores() {
+            return Ok(computed);
+        }
+        let (value, inserted) = self.slots.publish(stripe, key, computed);
+        self.admit(key, inserted);
+        Ok(value)
     }
 
-    /// Compiles every process fresh — the uncached reference path.
-    fn compile_all(workload: &Workload, layout: &Layout) -> Arc<[Arc<Program>]> {
-        workload
-            .process_ids()
-            .map(|p| Arc::new(workload.compile_trace(p, layout)))
-            .collect()
+    /// [`ArtifactCache::get_or_try_compute`] for the kinds whose
+    /// compute cannot fail.
+    fn get_or_compute(
+        &self,
+        key: impl FnOnce() -> SlotKey,
+        compute: impl FnOnce() -> Artifact,
+    ) -> Artifact {
+        match self.get_or_try_compute(key, || Ok::<_, std::convert::Infallible>(compute())) {
+            Ok(artifact) => artifact,
+            Err(never) => match never {},
+        }
     }
 
     /// The compiled trace program set of `workload` against `layout`
     /// (index = process id), compiling on first use.
     ///
-    /// With delta keying (the default) the set is keyed on the
-    /// workload's **delta key** for the layout
+    /// The set is keyed on the workload's **delta key** for the layout
     /// ([`Workload::delta_fingerprint`]) — so two layouts that differ
     /// only on arrays no process touches share one set — and a
     /// set-level miss assembles the set through the **per-process**
@@ -478,36 +487,25 @@ impl ArtifactCache {
     /// candidate that remaps 2 of 40 processes' arrays compiles 2
     /// programs and reuses 38 from the pilot.
     pub fn programs(&self, workload: &Workload, layout: &Layout) -> Arc<[Arc<Program>]> {
-        if !self.enabled {
-            return Self::compile_all(workload, layout);
-        }
-        let layout_key = if self.delta {
-            workload.delta_fingerprint(layout)
-        } else {
-            layout.fingerprint()
+        let set = self.get_or_compute(
+            || SlotKey {
+                kind: Kind::Program,
+                a: workload.fingerprint(),
+                b: workload.delta_fingerprint(layout),
+            },
+            || {
+                Artifact::Programs(
+                    workload
+                        .process_ids()
+                        .map(|p| self.proc_program(workload, p, layout))
+                        .collect(),
+                )
+            },
+        );
+        let Artifact::Programs(set) = set else {
+            unreachable!("a Program key holds a program set")
         };
-        let key = (workload.fingerprint(), layout_key);
-        let stripe = stripe_of2(key.0, key.1);
-        if let Some(hit) = self.programs.get(stripe, &key) {
-            self.count(PROGRAM, true);
-            self.note_hit(SlotKey::Program(key.0, key.1));
-            return hit;
-        }
-        self.count(PROGRAM, false);
-        let compiled: Arc<[Arc<Program>]> = if self.delta {
-            workload
-                .process_ids()
-                .map(|p| self.proc_program(workload, p, layout))
-                .collect()
-        } else {
-            Self::compile_all(workload, layout)
-        };
-        if !self.stores() {
-            return compiled;
-        }
-        let (value, inserted) = self.programs.publish(stripe, key, compiled);
-        self.admit(SlotKey::Program(key.0, key.1), inserted);
-        value
+        set
     }
 
     /// One process's compiled program against `layout`, keyed on
@@ -524,46 +522,30 @@ impl ArtifactCache {
         p: lams_procgraph::ProcessId,
         layout: &Layout,
     ) -> Arc<Program> {
-        let key = (
-            workload.process_fingerprint(p),
-            layout.restricted_fingerprint(&workload.arrays_of(p)),
+        let program = self.get_or_compute(
+            || SlotKey {
+                kind: Kind::ProcProgram,
+                a: workload.process_fingerprint(p),
+                b: layout.restricted_fingerprint(&workload.arrays_of(p)),
+            },
+            || Artifact::ProcProgram(Arc::new(workload.compile_trace(p, layout))),
         );
-        let stripe = stripe_of2(key.0, key.1);
-        if let Some(hit) = self.proc_programs.get(stripe, &key) {
-            self.count(PROC, true);
-            self.note_hit(SlotKey::ProcProgram(key.0, key.1));
-            return hit;
-        }
-        self.count(PROC, false);
-        let compiled = Arc::new(workload.compile_trace(p, layout));
-        if !self.stores() {
-            return compiled;
-        }
-        let (value, inserted) = self.proc_programs.publish(stripe, key, compiled);
-        self.admit(SlotKey::ProcProgram(key.0, key.1), inserted);
-        value
+        let Artifact::ProcProgram(program) = program else {
+            unreachable!("a ProcProgram key holds one program")
+        };
+        program
     }
 
     /// The workload's [`SharingMatrix`], computed on first use.
     pub fn sharing(&self, workload: &Workload) -> Arc<SharingMatrix> {
-        if !self.enabled {
-            return Arc::new(SharingMatrix::from_workload(workload));
-        }
-        let key = workload.fingerprint();
-        let stripe = stripe_of(key);
-        if let Some(hit) = self.sharing.get(stripe, &key) {
-            self.count(SHARING, true);
-            self.note_hit(SlotKey::Sharing(key));
-            return hit;
-        }
-        self.count(SHARING, false);
-        let computed = Arc::new(SharingMatrix::from_workload(workload));
-        if !self.stores() {
-            return computed;
-        }
-        let (value, inserted) = self.sharing.publish(stripe, key, computed);
-        self.admit(SlotKey::Sharing(key), inserted);
-        value
+        let matrix = self.get_or_compute(
+            || SlotKey::single(Kind::Sharing, workload.fingerprint()),
+            || Artifact::Sharing(Arc::new(SharingMatrix::from_workload(workload))),
+        );
+        let Artifact::Sharing(matrix) = matrix else {
+            unreachable!("a Sharing key holds a sharing matrix")
+        };
+        matrix
     }
 
     /// The Locality pilot run of `workload` on `machine` — the LS
@@ -586,9 +568,6 @@ impl ArtifactCache {
     where
         F: FnOnce() -> Result<RunResult>,
     {
-        if !self.enabled {
-            return Ok(Arc::new(compute()?));
-        }
         let linear = Layout::linear(workload.arrays());
         self.ls_result(workload, machine, &linear, compute)
     }
@@ -627,27 +606,23 @@ impl ArtifactCache {
     where
         F: FnOnce() -> Result<RunResult>,
     {
-        if !self.enabled {
-            return Ok(Arc::new(compute()?));
-        }
-        let mut h = lams_mpsoc::FingerprintHasher::new("lams.ls-key");
-        h.write_fingerprint(machine_fingerprint(machine));
-        h.write_fingerprint(workload.delta_fingerprint(layout));
-        let key = (workload.fingerprint(), h.finish());
-        let stripe = stripe_of2(key.0, key.1);
-        if let Some(hit) = self.pilots.get(stripe, &key) {
-            self.count(PILOT, true);
-            self.note_hit(SlotKey::Pilot(key.0, key.1));
-            return Ok(hit);
-        }
-        self.count(PILOT, false);
-        let computed = Arc::new(compute()?);
-        if !self.stores() {
-            return Ok(computed);
-        }
-        let (value, inserted) = self.pilots.publish(stripe, key, computed);
-        self.admit(SlotKey::Pilot(key.0, key.1), inserted);
-        Ok(value)
+        let result = self.get_or_try_compute(
+            || {
+                let mut h = lams_mpsoc::FingerprintHasher::new("lams.ls-key");
+                h.write_fingerprint(machine_fingerprint(machine));
+                h.write_fingerprint(workload.delta_fingerprint(layout));
+                SlotKey {
+                    kind: Kind::Pilot,
+                    a: workload.fingerprint(),
+                    b: h.finish(),
+                }
+            },
+            || compute().map(|r| Artifact::LsResult(Arc::new(r))),
+        )?;
+        let Artifact::LsResult(result) = result else {
+            unreachable!("a Pilot key holds an LS result")
+        };
+        Ok(result)
     }
 
     /// The workload's total trace-op count
@@ -656,58 +631,32 @@ impl ArtifactCache {
     /// per workload so enumerating the longest-job-first queue is
     /// O(workloads), not O(jobs).
     pub fn workload_weight(&self, workload: &Workload) -> u64 {
-        if !self.enabled {
-            return workload.total_trace_ops();
-        }
-        let key = workload.fingerprint();
-        let stripe = stripe_of(key);
-        if let Some(hit) = self.weights.get(stripe, &key) {
-            self.count(WEIGHT, true);
-            self.note_hit(SlotKey::Weight(key));
-            return hit;
-        }
-        self.count(WEIGHT, false);
-        let computed = workload.total_trace_ops();
-        if !self.stores() {
-            return computed;
-        }
-        let (value, inserted) = self.weights.publish(stripe, key, computed);
-        self.admit(SlotKey::Weight(key), inserted);
-        value
+        let weight = self.get_or_compute(
+            || SlotKey::single(Kind::Weight, workload.fingerprint()),
+            || Artifact::Weight(workload.total_trace_ops()),
+        );
+        let Artifact::Weight(weight) = weight else {
+            unreachable!("a Weight key holds a trace-op count")
+        };
+        weight
     }
 
     /// Snapshot of the hit/miss/eviction counters and occupancy.
     pub fn stats(&self) -> MemoStats {
-        let c = |i: usize| self.counters[i].load(Ordering::Relaxed);
-        let occupancy = match self.capacity {
-            Some(_) => {
-                lock_witness::assert_no_stripe_held();
-                self.tracker
-                    .lock()
-                    .unwrap_or_else(PoisonError::into_inner)
-                    .len()
-            }
-            None => {
-                self.programs.len()
-                    + self.proc_programs.len()
-                    + self.sharing.len()
-                    + self.pilots.len()
-                    + self.weights.len()
-            }
-        };
+        let c = |kind: Kind, miss: usize| self.lookups[kind as usize][miss].load(Ordering::Relaxed);
         MemoStats {
-            program_hits: c(PROGRAM),
-            program_misses: c(PROGRAM + 1),
-            per_process_hits: c(PROC),
-            per_process_misses: c(PROC + 1),
-            sharing_hits: c(SHARING),
-            sharing_misses: c(SHARING + 1),
-            pilot_hits: c(PILOT),
-            pilot_misses: c(PILOT + 1),
-            weight_hits: c(WEIGHT),
-            weight_misses: c(WEIGHT + 1),
-            evictions: c(EVICTIONS),
-            occupancy_entries: occupancy as u64,
+            program_hits: c(Kind::Program, 0),
+            program_misses: c(Kind::Program, 1),
+            per_process_hits: c(Kind::ProcProgram, 0),
+            per_process_misses: c(Kind::ProcProgram, 1),
+            sharing_hits: c(Kind::Sharing, 0),
+            sharing_misses: c(Kind::Sharing, 1),
+            pilot_hits: c(Kind::Pilot, 0),
+            pilot_misses: c(Kind::Pilot, 1),
+            weight_hits: c(Kind::Weight, 0),
+            weight_misses: c(Kind::Weight, 1),
+            evictions: self.evictions.load(Ordering::Relaxed),
+            occupancy_entries: self.slots.len() as u64,
             capacity_entries: self.capacity.map(|c| c as u64),
         }
     }
@@ -852,25 +801,6 @@ mod tests {
         assert_eq!(
             s.per_process_misses as usize,
             2 * w.num_processes() - untouched.len()
-        );
-    }
-
-    #[test]
-    fn without_delta_restores_whole_artifact_keying() {
-        let memo = ArtifactCache::new().without_delta();
-        assert!(!memo.delta_enabled());
-        assert!(ArtifactCache::new().delta_enabled());
-        let w = workload();
-        let layout = Layout::linear(w.arrays());
-        let a = memo.programs(&w, &layout);
-        let b = memo.programs(&w, &layout);
-        assert!(Arc::ptr_eq(&a, &b));
-        let s = memo.stats();
-        assert_eq!((s.program_hits, s.program_misses), (1, 1));
-        assert_eq!(
-            (s.per_process_hits, s.per_process_misses),
-            (0, 0),
-            "whole-artifact mode must never touch the per-process slot"
         );
     }
 

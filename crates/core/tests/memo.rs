@@ -182,11 +182,11 @@ fn small_matrix() -> ScenarioMatrix {
     m
 }
 
-const ALL_POLICIES: [EvictionPolicy; 3] = [
-    EvictionPolicy::Lru,
-    EvictionPolicy::Clock,
-    EvictionPolicy::Sieve,
-];
+/// A bounded cache at `capacity` (the policy argument is a vestige:
+/// there is one eviction algorithm).
+fn bounded(capacity: usize) -> ArtifactCache {
+    ArtifactCache::bounded(capacity, EvictionPolicy::default())
+}
 
 #[test]
 fn bounded_cache_every_capacity_is_bit_identical_to_disabled() {
@@ -195,31 +195,29 @@ fn bounded_cache_every_capacity_is_bit_identical_to_disabled() {
         .run_with_memo(&SweepRunner::sequential(), &ArtifactCache::disabled())
         .expect("uncached sweep runs");
     let reference_repr = format!("{reference:?}");
-    for policy in ALL_POLICIES {
-        for capacity in [0usize, 1, 3, 1024] {
-            for threads in [1usize, 4] {
-                let memo = Arc::new(ArtifactCache::bounded(capacity, policy));
-                let got = matrix
-                    .run_with_memo(&SweepRunner::new(threads), &memo)
-                    .expect("bounded sweep runs");
-                assert_eq!(
-                    format!("{got:?}"),
-                    reference_repr,
-                    "{policy} capacity {capacity} at {threads} threads drifted from disabled"
-                );
-                let stats = memo.stats();
-                assert_eq!(stats.capacity_entries, Some(capacity as u64));
-                assert!(
-                    stats.occupancy_entries <= capacity as u64,
-                    "{policy} capacity {capacity}: {stats}"
-                );
-                if capacity == 0 {
-                    // Capacity 0 stores nothing: no hits, no residents,
-                    // nothing to evict.
-                    assert_eq!(stats.occupancy_entries, 0, "{stats}");
-                    assert_eq!(stats.evictions, 0, "{stats}");
-                    assert_eq!(stats.hits(), 0, "{stats}");
-                }
+    for capacity in [0usize, 1, 3, 1024] {
+        for threads in [1usize, 4] {
+            let memo = Arc::new(bounded(capacity));
+            let got = matrix
+                .run_with_memo(&SweepRunner::new(threads), &memo)
+                .expect("bounded sweep runs");
+            assert_eq!(
+                format!("{got:?}"),
+                reference_repr,
+                "capacity {capacity} at {threads} threads drifted from disabled"
+            );
+            let stats = memo.stats();
+            assert_eq!(stats.capacity_entries, Some(capacity as u64));
+            assert!(
+                stats.occupancy_entries <= capacity as u64,
+                "capacity {capacity}: {stats}"
+            );
+            if capacity == 0 {
+                // Capacity 0 stores nothing: no hits, no residents,
+                // nothing to evict.
+                assert_eq!(stats.occupancy_entries, 0, "{stats}");
+                assert_eq!(stats.evictions, 0, "{stats}");
+                assert_eq!(stats.hits(), 0, "{stats}");
             }
         }
     }
@@ -227,33 +225,30 @@ fn bounded_cache_every_capacity_is_bit_identical_to_disabled() {
 
 #[test]
 fn tight_capacity_actually_evicts_and_still_serves() {
-    // A dense matrix against a one-entry cache: every policy must
-    // churn the single slot (evictions observable) while results stay
-    // correct (checked against the fig6 checksum like the unbounded
-    // path).
+    // A dense matrix against a one-entry cache: the single slot must
+    // churn (evictions observable) while results stay correct (checked
+    // against the fig6 checksum like the unbounded path).
     let matrix = golden_matrix();
-    for policy in ALL_POLICIES {
-        let memo = Arc::new(ArtifactCache::bounded(1, policy));
-        let reports = matrix
-            .run_with_memo(&SweepRunner::sequential(), &memo)
-            .expect("bounded sweep runs");
-        assert_eq!(
-            checksum(&report_makespans(&reports)),
-            0xd7f2a86da3cb3e3d,
-            "fig6 Tiny checksum drifted under {policy} capacity 1"
-        );
-        let stats = memo.stats();
-        assert!(stats.evictions > 0, "{policy}: {stats}");
-        assert!(stats.occupancy_entries <= 1, "{policy}: {stats}");
-        // MemoStats::Display carries the occupancy block for bounded
-        // caches (the service's `stats` verb and BENCH_service rely on
-        // the fields being populated).
-        let rendered = stats.to_string();
-        assert!(
-            rendered.contains("entries") && rendered.contains("evictions"),
-            "{rendered}"
-        );
-    }
+    let memo = Arc::new(bounded(1));
+    let reports = matrix
+        .run_with_memo(&SweepRunner::sequential(), &memo)
+        .expect("bounded sweep runs");
+    assert_eq!(
+        checksum(&report_makespans(&reports)),
+        0xd7f2a86da3cb3e3d,
+        "fig6 Tiny checksum drifted under capacity 1"
+    );
+    let stats = memo.stats();
+    assert!(stats.evictions > 0, "{stats}");
+    assert!(stats.occupancy_entries <= 1, "{stats}");
+    // MemoStats::Display carries the occupancy block for bounded
+    // caches (the service's `stats` verb and BENCH_service rely on
+    // the fields being populated).
+    let rendered = stats.to_string();
+    assert!(
+        rendered.contains("entries") && rendered.contains("evictions"),
+        "{rendered}"
+    );
 }
 
 #[test]
@@ -274,63 +269,60 @@ fn bounded_counters_account_under_concurrency() {
         .collect();
     const THREADS: usize = 8;
     const ROUNDS: usize = 4;
-    for policy in ALL_POLICIES {
-        let memo = ArtifactCache::bounded(4, policy);
-        std::thread::scope(|s| {
-            for t in 0..THREADS {
-                let memo = &memo;
-                let workloads = &workloads;
-                s.spawn(move || {
-                    for r in 0..ROUNDS {
-                        // Stagger the start so threads collide on
-                        // different keys.
-                        for i in 0..workloads.len() {
-                            let w = &workloads[(i + t + r) % workloads.len()];
-                            let weight = memo.workload_weight(w);
-                            assert_eq!(weight, w.total_trace_ops());
-                            let sharing = memo.sharing(w);
-                            assert_eq!(sharing.len(), w.num_processes());
-                        }
+    let memo = bounded(4);
+    std::thread::scope(|s| {
+        for t in 0..THREADS {
+            let memo = &memo;
+            let workloads = &workloads;
+            s.spawn(move || {
+                for r in 0..ROUNDS {
+                    // Stagger the start so threads collide on
+                    // different keys.
+                    for i in 0..workloads.len() {
+                        let w = &workloads[(i + t + r) % workloads.len()];
+                        let weight = memo.workload_weight(w);
+                        assert_eq!(weight, w.total_trace_ops());
+                        let sharing = memo.sharing(w);
+                        assert_eq!(sharing.len(), w.num_processes());
                     }
-                });
-            }
-        });
-        let stats = memo.stats();
-        let lookups = (THREADS * ROUNDS * workloads.len() * 2) as u64;
-        assert_eq!(
-            stats.hits() + stats.misses(),
-            lookups,
-            "{policy}: every lookup counts exactly once: {stats}"
-        );
-        assert!(stats.occupancy_entries <= 4, "{policy}: {stats}");
-        // 16 distinct entries pushed through 4 slots: eviction must
-        // have occurred, and each eviction (and each resident entry)
-        // is backed by a counted miss that inserted it.
-        assert!(stats.evictions > 0, "{policy}: {stats}");
-        assert!(
-            stats.occupancy_entries + stats.evictions <= stats.misses(),
-            "{policy}: more insertions than misses: {stats}"
-        );
-    }
+                }
+            });
+        }
+    });
+    let stats = memo.stats();
+    let lookups = (THREADS * ROUNDS * workloads.len() * 2) as u64;
+    assert_eq!(
+        stats.hits() + stats.misses(),
+        lookups,
+        "every lookup counts exactly once: {stats}"
+    );
+    assert!(stats.occupancy_entries <= 4, "{stats}");
+    // 16 distinct entries pushed through 4 slots: eviction must
+    // have occurred, and each eviction (and each resident entry)
+    // is backed by a counted miss that inserted it.
+    assert!(stats.evictions > 0, "{stats}");
+    assert!(
+        stats.occupancy_entries + stats.evictions <= stats.misses(),
+        "more insertions than misses: {stats}"
+    );
 }
 
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(12))]
 
-    /// Any drawn (capacity, policy, threads) triple is bit-identical
-    /// to the disabled cache on the small matrix — the randomized
-    /// sweep behind the fixed cross-product above.
+    /// Any drawn (capacity, threads) pair is bit-identical to the
+    /// disabled cache on the small matrix — the randomized sweep
+    /// behind the fixed cross-product above.
     #[test]
     fn bounded_cache_differential_holds_for_random_configs(
         capacity in 0usize..9,
-        policy_ix in 0usize..3,
         threads in 1usize..5,
     ) {
         let matrix = small_matrix();
         let reference = matrix
             .run_with_memo(&SweepRunner::sequential(), &ArtifactCache::disabled())
             .expect("uncached sweep runs");
-        let memo = Arc::new(ArtifactCache::bounded(capacity, ALL_POLICIES[policy_ix]));
+        let memo = Arc::new(bounded(capacity));
         let got = matrix
             .run_with_memo(&SweepRunner::new(threads), &memo)
             .expect("bounded sweep runs");
@@ -512,31 +504,22 @@ fn lsm_ladder_with_per_process_reuse_is_bit_identical_when_bounded() {
         "the ladder should reuse per-process programs: {stats}"
     );
 
-    let caps_for = |policy: EvictionPolicy| match policy {
-        // The boundary capacities matter for every policy; interior
-        // capacities only exercise the (policy-agnostic) reuse logic
-        // once more, so one policy covers them.
-        EvictionPolicy::Lru => vec![0usize, 1, 6, 1024],
-        _ => vec![0usize, 1],
-    };
-    for policy in ALL_POLICIES {
-        for capacity in caps_for(policy) {
-            for threads in [1usize, 4] {
-                let memo = Arc::new(ArtifactCache::bounded(capacity, policy));
-                let got = matrix
-                    .run_with_memo(&SweepRunner::new(threads), &memo)
-                    .expect("bounded mix sweep runs");
-                assert_eq!(
-                    format!("{got:?}"),
-                    reference_repr,
-                    "{policy} capacity {capacity} at {threads} threads drifted from disabled"
-                );
-                assert!(
-                    memo.stats().occupancy_entries <= capacity as u64,
-                    "{policy} capacity {capacity}: {}",
-                    memo.stats()
-                );
-            }
+    for capacity in [0usize, 1, 6, 1024] {
+        for threads in [1usize, 4] {
+            let memo = Arc::new(bounded(capacity));
+            let got = matrix
+                .run_with_memo(&SweepRunner::new(threads), &memo)
+                .expect("bounded mix sweep runs");
+            assert_eq!(
+                format!("{got:?}"),
+                reference_repr,
+                "capacity {capacity} at {threads} threads drifted from disabled"
+            );
+            assert!(
+                memo.stats().occupancy_entries <= capacity as u64,
+                "capacity {capacity}: {}",
+                memo.stats()
+            );
         }
     }
 }

@@ -66,7 +66,7 @@ fn guard_returning(fn_name: &str) -> Option<&'static str> {
 /// every lock class to every other through the fixpoint. The cost is
 /// that a nesting routed *only* through such a name is invisible —
 /// acceptable because lock-holding helpers in this workspace carry
-/// distinctive names (`note_hit`, `remove_slot`, `run_isolated`).
+/// distinctive names (`note_hit`, `admit`, `run_isolated`).
 const CALL_DENYLIST: [&str; 44] = [
     "and_then",
     "clone",

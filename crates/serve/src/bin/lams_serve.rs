@@ -2,8 +2,8 @@
 //!
 //! ```text
 //! lams_serve [--tcp ADDR] [--workers N] [--queue N]
-//!            [--cache-capacity N] [--cache-policy lru|clock|sieve]
-//!            [--deadline CYCLES] [--faults SPEC|seed:SEED:JOBS]
+//!            [--cache-capacity N] [--deadline CYCLES]
+//!            [--faults SPEC|seed:SEED:JOBS]
 //! ```
 //!
 //! Without `--tcp`, requests are read from stdin and answered on
@@ -12,16 +12,16 @@
 //! ADDR` (e.g. `127.0.0.1:0`), the bound address is printed on stdout
 //! as `listening addr=HOST:PORT` and connections are served until a
 //! `shutdown` request arrives.
+//!
+//! Every flag takes a value. An unknown flag or a flag without its
+//! value prints the usage text and exits 2: a mistyped
+//! `--cache-capcity 64` must not silently start an unbounded daemon.
 
-use lams_core::EvictionPolicy;
 use lams_serve::{serve_stdio, FaultPlan, ServerConfig, TcpServer};
 
-fn flag_value<'a>(args: &'a [String], name: &str) -> Option<&'a str> {
-    args.iter()
-        .position(|a| a == name)
-        .and_then(|i| args.get(i + 1))
-        .map(String::as_str)
-}
+const USAGE: &str = "usage: lams_serve [--tcp ADDR] [--workers N] [--queue N]
+                  [--cache-capacity N] [--deadline CYCLES]
+                  [--faults SPEC|seed:SEED:JOBS]";
 
 fn die(msg: &str) -> ! {
     eprintln!("error: {msg}");
@@ -47,40 +47,38 @@ fn parse_faults(spec: &str) -> FaultPlan {
     })
 }
 
+/// A command line the daemon cannot act on: says why, prints the
+/// usage text and exits 2.
+fn usage(msg: &str) -> ! {
+    die(&format!("{msg}\n{USAGE}"));
+}
+
+fn number<T: std::str::FromStr>(flag: &str, v: &str) -> T {
+    v.parse()
+        .unwrap_or_else(|_| die(&format!("invalid {flag} '{v}'")))
+}
+
 fn main() {
-    let args: Vec<String> = std::env::args().skip(1).collect();
     let mut config = ServerConfig::default();
-    if let Some(v) = flag_value(&args, "--workers") {
-        config.workers = v
-            .parse()
-            .unwrap_or_else(|_| die(&format!("invalid --workers '{v}'")));
-    }
-    if let Some(v) = flag_value(&args, "--queue") {
-        config.queue_depth = v
-            .parse()
-            .unwrap_or_else(|_| die(&format!("invalid --queue '{v}'")));
-    }
-    if let Some(v) = flag_value(&args, "--cache-capacity") {
-        config.cache_capacity = Some(
-            v.parse()
-                .unwrap_or_else(|_| die(&format!("invalid --cache-capacity '{v}'"))),
-        );
-    }
-    if let Some(v) = flag_value(&args, "--cache-policy") {
-        config.eviction = EvictionPolicy::from_str_opt(v)
-            .unwrap_or_else(|| die(&format!("invalid --cache-policy '{v}' (lru|clock|sieve)")));
-    }
-    if let Some(v) = flag_value(&args, "--deadline") {
-        config.default_deadline = Some(
-            v.parse()
-                .unwrap_or_else(|_| die(&format!("invalid --deadline '{v}'"))),
-        );
-    }
-    if let Some(v) = flag_value(&args, "--faults") {
-        config.fault_plan = parse_faults(v);
+    let mut tcp = None;
+    let mut args = std::env::args().skip(1);
+    while let Some(flag) = args.next() {
+        let mut value = || {
+            args.next()
+                .unwrap_or_else(|| usage(&format!("{flag} needs a value")))
+        };
+        match flag.as_str() {
+            "--tcp" => tcp = Some(value()),
+            "--workers" => config.workers = number(&flag, &value()),
+            "--queue" => config.queue_depth = number(&flag, &value()),
+            "--cache-capacity" => config.cache_capacity = Some(number(&flag, &value())),
+            "--deadline" => config.default_deadline = Some(number(&flag, &value())),
+            "--faults" => config.fault_plan = parse_faults(&value()),
+            _ => usage(&format!("unknown flag '{flag}'")),
+        }
     }
 
-    match flag_value(&args, "--tcp") {
+    match tcp.as_deref() {
         Some(addr) => {
             let server = TcpServer::bind(addr, config)
                 .unwrap_or_else(|e| die(&format!("cannot bind {addr}: {e}")));

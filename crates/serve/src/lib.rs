@@ -20,9 +20,8 @@
 //! # Hardening inventory
 //!
 //! * **Bounded memory** — [`ServerConfig::cache_capacity`] caps the
-//!   artifact cache (LRU/Clock/SIEVE, see
-//!   [`lams_core::EvictionPolicy`]); any capacity is bit-identical to
-//!   unbounded, only slower.
+//!   artifact cache (SIEVE eviction, see `docs/memoization.md`); any
+//!   capacity is bit-identical to unbounded, only slower.
 //! * **Panic isolation** — every job runs under `catch_unwind`; a
 //!   panicking job answers `err … code=job_panicked` and the worker
 //!   survives. Poisoned mutexes are recovered everywhere.

@@ -31,7 +31,9 @@ pub struct ServerConfig {
     pub queue_depth: usize,
     /// Artifact-cache capacity in entries; `None` is unbounded.
     pub cache_capacity: Option<usize>,
-    /// Eviction policy for a bounded cache.
+    /// Selects nothing: [`EvictionPolicy`] has one variant (SIEVE).
+    /// The field stays only because the frozen repo benchmark passes
+    /// `config.eviction` to [`ArtifactCache::bounded`].
     pub eviction: EvictionPolicy,
     /// Simulated-cycle budget applied to requests that carry none.
     pub default_deadline: Option<u64>,
@@ -45,7 +47,7 @@ impl Default for ServerConfig {
             workers: 2,
             queue_depth: 16,
             cache_capacity: None,
-            eviction: EvictionPolicy::Lru,
+            eviction: EvictionPolicy::default(),
             default_deadline: None,
             fault_plan: FaultPlan::none(),
         }

@@ -8,7 +8,7 @@ use std::io::{BufRead, BufReader, Write};
 use std::net::TcpStream;
 use std::sync::Arc;
 
-use lams_core::{execute_bundle, ArtifactCache, EngineConfig, EvictionPolicy, RandomPolicy};
+use lams_core::{execute_bundle, ArtifactCache, EngineConfig, RandomPolicy};
 use lams_layout::Layout;
 use lams_mpsoc::MachineConfig;
 use lams_serve::{Exit, FaultPlan, PoolConfig, ServerConfig, Service, TcpServer, Work, WorkerPool};
@@ -342,11 +342,10 @@ fn seeded_fault_campaign_is_reproducible_and_survivable() {
 
 #[test]
 fn bounded_service_cache_evicts_and_stays_correct() {
-    // A capacity-2 LRU cache behind the service: distinct scenarios
-    // churn it, repeats still answer identically to a cold server.
+    // A capacity-2 cache behind the service: distinct scenarios churn
+    // it, repeats still answer identically to a cold server.
     let config = ServerConfig {
         cache_capacity: Some(2),
-        eviction: EvictionPolicy::Lru,
         ..ServerConfig::default()
     };
     let apps = ["shape", "track", "usonic"];
@@ -381,6 +380,39 @@ fn bounded_service_cache_evicts_and_stays_correct() {
         "three apps through two slots must evict: {stats}"
     );
     assert_eq!(field(stats, "capacity"), Some("2"), "{stats}");
+    // The `stats` wire format after `ok id=end`: clients and the repo
+    // benchmark read these 20 keys, in this order.
+    let keys: Vec<&str> = stats
+        .split_ascii_whitespace()
+        .skip(2)
+        .filter_map(|tok| tok.split_once('=').map(|(k, _)| k))
+        .collect();
+    assert_eq!(
+        keys,
+        [
+            "hits",
+            "misses",
+            "hit_rate",
+            "program_hits",
+            "program_misses",
+            "per_process_hits",
+            "per_process_misses",
+            "sharing_hits",
+            "sharing_misses",
+            "pilot_hits",
+            "pilot_misses",
+            "weight_hits",
+            "weight_misses",
+            "occupancy",
+            "capacity",
+            "evictions",
+            "submitted",
+            "completed",
+            "shed",
+            "panicked",
+        ],
+        "{stats}"
+    );
 }
 
 #[test]
