@@ -1,4 +1,4 @@
-//! Ablation study of the design choices called out in DESIGN.md (A1):
+//! Ablation study (A1) of the design choices the paper leaves open:
 //!
 //! * LS *initial-round thinning* on/off — the Figure 3 initialization
 //!   that spreads mutually-sharing candidates across cores,

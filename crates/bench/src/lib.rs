@@ -1,9 +1,10 @@
-//! Shared helpers for the LAMS benchmark harness.
+//! Shared helpers for the paper-reproduction binaries.
 //!
-//! The real content of this crate is its binaries (`table1`, `table2`,
-//! `fig2a`, `fig6`, `fig7`, `sweep`, `ablation`) and criterion benches —
-//! each regenerates one table or figure of *Kandemir & Chen, DATE 2005*.
-//! See EXPERIMENTS.md at the workspace root for the index.
+//! The real content of this crate is its binaries: `table1`, `table2`,
+//! `fig2a`, `fig6`, `fig7`, `sweep` and `ablation` each regenerate one
+//! table or figure of *Kandemir & Chen, DATE 2005*; `extensions`,
+//! `diag` and `trace_tool` go beyond it. Host-time measurement lives in
+//! `benchmark/` (see `BENCHMARK.json`), not here.
 //!
 //! Every simulation-running binary declares its experiment grid as a
 //! [`lams_core::ScenarioMatrix`] and takes a `--threads N` flag that

@@ -314,8 +314,7 @@ impl Experiment {
         // remap trades conflict misses for guaranteed self-thrash (the
         // reachable capacity halves). Arrays whose largest per-process
         // footprint exceeds `cache_size / 2` are therefore never
-        // re-layouted. (An engineering guard the paper leaves implicit;
-        // see DESIGN.md.)
+        // re-layouted. (An engineering guard the paper leaves implicit.)
         let half_capacity = self.machine.cache.size_bytes / 2;
         let mut eligible = vec![true; self.workload.arrays().len()];
         for (id, decl) in self.workload.arrays().iter() {

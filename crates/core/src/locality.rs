@@ -37,7 +37,8 @@ pub struct LocalityPolicy {
     sharing: Arc<SharingMatrix>,
     num_cores: usize,
     /// Thinning toggle: `false` reproduces the paper exactly; `true`
-    /// skips the initialization phase (ablation A1 in DESIGN.md).
+    /// skips the initialization phase (ablation A1, the `ablation`
+    /// binary in `crates/bench`).
     skip_initial_thinning: bool,
     /// The thinned first-round candidate set, drained by early selects;
     /// `None` once phase 1 is over.

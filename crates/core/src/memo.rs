@@ -68,8 +68,8 @@
 //! `crates/core/tests/memo.rs`).
 //!
 //! Hit/miss/eviction/occupancy counters are kept per cache
-//! ([`MemoStats`]) and surfaced by `bench_summary` as `BENCH_memo.json`
-//! / `BENCH_service.json` and by the figure binaries' `memo` line.
+//! ([`MemoStats`]) and surfaced by the daemon's `stats` response, the
+//! figure binaries' `memo` line and the repo benchmark's `core.memo.*`.
 
 use std::collections::HashMap;
 use std::fmt;
@@ -312,8 +312,7 @@ impl fmt::Display for MemoStats {
 /// [`ScenarioMatrix::run`](crate::ScenarioMatrix::run) threads one
 /// cache through all of a sweep's workers. [`ArtifactCache::disabled`]
 /// builds a pass-through instance that always recomputes — the uncached
-/// reference the differential tests and `BENCH_memo.json` compare
-/// against.
+/// reference the differential tests compare against.
 pub struct ArtifactCache {
     enabled: bool,
     /// Maximum resident entries across all five kinds; `None` is

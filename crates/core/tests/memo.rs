@@ -18,7 +18,7 @@ use lams_workloads::{suite, AccessSpec, AppSpec, ProcessSpec, Scale, Workload};
 
 /// The fig6-style golden matrix: every suite app at Tiny scale under
 /// RS/RRS/LS on the Table 2 machine, RS seed 12345 — exactly the grid
-/// whose makespans `bench_summary` checksums.
+/// whose makespans the `0xd7f2a86da3cb3e3d` checksum below pins.
 fn golden_matrix() -> ScenarioMatrix {
     let kinds = [
         PolicyKind::Random,
@@ -33,8 +33,9 @@ fn golden_matrix() -> ScenarioMatrix {
     m
 }
 
-/// FNV-1a over the makespan stream, as in `bench_summary` — the one
-/// number that pins the whole grid across PRs.
+/// FNV-1a over the makespan stream (the repo benchmark re-derives it
+/// in `benchmark/src/check.rs`) — the one number that pins the whole
+/// grid across PRs.
 fn checksum(makespans: &[u64]) -> u64 {
     let mut h: u64 = 0xCBF2_9CE4_8422_2325;
     for m in makespans {
@@ -64,8 +65,8 @@ fn cached_sweep_is_bit_identical_to_uncached_and_checksum_pinned() {
         .expect("uncached sweep runs");
     assert_eq!(uncached.stats().hits(), 0, "disabled cache must not hit");
 
-    // The golden checksum recorded since PR 1 (see BENCH_hotpath.json
-    // and tests/cross_validation.rs): memoization must not move it.
+    // The golden checksum recorded since PR 1 (per-run makespans in
+    // tests/cross_validation.rs): memoization must not move it.
     assert_eq!(
         checksum(&report_makespans(&reference)),
         0xd7f2a86da3cb3e3d,

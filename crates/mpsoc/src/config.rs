@@ -22,7 +22,7 @@ pub struct CacheConfig {
 impl CacheConfig {
     /// The paper's Table 2 cache: 8 KB, 2-way. Table 2 does not state a
     /// line size; 32 B is typical for embedded L1s of the period and is
-    /// used throughout (documented in DESIGN.md).
+    /// used throughout.
     pub fn paper_default() -> Self {
         CacheConfig {
             size_bytes: 8 * 1024,

@@ -26,8 +26,8 @@
 //! What is deliberately *not* modelled (and why it does not affect the
 //! reproduction): instruction caches (the array-intensive loop kernels of
 //! the paper's benchmarks are loop-resident and affect all schedulers
-//! equally) and OS/device overheads (constant across policies). See
-//! DESIGN.md for the substitution argument.
+//! equally) and OS/device overheads (constant across policies): both
+//! cancel out of every between-policy comparison the paper reports.
 //!
 //! # Cost model
 //!

@@ -279,8 +279,8 @@ fn panic_message(payload: Box<dyn std::any::Any + Send>) -> String {
     }
 }
 
-/// Executes one unit of work (also called directly by `bench_summary`'s
-/// in-process service benchmark).
+/// Executes one unit of work (also called directly, without a pool, by
+/// the repo benchmark's traced pass in `benchmark/src/serve.rs`).
 pub fn execute_work(
     work: &Work,
     default_deadline: Option<u64>,

@@ -447,8 +447,8 @@ fn shared_cache_is_one_instance_across_connections() {
 
 #[test]
 fn execute_work_is_reusable_in_process() {
-    // `bench_summary` drives the executor directly; pin that entry
-    // point too.
+    // The frozen `benchmark/src/serve.rs` drives the executor directly;
+    // pin that entry point too.
     let cache = ArtifactCache::shared();
     let line = "run id=x app=shape scale=tiny policy=ls";
     let Some(lams_serve::Request::Run(req)) = lams_serve::Request::parse(line).unwrap() else {

@@ -5,8 +5,7 @@
 //! reproduce the structural properties the paper's scheduler observes —
 //! staged pipelines of 9–37 processes, affine array accesses over
 //! row/column/quadrant slices, halo overlaps, producer→consumer
-//! intermediates and small shared lookup tables (see crate docs and
-//! DESIGN.md).
+//! intermediates and small shared lookup tables (see the crate docs).
 //!
 //! Conventions shared by all six:
 //!

@@ -6,7 +6,8 @@
 //! applications (Med-Im04, MxM, Radar, Shape, Track, Usonic) whose
 //! process counts range from 9 to 37. The originals are proprietary;
 //! this crate provides synthetic stand-ins with the properties the
-//! scheduler actually observes (see DESIGN.md):
+//! scheduler actually observes — it sees footprints, sharing and
+//! dependences, never the computation itself:
 //!
 //! * staged, pipeline-parallel structure with 9–37 processes per task,
 //! * affine array accesses over row/column slices with halo overlaps,

@@ -339,33 +339,47 @@ fn deadline_and_arrivals_compose_in_both_orders() {
 
 #[test]
 fn queue_saturation_sheds_typed_and_deterministically() {
-    // Fourfold overload against a 1-deep admission queue: the run must
+    // Fourfold overload against a 1-deep admission queue (a Tiny mix)
+    // and a 2-deep one (a 192-process synthetic pipeline): the run must
     // shed with the typed error, and every repeat must shed at the
     // same depth and cycle — overload handling is as deterministic as
     // the simulation itself.
+    let overload = ArrivalConfig::poisson(4000, 7);
+    let machine = MachineConfig::paper_default();
     let mix = lams::workloads::suite::mix(4, lams::workloads::Scale::Tiny);
-    let exp = Experiment::concurrent(&mix, MachineConfig::paper_default())
-        .with_arrivals(ArrivalConfig::poisson(4000, 7).with_queue_capacity(1));
-    let reference = match exp.run(PolicyKind::RoundRobin) {
-        Err(Error::QueueSaturated {
-            capacity,
-            depth,
-            at_cycle,
-        }) => {
-            assert_eq!(capacity, 1);
-            assert!(depth > 1, "shed depth must exceed the capacity");
-            (capacity, depth, at_cycle)
-        }
-        other => panic!("expected QueueSaturated, got {other:?}"),
-    };
-    for _ in 0..3 {
-        match exp.run(PolicyKind::RoundRobin) {
+    let pipeline = lams::workloads::synthetic_app(lams::workloads::SyntheticConfig {
+        seed: 0xA221,
+        stages: 6,
+        procs_per_stage: 32,
+        dim: 96,
+        max_halo: 2,
+    });
+    for (exp, queue_capacity) in [
+        (Experiment::concurrent(&mix, machine), 1),
+        (Experiment::isolated(&pipeline, machine), 2),
+    ] {
+        let exp = exp.with_arrivals(overload.with_queue_capacity(queue_capacity));
+        let reference = match exp.run(PolicyKind::RoundRobin) {
             Err(Error::QueueSaturated {
                 capacity,
                 depth,
                 at_cycle,
-            }) => assert_eq!((capacity, depth, at_cycle), reference),
+            }) => {
+                assert_eq!(capacity, queue_capacity);
+                assert!(depth as u64 > capacity, "shed depth exceeds capacity");
+                (capacity, depth, at_cycle)
+            }
             other => panic!("expected QueueSaturated, got {other:?}"),
+        };
+        for _ in 0..3 {
+            match exp.run(PolicyKind::RoundRobin) {
+                Err(Error::QueueSaturated {
+                    capacity,
+                    depth,
+                    at_cycle,
+                }) => assert_eq!((capacity, depth, at_cycle), reference),
+                other => panic!("expected QueueSaturated, got {other:?}"),
+            }
         }
     }
 }
