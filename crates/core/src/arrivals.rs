@@ -8,8 +8,9 @@
 //! that model:
 //!
 //! * [`ArrivalConfig`] — the knob set (shape, offered load, seed, ready
-//!   queue bound), `Copy` and fully fingerprinted so open-system runs
-//!   can never alias batch runs in the memo cache;
+//!   queue bound), `Copy`. Open-system runs bypass the memo's result
+//!   slots (`Experiment::run_memo`), so they can never alias batch
+//!   runs there;
 //! * [`ArrivalPlan`] — the materialized per-process arrival cycles,
 //!   generated once per run from the config, the per-process service
 //!   demands and the core count. Generation is **bit-deterministic**:
@@ -26,7 +27,6 @@
 //! Generator math and determinism rules are documented in
 //! `docs/arrivals.md`.
 
-use lams_mpsoc::{Fingerprint, FingerprintHasher};
 use lams_procgraph::ProcessId;
 
 /// The arrival-stream shape.
@@ -46,14 +46,6 @@ pub enum ArrivalShape {
 }
 
 impl ArrivalShape {
-    fn as_u64(self) -> u64 {
-        match self {
-            ArrivalShape::Poisson => 0,
-            ArrivalShape::Burst => 1,
-            ArrivalShape::Diurnal => 2,
-        }
-    }
-
     /// The wire/CLI name (`poisson`, `burst`, `diurnal`).
     pub fn as_str(self) -> &'static str {
         match self {
@@ -178,25 +170,6 @@ impl ArrivalConfig {
             seed,
             queue_capacity,
         })
-    }
-
-    /// Content fingerprint over **every** field: an open-system run must
-    /// never share a memo artifact with a batch run or with a run under
-    /// a different stream (registered with `lams-lint`'s
-    /// fingerprint-coverage pass).
-    pub fn fingerprint(&self) -> Fingerprint {
-        let mut h = FingerprintHasher::new("lams.arrival-config");
-        h.write_u64(self.shape.as_u64());
-        h.write_u64(self.load_milli);
-        h.write_u64(self.seed);
-        match self.queue_capacity {
-            None => h.write_bool(false),
-            Some(cap) => {
-                h.write_bool(true);
-                h.write_u64(cap);
-            }
-        }
-        h.finish()
     }
 }
 
@@ -586,27 +559,6 @@ mod tests {
             "warp:0.8:7",
         ] {
             assert!(ArrivalConfig::parse(bad).is_err(), "accepted {bad:?}");
-        }
-    }
-
-    #[test]
-    fn fingerprint_separates_every_field() {
-        let base = ArrivalConfig::poisson(800, 7);
-        let variants = [
-            ArrivalConfig {
-                shape: ArrivalShape::Burst,
-                ..base
-            },
-            ArrivalConfig {
-                load_milli: 801,
-                ..base
-            },
-            ArrivalConfig { seed: 8, ..base },
-            base.with_queue_capacity(0),
-            base.with_queue_capacity(1),
-        ];
-        for v in &variants {
-            assert_ne!(v.fingerprint(), base.fingerprint(), "{v} aliased {base}");
         }
     }
 

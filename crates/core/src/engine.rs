@@ -12,11 +12,12 @@
 //! * busy cores live in a small min-heap holding exactly one entry per
 //!   busy core (popped on selection, re-pushed after the batch while
 //!   the core stays busy);
-//! * the selected core runs its trace in a tight inner loop
-//!   ([`Machine::exec_until`]) until the next *event horizon* — its own
-//!   quantum end or the next gated-dispatch opportunity. Cores without
-//!   either run arbitrarily far ahead of their siblings, because
-//!   private caches make their op streams independent;
+//! * the selected core runs its compiled trace program in a tight inner
+//!   loop ([`Machine::exec_source_until`] over a [`Cursor`]) until the
+//!   next *event horizon* — its own quantum end or the next
+//!   gated-dispatch opportunity. Cores without either run arbitrarily
+//!   far ahead of their siblings, because private caches make their op
+//!   streams independent;
 //! * the events a batch ends with (completion, preemption) are not
 //!   processed at discovery: they are re-queued into the heap at the
 //!   exact `(clock, core)` scheduling position at which the seed's
@@ -41,8 +42,9 @@
 //!
 //! Batching is exact, not approximate: makespans, dispatch sequences
 //! and cache statistics are bit-identical to the seed engine
-//! (differentially tested against a one-op-at-a-time reference in
-//! `crates/core/tests/prop.rs` and golden-checked in
+//! (differentially tested against the one naive per-op simulator in
+//! `crates/core/tests/support/oracle.rs` — batch and open-system runs,
+//! both bus modes, deadlines — and golden-checked in
 //! `tests/cross_validation.rs`). The one behavioural refinement is for
 //! policies whose `select` *refuses* to dispatch while ready work and
 //! an eligible idle core exist: they are re-asked at the next
@@ -55,48 +57,23 @@ use std::collections::{BTreeMap, BinaryHeap};
 use std::fmt;
 
 use lams_layout::Layout;
-use lams_mpsoc::{
-    machine_fingerprint, CoreId, Fingerprint, FingerprintHasher, Machine, MachineConfig,
-    MachineStats,
-};
+use lams_mpsoc::{CoreId, Machine, MachineConfig, MachineStats};
 use lams_procgraph::{EpgBuilder, ProcessGraph, ProcessId, ReadyTracker};
-use lams_trace::{Cursor, TraceBundle};
-use lams_workloads::{Trace, Workload};
+use lams_trace::{Cursor, Program, TraceBundle};
+use lams_workloads::Workload;
 
 use crate::arrivals::{ArrivalConfig, ArrivalMetrics, ArrivalPlan};
 use crate::{Error, Policy, Result};
 
-/// Which trace representation feeds the cores.
-///
-/// Both modes produce **bit-identical** results (makespans, dispatch
-/// sequences, cache statistics) — differentially tested in
-/// `crates/core/tests/trace_ir.rs` and pinned by the golden makespans in
-/// `tests/cross_validation.rs`. IR mode compiles each process's affine
-/// trace into a stride-run program once and executes whole runs between
-/// preemption points ([`lams_mpsoc::Machine::exec_source_until`]);
-/// scalar mode is the reference one-op-at-a-time iterator kept for
-/// differential testing.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub enum TraceMode {
-    /// Compiled stride-run IR (the default fast path).
-    #[default]
-    Ir,
-    /// The scalar per-op trace iterator (reference path).
-    Scalar,
-}
-
 /// Engine configuration: the machine plus an optional quantum override
-/// (normally the quantum comes from the policy), the trace
-/// representation to execute, and an optional per-run deadline.
+/// (normally the quantum comes from the policy), an optional per-run
+/// deadline and an optional open-system arrival stream.
 #[derive(Debug, Clone, Copy)]
 pub struct EngineConfig {
     /// The simulated machine.
     pub machine: MachineConfig,
     /// When set, overrides the policy's preemption quantum.
     pub quantum_override: Option<u64>,
-    /// Trace representation feeding the cores (defaults to
-    /// [`TraceMode::Ir`]; results are identical either way).
-    pub trace_mode: TraceMode,
     /// Per-run budget in **simulated cycles**: the run fails with
     /// [`Error::DeadlineExceeded`] once the global clock (the engine's
     /// minimum busy-core key) passes this bound. `None` (the default)
@@ -121,19 +98,7 @@ pub struct EngineConfig {
 impl EngineConfig {
     /// Engine over the paper's Table 2 machine.
     pub fn paper_default() -> Self {
-        EngineConfig {
-            machine: MachineConfig::paper_default(),
-            quantum_override: None,
-            trace_mode: TraceMode::default(),
-            max_cycles: None,
-            arrivals: None,
-        }
-    }
-
-    /// Builder-style override of the trace representation.
-    pub fn with_trace_mode(mut self, mode: TraceMode) -> Self {
-        self.trace_mode = mode;
-        self
+        MachineConfig::paper_default().into()
     }
 
     /// Builder-style per-run deadline in simulated cycles (see
@@ -149,44 +114,6 @@ impl EngineConfig {
         self.arrivals = Some(arrivals);
         self
     }
-
-    /// Content fingerprint over **every** field: two engine configs
-    /// producing different results must never share a memo key. The
-    /// machine enters as its own composed fingerprint; the options
-    /// follow the presence-flag-then-value idiom of
-    /// [`machine_fingerprint`] so `None` and `Some(0)` stay distinct.
-    /// (`trace_mode` changes no results, but a key that distinguishes
-    /// the modes keeps differential runs honest about what they hit.)
-    pub fn fingerprint(&self) -> Fingerprint {
-        let mut h = FingerprintHasher::new("lams.engine-config");
-        h.write_fingerprint(machine_fingerprint(&self.machine));
-        match self.quantum_override {
-            None => h.write_bool(false),
-            Some(q) => {
-                h.write_bool(true);
-                h.write_u64(q);
-            }
-        }
-        h.write_u64(match self.trace_mode {
-            TraceMode::Ir => 0,
-            TraceMode::Scalar => 1,
-        });
-        match self.max_cycles {
-            None => h.write_bool(false),
-            Some(c) => {
-                h.write_bool(true);
-                h.write_u64(c);
-            }
-        }
-        match self.arrivals {
-            None => h.write_bool(false),
-            Some(a) => {
-                h.write_bool(true);
-                h.write_fingerprint(a.fingerprint());
-            }
-        }
-        h.finish()
-    }
 }
 
 impl Default for EngineConfig {
@@ -200,7 +127,6 @@ impl From<MachineConfig> for EngineConfig {
         EngineConfig {
             machine,
             quantum_override: None,
-            trace_mode: TraceMode::default(),
             max_cycles: None,
             arrivals: None,
         }
@@ -314,17 +240,9 @@ enum RunState {
     ArrivalPending,
 }
 
-/// A core's trace feed: either the scalar iterator or an IR cursor.
-/// Both decode the same op stream; the cursor additionally exposes the
-/// stream's run structure to the machine's batched executor.
-enum Feed<'a> {
-    Scalar(Trace<'a>),
-    Ir(Cursor<'a>),
-}
-
 struct Running<'a> {
     pid: ProcessId,
-    trace: Feed<'a>,
+    trace: Cursor<'a>,
     quantum_end: Option<u64>,
     state: RunState,
 }
@@ -332,15 +250,11 @@ struct Running<'a> {
 /// Executes `workload` on the configured machine under `policy`, with
 /// array addresses resolved through `layout`.
 ///
-/// In the default [`TraceMode::Ir`], each process's trace is first
-/// compiled into a stride-run program
-/// ([`Workload::compile_traces`]) and executed batchwise; in
-/// [`TraceMode::Scalar`] the one-op-at-a-time iterator feeds the cores.
-/// Results are bit-identical either way.
-///
-/// Compilation happens per call; use [`execute_cached`] to share one
-/// compiled program set across runs (the LSM candidate ladder and
-/// policy-dense sweep matrices re-execute each workload many times).
+/// Each process's trace is first compiled into a stride-run program
+/// ([`Workload::compile_traces`]) and executed batchwise. Compilation
+/// happens per call; use [`execute_cached`] to share one compiled
+/// program set across runs (the LSM candidate ladder and policy-dense
+/// sweep matrices re-execute each workload many times).
 ///
 /// The engine maintains one clock per core and always advances the busy
 /// core with the smallest local clock, so cross-core interactions (the
@@ -352,6 +266,8 @@ struct Running<'a> {
 ///
 /// * [`Error::EngineStalled`] when the policy refuses to dispatch while
 ///   every core idles and processes are ready,
+/// * [`Error::DeadlineExceeded`] / [`Error::QueueSaturated`] when the
+///   configured budget or admission-queue capacity is exceeded,
 /// * simulator/graph errors are propagated.
 pub fn execute(
     workload: &Workload,
@@ -359,50 +275,22 @@ pub fn execute(
     policy: &mut dyn Policy,
     config: impl Into<EngineConfig>,
 ) -> Result<RunResult> {
-    let config: EngineConfig = config.into();
-    let plan = plan_for_workload(&config, workload);
-    match config.trace_mode {
-        TraceMode::Scalar => run_engine(
-            workload.epg(),
-            |p| Feed::Scalar(workload.trace(p, layout)),
-            policy,
-            config,
-            plan,
-        ),
-        TraceMode::Ir => {
-            let programs = workload.compile_traces(layout);
-            run_engine(
-                workload.epg(),
-                |p| Feed::Ir(Cursor::new(&programs[p.as_usize()])),
-                policy,
-                config,
-                plan,
-            )
-        }
-    }
-}
-
-/// Materializes the arrival plan for a workload run: service demand is
-/// each process's declared trace length — the layout only moves
-/// addresses, never op counts, so the plan is layout-independent and
-/// open-system runs stay comparable across LSM candidate layouts.
-fn plan_for_workload(config: &EngineConfig, workload: &Workload) -> Option<ArrivalPlan> {
-    config.arrivals.map(|a| {
-        let service: Vec<u64> = workload
-            .process_ids()
-            .map(|p| workload.trace_len(p))
-            .collect();
-        ArrivalPlan::generate(a, &service, config.machine.num_cores)
-    })
+    let programs = workload.compile_traces(layout);
+    run_engine(
+        workload.epg(),
+        &|p| &programs[p.as_usize()],
+        policy,
+        config.into(),
+    )
 }
 
 /// [`execute`] with the compiled trace programs served from `memo`
-/// ([`crate::memo::ArtifactCache`]): in [`TraceMode::Ir`] the program
-/// set for `(workload, layout)` is compiled at most once per cache and
-/// shared (`Arc`) across every subsequent run — sweep jobs, LSM ladder
-/// candidates, repeated policy comparisons. Results are bit-identical
-/// to [`execute`] for any thread count; only the compile work is
-/// shared, never simulation state.
+/// ([`crate::memo::ArtifactCache`]): the program set for `(workload,
+/// layout)` is compiled at most once per cache and shared (`Arc`)
+/// across every subsequent run — sweep jobs, LSM ladder candidates,
+/// repeated policy comparisons. Results are bit-identical to
+/// [`execute`] for any thread count; only the compile work is shared,
+/// never simulation state.
 ///
 /// # Errors
 ///
@@ -414,27 +302,13 @@ pub fn execute_cached(
     config: impl Into<EngineConfig>,
     memo: &crate::memo::ArtifactCache,
 ) -> Result<RunResult> {
-    let config: EngineConfig = config.into();
-    let plan = plan_for_workload(&config, workload);
-    match config.trace_mode {
-        TraceMode::Scalar => run_engine(
-            workload.epg(),
-            |p| Feed::Scalar(workload.trace(p, layout)),
-            policy,
-            config,
-            plan,
-        ),
-        TraceMode::Ir => {
-            let programs = memo.programs(workload, layout);
-            run_engine(
-                workload.epg(),
-                |p| Feed::Ir(Cursor::new(&programs[p.as_usize()])),
-                policy,
-                config,
-                plan,
-            )
-        }
-    }
+    let programs = memo.programs(workload, layout);
+    run_engine(
+        workload.epg(),
+        &|p| &programs[p.as_usize()],
+        policy,
+        config.into(),
+    )
 }
 
 /// Replays a recorded [`TraceBundle`] (`.ltr` record/replay) under
@@ -461,38 +335,40 @@ pub fn execute_bundle(
     for &(from, to) in &bundle.edges {
         builder.add_edge(ProcessId::new(from), ProcessId::new(to))?;
     }
-    let epg = builder.build()?;
-    let config: EngineConfig = config.into();
-    let plan = config.arrivals.map(|a| {
-        let service: Vec<u64> = bundle.records.iter().map(|r| r.program.len_ops()).collect();
-        ArrivalPlan::generate(a, &service, config.machine.num_cores)
-    });
     run_engine(
-        &epg,
-        |p| Feed::Ir(Cursor::new(&bundle.records[p.as_usize()].program)),
+        &builder.build()?,
+        &|p| &bundle.records[p.as_usize()].program,
         policy,
-        config,
-        plan,
+        config.into(),
     )
 }
 
-/// The engine proper, generic over where traces come from: `feed` maps a
-/// process id to its (restartable) trace feed.
-fn run_engine<'a, F>(
+/// The engine proper: runs the processes of `epg` under `policy`, each
+/// executing the compiled trace `program(pid)` names.
+///
+/// In open-system mode the arrival plan is derived here, once: service
+/// demand is each program's op count, which equals the workload's
+/// declared trace length whatever the layout (the layout only moves
+/// addresses, never op counts), so open-system runs stay comparable
+/// across LSM candidate layouts and `.ltr` replays.
+fn run_engine<'a>(
     epg: &ProcessGraph,
-    mut feed: F,
+    program: &dyn Fn(ProcessId) -> &'a Program,
     policy: &mut dyn Policy,
     config: EngineConfig,
-    plan: Option<ArrivalPlan>,
-) -> Result<RunResult>
-where
-    F: FnMut(ProcessId) -> Feed<'a>,
-{
+) -> Result<RunResult> {
+    let n = epg.len();
+    let plan = config.arrivals.map(|a| {
+        let service: Vec<u64> = (0..n)
+            .map(|i| program(ProcessId::new(i as u32)).len_ops())
+            .collect();
+        ArrivalPlan::generate(a, &service, config.machine.num_cores)
+    });
     let mut machine = Machine::try_new(config.machine)?;
     let cores = machine.num_cores();
     let mut tracker = ReadyTracker::new(epg);
     let mut ready_at: BTreeMap<ProcessId, u64> = BTreeMap::new();
-    let mut paused: BTreeMap<ProcessId, Feed<'a>> = BTreeMap::new();
+    let mut paused: BTreeMap<ProcessId, Cursor<'a>> = BTreeMap::new();
     let mut running: Vec<Option<Running<'_>>> = (0..cores).map(|_| None).collect();
     let mut last_on_core: Vec<Option<ProcessId>> = vec![None; cores];
     let mut core_sequences: Vec<Vec<ProcessId>> = vec![Vec::new(); cores];
@@ -506,8 +382,6 @@ where
     // the last real core) in the busy heap; the pop handler resolves it
     // to [`RunState::ArrivalPending`] before touching any per-core slot.
     let open = plan.is_some();
-    let n = epg.len();
-    debug_assert!(plan.as_ref().is_none_or(|p| p.len() == n));
     let arrival_key: usize = cores;
     let mut arrived: Vec<bool> = vec![!open; n];
     let mut dep_ready: Vec<bool> = vec![false; n];
@@ -604,7 +478,9 @@ where
                     .core_clock(core)?
                     .max(ready_at.get(&pid).copied().unwrap_or(0));
                 machine.wait_until(core, start)?;
-                let trace = paused.remove(&pid).unwrap_or_else(|| feed(pid));
+                let trace = paused
+                    .remove(&pid)
+                    .unwrap_or_else(|| Cursor::new(program(pid)));
                 let quantum_end = quantum(policy).map(|q| start + q);
                 running[core] = Some(Running {
                     pid,
@@ -811,10 +687,7 @@ where
         }
 
         let slot = running[core].as_mut().expect("core is busy");
-        let outcome = match &mut slot.trace {
-            Feed::Scalar(t) => machine.exec_until(core, t, horizon)?,
-            Feed::Ir(c) => machine.exec_source_until(core, c, horizon)?,
-        };
+        let outcome = machine.exec_source_until(core, &mut slot.trace, horizon)?;
         let now = machine.core_clock(core)?;
         if let Some(boundary) = outcome.parked {
             // A windowed-bus miss latched its epoch request: park the
@@ -873,13 +746,7 @@ mod tests {
     use lams_workloads::{prog1, suite, Scale};
 
     fn small_machine(cores: usize) -> EngineConfig {
-        EngineConfig {
-            machine: MachineConfig::paper_default().with_cores(cores),
-            quantum_override: None,
-            trace_mode: TraceMode::default(),
-            max_cycles: None,
-            arrivals: None,
-        }
+        MachineConfig::paper_default().with_cores(cores).into()
     }
 
     fn run_policy(workload: &Workload, policy: &mut dyn Policy, cores: usize) -> RunResult {
@@ -999,13 +866,8 @@ mod tests {
         let sharing = SharingMatrix::from_workload(&w);
         let mut ls = LocalityPolicy::new(sharing, 4);
         let layout = Layout::linear(w.arrays());
-        let cfg = EngineConfig {
-            machine: MachineConfig::paper_default().with_cores(4),
-            quantum_override: Some(500),
-            trace_mode: TraceMode::default(),
-            max_cycles: None,
-            arrivals: None,
-        };
+        let mut cfg = small_machine(4);
+        cfg.quantum_override = Some(500);
         let r = execute(&w, &layout, &mut ls, cfg).unwrap();
         assert!(r.processes.values().any(|e| e.dispatches > 1));
     }

@@ -74,9 +74,7 @@ mod task_affinity;
 
 pub use arrivals::{ArrivalConfig, ArrivalMetrics, ArrivalPlan, ArrivalShape, LatencyPercentiles};
 pub use critical_path::CriticalPathPolicy;
-pub use engine::{
-    execute, execute_bundle, execute_cached, EngineConfig, ProcessExec, RunResult, TraceMode,
-};
+pub use engine::{execute, execute_bundle, execute_cached, EngineConfig, ProcessExec, RunResult};
 pub use error::{Error, Result};
 pub use experiment::{Experiment, LsmArtifacts};
 pub use locality::LocalityPolicy;

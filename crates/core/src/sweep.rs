@@ -33,30 +33,14 @@
 //! against the sequential path; the golden makespans in
 //! `tests/cross_validation.rs` pin it across PRs.
 //!
-//! # Work stealing
-//!
-//! Parallel runs used to pull from one shared `Mutex<VecDeque>`; with
-//! the per-process memo making individual jobs cheap, that single lock
-//! became the named contention point. Workers now own **per-worker
-//! deques**: the (optionally LJF-sorted) queue is dealt round-robin
-//! across the workers up front — preserving the longest-first order
-//! *within* each deque — and a worker whose own deque runs dry
-//! **steals from a pseudo-randomly chosen victim** (a deterministic
-//! splitmix64 stream per worker; no global lock, no shared RNG, no
-//! dependencies). Stealing only changes *which worker* runs a job and
-//! *when* — results are still written into enumeration-indexed slots
-//! and reassembled in order, so reports remain bit-identical to the
-//! single-queue (and fully sequential) reference at any thread count,
-//! differentially pinned in `crates/core/tests/sweep.rs`.
-//!
 //! Errors are reported deterministically too: when several jobs fail,
 //! the error of the *earliest enumerated* failing job is returned. A
 //! *panicking* job is caught at the job boundary
 //! ([`SweepRunner::run_caught`]) and reported as that job's
 //! [`Error::JobPanicked`](crate::Error::JobPanicked) under the same
-//! rule — sibling jobs complete and the worker pool (queue and slot
-//! mutexes included) survives, which is what lets a long-lived service
-//! keep serving after one poisoned request.
+//! rule — sibling jobs complete and the worker pool (its slot mutex
+//! included) survives, which is what lets a long-lived service keep
+//! serving after one poisoned request.
 //!
 //! ```
 //! use lams_core::{PolicyKind, ScenarioMatrix, SweepRunner, Experiment};
@@ -72,8 +56,8 @@
 //! assert_eq!(reports.len(), 6); // one ComparisonReport per group
 //! ```
 
-use std::collections::VecDeque;
 use std::panic::{catch_unwind, AssertUnwindSafe};
+use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::{Arc, Mutex, PoisonError};
 
 use lams_mpsoc::MachineConfig;
@@ -93,29 +77,6 @@ fn panic_message(payload: Box<dyn std::any::Any + Send>) -> String {
     } else {
         "non-string panic payload".to_owned()
     }
-}
-
-/// Seeds a worker's private splitmix64 stream from its index. One
-/// mixing step up front so workers 0, 1, 2… start from decorrelated
-/// states rather than adjacent integers.
-fn splitmix64_seed(worker: u64) -> u64 {
-    let mut state = worker.wrapping_mul(0x9E37_79B9_7F4A_7C15);
-    splitmix64(&mut state);
-    state
-}
-
-/// One step of the splitmix64 generator: cheap, dependency-free,
-/// deterministic victim selection for work stealing. Quality hardly
-/// matters — any spread that keeps idle workers from all hammering
-/// deque 0 will do — but determinism does: results never depend on the
-/// stream (slots are index-addressed), so no entropy source belongs
-/// here.
-fn splitmix64(state: &mut u64) -> u64 {
-    *state = state.wrapping_add(0x9E37_79B9_7F4A_7C15);
-    let mut z = *state;
-    z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
-    z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
-    z ^ (z >> 31)
 }
 
 /// Executes indexed jobs across a fixed-size scoped thread pool.
@@ -150,8 +111,8 @@ impl SweepRunner {
     /// Runs `f(0..n)` and returns the results **in index order**.
     ///
     /// With one thread (or at most one job) this executes inline with no
-    /// spawning — the exact sequential path. Otherwise workers pull
-    /// indices from a shared queue and write each result into its own
+    /// spawning — the exact sequential path. Otherwise workers claim
+    /// indices from a shared cursor and write each result into its own
     /// slot, so the output order never depends on scheduling. A panic in
     /// any job propagates out of the scope after all workers join.
     pub fn run<T, F>(&self, n: usize, f: F) -> Vec<T>
@@ -181,14 +142,14 @@ impl SweepRunner {
         let mut order: Vec<usize> = (0..weights.len()).collect();
         // Stable sort: equal weights keep enumeration order.
         order.sort_by_key(|&i| std::cmp::Reverse(weights[i]));
-        self.run_queue(order.into(), f)
+        self.run_queue(order, f)
     }
 
     /// Runs `f(0..n)` with each job wrapped in
     /// [`std::panic::catch_unwind`]: a panicking job yields
     /// `Err(`[`Error::JobPanicked`]`)` in its slot instead of unwinding
     /// through the pool. Sibling jobs run to completion and the workers
-    /// (and their queue/slot mutexes) survive — the panic-isolation
+    /// (and their slot mutex) survive — the panic-isolation
     /// contract a long-lived sweep service depends on. Results come back
     /// **in index order**, as for [`SweepRunner::run`].
     pub fn run_caught<T, F>(&self, n: usize, f: F) -> Vec<std::result::Result<T, Error>>
@@ -212,7 +173,7 @@ impl SweepRunner {
     {
         let mut order: Vec<usize> = (0..weights.len()).collect();
         order.sort_by_key(|&i| std::cmp::Reverse(weights[i]));
-        self.run_queue(order.into(), Self::caught(f))
+        self.run_queue(order, Self::caught(f))
     }
 
     /// Wraps a job closure so panics surface as [`Error::JobPanicked`].
@@ -231,86 +192,45 @@ impl SweepRunner {
         }
     }
 
-    /// Shared driver: executes `f` over the queued indices (in queue
-    /// order for one thread; per-worker deques with stealing
-    /// otherwise), returning results **in index order**.
+    /// Shared driver: executes `f` over the queued indices, returning
+    /// results **in index order**.
     ///
-    /// The queue order is dealt round-robin across `min(threads, n)`
-    /// worker deques, so a longest-job-first order stays longest-first
-    /// within every deque. Each worker drains its own deque from the
-    /// front; when empty it scans the other deques for a victim,
-    /// starting at a pseudo-random offset from its private splitmix64
-    /// stream (seeded by worker index — deterministic per run shape,
-    /// but irrelevant to results either way), and steals the victim's
-    /// front job (the victim's best remaining job — LJF is preserved
-    /// under stealing too). A worker exits after a full scan finds
-    /// every deque empty, which is final: jobs never enqueue jobs, so
-    /// deques only shrink.
+    /// Workers claim queue positions from one shared atomic cursor, so
+    /// jobs *start* in exactly the queue order at any thread count —
+    /// global longest-job-first under [`SweepRunner::run_weighted`] —
+    /// and claiming work takes no lock. `Relaxed` suffices: the cursor
+    /// hands out distinct positions and publishes no other data (the
+    /// queue is immutable, results travel through the slot mutex).
     ///
     /// Lock poisoning is recovered, not propagated: a job that panics
     /// (under [`SweepRunner::run`], where the unwind crosses the scope)
-    /// can poison a deque or the slot mutex from the perspective of its
-    /// sibling workers, and `PoisonError::into_inner` takes the guard
-    /// anyway. That is sound — deques hold plain indices and every
-    /// slot write is a whole-`Option` store, so no invariant can be
-    /// half-updated by an unwinding writer.
-    fn run_queue<T, F>(&self, order: VecDeque<usize>, f: F) -> Vec<T>
+    /// can poison the slot mutex from the perspective of its sibling
+    /// workers, and `PoisonError::into_inner` takes the guard anyway.
+    /// That is sound — every slot write is a whole-`Option` store, so
+    /// no invariant can be half-updated by an unwinding writer.
+    fn run_queue<T, F>(&self, order: Vec<usize>, f: F) -> Vec<T>
     where
         T: Send,
         F: Fn(usize) -> T + Sync,
     {
         let n = order.len();
-        if self.threads == 1 || n <= 1 {
-            let mut slots: Vec<Option<T>> = (0..n).map(|_| None).collect();
-            for i in order {
-                slots[i] = Some(f(i));
-            }
-            return slots
-                .into_iter()
-                .map(|slot| slot.expect("every index was queued"))
-                .collect();
-        }
-        let workers = self.threads.min(n);
-        let mut deal: Vec<VecDeque<usize>> = (0..workers).map(|_| VecDeque::new()).collect();
-        for (k, i) in order.into_iter().enumerate() {
-            deal[k % workers].push_back(i);
-        }
-        let queues: Vec<Mutex<VecDeque<usize>>> = deal.into_iter().map(Mutex::new).collect();
         let slots: Mutex<Vec<Option<T>>> = Mutex::new((0..n).map(|_| None).collect());
-        std::thread::scope(|s| {
-            for me in 0..workers {
-                let queues = &queues;
-                let slots = &slots;
-                let f = &f;
-                s.spawn(move || {
-                    let mut rng = splitmix64_seed(me as u64);
-                    loop {
-                        // Pop inside a tight scope so no deque lock is
-                        // held while the job runs.
-                        let mine = queues[me]
-                            .lock()
-                            .unwrap_or_else(PoisonError::into_inner)
-                            .pop_front();
-                        let next = mine.or_else(|| {
-                            let start = (splitmix64(&mut rng) as usize) % workers;
-                            (0..workers).find_map(|k| {
-                                let v = (start + k) % workers;
-                                if v == me {
-                                    return None;
-                                }
-                                queues[v]
-                                    .lock()
-                                    .unwrap_or_else(PoisonError::into_inner)
-                                    .pop_front()
-                            })
-                        });
-                        let Some(i) = next else { break };
-                        let out = f(i);
-                        slots.lock().unwrap_or_else(PoisonError::into_inner)[i] = Some(out);
-                    }
-                });
+        let cursor = AtomicUsize::new(0);
+        let work = || {
+            while let Some(&i) = order.get(cursor.fetch_add(1, Ordering::Relaxed)) {
+                let out = f(i);
+                slots.lock().unwrap_or_else(PoisonError::into_inner)[i] = Some(out);
             }
-        });
+        };
+        if self.threads == 1 || n <= 1 {
+            work();
+        } else {
+            std::thread::scope(|s| {
+                for _ in 0..self.threads.min(n) {
+                    s.spawn(work);
+                }
+            });
+        }
         slots
             .into_inner()
             .unwrap_or_else(PoisonError::into_inner)

@@ -1,232 +1,34 @@
 //! Differential and property tests for bus-mode scheduling: the
 //! windowed-arbiter engine (full event-horizon batching, parked misses,
-//! boundary events) against the per-op FCFS/windowed reference, over
-//! random programs, bus occupancies, window sizes and quantum
+//! boundary events) against the per-op oracle (`support/oracle.rs`),
+//! over random programs, bus occupancies, window sizes and quantum
 //! overrides.
 //!
 //! Pinned contracts (see `docs/bus-model.md`):
 //!
 //! * **window = 1 is FCFS**: the windowed engine with a 1-cycle epoch
 //!   is bit-identical to the FCFS engine (full `RunResult`s);
-//! * **batched == per-op**: for any window, the batched engine equals a
-//!   one-op-at-a-time reference that issues requests in global
-//!   `(clock, core)` order, in both trace modes (scalar and IR);
+//! * **batched == per-op**: for any window, the batched engine equals
+//!   the one-op-at-a-time oracle, which issues requests in global
+//!   `(clock, core)` order from the scalar trace iterator;
 //! * **stat conservation**: per-core bus-wait cycles sum to the
 //!   arbiter's total wait, and transfers equal cache misses;
 //! * **monotonicity**: with a fixed schedule (single core, no
 //!   preemption) the makespan is non-decreasing in bus occupancy, and a
 //!   contended bus never beats the bus-free machine.
 
-use std::collections::BTreeMap;
-
 use proptest::prelude::*;
 
 use lams_core::{
     execute, EngineConfig, LocalityPolicy, Policy, RandomPolicy, RoundRobinPolicy, RunResult,
-    SharingMatrix, TraceMode,
+    SharingMatrix,
 };
 use lams_layout::Layout;
-use lams_mpsoc::{BusConfig, CoreId, Machine, MachineConfig, TraceOp};
-use lams_procgraph::{ProcessId, ReadyTracker};
-use lams_workloads::{suite, synthetic_app, Scale, SyntheticConfig, Trace, Workload};
+use lams_mpsoc::{BusConfig, Machine, MachineConfig, TraceOp};
+use lams_workloads::{suite, synthetic_app, Scale, SyntheticConfig, Workload};
 
-/// Per-process record of the reference engine: (start, finish,
-/// dispatches).
-type RefExecs = BTreeMap<ProcessId, (u64, u64, u32)>;
-
-/// The seed engine's one-op-at-a-time dispatch loop (as in
-/// `crates/core/tests/prop.rs`). Because it always advances the
-/// minimum-`(clock, core)` core by exactly one op, it issues bus
-/// requests in global time order — which makes [`Machine::exec_op`]'s
-/// inline grants exact for *both* arbitration modes. This is the
-/// reference the batched engine must reproduce bit for bit.
-///
-/// Windowed stalls are modelled exactly as the engine's contract
-/// defines them (`docs/bus-model.md`): a miss on a deferring bus
-/// *latches* its epoch request and blocks the core; the blocked core's
-/// scheduling key is its boundary, and selecting it completes the
-/// access ([`Machine::complete_bus_access`]) — so same-epoch requests
-/// resolve in `(request-time, core-id)` order no matter how dispatch
-/// gating interleaved their issue. (Inline FCFS-style grants would
-/// instead serve gated-dispatch ties in issue order — a different,
-/// seed-emergent tie-break the windowed model deliberately replaces.)
-/// Two further conventions mirror the engine: a quantum crossed by a
-/// stalled access preempts lazily, at the core's next selection
-/// (scheduling position `(completion clock, core)`) — the crossing is
-/// only decidable once the epoch grant exists — and all other
-/// crossings preempt eagerly as in the seed.
-#[allow(clippy::too_many_lines)]
-fn execute_reference(
-    workload: &Workload,
-    layout: &Layout,
-    policy: &mut dyn Policy,
-    config: EngineConfig,
-) -> (u64, u64, Vec<Vec<ProcessId>>, RefExecs) {
-    let mut machine = Machine::try_new(config.machine).expect("valid machine");
-    let cores = machine.num_cores();
-    let mut tracker = ReadyTracker::new(workload.epg());
-    let mut ready_at: BTreeMap<ProcessId, u64> = BTreeMap::new();
-    let mut paused: BTreeMap<ProcessId, Trace<'_>> = BTreeMap::new();
-    struct Slot<'a> {
-        pid: ProcessId,
-        trace: Trace<'a>,
-        quantum_end: Option<u64>,
-        /// The quantum was crossed by a bus-stalled access: preempt at
-        /// the next selection instead of eagerly.
-        lazy_preempt: bool,
-    }
-    // Blocked-on-bus cores: the latched request's epoch boundary is
-    // the core's scheduling key until the access completes.
-    let mut blocked: Vec<Option<u64>> = vec![None; cores];
-    let mut running: Vec<Option<Slot<'_>>> = (0..cores).map(|_| None).collect();
-    let mut last_on_core: Vec<Option<ProcessId>> = vec![None; cores];
-    let mut core_sequences: Vec<Vec<ProcessId>> = vec![Vec::new(); cores];
-    let mut execs: RefExecs = BTreeMap::new();
-
-    for p in tracker.ready().collect::<Vec<_>>() {
-        ready_at.insert(p, 0);
-        policy.on_ready(p, 0);
-    }
-
-    loop {
-        loop {
-            let ready_vec: Vec<ProcessId> = tracker.ready().collect();
-            if ready_vec.is_empty() {
-                break;
-            }
-            let min_busy_clock = (0..cores)
-                .filter(|&c| running[c].is_some())
-                .map(|c| blocked[c].unwrap_or_else(|| machine.core_clock(c).unwrap()))
-                .min();
-            let min_ready_at = ready_vec
-                .iter()
-                .map(|p| ready_at.get(p).copied().unwrap_or(0))
-                .min()
-                .unwrap_or(0);
-            let idle: Vec<(CoreId, Option<ProcessId>, u64)> = (0..cores)
-                .filter(|&c| running[c].is_none())
-                .filter(|&c| {
-                    let clock = machine.core_clock(c).unwrap();
-                    let earliest_start = clock.max(min_ready_at);
-                    min_busy_clock.is_none_or(|mb| earliest_start < mb)
-                })
-                .map(|c| (c, last_on_core[c], machine.core_clock(c).unwrap()))
-                .collect();
-            if idle.is_empty() {
-                break;
-            }
-            let order = policy.rank_idle(&idle, &ready_vec);
-            let mut dispatched = false;
-            for core in order {
-                let Some(pid) = policy.select(core, last_on_core[core], &ready_vec) else {
-                    continue;
-                };
-                tracker.start(pid).unwrap();
-                let start = machine
-                    .core_clock(core)
-                    .unwrap()
-                    .max(ready_at.get(&pid).copied().unwrap_or(0));
-                machine.wait_until(core, start).unwrap();
-                let trace = paused
-                    .remove(&pid)
-                    .unwrap_or_else(|| workload.trace(pid, layout));
-                let quantum_end = config
-                    .quantum_override
-                    .or(policy.quantum())
-                    .map(|q| start + q);
-                running[core] = Some(Slot {
-                    pid,
-                    trace,
-                    quantum_end,
-                    lazy_preempt: false,
-                });
-                core_sequences[core].push(pid);
-                last_on_core[core] = Some(pid);
-                execs
-                    .entry(pid)
-                    .and_modify(|e| e.2 += 1)
-                    .or_insert((start, 0, 1));
-                dispatched = true;
-                break;
-            }
-            if !dispatched {
-                break;
-            }
-        }
-
-        let busy = (0..cores)
-            .filter(|&c| running[c].is_some())
-            .min_by_key(|&c| {
-                (
-                    blocked[c].unwrap_or_else(|| machine.core_clock(c).unwrap()),
-                    c,
-                )
-            });
-        let Some(core) = busy else {
-            assert!(tracker.all_done(), "reference engine stalled");
-            break;
-        };
-
-        let slot = running[core].as_mut().unwrap();
-        if blocked[core].take().is_some() {
-            // The blocked core's boundary reached the front: every
-            // same-epoch request is latched, so the batch resolves and
-            // the stalled access completes. A crossed quantum preempts
-            // at the next selection (lazy; see the function docs).
-            machine.complete_bus_access(core).unwrap();
-            if let Some(qe) = slot.quantum_end {
-                if machine.core_clock(core).unwrap() >= qe {
-                    slot.lazy_preempt = true;
-                }
-            }
-            continue;
-        }
-        if slot.lazy_preempt {
-            let Slot { pid, trace, .. } = running[core].take().unwrap();
-            paused.insert(pid, trace);
-            tracker.preempt(pid).unwrap();
-            let now = machine.core_clock(core).unwrap();
-            ready_at.insert(pid, now);
-            policy.on_preempt(pid, now);
-            continue;
-        }
-        match slot.trace.next() {
-            Some(op) => {
-                // One op through the parking-aware executor: horizon 0
-                // always stops after the op (at-least-one-op rule), and
-                // a windowed miss latches instead of completing.
-                let mut one = std::iter::once(op);
-                let out = machine.exec_until(core, &mut one, 0).unwrap();
-                if let Some(boundary) = out.parked {
-                    blocked[core] = Some(boundary);
-                } else if let Some(qe) = slot.quantum_end {
-                    if machine.core_clock(core).unwrap() >= qe {
-                        let Slot { pid, trace, .. } = running[core].take().unwrap();
-                        paused.insert(pid, trace);
-                        tracker.preempt(pid).unwrap();
-                        let now = machine.core_clock(core).unwrap();
-                        ready_at.insert(pid, now);
-                        policy.on_preempt(pid, now);
-                    }
-                }
-            }
-            None => {
-                let Slot { pid, .. } = running[core].take().unwrap();
-                let now = machine.core_clock(core).unwrap();
-                if let Some(e) = execs.get_mut(&pid) {
-                    e.1 = now;
-                }
-                for succ in tracker.complete(pid).unwrap() {
-                    ready_at.insert(succ, now);
-                    policy.on_ready(succ, now);
-                }
-            }
-        }
-    }
-
-    let total_wait = machine.stats().total_bus_wait_cycles;
-    (machine.makespan(), total_wait, core_sequences, execs)
-}
+#[path = "support/oracle.rs"]
+mod oracle;
 
 fn arb_workload() -> impl Strategy<Value = Workload> {
     (0u64..64, 1usize..4, 1usize..5, 0i64..3).prop_map(|(seed, stages, pps, halo)| {
@@ -241,14 +43,10 @@ fn arb_workload() -> impl Strategy<Value = Workload> {
     })
 }
 
-fn engine_cfg(machine: MachineConfig, quantum: Option<u64>, mode: TraceMode) -> EngineConfig {
-    EngineConfig {
-        machine,
-        quantum_override: quantum,
-        trace_mode: mode,
-        max_cycles: None,
-        arrivals: None,
-    }
+fn engine_cfg(machine: MachineConfig, quantum: Option<u64>) -> EngineConfig {
+    let mut cfg = EngineConfig::from(machine);
+    cfg.quantum_override = quantum;
+    cfg
 }
 
 fn policy_factories(w: &Workload, cores: usize) -> Vec<Box<dyn Fn() -> Box<dyn Policy>>> {
@@ -267,9 +65,9 @@ proptest! {
     #![proptest_config(ProptestConfig::with_cases(16))]
 
     /// The windowed batched engine — full event horizons, parked misses,
-    /// boundary events — reproduces the per-op reference bit for bit, in
-    /// both trace modes, across workloads, core counts, occupancies,
-    /// windows and quantum overrides.
+    /// boundary events — reproduces the per-op oracle bit for bit across
+    /// workloads, core counts, occupancies, windows and quantum
+    /// overrides.
     #[test]
     fn windowed_engine_matches_per_op_reference(
         w in arb_workload(),
@@ -284,31 +82,7 @@ proptest! {
             .with_cores(cores)
             .with_bus(BusConfig::windowed(OCCUPANCIES[occ_i], WINDOWS[win_i]));
         for make in policy_factories(&w, cores) {
-            let mut p_ir = make();
-            let ir = execute(&w, &layout, p_ir.as_mut(),
-                engine_cfg(machine, quantum, TraceMode::Ir)).expect("ir runs");
-            let mut p_sc = make();
-            let scalar = execute(&w, &layout, p_sc.as_mut(),
-                engine_cfg(machine, quantum, TraceMode::Scalar)).expect("scalar runs");
-            prop_assert_eq!(
-                format!("{ir:?}"), format!("{scalar:?}"),
-                "IR vs scalar diverged under a windowed bus"
-            );
-            let mut p_ref = make();
-            let (ref_makespan, ref_wait, ref_seqs, ref_execs) = execute_reference(
-                &w, &layout, p_ref.as_mut(), engine_cfg(machine, quantum, TraceMode::Scalar));
-            prop_assert_eq!(ir.makespan_cycles, ref_makespan, "{} makespan", p_ir.name());
-            prop_assert_eq!(
-                ir.machine.total_bus_wait_cycles, ref_wait,
-                "{} bus waits", p_ir.name()
-            );
-            prop_assert_eq!(&ir.core_sequences, &ref_seqs, "{} sequences", p_ir.name());
-            let got_execs: RefExecs = ir
-                .processes
-                .iter()
-                .map(|(&pid, e)| (pid, (e.start, e.finish, e.dispatches)))
-                .collect();
-            prop_assert_eq!(&got_execs, &ref_execs, "{} exec records", p_ir.name());
+            oracle::check(&w, &layout, &make, engine_cfg(machine, quantum)).expect("engine runs");
         }
     }
 
@@ -327,8 +101,7 @@ proptest! {
         for make in policy_factories(&w, cores) {
             let run = |bus: BusConfig, make: &dyn Fn() -> Box<dyn Policy>| {
                 let mut p = make();
-                execute(&w, &layout, p.as_mut(),
-                    engine_cfg(base.with_bus(bus), quantum, TraceMode::Ir))
+                execute(&w, &layout, p.as_mut(), engine_cfg(base.with_bus(bus), quantum))
                     .expect("engine runs")
             };
             let fcfs = run(BusConfig::fcfs(OCCUPANCIES[occ_i]), &make);
@@ -490,30 +263,27 @@ fn makespan_is_monotone_in_occupancy_on_a_fixed_schedule() {
 }
 
 /// Suite-level engagement check: on real apps under contention the
-/// windowed engine agrees across trace modes, the arbiter engages
-/// (non-zero waits), and wider windows still simulate every access.
+/// windowed engine matches the oracle, the arbiter engages (non-zero
+/// waits), and wider windows still simulate every access.
 #[test]
-fn windowed_bus_engages_on_suite_apps_in_both_trace_modes() {
+fn windowed_bus_engages_on_suite_apps_and_matches_the_oracle() {
     for app in [suite::track(Scale::Tiny), suite::shape(Scale::Tiny)] {
         let w = Workload::single(app).unwrap();
         let layout = Layout::linear(w.arrays());
         let base = MachineConfig::paper_default().with_cores(4);
-        let run = |machine: MachineConfig, mode: TraceMode| {
-            let mut p = RandomPolicy::new(3);
-            execute(&w, &layout, &mut p, engine_cfg(machine, None, mode)).expect("engine runs")
+        let make = || -> Box<dyn Policy> { Box::new(RandomPolicy::new(3)) };
+        let run = |machine: MachineConfig| {
+            oracle::check(&w, &layout, &make, machine.into()).expect("engine runs")
         };
-        let free = run(base, TraceMode::Ir);
+        let free = run(base);
         for window in [16, 256] {
-            let bus = base.with_bus(BusConfig::windowed(12, window));
-            let ir = run(bus, TraceMode::Ir);
-            let scalar = run(bus, TraceMode::Scalar);
-            assert_eq!(format!("{ir:?}"), format!("{scalar:?}"), "{window}");
+            let contended = run(base.with_bus(BusConfig::windowed(12, window)));
             assert!(
-                ir.machine.total_bus_wait_cycles > 0,
+                contended.machine.total_bus_wait_cycles > 0,
                 "no contention at window {window}"
             );
             assert_eq!(
-                ir.machine.cache.accesses(),
+                contended.machine.cache.accesses(),
                 free.machine.cache.accesses(),
                 "same work with and without the bus"
             );

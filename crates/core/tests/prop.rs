@@ -1,161 +1,23 @@
 //! Property tests over the scheduling engine: on randomly generated
 //! staged workloads, every policy completes every process exactly once,
-//! respects dependences, and is deterministic — plus a differential
-//! check of the batched event-horizon engine against a one-op-at-a-time
-//! reference implementation (the seed engine's dispatch loop).
-
-use std::collections::BTreeMap;
+//! respects dependences, and is deterministic — plus the differential
+//! check of the batched event-horizon engine against the naive per-op
+//! oracle (`support/oracle.rs`) over the whole configuration space, and
+//! the same check one level up, through `Experiment` and its memo.
 
 use proptest::prelude::*;
 
 use lams_core::{
-    execute, EngineConfig, LocalityPolicy, Policy, RandomPolicy, RoundRobinPolicy, SharingMatrix,
+    execute, ArrivalConfig, ArrivalShape, ArtifactCache, EngineConfig, Error, Experiment,
+    LocalityPolicy, Policy, PolicyKind, RandomPolicy, RoundRobinPolicy, SharingMatrix,
+    DEFAULT_QUANTUM,
 };
-use lams_layout::Layout;
-use lams_mpsoc::{BusConfig, CoreId, Machine, MachineConfig};
-use lams_procgraph::{ProcessId, ReadyTracker};
-use lams_workloads::{synthetic_app, SyntheticConfig, Trace, Workload};
+use lams_layout::{HalfPage, Layout, RemapAssignment};
+use lams_mpsoc::{BusConfig, CacheConfig, MachineConfig};
+use lams_workloads::{suite, synthetic_app, Scale, SyntheticConfig, Workload};
 
-/// Per-process record of the reference engine: (start, finish,
-/// dispatches).
-type RefExecs = BTreeMap<ProcessId, (u64, u64, u32)>;
-
-/// The seed engine, verbatim in structure: re-collects the ready set,
-/// rescans all cores and re-enters the dispatch loop after *every*
-/// trace op. Slow but obviously time-ordered — the batched engine must
-/// reproduce its schedules bit for bit.
-#[allow(clippy::too_many_lines)]
-fn execute_reference(
-    workload: &Workload,
-    layout: &Layout,
-    policy: &mut dyn Policy,
-    config: EngineConfig,
-) -> (u64, Vec<Vec<ProcessId>>, RefExecs) {
-    let mut machine = Machine::try_new(config.machine).expect("valid machine");
-    let cores = machine.num_cores();
-    let mut tracker = ReadyTracker::new(workload.epg());
-    let mut ready_at: BTreeMap<ProcessId, u64> = BTreeMap::new();
-    let mut paused: BTreeMap<ProcessId, Trace<'_>> = BTreeMap::new();
-    struct Slot<'a> {
-        pid: ProcessId,
-        trace: Trace<'a>,
-        quantum_end: Option<u64>,
-    }
-    let mut running: Vec<Option<Slot<'_>>> = (0..cores).map(|_| None).collect();
-    let mut last_on_core: Vec<Option<ProcessId>> = vec![None; cores];
-    let mut core_sequences: Vec<Vec<ProcessId>> = vec![Vec::new(); cores];
-    // pid -> (start, finish, dispatches)
-    let mut execs: BTreeMap<ProcessId, (u64, u64, u32)> = BTreeMap::new();
-
-    for p in tracker.ready().collect::<Vec<_>>() {
-        ready_at.insert(p, 0);
-        policy.on_ready(p, 0);
-    }
-
-    loop {
-        loop {
-            let ready_vec: Vec<ProcessId> = tracker.ready().collect();
-            if ready_vec.is_empty() {
-                break;
-            }
-            let min_busy_clock = (0..cores)
-                .filter(|&c| running[c].is_some())
-                .map(|c| machine.core_clock(c).unwrap())
-                .min();
-            let min_ready_at = ready_vec
-                .iter()
-                .map(|p| ready_at.get(p).copied().unwrap_or(0))
-                .min()
-                .unwrap_or(0);
-            let idle: Vec<(CoreId, Option<ProcessId>, u64)> = (0..cores)
-                .filter(|&c| running[c].is_none())
-                .filter(|&c| {
-                    let clock = machine.core_clock(c).unwrap();
-                    let earliest_start = clock.max(min_ready_at);
-                    min_busy_clock.is_none_or(|mb| earliest_start < mb)
-                })
-                .map(|c| (c, last_on_core[c], machine.core_clock(c).unwrap()))
-                .collect();
-            if idle.is_empty() {
-                break;
-            }
-            let order = policy.rank_idle(&idle, &ready_vec);
-            let mut dispatched = false;
-            for core in order {
-                let Some(pid) = policy.select(core, last_on_core[core], &ready_vec) else {
-                    continue;
-                };
-                tracker.start(pid).unwrap();
-                let start = machine
-                    .core_clock(core)
-                    .unwrap()
-                    .max(ready_at.get(&pid).copied().unwrap_or(0));
-                machine.wait_until(core, start).unwrap();
-                let trace = paused
-                    .remove(&pid)
-                    .unwrap_or_else(|| workload.trace(pid, layout));
-                let quantum_end = config
-                    .quantum_override
-                    .or(policy.quantum())
-                    .map(|q| start + q);
-                running[core] = Some(Slot {
-                    pid,
-                    trace,
-                    quantum_end,
-                });
-                core_sequences[core].push(pid);
-                last_on_core[core] = Some(pid);
-                execs
-                    .entry(pid)
-                    .and_modify(|e| e.2 += 1)
-                    .or_insert((start, 0, 1));
-                dispatched = true;
-                break;
-            }
-            if !dispatched {
-                break;
-            }
-        }
-
-        let busy = (0..cores)
-            .filter(|&c| running[c].is_some())
-            .min_by_key(|&c| (machine.core_clock(c).unwrap(), c));
-        let Some(core) = busy else {
-            assert!(tracker.all_done(), "reference engine stalled");
-            break;
-        };
-
-        let slot = running[core].as_mut().unwrap();
-        match slot.trace.next() {
-            Some(op) => {
-                machine.exec_op(core, op).unwrap();
-                if let Some(qe) = slot.quantum_end {
-                    if machine.core_clock(core).unwrap() >= qe {
-                        let Slot { pid, trace, .. } = running[core].take().unwrap();
-                        paused.insert(pid, trace);
-                        tracker.preempt(pid).unwrap();
-                        let now = machine.core_clock(core).unwrap();
-                        ready_at.insert(pid, now);
-                        policy.on_preempt(pid, now);
-                    }
-                }
-            }
-            None => {
-                let Slot { pid, .. } = running[core].take().unwrap();
-                let now = machine.core_clock(core).unwrap();
-                if let Some(e) = execs.get_mut(&pid) {
-                    e.1 = now;
-                }
-                for succ in tracker.complete(pid).unwrap() {
-                    ready_at.insert(succ, now);
-                    policy.on_ready(succ, now);
-                }
-            }
-        }
-    }
-
-    (machine.makespan(), core_sequences, execs)
-}
+#[path = "support/oracle.rs"]
+mod oracle;
 
 fn arb_workload() -> impl Strategy<Value = Workload> {
     (0u64..64, 1usize..4, 1usize..5, 0i64..3).prop_map(|(seed, stages, pps, halo)| {
@@ -232,50 +94,6 @@ proptest! {
         );
     }
 
-    /// Differential: the batched event-horizon engine reproduces the
-    /// reference engine's schedule exactly — makespan, per-core dispatch
-    /// sequences, per-process start/finish/dispatch counts, and cache
-    /// statistics — across policies, core counts, preemption quanta and
-    /// bus configurations.
-    #[test]
-    fn batched_engine_matches_reference(
-        w in arb_workload(),
-        cores in 1usize..5,
-        quantum in 200u64..3_000,
-        with_bus in 0u8..2,
-    ) {
-        let layout = Layout::linear(w.arrays());
-        let mut machine = MachineConfig::paper_default().with_cores(cores);
-        if with_bus == 1 {
-            machine = machine.with_bus(BusConfig::fcfs(20));
-        }
-        let cfg = EngineConfig::from(machine);
-        let sharing = SharingMatrix::from_workload(&w);
-        let fresh: Vec<Box<dyn Fn() -> Box<dyn Policy>>> = vec![
-            Box::new(|| Box::new(RandomPolicy::new(7))),
-            Box::new(move || Box::new(RoundRobinPolicy::new(quantum))),
-            {
-                let sharing = sharing.clone();
-                Box::new(move || Box::new(LocalityPolicy::new(sharing.clone(), cores)))
-            },
-        ];
-        for make in fresh {
-            let mut p1 = make();
-            let got = execute(&w, &layout, p1.as_mut(), cfg).expect("engine runs");
-            let mut p2 = make();
-            let (ref_makespan, ref_seqs, ref_execs) =
-                execute_reference(&w, &layout, p2.as_mut(), cfg);
-            prop_assert_eq!(got.makespan_cycles, ref_makespan, "{} makespan", p1.name());
-            prop_assert_eq!(&got.core_sequences, &ref_seqs, "{} sequences", p1.name());
-            let got_execs: RefExecs = got
-                .processes
-                .iter()
-                .map(|(&pid, e)| (pid, (e.start, e.finish, e.dispatches)))
-                .collect();
-            prop_assert_eq!(&got_execs, &ref_execs, "{} exec records", p1.name());
-        }
-    }
-
     #[test]
     fn sharing_matrix_is_symmetric_with_zero_diagonal(w in arb_workload()) {
         let m = SharingMatrix::from_workload(&w);
@@ -305,5 +123,151 @@ proptest! {
         let mut p = RandomPolicy::new(11);
         let r = execute(&w, &layout, &mut p, cfg).expect("engine runs");
         prop_assert!(r.makespan_cycles >= cp);
+    }
+}
+
+/// A layout that remaps every array with a 128-byte half page, so each
+/// 1 KiB synthetic array splits into eight chunks: the trace compiler
+/// must cut every strided run at chunk crossings.
+fn chunked_layout(w: &Workload) -> Layout {
+    let mut asg = RemapAssignment::new();
+    for (id, _) in w.arrays().iter() {
+        let half = [HalfPage::Lower, HalfPage::Upper][id.index() as usize % 2];
+        asg.assign(id, half);
+    }
+    let tiny = CacheConfig::new(512, 2, 32).expect("valid geometry");
+    Layout::remapped(w.arrays(), &tiny, &asg)
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(160))]
+
+    /// Differential over the whole configuration space, as a
+    /// cross-product and not axis by axis: policy × cores × quantum
+    /// override × bus mode × arrival stream × queue capacity × deadline
+    /// × layout. The batched engine must equal the oracle on every
+    /// compared field, or fail with the same typed error.
+    #[test]
+    fn batched_engine_matches_reference(
+        w in arb_workload(),
+        (policy_i, cores, q_i) in (0usize..3, 1usize..5, 0usize..3),
+        (bus_i, occ_i) in (0usize..6, 0usize..3),
+        (arr_i, arr_seed, cap_i) in (0usize..7, 0u64..1000, 0usize..2),
+        (deadline_i, percent) in (0usize..6, 1u64..100),
+        chunked in 0usize..2,
+    ) {
+        let layout = if chunked == 1 { chunked_layout(&w) } else { Layout::linear(w.arrays()) };
+        let occ = [9, 20, 75][occ_i];
+        let mut machine = MachineConfig::paper_default().with_cores(cores);
+        match bus_i {
+            0 => {}
+            1 => machine = machine.with_bus(BusConfig::fcfs(occ)),
+            i => machine = machine.with_bus(BusConfig::windowed(occ, [1, 4, 64, 1000][i - 2])),
+        }
+        let mut cfg = EngineConfig::from(machine);
+        cfg.quantum_override = [None, Some(300), Some(2_000)][q_i];
+        if arr_i > 0 {
+            // Each shape at an under- and an over-loaded rate.
+            let shapes = [ArrivalShape::Poisson, ArrivalShape::Burst, ArrivalShape::Diurnal];
+            let (shape, load) = (shapes[(arr_i - 1) / 2], [600, 3_000][(arr_i - 1) % 2]);
+            let mut a = ArrivalConfig::poisson(load, arr_seed).with_shape(shape);
+            a.queue_capacity = [None, Some(2)][cap_i];
+            cfg.arrivals = Some(a);
+        }
+        let sharing = SharingMatrix::from_workload(&w);
+        let make = move || -> Box<dyn Policy> {
+            match policy_i {
+                0 => Box::new(RandomPolicy::new(7)),
+                1 => Box::new(RoundRobinPolicy::new(900)),
+                _ => Box::new(LocalityPolicy::new(sharing.clone(), cores)),
+            }
+        };
+        // Half the cases run to completion; the rest split evenly over
+        // the three budgets below.
+        let Some(budget_i) = deadline_i.checked_sub(3) else {
+            let _ = oracle::check(&w, &layout, &make, cfg);
+            return Ok(());
+        };
+        // Budgets relative to where the unbudgeted run ends: its
+        // makespan, or the cycle at which its queue saturates.
+        let free = oracle::simulate(&w, &layout, make().as_mut(), cfg);
+        let end = match &free {
+            Ok(o) => o.machine.makespan_cycles,
+            Err(Error::QueueSaturated { at_cycle, .. }) => *at_cycle,
+            Err(e) => panic!("unbudgeted oracle run failed: {e}"),
+        };
+        cfg.max_cycles = Some([end, end.saturating_sub(1), end * percent / 100][budget_i]);
+        let got = oracle::check(&w, &layout, &make, cfg);
+        match budget_i {
+            // A run that fits its budget is the unbudgeted run.
+            0 => prop_assert_eq!(got.map(|r| oracle::observe(&r)), free),
+            // One cycle short deadlines exactly where the run would end.
+            1 if end > 0 => prop_assert_eq!(
+                got.map(|r| r.makespan_cycles),
+                Err(Error::DeadlineExceeded { budget_cycles: end - 1, elapsed_cycles: end })
+            ),
+            _ => {}
+        }
+    }
+}
+
+/// The same differential one level up: what `Experiment` hands the
+/// engine — policy construction, the memoised programs, the pilot and
+/// LS-result slots, the LSM layout its own artifacts name — must equal
+/// the oracle on that layout. Batch and open-system variants share one
+/// memo in both orders, which is where a result slot keyed without the
+/// arrival stream would be served to the wrong run.
+#[test]
+fn experiment_runs_match_the_oracle_across_memo_modes_and_arrivals() {
+    let apps = [suite::shape(Scale::Tiny), suite::track(Scale::Tiny)];
+    let machine = MachineConfig::paper_default().with_cores(4);
+    let base = Experiment::concurrent(&apps, machine)
+        .with_seed(5)
+        .with_relayout_threshold(0.0);
+    let w = base.workload();
+    let sharing = SharingMatrix::from_workload(w);
+    let open = Some(ArrivalConfig::poisson(900, 7));
+    let expected = |kind: PolicyKind, layout: &Layout, arrivals: Option<ArrivalConfig>| {
+        let mut policy: Box<dyn Policy> = match kind {
+            PolicyKind::Random => Box::new(RandomPolicy::new(5)),
+            PolicyKind::RoundRobin => Box::new(RoundRobinPolicy::new(DEFAULT_QUANTUM)),
+            _ => Box::new(LocalityPolicy::new(sharing.clone(), machine.num_cores)),
+        };
+        let mut cfg = EngineConfig::from(machine);
+        cfg.arrivals = arrivals;
+        oracle::simulate(w, layout, policy.as_mut(), cfg).expect("oracle runs")
+    };
+    let linear = Layout::linear(w.arrays());
+    for (memo, order) in [
+        (ArtifactCache::shared(), [None, open]),
+        (ArtifactCache::shared(), [open, None]),
+        (ArtifactCache::disabled(), [None, open]),
+    ] {
+        for arrivals in order {
+            let mut exp = base.clone().with_memo(memo.clone());
+            if let Some(a) = arrivals {
+                exp = exp.with_arrivals(a);
+            }
+            for kind in [
+                PolicyKind::Random,
+                PolicyKind::RoundRobin,
+                PolicyKind::Locality,
+            ] {
+                let got = exp.run(kind).expect("experiment runs");
+                assert_eq!(
+                    oracle::observe(&got),
+                    expected(kind, &linear, arrivals),
+                    "{kind} with arrivals {arrivals:?}"
+                );
+            }
+            let (got, art) = exp.run_lsm().expect("lsm runs");
+            assert!(!art.assignment.is_empty(), "threshold 0 remaps something");
+            let layout = Layout::remapped(w.arrays(), &machine.cache, &art.assignment);
+            assert_eq!(
+                oracle::observe(&got),
+                expected(PolicyKind::LocalityMap, &layout, arrivals),
+                "LSM with arrivals {arrivals:?}"
+            );
+        }
     }
 }

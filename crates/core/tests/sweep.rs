@@ -227,12 +227,11 @@ proptest! {
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(12))]
 
-    /// Tentpole: the per-worker-deque, steal-from-random-victim
-    /// scheduler must reassemble results bit-identically to the
-    /// sequential single-queue reference for any weight matrix at 1, 2,
-    /// 4 and 8 threads.
+    /// Workers claiming jobs from the shared cursor must reassemble
+    /// results bit-identically to the sequential run for any weight
+    /// vector at 1, 2, 4 and 8 threads.
     #[test]
-    fn work_stealing_matches_single_queue_reference(
+    fn parallel_weighted_runs_match_the_sequential_reference(
         weights in prop::collection::vec(0u64..1000, 0usize..64),
     ) {
         let job = |i: usize| (i as u64) * 31 + weights[i];
@@ -243,11 +242,11 @@ proptest! {
         }
     }
 
-    /// Panic isolation on the stealing path: whatever subset of jobs
+    /// Panic isolation on the parallel path: whatever subset of jobs
     /// panics, each failure lands in its own slot as `JobPanicked` and
     /// every sibling's result survives, at every thread count.
     #[test]
-    fn work_stealing_isolates_panics_for_any_panic_subset(
+    fn panics_are_isolated_for_any_panic_subset(
         jobs in prop::collection::vec((0u64..1000, 0u8..4), 1usize..24),
     ) {
         use lams_core::Error;
@@ -275,9 +274,9 @@ proptest! {
     }
 }
 
-/// Work-stealing edge cases: empty and single-job sweeps — where the
-/// deque deal degenerates to one worker or none — on both the plain
-/// and the caught paths, at every thread count.
+/// Edge cases: empty and single-job sweeps — which run inline whatever
+/// the worker count — on both the plain and the caught paths, at every
+/// thread count.
 #[test]
 fn empty_and_single_job_sweeps_at_every_thread_count() {
     for threads in [1usize, 2, 4, 8] {
@@ -303,7 +302,7 @@ fn empty_and_single_job_sweeps_at_every_thread_count() {
 /// Satellite: panic isolation. A job that panics mid-sweep must (1)
 /// surface as `Error::JobPanicked` for exactly that job, (2) leave
 /// every sibling's result intact and in slot order, and (3) leave the
-/// runner's shared queue un-poisoned — identically at 1 and 4 threads.
+/// runner reusable — identically at 1 and 4 threads.
 #[test]
 fn panicking_jobs_are_isolated_at_one_and_four_threads() {
     use lams_core::Error;
@@ -333,8 +332,8 @@ fn panicking_jobs_are_isolated_at_one_and_four_threads() {
                 );
             }
         }
-        // The queue mutex recovered from the poisoning panic: the same
-        // runner immediately runs a clean batch.
+        // Nothing outlives the run: the same runner immediately runs a
+        // clean batch.
         let again = runner.run(3, |i| i + 1);
         assert_eq!(again, vec![1, 2, 3], "{threads} threads");
     }

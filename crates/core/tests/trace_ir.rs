@@ -1,53 +1,39 @@
-//! Differential tests for the compiled-trace (stride-run IR) engine
-//! path: [`TraceMode::Ir`] must be **bit-identical** to
-//! [`TraceMode::Scalar`] — makespans, dispatch sequences, per-process
-//! execution records and cache statistics — across policies, core
-//! counts, preemption quanta, remapped layouts and bus modes; plus the
-//! `.ltr` record→replay round trip, which must reproduce the direct
-//! run exactly.
+//! Differential tests for the compiled-trace (stride-run IR) engine:
+//! executing the compiled programs must be **bit-identical** to the
+//! per-op oracle (`support/oracle.rs`) walking the scalar
+//! [`Workload::trace`] iterator — makespans, dispatch sequences,
+//! per-process execution records and cache statistics — across
+//! policies, core counts, preemption quanta, remapped layouts and bus
+//! modes; plus the `.ltr` record→replay round trip, which must
+//! reproduce the direct run exactly.
 
 use lams_core::{
     execute, execute_bundle, EngineConfig, LocalityPolicy, Policy, RandomPolicy, RoundRobinPolicy,
-    RunResult, SharingMatrix, TraceMode,
+    RunResult, SharingMatrix,
 };
 use lams_layout::Layout;
 use lams_mpsoc::{BusConfig, MachineConfig};
 use lams_trace::TraceBundle;
 use lams_workloads::{suite, Scale, Workload};
 
-/// A fresh-policy factory (each trace mode gets its own instance).
-type PolicyFactory = Box<dyn Fn() -> Box<dyn Policy>>;
+#[path = "support/oracle.rs"]
+mod oracle;
 
-/// Runs one policy in both trace modes and asserts exact equality of
-/// the full result (debug form covers makespan, stats, sequences and
-/// per-process records).
-fn assert_modes_agree(
+/// An owned [`oracle::PolicyFactory`].
+type PolicyFactory = Box<oracle::PolicyFactory<'static>>;
+
+/// Runs one policy through the IR engine and the scalar-fed oracle,
+/// asserts exact equality, and returns the engine's result.
+fn assert_ir_matches_scalar(
     w: &Workload,
     layout: &Layout,
-    make_policy: &dyn Fn() -> Box<dyn Policy>,
+    make_policy: &oracle::PolicyFactory<'_>,
     machine: MachineConfig,
     quantum_override: Option<u64>,
 ) -> RunResult {
-    let run = |mode: TraceMode| {
-        let cfg = EngineConfig {
-            machine,
-            quantum_override,
-            trace_mode: mode,
-            max_cycles: None,
-            arrivals: None,
-        };
-        let mut p = make_policy();
-        execute(w, layout, p.as_mut(), cfg).expect("engine runs")
-    };
-    let scalar = run(TraceMode::Scalar);
-    let ir = run(TraceMode::Ir);
-    assert_eq!(
-        format!("{scalar:?}"),
-        format!("{ir:?}"),
-        "IR result diverged from scalar on {}",
-        w.name()
-    );
-    ir
+    let mut cfg = EngineConfig::from(machine);
+    cfg.quantum_override = quantum_override;
+    oracle::check(w, layout, make_policy, cfg).expect("engine runs")
 }
 
 #[test]
@@ -65,9 +51,10 @@ fn ir_matches_scalar_across_suite_and_policies() {
             ),
         ];
         for (name, make) in &policies {
-            for cores in [1usize, 4, 8] {
+            // 4-core suite runs meet the oracle in `bus.rs` and `prop.rs`.
+            for cores in [1usize, 8] {
                 let machine = MachineConfig::paper_default().with_cores(cores);
-                let r = assert_modes_agree(&w, &layout, make, machine, None);
+                let r = assert_ir_matches_scalar(&w, &layout, make, machine, None);
                 assert!(r.makespan_cycles > 0, "{name} on {cores} cores");
             }
         }
@@ -83,7 +70,7 @@ fn ir_matches_scalar_under_tight_quanta() {
     for quantum in [77u64, 100, 333, 1_000] {
         let make: Box<dyn Fn() -> Box<dyn Policy>> = Box::new(|| Box::new(RandomPolicy::new(7)));
         let machine = MachineConfig::paper_default().with_cores(4);
-        let r = assert_modes_agree(&w, &layout, &make, machine, Some(quantum));
+        let r = assert_ir_matches_scalar(&w, &layout, &make, machine, Some(quantum));
         assert!(
             r.processes.values().any(|e| e.dispatches > 1),
             "quantum {quantum} caused no preemption"
@@ -113,16 +100,16 @@ fn ir_matches_scalar_on_remapped_layouts() {
         let layout = Layout::remapped(w.arrays(), &cache, &asg);
         let make: Box<dyn Fn() -> Box<dyn Policy>> =
             Box::new(|| Box::new(RoundRobinPolicy::new(10_000)));
-        assert_modes_agree(&w, &layout, &make, MachineConfig::paper_default(), None);
+        assert_ir_matches_scalar(&w, &layout, &make, MachineConfig::paper_default(), None);
     }
 }
 
 /// Satellite: the engine's **FCFS** bus-mode fallback (horizons capped
 /// at the second-smallest busy clock — windowed arbitration batches to
 /// full horizons instead, pinned in `crates/core/tests/bus.rs`) is
-/// pinned differentially — scalar and IR agree op-for-op under
-/// contention, and the bus actually costs time relative to the
-/// uncontended machine.
+/// pinned differentially — the IR engine and the scalar-fed oracle
+/// agree op-for-op under contention, and the bus actually costs time
+/// relative to the uncontended machine.
 #[test]
 fn bus_mode_batching_is_differentially_pinned() {
     let w = Workload::single(suite::track(Scale::Tiny)).unwrap();
@@ -130,8 +117,8 @@ fn bus_mode_batching_is_differentially_pinned() {
     let make: Box<dyn Fn() -> Box<dyn Policy>> = Box::new(|| Box::new(RandomPolicy::new(3)));
     let no_bus = MachineConfig::paper_default().with_cores(4);
     let bus = no_bus.with_bus(BusConfig::fcfs(12));
-    let free = assert_modes_agree(&w, &layout, &make, no_bus, None);
-    let contended = assert_modes_agree(&w, &layout, &make, bus, None);
+    let free = assert_ir_matches_scalar(&w, &layout, &make, no_bus, None);
+    let contended = assert_ir_matches_scalar(&w, &layout, &make, bus, None);
     // The arbiter actually engaged (and only under the bus config).
     // Makespan and even busy cycles may move either way — arbitration
     // shifts dispatch timing and with it the policy's placement and

@@ -121,35 +121,6 @@ impl Layout {
         self.half_page
     }
 
-    /// Content fingerprint: a 128-bit structural hash of every field
-    /// that influences address mapping. Equal fingerprints imply
-    /// identical `(array, index)` → address maps, which makes the
-    /// fingerprint a sound memo key for layout-derived artifacts
-    /// (compiled trace programs in `lams_core::memo::ArtifactCache`).
-    /// The converse does not hold: chunking metadata (`half_page`,
-    /// remap flags) is hashed even when it happens not to affect any
-    /// address, so two identically-mapping layouts built differently
-    /// may fingerprint apart — the cache then only misses
-    /// conservatively. O(arrays), no allocation.
-    pub fn fingerprint(&self) -> lams_mpsoc::Fingerprint {
-        let mut h = lams_mpsoc::FingerprintHasher::new("lams.layout");
-        h.write_u64(self.half_page);
-        h.write_len(self.bases.len());
-        for a in 0..self.bases.len() {
-            h.write_u64(self.bases[a]);
-            h.write_u64(self.elem_bytes[a]);
-            h.write_u64(self.num_elems[a]);
-            match self.remap_b[a] {
-                None => h.write_bool(false),
-                Some(b) => {
-                    h.write_bool(true);
-                    h.write_u64(b);
-                }
-            }
-        }
-        h.finish()
-    }
-
     /// Content fingerprint of the layout **restricted to** the given
     /// arrays — the per-process memo key primitive behind delta-keyed
     /// memoization (`lams_core::memo::ArtifactCache`).
@@ -452,39 +423,6 @@ mod tests {
     }
 
     #[test]
-    fn fingerprint_tracks_content_not_construction() {
-        let (t, a, b) = table2();
-        let cache = CacheConfig::paper_default();
-        // Same content, independently constructed: equal fingerprints.
-        assert_eq!(
-            Layout::linear(&t).fingerprint(),
-            Layout::linear(&t).fingerprint()
-        );
-        // An empty assignment builds different half_page metadata than
-        // `linear`, but if the assignment is empty the address maps can
-        // still differ in half_page — fingerprints are over *content*,
-        // so equal addresses with different chunking metadata differ.
-        let mut asg = RemapAssignment::new();
-        asg.assign(a, HalfPage::Lower);
-        let ra = Layout::remapped(&t, &cache, &asg);
-        assert_ne!(Layout::linear(&t).fingerprint(), ra.fingerprint());
-        // Moving the remap to the other half, or to the other array,
-        // changes the fingerprint.
-        let mut asg2 = RemapAssignment::new();
-        asg2.assign(a, HalfPage::Upper);
-        assert_ne!(
-            ra.fingerprint(),
-            Layout::remapped(&t, &cache, &asg2).fingerprint()
-        );
-        let mut asg3 = RemapAssignment::new();
-        asg3.assign(b, HalfPage::Lower);
-        assert_ne!(
-            ra.fingerprint(),
-            Layout::remapped(&t, &cache, &asg3).fingerprint()
-        );
-    }
-
-    #[test]
     fn restricted_fingerprint_ignores_unlisted_arrays() {
         let (t, a, b) = table2();
         let cache = CacheConfig::paper_default();
@@ -495,7 +433,7 @@ mod tests {
         // Remapping only `b` leaves `a`'s addresses untouched (pass-1
         // arena), so the restriction to `a` is key-equal across the two
         // layouts — exactly the reuse the per-process memo needs — while
-        // the restriction to `b` (and the whole layout) must split.
+        // the restriction to `b` must split.
         assert_eq!(
             linear.restricted_fingerprint(&[a]),
             rb.restricted_fingerprint(&[a])
@@ -504,7 +442,6 @@ mod tests {
             linear.restricted_fingerprint(&[b]),
             rb.restricted_fingerprint(&[b])
         );
-        assert_ne!(linear.fingerprint(), rb.fingerprint());
         // Once the listed set contains a remapped array, half_page is
         // part of the key.
         assert_ne!(

@@ -23,14 +23,12 @@ use crate::lexer::Token;
 use crate::workspace::{next_brace_block, SourceFile, Workspace};
 
 /// Struct name → function that must cover its fields.
-const REGISTRY: [(&str, &str); 7] = [
+const REGISTRY: [(&str, &str); 5] = [
     ("Workload", "fingerprint"),
-    ("Layout", "fingerprint"),
+    ("Layout", "restricted_fingerprint"),
     ("MachineConfig", "machine_fingerprint"),
     ("CacheConfig", "machine_fingerprint"),
     ("BusConfig", "machine_fingerprint"),
-    ("EngineConfig", "fingerprint"),
-    ("ArrivalConfig", "fingerprint"),
 ];
 
 pub fn run(ws: &Workspace) -> Vec<Finding> {
@@ -285,14 +283,14 @@ mod tests {
         let f = run(&ws);
         assert_eq!(f.len(), 1);
         assert_eq!(f[0].line, 1);
-        assert!(f[0].message.contains("no `fn fingerprint`"));
+        assert!(f[0].message.contains("no `fn restricted_fingerprint`"));
     }
 
     #[test]
     fn impl_block_resolution_beats_free_fn() {
-        // A decoy free `fn fingerprint` that covers nothing must not be
-        // preferred over Layout's own impl.
-        let src = "pub struct Layout {\n    pub bases: Vec<u64>,\n}\nimpl Layout {\n    pub fn fingerprint(&self) -> u64 { hash(self.bases.as_slice()) }\n}\nfn fingerprint() -> u64 { 0 }\n";
+        // A decoy free `fn restricted_fingerprint` that covers nothing
+        // must not be preferred over Layout's own impl.
+        let src = "pub struct Layout {\n    pub bases: Vec<u64>,\n}\nimpl Layout {\n    pub fn restricted_fingerprint(&self) -> u64 { hash(self.bases.as_slice()) }\n}\nfn restricted_fingerprint() -> u64 { 0 }\n";
         let ws = Workspace::from_sources(&[("l.rs", src)]);
         assert!(run(&ws).is_empty(), "{:?}", run(&ws));
     }

@@ -31,7 +31,8 @@
 //!
 //! # Cost model
 //!
-//! Per trace op ([`Machine::exec_op`] / [`Machine::exec_until`]):
+//! Per trace op, whichever executor runs it ([`Machine::exec_op`],
+//! [`Machine::exec_until`], [`Machine::exec_source_until`]):
 //!
 //! * `Compute(c)` costs `c` cycles;
 //! * an access that hits costs `hit_latency`;
@@ -61,16 +62,23 @@
 //! * The 3C shadow directory is an intrusive doubly-linked LRU over a
 //!   slab plus an open-addressing multiply-shift index table — no
 //!   SipHash, no `BTreeMap`.
-//! * [`Machine::exec_until`] executes a whole batch of ops with the
-//!   per-core state held in registers; per-core cache statistics are
-//!   snapshotted lazily by [`Machine::core_stats`]/[`Machine::stats`]
-//!   rather than copied per op.
-//! * Batching preserves bit-identical results: the engine only batches
-//!   the minimum-clock core up to the next event horizon, so the
-//!   global op order (and hence cache, bus and makespan state) equals
-//!   the one-op-at-a-time schedule. Verified by the differential
-//!   property tests in `crates/mpsoc/tests/prop.rs` and the golden
-//!   makespans in `tests/cross_validation.rs`.
+//! * [`Machine::exec_source_until`] — the executor the scheduling
+//!   engine calls — runs a compiled program ([`TraceSource`]) up to an
+//!   event horizon, collapsing guaranteed-hit spans into arithmetic;
+//!   per-core cache statistics are snapshotted lazily by
+//!   [`Machine::core_stats`]/[`Machine::stats`] rather than copied per
+//!   op. [`Machine::exec_until`] is its per-op reference over a plain
+//!   [`TraceOp`] iterator (parking-aware, same horizon rule): nothing
+//!   on the hot path calls it; `crates/mpsoc/tests/prop.rs` holds the
+//!   two bit-identical, and the engine's test oracle
+//!   (`crates/core/tests/support/oracle.rs`) is built on it.
+//! * Batching preserves bit-identical results: the engine only runs a
+//!   core ahead where no other core can observe it (to the next event
+//!   horizon; on an FCFS bus only the minimum-clock core, up to the
+//!   second-smallest clock), so cache, bus and makespan state equal
+//!   the one-op-at-a-time schedule. Verified differentially against
+//!   that oracle and by the golden makespans in
+//!   `tests/cross_validation.rs`.
 //!
 //! ```
 //! use lams_mpsoc::{Machine, MachineConfig, TraceOp};

@@ -20,7 +20,8 @@ struct Core {
     stats: CoreStats,
 }
 
-/// Result of a batched [`Machine::exec_until`] call.
+/// Result of a batched [`Machine::exec_source_until`] (or per-op
+/// [`Machine::exec_until`]) call.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct BatchOutcome {
     /// Trace operations *completed* in this batch (a parked access — see
@@ -148,8 +149,8 @@ impl Machine {
     /// [`Arbiter::acquire`] — exact windowed semantics *provided the
     /// caller issues ops in global `(clock, core)` order*, one op at a
     /// time (the same driving discipline exact FCFS already requires).
-    /// The batched executors instead park at windowed misses so the
-    /// engine can run cores ahead; see [`Machine::exec_until`].
+    /// The horizon executors instead park at windowed misses so the
+    /// engine can run cores ahead; see [`Machine::exec_source_until`].
     ///
     /// # Errors
     ///
@@ -267,20 +268,24 @@ impl Machine {
     /// reaches `horizon` or the iterator is exhausted, whichever comes
     /// first. **At least one op is executed** when the iterator is
     /// non-empty, even if the clock is already at or past `horizon` —
-    /// this mirrors the engine's one-op-per-selection semantics when two
-    /// core clocks tie.
+    /// the one-op-per-selection semantics when two core clocks tie.
     ///
-    /// This is the batched fast path: the scheduling engine runs the
-    /// minimum-clock core in this tight loop until the next event
-    /// horizon instead of paying the full dispatch-scan per op. On an
-    /// FCFS bus, only the globally minimum-clock core executes at any
-    /// time, so bus arbitration observes requests in global time order.
-    /// On a *windowed* bus the engine instead batches cores to full
-    /// horizons, which is sound because execution between misses never
-    /// touches the bus: the first miss latches its epoch request and
-    /// **parks** the batch ([`BatchOutcome::parked`]) — the clock stays
-    /// at the access's pre-op value until
-    /// [`Machine::complete_bus_access`] applies the granted cost.
+    /// This is the per-op **reference executor**: it probes the cache
+    /// for every access of a plain [`TraceOp`] iterator. The scheduling
+    /// engine does not call it — it runs compiled programs through
+    /// [`Machine::exec_source_until`], which is property-tested against
+    /// this function in `crates/mpsoc/tests/prop.rs` — but the naive
+    /// oracle the engine is tested against
+    /// (`crates/core/tests/support/oracle.rs`) drives it one op at a
+    /// time (`horizon = 0`).
+    ///
+    /// It is parking-aware: on a *windowed* bus the first miss latches
+    /// its epoch request and **parks** the batch
+    /// ([`BatchOutcome::parked`]) — the clock stays at the access's
+    /// pre-op value until [`Machine::complete_bus_access`] applies the
+    /// granted cost. On an FCFS bus grants resolve inline, which is
+    /// exact only while the caller runs the globally minimum-clock core
+    /// (requests then reach the arbiter in global time order).
     ///
     /// # Errors
     ///

@@ -445,7 +445,7 @@ impl Workload {
     }
 
     /// Compiles every process's trace (index = process id) — the form
-    /// the IR-mode engine executes. Returned behind `Arc` so callers
+    /// the engine executes. Returned behind `Arc` so callers
     /// (notably `lams_core::memo::ArtifactCache`) can share one compiled
     /// set across engine runs and sweep jobs without copying.
     pub fn compile_traces(&self, layout: &Layout) -> std::sync::Arc<[lams_trace::Program]> {

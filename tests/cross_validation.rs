@@ -8,11 +8,14 @@ use std::collections::BTreeSet;
 
 use lams::core::{
     execute, ArrivalConfig, ArrivalPlan, ArtifactCache, EngineConfig, Experiment, LocalityPolicy,
-    PolicyKind, ScenarioMatrix, SharingMatrix, SweepRunner, TraceMode,
+    Policy, PolicyKind, ScenarioMatrix, SharingMatrix, SweepRunner,
 };
 use lams::layout::{HalfPage, Layout, RemapAssignment};
 use lams::mpsoc::{BusConfig, CacheConfig, MachineConfig, TraceOp};
 use lams::workloads::{suite, synthetic_app, AppSpec, Scale, SyntheticConfig, Workload};
+
+#[path = "../crates/core/tests/support/oracle.rs"]
+mod oracle;
 
 /// Replays a process trace and collects the first byte address of each
 /// access; compares with the footprint predicted by the data set mapped
@@ -252,19 +255,22 @@ fn ls_makespan(app: AppSpec, cfg: EngineConfig) -> u64 {
         .makespan_cycles
 }
 
-/// Small-scale LS goldens on the Table 2 machine: Shape in both trace
-/// modes (the scalar path is otherwise pinned only differentially), and
-/// the whole suite summed behind a 20-cycle bus under each arbiter —
-/// FCFS drives the engine's second-min-cap path, which no Tiny golden
-/// above reaches.
+/// Small-scale LS goldens on the Table 2 machine: Shape out of both
+/// simulators (the engine on compiled programs and the per-op oracle on
+/// the scalar trace, otherwise pinned only against each other), and the
+/// whole suite summed behind a 20-cycle bus under each arbiter — FCFS
+/// drives the engine's second-min-cap path, which no Tiny golden above
+/// reaches.
 #[test]
 fn golden_small_scale_ls_makespans_are_reproduced_exactly() {
     let machine = MachineConfig::paper_default();
-    for mode in [TraceMode::Ir, TraceMode::Scalar] {
-        let cfg = EngineConfig::from(machine).with_trace_mode(mode);
-        let got = ls_makespan(suite::shape(Scale::Small), cfg);
-        assert_eq!(got, 28037, "Shape/Small LS drifted in {mode:?} mode");
-    }
+    let w = Workload::single(suite::shape(Scale::Small)).expect("valid app");
+    let sharing = SharingMatrix::from_workload(&w);
+    let make =
+        || -> Box<dyn Policy> { Box::new(LocalityPolicy::new(sharing.clone(), machine.num_cores)) };
+    let shape =
+        oracle::check(&w, &Layout::linear(w.arrays()), &make, machine.into()).expect("engine runs");
+    assert_eq!(shape.makespan_cycles, 28037, "Shape/Small LS drifted");
     for (bus, expected) in [
         (BusConfig::fcfs(20), 245527),
         (BusConfig::windowed(20, 256), 461648),

@@ -206,13 +206,8 @@ fn quantum_override_is_honoured() {
     let w = Workload::single(one_proc_app()).unwrap();
     let layout = Layout::linear(w.arrays());
     let mut p = RandomPolicy::new(0); // run-to-completion by itself
-    let cfg = EngineConfig {
-        machine: MachineConfig::paper_default(),
-        quantum_override: Some(100),
-        trace_mode: lams::core::TraceMode::default(),
-        max_cycles: None,
-        arrivals: None,
-    };
+    let mut cfg = EngineConfig::paper_default();
+    cfg.quantum_override = Some(100);
     let r = execute(&w, &layout, &mut p, cfg).unwrap();
     // The single process takes ~900 cycles of work, so an enforced
     // 100-cycle quantum preempts it repeatedly.
