@@ -213,10 +213,9 @@ impl Experiment {
     /// phase 1 of every LSM run — neither depends on the RRS quantum,
     /// the RS seed or the relayout threshold, so the key is exact.
     fn pilot(&self, memo: &ArtifactCache) -> Result<Arc<RunResult>> {
-        memo.pilot(&self.workload, &self.machine, || {
-            let linear = Layout::linear(self.workload.arrays());
-            self.run_with_layout(PolicyKind::Locality, &linear, memo)
-        })
+        // The pilot *is* the linear-layout LS result: same slot, same
+        // deadline check.
+        self.ls_cached(&Layout::linear(self.workload.arrays()), memo)
     }
 
     /// An LS run against an arbitrary (candidate) layout, served from
@@ -228,9 +227,17 @@ impl Experiment {
     /// quantum/seed-free and depend only on (workload, machine,
     /// compiled programs); see [`ArtifactCache::ls_result`].
     fn ls_cached(&self, layout: &Layout, memo: &ArtifactCache) -> Result<Arc<RunResult>> {
-        memo.ls_result(&self.workload, &self.machine, layout, || {
-            self.run_with_layout(PolicyKind::LocalityMap, layout, memo)
-        })
+        let run = || self.run_with_layout(PolicyKind::LocalityMap, layout, memo);
+        let served = memo.ls_result(&self.workload, &self.machine, layout, run)?;
+        // The deadline is outside the slot key (errors are never cached
+        // and runs that fit are bit-identical to unbudgeted ones), so a
+        // hit may hold a run that a cold request under this budget
+        // would have refused. Re-run it under the budget: that fails
+        // with exactly the `DeadlineExceeded` the cold path gives.
+        match self.deadline_cycles {
+            Some(budget) if served.makespan_cycles > budget => run().map(Arc::new),
+            _ => Ok(served),
+        }
     }
 
     fn run_with_layout(

@@ -590,7 +590,10 @@ impl ArtifactCache {
     /// A run's deadline cap is deliberately *not* part of the key,
     /// matching the pilot slot's historical contract: errors (including
     /// deadline overruns) are never cached, and runs that fit their
-    /// deadline are bit-identical to unbudgeted ones.
+    /// deadline are bit-identical to unbudgeted ones. A hit may
+    /// therefore hold a run longer than the *caller's* budget, which
+    /// the memo never sees: the caller enforces it on what it is
+    /// served, as [`Experiment`](crate::Experiment) does.
     ///
     /// # Errors
     ///

@@ -271,3 +271,57 @@ fn experiment_runs_match_the_oracle_across_memo_modes_and_arrivals() {
         }
     }
 }
+
+/// A deadline is outside every memo key, so a warm slot holds the
+/// *unbudgeted* result: whoever serves it must re-check the request's
+/// own budget. Warm and cold runs answer identically — the result when
+/// it fits, the cold path's exact `DeadlineExceeded` when it does not.
+#[test]
+fn a_warm_memo_hit_still_enforces_the_deadline() {
+    // Shape alone never leaves the pilot slot; the mix's ladder also
+    // simulates candidates slower than its pilot, so a budget the pilot
+    // fits still deadlines in the LS-result slots.
+    let apps = [suite::shape(Scale::Tiny), suite::track(Scale::Tiny)];
+    let machine = MachineConfig::paper_default();
+    for base in [
+        Experiment::isolated(&apps[0], machine),
+        Experiment::concurrent(&apps, machine.with_cores(4)).with_relayout_threshold(0.0),
+    ] {
+        warm_and_cold_agree_under_budgets(&base);
+    }
+}
+
+fn warm_and_cold_agree_under_budgets(base: &Experiment) {
+    let warm = ArtifactCache::shared();
+    let unbudgeted = |kind| {
+        let exp = base.clone().with_memo(warm.clone());
+        exp.run(kind)
+            .expect("unbudgeted run fills the memo")
+            .makespan_cycles
+    };
+    let ls = unbudgeted(PolicyKind::Locality);
+    let lsm = unbudgeted(PolicyKind::LocalityMap);
+    for budget in [0, ls - 1, ls, ls + 1, lsm - 1, lsm, lsm + 1] {
+        let run = |kind, memo| {
+            let exp = base.clone().with_memo(memo).with_deadline_cycles(budget);
+            exp.run(kind).map(|r| oracle::observe(&r))
+        };
+        let hot = run(PolicyKind::Locality, warm.clone());
+        assert_eq!(hot.is_ok(), budget >= ls, "LS budget {budget}");
+        assert_eq!(
+            hot,
+            run(PolicyKind::Locality, ArtifactCache::disabled()),
+            "LS budget {budget}"
+        );
+        // LSM deadlines on whichever ladder run overruns first, and a
+        // warm memo skips the runs that fit: the verdict and its type
+        // are pinned, the overrun cycle is not.
+        let hot = run(PolicyKind::LocalityMap, warm.clone());
+        let cold = run(PolicyKind::LocalityMap, ArtifactCache::disabled());
+        match (&hot, &cold) {
+            (Ok(_), Ok(_)) => assert_eq!(hot, cold, "LSM budget {budget}"),
+            (Err(Error::DeadlineExceeded { .. }), Err(Error::DeadlineExceeded { .. })) => {}
+            _ => panic!("LSM budget {budget}: warm {hot:?} vs cold {cold:?}"),
+        }
+    }
+}

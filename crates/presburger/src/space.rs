@@ -3,7 +3,14 @@
 use std::fmt;
 
 use crate::fm;
-use crate::{AffineExpr, AffineMap, Constraint, ConstraintSystem, Error, IndexSet, Result, Var};
+use crate::{
+    AffineExpr, AffineMap, Constraint, ConstraintKind, ConstraintSystem, Error, IndexSet, Result,
+    Var,
+};
+
+/// What [`fm::var_bounds`] returns for one variable: `None` when the
+/// system is empty, else its `(lower, upper)` bounds where finite.
+type VarBounds = Option<(Option<i64>, Option<i64>)>;
 
 /// Default budget for exact enumeration (number of bounding-box points).
 ///
@@ -74,8 +81,11 @@ impl IterSpace {
         self.system.holds_point(&self.dims, point)
     }
 
-    /// Integer bounding box `(lo, hi)` (both inclusive) per dimension,
-    /// derived by Fourier–Motzkin projection.
+    /// Integer bounding box `(lo, hi)` (both inclusive) per dimension.
+    ///
+    /// The bounds of a [unit box](IterSpace::is_unit_box) are read
+    /// straight off its constraints; every other space derives them by
+    /// Fourier–Motzkin projection, one [`fm::var_bounds`] per dimension.
     ///
     /// # Errors
     ///
@@ -84,9 +94,14 @@ impl IterSpace {
     /// spaces; an infeasible system yields `Ok` with an empty marker box
     /// `(0, -1)` in every dimension.
     pub fn bounding_box(&self) -> Result<Vec<(i64, i64)>> {
+        let unit = self.unit_bounds();
         let mut out = Vec::with_capacity(self.dims.len());
-        for d in &self.dims {
-            match fm::var_bounds(&self.system, d) {
+        for (k, d) in self.dims.iter().enumerate() {
+            let bounds = match &unit {
+                Some(unit) => unit[k],
+                None => fm::var_bounds(&self.system, d),
+            };
+            match bounds {
                 None => {
                     // Infeasible: report an empty box.
                     return Ok(vec![(0, -1); self.dims.len()]);
@@ -96,6 +111,51 @@ impl IterSpace {
             }
         }
         Ok(out)
+    }
+
+    /// Whether every constraint is an inequality or equality with
+    /// coefficient `±1` on exactly one dimension — an axis-aligned box
+    /// whose bounds are written in its constraints, which is what
+    /// [`IterSpaceBuilder::dim_range`] and [`IterSpaceBuilder::dim_eq`]
+    /// produce and what constraint normalization makes of every
+    /// single-variable constraint except an equality with no integer
+    /// solution (`2x == 5`). [`IterSpace::bounding_box`] needs no
+    /// elimination for such a space.
+    pub fn is_unit_box(&self) -> bool {
+        self.unit_bounds().is_some()
+    }
+
+    /// For a unit box, what [`fm::var_bounds`] would return for each
+    /// dimension in turn; `None` for any other space. A dimension whose
+    /// bounds cross empties the whole system, and projection notices
+    /// that whichever dimension it is asked about, so then every entry
+    /// is `None`.
+    fn unit_bounds(&self) -> Option<Vec<VarBounds>> {
+        let mut bounds: Vec<(Option<i64>, Option<i64>)> = vec![(None, None); self.dims.len()];
+        for c in self.system.constraints() {
+            let mut terms = c.expr().terms();
+            let (Some((var, a)), None) = (terms.next(), terms.next()) else {
+                return None;
+            };
+            if a != 1 && a != -1 {
+                return None;
+            }
+            let (lo, hi) = &mut bounds[self.dims.iter().position(|d| d == var)?];
+            // With a = ±1, `a*x + d >= 0` bounds x by -a*d: from below
+            // when a > 0, from above when a < 0; `== 0` does both.
+            let x = -a * c.expr().constant_part();
+            let eq = c.kind() == ConstraintKind::EqZero;
+            if eq || a > 0 {
+                *lo = Some(lo.map_or(x, |l| l.max(x)));
+            }
+            if eq || a < 0 {
+                *hi = Some(hi.map_or(x, |h| h.min(x)));
+            }
+        }
+        let empty = bounds
+            .iter()
+            .any(|b| matches!(b, (Some(lo), Some(hi)) if lo > hi));
+        Some(bounds.into_iter().map(|b| (!empty).then_some(b)).collect())
     }
 
     /// Whether every constraint mentions at most one dimension (the space

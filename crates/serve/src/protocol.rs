@@ -20,7 +20,8 @@
 //!     [cores=N] [quantum=CYCLES] [seed=N] [deadline=CYCLES]
 //! ```
 //!
-//! Blank lines and lines starting with `#` are ignored.
+//! Blank lines and lines starting with `#` are ignored. `cores` and
+//! `quantum` must be at least 1.
 //!
 //! # Responses
 //!
@@ -349,6 +350,22 @@ impl<'a> Fields<'a> {
         }
     }
 
+    /// A count that must be at least 1 (`cores`, `quantum`): zero is
+    /// well-formed text but no machine or time slice, and would reach
+    /// an assertion inside the simulator instead of an error.
+    fn take_positive<T>(&mut self, key: &str) -> Result<Option<T>, ParseError>
+    where
+        T: std::str::FromStr + Default + PartialEq,
+    {
+        match self.take_parsed(key)? {
+            Some(v) if v == T::default() => Err(ParseError::new(
+                &self.id,
+                format!("{key} must be at least 1"),
+            )),
+            v => Ok(v),
+        }
+    }
+
     fn finish(self) -> Result<(), ParseError> {
         match self.pairs.iter().find(|&&(k, _, used)| !used && k != "id") {
             Some(&(k, _, _)) => Err(ParseError::new(&self.id, format!("unknown key '{k}'"))),
@@ -448,8 +465,8 @@ impl Request {
                     app,
                     scale,
                     policy,
-                    cores: fields.take_parsed("cores")?,
-                    quantum: fields.take_parsed("quantum")?,
+                    cores: fields.take_positive("cores")?,
+                    quantum: fields.take_positive("quantum")?,
                     seed: fields.take_parsed("seed")?,
                     bus,
                     deadline: fields.take_parsed("deadline")?,
@@ -472,8 +489,8 @@ impl Request {
                     id,
                     file,
                     policy,
-                    cores: fields.take_parsed("cores")?,
-                    quantum: fields.take_parsed("quantum")?,
+                    cores: fields.take_positive("cores")?,
+                    quantum: fields.take_positive("quantum")?,
                     seed: fields.take_parsed("seed")?,
                     deadline: fields.take_parsed("deadline")?,
                 })
@@ -601,6 +618,23 @@ mod tests {
             let e = Request::parse(&format!("run id=1 app=shape scale=tiny policy=rs {bad}"))
                 .unwrap_err();
             assert!(e.msg.contains("invalid arrivals"), "{bad}: {}", e.msg);
+        }
+    }
+
+    #[test]
+    fn zero_cores_and_zero_quantum_are_bad_requests() {
+        // Both would otherwise reach the simulator: `quantum=0` trips
+        // `RoundRobinPolicy::new`'s assert inside a pool worker.
+        for verb in [
+            "run id=1 app=shape scale=tiny policy=rrs",
+            "replay id=1 file=x.ltr policy=rrs",
+        ] {
+            for key in ["cores", "quantum"] {
+                let e = Request::parse(&format!("{verb} {key}=0")).unwrap_err();
+                assert_eq!(e.id, "1");
+                assert_eq!(e.msg, format!("{key} must be at least 1"));
+                assert!(Request::parse(&format!("{verb} {key}=1")).is_ok());
+            }
         }
     }
 

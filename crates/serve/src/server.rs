@@ -8,8 +8,11 @@
 //! and a dedicated writer thread emits responses strictly in request
 //! order, each as soon as it is ready — a synchronous client gets its
 //! answer promptly, and a client that floods requests without reading
-//! drives the busy-shedding path.
+//! drives the busy-shedding path. Each response is one whole line in
+//! one `write`, and accepted TCP connections run with `TCP_NODELAY`
+//! (`docs/service-protocol.md`, "Transport").
 
+use std::fmt::Write as _;
 use std::io::{self, BufRead, BufReader, Read, Write};
 use std::net::{SocketAddr, TcpListener, TcpStream};
 use std::sync::atomic::{AtomicBool, Ordering};
@@ -158,6 +161,11 @@ impl Service {
         let (tx, rx) = std::sync::mpsc::channel::<Slot>();
         std::thread::scope(|scope| {
             let writer_thread = scope.spawn(move || -> io::Result<()> {
+                // One buffer, one `write_all` per response line: a line
+                // handed to a socket in fragments costs a syscall and a
+                // segment per fragment, and the second small segment
+                // waits out the peer's delayed ACK.
+                let mut line = String::new();
                 for slot in rx {
                     let response = match slot {
                         Slot::Ready(response) => response,
@@ -177,7 +185,10 @@ impl Service {
                         // has completed: the counters are settled.
                         Slot::Stats { id } => self.stats_response(&id),
                     };
-                    writeln!(writer, "{response}")?;
+                    line.clear();
+                    // Formatting into a `String` cannot fail.
+                    let _ = writeln!(line, "{response}");
+                    writer.write_all(line.as_bytes())?;
                     writer.flush()?;
                 }
                 Ok(())
@@ -390,6 +401,10 @@ impl TcpServer {
 }
 
 fn handle_connection(service: &Service, stream: TcpStream) -> Option<Exit> {
+    // Responses are whole lines written once each; Nagle would only
+    // hold back-to-back pipelined responses for the peer's ACK. A
+    // socket that refuses the option still serves, just slower.
+    let _ = stream.set_nodelay(true);
     let mut writer = match stream.try_clone() {
         Ok(w) => w,
         Err(_) => return None,

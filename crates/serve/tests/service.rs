@@ -130,6 +130,32 @@ run id=c app=shape scale=tiny policy=rs\n";
 }
 
 #[test]
+fn zero_quantum_and_zero_cores_never_reach_a_worker() {
+    // Malformed, not faulty: inside a job `quantum=0` trips
+    // `RoundRobinPolicy::new`'s assert (`job_panicked`, a backtrace, the
+    // `panicked` counter) and `cores=0` is an `internal` error.
+    let input = "\
+run id=1 app=shape scale=tiny policy=rrs quantum=0\n\
+run id=2 app=shape scale=tiny policy=rrs cores=0\n\
+replay id=3 file=unread.ltr policy=rrs quantum=0\n\
+replay id=4 file=unread.ltr policy=rrs cores=0\n\
+run id=5 app=shape scale=tiny policy=rrs quantum=1 cores=1\n";
+    let (lines, _, service) = serve_lines(ServerConfig::default(), input);
+    service.drain();
+    assert_eq!(lines.len(), 5, "{lines:?}");
+    for (i, line) in lines[..4].iter().enumerate() {
+        let want = format!("err id={} code=bad_request", i + 1);
+        assert!(line.starts_with(&want), "{line}");
+    }
+    assert!(lines[4].starts_with("ok id=5 "), "{}", lines[4]);
+    let stats = service.service_stats();
+    assert_eq!(
+        (stats.submitted, stats.completed, stats.panicked),
+        (1, 1, 0)
+    );
+}
+
+#[test]
 fn deadlines_are_deterministic_and_non_perturbing() {
     // An absurdly tight server-wide budget: everything misses it.
     let config = ServerConfig {
