@@ -40,8 +40,8 @@ pub enum Error {
         at_cycle: u64,
     },
     /// A sweep job panicked. The panic was caught at the job boundary
-    /// ([`SweepRunner::run_caught`](crate::SweepRunner::run_caught)), so
-    /// only this job failed — sibling jobs and the worker pool survive.
+    /// ([`SweepRunner::run_weighted_caught`](crate::SweepRunner::run_weighted_caught)),
+    /// so only this job failed — sibling jobs and the worker pool survive.
     JobPanicked {
         /// Enumeration index of the panicking job.
         job: usize,

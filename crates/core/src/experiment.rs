@@ -306,10 +306,6 @@ impl Experiment {
             return Ok((result, art));
         }
 
-        // Read the debug switch once: sweeps amplify this path, and a
-        // per-candidate `env::var_os` is a syscall in a hot loop.
-        let debug = std::env::var_os("LAMS_LSM_DEBUG").is_some();
-
         // Phase 1: LS schedule on the plain layout — memoized per
         // (workload, machine), shared with the plain LS policy run.
         let linear = Layout::linear(self.workload.arrays());
@@ -489,7 +485,7 @@ impl Experiment {
             .into_iter()
             .chain(per_app.iter())
             .collect();
-        let mut cands: Vec<(f64, RemapAssignment, Layout)> = Vec::new();
+        let mut cands: Vec<(RemapAssignment, Layout)> = Vec::new();
         for adj in adjacency_candidates {
             for &t in &candidates {
                 let raw = relayout_pass(&conflicts, adj, Some(t));
@@ -513,7 +509,7 @@ impl Experiment {
                     continue;
                 }
                 let remapped = Layout::remapped(self.workload.arrays(), &cache, &assignment);
-                cands.push((t, assignment, remapped));
+                cands.push((assignment, remapped));
             }
         }
         // Each candidate is evaluated pilot-plus-delta: the compiled
@@ -522,20 +518,12 @@ impl Experiment {
         // simulation is skipped when the candidate's delta key matches
         // an LS result already in the memo.
         let results = runner.run(cands.len(), |i| {
-            self.ls_cached(&cands[i].2, memo)
+            self.ls_cached(&cands[i].1, memo)
                 .map(|r| r.as_ref().clone())
         });
         let mut best: Option<(RunResult, RemapAssignment)> = None;
-        for ((t, assignment, _), result) in cands.into_iter().zip(results) {
+        for ((assignment, _), result) in cands.into_iter().zip(results) {
             let result = result?;
-            if debug {
-                eprintln!(
-                    "lsm candidate: t={t:.1} remapped={} makespan={} (pilot {})",
-                    assignment.len(),
-                    result.makespan_cycles,
-                    pilot.makespan_cycles
-                );
-            }
             if best
                 .as_ref()
                 .is_none_or(|(b, _)| result.makespan_cycles < b.makespan_cycles)

@@ -55,6 +55,9 @@
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
+// Determinism: no host clock, worker id or hash order (docs/invariants.md).
+#![deny(clippy::disallowed_types, clippy::disallowed_methods)]
+#![deny(clippy::iter_over_hash_type)]
 
 pub mod arrivals;
 mod critical_path;
@@ -87,3 +90,20 @@ pub use round_robin::{RoundRobinPolicy, DEFAULT_QUANTUM};
 pub use sharing::SharingMatrix;
 pub use sweep::{ScenarioMatrix, SweepJob, SweepRunner};
 pub use task_affinity::TaskAffinityPolicy;
+
+#[cfg(test)]
+mod tests {
+    /// Liveness witness for the root `clippy.toml`: if it stops being
+    /// read, this `expect` goes unfulfilled and the clippy step fails
+    /// (`docs/invariants.md`).
+    #[test]
+    #[expect(
+        clippy::disallowed_methods,
+        reason = "deliberate: worker identity and an order-free hash traversal"
+    )]
+    fn determinism_rules_are_live() {
+        let map = std::collections::HashMap::from([(1, 2), (3, 4)]);
+        let _worker = std::thread::current();
+        assert_eq!(map.values().sum::<i32>(), 6);
+    }
+}

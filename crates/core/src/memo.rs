@@ -547,30 +547,6 @@ impl ArtifactCache {
         matrix
     }
 
-    /// The Locality pilot run of `workload` on `machine` — the LS
-    /// schedule on the plain linear layout, which doubles as the LS
-    /// policy result and phase 1 of LSM. `compute` runs on a miss (and
-    /// on race losers; first publisher wins).
-    ///
-    /// Delegates to [`ArtifactCache::ls_result`] with the linear
-    /// layout: the pilot *is* the linear-layout LS result.
-    ///
-    /// # Errors
-    ///
-    /// Propagates `compute`'s error without caching it.
-    pub fn pilot<F>(
-        &self,
-        workload: &Workload,
-        machine: &MachineConfig,
-        compute: F,
-    ) -> Result<Arc<RunResult>>
-    where
-        F: FnOnce() -> Result<RunResult>,
-    {
-        let linear = Layout::linear(workload.arrays());
-        self.ls_result(workload, machine, &linear, compute)
-    }
-
     /// The LS run of `workload` against an arbitrary `layout` on
     /// `machine`, keyed on `(workload fingerprint, machine ⊕ layout
     /// delta key)`. This is the run-granularity reuse of the delta
@@ -755,13 +731,14 @@ mod tests {
         let memo = ArtifactCache::new();
         let w = workload();
         let machine = MachineConfig::paper_default();
-        let err = memo.pilot(&w, &machine, || {
+        let linear = Layout::linear(w.arrays());
+        let err = memo.ls_result(&w, &machine, &linear, || {
             Err(crate::Error::EngineStalled { ready: 1 })
         });
         assert!(err.is_err());
         // The failed fill left no entry: the next lookup computes.
         let ok = memo
-            .pilot(&w, &machine, || {
+            .ls_result(&w, &machine, &linear, || {
                 crate::Experiment::for_workload(w.clone(), machine).run(crate::PolicyKind::Locality)
             })
             .unwrap();
@@ -812,7 +789,7 @@ mod tests {
         let w = workload();
         let machine = MachineConfig::paper_default();
         let pilot = memo
-            .pilot(&w, &machine, || {
+            .ls_result(&w, &machine, &Layout::linear(w.arrays()), || {
                 crate::Experiment::for_workload(w.clone(), machine).run(crate::PolicyKind::Locality)
             })
             .unwrap();

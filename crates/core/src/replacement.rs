@@ -174,11 +174,12 @@ impl<K: Eq + Hash + Copy> ReplacementTracker<K> {
 /// taken while the taking thread holds **no** stripe lock — the reverse
 /// nesting (stripe under tracker) is eviction's allowed direction.
 ///
-/// This is the dynamic twin of `lams-lint`'s static `lock-order` pass:
-/// the lint proves the ordering over the call graph it can see; the
-/// witness catches whatever slips past a heuristic analyzer (trait
-/// dispatch, callbacks) on every debug/test run. Release builds compile
-/// both operations to nothing.
+/// This is the enforcing mechanism for the lock-order invariant
+/// (`docs/invariants.md`): every stripe acquisition and every tracker
+/// acquisition in `memo.rs` goes through it, so any path that nests them
+/// the wrong way — through trait dispatch or callbacks included — fails
+/// on every debug/test run. A new nested lock pair extends this module.
+/// Release builds compile both operations to nothing.
 pub(crate) mod lock_witness {
     #[cfg(debug_assertions)]
     use std::cell::Cell;

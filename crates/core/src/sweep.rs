@@ -36,7 +36,7 @@
 //! Errors are reported deterministically too: when several jobs fail,
 //! the error of the *earliest enumerated* failing job is returned. A
 //! *panicking* job is caught at the job boundary
-//! ([`SweepRunner::run_caught`]) and reported as that job's
+//! ([`SweepRunner::run_weighted_caught`]) and reported as that job's
 //! [`Error::JobPanicked`](crate::Error::JobPanicked) under the same
 //! rule — sibling jobs complete and the worker pool (its slot mutex
 //! included) survives, which is what lets a long-lived service keep
@@ -139,29 +139,16 @@ impl SweepRunner {
         T: Send,
         F: Fn(usize) -> T + Sync,
     {
-        let mut order: Vec<usize> = (0..weights.len()).collect();
-        // Stable sort: equal weights keep enumeration order.
-        order.sort_by_key(|&i| std::cmp::Reverse(weights[i]));
-        self.run_queue(order, f)
+        self.run_queue(Self::longest_first(weights), f)
     }
 
-    /// Runs `f(0..n)` with each job wrapped in
+    /// [`SweepRunner::run_weighted`] with each job wrapped in
     /// [`std::panic::catch_unwind`]: a panicking job yields
     /// `Err(`[`Error::JobPanicked`]`)` in its slot instead of unwinding
     /// through the pool. Sibling jobs run to completion and the workers
     /// (and their slot mutex) survive — the panic-isolation
     /// contract a long-lived sweep service depends on. Results come back
     /// **in index order**, as for [`SweepRunner::run`].
-    pub fn run_caught<T, F>(&self, n: usize, f: F) -> Vec<std::result::Result<T, Error>>
-    where
-        T: Send,
-        F: Fn(usize) -> T + Sync,
-    {
-        self.run_queue((0..n).collect(), Self::caught(f))
-    }
-
-    /// [`SweepRunner::run_weighted`] with the panic isolation of
-    /// [`SweepRunner::run_caught`].
     pub fn run_weighted_caught<T, F>(
         &self,
         weights: &[u64],
@@ -171,9 +158,15 @@ impl SweepRunner {
         T: Send,
         F: Fn(usize) -> T + Sync,
     {
+        self.run_queue(Self::longest_first(weights), Self::caught(f))
+    }
+
+    /// Job indices in descending weight. The sort is stable: equal
+    /// weights keep enumeration order.
+    fn longest_first(weights: &[u64]) -> Vec<usize> {
         let mut order: Vec<usize> = (0..weights.len()).collect();
         order.sort_by_key(|&i| std::cmp::Reverse(weights[i]));
-        self.run_queue(order, Self::caught(f))
+        order
     }
 
     /// Wraps a job closure so panics surface as [`Error::JobPanicked`].

@@ -619,7 +619,7 @@ proptest! {
         let layout = Layout::linear(w.arrays());
         let sharing = lams_core::SharingMatrix::from_workload(&w);
         let run = |machine: &MachineConfig| {
-            memo.pilot(&w, machine, || {
+            memo.ls_result(&w, machine, &layout, || {
                 let mut p = lams_core::LocalityPolicy::new(sharing.clone(), machine.num_cores);
                 lams_core::execute(&w, &layout, &mut p, lams_core::EngineConfig::from(*machine))
             })

@@ -290,7 +290,7 @@ fn empty_and_single_job_sweeps_at_every_thread_count() {
         assert_eq!(*one[0].as_ref().expect("single job survives"), 1);
         // A single panicking job still reports cleanly and leaves the
         // runner reusable.
-        let boom = runner.run_caught(1, |_| -> u64 { panic!("solo") });
+        let boom = runner.run_weighted_caught(&[1], |_| -> u64 { panic!("solo") });
         assert!(matches!(
             &boom[0],
             Err(lams_core::Error::JobPanicked { job: 0, .. })
@@ -308,7 +308,7 @@ fn panicking_jobs_are_isolated_at_one_and_four_threads() {
     use lams_core::Error;
     for threads in [1usize, 4] {
         let runner = SweepRunner::new(threads);
-        let results = runner.run_caught(9, |i| {
+        let results = runner.run_weighted_caught(&[1; 9], |i| {
             if i == 4 {
                 panic!("injected panic in job {i}");
             }

@@ -141,7 +141,17 @@ impl Layout {
     /// `arrays` must be sorted by id (callers pass
     /// `Workload::arrays_of`, which is) so independently built but
     /// identical restrictions hash equal.
+    #[deny(unused_variables)]
     pub fn restricted_fingerprint(&self, arrays: &[ArrayId]) -> lams_mpsoc::Fingerprint {
+        // No `..`: a new field fails the build here until it is hashed
+        // (docs/invariants.md).
+        let Layout {
+            bases,
+            elem_bytes,
+            num_elems,
+            remap_b,
+            half_page,
+        } = self;
         debug_assert!(
             arrays.windows(2).all(|w| w[0] < w[1]),
             "restriction array list must be sorted and duplicate-free"
@@ -152,10 +162,10 @@ impl Layout {
         for &a in arrays {
             let i = a.as_usize();
             h.write_u32(a.index());
-            h.write_u64(self.bases[i]);
-            h.write_u64(self.elem_bytes[i]);
-            h.write_u64(self.num_elems[i]);
-            match self.remap_b[i] {
+            h.write_u64(bases[i]);
+            h.write_u64(elem_bytes[i]);
+            h.write_u64(num_elems[i]);
+            match remap_b[i] {
                 None => h.write_bool(false),
                 Some(b) => {
                     any_remapped = true;
@@ -167,7 +177,7 @@ impl Layout {
         // Chunking metadata only matters once a remapped lane exists.
         h.write_bool(any_remapped);
         if any_remapped {
-            h.write_u64(self.half_page);
+            h.write_u64(*half_page);
         }
         h.finish()
     }

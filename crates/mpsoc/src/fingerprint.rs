@@ -131,24 +131,44 @@ impl FingerprintHasher {
 
 /// Content fingerprint of a [`MachineConfig`](crate::MachineConfig):
 /// every field that influences simulation results.
+#[deny(unused_variables)]
 pub fn machine_fingerprint(m: &crate::MachineConfig) -> Fingerprint {
+    // No `..`: a new field fails the build here until it is hashed
+    // (docs/invariants.md).
+    let crate::MachineConfig {
+        num_cores,
+        cache:
+            crate::CacheConfig {
+                size_bytes,
+                associativity,
+                line_bytes,
+            },
+        hit_latency,
+        miss_latency,
+        clock_hz,
+        bus,
+        classify_misses,
+    } = *m;
     let mut h = FingerprintHasher::new("lams.machine");
-    h.write_u64(m.num_cores as u64);
-    h.write_u64(m.cache.size_bytes);
-    h.write_u64(m.cache.associativity);
-    h.write_u64(m.cache.line_bytes);
-    h.write_u64(m.hit_latency);
-    h.write_u64(m.miss_latency);
-    h.write_u64(m.clock_hz);
-    match m.bus {
+    h.write_u64(num_cores as u64);
+    h.write_u64(size_bytes);
+    h.write_u64(associativity);
+    h.write_u64(line_bytes);
+    h.write_u64(hit_latency);
+    h.write_u64(miss_latency);
+    h.write_u64(clock_hz);
+    match bus {
         None => h.write_bool(false),
-        Some(bus) => {
+        Some(crate::BusConfig {
+            occupancy_cycles,
+            mode,
+        }) => {
             h.write_bool(true);
-            h.write_u64(bus.occupancy_cycles);
+            h.write_u64(occupancy_cycles);
             // The arbitration mode changes simulated schedules, so
             // memoized pilots must never alias across it: feed a
             // discriminant plus the windowed epoch length.
-            match bus.mode {
+            match mode {
                 crate::BusMode::Fcfs => h.write_u64(0),
                 crate::BusMode::Windowed { window_cycles } => {
                     h.write_u64(1);
@@ -157,7 +177,7 @@ pub fn machine_fingerprint(m: &crate::MachineConfig) -> Fingerprint {
             }
         }
     }
-    h.write_bool(m.classify_misses);
+    h.write_bool(classify_misses);
     h.finish()
 }
 
@@ -201,9 +221,23 @@ mod tests {
         assert_ne!(fp, machine_fingerprint(&base.with_cores(4)));
         assert_ne!(fp, machine_fingerprint(&base.with_classification(false)));
         assert_ne!(fp, machine_fingerprint(&base.with_bus(BusConfig::fcfs(4))));
-        let mut slow = base;
-        slow.miss_latency += 1;
-        assert_ne!(fp, machine_fingerprint(&slow));
+        let scalar_knobs: [fn(&mut MachineConfig); 6] = [
+            |m| m.miss_latency += 1,
+            |m| m.hit_latency += 1,
+            |m| m.clock_hz += 1,
+            |m| m.cache.size_bytes *= 2,
+            |m| m.cache.associativity *= 2,
+            |m| m.cache.line_bytes *= 2,
+        ];
+        for (i, perturb) in scalar_knobs.iter().enumerate() {
+            let mut moved = base;
+            perturb(&mut moved);
+            assert_ne!(fp, machine_fingerprint(&moved), "scalar knob {i}");
+        }
+        let bused = machine_fingerprint(&base.with_bus(BusConfig::windowed(4, 64)));
+        for other in [BusConfig::windowed(5, 64), BusConfig::windowed(4, 65)] {
+            assert_ne!(bused, machine_fingerprint(&base.with_bus(other)));
+        }
     }
 
     #[test]

@@ -99,6 +99,9 @@
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
+// Determinism: no host clock, worker id or hash order (docs/invariants.md).
+#![deny(clippy::disallowed_types, clippy::disallowed_methods)]
+#![deny(clippy::iter_over_hash_type)]
 
 mod bus;
 mod cache;

@@ -17,6 +17,10 @@
 //! value prints the usage text and exits 2: a mistyped
 //! `--cache-capcity 64` must not silently start an unbounded daemon.
 
+// Panic policy: the request path never unwinds (docs/invariants.md).
+#![deny(clippy::unwrap_used, clippy::expect_used, clippy::panic)]
+#![deny(clippy::unreachable, clippy::todo, clippy::unimplemented)]
+
 use lams_serve::{serve_stdio, FaultPlan, ServerConfig, TcpServer};
 
 const USAGE: &str = "usage: lams_serve [--tcp ADDR] [--workers N] [--queue N]

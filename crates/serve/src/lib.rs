@@ -53,6 +53,9 @@
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
+// Panic policy: the request path never unwinds (docs/invariants.md).
+#![deny(clippy::unwrap_used, clippy::expect_used, clippy::panic)]
+#![deny(clippy::unreachable, clippy::todo, clippy::unimplemented)]
 
 pub mod fault;
 pub mod pool;

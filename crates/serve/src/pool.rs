@@ -251,8 +251,13 @@ fn run_isolated(inner: &Inner, job: &Job) -> Response {
             std::thread::sleep(Duration::from_millis(ms));
         }
         if inner.config.fault_plan.panics_at(job.seq) {
-            // lams-lint: allow(panic-policy, reason = "deliberate fault injection: this panic exercises the catch_unwind isolation right below, which converts it into a job_panicked error response")
-            panic!("injected fault: panic on job {}", job.seq);
+            #[expect(
+                clippy::panic,
+                reason = "deliberate fault injection: this panic exercises the catch_unwind isolation right below, which converts it into a job_panicked error response"
+            )]
+            {
+                panic!("injected fault: panic on job {}", job.seq);
+            }
         }
         execute_work(&job.work, inner.config.default_deadline, &inner.cache)
     }));

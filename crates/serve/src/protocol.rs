@@ -21,7 +21,7 @@
 //! ```
 //!
 //! Blank lines and lines starting with `#` are ignored. `cores` and
-//! `quantum` must be at least 1.
+//! `quantum` must be at least 1; `cores` at most 1024.
 //!
 //! # Responses
 //!
@@ -46,6 +46,12 @@ use lams_workloads::Scale;
 /// without buffering them whole — a line-length attack costs the
 /// server one fixed-size buffer, not memory proportional to the line.
 pub const MAX_LINE_BYTES: usize = 8 * 1024;
+
+/// Most `cores` a request may ask for: 128× the paper's 8-core machine.
+/// A machine allocates ≈ 24 KB of cache model per core, so an unbounded
+/// count lets one request line exhaust memory — an abort, which the
+/// pool's `catch_unwind` cannot isolate.
+const MAX_CORES: usize = 1024;
 
 /// The placeholder request id used in responses when the request was
 /// too malformed (or too long) to carry one.
@@ -366,6 +372,17 @@ impl<'a> Fields<'a> {
         }
     }
 
+    /// `cores`: at least 1, at most [`MAX_CORES`].
+    fn take_cores(&mut self) -> Result<Option<usize>, ParseError> {
+        match self.take_positive("cores")? {
+            Some(n) if n > MAX_CORES => Err(ParseError::new(
+                &self.id,
+                format!("cores must be at most {MAX_CORES}"),
+            )),
+            v => Ok(v),
+        }
+    }
+
     fn finish(self) -> Result<(), ParseError> {
         match self.pairs.iter().find(|&&(k, _, used)| !used && k != "id") {
             Some(&(k, _, _)) => Err(ParseError::new(&self.id, format!("unknown key '{k}'"))),
@@ -465,7 +482,7 @@ impl Request {
                     app,
                     scale,
                     policy,
-                    cores: fields.take_positive("cores")?,
+                    cores: fields.take_cores()?,
                     quantum: fields.take_positive("quantum")?,
                     seed: fields.take_parsed("seed")?,
                     bus,
@@ -489,7 +506,7 @@ impl Request {
                     id,
                     file,
                     policy,
-                    cores: fields.take_positive("cores")?,
+                    cores: fields.take_cores()?,
                     quantum: fields.take_positive("quantum")?,
                     seed: fields.take_parsed("seed")?,
                     deadline: fields.take_parsed("deadline")?,
@@ -634,6 +651,21 @@ mod tests {
                 assert_eq!(e.id, "1");
                 assert_eq!(e.msg, format!("{key} must be at least 1"));
                 assert!(Request::parse(&format!("{verb} {key}=1")).is_ok());
+            }
+        }
+    }
+
+    #[test]
+    fn cores_above_the_cap_are_bad_requests() {
+        for verb in [
+            "run id=1 app=shape scale=tiny policy=ls",
+            "replay id=1 file=x.ltr policy=ls",
+        ] {
+            assert!(Request::parse(&format!("{verb} cores={MAX_CORES}")).is_ok());
+            for over in [MAX_CORES + 1, usize::MAX] {
+                let e = Request::parse(&format!("{verb} cores={over}")).unwrap_err();
+                assert_eq!(e.id, "1");
+                assert_eq!(e.msg, format!("cores must be at most {MAX_CORES}"));
             }
         }
     }

@@ -5,6 +5,11 @@
 //! segment per fragment, and on a socket the second fragment waits out
 //! the peer's delayed ACK (≈ 40 ms on Linux) under Nagle.
 
+#![expect(
+    clippy::disallowed_types,
+    reason = "the one host-clock read in the workspace: a socket round trip is host time by definition, and no simulated result depends on it"
+)]
+
 use std::io::{self, BufRead, BufReader, Write};
 use std::net::TcpStream;
 use std::time::{Duration, Instant};

@@ -35,6 +35,66 @@ pub(crate) struct ResolvedProcess {
     pub(crate) num_iters: u64,
 }
 
+impl ResolvedProcess {
+    /// Feeds `h` exactly what trace generation and compilation read
+    /// from the process: all of [`Workload::process_fingerprint`] and
+    /// the per-process middle of [`Workload::fingerprint`].
+    #[deny(unused_variables)]
+    fn write_trace_inputs(&self, h: &mut lams_mpsoc::FingerprintHasher) {
+        // No `..`, here or on the accesses: a new field fails the build
+        // until it is hashed or named `_` with its reason
+        // (docs/invariants.md).
+        let ResolvedProcess {
+            // Labels, not trace inputs: `Workload::fingerprint` hashes
+            // the name and the task partition itself.
+            name: _,
+            task: _,
+            // Variable names only; `coeffs` is already aligned with them.
+            dims: _,
+            bbox,
+            is_box,
+            space,
+            accesses,
+            compute,
+            // Derived from `space` and `accesses`; `Workload::fingerprint`
+            // hashes it as the sharing matrix's raw material.
+            data_set: _,
+            num_iters,
+        } = self;
+        h.write_len(bbox.len());
+        for &(lo, hi) in bbox {
+            h.write_i64(lo);
+            h.write_i64(hi);
+        }
+        h.write_bool(*is_box);
+        if !is_box {
+            // Non-box traces iterate the space's member points; the
+            // bbox alone does not determine them. The debug rendering
+            // is a deterministic, content-derived serialization of the
+            // constraint system.
+            h.write_str(&format!("{space:?}"));
+        }
+        h.write_len(accesses.len());
+        for a in accesses {
+            let ResolvedAccess {
+                array,
+                coeffs,
+                constant,
+                write,
+            } = a;
+            h.write_u32(array.index());
+            h.write_len(coeffs.len());
+            for &c in coeffs {
+                h.write_i64(c);
+            }
+            h.write_i64(*constant);
+            h.write_bool(*write);
+        }
+        h.write_u64(*compute);
+        h.write_u64(*num_iters);
+    }
+}
+
 /// Summary information about one process of a workload.
 ///
 /// Returned by [`Workload::process`]; useful for reports and debugging.
@@ -72,7 +132,6 @@ pub struct Workload {
     fp: std::sync::OnceLock<lams_mpsoc::Fingerprint>,
     /// Lazily computed per-process content fingerprints (index =
     /// process id; see [`Workload::process_fingerprint`]).
-    // lams-lint: allow(fingerprint-coverage, reason = "memo cache of derived fingerprints, not content: its value is a pure function of the fields the fingerprint already covers")
     proc_fps: std::sync::OnceLock<Vec<lams_mpsoc::Fingerprint>>,
 }
 
@@ -183,13 +242,27 @@ impl Workload {
     /// trace program sets, sharing matrices, Locality pilot runs) in
     /// `lams_core::memo::ArtifactCache`. Computed once per workload and
     /// cached.
+    #[deny(unused_variables)]
     pub fn fingerprint(&self) -> lams_mpsoc::Fingerprint {
-        *self.fp.get_or_init(|| {
+        // No `..`: a new field fails the build here until it is hashed
+        // or named `_` with its reason (docs/invariants.md).
+        let Workload {
+            name,
+            arrays,
+            epg,
+            tasks,
+            procs,
+            fp,
+            // Memo cache of derived fingerprints, not content: a pure
+            // function of the fields hashed below.
+            proc_fps: _,
+        } = self;
+        *fp.get_or_init(|| {
             let mut h = lams_mpsoc::FingerprintHasher::new("lams.workload");
-            h.write_str(&self.name);
+            h.write_str(name);
             // Arrays: id order is the table order, so position encodes id.
-            h.write_len(self.arrays.len());
-            for (_, decl) in self.arrays.iter() {
+            h.write_len(arrays.len());
+            for (_, decl) in arrays.iter() {
                 h.write_str(decl.name());
                 h.write_len(decl.extents().len());
                 for &e in decl.extents() {
@@ -199,8 +272,8 @@ impl Workload {
                 h.write_u64(decl.align());
             }
             // Task structure (process partition into applications).
-            h.write_len(self.tasks.len());
-            for task in &self.tasks {
+            h.write_len(tasks.len());
+            for task in tasks {
                 let procs: Vec<ProcessId> = task.processes().collect();
                 h.write_len(procs.len());
                 for p in procs {
@@ -208,42 +281,18 @@ impl Workload {
                 }
             }
             // Dependence edges, in (from, to) order.
-            h.write_len(self.procs.len());
+            h.write_len(procs.len());
             for p in self.process_ids() {
-                for s in self.epg.succs(p).expect("process in graph") {
+                for s in epg.succs(p).expect("process in graph") {
                     h.write_u32(p.index());
                     h.write_u32(s.index());
                 }
                 h.write_u32(u32::MAX); // per-process edge terminator
             }
-            // Processes: everything trace generation reads.
-            for r in &self.procs {
+            // Processes: name, then everything trace generation reads.
+            for r in procs {
                 h.write_str(&r.name);
-                h.write_len(r.bbox.len());
-                for &(lo, hi) in &r.bbox {
-                    h.write_i64(lo);
-                    h.write_i64(hi);
-                }
-                h.write_bool(r.is_box);
-                if !r.is_box {
-                    // Non-box traces iterate the space's member points;
-                    // the bbox alone does not determine them. The debug
-                    // rendering is a deterministic, content-derived
-                    // serialization of the constraint system.
-                    h.write_str(&format!("{:?}", r.space));
-                }
-                h.write_len(r.accesses.len());
-                for a in &r.accesses {
-                    h.write_u32(a.array.index());
-                    h.write_len(a.coeffs.len());
-                    for &c in &a.coeffs {
-                        h.write_i64(c);
-                    }
-                    h.write_i64(a.constant);
-                    h.write_bool(a.write);
-                }
-                h.write_u64(r.compute);
-                h.write_u64(r.num_iters);
+                r.write_trace_inputs(&mut h);
                 // Exact footprints (the sharing matrix's raw material).
                 let arrays: Vec<_> = r.data_set.iter().collect();
                 h.write_len(arrays.len());
@@ -285,29 +334,7 @@ impl Workload {
                 .iter()
                 .map(|r| {
                     let mut h = lams_mpsoc::FingerprintHasher::new("lams.process");
-                    h.write_len(r.bbox.len());
-                    for &(lo, hi) in &r.bbox {
-                        h.write_i64(lo);
-                        h.write_i64(hi);
-                    }
-                    h.write_bool(r.is_box);
-                    if !r.is_box {
-                        // Non-box traces iterate the space's member
-                        // points; the bbox alone does not determine them.
-                        h.write_str(&format!("{:?}", r.space));
-                    }
-                    h.write_len(r.accesses.len());
-                    for a in &r.accesses {
-                        h.write_u32(a.array.index());
-                        h.write_len(a.coeffs.len());
-                        for &c in &a.coeffs {
-                            h.write_i64(c);
-                        }
-                        h.write_i64(a.constant);
-                        h.write_bool(a.write);
-                    }
-                    h.write_u64(r.compute);
-                    h.write_u64(r.num_iters);
+                    r.write_trace_inputs(&mut h);
                     h.finish()
                 })
                 .collect()
