@@ -48,28 +48,10 @@ pub fn scale_from_str(v: &str) -> Option<Scale> {
 /// run the uncontended machine.
 pub fn parse_bus(args: &[String]) -> Option<BusConfig> {
     let v = flag_value(args, "--bus")?;
-    Some(bus_from_str(v).unwrap_or_else(|| {
+    Some(v.parse().unwrap_or_else(|_| {
         eprintln!("error: unknown --bus '{v}' (expected fcfs:OCC or windowed:OCC:WINDOW)");
         std::process::exit(2);
     }))
-}
-
-/// Parses one bus spec (see [`parse_bus`]); `None` for malformed input.
-pub fn bus_from_str(v: &str) -> Option<BusConfig> {
-    let mut parts = v.split(':');
-    let bus = match parts.next()?.to_ascii_lowercase().as_str() {
-        "fcfs" => BusConfig::fcfs(parts.next()?.parse().ok()?),
-        "windowed" => {
-            let occ = parts.next()?.parse().ok()?;
-            let window = parts.next()?.parse().ok()?;
-            BusConfig::windowed(occ, window)
-        }
-        _ => return None,
-    };
-    if parts.next().is_some() || bus.validate().is_err() {
-        return None;
-    }
-    Some(bus)
 }
 
 /// Extracts the optional `--arrivals` open-system axis:
@@ -185,14 +167,7 @@ mod tests {
             parse_bus(&argv(&["--bus", "windowed:20:256"])),
             Some(BusConfig::windowed(20, 256))
         );
-        // Malformed specs are rejected (parse_bus exits; the fallible
-        // core is testable directly).
-        assert_eq!(bus_from_str("fcfs"), None);
-        assert_eq!(bus_from_str("fcfs:x"), None);
-        assert_eq!(bus_from_str("windowed:20"), None);
-        assert_eq!(bus_from_str("windowed:20:0"), None, "zero window invalid");
-        assert_eq!(bus_from_str("windowed:20:256:9"), None);
-        assert_eq!(bus_from_str("tdm:20"), None);
-        assert_eq!(bus_from_str("FCFS:7"), Some(BusConfig::fcfs(7)));
+        // Malformed specs exit; the parser itself (`BusConfig`'s
+        // `FromStr`) is tested beside its type in `lams_mpsoc`.
     }
 }

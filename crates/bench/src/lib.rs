@@ -18,7 +18,7 @@ pub mod args;
 pub mod render;
 
 pub use args::{
-    bus_from_str, parse_arrivals, parse_bus, parse_scale, parse_scale_or, parse_threads,
-    parse_usize_flag, scale_from_str,
+    parse_arrivals, parse_bus, parse_scale, parse_scale_or, parse_threads, parse_usize_flag,
+    scale_from_str,
 };
 pub use render::{bar_chart, csv_table};

@@ -25,19 +25,17 @@
 //!   they reach the heap minimum (see [`RunState`]) — so events,
 //!   dispatches and policy callbacks happen in precisely the seed
 //!   engine's order;
-//! * only when a shared bus in **FCFS** mode is configured is the batch
-//!   additionally capped at the second-smallest busy clock, because
-//!   then the global *op* interleaving (bus arbitration) is observable,
-//!   not just the event order. Under **windowed** arbitration
-//!   ([`lams_mpsoc::BusMode::Windowed`]) the engine batches to full
-//!   event horizons even with a bus: execution between misses never
-//!   touches the bus, and a miss *parks* the core
-//!   ([`lams_mpsoc::BatchOutcome::parked`]) until its epoch boundary —
-//!   the boundary is re-queued into the heap as an ordinary deferred
-//!   event, and when it reaches the heap minimum every request of that
-//!   epoch is known (any core able to issue an earlier one would have
-//!   had a smaller key), so the batch resolves deterministically in
-//!   `(request-time, core-id)` order (see `docs/bus-model.md`);
+//! * a shared bus adds one event and no horizon term: execution
+//!   between misses never touches the bus, and a miss on a contended
+//!   bus *parks* the core ([`lams_mpsoc::BatchOutcome::parked`]) at the
+//!   scheduling key the machine names — re-queued into the heap as an
+//!   ordinary deferred event. When it reaches the heap minimum no
+//!   earlier request can still be issued (any core able to issue one
+//!   would have had a smaller key), so
+//!   [`Machine::complete_bus_access`] takes the grant
+//!   deterministically. Which key that is, and what the grant covers,
+//!   is the bus mode's business and lives in `lams_mpsoc` (see
+//!   `docs/bus-model.md`); the engine names no bus mode;
 //! * the ready/idle scratch vectors are reused across iterations.
 //!
 //! Batching is exact, not approximate: makespans, dispatch sequences
@@ -207,22 +205,21 @@ enum RunState {
     /// The quantum was crossed; the preemption event fires when the
     /// crossing op's `(pre_op_clock, core)` entry becomes the heap
     /// minimum — the op's scheduling position in the seed engine, which
-    /// fired the preemption immediately after executing it. One
-    /// exception: when the crossing op was a *bus-stalled* access
-    /// (windowed arbitration, [`RunState::BusPending`]) the entry is
-    /// keyed at the access's completion clock instead — the crossing is
-    /// only decidable once the epoch grant exists.
+    /// fired the preemption immediately after executing it. The key is
+    /// the machine's ([`lams_mpsoc::BatchOutcome::preempt_key`]), which
+    /// also says where a quantum crossed by a *bus-stalled* access
+    /// ([`RunState::BusPending`]) fires.
     PreemptPending,
-    /// A miss latched a request on a windowed bus and the core is
-    /// stalled with the access cost unapplied. Its heap entry is keyed
-    /// at the request's epoch `(boundary, core)`: when it becomes the
-    /// heap minimum, no other core can still issue a request latched at
-    /// this (or an earlier) boundary — every busy core's key, and hence
-    /// clock, is `>= boundary`, so its next request time is strictly
-    /// later, and any idle-core dispatch eligible before the boundary
-    /// would have produced a smaller heap entry first. The epoch batch
-    /// is therefore complete and
-    /// [`Machine::complete_bus_access`] resolves it deterministically.
+    /// A miss latched a request on a contended bus and the core is
+    /// stalled with the access cost unapplied. Its heap entry carries
+    /// the key the machine parked it at
+    /// ([`lams_mpsoc::BatchOutcome::parked`]): when it becomes the heap
+    /// minimum, every busy core's key, and hence clock, is at or past
+    /// it, and any idle-core dispatch eligible before it would have
+    /// produced a smaller heap entry first — so no request that must be
+    /// granted before this one can still be issued, and
+    /// [`Machine::complete_bus_access`] takes the grant
+    /// deterministically.
     BusPending,
     /// An open-system arrival event ([`EngineConfig::arrivals`]). These
     /// entries belong to no core: they are keyed `(arrival_cycle,
@@ -539,7 +536,7 @@ fn run_engine<'a>(
         } else {
             running[core].as_ref().expect("core is busy").state
         };
-        match state {
+        let outcome = match state {
             RunState::ArrivalPending => {
                 // Admit every process arriving at this cycle: mark it
                 // arrived and, when its dependences are already met,
@@ -614,98 +611,70 @@ fn run_engine<'a>(
                 }
                 continue;
             }
-            RunState::BusPending => {
-                // Every request latched at this epoch boundary is now
-                // known (see the RunState docs): resolve the batch and
-                // apply this core's granted miss cost. The completion is
-                // policy-invisible — the core simply resumes, re-keyed
-                // at its true clock (or, if the access crossed the
-                // quantum, preempts at that same completion clock —
-                // see below).
-                let _ = machine.complete_bus_access(core)?;
-                let now = machine.core_clock(core)?;
-                let slot = running[core].as_mut().expect("core is busy");
-                if slot.quantum_end.is_some_and(|qe| now >= qe) {
-                    // A process preempted during a bus-stalled access
-                    // re-enters the ready queue at the access's
-                    // *completion* position `(now, core)` — the stall
-                    // cannot be interrupted, and whether the quantum
-                    // crossed at all depends on the granted wait, which
-                    // only exists now. (Non-stalled crossings keep the
-                    // seed's pre-op-clock key; window = 1 never parks,
-                    // so FCFS equivalence is untouched.)
-                    slot.state = RunState::PreemptPending;
-                    busy.push(Reverse((now, core)));
-                } else {
-                    slot.state = RunState::Executing;
-                    busy.push(Reverse((now, core)));
-                }
-                continue;
-            }
+            // No request that precedes this one can still be issued
+            // (see the RunState docs): take the grant and apply the
+            // miss cost. The completion is policy-invisible — below, the
+            // core resumes at its true clock, or preempts if the access
+            // crossed the quantum, like after any other batch.
+            RunState::BusPending => machine.complete_bus_access(core)?,
             RunState::Executing => {
                 debug_assert_eq!(machine.core_clock(core)?, key, "stale heap entry");
-            }
-        }
-
-        // Event horizon: nothing the policy can observe changes before
-        // (a) this core's quantum expires, or (b) a gated idle core
-        // becomes eligible for dispatch (every busy clock passes its
-        // earliest start). Completion/preemption need no horizon — they
-        // end the batch on their own and are re-queued as deferred
-        // events at their exact scheduling position. Only when a shared
-        // bus in FCFS mode is configured must the batch also stop at
-        // the second-smallest busy clock, because then the global *op*
-        // interleaving (bus arbitration order) is observable, not just
-        // the event order; a *windowed* bus instead parks the core at
-        // its first miss, so batches run to full horizons (the
-        // restored-batching win this arbiter exists for).
-        let quantum_end = running[core].as_ref().expect("core is busy").quantum_end;
-        let mut horizon = quantum_end.unwrap_or(u64::MAX);
-        // Cap batches just past the deadline so one unbounded batch (a
-        // quantum-free core running a huge trace) cannot blow arbitrarily
-        // far past the budget before the check above sees it. Splitting a
-        // batch never changes results — batching is exact — it only
-        // bounds the overshoot to one op's cost.
-        if let Some(budget) = config.max_cycles {
-            horizon = horizon.min(budget.saturating_add(1));
-        }
-        if config.machine.bus.is_some_and(|b| b.serializes_ops()) {
-            horizon = horizon.min(busy.peek().map_or(u64::MAX, |&Reverse((t, _))| t));
-        }
-        let min_ready_at = tracker
-            .ready()
-            .filter(|p| arrived[p.as_usize()])
-            .map(|p| ready_at.get(&p).copied().unwrap_or(0))
-            .min();
-        if let Some(min_ready_at) = min_ready_at {
-            for (c, slot) in running.iter().enumerate() {
-                if slot.is_none() {
-                    let gate = machine.core_clock(c)?.max(min_ready_at) + 1;
-                    horizon = horizon.min(gate);
+                // Event horizon: nothing the policy can observe changes
+                // before (a) this core's quantum expires, or (b) a gated
+                // idle core becomes eligible for dispatch (every busy
+                // clock passes its earliest start). Completion,
+                // preemption and contended misses need no horizon —
+                // they end the batch on their own and are re-queued as
+                // deferred events at their exact scheduling position.
+                let slot = running[core].as_ref().expect("core is busy");
+                let mut horizon = slot.quantum_end.unwrap_or(u64::MAX);
+                // Cap batches just past the deadline so one unbounded
+                // batch (a quantum-free core running a huge trace)
+                // cannot blow arbitrarily far past the budget before the
+                // check above sees it. Splitting a batch never changes
+                // results — batching is exact — it only bounds the
+                // overshoot to one op's cost.
+                if let Some(budget) = config.max_cycles {
+                    horizon = horizon.min(budget.saturating_add(1));
                 }
+                let min_ready_at = tracker
+                    .ready()
+                    .filter(|p| arrived[p.as_usize()])
+                    .map(|p| ready_at.get(&p).copied().unwrap_or(0))
+                    .min();
+                if let Some(min_ready_at) = min_ready_at {
+                    for (c, slot) in running.iter().enumerate() {
+                        if slot.is_none() {
+                            let gate = machine.core_clock(c)?.max(min_ready_at) + 1;
+                            horizon = horizon.min(gate);
+                        }
+                    }
+                }
+                let slot = running[core].as_mut().expect("core is busy");
+                machine.exec_source_until(core, &mut slot.trace, horizon)?
             }
-        }
+        };
 
         let slot = running[core].as_mut().expect("core is busy");
-        let outcome = machine.exec_source_until(core, &mut slot.trace, horizon)?;
         let now = machine.core_clock(core)?;
-        if let Some(boundary) = outcome.parked {
-            // A windowed-bus miss latched its epoch request: park the
-            // core at the boundary. The cost applies (and the quantum
-            // check happens) when the entry pops and the batch resolves.
+        if let Some(key) = outcome.parked {
+            // A miss on a contended bus latched its request: park the
+            // core at the machine's key. The cost applies (and the
+            // quantum check happens) when the entry pops.
             slot.state = RunState::BusPending;
-            busy.push(Reverse((boundary, core)));
+            busy.push(Reverse((key, core)));
         } else if outcome.exhausted {
             // Defer: the seed engine discovered an empty trace at the
             // *next selection* of this core, i.e. when (finish, core)
             // becomes the minimum key.
             slot.state = RunState::FinishPending;
             busy.push(Reverse((now, core)));
-        } else if quantum_end.is_some_and(|qe| now >= qe) {
-            // Defer to the crossing op's pre-clock (see RunState docs).
+        } else if slot.quantum_end.is_some_and(|qe| now >= qe) {
+            // Defer to the crossing op's key (see RunState docs).
             slot.state = RunState::PreemptPending;
-            busy.push(Reverse((outcome.last_op_start, core)));
+            busy.push(Reverse((outcome.preempt_key, core)));
         } else {
+            slot.state = RunState::Executing;
             busy.push(Reverse((now, core)));
         }
     }

@@ -15,6 +15,13 @@
 //! for bit, in batch and open-system mode, under both bus modes, with
 //! and without a deadline.
 //!
+//! It stays independent of what it checks on the bus, too: the engine
+//! parks every contended miss, so the oracle takes FCFS (and 1-cycle
+//! window) grants inline through [`Machine::exec_op`] — its global
+//! `(clock, core)` order *is* FCFS order — and touches the park/complete
+//! interface only where a grant cannot exist at issue time, on a bus
+//! with epochs.
+//!
 //! Where the loop has to *encode* an engine convention instead of
 //! deriving it, the comment at that spot says so.
 #![allow(dead_code)] // each including suite uses a subset
@@ -99,7 +106,12 @@ pub fn simulate(
     let mut ready_at: BTreeMap<ProcessId, u64> = BTreeMap::new();
     let mut paused: BTreeMap<ProcessId, Trace<'_>> = BTreeMap::new();
     // Blocked-on-bus cores: the latched request's epoch boundary is the
-    // core's scheduling key until the access completes.
+    // core's scheduling key until the access completes. Only a window
+    // of two cycles or more has epochs to wait for.
+    let epochs = config
+        .machine
+        .bus
+        .is_some_and(|b| b.window().is_some_and(|w| w > 1));
     let mut blocked: Vec<Option<u64>> = vec![None; cores];
     let mut running: Vec<Option<Slot<'_>>> = (0..cores).map(|_| None).collect();
     let mut last_on_core: Vec<Option<ProcessId>> = vec![None; cores];
@@ -260,12 +272,18 @@ pub fn simulate(
         } else if slot.lazy_preempt {
             true
         } else if let Some(op) = slot.trace.next() {
-            // One op through the parking-aware executor: horizon 0
-            // always stops after the op (at-least-one-op rule), and a
-            // miss on a deferring bus latches instead of completing.
-            let out = machine.exec_until(core, &mut std::iter::once(op), 0)?;
-            blocked[core] = out.parked;
-            out.parked.is_none() && crossed(&machine, slot)
+            if epochs {
+                // One op through the parking-aware executor: horizon 0
+                // always stops after the op (at-least-one-op rule), and
+                // a contended miss latches instead of completing.
+                let out = machine.exec_until(core, &mut std::iter::once(op), 0)?;
+                blocked[core] = out.parked;
+            } else {
+                // Inline grant: this op is the globally earliest, so
+                // `max(request, bus_free)` is its FCFS grant.
+                machine.exec_op(core, op)?;
+            }
+            blocked[core].is_none() && crossed(&machine, slot)
         } else {
             // The empty trace is discovered at the core's next
             // selection, i.e. at position (finish clock, core).

@@ -104,12 +104,12 @@ fn ir_matches_scalar_on_remapped_layouts() {
     }
 }
 
-/// Satellite: the engine's **FCFS** bus-mode fallback (horizons capped
-/// at the second-smallest busy clock — windowed arbitration batches to
-/// full horizons instead, pinned in `crates/core/tests/bus.rs`) is
-/// pinned differentially — the IR engine and the scalar-fed oracle
-/// agree op-for-op under contention, and the bus actually costs time
-/// relative to the uncontended machine.
+/// Satellite: the engine under an **FCFS** bus (misses parked at their
+/// pre-op clock and granted one per heap pop, on the same path as
+/// windowed arbitration — `crates/core/tests/bus.rs`) is pinned
+/// differentially — the IR engine and the scalar-fed oracle, which
+/// takes its grants inline, agree op-for-op under contention, and the
+/// bus actually costs time relative to the uncontended machine.
 #[test]
 fn bus_mode_batching_is_differentially_pinned() {
     let w = Workload::single(suite::track(Scale::Tiny)).unwrap();

@@ -8,21 +8,20 @@
 //! # Two arbitration disciplines
 //!
 //! * **FCFS** ([`BusMode::Fcfs`]): a request at time `r` is granted at
-//!   `max(r, bus_free)` the moment it is issued. Exact FCFS requires
-//!   the simulation to issue requests in global `(request-time,
-//!   core-id)` order, which is why the scheduling engine caps its
-//!   batches at the second-smallest busy clock in this mode.
+//!   `max(r, bus_free)`, requests being served in the global `(pre-op
+//!   clock, core-id)` order of the accesses that issue them.
 //! * **Windowed** ([`BusMode::Windowed`]): time is divided into epochs
 //!   of `window_cycles`. A request at time `r` is *latched* at the next
 //!   epoch boundary `B(r) = ceil(r / window) * window`, and every
 //!   request latched at one boundary is granted there in
 //!   `(request-time, core-id)` order, each occupying the bus for
-//!   `occupancy_cycles` starting at `max(boundary, bus_free)`. A
-//!   requesting core stalls until its grant, so it issues at most one
-//!   request per boundary and — crucially — its execution *between*
-//!   misses never depends on other cores' progress. That is what lets
-//!   the engine batch to full event horizons in windowed mode; see
-//!   `docs/bus-model.md`.
+//!   `occupancy_cycles` starting at `max(boundary, bus_free)`.
+//!
+//! In both, a requesting core stalls until its grant, so it has at most
+//! one request outstanding and — crucially — its execution *between*
+//! misses never depends on other cores' progress. That is what lets the
+//! engine batch every core to full event horizons under either mode;
+//! see `docs/bus-model.md`.
 //!
 //! With `window_cycles == 1`, `B(r) = r` and windowed arbitration is
 //! bit-identical to FCFS (pinned differentially in
@@ -32,11 +31,12 @@
 //!
 //! The arbiter offers both an *immediate* interface
 //! ([`Arbiter::acquire`]) for drivers that issue requests in global
-//! time order (one op at a time, smallest clock first — the windowed
-//! grant recurrence then reproduces batch resolution exactly), and a
-//! *deferred* interface ([`Arbiter::latch`] / [`Arbiter::complete`])
-//! for the batched engine, which parks a missing core and resolves the
-//! whole boundary batch once no earlier request can still arrive.
+//! time order (one op at a time, smallest clock first — the reference
+//! semantics the test oracle runs FCFS through), and a *deferred*
+//! interface ([`Arbiter::latch`] / [`Arbiter::complete`]) for the
+//! batched engine, which parks a missing core and takes its grant once
+//! no earlier request can still arrive: the whole boundary batch on a
+//! bus with epochs, that one request on a bus without.
 //!
 //! ```
 //! use lams_mpsoc::{Arbiter, BusConfig};
@@ -62,13 +62,14 @@ fn boundary_of(r: u64, window: u64) -> u64 {
     r.div_ceil(window).saturating_mul(window)
 }
 
-/// One latched windowed request awaiting its epoch grant.
+/// One latched request awaiting its grant.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 struct Waiting {
     /// Request arrival time.
     request: u64,
-    /// Epoch boundary the request is latched at.
-    boundary: u64,
+    /// Epoch boundary the request is latched at; `None` on a bus
+    /// without epochs, where it is granted on its own.
+    boundary: Option<u64>,
     /// Grant time once the boundary batch has been resolved.
     grant: Option<u64>,
 }
@@ -81,8 +82,8 @@ pub struct Arbiter {
     next_free: u64,
     transfers: u64,
     total_wait: u64,
-    /// Per-core latched request (windowed deferred interface); at most
-    /// one per core — a stalled core cannot issue another.
+    /// Per-core latched request (deferred interface); at most one per
+    /// core — a stalled core cannot issue another.
     waiting: Vec<Option<Waiting>>,
 }
 
@@ -103,11 +104,9 @@ impl Arbiter {
         &self.config
     }
 
-    /// Whether a miss must park and wait for a boundary resolution
-    /// instead of being granted inline ([`BusConfig::defers`]):
-    /// windowed mode with a non-zero occupancy and a window of at
-    /// least two cycles. A zero-cost transfer never contends, and a
-    /// 1-cycle window is FCFS exactly, so both grant inline.
+    /// Whether a miss must park and wait for the engine to grant it
+    /// instead of being granted inline ([`BusConfig::defers`]): any
+    /// non-zero occupancy. A zero-cost transfer never contends.
     #[inline]
     pub fn defers(&self) -> bool {
         self.config.defers()
@@ -136,28 +135,31 @@ impl Arbiter {
             BusMode::Fcfs => now,
             BusMode::Windowed { window_cycles } => boundary_of(now, window_cycles),
         };
+        self.serve(now, at)
+    }
+
+    /// Serves a request issued at `request` no earlier than `at`: the
+    /// grant is `max(at, bus_free)` and occupies the bus for the
+    /// configured cycles.
+    fn serve(&mut self, request: u64, at: u64) -> u64 {
         let grant = at.max(self.next_free);
         self.next_free = grant + self.config.occupancy_cycles;
         self.transfers += 1;
-        self.total_wait += grant - now;
+        self.total_wait += grant - request;
         grant
     }
 
-    /// Latches a windowed request from `core` arriving at `request`,
-    /// returning the epoch boundary it will be resolved at. The grant
-    /// is computed by [`Arbiter::complete`] once every request of the
-    /// boundary is known.
+    /// Latches a request from `core` arriving at `request`, returning
+    /// the epoch boundary it will be resolved at — `None` on a bus
+    /// without epochs (FCFS, or a 1-cycle window). The grant is
+    /// computed by [`Arbiter::complete`].
     ///
     /// # Panics
     ///
-    /// Panics if the bus is not in a deferring mode ([`Arbiter::defers`])
-    /// or the core already has a latched request (a stalled core cannot
-    /// issue).
-    pub fn latch(&mut self, core: CoreId, request: u64) -> u64 {
-        let BusMode::Windowed { window_cycles } = self.config.mode else {
-            panic!("latch on a non-windowed bus");
-        };
-        let boundary = boundary_of(request, window_cycles);
+    /// Panics if the core already has a latched request (a stalled core
+    /// cannot issue).
+    pub fn latch(&mut self, core: CoreId, request: u64) -> Option<u64> {
+        let boundary = self.config.epoch().map(|w| boundary_of(request, w));
         let slot = &mut self.waiting[core];
         assert!(slot.is_none(), "core {core} already has a latched request");
         *slot = Some(Waiting {
@@ -168,48 +170,60 @@ impl Arbiter {
         boundary
     }
 
+    /// Grants `core`'s latched request, no earlier than `at`.
+    fn grant(&mut self, core: CoreId, at: u64) {
+        let mut w = self.waiting[core].expect("granted core is waiting");
+        w.grant = Some(self.serve(w.request, at));
+        self.waiting[core] = Some(w);
+    }
+
     /// Resolves every yet-ungranted request latched at `boundary`: they
     /// are served in `(request-time, core-id)` order, each granted at
-    /// `max(boundary, bus_free)` and occupying the bus for the
-    /// configured cycles.
+    /// `max(boundary, bus_free)`.
     fn resolve(&mut self, boundary: u64) {
         let mut batch: Vec<(u64, CoreId)> = self
             .waiting
             .iter()
             .enumerate()
             .filter_map(|(core, w)| match w {
-                Some(w) if w.boundary == boundary && w.grant.is_none() => Some((w.request, core)),
+                Some(w) if w.boundary == Some(boundary) && w.grant.is_none() => {
+                    Some((w.request, core))
+                }
                 _ => None,
             })
             .collect();
         batch.sort_unstable();
-        for (request, core) in batch {
-            let grant = boundary.max(self.next_free);
-            self.next_free = grant + self.config.occupancy_cycles;
-            self.transfers += 1;
-            self.total_wait += grant - request;
-            self.waiting[core]
-                .as_mut()
-                .expect("batch member is waiting")
-                .grant = Some(grant);
+        for (_, core) in batch {
+            self.grant(core, boundary);
         }
     }
 
-    /// Takes `core`'s resolved `(request, grant)` pair, resolving its
-    /// boundary batch first if needed. The caller (the scheduling
-    /// engine via [`crate::Machine::complete_bus_access`]) must only
-    /// call this once no earlier-boundary request can still arrive —
-    /// i.e. when the core's boundary has become the minimum pending
-    /// scheduling position.
+    /// Takes `core`'s `(request, grant)` pair, granting it first if
+    /// needed: together with its whole boundary batch on a bus with
+    /// epochs, alone at `max(request, bus_free)` on a bus without. The
+    /// caller (the scheduling engine via
+    /// [`crate::Machine::complete_bus_access`]) must only call this
+    /// once no earlier request can still arrive — i.e. when the key the
+    /// core parked at ([`crate::BatchOutcome::parked`]) has become the
+    /// minimum pending scheduling position.
+    ///
+    /// A bus without epochs grants **one request per call**, never
+    /// every latched request of equal request time: between two cores
+    /// parked at the same clock `t`, a third whose entry is also keyed
+    /// `t` (resumed, or cut at a dispatch gate) may still issue at `t`,
+    /// and FCFS order `(pre-op clock, core-id)` puts it between them.
     ///
     /// Returns `None` when the core has no latched request.
     pub fn complete(&mut self, core: CoreId) -> Option<(u64, u64)> {
         let w = self.waiting.get(core).copied().flatten()?;
         if w.grant.is_none() {
-            self.resolve(w.boundary);
+            match w.boundary {
+                Some(boundary) => self.resolve(boundary),
+                None => self.grant(core, w.request),
+            }
         }
         let w = self.waiting[core].take().expect("request still latched");
-        Some((w.request, w.grant.expect("boundary resolved")))
+        Some((w.request, w.grant.expect("request granted")))
     }
 
     /// Number of transfers granted so far.
@@ -240,7 +254,7 @@ mod tests {
         assert_eq!(b.acquire(2), 10);
         assert_eq!(b.transfers(), 3);
         assert_eq!(b.total_wait(), (5 - 1) + (10 - 2));
-        assert!(!b.defers());
+        assert!(b.defers(), "a contended bus parks in either mode");
     }
 
     #[test]
@@ -278,9 +292,9 @@ mod tests {
         let mut b = Arbiter::new(BusConfig::windowed(10, 50), 3);
         assert!(b.defers());
         // Three requests in epoch (0, 50]; latched out of arrival order.
-        assert_eq!(b.latch(2, 30), 50);
-        assert_eq!(b.latch(0, 41), 50);
-        assert_eq!(b.latch(1, 30), 50);
+        assert_eq!(b.latch(2, 30), Some(50));
+        assert_eq!(b.latch(0, 41), Some(50));
+        assert_eq!(b.latch(1, 30), Some(50));
         // Completion in any core order: grants follow (request, core).
         assert_eq!(b.complete(0), Some((41, 70)));
         assert_eq!(b.complete(1), Some((30, 50)));
@@ -288,6 +302,24 @@ mod tests {
         assert_eq!(b.transfers(), 3);
         assert_eq!(b.total_wait(), (50 - 30) + (60 - 30) + (70 - 41));
         assert_eq!(b.complete(0), None, "request consumed");
+    }
+
+    #[test]
+    fn without_epochs_complete_grants_one_request_per_call() {
+        for config in [BusConfig::fcfs(10), BusConfig::windowed(10, 1)] {
+            let mut b = Arbiter::new(config, 3);
+            assert_eq!(b.latch(0, 30), None);
+            assert_eq!(b.latch(2, 30), None);
+            // Core 0 is granted alone; core 2's equal request time does
+            // not pull it into the grant...
+            assert_eq!(b.complete(0), Some((30, 30)));
+            assert_eq!(b.transfers(), 1);
+            // ...so a core that issues in between is served in between.
+            assert_eq!(b.latch(1, 30), None);
+            assert_eq!(b.complete(1), Some((30, 40)));
+            assert_eq!(b.complete(2), Some((30, 50)));
+            assert_eq!(b.total_wait(), 10 + 20);
+        }
     }
 
     #[test]

@@ -137,25 +137,24 @@ impl fmt::Display for CacheConfig {
 
 /// How the shared bus orders off-chip transfer requests.
 ///
-/// Both modes are deterministic; they differ in *when* contention
-/// information propagates between cores, which is what decides how far
-/// the scheduling engine may batch a core's execution (see
-/// `docs/bus-model.md`).
+/// Both modes are deterministic and both are simulated the same way: a
+/// miss on a contended bus parks its core, and the grant is taken when
+/// the parked core reaches the front of the scheduling order. They
+/// differ in *when* a request is granted, and hence in the key a parked
+/// core waits at (see `docs/bus-model.md`).
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Default)]
 pub enum BusMode {
-    /// First-come-first-served: every request is granted immediately at
-    /// `max(request_time, bus_free)`, in exact global `(request-time,
-    /// core-id)` order. This is the reference model; it forces the
-    /// engine to interleave cores op-by-op under contention.
+    /// First-come-first-served: every request is granted at
+    /// `max(request_time, bus_free)`, in the exact global `(pre-op
+    /// clock, core-id)` order of the missing accesses. This is the
+    /// reference model.
     #[default]
     Fcfs,
     /// Time-windowed arbitration: a request arriving at time `r` is
     /// latched at the next epoch boundary `ceil(r / window) * window`
     /// and granted there, with all same-boundary requests served in
-    /// `(request-time, core-id)` order. Between misses a core's
-    /// execution is bus-independent, so the engine batches to full
-    /// event horizons. `window_cycles == 1` is bit-identical to
-    /// [`BusMode::Fcfs`].
+    /// `(request-time, core-id)` order. `window_cycles == 1` is
+    /// bit-identical to [`BusMode::Fcfs`].
     Windowed {
         /// Epoch length in cycles (`>= 1`).
         window_cycles: u64,
@@ -210,29 +209,19 @@ impl BusConfig {
         }
     }
 
-    /// Whether exact simulation requires issuing ops in global
-    /// `(clock, core)` order — i.e. the per-op interleaving is
-    /// observable through the bus. True for a contended FCFS bus and
-    /// for a 1-cycle window (whose epoch grants degenerate to FCFS
-    /// exactly, so the engine runs it on the FCFS path, eager
-    /// preemption included). A zero-occupancy bus never waits and a
-    /// wider window defers misses to epoch boundaries instead
-    /// ([`BusConfig::defers`]), so neither constrains batching.
-    pub fn serializes_ops(&self) -> bool {
-        self.occupancy_cycles > 0
-            && match self.mode {
-                BusMode::Fcfs => true,
-                BusMode::Windowed { window_cycles } => window_cycles == 1,
-            }
-    }
-
-    /// Whether a miss parks until its epoch boundary resolves instead
-    /// of being granted inline: a contended windowed bus with a window
-    /// of at least two cycles (see [`BusConfig::serializes_ops`] for
-    /// why a 1-cycle window stays on the FCFS path).
+    /// Whether a miss parks until the scheduling engine grants it
+    /// ([`crate::BatchOutcome::parked`]): any contended bus, in either
+    /// mode. A zero-occupancy bus never waits, so its grants are
+    /// immediate and order-independent.
     pub fn defers(&self) -> bool {
         self.occupancy_cycles > 0
-            && matches!(self.mode, BusMode::Windowed { window_cycles } if window_cycles > 1)
+    }
+
+    /// The epoch length when grants wait for epoch boundaries: a window
+    /// of at least two cycles. FCFS and a 1-cycle window (`B(r) = r`)
+    /// have no epochs — a request is granted at `max(r, bus_free)`.
+    pub(crate) fn epoch(&self) -> Option<u64> {
+        self.window().filter(|&w| w > 1)
     }
 
     /// Validates the configuration.
@@ -247,6 +236,33 @@ impl BusConfig {
             ));
         }
         Ok(())
+    }
+}
+
+impl std::str::FromStr for BusConfig {
+    type Err = Error;
+
+    /// Parses a bus spec, `fcfs:OCC` or `windowed:OCC:WINDOW` (the mode
+    /// name in any case), into a validated configuration.
+    fn from_str(s: &str) -> Result<Self> {
+        let bad = || {
+            Error::InvalidConfig(format!(
+                "bus spec '{s}' is not fcfs:OCC or windowed:OCC:WINDOW"
+            ))
+        };
+        let mut parts = s.split(':');
+        let mode = parts.next().unwrap_or_default().to_ascii_lowercase();
+        let mut cycles = || parts.next().and_then(|p| p.parse().ok()).ok_or_else(bad);
+        let bus = match mode.as_str() {
+            "fcfs" => BusConfig::fcfs(cycles()?),
+            "windowed" => BusConfig::windowed(cycles()?, cycles()?),
+            _ => return Err(bad()),
+        };
+        if parts.next().is_some() {
+            return Err(bad());
+        }
+        bus.validate()?;
+        Ok(bus)
     }
 }
 
@@ -447,6 +463,21 @@ mod tests {
         assert!(BusConfig::windowed(20, 0).validate().is_err());
         let m = MachineConfig::paper_default().with_bus(BusConfig::windowed(20, 0));
         assert!(m.validate().is_err());
+    }
+
+    #[test]
+    fn bus_spec_parsing() {
+        let parse = |s: &str| s.parse::<BusConfig>().ok();
+        assert_eq!(parse("fcfs:20"), Some(BusConfig::fcfs(20)));
+        assert_eq!(parse("windowed:20:256"), Some(BusConfig::windowed(20, 256)));
+        assert_eq!(parse("FCFS:7"), Some(BusConfig::fcfs(7)));
+        assert_eq!(parse("fcfs"), None);
+        assert_eq!(parse("fcfs:x"), None);
+        assert_eq!(parse("windowed:20"), None);
+        assert_eq!(parse("windowed:20:0"), None, "zero window invalid");
+        assert_eq!(parse("windowed:20:256:9"), None);
+        assert_eq!(parse("tdm:20"), None);
+        assert_eq!(parse(""), None);
     }
 
     #[test]

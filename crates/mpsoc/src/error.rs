@@ -19,7 +19,7 @@ pub enum Error {
         num_cores: usize,
     },
     /// [`complete_bus_access`](crate::Machine::complete_bus_access) was
-    /// called on a core with no parked windowed-bus request.
+    /// called on a core with no parked bus request.
     NoParkedAccess {
         /// The core in question.
         core: usize,

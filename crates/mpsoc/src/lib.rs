@@ -42,13 +42,16 @@
 //!   FCFS in global time order or latched at time-window boundaries —
 //!   see [`BusMode`] and `docs/bus-model.md`).
 //!
-//! Every cost advances only the executing core's local clock, so a
-//! scheduling engine that always runs the minimum-clock core simulates
-//! cross-core interactions (an FCFS bus) in exact global time order;
-//! under windowed arbitration a missing core instead *parks* until its
-//! epoch boundary ([`BatchOutcome::parked`] /
-//! [`Machine::complete_bus_access`]), which frees the engine to batch
-//! cores independently between misses.
+//! Every cost advances only the executing core's local clock. What a
+//! core does between two misses depends on no other core (the caches
+//! are private), so only the misses on a contended bus need ordering:
+//! there the horizon executors *park* the core
+//! ([`BatchOutcome::parked`]) at the scheduling key its bus mode
+//! dictates, and [`Machine::complete_bus_access`] takes the grant once
+//! the engine has brought every other core up to that key. The engine
+//! batches cores independently between misses under either mode.
+//! [`Machine::exec_op`] keeps the inline reference semantics for a
+//! caller that issues one op at a time in global `(clock, core)` order.
 //!
 //! # Fast-path invariants
 //!
@@ -71,14 +74,14 @@
 //!   [`TraceOp`] iterator (parking-aware, same horizon rule): nothing
 //!   on the hot path calls it; `crates/mpsoc/tests/prop.rs` holds the
 //!   two bit-identical, and the engine's test oracle
-//!   (`crates/core/tests/support/oracle.rs`) is built on it.
+//!   (`crates/core/tests/support/oracle.rs`) drives it on a bus with
+//!   epochs and [`Machine::exec_op`] everywhere else.
 //! * Batching preserves bit-identical results: the engine only runs a
 //!   core ahead where no other core can observe it (to the next event
-//!   horizon; on an FCFS bus only the minimum-clock core, up to the
-//!   second-smallest clock), so cache, bus and makespan state equal
-//!   the one-op-at-a-time schedule. Verified differentially against
-//!   that oracle and by the golden makespans in
-//!   `tests/cross_validation.rs`.
+//!   horizon or its next contended miss), so cache, bus and makespan
+//!   state equal the one-op-at-a-time schedule. Verified
+//!   differentially against that oracle and by the golden makespans
+//!   in `tests/cross_validation.rs`.
 //!
 //! ```
 //! use lams_mpsoc::{Machine, MachineConfig, TraceOp};

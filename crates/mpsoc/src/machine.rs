@@ -29,21 +29,23 @@ pub struct BatchOutcome {
     pub ops: u64,
     /// Whether the trace iterator was exhausted (the process finished).
     pub exhausted: bool,
-    /// Core clock just before the final executed op (equal to the clock
-    /// at entry when no op ran; equal to the parked access's pre-op
-    /// clock when the batch parked). The engine uses this as the event
-    /// key for quantum preemptions: the seed engine fired a preemption
-    /// right after the crossing op, whose scheduling position is its
-    /// *pre-op* clock.
-    pub last_op_start: u64,
-    /// `Some(boundary)` when the batch stopped at a miss that latched a
-    /// request on a windowed bus ([`crate::BusMode::Windowed`]): the
+    /// The scheduling position at which a quantum preemption fires if
+    /// the batch's final op crossed the quantum. It is that op's
+    /// *pre-op* clock (the clock at entry when no op ran): the seed
+    /// engine fired a preemption right after the crossing op, whose
+    /// scheduling position is its pre-op clock. The one exception is an
+    /// access that stalled for an epoch grant, which
+    /// [`Machine::complete_bus_access`] keys at its completion clock.
+    pub preempt_key: u64,
+    /// `Some(key)` when the batch stopped at a miss on a contended bus
+    /// ([`crate::BusConfig::defers`], either [`crate::BusMode`]): the
     /// core is stalled (its clock still at the access's pre-op clock,
     /// the cache already probed) until
     /// [`Machine::complete_bus_access`] applies the granted cost. The
-    /// value is the epoch boundary the request resolves at — the
-    /// earliest time anything can happen on this core, i.e. its next
-    /// scheduling position.
+    /// value is the core's next scheduling position, the key at which
+    /// no earlier request can arrive any more: the epoch boundary the
+    /// request resolves at when the window is two cycles or more, the
+    /// access's own pre-op clock under FCFS and a 1-cycle window.
     pub parked: Option<u64>,
 }
 
@@ -72,12 +74,13 @@ enum Access {
         /// Whether it hit in the cache.
         hit: bool,
     },
-    /// A miss latched a request on a deferring (windowed) bus: the
-    /// cache was probed and updated, but the clock/stats cost is
-    /// pending until [`Machine::complete_bus_access`].
+    /// A miss latched a request on a contended bus: the cache was
+    /// probed and updated, but the clock/stats cost is pending until
+    /// [`Machine::complete_bus_access`].
     Parked {
-        /// Epoch boundary the request resolves at.
-        boundary: u64,
+        /// The core's scheduling key while stalled
+        /// ([`BatchOutcome::parked`]).
+        key: u64,
     },
 }
 
@@ -145,12 +148,12 @@ impl Machine {
     /// `hit_latency`; a miss costs `hit_latency + miss_latency` (probe
     /// plus off-chip fetch) plus any bus waiting when a bus is configured.
     ///
-    /// On a windowed bus the grant is computed inline via
-    /// [`Arbiter::acquire`] — exact windowed semantics *provided the
-    /// caller issues ops in global `(clock, core)` order*, one op at a
-    /// time (the same driving discipline exact FCFS already requires).
-    /// The horizon executors instead park at windowed misses so the
-    /// engine can run cores ahead; see [`Machine::exec_source_until`].
+    /// On a bus the grant is taken inline from [`Arbiter::acquire`] —
+    /// exact in either mode *provided the caller issues ops in global
+    /// `(clock, core)` order*, one op at a time. This is the reference
+    /// semantics of the bus, independent of the parking machinery: the
+    /// horizon executors instead park at a contended miss so the engine
+    /// can run cores ahead; see [`Machine::exec_source_until`].
     ///
     /// # Errors
     ///
@@ -162,33 +165,36 @@ impl Machine {
             .cores
             .get_mut(core)
             .ok_or(Error::NoSuchCore { core, num_cores: n })?;
-        let before = c.clock;
-        match op {
-            TraceOp::Compute(cycles) => {
-                c.clock += cycles;
-                c.stats.busy_cycles += cycles;
-                c.stats.ops += 1;
-            }
+        let cost = match op {
+            TraceOp::Compute(cycles) => cycles,
             TraceOp::Access { addr, .. } => {
-                // PARK = false: grants resolve inline in either mode.
-                let Access::Done { .. } =
-                    Self::exec_access::<false>(core, c, &mut self.bus, &self.config, addr)
-                else {
-                    unreachable!("inline access never parks")
-                };
+                let mut cost = self.config.hit_latency;
+                if !c.cache.access(addr).is_hit() {
+                    let request_at = c.clock + cost;
+                    let grant = match &mut self.bus {
+                        Some(bus) => bus.acquire(request_at),
+                        None => request_at,
+                    };
+                    c.stats.bus_wait_cycles += grant - request_at;
+                    cost += self.config.miss_latency + (grant - request_at);
+                }
+                cost
             }
-        }
-        Ok(c.clock - before)
+        };
+        c.clock += cost;
+        c.stats.busy_cycles += cost;
+        c.stats.ops += 1;
+        Ok(cost)
     }
 
-    /// Executes one memory access on a core. With `PARK`, a miss on a
-    /// deferring bus ([`Arbiter::defers`]) latches a request and
-    /// returns [`Access::Parked`] *without* advancing the clock or
+    /// Executes one memory access on a core for the horizon executors.
+    /// A miss on a contended bus ([`Arbiter::defers`]) latches a request
+    /// and returns [`Access::Parked`] *without* advancing the clock or
     /// stats (the probe still updates the cache — residency is
-    /// timing-independent); otherwise the grant is taken inline from
-    /// [`Arbiter::acquire`] and the full cost is applied.
+    /// timing-independent); a zero-occupancy bus grants at the request
+    /// time and the full cost is applied.
     #[inline]
-    fn exec_access<const PARK: bool>(
+    fn exec_access(
         core: CoreId,
         c: &mut Core,
         bus: &mut Option<Arbiter>,
@@ -199,20 +205,17 @@ impl Machine {
         let cost = if hit {
             config.hit_latency
         } else {
-            let mut cost = config.hit_latency + config.miss_latency;
             if let Some(bus) = bus {
                 let request_at = c.clock + config.hit_latency;
-                if PARK && bus.defers() {
+                if bus.defers() {
                     return Access::Parked {
-                        boundary: bus.latch(core, request_at),
+                        key: bus.latch(core, request_at).unwrap_or(c.clock),
                     };
                 }
                 let grant = bus.acquire(request_at);
-                let wait = grant - request_at;
-                c.stats.bus_wait_cycles += wait;
-                cost += wait;
+                debug_assert_eq!(grant, request_at, "a zero-occupancy bus never waits");
             }
-            cost
+            config.hit_latency + config.miss_latency
         };
         c.clock += cost;
         c.stats.busy_cycles += cost;
@@ -220,19 +223,26 @@ impl Machine {
         Access::Done { hit }
     }
 
-    /// Completes a parked windowed-bus access on `core` (see
-    /// [`BatchOutcome::parked`]): resolves the core's epoch batch if it
-    /// has not been resolved yet, applies the miss cost `hit_latency +
-    /// miss_latency + (grant - request)` to the core's clock and
-    /// statistics, and returns the completed one-op outcome (its
-    /// [`BatchOutcome::last_op_start`] is the access's pre-op clock —
-    /// the preemption key when the access crossed the quantum).
+    /// Completes a parked access on `core` (see
+    /// [`BatchOutcome::parked`]): takes its grant — resolving the whole
+    /// epoch batch on a bus with epochs, this one request on a bus
+    /// without — applies the miss cost `hit_latency + miss_latency +
+    /// (grant - request)` to the core's clock and statistics, and
+    /// returns the completed one-op outcome.
     ///
-    /// The caller must not invoke this before the access's boundary has
-    /// become the minimum pending scheduling position across cores —
-    /// otherwise a not-yet-issued earlier request could be excluded
-    /// from the batch. The engine guarantees this by keying the parked
-    /// core at its boundary in the busy heap.
+    /// Its [`BatchOutcome::preempt_key`] is where the preemption fires
+    /// when the access crossed the quantum. Without epochs that is the
+    /// access's pre-op clock, like any other op's (and it is the key
+    /// the core was parked at, so the preemption fires at once). After
+    /// an epoch stall it is the *completion* clock: the pre-op clock
+    /// lies before the boundary the schedule has already reached, and
+    /// the stall cannot be interrupted.
+    ///
+    /// The caller must not invoke this before the key the access parked
+    /// at has become the minimum pending scheduling position across
+    /// cores — otherwise a not-yet-issued earlier request could be
+    /// granted late. The engine guarantees this by keying the parked
+    /// core at that key in the busy heap.
     ///
     /// # Errors
     ///
@@ -244,14 +254,11 @@ impl Machine {
             .cores
             .get_mut(core)
             .ok_or(Error::NoSuchCore { core, num_cores: n })?;
-        let (request, grant) = self
-            .bus
-            .as_mut()
-            .and_then(|b| b.complete(core))
-            .ok_or(Error::NoParkedAccess { core })?;
+        let bus = self.bus.as_mut().ok_or(Error::NoParkedAccess { core })?;
+        let (request, grant) = bus.complete(core).ok_or(Error::NoParkedAccess { core })?;
         let wait = grant - request;
         let cost = self.config.hit_latency + self.config.miss_latency + wait;
-        let last_op_start = c.clock;
+        let start = c.clock;
         c.stats.bus_wait_cycles += wait;
         c.clock += cost;
         c.stats.busy_cycles += cost;
@@ -259,7 +266,11 @@ impl Machine {
         Ok(BatchOutcome {
             ops: 1,
             exhausted: false,
-            last_op_start,
+            preempt_key: if bus.config().epoch().is_some() {
+                c.clock
+            } else {
+                start
+            },
             parked: None,
         })
     }
@@ -279,13 +290,11 @@ impl Machine {
     /// (`crates/core/tests/support/oracle.rs`) drives it one op at a
     /// time (`horizon = 0`).
     ///
-    /// It is parking-aware: on a *windowed* bus the first miss latches
-    /// its epoch request and **parks** the batch
+    /// It is parking-aware: on a contended bus, in either mode, the
+    /// first miss latches its request and **parks** the batch
     /// ([`BatchOutcome::parked`]) — the clock stays at the access's
     /// pre-op value until [`Machine::complete_bus_access`] applies the
-    /// granted cost. On an FCFS bus grants resolve inline, which is
-    /// exact only while the caller runs the globally minimum-clock core
-    /// (requests then reach the arbiter in global time order).
+    /// granted cost.
     ///
     /// # Errors
     ///
@@ -309,7 +318,7 @@ impl Machine {
                 return Ok(BatchOutcome {
                     ops: executed,
                     exhausted: true,
-                    last_op_start,
+                    preempt_key: last_op_start,
                     parked: None,
                 });
             };
@@ -321,14 +330,14 @@ impl Machine {
                     c.stats.ops += 1;
                 }
                 TraceOp::Access { addr, .. } => {
-                    match Self::exec_access::<true>(core, c, &mut self.bus, &self.config, addr) {
+                    match Self::exec_access(core, c, &mut self.bus, &self.config, addr) {
                         Access::Done { .. } => {}
-                        Access::Parked { boundary } => {
+                        Access::Parked { key } => {
                             return Ok(BatchOutcome {
                                 ops: executed,
                                 exhausted: false,
-                                last_op_start,
-                                parked: Some(boundary),
+                                preempt_key: last_op_start,
+                                parked: Some(key),
                             });
                         }
                     }
@@ -339,7 +348,7 @@ impl Machine {
                 return Ok(BatchOutcome {
                     ops: executed,
                     exhausted: false,
-                    last_op_start,
+                    preempt_key: last_op_start,
                     parked: None,
                 });
             }
@@ -374,10 +383,10 @@ impl Machine {
     /// probe. An op with *arbitration-dependent* cost (a miss in bus
     /// mode) is never bulked — any future bulk extension to bus-visible
     /// ops must keep that property or bit-identity breaks. On a
-    /// *windowed* bus a probed miss parks the batch exactly as in
+    /// contended bus a probed miss parks the batch exactly as in
     /// [`Machine::exec_until`] (see [`BatchOutcome::parked`]); the
-    /// bulk-collapsed spans are all guaranteed hits, so whole bus
-    /// windows between misses still reduce to arithmetic.
+    /// bulk-collapsed spans are all guaranteed hits, so everything
+    /// between two misses still reduces to arithmetic.
     ///
     /// # Errors
     ///
@@ -401,19 +410,19 @@ impl Machine {
             Ok(BatchOutcome {
                 ops: executed,
                 exhausted,
-                last_op_start,
+                preempt_key: last_op_start,
                 parked: None,
             })
         };
-        // A probed access parked on a windowed bus: the in-flight op is
+        // A probed access parked on a contended bus: the in-flight op is
         // consumed from the source (its cache probe already happened)
         // and completes via `complete_bus_access`.
-        let parked = |executed, last_op_start, boundary| {
+        let parked = |executed, last_op_start, key| {
             Ok(BatchOutcome {
                 ops: executed,
                 exhausted: false,
-                last_op_start,
-                parked: Some(boundary),
+                preempt_key: last_op_start,
+                parked: Some(key),
             })
         };
 
@@ -459,11 +468,11 @@ impl Machine {
                         // (may miss, may wait on or park at the bus).
                         let addr = base.wrapping_add(stride.wrapping_mul(i as i64) as u64);
                         last_op_start = c.clock;
-                        if let Access::Parked { boundary } =
-                            Self::exec_access::<true>(core, c, &mut self.bus, &self.config, addr)
+                        if let Access::Parked { key } =
+                            Self::exec_access(core, c, &mut self.bus, &self.config, addr)
                         {
                             src.advance(i + 1);
-                            return parked(executed, last_op_start, boundary);
+                            return parked(executed, last_op_start, key);
                         }
                         executed += 1;
                         i += 1;
@@ -506,7 +515,7 @@ impl Machine {
                         let mut all_hit = true;
                         for lane in lanes {
                             last_op_start = c.clock;
-                            let hit = match Self::exec_access::<true>(
+                            let hit = match Self::exec_access(
                                 core,
                                 c,
                                 &mut self.bus,
@@ -514,9 +523,9 @@ impl Machine {
                                 lane.addr_at(r),
                             ) {
                                 Access::Done { hit } => hit,
-                                Access::Parked { boundary } => {
+                                Access::Parked { key } => {
                                     src.advance(consumed + 1);
-                                    return parked(executed, last_op_start, boundary);
+                                    return parked(executed, last_op_start, key);
                                 }
                             };
                             all_hit &= hit;
@@ -785,7 +794,7 @@ mod tests {
         // 10 + 2 = 12) and parked with the clock still at its pre-op 10.
         assert_eq!(out.ops, 1);
         assert_eq!(out.parked, Some(50));
-        assert_eq!(out.last_op_start, 10);
+        assert_eq!(out.preempt_key, 10);
         assert!(!out.exhausted);
         assert_eq!(m.core_clock(0).unwrap(), 10);
         // The probe already updated the cache (1 miss recorded).
@@ -793,9 +802,10 @@ mod tests {
         // Completing applies cost 77 + (50 - 12) and the one-op outcome.
         let done = m.complete_bus_access(0).unwrap();
         assert_eq!(done.ops, 1);
-        assert_eq!(done.last_op_start, 10);
         assert_eq!(m.core_clock(0).unwrap(), 10 + 77 + 38);
         assert_eq!(m.core_stats(0).unwrap().bus_wait_cycles, 38);
+        // A quantum crossed during an epoch stall preempts at completion.
+        assert_eq!(done.preempt_key, 10 + 77 + 38);
         // Nothing left parked; the guaranteed hit then executes inline.
         assert!(matches!(
             m.complete_bus_access(0),
@@ -805,6 +815,27 @@ mod tests {
         assert_eq!(out.ops, 1);
         assert!(out.exhausted);
         assert_eq!(m.core_stats(0).unwrap().cache.hits, 1);
+    }
+
+    #[test]
+    fn fcfs_batch_parks_at_its_pre_op_clock_and_is_granted_alone() {
+        for bus in [BusConfig::fcfs(20), BusConfig::windowed(20, 1)] {
+            let mut m = Machine::new(MachineConfig::paper_default().with_bus(bus));
+            let mut ops = [TraceOp::compute(10), TraceOp::read(0)].into_iter();
+            let mut other = [TraceOp::compute(10), TraceOp::read(4096)].into_iter();
+            // Both cores miss at pre-op clock 10 (request 12) and park there.
+            for (core, ops) in [(0, &mut ops), (1, &mut other)] {
+                let out = m.exec_until(core, ops, u64::MAX).unwrap();
+                assert_eq!((out.ops, out.parked, out.preempt_key), (1, Some(10), 10));
+            }
+            // One grant per completion, eager preemption key.
+            assert_eq!(m.complete_bus_access(0).unwrap().preempt_key, 10);
+            assert_eq!(m.bus().unwrap().transfers(), 1);
+            assert_eq!(m.core_clock(0).unwrap(), 10 + 77);
+            assert_eq!(m.complete_bus_access(1).unwrap().preempt_key, 10);
+            assert_eq!(m.core_clock(1).unwrap(), 10 + 77 + 20);
+            assert_eq!(m.core_stats(1).unwrap().bus_wait_cycles, 20);
+        }
     }
 
     #[test]

@@ -19,7 +19,7 @@
 //!
 //! Both collapses are **exact**: final cache state (way stamps, shadow
 //! order, statistics), core clock, per-op horizon checks and the
-//! preemption key ([`crate::BatchOutcome::last_op_start`]) are
+//! preemption key ([`crate::BatchOutcome::preempt_key`]) are
 //! bit-identical to feeding the decoded ops through the per-op
 //! reference executor [`crate::Machine::exec_until`]. Differential
 //! property tests in `crates/mpsoc/tests/prop.rs` hold that contract

@@ -416,24 +416,6 @@ pub fn scale_from_str(v: &str) -> Option<Scale> {
     }
 }
 
-/// Parses a bus spec: `fcfs:OCC` or `windowed:OCC:WINDOW`.
-pub fn bus_from_str(v: &str) -> Option<BusConfig> {
-    let mut parts = v.split(':');
-    let bus = match parts.next()?.to_ascii_lowercase().as_str() {
-        "fcfs" => BusConfig::fcfs(parts.next()?.parse().ok()?),
-        "windowed" => {
-            let occ = parts.next()?.parse().ok()?;
-            let window = parts.next()?.parse().ok()?;
-            BusConfig::windowed(occ, window)
-        }
-        _ => return None,
-    };
-    if parts.next().is_some() || bus.validate().is_err() {
-        return None;
-    }
-    Some(bus)
-}
-
 impl Request {
     /// Parses one request line (already stripped of its terminator).
     /// Returns `Ok(None)` for blank and `#`-comment lines.
@@ -467,8 +449,8 @@ impl Request {
                 let bus = match fields.take("bus") {
                     None => None,
                     Some(v) => Some(
-                        bus_from_str(v)
-                            .ok_or_else(|| ParseError::new(&id, format!("invalid bus '{v}'")))?,
+                        v.parse()
+                            .map_err(|_| ParseError::new(&id, format!("invalid bus '{v}'")))?,
                     ),
                 };
                 let arrivals = match fields.take("arrivals") {
@@ -595,6 +577,12 @@ mod tests {
         let e = Request::parse("run id=42 app=shape scale=tiny policy=xx").unwrap_err();
         assert_eq!(e.id, "42");
         assert!(e.msg.contains("unknown policy"));
+        let e = Request::parse("run id=8 app=shape scale=tiny policy=rs bus=windowed:20:0")
+            .unwrap_err();
+        assert_eq!(
+            (e.id.as_str(), e.msg.as_str()),
+            ("8", "invalid bus 'windowed:20:0'")
+        );
         let e = Request::parse("warp id=9").unwrap_err();
         assert_eq!(e.id, "9");
         assert!(e.msg.contains("unknown verb"));

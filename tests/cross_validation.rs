@@ -88,6 +88,9 @@ fn trace_lengths_match_declared() {
     }
 }
 
+/// One golden table: `(app, policy, makespan)` rows in fig6 order.
+type GoldenGrid = [(&'static str, PolicyKind, u64)];
+
 /// Golden fixed-seed makespans, recorded from the **seed engine**
 /// (one-op-at-a-time dispatch loop, `Vec`-of-`Vec` cache, PR 1 baseline)
 /// before the hot-path rewrite. The optimized engine must reproduce
@@ -100,7 +103,7 @@ fn trace_lengths_match_declared() {
 ///
 /// Setup: every Table 1 app at Tiny scale, Table 2 machine (8 cores),
 /// RS seed 12345, default RRS quantum.
-const GOLDEN_FIG6_TINY: &[(&str, PolicyKind, u64)] = &[
+const GOLDEN_FIG6_TINY: &GoldenGrid = &[
     ("Med-Im04", PolicyKind::Random, 5307),
     ("Med-Im04", PolicyKind::RoundRobin, 5007),
     ("Med-Im04", PolicyKind::Locality, 4707),
@@ -142,7 +145,7 @@ fn golden_fig6_makespans_are_reproduced_exactly() {
 /// reference in `crates/core/tests/bus.rs`; any future engine change
 /// that silently shifts contended schedules fails here. Re-record (and
 /// say so in the changelog) only for intentional *model* changes.
-const GOLDEN_FIG6_TINY_BUS: &[(&str, PolicyKind, u64)] = &[
+const GOLDEN_FIG6_TINY_BUS: &GoldenGrid = &[
     ("Med-Im04", PolicyKind::Random, 13953),
     ("Med-Im04", PolicyKind::RoundRobin, 12713),
     ("Med-Im04", PolicyKind::Locality, 11855),
@@ -163,37 +166,80 @@ const GOLDEN_FIG6_TINY_BUS: &[(&str, PolicyKind, u64)] = &[
     ("Usonic", PolicyKind::Locality, 17265),
 ];
 
-/// FNV-1a over the golden bus-mode makespan stream — one pinned number
-/// for the whole contended grid (the bus-free grid's counterpart is
-/// 0xd7f2a86da3cb3e3d, pinned in `crates/core/tests/memo.rs`).
-const GOLDEN_BUS_CHECKSUM: u64 = 0xe822b756b2a7a793;
+/// The same grid behind a contended **FCFS** bus (`BusConfig::fcfs(20)`),
+/// recorded from the PR 22 engine — the last one that ran FCFS on a
+/// path of its own (every batch capped at the second-smallest busy
+/// clock) — before ISSUE 23 parked FCFS misses like windowed ones. The
+/// park key, the single grant per heap pop and the eager preemption of
+/// `docs/bus-model.md` must reproduce that engine's schedules exactly.
+const GOLDEN_FIG6_TINY_FCFS: &GoldenGrid = &[
+    ("Med-Im04", PolicyKind::Random, 7811),
+    ("Med-Im04", PolicyKind::RoundRobin, 7095),
+    ("Med-Im04", PolicyKind::Locality, 6905),
+    ("MxM", PolicyKind::Random, 11830),
+    ("MxM", PolicyKind::RoundRobin, 11830),
+    ("MxM", PolicyKind::Locality, 11830),
+    ("Radar", PolicyKind::Random, 14873),
+    ("Radar", PolicyKind::RoundRobin, 14890),
+    ("Radar", PolicyKind::Locality, 14743),
+    ("Shape", PolicyKind::Random, 8784),
+    ("Shape", PolicyKind::RoundRobin, 8770),
+    ("Shape", PolicyKind::Locality, 8092),
+    ("Track", PolicyKind::Random, 9174),
+    ("Track", PolicyKind::RoundRobin, 9194),
+    ("Track", PolicyKind::Locality, 8584),
+    ("Usonic", PolicyKind::Random, 11808),
+    ("Usonic", PolicyKind::RoundRobin, 12182),
+    ("Usonic", PolicyKind::Locality, 9879),
+];
 
-fn golden_bus_machine() -> MachineConfig {
-    MachineConfig::paper_default().with_bus(BusConfig::windowed(20, 256))
+/// Each contended golden grid: the bus, its table, and FNV-1a over the
+/// table's makespan stream — one pinned number per grid (the bus-free
+/// grid's counterpart is 0xd7f2a86da3cb3e3d, pinned in
+/// `crates/core/tests/memo.rs`).
+fn golden_bus_grids() -> [(BusConfig, &'static GoldenGrid, u64); 2] {
+    [
+        (
+            BusConfig::windowed(20, 256),
+            GOLDEN_FIG6_TINY_BUS,
+            0xe822b756b2a7a793,
+        ),
+        (
+            BusConfig::fcfs(20),
+            GOLDEN_FIG6_TINY_FCFS,
+            0x075e4c8ea776cce2,
+        ),
+    ]
 }
 
 #[test]
 fn golden_bus_mode_makespans_are_reproduced_exactly() {
-    let mut sum: u64 = 0xCBF2_9CE4_8422_2325;
-    for &(name, kind, expected) in GOLDEN_FIG6_TINY_BUS {
-        let app = suite::by_name(name, Scale::Tiny).expect("suite app");
-        let exp = Experiment::isolated(&app, golden_bus_machine()).with_seed(12345);
-        let got = exp.run(kind).expect("policy runs").makespan_cycles;
-        assert_eq!(
-            got, expected,
-            "bus-mode golden makespan drifted for {name}/{kind}: got {got}, recorded {expected}"
-        );
-        for b in got.to_le_bytes() {
-            sum ^= b as u64;
-            sum = sum.wrapping_mul(0x0000_0100_0000_01B3);
+    for (bus, table, checksum) in golden_bus_grids() {
+        let machine = MachineConfig::paper_default().with_bus(bus);
+        let mut sum: u64 = 0xCBF2_9CE4_8422_2325;
+        for &(name, kind, expected) in table {
+            let app = suite::by_name(name, Scale::Tiny).expect("suite app");
+            let exp = Experiment::isolated(&app, machine).with_seed(12345);
+            let got = exp.run(kind).expect("policy runs").makespan_cycles;
+            assert_eq!(
+                got, expected,
+                "golden makespan drifted for {name}/{kind} under {bus}: got {got}, recorded {expected}"
+            );
+            for b in got.to_le_bytes() {
+                sum ^= b as u64;
+                sum = sum.wrapping_mul(0x0000_0100_0000_01B3);
+            }
         }
+        assert_eq!(
+            sum, checksum,
+            "golden checksum drifted under {bus}: got 0x{sum:016x}"
+        );
     }
-    assert_eq!(sum, GOLDEN_BUS_CHECKSUM, "bus-mode golden checksum drifted");
 }
 
-/// The same contended grid through the sweep subsystem: reports are
+/// The same contended grids through the sweep subsystem: reports are
 /// bit-identical at 1 and 4 worker threads and reproduce the goldens —
-/// the windowed arbiter stays deterministic under the parallel runner.
+/// both arbiters stay deterministic under the parallel runner.
 #[test]
 fn golden_bus_mode_grid_is_thread_invariant() {
     let kinds = [
@@ -201,32 +247,32 @@ fn golden_bus_mode_grid_is_thread_invariant() {
         PolicyKind::RoundRobin,
         PolicyKind::Locality,
     ];
-    let mut matrix = ScenarioMatrix::new();
-    for app in suite::all(Scale::Tiny) {
-        let exp = Experiment::isolated(&app, golden_bus_machine()).with_seed(12345);
-        matrix.push_all(&app.name, &exp, &kinds);
-    }
-    let mut reference = None;
-    for threads in [1usize, 4] {
-        let reports = matrix
-            .run(&SweepRunner::new(threads))
-            .expect("bus-mode sweep runs");
-        let makespans: Vec<u64> = reports
-            .iter()
-            .flat_map(|r| r.outcomes().iter().map(|o| o.result.makespan_cycles))
-            .collect();
-        assert_eq!(
-            makespans,
-            GOLDEN_FIG6_TINY_BUS
+    for (bus, table, _) in golden_bus_grids() {
+        let machine = MachineConfig::paper_default().with_bus(bus);
+        let mut matrix = ScenarioMatrix::new();
+        for app in suite::all(Scale::Tiny) {
+            let exp = Experiment::isolated(&app, machine).with_seed(12345);
+            matrix.push_all(&app.name, &exp, &kinds);
+        }
+        let mut reference = None;
+        for threads in [1usize, 4] {
+            let reports = matrix
+                .run(&SweepRunner::new(threads))
+                .expect("bus-mode sweep runs");
+            let makespans: Vec<u64> = reports
                 .iter()
-                .map(|&(_, _, m)| m)
-                .collect::<Vec<_>>(),
-            "bus-mode sweep drifted from the goldens at {threads} threads"
-        );
-        let dbg = format!("{reports:?}");
-        match &reference {
-            None => reference = Some(dbg),
-            Some(r) => assert_eq!(r, &dbg, "bus-mode reports drifted at {threads} threads"),
+                .flat_map(|r| r.outcomes().iter().map(|o| o.result.makespan_cycles))
+                .collect();
+            assert_eq!(
+                makespans,
+                table.iter().map(|&(_, _, m)| m).collect::<Vec<_>>(),
+                "sweep drifted from the goldens under {bus} at {threads} threads"
+            );
+            let dbg = format!("{reports:?}");
+            match &reference {
+                None => reference = Some(dbg),
+                Some(r) => assert_eq!(r, &dbg, "reports drifted under {bus} at {threads} threads"),
+            }
         }
     }
 }
@@ -258,9 +304,9 @@ fn ls_makespan(app: AppSpec, cfg: EngineConfig) -> u64 {
 /// Small-scale LS goldens on the Table 2 machine: Shape out of both
 /// simulators (the engine on compiled programs and the per-op oracle on
 /// the scalar trace, otherwise pinned only against each other), and the
-/// whole suite summed behind a 20-cycle bus under each arbiter — FCFS
-/// drives the engine's second-min-cap path, which no Tiny golden above
-/// reaches.
+/// whole suite summed behind a 20-cycle bus under each arbiter (the
+/// FCFS sum was recorded from the engine's former second-min-cap path
+/// and must survive its removal).
 #[test]
 fn golden_small_scale_ls_makespans_are_reproduced_exactly() {
     let machine = MachineConfig::paper_default();
