@@ -2,8 +2,8 @@
 //!
 //! The real content of this crate is its binaries: `table1`, `table2`,
 //! `fig2a`, `fig6`, `fig7`, `sweep` and `ablation` each regenerate one
-//! table or figure of *Kandemir & Chen, DATE 2005*; `extensions`,
-//! `diag` and `trace_tool` go beyond it. Host-time measurement lives in
+//! table or figure of *Kandemir & Chen, DATE 2005*; `diag` and
+//! `trace_tool` go beyond it. Host-time measurement lives in
 //! `benchmark/` (see `BENCHMARK.json`), not here.
 //!
 //! Every simulation-running binary declares its experiment grid as a

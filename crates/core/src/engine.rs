@@ -85,7 +85,7 @@ pub struct EngineConfig {
     /// Open-system mode: when set, processes are not all ready at cycle
     /// zero but *arrive* on the deterministic seeded stream described by
     /// the config ([`crate::arrivals`]). Arrivals ride the engine's
-    /// deferred-event heap (see [`RunState::ArrivalPending`]), admission
+    /// deferred-event heap (as `RunState::ArrivalPending` entries), admission
     /// re-invokes the policy's placement, and the result additionally
     /// carries steady-state metrics ([`RunResult::arrivals`]). `None`
     /// (the default) is the paper's batch mode, bit-identical to

@@ -60,7 +60,6 @@
 #![deny(clippy::iter_over_hash_type)]
 
 pub mod arrivals;
-mod critical_path;
 mod engine;
 mod error;
 mod experiment;
@@ -73,10 +72,8 @@ mod report;
 mod round_robin;
 mod sharing;
 pub mod sweep;
-mod task_affinity;
 
 pub use arrivals::{ArrivalConfig, ArrivalMetrics, ArrivalPlan, ArrivalShape, LatencyPercentiles};
-pub use critical_path::CriticalPathPolicy;
 pub use engine::{execute, execute_bundle, execute_cached, EngineConfig, ProcessExec, RunResult};
 pub use error::{Error, Result};
 pub use experiment::{Experiment, LsmArtifacts};
@@ -89,7 +86,6 @@ pub use report::{ComparisonReport, RunOutcome};
 pub use round_robin::{RoundRobinPolicy, DEFAULT_QUANTUM};
 pub use sharing::SharingMatrix;
 pub use sweep::{ScenarioMatrix, SweepJob, SweepRunner};
-pub use task_affinity::TaskAffinityPolicy;
 
 #[cfg(test)]
 mod tests {

@@ -552,9 +552,9 @@ impl ArtifactCache {
     /// delta key)`. This is the run-granularity reuse of the delta
     /// scheme: an LS simulation depends on nothing but the workload,
     /// the machine (same fingerprint ⇒ same cores, cache, latencies,
-    /// bus arbitration and replacement/classification mode) and the
-    /// compiled per-process programs — which the delta key
-    /// ([`Workload::delta_fingerprint`]) pins byte-for-byte. LS has no
+    /// bus arbitration) and the compiled per-process programs — which
+    /// the delta key ([`Workload::delta_fingerprint`]) pins
+    /// byte-for-byte. LS has no
     /// quantum and no seed, and the sharing matrix it schedules by is a
     /// pure function of the workload, so equal keys imply a
     /// bit-identical [`RunResult`] including every per-process hit/miss

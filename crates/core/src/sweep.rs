@@ -37,10 +37,10 @@
 //! the error of the *earliest enumerated* failing job is returned. A
 //! *panicking* job is caught at the job boundary
 //! ([`SweepRunner::run_weighted_caught`]) and reported as that job's
-//! [`Error::JobPanicked`](crate::Error::JobPanicked) under the same
-//! rule — sibling jobs complete and the worker pool (its slot mutex
-//! included) survives, which is what lets a long-lived service keep
-//! serving after one poisoned request.
+//! [`Error::JobPanicked`] under the same rule — sibling jobs complete
+//! and the worker pool (its slot mutex included) survives, which is
+//! what lets a long-lived service keep serving after one poisoned
+//! request.
 //!
 //! ```
 //! use lams_core::{PolicyKind, ScenarioMatrix, SweepRunner, Experiment};
@@ -324,7 +324,7 @@ impl SweepJob {
 /// An explicit enumeration of sweep jobs, grouped into comparison
 /// reports.
 ///
-/// Jobs run in enumeration (push) order under [`SweepRunner::new(1)`]
+/// Jobs run in enumeration (push) order under [`SweepRunner::new`]`(1)`
 /// and reassemble in that order for any thread count. Groups are keyed
 /// by label: jobs pushed under the same label land in the same
 /// [`ComparisonReport`], and reports come back in first-appearance

@@ -9,9 +9,9 @@
 //!   is bit-identical to the FCFS engine (full `RunResult`s);
 //! * **batched == per-op**: for any window, the batched engine equals
 //!   the one-op-at-a-time oracle, which issues requests in global
-//!   `(clock, core)` order from the scalar trace iterator;
-//! * **stat conservation**: per-core bus-wait cycles sum to the
-//!   arbiter's total wait, and transfers equal cache misses;
+//!   `(clock, core)` order from the scalar trace iterator on its own
+//!   naive machine (the machine-level twin of this check, with stat
+//!   conservation, is in `crates/mpsoc/tests/prop.rs`);
 //! * **monotonicity**: with a fixed schedule (single core, no
 //!   preemption) the makespan is non-decreasing in bus occupancy, and a
 //!   contended bus never beats the bus-free machine.
@@ -23,7 +23,7 @@ use lams_core::{
     SharingMatrix,
 };
 use lams_layout::Layout;
-use lams_mpsoc::{BusConfig, Machine, MachineConfig, TraceOp};
+use lams_mpsoc::{BusConfig, MachineConfig};
 use lams_workloads::{suite, synthetic_app, Scale, SyntheticConfig, Workload};
 
 #[path = "support/oracle.rs"]
@@ -110,117 +110,6 @@ proptest! {
                 "windowed(1) diverged from FCFS"
             );
         }
-    }
-}
-
-/// Drives per-core op streams on a machine the way the engine does —
-/// batched `exec_until` to an unbounded horizon, parked cores re-keyed
-/// at whatever `BatchOutcome::parked` names, minimum-key first — and
-/// returns the machine.
-fn drive_batched(cfg: MachineConfig, streams: &[Vec<TraceOp>]) -> Machine {
-    #[derive(Clone, Copy, PartialEq)]
-    enum St {
-        Run,
-        Parked(u64),
-        Done,
-    }
-    let mut m = Machine::new(cfg);
-    let mut feeds: Vec<std::vec::IntoIter<TraceOp>> =
-        streams.iter().map(|s| s.clone().into_iter()).collect();
-    let mut st = vec![St::Run; streams.len()];
-    loop {
-        let next = (0..streams.len())
-            .filter_map(|c| match st[c] {
-                St::Run => Some((m.core_clock(c).unwrap(), c)),
-                St::Parked(b) => Some((b, c)),
-                St::Done => None,
-            })
-            .min();
-        let Some((_, c)) = next else { break };
-        match st[c] {
-            St::Parked(_) => {
-                m.complete_bus_access(c).unwrap();
-                st[c] = St::Run;
-            }
-            St::Run => {
-                let out = m.exec_until(c, &mut feeds[c], u64::MAX).unwrap();
-                st[c] = match out.parked {
-                    Some(b) => St::Parked(b),
-                    None => {
-                        assert!(out.exhausted, "unbounded horizon only stops at the end");
-                        St::Done
-                    }
-                };
-            }
-            St::Done => unreachable!(),
-        }
-    }
-    m
-}
-
-/// Drives the same streams one op at a time in global `(clock, core)`
-/// order through `exec_op` (inline grants — the reference semantics).
-fn drive_per_op(cfg: MachineConfig, streams: &[Vec<TraceOp>]) -> Machine {
-    let mut m = Machine::new(cfg);
-    let mut idx = vec![0usize; streams.len()];
-    loop {
-        let next = (0..streams.len())
-            .filter(|&c| idx[c] < streams[c].len())
-            .min_by_key(|&c| (m.core_clock(c).unwrap(), c));
-        let Some(c) = next else { break };
-        m.exec_op(c, streams[c][idx[c]]).unwrap();
-        idx[c] += 1;
-    }
-    m
-}
-
-fn arb_streams() -> impl Strategy<Value = Vec<Vec<TraceOp>>> {
-    let op = (0u8..4, 0u64..256, 1u64..16).prop_map(|(kind, addr, cycles)| match kind {
-        0 => TraceOp::compute(cycles),
-        // 32-byte lines over a 512-byte 2-way cache: plenty of misses.
-        _ => TraceOp::read(addr * 8),
-    });
-    prop::collection::vec(prop::collection::vec(op, 1..60), 1..5)
-}
-
-proptest! {
-    #![proptest_config(ProptestConfig::with_cases(32))]
-
-    /// Machine-level differential: batched parking equals per-op inline
-    /// grants for every core's clock and statistics, and the bus stats
-    /// conserve — per-core waits sum to the arbiter total, transfers
-    /// equal misses. Every window, the 1-cycle one included, and FCFS
-    /// (index `WINDOWS.len()`): each parks, at its own key.
-    #[test]
-    fn parked_batches_match_per_op_grants_and_conserve_stats(
-        streams in arb_streams(),
-        occ_i in 0usize..OCCUPANCIES.len(),
-        win_i in 0usize..=WINDOWS.len(),
-    ) {
-        let mut cfg = MachineConfig::paper_default().with_cores(streams.len());
-        cfg.cache = lams_mpsoc::CacheConfig::new(512, 2, 32).unwrap();
-        cfg = cfg.with_bus(match WINDOWS.get(win_i) {
-            Some(&window) => BusConfig::windowed(OCCUPANCIES[occ_i], window),
-            None => BusConfig::fcfs(OCCUPANCIES[occ_i]),
-        });
-        let batched = drive_batched(cfg, &streams);
-        let per_op = drive_per_op(cfg, &streams);
-        let mut wait_sum = 0;
-        let mut miss_sum = 0;
-        for c in 0..streams.len() {
-            prop_assert_eq!(
-                batched.core_clock(c).unwrap(),
-                per_op.core_clock(c).unwrap(),
-                "core {} clock", c
-            );
-            let bs = batched.core_stats(c).unwrap();
-            prop_assert_eq!(bs, per_op.core_stats(c).unwrap(), "core {} stats", c);
-            wait_sum += bs.bus_wait_cycles;
-            miss_sum += bs.cache.misses;
-        }
-        let bus = batched.bus().expect("bus configured");
-        prop_assert_eq!(wait_sum, bus.total_wait(), "wait conservation");
-        prop_assert_eq!(miss_sum, bus.transfers(), "every miss transfers exactly once");
     }
 }
 

@@ -15,12 +15,13 @@
 //! for bit, in batch and open-system mode, under both bus modes, with
 //! and without a deadline.
 //!
-//! It stays independent of what it checks on the bus, too: the engine
-//! parks every contended miss, so the oracle takes FCFS (and 1-cycle
-//! window) grants inline through [`Machine::exec_op`] — its global
-//! `(clock, core)` order *is* FCFS order — and touches the park/complete
-//! interface only where a grant cannot exist at issue time, on a bus
-//! with epochs.
+//! It shares no model with what it checks, either: every op runs on the
+//! naive machine of `crates/mpsoc/tests/support/naive.rs` — linear-scan
+//! caches and 3C shadow, and bus rules written from
+//! `docs/bus-model.md` — never on `lams_mpsoc`'s cache, arbiter or
+//! executors. Its global `(clock, core)` order *is* FCFS order, so a
+//! miss on a bus without epochs is granted the moment it issues; only on
+//! a bus with epochs does a missing core wait, keyed at its boundary.
 //!
 //! Where the loop has to *encode* an engine convention instead of
 //! deriving it, the comment at that spot says so.
@@ -30,9 +31,14 @@ use std::collections::BTreeMap;
 
 use lams_core::{execute, ArrivalPlan, EngineConfig, Error, Policy, ProcessExec, RunResult};
 use lams_layout::Layout;
-use lams_mpsoc::{CoreId, Machine, MachineStats};
+use lams_mpsoc::{CoreId, MachineStats};
 use lams_procgraph::{ProcessId, ReadyTracker};
 use lams_workloads::{Trace, Workload};
+
+#[path = "../../../mpsoc/tests/support/naive.rs"]
+mod naive;
+
+use naive::NaiveMachine;
 
 /// Everything the differential tests compare, from either simulator.
 #[derive(Debug, Clone, PartialEq)]
@@ -99,7 +105,8 @@ pub fn simulate(
     policy: &mut dyn Policy,
     config: EngineConfig,
 ) -> Result<Observed, Error> {
-    let mut machine = Machine::try_new(config.machine)?;
+    config.machine.validate()?;
+    let mut machine = NaiveMachine::new(config.machine);
     let cores = machine.num_cores();
     let n = workload.num_processes();
     let mut tracker = ReadyTracker::new(workload.epg());
@@ -146,16 +153,13 @@ pub fn simulate(
     // while bus-blocked — and the pending arrival, which carries the
     // index one past the last core so it sorts after every core
     // event of the same cycle (engine convention).
-    let next_event = |machine: &Machine,
+    let next_event = |machine: &NaiveMachine,
                       running: &[Option<Slot<'_>>],
                       blocked: &[Option<u64>],
                       next_arrival: usize| {
-        let busy = (0..cores).filter(|&c| running[c].is_some()).map(|c| {
-            (
-                blocked[c].unwrap_or_else(|| machine.core_clock(c).unwrap()),
-                c,
-            )
-        });
+        let busy = (0..cores)
+            .filter(|&c| running[c].is_some())
+            .map(|c| (blocked[c].unwrap_or_else(|| machine.clock(c)), c));
         let arrival = plan.as_ref().filter(|_| next_arrival < n);
         busy.chain(arrival.map(|p| (p.time(next_arrival), cores)))
             .min()
@@ -173,7 +177,7 @@ pub fn simulate(
             let horizon = next_event(&machine, &running, &blocked, next_arrival).map(|(t, _)| t);
             let idle: Vec<(CoreId, Option<ProcessId>, u64)> = (0..cores)
                 .filter(|&c| running[c].is_none())
-                .map(|c| (c, last_on_core[c], machine.core_clock(c).unwrap()))
+                .map(|c| (c, last_on_core[c], machine.clock(c)))
                 .filter(|&(_, _, clock)| horizon.is_none_or(|h| clock.max(min_ready_at) < h))
                 .collect();
             if idle.is_empty() {
@@ -186,8 +190,8 @@ pub fn simulate(
             let Some((core, pid)) = pick else { break };
             tracker.start(pid)?;
             queued -= 1;
-            let start = machine.core_clock(core)?.max(ready_at[&pid]);
-            machine.wait_until(core, start)?;
+            let start = machine.clock(core).max(ready_at[&pid]);
+            machine.wait_until(core, start);
             running[core] = Some(Slot {
                 pid,
                 trace: paused
@@ -252,10 +256,8 @@ pub fn simulate(
         }
 
         let slot = running[core].as_mut().expect("selected core is busy");
-        let crossed = |m: &Machine, s: &Slot<'_>| {
-            s.quantum_end
-                .is_some_and(|qe| m.core_clock(core).unwrap() >= qe)
-        };
+        let crossed =
+            |m: &NaiveMachine, s: &Slot<'_>| s.quantum_end.is_some_and(|qe| m.clock(core) >= qe);
         let preempt = if blocked[core].take().is_some() {
             // The blocked core's boundary reached the front: every
             // same-epoch request is latched, so the batch resolves in
@@ -266,28 +268,27 @@ pub fn simulate(
             // clock, core) — because the crossing is only decidable
             // once the epoch grant exists. All other crossings preempt
             // eagerly, as in the seed engine.
-            machine.complete_bus_access(core)?;
+            machine.complete(core);
             slot.lazy_preempt = crossed(&machine, slot);
             false
         } else if slot.lazy_preempt {
             true
         } else if let Some(op) = slot.trace.next() {
-            if epochs {
-                // One op through the parking-aware executor: horizon 0
-                // always stops after the op (at-least-one-op rule), and
-                // a contended miss latches instead of completing.
-                let out = machine.exec_until(core, &mut std::iter::once(op), 0)?;
-                blocked[core] = out.parked;
-            } else {
-                // Inline grant: this op is the globally earliest, so
-                // `max(request, bus_free)` is its FCFS grant.
-                machine.exec_op(core, op)?;
+            if let Some(key) = machine.issue(core, op) {
+                if epochs {
+                    // The grant waits for every same-boundary request.
+                    blocked[core] = Some(key);
+                } else {
+                    // This op is the globally earliest, so
+                    // `max(request, bus_free)` is its FCFS grant now.
+                    machine.complete(core);
+                }
             }
             blocked[core].is_none() && crossed(&machine, slot)
         } else {
             // The empty trace is discovered at the core's next
             // selection, i.e. at position (finish clock, core).
-            let now = machine.core_clock(core)?;
+            let now = machine.clock(core);
             let pid = slot.pid;
             running[core] = None;
             let e = execs
@@ -310,7 +311,7 @@ pub fn simulate(
             let Slot { pid, trace, .. } = running[core].take().expect("selected core is busy");
             paused.insert(pid, trace);
             tracker.preempt(pid)?;
-            let now = machine.core_clock(core)?;
+            let now = machine.clock(core);
             ready_at.insert(pid, now);
             policy.on_preempt(pid, now);
             queued += 1;

@@ -26,34 +26,55 @@
 //! With `window_cycles == 1`, `B(r) = r` and windowed arbitration is
 //! bit-identical to FCFS (pinned differentially in
 //! `crates/core/tests/bus.rs`). A zero-occupancy bus never contends in
-//! either mode: every grant is immediate and waits are zero, equivalent
-//! to no bus at all.
+//! either mode: the machine builds no arbiter for it, so every grant is
+//! immediate, equivalent to no bus at all.
 //!
-//! The arbiter offers both an *immediate* interface
-//! ([`Arbiter::acquire`]) for drivers that issue requests in global
-//! time order (one op at a time, smallest clock first — the reference
-//! semantics the test oracle runs FCFS through), and a *deferred*
-//! interface ([`Arbiter::latch`] / [`Arbiter::complete`]) for the
-//! batched engine, which parks a missing core and takes its grant once
-//! no earlier request can still arrive: the whole boundary batch on a
-//! bus with epochs, that one request on a bus without.
+//! The arbiter is deferred: a missing core *latches* its request and
+//! parks ([`crate::BatchOutcome::parked`]), and the grant is taken by
+//! [`crate::Machine::complete_bus_access`] once no earlier request can
+//! still arrive — the whole boundary batch on a bus with epochs, that
+//! one request on a bus without.
 //!
 //! ```
-//! use lams_mpsoc::{Arbiter, BusConfig};
+//! use lams_mpsoc::{
+//!     BusConfig, Machine, MachineConfig, Segment, SegmentLane, TraceSource,
+//! };
 //!
-//! let mut bus = Arbiter::new(BusConfig::fcfs(10), 2);
-//! assert_eq!(bus.acquire(100), 100); // idle bus: immediate grant
-//! assert_eq!(bus.acquire(100), 110); // second request waits
-//! assert_eq!(bus.acquire(130), 130); // after the bus drains
+//! /// A one-read trace.
+//! struct Read(Option<u64>);
 //!
-//! // Windowed: grants snap to the next 50-cycle boundary.
-//! let mut bus = Arbiter::new(BusConfig::windowed(10, 50), 2);
-//! assert_eq!(bus.acquire(101), 150);
-//! assert_eq!(bus.acquire(102), 160); // same epoch: queued behind
-//! assert_eq!(bus.acquire(150), 170); // boundary request: after backlog
+//! impl TraceSource for Read {
+//!     fn peek_segment(&mut self) -> Option<Segment> {
+//!         let base = self.0?;
+//!         Some(Segment::Run { base, stride: 0, count: 1, write: false })
+//!     }
+//!     fn lanes(&self) -> &[SegmentLane] {
+//!         &[]
+//!     }
+//!     fn advance(&mut self, _ops: u64) {
+//!         self.0 = None;
+//!     }
+//! }
+//!
+//! // A 50-cycle window, 10 cycles per transfer. Cores 1 and 0 both miss
+//! // at clock 0 (request 0 + hit latency 2): both park at boundary 50.
+//! let bus = BusConfig::windowed(10, 50);
+//! let mut m = Machine::new(MachineConfig::paper_default().with_bus(bus));
+//! for core in [1, 0] {
+//!     let mut read = Read(Some(core as u64 * 4096));
+//!     let out = m.exec_source_until(core, &mut read, u64::MAX).unwrap();
+//!     assert_eq!(out.parked, Some(50));
+//! }
+//! // Completing either resolves the batch in (request, core) order:
+//! // core 0 is granted at 50, core 1 behind it at 60.
+//! m.complete_bus_access(1).unwrap();
+//! m.complete_bus_access(0).unwrap();
+//! assert_eq!(m.core_stats(0).unwrap().bus_wait_cycles, 50 - 2);
+//! assert_eq!(m.core_stats(1).unwrap().bus_wait_cycles, 60 - 2);
+//! assert_eq!(m.core_clock(1).unwrap(), 2 + 75 + 58);
 //! ```
 
-use crate::{BusConfig, BusMode, CoreId};
+use crate::{BusConfig, CoreId};
 
 /// The epoch boundary a request arriving at `r` is latched at.
 #[inline]
@@ -74,79 +95,34 @@ struct Waiting {
     grant: Option<u64>,
 }
 
-/// A shared bus serializing off-chip transfers under a [`BusMode`].
+/// A contended shared bus serializing off-chip transfers under a
+/// [`crate::BusMode`].
 #[derive(Debug, Clone)]
-pub struct Arbiter {
+pub(crate) struct Arbiter {
     config: BusConfig,
     /// Time the bus finishes every transfer granted so far.
     next_free: u64,
-    transfers: u64,
-    total_wait: u64,
-    /// Per-core latched request (deferred interface); at most one per
-    /// core — a stalled core cannot issue another.
+    /// Per-core latched request; at most one per core — a stalled core
+    /// cannot issue another.
     waiting: Vec<Option<Waiting>>,
 }
 
 impl Arbiter {
-    /// Creates an idle bus serving `num_cores` cores.
-    pub fn new(config: BusConfig, num_cores: usize) -> Self {
-        Arbiter {
+    /// Creates an idle bus serving `num_cores` cores; `None` for a bus
+    /// that never contends ([`BusConfig::defers`] is false: zero
+    /// occupancy), whose grants are immediate — a miss behind it costs
+    /// what it costs without a bus.
+    pub(crate) fn new(config: BusConfig, num_cores: usize) -> Option<Self> {
+        config.defers().then(|| Arbiter {
             config,
             next_free: 0,
-            transfers: 0,
-            total_wait: 0,
             waiting: vec![None; num_cores],
-        }
+        })
     }
 
     /// The bus configuration.
-    pub fn config(&self) -> &BusConfig {
+    pub(crate) fn config(&self) -> &BusConfig {
         &self.config
-    }
-
-    /// Whether a miss must park and wait for the engine to grant it
-    /// instead of being granted inline ([`BusConfig::defers`]): any
-    /// non-zero occupancy. A zero-cost transfer never contends.
-    #[inline]
-    pub fn defers(&self) -> bool {
-        self.config.defers()
-    }
-
-    /// Requests the bus at time `now` and returns the grant time
-    /// (`>= now`), occupying the bus for the configured cycles.
-    ///
-    /// In FCFS mode the grant is `max(now, bus_free)`. In windowed mode
-    /// the grant is `max(B(now), bus_free)` with `B` the next epoch
-    /// boundary — **exact** windowed semantics when the caller issues
-    /// requests in global `(request-time, core-id)` order (then the
-    /// grant recurrence equals per-boundary batch resolution), which is
-    /// how [`crate::Machine::exec_op`] drives it. A zero-occupancy bus
-    /// grants at `now` unconditionally.
-    pub fn acquire(&mut self, now: u64) -> u64 {
-        if self.config.occupancy_cycles == 0 {
-            // A zero-cost transfer never contends: grant immediately and
-            // leave `next_free` untouched, so the result is independent
-            // of the order requests are issued in (the engine batches
-            // freely over a zero-occupancy bus in either mode).
-            self.transfers += 1;
-            return now;
-        }
-        let at = match self.config.mode {
-            BusMode::Fcfs => now,
-            BusMode::Windowed { window_cycles } => boundary_of(now, window_cycles),
-        };
-        self.serve(now, at)
-    }
-
-    /// Serves a request issued at `request` no earlier than `at`: the
-    /// grant is `max(at, bus_free)` and occupies the bus for the
-    /// configured cycles.
-    fn serve(&mut self, request: u64, at: u64) -> u64 {
-        let grant = at.max(self.next_free);
-        self.next_free = grant + self.config.occupancy_cycles;
-        self.transfers += 1;
-        self.total_wait += grant - request;
-        grant
     }
 
     /// Latches a request from `core` arriving at `request`, returning
@@ -158,7 +134,7 @@ impl Arbiter {
     ///
     /// Panics if the core already has a latched request (a stalled core
     /// cannot issue).
-    pub fn latch(&mut self, core: CoreId, request: u64) -> Option<u64> {
+    pub(crate) fn latch(&mut self, core: CoreId, request: u64) -> Option<u64> {
         let boundary = self.config.epoch().map(|w| boundary_of(request, w));
         let slot = &mut self.waiting[core];
         assert!(slot.is_none(), "core {core} already has a latched request");
@@ -170,10 +146,13 @@ impl Arbiter {
         boundary
     }
 
-    /// Grants `core`'s latched request, no earlier than `at`.
+    /// Grants `core`'s latched request at `max(at, bus_free)`, occupying
+    /// the bus for the configured cycles.
     fn grant(&mut self, core: CoreId, at: u64) {
         let mut w = self.waiting[core].expect("granted core is waiting");
-        w.grant = Some(self.serve(w.request, at));
+        let grant = at.max(self.next_free);
+        self.next_free = grant + self.config.occupancy_cycles;
+        w.grant = Some(grant);
         self.waiting[core] = Some(w);
     }
 
@@ -214,7 +193,7 @@ impl Arbiter {
     /// and FCFS order `(pre-op clock, core-id)` puts it between them.
     ///
     /// Returns `None` when the core has no latched request.
-    pub fn complete(&mut self, core: CoreId) -> Option<(u64, u64)> {
+    pub(crate) fn complete(&mut self, core: CoreId) -> Option<(u64, u64)> {
         let w = self.waiting.get(core).copied().flatten()?;
         if w.grant.is_none() {
             match w.boundary {
@@ -225,44 +204,36 @@ impl Arbiter {
         let w = self.waiting[core].take().expect("request still latched");
         Some((w.request, w.grant.expect("request granted")))
     }
-
-    /// Number of transfers granted so far.
-    pub fn transfers(&self) -> u64 {
-        self.transfers
-    }
-
-    /// Total cycles requests spent waiting for grants.
-    pub fn total_wait(&self) -> u64 {
-        self.total_wait
-    }
-
-    /// Time at which the bus next becomes free.
-    pub fn next_free(&self) -> u64 {
-        self.next_free
-    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
 
+    /// Latches and at once completes `core`'s request at `r`, returning
+    /// its grant — in-order issue, one request at a time, on a bus
+    /// without epochs.
+    fn grant_now(b: &mut Arbiter, core: CoreId, r: u64) -> u64 {
+        assert_eq!(b.latch(core, r), None, "no epochs");
+        b.complete(core).expect("latched").1
+    }
+
     #[test]
     fn fcfs_arbitration() {
-        let mut b = Arbiter::new(BusConfig::fcfs(5), 4);
-        assert_eq!(b.acquire(0), 0);
-        assert_eq!(b.acquire(1), 5);
-        assert_eq!(b.acquire(2), 10);
-        assert_eq!(b.transfers(), 3);
-        assert_eq!(b.total_wait(), (5 - 1) + (10 - 2));
-        assert!(b.defers(), "a contended bus parks in either mode");
+        let mut b = Arbiter::new(BusConfig::fcfs(5), 4).expect("contended");
+        assert_eq!(b.latch(0, 0), None, "FCFS has no epochs");
+        assert_eq!(b.complete(0), Some((0, 0)));
+        assert_eq!(grant_now(&mut b, 1, 1), 5);
+        assert_eq!(grant_now(&mut b, 2, 2), 10);
     }
 
     #[test]
     fn idle_bus_grants_immediately() {
-        let mut b = Arbiter::new(BusConfig::fcfs(5), 4);
-        b.acquire(0);
-        assert_eq!(b.acquire(100), 100);
-        assert_eq!(b.next_free(), 105);
+        let mut b = Arbiter::new(BusConfig::fcfs(5), 4).expect("contended");
+        grant_now(&mut b, 0, 0);
+        assert_eq!(grant_now(&mut b, 1, 100), 100);
+        // That transfer keeps the bus until 105.
+        assert_eq!(grant_now(&mut b, 2, 101), 105);
     }
 
     #[test]
@@ -279,18 +250,21 @@ mod tests {
 
     #[test]
     fn windowed_acquire_with_window_one_matches_fcfs() {
-        let mut fcfs = Arbiter::new(BusConfig::fcfs(7), 2);
-        let mut win = Arbiter::new(BusConfig::windowed(7, 1), 2);
-        for now in [0u64, 0, 3, 3, 25, 26, 100] {
-            assert_eq!(fcfs.acquire(now), win.acquire(now), "at {now}");
+        let mut fcfs = Arbiter::new(BusConfig::fcfs(7), 2).expect("contended");
+        let mut win = Arbiter::new(BusConfig::windowed(7, 1), 2).expect("contended");
+        for (i, now) in [0u64, 0, 3, 3, 25, 26, 100].into_iter().enumerate() {
+            let core = i % 2;
+            assert_eq!(
+                grant_now(&mut fcfs, core, now),
+                grant_now(&mut win, core, now),
+                "at {now}"
+            );
         }
-        assert_eq!(fcfs.total_wait(), win.total_wait());
     }
 
     #[test]
     fn latch_and_complete_resolve_a_boundary_batch_in_request_order() {
-        let mut b = Arbiter::new(BusConfig::windowed(10, 50), 3);
-        assert!(b.defers());
+        let mut b = Arbiter::new(BusConfig::windowed(10, 50), 3).expect("contended");
         // Three requests in epoch (0, 50]; latched out of arrival order.
         assert_eq!(b.latch(2, 30), Some(50));
         assert_eq!(b.latch(0, 41), Some(50));
@@ -299,37 +273,40 @@ mod tests {
         assert_eq!(b.complete(0), Some((41, 70)));
         assert_eq!(b.complete(1), Some((30, 50)));
         assert_eq!(b.complete(2), Some((30, 60)));
-        assert_eq!(b.transfers(), 3);
-        assert_eq!(b.total_wait(), (50 - 30) + (60 - 30) + (70 - 41));
         assert_eq!(b.complete(0), None, "request consumed");
     }
 
     #[test]
     fn without_epochs_complete_grants_one_request_per_call() {
         for config in [BusConfig::fcfs(10), BusConfig::windowed(10, 1)] {
-            let mut b = Arbiter::new(config, 3);
+            let mut b = Arbiter::new(config, 3).expect("contended");
             assert_eq!(b.latch(0, 30), None);
             assert_eq!(b.latch(2, 30), None);
             // Core 0 is granted alone; core 2's equal request time does
             // not pull it into the grant...
             assert_eq!(b.complete(0), Some((30, 30)));
-            assert_eq!(b.transfers(), 1);
             // ...so a core that issues in between is served in between.
             assert_eq!(b.latch(1, 30), None);
             assert_eq!(b.complete(1), Some((30, 40)));
             assert_eq!(b.complete(2), Some((30, 50)));
-            assert_eq!(b.total_wait(), 10 + 20);
         }
     }
 
     #[test]
     fn deferred_batches_match_in_order_immediate_acquires() {
-        // Driving the immediate interface in global time order equals
-        // latch/complete batch resolution.
+        // Latching a boundary's requests and completing them equals the
+        // in-order recurrence `grant = max(B(r), bus_free)`.
         let reqs = [(0usize, 3u64), (1, 3), (0, 22), (1, 57), (0, 58)];
-        let mut imm = Arbiter::new(BusConfig::windowed(9, 16), 2);
-        let grants_imm: Vec<u64> = reqs.iter().map(|&(_, r)| imm.acquire(r)).collect();
-        let mut def = Arbiter::new(BusConfig::windowed(9, 16), 2);
+        let mut bus_free = 0;
+        let grants_imm: Vec<u64> = reqs
+            .iter()
+            .map(|&(_, r)| {
+                let grant = boundary_of(r, 16).max(bus_free);
+                bus_free = grant + 9;
+                grant
+            })
+            .collect();
+        let mut def = Arbiter::new(BusConfig::windowed(9, 16), 2).expect("contended");
         let mut grants_def = Vec::new();
         // Latch + complete epoch by epoch (requests above are sorted).
         let mut i = 0;
@@ -346,19 +323,13 @@ mod tests {
             }
         }
         assert_eq!(grants_imm, grants_def);
-        assert_eq!(imm.total_wait(), def.total_wait());
     }
 
     #[test]
     fn zero_occupancy_never_waits() {
-        let mut b = Arbiter::new(BusConfig::windowed(0, 64), 2);
-        assert!(!b.defers(), "zero-cost transfers never park");
-        assert_eq!(b.acquire(13), 13);
-        assert_eq!(b.acquire(13), 13);
-        assert_eq!(b.total_wait(), 0);
-        let mut b = Arbiter::new(BusConfig::fcfs(0), 2);
-        assert_eq!(b.acquire(5), 5);
-        assert_eq!(b.acquire(5), 5);
-        assert_eq!(b.total_wait(), 0);
+        // A zero-cost transfer never contends: no arbiter, no parking.
+        assert!(Arbiter::new(BusConfig::windowed(0, 64), 2).is_none());
+        assert!(Arbiter::new(BusConfig::fcfs(0), 2).is_none());
+        assert!(Arbiter::new(BusConfig::fcfs(1), 2).is_some());
     }
 }

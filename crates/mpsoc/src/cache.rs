@@ -14,8 +14,9 @@
 //!   replacing the seed's `HashMap` + `BTreeMap` (SipHash plus tree
 //!   rebalancing on every access).
 //!
-//! Fast-path invariants (checked by `crates/mpsoc/tests/prop.rs`, which
-//! cross-validates against a naive linear-scan reference model):
+//! Fast-path invariants (checked by `crates/mpsoc/tests/prop.rs` against
+//! the naive reference machine of `crates/mpsoc/tests/support/naive.rs`,
+//! whose per-set directories and shadow are scanned linearly):
 //!
 //! * way stamps are distinct (the access clock strictly increases), so
 //!   the per-set LRU victim is unique — eviction choices are
@@ -50,9 +51,8 @@ pub enum MissKind {
 pub enum AccessOutcome {
     /// The line was resident.
     Hit,
-    /// The line was not resident; classified when classification is on,
-    /// `None` otherwise.
-    Miss(Option<MissKind>),
+    /// The line was not resident, and why.
+    Miss(MissKind),
 }
 
 impl AccessOutcome {
@@ -194,11 +194,6 @@ impl LineTable {
             }
         }
     }
-
-    fn clear(&mut self) {
-        self.slots.fill((0, VACANT));
-        self.len = 0;
-    }
 }
 
 /// Sentinel node index for the shadow's intrusive list.
@@ -292,13 +287,6 @@ impl Shadow {
         }
         false
     }
-
-    fn clear(&mut self) {
-        self.index.clear();
-        self.nodes.clear();
-        self.head = NIL;
-        self.tail = NIL;
-    }
 }
 
 /// A private, set-associative, write-allocate LRU cache.
@@ -311,7 +299,7 @@ impl Shadow {
 /// ```
 /// use lams_mpsoc::{Cache, CacheConfig};
 ///
-/// let mut c = Cache::new(CacheConfig::paper_default(), true);
+/// let mut c = Cache::new(CacheConfig::paper_default());
 /// assert!(!c.access(0x1000).is_hit()); // cold
 /// assert!(c.access(0x1000).is_hit());
 /// assert!(c.access(0x101f).is_hit()); // same 32-byte line
@@ -329,22 +317,21 @@ pub struct Cache {
     ways: Box<[Way]>,
     clock: u64,
     stats: CacheStats,
-    /// 3C machinery, present only when classification is on.
-    shadow: Option<Box<Shadow>>,
+    /// Fully-associative LRU shadow of equal capacity (3C machinery).
+    shadow: Shadow,
     /// Lines ever seen (for cold-miss detection).
     seen: LineTable,
 }
 
 impl Cache {
-    /// Creates an empty cache. `classify` enables 3C classification
-    /// (adds a fully-associative shadow directory; ~2x slower).
+    /// Creates an empty cache.
     ///
     /// # Panics
     ///
     /// Panics when `config` fails [`CacheConfig::validate`] — shift/mask
     /// indexing requires the power-of-two geometry the validator
     /// guarantees.
-    pub fn new(config: CacheConfig, classify: bool) -> Self {
+    pub fn new(config: CacheConfig) -> Self {
         config
             .validate()
             .expect("cache geometry must be valid (powers of two)");
@@ -358,7 +345,7 @@ impl Cache {
             ways: vec![EMPTY; num_sets * assoc].into_boxed_slice(),
             clock: 0,
             stats: CacheStats::default(),
-            shadow: classify.then(|| Box::new(Shadow::new(config.num_lines() as usize))),
+            shadow: Shadow::new(config.num_lines() as usize),
             seen: LineTable::with_capacity(config.num_lines() as usize),
         }
     }
@@ -405,9 +392,7 @@ impl Cache {
             if w.stamp != 0 && w.line == line {
                 w.stamp = self.clock;
                 self.stats.hits += 1;
-                if let Some(shadow) = &mut self.shadow {
-                    shadow.touch(line);
-                }
+                self.shadow.touch(line);
                 return AccessOutcome::Hit;
             }
             if w.stamp < victim_stamp {
@@ -417,22 +402,17 @@ impl Cache {
         }
 
         // Miss: classify before refreshing the shadow.
-        let kind = match &mut self.shadow {
-            Some(shadow) => {
-                let is_new = self.seen.get(line).is_none();
-                if is_new {
-                    self.seen.insert(line, 0);
-                }
-                let in_shadow = shadow.touch(line);
-                Some(if is_new {
-                    MissKind::Cold
-                } else if in_shadow {
-                    MissKind::Conflict
-                } else {
-                    MissKind::Capacity
-                })
-            }
-            None => None,
+        let is_new = self.seen.get(line).is_none();
+        if is_new {
+            self.seen.insert(line, 0);
+        }
+        let in_shadow = self.shadow.touch(line);
+        let kind = if is_new {
+            MissKind::Cold
+        } else if in_shadow {
+            MissKind::Conflict
+        } else {
+            MissKind::Capacity
         };
 
         // Fill the empty slot with the smallest stamp, or evict the LRU
@@ -447,10 +427,9 @@ impl Cache {
 
         self.stats.misses += 1;
         match kind {
-            Some(MissKind::Cold) => self.stats.cold_misses += 1,
-            Some(MissKind::Capacity) => self.stats.capacity_misses += 1,
-            Some(MissKind::Conflict) => self.stats.conflict_misses += 1,
-            None => {}
+            MissKind::Cold => self.stats.cold_misses += 1,
+            MissKind::Capacity => self.stats.capacity_misses += 1,
+            MissKind::Conflict => self.stats.conflict_misses += 1,
         }
         AccessOutcome::Miss(kind)
     }
@@ -483,13 +462,11 @@ impl Cache {
             // per-op execution would).
             self.stamp_resident(line, start + (rounds - 1) * m + j as u64 + 1);
         }
-        if let Some(shadow) = &mut self.shadow {
-            // Per-op, the window's final shadow order is the order of the
-            // last round's touches — touching once per lane in lane order
-            // reaches the same state.
-            for line in lines {
-                shadow.touch(line);
-            }
+        // Per-op, the window's final shadow order is the order of the
+        // last round's touches — touching once per lane in lane order
+        // reaches the same state.
+        for line in lines {
+            self.shadow.touch(line);
         }
     }
 
@@ -504,19 +481,6 @@ impl Cache {
         }
         debug_assert!(false, "bulk hit on a non-resident line {line}");
     }
-
-    /// Empties the cache (keeps statistics and the cold-line history).
-    pub fn flush(&mut self) {
-        self.ways.fill(EMPTY);
-        if let Some(shadow) = &mut self.shadow {
-            shadow.clear();
-        }
-    }
-
-    /// Resets statistics (keeps contents).
-    pub fn reset_stats(&mut self) {
-        self.stats = CacheStats::default();
-    }
 }
 
 #[cfg(test)]
@@ -530,17 +494,17 @@ mod tests {
 
     #[test]
     fn hit_after_fill() {
-        let mut c = Cache::new(tiny(), true);
-        assert_eq!(c.access(0), AccessOutcome::Miss(Some(MissKind::Cold)));
+        let mut c = Cache::new(tiny());
+        assert_eq!(c.access(0), AccessOutcome::Miss(MissKind::Cold));
         assert_eq!(c.access(15), AccessOutcome::Hit); // same line
-        assert_eq!(c.access(16), AccessOutcome::Miss(Some(MissKind::Cold)));
+        assert_eq!(c.access(16), AccessOutcome::Miss(MissKind::Cold));
         assert_eq!(c.stats().hits, 1);
         assert_eq!(c.stats().misses, 2);
     }
 
     #[test]
     fn lru_eviction_within_set() {
-        let mut c = Cache::new(tiny(), true);
+        let mut c = Cache::new(tiny());
         // Lines 0, 2, 4 all map to set 0 (even line indices, 2 sets).
         c.access(0); // line 0 -> set 0
         c.access(2 * 16); // line 2 -> set 0
@@ -553,7 +517,7 @@ mod tests {
 
     #[test]
     fn lru_respects_recency() {
-        let mut c = Cache::new(tiny(), true);
+        let mut c = Cache::new(tiny());
         c.access(0);
         c.access(2 * 16);
         c.access(0); // refresh line 0
@@ -567,18 +531,18 @@ mod tests {
         // Direct-mapped, 2 lines of 16 B: lines 0 and 2 collide in set 0
         // while the cache has capacity for both.
         let cfg = CacheConfig::new(32, 1, 16).unwrap();
-        let mut c = Cache::new(cfg, true);
+        let mut c = Cache::new(cfg);
         c.access(0); // cold
         c.access(2 * 16); // cold, evicts 0 in the direct-mapped cache
         let out = c.access(0); // shadow (FA, 2 lines) still holds 0
-        assert_eq!(out, AccessOutcome::Miss(Some(MissKind::Conflict)));
+        assert_eq!(out, AccessOutcome::Miss(MissKind::Conflict));
         assert_eq!(c.stats().conflict_misses, 1);
     }
 
     #[test]
     fn capacity_miss_when_working_set_exceeds_cache() {
         let cfg = CacheConfig::new(32, 2, 16).unwrap(); // FA, 2 lines
-        let mut c = Cache::new(cfg, true);
+        let mut c = Cache::new(cfg);
         // Touch 3 distinct lines cyclically: steady-state misses are
         // capacity (the FA shadow of equal size also misses).
         for _ in 0..4 {
@@ -593,7 +557,7 @@ mod tests {
 
     #[test]
     fn cold_misses_counted_once_per_line() {
-        let mut c = Cache::new(tiny(), true);
+        let mut c = Cache::new(tiny());
         for _ in 0..3 {
             for line in 0..8u64 {
                 c.access(line * 16);
@@ -603,32 +567,13 @@ mod tests {
     }
 
     #[test]
-    fn classification_can_be_disabled() {
-        let mut c = Cache::new(tiny(), false);
-        assert_eq!(c.access(0), AccessOutcome::Miss(None));
-        assert_eq!(c.stats().cold_misses, 0);
-        assert_eq!(c.stats().misses, 1);
-    }
-
-    #[test]
-    fn flush_empties_but_keeps_history() {
-        let mut c = Cache::new(tiny(), true);
-        c.access(0);
-        c.flush();
-        assert!(!c.is_resident(0));
-        assert_eq!(c.resident_lines(), 0);
-        // Not cold again — the line has been seen.
-        assert_eq!(c.access(0), AccessOutcome::Miss(Some(MissKind::Capacity)));
-    }
-
-    #[test]
     fn invalid_geometry_panics() {
         let bad = CacheConfig {
             size_bytes: 8000, // not a power of two
             associativity: 2,
             line_bytes: 32,
         };
-        assert!(std::panic::catch_unwind(|| Cache::new(bad, false)).is_err());
+        assert!(std::panic::catch_unwind(|| Cache::new(bad)).is_err());
     }
 
     #[test]
@@ -636,7 +581,7 @@ mod tests {
         // Two arrays laid out in *different* half-pages of the paper's
         // 8 KB 2-way cache never conflict: they map to disjoint sets.
         let cfg = CacheConfig::paper_default();
-        let mut c = Cache::new(cfg, true);
+        let mut c = Cache::new(cfg);
         // 2 KB half-page. Array 1 lives in the low half of each page,
         // array 2 in the high half; two page-strided chunks each, so the
         // combined working set (256 lines) exactly fills the cache and

@@ -288,8 +288,6 @@ pub struct MachineConfig {
     /// Optional shared-bus contention; `None` models the paper's
     /// fixed-latency memory.
     pub bus: Option<BusConfig>,
-    /// Whether to run the (more expensive) 3C miss classification.
-    pub classify_misses: bool,
 }
 
 impl MachineConfig {
@@ -303,7 +301,6 @@ impl MachineConfig {
             miss_latency: 75,
             clock_hz: 200_000_000,
             bus: None,
-            classify_misses: true,
         }
     }
 
@@ -350,12 +347,6 @@ impl MachineConfig {
     /// Builder-style override of the cache geometry.
     pub fn with_cache(mut self, cache: CacheConfig) -> Self {
         self.cache = cache;
-        self
-    }
-
-    /// Builder-style toggle for miss classification.
-    pub fn with_classification(mut self, on: bool) -> Self {
-        self.classify_misses = on;
         self
     }
 

@@ -147,7 +147,6 @@ pub fn machine_fingerprint(m: &crate::MachineConfig) -> Fingerprint {
         miss_latency,
         clock_hz,
         bus,
-        classify_misses,
     } = *m;
     let mut h = FingerprintHasher::new("lams.machine");
     h.write_u64(num_cores as u64);
@@ -177,7 +176,6 @@ pub fn machine_fingerprint(m: &crate::MachineConfig) -> Fingerprint {
             }
         }
     }
-    h.write_bool(classify_misses);
     h.finish()
 }
 
@@ -219,7 +217,6 @@ mod tests {
         let fp = machine_fingerprint(&base);
         assert_eq!(fp, machine_fingerprint(&base.clone()));
         assert_ne!(fp, machine_fingerprint(&base.with_cores(4)));
-        assert_ne!(fp, machine_fingerprint(&base.with_classification(false)));
         assert_ne!(fp, machine_fingerprint(&base.with_bus(BusConfig::fcfs(4))));
         let scalar_knobs: [fn(&mut MachineConfig); 6] = [
             |m| m.miss_latency += 1,

@@ -16,10 +16,11 @@
 //!   cold/capacity/conflict (3C) miss classification,
 //! * [`TraceOp`] — per-process memory-reference streams (never
 //!   materialized: generators yield ops lazily),
-//! * [`Arbiter`] — optional shared-bus contention for off-chip accesses,
-//!   with FCFS and time-windowed ([`BusMode`]) arbitration,
+//! * [`BusConfig`] — optional shared-bus contention for off-chip
+//!   accesses, with FCFS and time-windowed ([`BusMode`]) arbitration,
 //! * [`Machine`] — N cores with private caches and per-core clocks; a
-//!   scheduling engine executes trace ops on cores in global time order,
+//!   scheduling engine runs compiled traces ([`TraceSource`]) on cores
+//!   and orders their contended misses in global time,
 //! * [`EnergyModel`] — on-chip vs off-chip access energy, supporting the
 //!   paper's power-saving claims.
 //!
@@ -31,13 +32,12 @@
 //!
 //! # Cost model
 //!
-//! Per trace op, whichever executor runs it ([`Machine::exec_op`],
-//! [`Machine::exec_until`], [`Machine::exec_source_until`]):
+//! Per trace op, as [`Machine::exec_source_until`] runs it:
 //!
 //! * `Compute(c)` costs `c` cycles;
 //! * an access that hits costs `hit_latency`;
 //! * an access that misses costs `hit_latency + miss_latency` (probe
-//!   plus off-chip fetch), plus bus waiting when an [`Arbiter`] is
+//!   plus off-chip fetch), plus bus waiting when a contended bus is
 //!   configured (request issued at `core_clock + hit_latency`, granted
 //!   FCFS in global time order or latched at time-window boundaries —
 //!   see [`BusMode`] and `docs/bus-model.md`).
@@ -50,8 +50,6 @@
 //! dictates, and [`Machine::complete_bus_access`] takes the grant once
 //! the engine has brought every other core up to that key. The engine
 //! batches cores independently between misses under either mode.
-//! [`Machine::exec_op`] keeps the inline reference semantics for a
-//! caller that issues one op at a time in global `(clock, core)` order.
 //!
 //! # Fast-path invariants
 //!
@@ -70,12 +68,14 @@
 //!   event horizon, collapsing guaranteed-hit spans into arithmetic;
 //!   per-core cache statistics are snapshotted lazily by
 //!   [`Machine::core_stats`]/[`Machine::stats`] rather than copied per
-//!   op. [`Machine::exec_until`] is its per-op reference over a plain
-//!   [`TraceOp`] iterator (parking-aware, same horizon rule): nothing
-//!   on the hot path calls it; `crates/mpsoc/tests/prop.rs` holds the
-//!   two bit-identical, and the engine's test oracle
-//!   (`crates/core/tests/support/oracle.rs`) drives it on a bus with
-//!   epochs and [`Machine::exec_op`] everywhere else.
+//!   op.
+//! * The reference model lives in the tests, not here: a naive
+//!   machine (`crates/mpsoc/tests/support/naive.rs` — per-set `Vec`
+//!   caches, a linear fully-associative shadow, the bus rules written
+//!   from `docs/bus-model.md`) that `crates/mpsoc/tests/prop.rs` holds
+//!   [`Machine::exec_source_until`] bit-identical to, and that the
+//!   engine's test oracle (`crates/core/tests/support/oracle.rs`) runs
+//!   one op at a time.
 //! * Batching preserves bit-identical results: the engine only runs a
 //!   core ahead where no other core can observe it (to the next event
 //!   horizon or its next contended miss), so cache, bus and makespan
@@ -84,20 +84,20 @@
 //!   in `tests/cross_validation.rs`.
 //!
 //! ```
-//! use lams_mpsoc::{Machine, MachineConfig, TraceOp};
+//! use lams_mpsoc::{Cache, CacheConfig};
 //!
-//! let mut m = Machine::new(MachineConfig::paper_default());
-//! // Two passes over the same 1 KiB: second pass hits in L1.
+//! let mut c = Cache::new(CacheConfig::paper_default());
+//! // Two passes over the same 1 KiB: the second pass hits in L1.
 //! for pass in 0..2 {
 //!     for a in (0..1024u64).step_by(4) {
-//!         m.exec_op(0, TraceOp::read(a)).unwrap();
+//!         c.access(a);
 //!     }
 //!     if pass == 0 {
-//!         assert!(m.core_stats(0).unwrap().cache.misses > 0);
+//!         assert_eq!(c.stats().misses, 1024 / 32);
+//!         assert_eq!(c.stats().cold_misses, c.stats().misses);
 //!     }
 //! }
-//! let s = m.core_stats(0).unwrap();
-//! assert!(s.cache.hit_rate() > 0.8);
+//! assert!(c.stats().hit_rate() > 0.9);
 //! ```
 
 #![forbid(unsafe_code)]
@@ -117,7 +117,6 @@ mod source;
 mod stats;
 mod trace;
 
-pub use bus::Arbiter;
 pub use cache::{AccessOutcome, Cache, MissKind};
 pub use config::{BusConfig, BusMode, CacheConfig, MachineConfig};
 pub use energy::EnergyModel;

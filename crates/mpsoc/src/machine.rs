@@ -2,10 +2,8 @@
 
 use std::fmt;
 
-use crate::{
-    Arbiter, Cache, CoreStats, Error, MachineConfig, MachineStats, Result, Segment, TraceOp,
-    TraceSource,
-};
+use crate::bus::Arbiter;
+use crate::{Cache, CoreStats, Error, MachineConfig, MachineStats, Result, Segment, TraceSource};
 
 /// Index of a processor core.
 pub type CoreId = usize;
@@ -20,8 +18,7 @@ struct Core {
     stats: CoreStats,
 }
 
-/// Result of a batched [`Machine::exec_source_until`] (or per-op
-/// [`Machine::exec_until`]) call.
+/// Result of a batched [`Machine::exec_source_until`] call.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct BatchOutcome {
     /// Trace operations *completed* in this batch (a parked access — see
@@ -53,10 +50,11 @@ pub struct BatchOutcome {
 /// memory (optionally through a contended bus).
 ///
 /// The machine itself is *passive*: a scheduling engine decides which
-/// process trace executes on which core and feeds trace operations via
-/// [`Machine::exec_op`]. Each core has its own clock; executing an op on a
-/// core advances only that core's clock, so an engine can interleave cores
-/// in global time order (required for exact bus arbitration).
+/// process trace executes on which core and feeds it compiled trace
+/// programs via [`Machine::exec_source_until`]. Each core has its own
+/// clock; executing an op on a core advances only that core's clock, and
+/// a miss on a contended bus parks the core until the engine has brought
+/// every other core up to its key ([`Machine::complete_bus_access`]).
 ///
 /// Caches persist across process switches on a core — that persistence is
 /// precisely the data reuse the paper's locality-aware scheduler exploits.
@@ -64,6 +62,8 @@ pub struct BatchOutcome {
 pub struct Machine {
     config: MachineConfig,
     cores: Vec<Core>,
+    /// The contended bus, when one is configured (a zero-occupancy bus
+    /// never contends and gets no arbiter).
     bus: Option<Arbiter>,
 }
 
@@ -105,7 +105,7 @@ impl Machine {
         config.validate()?;
         let cores = (0..config.num_cores)
             .map(|_| Core {
-                cache: Cache::new(config.cache, config.classify_misses),
+                cache: Cache::new(config.cache),
                 clock: 0,
                 stats: CoreStats::default(),
             })
@@ -113,7 +113,7 @@ impl Machine {
         Ok(Machine {
             config,
             cores,
-            bus: config.bus.map(|b| Arbiter::new(b, config.num_cores)),
+            bus: config.bus.and_then(|b| Arbiter::new(b, config.num_cores)),
         })
     }
 
@@ -141,58 +141,10 @@ impl Machine {
             .ok_or(Error::NoSuchCore { core, num_cores: n })
     }
 
-    /// Executes one trace op on a core, returning the cycles it took.
-    /// Advances the core's clock and statistics.
-    ///
-    /// Cost model: a compute op costs its cycle count; a cache hit costs
-    /// `hit_latency`; a miss costs `hit_latency + miss_latency` (probe
-    /// plus off-chip fetch) plus any bus waiting when a bus is configured.
-    ///
-    /// On a bus the grant is taken inline from [`Arbiter::acquire`] —
-    /// exact in either mode *provided the caller issues ops in global
-    /// `(clock, core)` order*, one op at a time. This is the reference
-    /// semantics of the bus, independent of the parking machinery: the
-    /// horizon executors instead park at a contended miss so the engine
-    /// can run cores ahead; see [`Machine::exec_source_until`].
-    ///
-    /// # Errors
-    ///
-    /// Returns [`Error::NoSuchCore`] for an out-of-range core.
-    pub fn exec_op(&mut self, core: CoreId, op: TraceOp) -> Result<u64> {
-        // Split borrows: bus is separate from cores.
-        let n = self.cores.len();
-        let c = self
-            .cores
-            .get_mut(core)
-            .ok_or(Error::NoSuchCore { core, num_cores: n })?;
-        let cost = match op {
-            TraceOp::Compute(cycles) => cycles,
-            TraceOp::Access { addr, .. } => {
-                let mut cost = self.config.hit_latency;
-                if !c.cache.access(addr).is_hit() {
-                    let request_at = c.clock + cost;
-                    let grant = match &mut self.bus {
-                        Some(bus) => bus.acquire(request_at),
-                        None => request_at,
-                    };
-                    c.stats.bus_wait_cycles += grant - request_at;
-                    cost += self.config.miss_latency + (grant - request_at);
-                }
-                cost
-            }
-        };
-        c.clock += cost;
-        c.stats.busy_cycles += cost;
-        c.stats.ops += 1;
-        Ok(cost)
-    }
-
-    /// Executes one memory access on a core for the horizon executors.
-    /// A miss on a contended bus ([`Arbiter::defers`]) latches a request
-    /// and returns [`Access::Parked`] *without* advancing the clock or
-    /// stats (the probe still updates the cache — residency is
-    /// timing-independent); a zero-occupancy bus grants at the request
-    /// time and the full cost is applied.
+    /// Executes one memory access on a core. A miss on a contended bus
+    /// latches a request and returns [`Access::Parked`] *without*
+    /// advancing the clock or stats (the probe still updates the cache —
+    /// residency is timing-independent).
     #[inline]
     fn exec_access(
         core: CoreId,
@@ -204,17 +156,12 @@ impl Machine {
         let hit = c.cache.access(addr).is_hit();
         let cost = if hit {
             config.hit_latency
+        } else if let Some(bus) = bus {
+            let request_at = c.clock + config.hit_latency;
+            return Access::Parked {
+                key: bus.latch(core, request_at).unwrap_or(c.clock),
+            };
         } else {
-            if let Some(bus) = bus {
-                let request_at = c.clock + config.hit_latency;
-                if bus.defers() {
-                    return Access::Parked {
-                        key: bus.latch(core, request_at).unwrap_or(c.clock),
-                    };
-                }
-                let grant = bus.acquire(request_at);
-                debug_assert_eq!(grant, request_at, "a zero-occupancy bus never waits");
-            }
             config.hit_latency + config.miss_latency
         };
         c.clock += cost;
@@ -275,101 +222,23 @@ impl Machine {
         })
     }
 
-    /// Executes trace ops from `ops` on `core` until the core's clock
-    /// reaches `horizon` or the iterator is exhausted, whichever comes
-    /// first. **At least one op is executed** when the iterator is
-    /// non-empty, even if the clock is already at or past `horizon` —
-    /// the one-op-per-selection semantics when two core clocks tie.
-    ///
-    /// This is the per-op **reference executor**: it probes the cache
-    /// for every access of a plain [`TraceOp`] iterator. The scheduling
-    /// engine does not call it — it runs compiled programs through
-    /// [`Machine::exec_source_until`], which is property-tested against
-    /// this function in `crates/mpsoc/tests/prop.rs` — but the naive
-    /// oracle the engine is tested against
-    /// (`crates/core/tests/support/oracle.rs`) drives it one op at a
-    /// time (`horizon = 0`).
-    ///
-    /// It is parking-aware: on a contended bus, in either mode, the
-    /// first miss latches its request and **parks** the batch
-    /// ([`BatchOutcome::parked`]) — the clock stays at the access's
-    /// pre-op value until [`Machine::complete_bus_access`] applies the
-    /// granted cost.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`Error::NoSuchCore`] for an out-of-range core.
-    #[inline]
-    pub fn exec_until<I: Iterator<Item = TraceOp>>(
-        &mut self,
-        core: CoreId,
-        ops: &mut I,
-        horizon: u64,
-    ) -> Result<BatchOutcome> {
-        let n = self.cores.len();
-        let c = self
-            .cores
-            .get_mut(core)
-            .ok_or(Error::NoSuchCore { core, num_cores: n })?;
-        let mut executed = 0u64;
-        let mut last_op_start = c.clock;
-        loop {
-            let Some(op) = ops.next() else {
-                return Ok(BatchOutcome {
-                    ops: executed,
-                    exhausted: true,
-                    preempt_key: last_op_start,
-                    parked: None,
-                });
-            };
-            last_op_start = c.clock;
-            match op {
-                TraceOp::Compute(cycles) => {
-                    c.clock += cycles;
-                    c.stats.busy_cycles += cycles;
-                    c.stats.ops += 1;
-                }
-                TraceOp::Access { addr, .. } => {
-                    match Self::exec_access(core, c, &mut self.bus, &self.config, addr) {
-                        Access::Done { .. } => {}
-                        Access::Parked { key } => {
-                            return Ok(BatchOutcome {
-                                ops: executed,
-                                exhausted: false,
-                                preempt_key: last_op_start,
-                                parked: Some(key),
-                            });
-                        }
-                    }
-                }
-            }
-            executed += 1;
-            if c.clock >= horizon {
-                return Ok(BatchOutcome {
-                    ops: executed,
-                    exhausted: false,
-                    preempt_key: last_op_start,
-                    parked: None,
-                });
-            }
-        }
-    }
-
     /// Executes trace ops from a batched [`TraceSource`] on `core` until
-    /// the core's clock reaches `horizon` or the source is exhausted —
-    /// the stride-run fast path, **bit-identical** to feeding the
-    /// decoded op stream through [`Machine::exec_until`] (same final
-    /// cache state and statistics, same clock, same
-    /// [`BatchOutcome::last_op_start`]; at least one op executes when
-    /// the source is non-empty, mirroring the one-op tie semantics).
+    /// the core's clock reaches `horizon` or the source is exhausted.
+    /// **At least one op is executed** when the source is non-empty,
+    /// even if the clock is already at or past `horizon` — the
+    /// one-op-per-selection semantics when two core clocks tie.
     ///
-    /// Where the per-op path probes the cache for every access, this
-    /// path exploits two exact structural facts:
+    /// The result is **bit-identical** to executing the decoded op
+    /// stream one op at a time (same final cache state and statistics,
+    /// same clock, same [`BatchOutcome`]); `crates/mpsoc/tests/prop.rs`
+    /// holds it to the naive per-op machine of its test support. Where
+    /// a per-op executor probes the cache for every access, this one
+    /// exploits two exact structural facts:
     ///
     /// * within a [`Segment::Run`], consecutive accesses to the same
     ///   cache line after a probed access are guaranteed hits (the line
     ///   was just touched and nothing intervened), so they collapse to
-    ///   one [`Cache::bulk_hit_rounds`] update plus clock arithmetic;
+    ///   one bulk stamp update plus clock arithmetic;
     /// * within [`Segment::Rounds`], after one fully probed round in
     ///   which every lane hit, residency cannot change (hits never
     ///   evict) until some lane crosses a line boundary — whole rounds
@@ -383,8 +252,10 @@ impl Machine {
     /// probe. An op with *arbitration-dependent* cost (a miss in bus
     /// mode) is never bulked — any future bulk extension to bus-visible
     /// ops must keep that property or bit-identity breaks. On a
-    /// contended bus a probed miss parks the batch exactly as in
-    /// [`Machine::exec_until`] (see [`BatchOutcome::parked`]); the
+    /// contended bus, in either mode, a probed miss latches its request
+    /// and **parks** the batch ([`BatchOutcome::parked`]) — the clock
+    /// stays at the access's pre-op value until
+    /// [`Machine::complete_bus_access`] applies the granted cost; the
     /// bulk-collapsed spans are all guaranteed hits, so everything
     /// between two misses still reduces to arithmetic.
     ///
@@ -619,31 +490,6 @@ impl Machine {
         Ok(stats)
     }
 
-    /// Read access to a core's cache.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`Error::NoSuchCore`] for an out-of-range core.
-    pub fn cache(&self, core: CoreId) -> Result<&Cache> {
-        Ok(&self.core(core)?.cache)
-    }
-
-    /// Flushes a core's cache (used to model e.g. context-switch
-    /// invalidation experiments; the default engine never flushes).
-    ///
-    /// # Errors
-    ///
-    /// Returns [`Error::NoSuchCore`] for an out-of-range core.
-    pub fn flush_cache(&mut self, core: CoreId) -> Result<()> {
-        self.core_mut(core)?.cache.flush();
-        Ok(())
-    }
-
-    /// The shared bus arbiter, when configured.
-    pub fn bus(&self) -> Option<&Arbiter> {
-        self.bus.as_ref()
-    }
-
     /// Aggregated machine statistics.
     pub fn stats(&self) -> MachineStats {
         let mut s = MachineStats::default();
@@ -659,11 +505,6 @@ impl Machine {
     /// The maximum core clock — the completion time so far.
     pub fn makespan(&self) -> u64 {
         self.cores.iter().map(|c| c.clock).max().unwrap_or(0)
-    }
-
-    /// Resets clocks, caches and statistics.
-    pub fn reset(&mut self) {
-        *self = Machine::new(self.config);
     }
 }
 
@@ -695,8 +536,50 @@ impl fmt::Display for Machine {
 
 #[cfg(test)]
 mod tests {
+    use std::collections::VecDeque;
+
     use super::*;
-    use crate::BusConfig;
+    use crate::{BusConfig, SegmentLane, TraceOp};
+
+    /// Scalar ops as a [`TraceSource`], one single-op segment each.
+    struct Ops(VecDeque<TraceOp>);
+
+    fn ops(list: &[TraceOp]) -> Ops {
+        Ops(list.iter().copied().collect())
+    }
+
+    impl TraceSource for Ops {
+        fn peek_segment(&mut self) -> Option<Segment> {
+            Some(match *self.0.front()? {
+                TraceOp::Compute(cycles) => Segment::Burst { cycles, repeat: 1 },
+                TraceOp::Access { addr, write } => Segment::Run {
+                    base: addr,
+                    stride: 0,
+                    count: 1,
+                    write,
+                },
+            })
+        }
+
+        fn lanes(&self) -> &[SegmentLane] {
+            &[]
+        }
+
+        fn advance(&mut self, ops: u64) {
+            self.0.drain(..ops as usize);
+        }
+    }
+
+    /// Executes one op on `core` as a caller issuing one op at a time
+    /// would — a parked miss is granted at once — and returns its cost.
+    fn exec(m: &mut Machine, core: CoreId, op: TraceOp) -> u64 {
+        let before = m.core_clock(core).unwrap();
+        let out = m.exec_source_until(core, &mut ops(&[op]), 0).unwrap();
+        if out.parked.is_some() {
+            m.complete_bus_access(core).unwrap();
+        }
+        m.core_clock(core).unwrap() - before
+    }
 
     fn machine() -> Machine {
         Machine::new(MachineConfig::paper_default())
@@ -705,7 +588,7 @@ mod tests {
     #[test]
     fn compute_costs_its_cycles() {
         let mut m = machine();
-        assert_eq!(m.exec_op(0, TraceOp::compute(10)).unwrap(), 10);
+        assert_eq!(exec(&mut m, 0, TraceOp::compute(10)), 10);
         assert_eq!(m.core_clock(0).unwrap(), 10);
         assert_eq!(m.core_clock(1).unwrap(), 0);
     }
@@ -714,9 +597,9 @@ mod tests {
     fn hit_and_miss_latencies() {
         let mut m = machine();
         // Cold miss: 2 + 75.
-        assert_eq!(m.exec_op(0, TraceOp::read(0)).unwrap(), 77);
+        assert_eq!(exec(&mut m, 0, TraceOp::read(0)), 77);
         // Hit on same line: 2.
-        assert_eq!(m.exec_op(0, TraceOp::read(4)).unwrap(), 2);
+        assert_eq!(exec(&mut m, 0, TraceOp::read(4)), 2);
         assert_eq!(m.core_clock(0).unwrap(), 79);
         let s = m.core_stats(0).unwrap();
         assert_eq!(s.cache.hits, 1);
@@ -727,17 +610,17 @@ mod tests {
     #[test]
     fn caches_are_private() {
         let mut m = machine();
-        m.exec_op(0, TraceOp::read(0)).unwrap();
+        exec(&mut m, 0, TraceOp::read(0));
         // Same address on another core misses again: private caches.
-        assert_eq!(m.exec_op(1, TraceOp::read(0)).unwrap(), 77);
+        assert_eq!(exec(&mut m, 1, TraceOp::read(0)), 77);
     }
 
     #[test]
     fn cache_persists_across_virtual_process_switch() {
         let mut m = machine();
         // "Process 1" loads a line; "process 2" on the same core reuses it.
-        m.exec_op(0, TraceOp::read(128)).unwrap();
-        assert_eq!(m.exec_op(0, TraceOp::read(128)).unwrap(), 2);
+        exec(&mut m, 0, TraceOp::read(128));
+        assert_eq!(exec(&mut m, 0, TraceOp::read(128)), 2);
     }
 
     #[test]
@@ -753,7 +636,11 @@ mod tests {
     fn out_of_range_core_is_error() {
         let mut m = machine();
         assert!(matches!(
-            m.exec_op(8, TraceOp::read(0)),
+            m.exec_source_until(8, &mut ops(&[TraceOp::read(0)]), 0),
+            Err(Error::NoSuchCore { core: 8, .. })
+        ));
+        assert!(matches!(
+            m.complete_bus_access(8),
             Err(Error::NoSuchCore { core: 8, .. })
         ));
         assert!(m.core_clock(100).is_err());
@@ -764,32 +651,30 @@ mod tests {
         let cfg = MachineConfig::paper_default().with_bus(BusConfig::fcfs(20));
         let mut m = Machine::new(cfg);
         // Both cores miss at their local time 0; the second is delayed.
-        let c0 = m.exec_op(0, TraceOp::read(0)).unwrap();
-        let c1 = m.exec_op(1, TraceOp::read(4096)).unwrap();
-        assert_eq!(c0, 77);
-        assert_eq!(c1, 77 + 20);
+        assert_eq!(exec(&mut m, 0, TraceOp::read(0)), 77);
+        assert_eq!(exec(&mut m, 1, TraceOp::read(4096)), 77 + 20);
         assert_eq!(m.core_stats(1).unwrap().bus_wait_cycles, 20);
     }
 
     #[test]
-    fn windowed_exec_op_snaps_grants_to_epoch_boundaries() {
+    fn windowed_grants_snap_to_epoch_boundaries() {
         let cfg = MachineConfig::paper_default().with_bus(BusConfig::windowed(20, 50));
         let mut m = Machine::new(cfg);
         // Miss at clock 0: request at 0 + hit(2) = 2, granted at the
         // epoch boundary 50 -> wait 48, cost 77 + 48.
-        assert_eq!(m.exec_op(0, TraceOp::read(0)).unwrap(), 77 + 48);
+        assert_eq!(exec(&mut m, 0, TraceOp::read(0)), 77 + 48);
         assert_eq!(m.core_stats(0).unwrap().bus_wait_cycles, 48);
         // Same-epoch second core queues behind: request 2, grant 70.
-        assert_eq!(m.exec_op(1, TraceOp::read(4096)).unwrap(), 77 + 68);
-        assert_eq!(m.bus().unwrap().transfers(), 2);
+        assert_eq!(exec(&mut m, 1, TraceOp::read(4096)), 77 + 68);
+        assert_eq!(m.stats().total_bus_wait_cycles, 48 + 68);
     }
 
     #[test]
     fn windowed_batch_parks_and_completes() {
         let cfg = MachineConfig::paper_default().with_bus(BusConfig::windowed(20, 50));
         let mut m = Machine::new(cfg);
-        let mut ops = [TraceOp::compute(10), TraceOp::read(0), TraceOp::read(4)].into_iter();
-        let out = m.exec_until(0, &mut ops, u64::MAX).unwrap();
+        let mut src = ops(&[TraceOp::compute(10), TraceOp::read(0), TraceOp::read(4)]);
+        let out = m.exec_source_until(0, &mut src, u64::MAX).unwrap();
         // The compute completed; the miss latched at boundary 50 (request
         // 10 + 2 = 12) and parked with the clock still at its pre-op 10.
         assert_eq!(out.ops, 1);
@@ -811,7 +696,7 @@ mod tests {
             m.complete_bus_access(0),
             Err(Error::NoParkedAccess { core: 0 })
         ));
-        let out = m.exec_until(0, &mut ops, u64::MAX).unwrap();
+        let out = m.exec_source_until(0, &mut src, u64::MAX).unwrap();
         assert_eq!(out.ops, 1);
         assert!(out.exhausted);
         assert_eq!(m.core_stats(0).unwrap().cache.hits, 1);
@@ -821,17 +706,16 @@ mod tests {
     fn fcfs_batch_parks_at_its_pre_op_clock_and_is_granted_alone() {
         for bus in [BusConfig::fcfs(20), BusConfig::windowed(20, 1)] {
             let mut m = Machine::new(MachineConfig::paper_default().with_bus(bus));
-            let mut ops = [TraceOp::compute(10), TraceOp::read(0)].into_iter();
-            let mut other = [TraceOp::compute(10), TraceOp::read(4096)].into_iter();
             // Both cores miss at pre-op clock 10 (request 12) and park there.
-            for (core, ops) in [(0, &mut ops), (1, &mut other)] {
-                let out = m.exec_until(core, ops, u64::MAX).unwrap();
+            for (core, addr) in [(0, 0), (1, 4096)] {
+                let mut src = ops(&[TraceOp::compute(10), TraceOp::read(addr)]);
+                let out = m.exec_source_until(core, &mut src, u64::MAX).unwrap();
                 assert_eq!((out.ops, out.parked, out.preempt_key), (1, Some(10), 10));
             }
             // One grant per completion, eager preemption key.
             assert_eq!(m.complete_bus_access(0).unwrap().preempt_key, 10);
-            assert_eq!(m.bus().unwrap().transfers(), 1);
             assert_eq!(m.core_clock(0).unwrap(), 10 + 77);
+            assert_eq!(m.core_clock(1).unwrap(), 10, "core 1 still parked");
             assert_eq!(m.complete_bus_access(1).unwrap().preempt_key, 10);
             assert_eq!(m.core_clock(1).unwrap(), 10 + 77 + 20);
             assert_eq!(m.core_stats(1).unwrap().bus_wait_cycles, 20);
@@ -841,30 +725,11 @@ mod tests {
     #[test]
     fn makespan_is_max_clock() {
         let mut m = machine();
-        m.exec_op(0, TraceOp::compute(10)).unwrap();
-        m.exec_op(3, TraceOp::compute(30)).unwrap();
+        exec(&mut m, 0, TraceOp::compute(10));
+        exec(&mut m, 3, TraceOp::compute(30));
         assert_eq!(m.makespan(), 30);
         let s = m.stats();
         assert_eq!(s.makespan_cycles, 30);
         assert_eq!(s.total_busy_cycles, 40);
-    }
-
-    #[test]
-    fn reset_restores_pristine_state() {
-        let mut m = machine();
-        m.exec_op(0, TraceOp::read(0)).unwrap();
-        m.reset();
-        assert_eq!(m.makespan(), 0);
-        assert_eq!(m.core_stats(0).unwrap().ops, 0);
-        // Line is cold again after reset.
-        assert_eq!(m.exec_op(0, TraceOp::read(0)).unwrap(), 77);
-    }
-
-    #[test]
-    fn flush_forces_refetch() {
-        let mut m = machine();
-        m.exec_op(0, TraceOp::read(0)).unwrap();
-        m.flush_cache(0).unwrap();
-        assert_eq!(m.exec_op(0, TraceOp::read(0)).unwrap(), 77);
     }
 }

@@ -20,10 +20,10 @@
 //! Both collapses are **exact**: final cache state (way stamps, shadow
 //! order, statistics), core clock, per-op horizon checks and the
 //! preemption key ([`crate::BatchOutcome::preempt_key`]) are
-//! bit-identical to feeding the decoded ops through the per-op
-//! reference executor [`crate::Machine::exec_until`]. Differential
-//! property tests in `crates/mpsoc/tests/prop.rs` hold that contract
-//! over random programs.
+//! bit-identical to executing the decoded ops one at a time.
+//! Differential property tests in `crates/mpsoc/tests/prop.rs` hold
+//! that contract over random programs, against the naive per-op
+//! machine of `crates/mpsoc/tests/support/naive.rs`.
 
 /// One lane of a [`Segment::Rounds`] segment: the access template
 /// `addr + r * stride` for round `r` of the segment.

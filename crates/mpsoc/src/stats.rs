@@ -3,7 +3,7 @@
 use std::fmt;
 use std::ops::AddAssign;
 
-/// Hit/miss counters of one cache, with 3C classification when enabled.
+/// Hit/miss counters of one cache, with its 3C miss classification.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct CacheStats {
     /// Accesses that found the line resident.

@@ -1,93 +1,23 @@
-//! Property tests for the cache model: LRU inclusion, 3C accounting,
-//! determinism, capacity invariants, and a differential check of the
-//! optimized cache against a naive reference model.
+//! Property tests for the machine model: LRU inclusion, 3C accounting,
+//! determinism, capacity invariants, and differential checks of the
+//! optimized cache and the batched executor against the naive reference
+//! machine of `support/naive.rs`, alone and with cores contending for a
+//! bus.
 
 use proptest::prelude::*;
 
 use lams_mpsoc::{
-    AccessOutcome, BusConfig, Cache, CacheConfig, Machine, MachineConfig, MissKind, Segment,
-    SegmentLane, TraceOp, TraceSource,
+    BatchOutcome, BusConfig, Cache, CacheConfig, Machine, MachineConfig, Segment, SegmentLane,
+    TraceOp, TraceSource,
 };
+
+#[path = "support/naive.rs"]
+mod naive;
+
+use naive::{NaiveCache, NaiveMachine};
 
 fn arb_trace() -> impl Strategy<Value = Vec<u64>> {
     prop::collection::vec(0u64..4096, 1..400)
-}
-
-/// Naive reference cache: per-set `Vec` directories scanned linearly,
-/// stamp-based LRU, and a linear-scan fully-associative shadow for 3C
-/// classification — the obviously-correct O(n)-per-access model the
-/// optimized `Cache` (flat slab, shift/mask, intrusive-list shadow) must
-/// agree with bit for bit.
-struct RefCache {
-    cfg: CacheConfig,
-    clock: u64,
-    /// `sets[s]` holds `(line, stamp)` pairs.
-    sets: Vec<Vec<(u64, u64)>>,
-    /// FA shadow of `num_lines` capacity: `(line, stamp)` pairs.
-    shadow: Vec<(u64, u64)>,
-    /// Lines ever seen.
-    seen: Vec<u64>,
-}
-
-impl RefCache {
-    fn new(cfg: CacheConfig) -> Self {
-        RefCache {
-            cfg,
-            clock: 0,
-            sets: vec![Vec::new(); cfg.num_sets() as usize],
-            shadow: Vec::new(),
-            seen: Vec::new(),
-        }
-    }
-
-    fn shadow_touch(&mut self, line: u64) {
-        if let Some(e) = self.shadow.iter_mut().find(|e| e.0 == line) {
-            e.1 = self.clock;
-        } else {
-            self.shadow.push((line, self.clock));
-            if self.shadow.len() > self.cfg.num_lines() as usize {
-                let lru = self
-                    .shadow
-                    .iter()
-                    .enumerate()
-                    .min_by_key(|(_, e)| e.1)
-                    .map(|(i, _)| i)
-                    .unwrap();
-                self.shadow.swap_remove(lru);
-            }
-        }
-    }
-
-    fn access(&mut self, addr: u64) -> AccessOutcome {
-        self.clock += 1;
-        let line = addr / self.cfg.line_bytes;
-        let set = (line % self.cfg.num_sets()) as usize;
-        if let Some(e) = self.sets[set].iter_mut().find(|e| e.0 == line) {
-            e.1 = self.clock;
-            self.shadow_touch(line);
-            return AccessOutcome::Hit;
-        }
-        let kind = if !self.seen.contains(&line) {
-            self.seen.push(line);
-            MissKind::Cold
-        } else if self.shadow.iter().any(|e| e.0 == line) {
-            MissKind::Conflict
-        } else {
-            MissKind::Capacity
-        };
-        self.shadow_touch(line);
-        if self.sets[set].len() >= self.cfg.associativity as usize {
-            let lru = self.sets[set]
-                .iter()
-                .enumerate()
-                .min_by_key(|(_, e)| e.1)
-                .map(|(i, _)| i)
-                .unwrap();
-            self.sets[set].swap_remove(lru);
-        }
-        self.sets[set].push((line, self.clock));
-        AccessOutcome::Miss(Some(kind))
-    }
 }
 
 /// One test segment: a [`Segment`] plus the lanes a `Rounds` segment
@@ -185,6 +115,25 @@ impl TraceSource for VecSource {
     }
 }
 
+/// One single-op segment per op: a source that never collapses
+/// anything.
+fn single_op_segments(ops: &[TraceOp]) -> Vec<TestSeg> {
+    ops.iter()
+        .map(|&op| TestSeg {
+            seg: match op {
+                TraceOp::Access { addr, write } => Segment::Run {
+                    base: addr,
+                    stride: 0,
+                    count: 1,
+                    write,
+                },
+                TraceOp::Compute(cycles) => Segment::Burst { cycles, repeat: 1 },
+            },
+            lanes: Vec::new(),
+        })
+        .collect()
+}
+
 /// Decodes a segment list into its scalar trace-op stream.
 fn decode_segments(segs: &[TestSeg]) -> Vec<TraceOp> {
     let mut ops = Vec::new();
@@ -268,6 +217,153 @@ fn arb_segments() -> impl Strategy<Value = Vec<TestSeg>> {
     prop::collection::vec(seg, 1..12)
 }
 
+/// Runs `ops` on the naive machine's `core` one op at a time until its
+/// clock reaches `horizon` (at least one op) or a miss parks — the
+/// per-op meaning of one `exec_source_until` batch.
+fn naive_until(
+    m: &mut NaiveMachine,
+    core: usize,
+    ops: &mut impl Iterator<Item = TraceOp>,
+    horizon: u64,
+) -> BatchOutcome {
+    let mut out = BatchOutcome {
+        ops: 0,
+        exhausted: false,
+        preempt_key: m.clock(core),
+        parked: None,
+    };
+    loop {
+        let Some(op) = ops.next() else {
+            out.exhausted = true;
+            return out;
+        };
+        out.preempt_key = m.clock(core);
+        out.parked = m.issue(core, op);
+        if out.parked.is_some() {
+            return out;
+        }
+        out.ops += 1;
+        if m.clock(core) >= horizon {
+            return out;
+        }
+    }
+}
+
+/// Runs `segs` on core 0 of both machines to the same horizons — the
+/// batched executor on `fast`, the decoded ops one at a time on `slow`,
+/// the `i`-th horizon `steps[i % steps.len()]` past the core's clock —
+/// and asserts equal outcomes, clocks and statistics after every batch
+/// and every completed bus access.
+fn run_in_step(
+    fast: &mut Machine,
+    slow: &mut NaiveMachine,
+    segs: Vec<TestSeg>,
+    steps: &[u64],
+) -> Result<(), TestCaseError> {
+    let mut ops = decode_segments(&segs).into_iter();
+    let mut src = VecSource::new(segs);
+    for i in 0.. {
+        let h = slow.clock(0) + steps[i % steps.len()];
+        let got = fast.exec_source_until(0, &mut src, h).unwrap();
+        let want = naive_until(slow, 0, &mut ops, h);
+        prop_assert_eq!(got, want, "batch outcome diverged at horizon {}", h);
+        prop_assert_eq!(fast.core_clock(0).unwrap(), slow.clock(0));
+        prop_assert_eq!(fast.core_stats(0).unwrap(), slow.core_stats(0));
+        if got.parked.is_some() {
+            // One core: nothing else can still request, so the grant is
+            // due now.
+            let got = fast.complete_bus_access(0).unwrap();
+            let want = BatchOutcome {
+                ops: 1,
+                exhausted: false,
+                preempt_key: slow.complete(0),
+                parked: None,
+            };
+            prop_assert_eq!(got, want, "completion diverged");
+            prop_assert_eq!(fast.core_clock(0).unwrap(), slow.clock(0));
+            prop_assert_eq!(fast.core_stats(0).unwrap(), slow.core_stats(0));
+        } else if got.exhausted {
+            break;
+        }
+    }
+    Ok(())
+}
+
+const OCCUPANCIES: [u64; 4] = [1, 9, 20, 75];
+const WINDOWS: [u64; 4] = [1, 4, 64, 1000];
+
+/// Drives per-core programs on the machine the way the engine does —
+/// batched `exec_source_until` to an unbounded horizon, parked cores
+/// re-keyed at whatever `BatchOutcome::parked` names, minimum key first
+/// — and returns the machine.
+fn drive_batched(cfg: MachineConfig, programs: &[Vec<TestSeg>]) -> Machine {
+    #[derive(Clone, Copy, PartialEq)]
+    enum St {
+        Run,
+        Parked(u64),
+        Done,
+    }
+    let mut m = Machine::new(cfg);
+    let mut srcs: Vec<VecSource> = programs.iter().cloned().map(VecSource::new).collect();
+    let mut st = vec![St::Run; programs.len()];
+    loop {
+        let next = (0..programs.len())
+            .filter_map(|c| match st[c] {
+                St::Run => Some((m.core_clock(c).unwrap(), c)),
+                St::Parked(b) => Some((b, c)),
+                St::Done => None,
+            })
+            .min();
+        let Some((_, c)) = next else { break };
+        match st[c] {
+            St::Parked(_) => {
+                m.complete_bus_access(c).unwrap();
+                st[c] = St::Run;
+            }
+            St::Run => {
+                let out = m.exec_source_until(c, &mut srcs[c], u64::MAX).unwrap();
+                st[c] = match out.parked {
+                    Some(b) => St::Parked(b),
+                    None => {
+                        assert!(out.exhausted, "unbounded horizon only stops at the end");
+                        St::Done
+                    }
+                };
+            }
+            St::Done => unreachable!(),
+        }
+    }
+    m
+}
+
+/// Drives the same programs' decoded ops through the naive machine one
+/// op at a time in global `(key, core)` order, a core keyed at its clock
+/// or, while its miss waits for the bus, at its park key.
+fn drive_per_op(cfg: MachineConfig, programs: &[Vec<TestSeg>]) -> NaiveMachine {
+    let mut m = NaiveMachine::new(cfg);
+    let mut streams: Vec<_> = programs
+        .iter()
+        .map(|p| decode_segments(p).into_iter().peekable())
+        .collect();
+    let mut parked: Vec<Option<u64>> = vec![None; programs.len()];
+    loop {
+        let next = (0..programs.len())
+            .filter_map(|c| match parked[c] {
+                Some(key) => Some((key, c)),
+                None => streams[c].peek().map(|_| (m.clock(c), c)),
+            })
+            .min();
+        let Some((_, c)) = next else { break };
+        if parked[c].take().is_some() {
+            m.complete(c);
+        } else {
+            let op = streams[c].next().expect("peeked");
+            parked[c] = m.issue(c, op);
+        }
+    }
+    m
+}
+
 proptest! {
     /// LRU inclusion: with the same number of sets and line size, doubling
     /// the associativity can never increase misses (each set is an
@@ -283,7 +379,7 @@ proptest! {
         let mut misses = Vec::new();
         for cfg in cfgs {
             prop_assert_eq!(cfg.num_sets(), 16);
-            let mut c = Cache::new(cfg, false);
+            let mut c = Cache::new(cfg);
             for &a in &addrs {
                 c.access(a);
             }
@@ -298,7 +394,7 @@ proptest! {
     #[test]
     fn three_c_accounting(addrs in arb_trace()) {
         let cfg = CacheConfig::new(256, 2, 16).unwrap();
-        let mut c = Cache::new(cfg, true);
+        let mut c = Cache::new(cfg);
         for &a in &addrs {
             c.access(a);
         }
@@ -314,7 +410,7 @@ proptest! {
     #[test]
     fn fully_associative_has_no_conflicts(addrs in arb_trace()) {
         let cfg = CacheConfig::new(256, 16, 16).unwrap(); // 16 lines, FA
-        let mut c = Cache::new(cfg, true);
+        let mut c = Cache::new(cfg);
         for &a in &addrs {
             c.access(a);
         }
@@ -326,7 +422,7 @@ proptest! {
     fn determinism(addrs in arb_trace()) {
         let cfg = CacheConfig::new(512, 2, 32).unwrap();
         let run = |addrs: &[u64]| {
-            let mut c = Cache::new(cfg, true);
+            let mut c = Cache::new(cfg);
             for &a in addrs {
                 c.access(a);
             }
@@ -340,7 +436,7 @@ proptest! {
     #[test]
     fn capacity_and_residency(addrs in arb_trace()) {
         let cfg = CacheConfig::new(256, 2, 16).unwrap();
-        let mut c = Cache::new(cfg, false);
+        let mut c = Cache::new(cfg);
         for &a in &addrs {
             c.access(a);
             prop_assert!(c.resident_lines() as u64 <= cfg.num_lines());
@@ -361,58 +457,30 @@ proptest! {
             CacheConfig::new(512, 4, 32).unwrap(),  // 4-way
             CacheConfig::new(256, 16, 16).unwrap(), // fully associative
         ][geom];
-        let mut fast = Cache::new(cfg, true);
-        let mut slow = RefCache::new(cfg);
+        let mut fast = Cache::new(cfg);
+        let mut slow = NaiveCache::new(cfg);
         for (i, &a) in addrs.iter().enumerate() {
             let f = fast.access(a);
             let s = slow.access(a);
             prop_assert_eq!(f, s, "access {} (addr {:#x}) diverged", i, a);
         }
-        // Residency agrees too.
+        // Residency and every counter, evictions included, agree too.
         for &a in &addrs {
-            let resident = slow
-                .sets
-                .iter()
-                .flatten()
-                .any(|e| e.0 == a / cfg.line_bytes);
-            prop_assert_eq!(fast.is_resident(a), resident);
+            prop_assert_eq!(fast.is_resident(a), slow.is_resident(a));
         }
-        prop_assert_eq!(
-            fast.resident_lines(),
-            slow.sets.iter().map(Vec::len).sum::<usize>()
-        );
-    }
-
-    /// Differential under flushes: a mid-stream flush keeps the two
-    /// models in agreement (history survives, contents do not).
-    #[test]
-    fn optimized_cache_matches_reference_across_flush(
-        first in arb_trace(),
-        second in arb_trace(),
-    ) {
-        let cfg = CacheConfig::new(256, 2, 16).unwrap();
-        let mut fast = Cache::new(cfg, true);
-        let mut slow = RefCache::new(cfg);
-        for &a in &first {
-            prop_assert_eq!(fast.access(a), slow.access(a));
-        }
-        fast.flush();
-        slow.sets.iter_mut().for_each(Vec::clear);
-        slow.shadow.clear();
-        for &a in &second {
-            prop_assert_eq!(fast.access(a), slow.access(a));
-        }
+        prop_assert_eq!(fast.resident_lines(), slow.resident_lines());
+        prop_assert_eq!(*fast.stats(), slow.stats());
     }
 
     /// Differential: the batched segment executor
-    /// (`Machine::exec_source_until`) is bit-identical to feeding the
-    /// decoded op stream through the per-op `Machine::exec_until` —
-    /// same `BatchOutcome`s (ops, exhaustion, preemption keys, parked
-    /// boundaries), same clocks, same statistics, and same final cache
-    /// state — across random segment programs and arbitrary horizon
-    /// schedules, without a bus, under FCFS contention, and under
-    /// windowed arbitration (where both paths must park at the same
-    /// miss and complete to the same grant).
+    /// (`Machine::exec_source_until`, completing parked misses through
+    /// `complete_bus_access`) is bit-identical to the naive machine
+    /// running the decoded op stream one op at a time to the same
+    /// horizons — same `BatchOutcome`s (ops, exhaustion, preemption
+    /// keys, park keys), same clocks, same statistics, and the same
+    /// final cache state — across random segment programs and
+    /// arbitrary horizon schedules, without a bus, under FCFS
+    /// contention, and under windowed arbitration.
     #[test]
     fn source_executor_matches_per_op_executor(
         segs in arb_segments(),
@@ -427,49 +495,23 @@ proptest! {
             2 => cfg.bus = Some(BusConfig::windowed(9, 32)),
             _ => {}
         }
-        let mut src = VecSource::new(segs.clone());
-        let ops = decode_segments(&segs);
         let mut fast = Machine::new(cfg);
-        let mut slow = Machine::new(cfg);
-        let mut iter = ops.clone().into_iter();
-        let mut step_i = 0;
-        loop {
-            let h = slow.core_clock(0).unwrap() + steps[step_i % steps.len()];
-            step_i += 1;
-            let oa = fast.exec_source_until(0, &mut src, h).unwrap();
-            let ob = slow.exec_until(0, &mut iter, h).unwrap();
-            prop_assert_eq!(oa, ob, "batch outcome diverged at horizon {}", h);
-            prop_assert_eq!(fast.core_clock(0).unwrap(), slow.core_clock(0).unwrap());
-            prop_assert_eq!(fast.core_stats(0).unwrap(), slow.core_stats(0).unwrap());
-            if oa.parked.is_some() {
-                // Single core: the epoch batch is complete; both paths
-                // must apply the identical granted cost.
-                let ca = fast.complete_bus_access(0).unwrap();
-                let cb = slow.complete_bus_access(0).unwrap();
-                prop_assert_eq!(ca, cb, "completion diverged");
-                prop_assert_eq!(fast.core_clock(0).unwrap(), slow.core_clock(0).unwrap());
-                prop_assert_eq!(fast.core_stats(0).unwrap(), slow.core_stats(0).unwrap());
-                continue;
-            }
-            if oa.exhausted {
-                break;
-            }
-        }
+        let mut slow = NaiveMachine::new(cfg);
+        let probe: Vec<TraceOp> = decode_segments(&segs)
+            .iter()
+            .filter_map(TraceOp::addr)
+            .map(|addr| TraceOp::read(addr ^ 32))
+            .collect();
+        run_in_step(&mut fast, &mut slow, segs, &steps)?;
         // Final cache state (stamps, shadow order) must agree too: replay
-        // an adversarial probe sequence op-wise on both machines — any
+        // an adversarial probe sequence one op per batch on both — any
         // stamp or shadow divergence surfaces as a differing outcome.
-        for &op in &ops {
-            if let TraceOp::Access { addr, .. } = op {
-                let a = fast.exec_op(0, TraceOp::read(addr ^ 32)).unwrap();
-                let b = slow.exec_op(0, TraceOp::read(addr ^ 32)).unwrap();
-                prop_assert_eq!(a, b, "post-batch probe diverged at {:#x}", addr);
-            }
-        }
-        prop_assert_eq!(fast.core_stats(0).unwrap(), slow.core_stats(0).unwrap());
+        run_in_step(&mut fast, &mut slow, single_op_segments(&probe), &[0])?;
     }
 
-    /// Machine-level: total time equals sum of op costs; makespan is the
-    /// max over cores.
+    /// Machine-level: an access costs a hit or a miss latency, a compute
+    /// op its cycles; a core's clock is the sum of its op costs, the
+    /// makespan the max over cores, busy cycles the sum over cores.
     #[test]
     fn machine_time_accounting(
         ops in prop::collection::vec((0usize..4, 0u64..2048, 0u64..10), 1..200)
@@ -477,15 +519,24 @@ proptest! {
         let mut m = Machine::new(MachineConfig::paper_default().with_cores(4));
         let mut per_core = [0u64; 4];
         for (core, addr, compute) in ops {
-            let c1 = m.exec_op(core, TraceOp::read(addr)).unwrap();
-            let c2 = m.exec_op(core, TraceOp::compute(compute)).unwrap();
-            prop_assert_eq!(c2, compute);
-            per_core[core] += c1 + c2;
+            let two = [TraceOp::read(addr), TraceOp::compute(compute)];
+            let mut src = VecSource::new(single_op_segments(&two));
+            let mut costs = [0u64; 2];
+            for cost in &mut costs {
+                let before = m.core_clock(core).unwrap();
+                let out = m.exec_source_until(core, &mut src, 0).unwrap();
+                prop_assert_eq!(out.ops, 1, "horizon 0 runs exactly one op");
+                *cost = m.core_clock(core).unwrap() - before;
+            }
+            prop_assert!(costs[0] == 2 || costs[0] == 77, "access cost {}", costs[0]);
+            prop_assert_eq!(costs[1], compute);
+            per_core[core] += costs[0] + costs[1];
         }
         for (core, &expected) in per_core.iter().enumerate() {
             prop_assert_eq!(m.core_clock(core).unwrap(), expected);
         }
         prop_assert_eq!(m.makespan(), *per_core.iter().max().unwrap());
+        prop_assert_eq!(m.stats().total_busy_cycles, per_core.iter().sum::<u64>());
     }
 
     /// The textual trace-op form (`trace_tool inspect`'s output) is a
@@ -503,5 +554,44 @@ proptest! {
         };
         let text = op.to_string();
         prop_assert_eq!(text.parse::<TraceOp>(), Ok(op), "text {:?}", text);
+    }
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(32))]
+
+    /// Machine-level differential across cores: engine-style batches,
+    /// with parked cores keyed at `BatchOutcome::parked` and completed
+    /// when their key is the minimum, equal the naive machine issuing
+    /// one op at a time in global order — every core's clock and
+    /// statistics — and the bus stats conserve: per-core waits sum to
+    /// the naive bus's total wait, and transfers equal misses. Every
+    /// window, the 1-cycle one included, and FCFS (index
+    /// `WINDOWS.len()`): each parks, at its own key.
+    #[test]
+    fn parked_batches_match_per_op_grants_and_conserve_stats(
+        programs in prop::collection::vec(arb_segments(), 1..5),
+        occ_i in 0usize..OCCUPANCIES.len(),
+        win_i in 0usize..=WINDOWS.len(),
+    ) {
+        let mut cfg = MachineConfig::paper_default().with_cores(programs.len());
+        cfg.cache = CacheConfig::new(512, 2, 32).unwrap();
+        cfg = cfg.with_bus(match WINDOWS.get(win_i) {
+            Some(&window) => BusConfig::windowed(OCCUPANCIES[occ_i], window),
+            None => BusConfig::fcfs(OCCUPANCIES[occ_i]),
+        });
+        let batched = drive_batched(cfg, &programs);
+        let per_op = drive_per_op(cfg, &programs);
+        let mut wait_sum = 0;
+        let mut miss_sum = 0;
+        for c in 0..programs.len() {
+            prop_assert_eq!(batched.core_clock(c).unwrap(), per_op.clock(c), "core {} clock", c);
+            let bs = batched.core_stats(c).unwrap();
+            prop_assert_eq!(bs, per_op.core_stats(c), "core {} stats", c);
+            wait_sum += bs.bus_wait_cycles;
+            miss_sum += bs.cache.misses;
+        }
+        prop_assert_eq!(wait_sum, per_op.total_wait, "wait conservation");
+        prop_assert_eq!(miss_sum, per_op.transfers, "every miss transfers exactly once");
     }
 }

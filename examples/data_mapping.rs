@@ -19,7 +19,7 @@ use lams::presburger::IndexSet;
 /// pattern of a process (or successive processes on one core) juggling
 /// all of them.
 fn thrash(cache_cfg: &CacheConfig, layout: &Layout, arrays: &[ArrayId], n: i64) -> u64 {
-    let mut cache = Cache::new(*cache_cfg, true);
+    let mut cache = Cache::new(*cache_cfg);
     for _ in 0..3 {
         for idx in 0..n {
             for &a in arrays {
