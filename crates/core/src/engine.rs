@@ -36,6 +36,14 @@
 //!   deterministically. Which key that is, and what the grant covers,
 //!   is the bus mode's business and lives in `lams_mpsoc` (see
 //!   `docs/bus-model.md`); the engine names no bus mode;
+//! * the dispatch gate ([`Gate`]: the cycle, plus one, at which an idle
+//!   core could first start a ready process) is cached, and recomputed
+//!   only after the four events that can move it: a dispatch, a
+//!   completion, a preemption and an admission. The dispatch loop's
+//!   guard and an executing batch's horizon both read the cached value,
+//!   so a batch ended by a bus miss costs a heap round-trip and no
+//!   ready-set scan. A debug-build witness recomputes the gate on every
+//!   pass of the dispatch loop and asserts that the cache agrees;
 //! * the ready/idle scratch vectors are reused across iterations.
 //!
 //! Batching is exact, not approximate: makespans, dispatch sequences
@@ -244,6 +252,45 @@ struct Running<'a> {
     state: RunState,
 }
 
+/// The dispatch gate: when some arrived process is ready and some core
+/// idles, `at` is the minimum over idle cores `c` of
+/// `max(clock_c, min_ready_at) + 1`. Dispatch is allowed once every busy
+/// key reaches `at`, and an executing batch must stop there.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+struct Gate {
+    /// The earliest `ready_at` over the arrived ready processes.
+    min_ready_at: u64,
+    /// The gate cycle itself.
+    at: u64,
+}
+
+/// Computes the dispatch gate from scratch: `None` when no arrived
+/// process is ready or no core idles.
+fn dispatch_gate(
+    tracker: &ReadyTracker,
+    arrived: &[bool],
+    ready_at: &[u64],
+    running: &[Option<Running<'_>>],
+    machine: &Machine,
+) -> Result<Option<Gate>> {
+    let Some(min_ready_at) = tracker
+        .ready()
+        .filter(|p| arrived[p.as_usize()])
+        .map(|p| ready_at[p.as_usize()])
+        .min()
+    else {
+        return Ok(None);
+    };
+    let mut at: Option<u64> = None;
+    for (c, slot) in running.iter().enumerate() {
+        if slot.is_none() {
+            let gate = machine.core_clock(c)?.max(min_ready_at) + 1;
+            at = Some(at.map_or(gate, |a| a.min(gate)));
+        }
+    }
+    Ok(at.map(|at| Gate { min_ready_at, at }))
+}
+
 /// Executes `workload` on the configured machine under `policy`, with
 /// array addresses resolved through `layout`.
 ///
@@ -364,7 +411,7 @@ fn run_engine<'a>(
     let mut machine = Machine::try_new(config.machine)?;
     let cores = machine.num_cores();
     let mut tracker = ReadyTracker::new(epg);
-    let mut ready_at: BTreeMap<ProcessId, u64> = BTreeMap::new();
+    let mut ready_at: Vec<u64> = vec![0; n];
     let mut paused: BTreeMap<ProcessId, Cursor<'a>> = BTreeMap::new();
     let mut running: Vec<Option<Running<'_>>> = (0..cores).map(|_| None).collect();
     let mut last_on_core: Vec<Option<ProcessId>> = vec![None; cores];
@@ -401,6 +448,13 @@ fn run_engine<'a>(
     let mut ready_vec: Vec<ProcessId> = Vec::new();
     let mut idle: Vec<(CoreId, Option<ProcessId>, u64)> = Vec::new();
     let mut busy: BinaryHeap<Reverse<(u64, CoreId)>> = BinaryHeap::with_capacity(cores);
+    // The cached dispatch gate, recomputed at the top of the dispatch
+    // loop when dirty. Every event that changes the ready set, the idle
+    // set or an idle core's clock marks it dirty: dispatch, completion,
+    // preemption and admission. Executing and bus-grant batches change
+    // none of these.
+    let mut gate: Option<Gate> = None;
+    let mut gate_dirty = true;
 
     // Roots are dependence-ready at time zero; in batch mode they are
     // also immediately dispatchable, in open mode they wait for their
@@ -408,7 +462,6 @@ fn run_engine<'a>(
     for p in tracker.ready().collect::<Vec<_>>() {
         dep_ready[p.as_usize()] = true;
         if !open {
-            ready_at.insert(p, 0);
             policy.on_ready(p, 0);
         }
     }
@@ -429,19 +482,32 @@ fn run_engine<'a>(
         // completions become visible one at a time and the policy commits
         // to stale information. Busy cores whose clocks are `<= t` are
         // advanced first; dispatching resumes once every busy clock is
-        // strictly ahead of the candidate start time.
+        // strictly ahead of the candidate start time. The cached gate
+        // says whether any idle core passes that test, so a batch that
+        // changed no schedule state breaks here without a ready-set scan.
         loop {
+            if gate_dirty {
+                gate = dispatch_gate(&tracker, &arrived, &ready_at, &running, &machine)?;
+                gate_dirty = false;
+            }
+            // Witness: every read of the cached gate (the guard and idle
+            // filter here, the horizon below) sees what a from-scratch
+            // recomputation gives. The oracle suites alone miss a gate
+            // that is stale only on the low side of a horizon: a batch
+            // split early changes no result.
+            debug_assert_eq!(
+                gate,
+                dispatch_gate(&tracker, &arrived, &ready_at, &running, &machine)?,
+                "stale dispatch gate"
+            );
+            let min_busy_clock = busy.peek().map(|&Reverse((t, _))| t);
+            let Some(Gate { min_ready_at, .. }) =
+                gate.filter(|g| min_busy_clock.is_none_or(|mb| g.at <= mb))
+            else {
+                break;
+            };
             ready_vec.clear();
             ready_vec.extend(tracker.ready().filter(|p| arrived[p.as_usize()]));
-            if ready_vec.is_empty() {
-                break;
-            }
-            let min_busy_clock = busy.peek().map(|&Reverse((t, _))| t);
-            let min_ready_at = ready_vec
-                .iter()
-                .map(|p| ready_at.get(p).copied().unwrap_or(0))
-                .min()
-                .unwrap_or(0);
             idle.clear();
             for c in 0..cores {
                 if running[c].is_none() {
@@ -452,9 +518,7 @@ fn run_engine<'a>(
                     }
                 }
             }
-            if idle.is_empty() {
-                break;
-            }
+            debug_assert!(!idle.is_empty(), "the gate admits an idle core");
             let order = policy.rank_idle(&idle, &ready_vec);
             debug_assert!(
                 order
@@ -468,12 +532,11 @@ fn run_engine<'a>(
                     continue;
                 };
                 tracker.start(pid)?;
+                gate_dirty = true;
                 if open {
                     queued -= 1;
                 }
-                let start = machine
-                    .core_clock(core)?
-                    .max(ready_at.get(&pid).copied().unwrap_or(0));
+                let start = machine.core_clock(core)?.max(ready_at[pid.as_usize()]);
                 machine.wait_until(core, start)?;
                 let trace = paused
                     .remove(&pid)
@@ -546,11 +609,12 @@ fn run_engine<'a>(
                 // cursor walks the plan in process-id order, which is
                 // also non-decreasing arrival order.
                 let plan = plan.as_ref().expect("arrival event implies a plan");
+                gate_dirty = true;
                 while next_arrival < n && plan.time(next_arrival) <= key {
                     let pid = ProcessId::new(next_arrival as u32);
                     arrived[next_arrival] = true;
                     if dep_ready[next_arrival] {
-                        ready_at.insert(pid, key);
+                        ready_at[next_arrival] = key;
                         policy.on_ready(pid, key);
                         queued += 1;
                         queue_peak = queue_peak.max(queued);
@@ -575,6 +639,7 @@ fn run_engine<'a>(
                 let now = machine.core_clock(core)?;
                 debug_assert_eq!(now, key, "completion key is the finish clock");
                 let Running { pid, .. } = running[core].take().expect("core is busy");
+                gate_dirty = true;
                 if let Some(e) = execs.get_mut(&pid) {
                     e.finish = now;
                     e.core = core;
@@ -582,7 +647,7 @@ fn run_engine<'a>(
                 for succ in tracker.complete(pid)? {
                     dep_ready[succ.as_usize()] = true;
                     if arrived[succ.as_usize()] {
-                        ready_at.insert(succ, now);
+                        ready_at[succ.as_usize()] = now;
                         policy.on_ready(succ, now);
                         if open {
                             queued += 1;
@@ -599,9 +664,10 @@ fn run_engine<'a>(
                 // seed engine (the key was the crossing op's pre-clock).
                 let now = machine.core_clock(core)?;
                 let Running { pid, trace, .. } = running[core].take().expect("core is busy");
+                gate_dirty = true;
                 paused.insert(pid, trace);
                 tracker.preempt(pid)?;
-                ready_at.insert(pid, now);
+                ready_at[pid.as_usize()] = now;
                 policy.on_preempt(pid, now);
                 if open {
                     // Re-entry, not admission: counts toward the queue
@@ -637,18 +703,10 @@ fn run_engine<'a>(
                 if let Some(budget) = config.max_cycles {
                     horizon = horizon.min(budget.saturating_add(1));
                 }
-                let min_ready_at = tracker
-                    .ready()
-                    .filter(|p| arrived[p.as_usize()])
-                    .map(|p| ready_at.get(&p).copied().unwrap_or(0))
-                    .min();
-                if let Some(min_ready_at) = min_ready_at {
-                    for (c, slot) in running.iter().enumerate() {
-                        if slot.is_none() {
-                            let gate = machine.core_clock(c)?.max(min_ready_at) + 1;
-                            horizon = horizon.min(gate);
-                        }
-                    }
+                // The dispatch loop above left the gate clean and checked,
+                // and the pop changed no schedule state.
+                if let Some(gate) = gate {
+                    horizon = horizon.min(gate.at);
                 }
                 let slot = running[core].as_mut().expect("core is busy");
                 machine.exec_source_until(core, &mut slot.trace, horizon)?

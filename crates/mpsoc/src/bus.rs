@@ -105,6 +105,9 @@ pub(crate) struct Arbiter {
     /// Per-core latched request; at most one per core — a stalled core
     /// cannot issue another.
     waiting: Vec<Option<Waiting>>,
+    /// Scratch for [`Arbiter::resolve`]'s `(request, core)` batch,
+    /// reused across boundaries.
+    batch: Vec<(u64, CoreId)>,
 }
 
 impl Arbiter {
@@ -117,6 +120,7 @@ impl Arbiter {
             config,
             next_free: 0,
             waiting: vec![None; num_cores],
+            batch: Vec::with_capacity(num_cores),
         })
     }
 
@@ -160,21 +164,24 @@ impl Arbiter {
     /// are served in `(request-time, core-id)` order, each granted at
     /// `max(boundary, bus_free)`.
     fn resolve(&mut self, boundary: u64) {
-        let mut batch: Vec<(u64, CoreId)> = self
-            .waiting
-            .iter()
-            .enumerate()
-            .filter_map(|(core, w)| match w {
-                Some(w) if w.boundary == Some(boundary) && w.grant.is_none() => {
-                    Some((w.request, core))
-                }
-                _ => None,
-            })
-            .collect();
+        let mut batch = std::mem::take(&mut self.batch);
+        batch.clear();
+        batch.extend(
+            self.waiting
+                .iter()
+                .enumerate()
+                .filter_map(|(core, w)| match w {
+                    Some(w) if w.boundary == Some(boundary) && w.grant.is_none() => {
+                        Some((w.request, core))
+                    }
+                    _ => None,
+                }),
+        );
         batch.sort_unstable();
-        for (_, core) in batch {
+        for &(_, core) in &batch {
             self.grant(core, boundary);
         }
+        self.batch = batch;
     }
 
     /// Takes `core`'s `(request, grant)` pair, granting it first if

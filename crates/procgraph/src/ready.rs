@@ -128,8 +128,7 @@ impl ReadyTracker {
         }
         self.completed.insert(p);
         let mut newly = Vec::new();
-        let succs = self.succs.get(&p).cloned().unwrap_or_default();
-        for s in succs {
+        for &s in self.succs.get(&p).into_iter().flatten() {
             let d = self
                 .remaining_preds
                 .get_mut(&s)
