@@ -14,9 +14,6 @@ pub enum Error {
     UnboundVariable(String),
     /// A dimension name was declared twice in the same space.
     DuplicateDimension(String),
-    /// The iteration space is unbounded in the given dimension, so it
-    /// cannot be enumerated or counted.
-    Unbounded(String),
     /// An enumeration would exceed the configured point budget.
     TooLarge {
         /// Estimated number of points.
@@ -24,7 +21,7 @@ pub enum Error {
         /// Configured enumeration budget.
         budget: u128,
     },
-    /// An empty dimension list (or otherwise malformed space) was supplied.
+    /// An empty dimension list was supplied.
     MalformedSpace(String),
     /// An affine map has a different arity than the consumer expects.
     ArityMismatch {
@@ -40,7 +37,6 @@ impl fmt::Display for Error {
         match self {
             Error::UnboundVariable(v) => write!(f, "unbound variable `{v}`"),
             Error::DuplicateDimension(v) => write!(f, "duplicate dimension `{v}`"),
-            Error::Unbounded(v) => write!(f, "iteration space unbounded in `{v}`"),
             Error::TooLarge { estimated, budget } => write!(
                 f,
                 "enumeration of ~{estimated} points exceeds budget of {budget}"

@@ -104,21 +104,6 @@ impl AffineExpr {
         AffineExpr::term(var, 1)
     }
 
-    /// Builds an expression from `(var, coeff)` pairs plus a constant.
-    ///
-    /// Repeated variables accumulate.
-    pub fn from_terms<I, V>(terms: I, constant: i64) -> Self
-    where
-        I: IntoIterator<Item = (V, i64)>,
-        V: Into<Var>,
-    {
-        let mut e = AffineExpr::constant(constant);
-        for (v, c) in terms {
-            e.add_term(v, c);
-        }
-        e
-    }
-
     /// Adds `coeff * var` to the expression in place.
     pub fn add_term(&mut self, var: impl Into<Var>, coeff: i64) {
         if coeff == 0 {
@@ -142,25 +127,9 @@ impl AffineExpr {
         self.constant
     }
 
-    /// Returns `true` when the expression is a constant (no variables).
-    pub fn is_constant(&self) -> bool {
-        self.coeffs.is_empty()
-    }
-
-    /// Iterates over `(var, coeff)` pairs with non-zero coefficients,
-    /// in variable order.
-    pub fn terms(&self) -> impl Iterator<Item = (&Var, i64)> + '_ {
-        self.coeffs.iter().map(|(v, &c)| (v, c))
-    }
-
     /// The set of variables with non-zero coefficients.
     pub fn vars(&self) -> impl Iterator<Item = &Var> + '_ {
         self.coeffs.keys()
-    }
-
-    /// Number of variables with non-zero coefficients.
-    pub fn num_vars(&self) -> usize {
-        self.coeffs.len()
     }
 
     /// Evaluates the expression under an environment.
@@ -200,28 +169,6 @@ impl AffineExpr {
         Ok(acc)
     }
 
-    /// Substitutes `var := replacement`, returning the new expression.
-    ///
-    /// ```
-    /// use lams_presburger::AffineExpr;
-    /// let e = AffineExpr::term("i", 3) + AffineExpr::constant(1);
-    /// let r = AffineExpr::var("j") + AffineExpr::constant(10);
-    /// // 3*(j + 10) + 1 = 3*j + 31
-    /// let s = e.substitute(&"i".into(), &r);
-    /// assert_eq!(s.coeff("j"), 3);
-    /// assert_eq!(s.constant_part(), 31);
-    /// ```
-    pub fn substitute(&self, var: &Var, replacement: &AffineExpr) -> AffineExpr {
-        let c = self.coeff(var.clone());
-        if c == 0 {
-            return self.clone();
-        }
-        let mut out = self.clone();
-        out.coeffs.remove(var);
-        out = out + replacement.clone() * c;
-        out
-    }
-
     /// Multiplies every coefficient and the constant by `k`.
     pub fn scale(&self, k: i64) -> AffineExpr {
         if k == 0 {
@@ -236,23 +183,6 @@ impl AffineExpr {
             constant: self.constant * k,
         }
     }
-
-    /// Greatest common divisor of all variable coefficients (0 when the
-    /// expression is constant). Useful for constraint normalization.
-    pub fn coeff_gcd(&self) -> i64 {
-        self.coeffs.values().fold(0i64, |g, &c| gcd(g, c.abs()))
-    }
-}
-
-/// Greatest common divisor (non-negative).
-pub(crate) fn gcd(a: i64, b: i64) -> i64 {
-    let (mut a, mut b) = (a.abs(), b.abs());
-    while b != 0 {
-        let t = a % b;
-        a = b;
-        b = t;
-    }
-    a
 }
 
 impl Add for AffineExpr {
@@ -335,7 +265,7 @@ mod tests {
     #[test]
     fn constant_expr() {
         let e = AffineExpr::constant(42);
-        assert!(e.is_constant());
+        assert_eq!(e.vars().count(), 0);
         assert_eq!(e.eval(&env(&[])).unwrap(), 42);
         assert_eq!(e.to_string(), "42");
     }
@@ -343,7 +273,7 @@ mod tests {
     #[test]
     fn term_zero_coeff_is_dropped() {
         let e = AffineExpr::term("x", 0);
-        assert!(e.is_constant());
+        assert_eq!(e.vars().count(), 0);
         assert_eq!(e, AffineExpr::zero());
     }
 
@@ -352,7 +282,7 @@ mod tests {
         let e = AffineExpr::term("x", 2) + AffineExpr::term("x", -2) + AffineExpr::term("y", 3);
         assert_eq!(e.coeff("x"), 0);
         assert_eq!(e.coeff("y"), 3);
-        assert_eq!(e.num_vars(), 1);
+        assert_eq!(e.vars().count(), 1);
     }
 
     #[test]
@@ -379,21 +309,6 @@ mod tests {
     }
 
     #[test]
-    fn substitution() {
-        let e = AffineExpr::term("i", 4) + AffineExpr::term("j", 1);
-        let s = e.substitute(
-            &Var::new("i"),
-            &(AffineExpr::var("k") + AffineExpr::constant(2)),
-        );
-        assert_eq!(s.coeff("k"), 4);
-        assert_eq!(s.coeff("j"), 1);
-        assert_eq!(s.constant_part(), 8);
-        // substituting an absent variable is a no-op
-        let t = e.substitute(&Var::new("zz"), &AffineExpr::constant(9));
-        assert_eq!(t, e);
-    }
-
-    #[test]
     fn scale_and_neg() {
         let e = AffineExpr::term("x", 3) + AffineExpr::constant(-2);
         let d = e.clone().scale(-2);
@@ -409,13 +324,6 @@ mod tests {
         assert_eq!(e.to_string(), "x - 2*y - 7");
         let n = AffineExpr::term("x", -1);
         assert_eq!(n.to_string(), "-x");
-    }
-
-    #[test]
-    fn gcd_of_coeffs() {
-        let e = AffineExpr::term("x", 6) + AffineExpr::term("y", -9);
-        assert_eq!(e.coeff_gcd(), 3);
-        assert_eq!(AffineExpr::constant(5).coeff_gcd(), 0);
     }
 
     #[test]

@@ -11,14 +11,14 @@
 //! SS1,k,p = DS1,k ∩ DS1,p
 //! ```
 //!
-//! This crate implements exactly the fragment the paper needs:
+//! Every iteration set the paper writes is a box — each dimension either
+//! pinned (`i1 = k`) or ranging over an interval — and the data and
+//! shared sets are affine images and intersections of such boxes. This
+//! crate implements exactly that fragment:
 //!
 //! * [`AffineExpr`] — integer affine expressions over named variables,
-//! * [`Constraint`] / [`ConstraintSystem`] — conjunctions of affine
-//!   (in)equalities,
-//! * [`IterSpace`] — bounded iteration spaces with membership tests,
-//!   point iteration and exact counting,
-//! * [`fm`] — Fourier–Motzkin elimination used for bounds and emptiness,
+//! * [`IterSpace`] — box iteration spaces with membership tests, exact
+//!   closed-form counting and exact affine images,
 //! * [`AffineMap`] — affine access functions from iterations to array
 //!   subscripts,
 //! * [`IndexSet`] — exact, canonical unions of integer intervals over
@@ -61,19 +61,16 @@
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
-mod constraint;
 mod dataset;
 mod error;
 mod expr;
-pub mod fm;
 mod iset;
 mod map;
 mod space;
 
-pub use constraint::{Constraint, ConstraintKind, ConstraintSystem};
 pub use dataset::DataSet;
 pub use error::{Error, Result};
 pub use expr::{AffineExpr, Var};
 pub use iset::{IndexSet, Interval};
 pub use map::AffineMap;
-pub use space::{IterSpace, IterSpaceBuilder, PointIter};
+pub use space::{IterSpace, IterSpaceBuilder};

@@ -1,5 +1,5 @@
 //! Property-based tests: IndexSet algebra against a naive BTreeSet model,
-//! and closed-form images against brute-force enumeration.
+//! and every box query against brute-force enumeration.
 
 use std::collections::BTreeSet;
 
@@ -17,6 +17,16 @@ fn arb_set() -> impl Strategy<Value = (IndexSet, BTreeSet<i64>)> {
             m.extend(start..start + len);
         }
         (s, m)
+    })
+}
+
+/// Every point of the half-open ranges, in lexicographic order.
+fn enumerate(ranges: &[(i64, i64)]) -> Vec<Vec<i64>> {
+    ranges.iter().fold(vec![Vec::new()], |points, &(lo, hi)| {
+        points
+            .iter()
+            .flat_map(|p| (lo..hi).map(move |x| [p.as_slice(), &[x]].concat()))
+            .collect()
     })
 }
 
@@ -123,6 +133,57 @@ proptest! {
             .dim_range("i", 0, n1)
             .dim_range("j", 0, n2)
             .build().unwrap();
-        prop_assert_eq!(space.count().unwrap() as usize, space.iter().unwrap().count());
+        prop_assert_eq!(space.count().unwrap() as usize, enumerate(&[(0, n1), (0, n2)]).len());
+    }
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(1024))]
+
+    #[test]
+    fn box_queries_match_enumeration(
+        dims in prop::collection::vec((0u8..3, -6i64..6, -1i64..5), 1..5),
+        coeffs in prop::collection::vec(-12i64..12, 4..5),
+        c0 in -20i64..20,
+        probe in prop::collection::vec(-8i64..12, 4..5),
+    ) {
+        // Ranks 1 to 4. A dimension is `dim_eq(a)` one time in three,
+        // else `dim_range(a, a + len)`; `len <= 0` gives an empty range,
+        // and so an empty box.
+        let mut builder = IterSpace::builder();
+        let mut ranges = Vec::new();
+        for (k, &(shape, a, len)) in dims.iter().enumerate() {
+            let name = format!("x{k}");
+            if shape == 0 {
+                builder = builder.dim_eq(name, a);
+                ranges.push((a, a + 1));
+            } else {
+                builder = builder.dim_range(name, a, a + len);
+                ranges.push((a, a + len));
+            }
+        }
+        let space = builder.build().expect("distinct dimension names");
+        let points = enumerate(&ranges);
+
+        let expected_bbox = if points.is_empty() {
+            vec![(0, -1); ranges.len()]
+        } else {
+            ranges.iter().map(|&(lo, hi)| (lo, hi - 1)).collect()
+        };
+        prop_assert_eq!(space.bounding_box(), Ok(expected_bbox), "{}", space);
+        prop_assert_eq!(space.count(), Ok(points.len() as u64), "{}", space);
+
+        let probe = &probe[..ranges.len()];
+        let member = ranges.iter().zip(probe).all(|(&(lo, hi), x)| (lo..hi).contains(x));
+        prop_assert_eq!(space.contains(probe), Ok(member), "{} at {:?}", space, probe);
+
+        let expr = (0..ranges.len()).fold(AffineExpr::constant(c0), |e, k| {
+            e + AffineExpr::term(format!("x{k}"), coeffs[k])
+        });
+        let image: IndexSet = points
+            .iter()
+            .map(|p| c0 + p.iter().zip(&coeffs).map(|(x, c)| x * c).sum::<i64>())
+            .collect();
+        prop_assert_eq!(space.image_1d(&AffineMap::new(vec![expr])), Ok(image), "{}", space);
     }
 }

@@ -27,8 +27,6 @@ pub(crate) struct ResolvedProcess {
     pub(crate) task: TaskId,
     pub(crate) dims: Vec<Var>,
     pub(crate) bbox: Vec<(i64, i64)>,
-    pub(crate) is_box: bool,
-    pub(crate) space: lams_presburger::IterSpace,
     pub(crate) accesses: Vec<ResolvedAccess>,
     pub(crate) compute: u64,
     pub(crate) data_set: DataSet<ArrayId>,
@@ -52,11 +50,9 @@ impl ResolvedProcess {
             // Variable names only; `coeffs` is already aligned with them.
             dims: _,
             bbox,
-            is_box,
-            space,
             accesses,
             compute,
-            // Derived from `space` and `accesses`; `Workload::fingerprint`
+            // Derived from `bbox` and `accesses`; `Workload::fingerprint`
             // hashes it as the sharing matrix's raw material.
             data_set: _,
             num_iters,
@@ -66,14 +62,8 @@ impl ResolvedProcess {
             h.write_i64(lo);
             h.write_i64(hi);
         }
-        h.write_bool(*is_box);
-        if !is_box {
-            // Non-box traces iterate the space's member points; the
-            // bbox alone does not determine them. The debug rendering
-            // is a deterministic, content-derived serialization of the
-            // constraint system.
-            h.write_str(&format!("{space:?}"));
-        }
+        // The old is-a-box flag: keeps every memo key and the suite pin.
+        h.write_bool(true);
         h.write_len(accesses.len());
         for a in accesses {
             let ResolvedAccess {
@@ -184,7 +174,6 @@ impl Workload {
             for p in &app.processes {
                 let dims = p.space.dims().to_vec();
                 let bbox = p.space.bounding_box()?;
-                let is_box = p.space.is_box();
                 let num_iters = p.space.count()?;
                 let mut accesses = Vec::with_capacity(p.accesses.len());
                 let mut data_set = DataSet::new();
@@ -208,8 +197,6 @@ impl Workload {
                     task: task.id(),
                     dims,
                     bbox,
-                    is_box,
-                    space: p.space.clone(),
                     accesses,
                     compute: p.compute_cycles_per_iter,
                     data_set,
@@ -311,8 +298,7 @@ impl Workload {
 
     /// Content fingerprint of one process: a structural hash over
     /// exactly what trace generation and compilation read from the
-    /// process — iteration space (bounding box, plus the constraint
-    /// system for non-box spaces), accesses (global array id,
+    /// process — iteration space (its box), accesses (global array id,
     /// linearized coefficients, constant, read/write), compute cost and
     /// iteration count. Deliberately excludes the process name, its
     /// task and the dependence edges: none of them influence the
@@ -459,10 +445,8 @@ impl Workload {
 
     /// Compiles the process's trace into the stride-run IR against
     /// `layout`. The program's decoded op stream equals
-    /// [`Workload::trace`] op for op: box spaces lower analytically
-    /// (with runs split at half-page chunk crossings for remapped
-    /// arrays), membership-constrained spaces stream through the RLE
-    /// recorder.
+    /// [`Workload::trace`] op for op: the box lowers analytically, with
+    /// runs split at half-page chunk crossings for remapped arrays.
     ///
     /// # Panics
     ///
@@ -561,6 +545,35 @@ mod tests {
         assert_eq!(w.arrays_of(p0).len(), 2);
         assert_eq!(w.trace_len(p0), 32 * 3);
         assert_eq!(w.process(p1).name, "p1");
+    }
+
+    #[test]
+    fn a_process_with_no_dimensions_is_refused() {
+        // A rank-0 space would count one iteration that its trace never
+        // emits, and LS would schedule by data the process never touches.
+        let build = || -> Result<Workload> {
+            let mut app = demo_app("d");
+            app.processes[0].space = IterSpace::builder().build()?;
+            Workload::single(app)
+        };
+        assert!(matches!(
+            build(),
+            Err(crate::Error::Presburger(
+                lams_presburger::Error::MalformedSpace(_)
+            ))
+        ));
+    }
+
+    #[test]
+    fn a_map_naming_an_undeclared_variable_is_refused() {
+        // `i + 10*k` over `0 <= i < 4`: `k` has no value, not 0.
+        let mut app = demo_app("d");
+        app.processes[0].accesses[0].map =
+            AffineMap::new(vec![AffineExpr::var("i") + AffineExpr::term("k", 10)]);
+        assert_eq!(
+            Workload::single(app).unwrap_err(),
+            crate::Error::Presburger(lams_presburger::Error::UnboundVariable("k".into()))
+        );
     }
 
     #[test]

@@ -4,22 +4,18 @@
 //! affine map at every iteration point. This module lowers the same
 //! affine description **once** into a [`lams_trace::Program`]:
 //!
-//! * **box spaces** (every suite application) are lowered analytically —
-//!   one RLE'd loop block per innermost-loop span, with per-access
-//!   address lanes whose strides are the innermost affine coefficients
-//!   scaled to bytes. Contiguous rows merge into single blocks in the
-//!   builder, so e.g. a unit-stride 2-D sweep becomes one block;
+//! * the **box** is lowered analytically — one RLE'd loop block per
+//!   innermost-loop span, with per-access address lanes whose strides
+//!   are the innermost affine coefficients scaled to bytes. Contiguous
+//!   rows merge into single blocks in the builder, so e.g. a unit-stride
+//!   2-D sweep becomes one block;
 //! * **remapped arrays** (the Figure 4 layout transform) have piecewise
 //!   affine addresses: within one half-page chunk the stride is
 //!   unchanged, at a chunk boundary the address jumps by a page. Spans
 //!   are split at the earliest chunk crossing of any lane, keeping every
-//!   emitted lane exactly affine;
-//! * **non-box spaces** (membership-constrained, e.g. triangular) fall
-//!   back to streaming the scalar trace through the RLE recorder — exact
-//!   by construction, and still compressed wherever consecutive member
-//!   points keep constant strides.
+//!   emitted lane exactly affine.
 //!
-//! In every case the program's decoded op stream equals the scalar
+//! In both cases the program's decoded op stream equals the scalar
 //! trace op for op (differentially tested in
 //! `crates/workloads/tests/prop.rs` and pinned end-to-end by the engine
 //! golden makespans).
@@ -28,7 +24,6 @@ use lams_layout::Layout;
 use lams_trace::{Lane, Program, ProgramBuilder};
 
 use crate::build::ResolvedProcess;
-use crate::trace::Trace;
 
 /// Number of inner-loop steps (starting from byte offset `rel`, moving
 /// `se` bytes per step) that stay inside the current `h`-byte chunk —
@@ -47,21 +42,10 @@ fn chunk_run(rel: u64, se: i64, h: u64) -> u64 {
 
 /// Lowers one process's trace against `layout`.
 pub(crate) fn compile(proc: &ResolvedProcess, layout: &Layout) -> Program {
-    let ndims = proc.dims.len();
-    if ndims == 0 || proc.bbox.iter().any(|&(lo, hi)| hi < lo) {
+    if proc.bbox.iter().any(|&(lo, hi)| hi < lo) {
         return Program::new();
     }
-    if !proc.is_box {
-        // Streaming fallback: drive the scalar trace through the RLE
-        // recorder — exact for any membership constraint.
-        let mut b = ProgramBuilder::new();
-        for op in Trace::new(proc, layout) {
-            b.push_op(op);
-        }
-        return b.finish();
-    }
-
-    let inner = ndims - 1;
+    let inner = proc.dims.len() - 1;
     let (ilo, ihi) = proc.bbox[inner];
     let n_inner = (ihi - ilo + 1) as u64;
     // Per-access constants: byte stride per inner step, element size,
@@ -143,7 +127,7 @@ mod tests {
     use crate::{suite, AccessSpec, AppSpec, ProcessSpec, Scale, Workload};
     use lams_layout::{ArrayDecl, ArrayTable, HalfPage, Layout, RemapAssignment};
     use lams_mpsoc::{CacheConfig, TraceOp};
-    use lams_presburger::{AffineExpr, AffineMap, Constraint, IterSpace};
+    use lams_presburger::{AffineMap, IterSpace};
 
     fn check(w: &Workload, layout: &Layout) {
         for p in w.process_ids() {
@@ -184,33 +168,6 @@ mod tests {
             let layout = Layout::remapped(w.arrays(), &CacheConfig::paper_default(), &asg);
             check(&w, &layout);
         }
-    }
-
-    #[test]
-    fn non_box_space_compiles_via_streaming() {
-        let mut arrays = ArrayTable::new();
-        let a = arrays.push(ArrayDecl::new("A", vec![64, 64], 4));
-        let space = IterSpace::builder()
-            .dim_range("i", 0, 12)
-            .dim_range("j", 0, 12)
-            .constraint(Constraint::le(AffineExpr::var("j"), AffineExpr::var("i")))
-            .build()
-            .unwrap();
-        let app = AppSpec {
-            name: "tri".into(),
-            description: "triangular".into(),
-            arrays,
-            processes: vec![ProcessSpec {
-                name: "p".into(),
-                space,
-                accesses: vec![AccessSpec::read(a, AffineMap::identity(["i", "j"]))],
-                compute_cycles_per_iter: 2,
-            }],
-            deps: vec![],
-        };
-        let w = Workload::single(app).unwrap();
-        let layout = Layout::linear(w.arrays());
-        check(&w, &layout);
     }
 
     #[test]

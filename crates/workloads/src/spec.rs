@@ -60,7 +60,8 @@ impl AccessSpec {
 pub struct ProcessSpec {
     /// Human-readable name, e.g. `"mxm.s1.3"`.
     pub name: String,
-    /// The iteration space (must be bounded; box spaces are fastest).
+    /// The iteration space: a box of one or more dimensions, walked in
+    /// lexicographic order.
     pub space: IterSpace,
     /// Accesses per iteration, in program order.
     pub accesses: Vec<AccessSpec>,

@@ -44,8 +44,7 @@ pub struct Trace<'a> {
 impl<'a> Trace<'a> {
     pub(crate) fn new(proc: &'a ResolvedProcess, layout: &'a Layout) -> Self {
         let ndims = proc.dims.len();
-        let empty = proc.bbox.iter().any(|&(lo, hi)| hi < lo) || ndims == 0;
-        let mut point = if ndims <= MAX_INLINE_DIMS {
+        let point = if ndims <= MAX_INLINE_DIMS {
             let mut buf = [0i64; MAX_INLINE_DIMS];
             for (x, &(lo, _)) in buf.iter_mut().zip(&proc.bbox) {
                 *x = lo;
@@ -54,36 +53,18 @@ impl<'a> Trace<'a> {
         } else {
             PointBuf::Heap(proc.bbox.iter().map(|&(lo, _)| lo).collect())
         };
-        let mut alive = !empty;
-        // Non-box spaces: advance to the first member point.
-        if alive && !proc.is_box {
-            let p = match &mut point {
-                PointBuf::Inline(buf) => &mut buf[..ndims],
-                PointBuf::Heap(v) => &mut v[..],
-            };
-            if !Self::member(proc, p) {
-                alive = Self::advance_to_member(proc, p);
-            }
-        }
         Trace {
             proc,
             layout,
             point,
             ndims,
-            alive,
+            alive: proc.bbox.iter().all(|&(lo, hi)| lo <= hi),
             cursor: 0,
         }
     }
 
-    fn member(proc: &ResolvedProcess, p: &[i64]) -> bool {
-        proc.space
-            .system()
-            .holds_point(&proc.dims, p)
-            .unwrap_or(false)
-    }
-
-    /// Odometer step to the next bbox point; returns `false` on wrap-out.
-    fn advance_raw(proc: &ResolvedProcess, p: &mut [i64]) -> bool {
+    /// Odometer step to the next box point; returns `false` on wrap-out.
+    fn advance(proc: &ResolvedProcess, p: &mut [i64]) -> bool {
         let mut k = p.len();
         while k > 0 {
             k -= 1;
@@ -92,16 +73,6 @@ impl<'a> Trace<'a> {
                 for (x, b) in p.iter_mut().zip(&proc.bbox).skip(k + 1) {
                     *x = b.0;
                 }
-                return true;
-            }
-        }
-        false
-    }
-
-    /// Advances to the next member point (for non-box spaces).
-    fn advance_to_member(proc: &ResolvedProcess, p: &mut [i64]) -> bool {
-        while Self::advance_raw(proc, p) {
-            if Self::member(proc, p) {
                 return true;
             }
         }
@@ -123,11 +94,7 @@ impl<'a> Trace<'a> {
             PointBuf::Inline(buf) => &mut buf[..self.ndims],
             PointBuf::Heap(v) => &mut v[..],
         };
-        self.alive = if self.proc.is_box {
-            Self::advance_raw(self.proc, p)
-        } else {
-            Self::advance_to_member(self.proc, p)
-        };
+        self.alive = Self::advance(self.proc, p);
         self.cursor = 0;
     }
 }
@@ -179,7 +146,7 @@ mod tests {
     use crate::{AccessSpec, AppSpec, ProcessSpec, Workload};
     use lams_layout::{ArrayDecl, ArrayTable, Layout};
     use lams_mpsoc::TraceOp;
-    use lams_presburger::{AffineExpr, AffineMap, Constraint, IterSpace};
+    use lams_presburger::{AffineExpr, AffineMap, IterSpace};
     use lams_procgraph::ProcessId;
 
     fn app_with_space(space: IterSpace) -> AppSpec {
@@ -219,21 +186,6 @@ mod tests {
         assert_eq!(ops[2], TraceOp::read(expect(0, 1)));
         assert_eq!(ops[6], TraceOp::read(expect(1, 0)));
         assert_eq!(ops[1], TraceOp::compute(3));
-    }
-
-    #[test]
-    fn non_box_trace_filters_points() {
-        // Triangular: j <= i over 4x4 -> 10 points.
-        let space = IterSpace::builder()
-            .dim_range("i", 0, 4)
-            .dim_range("j", 0, 4)
-            .constraint(Constraint::le(AffineExpr::var("j"), AffineExpr::var("i")))
-            .build()
-            .unwrap();
-        let w = Workload::single(app_with_space(space)).unwrap();
-        let layout = Layout::linear(w.arrays());
-        let ops: Vec<_> = w.trace(ProcessId::new(0), &layout).collect();
-        assert_eq!(ops.len(), 10 * 2);
     }
 
     #[test]

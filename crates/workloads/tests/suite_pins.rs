@@ -1,7 +1,7 @@
-//! Suite-wide pins on what `Workload::concurrent` derives from the
+//! Suite-wide pin on what `Workload::concurrent` derives from the
 //! Presburger layer: footprints, bounding boxes and iteration counts
-//! feed every memo key, so a change to how `IterSpace::bounding_box`
-//! finds its bounds must leave every fingerprint where it was.
+//! feed every memo key, so a change to how `IterSpace` represents or
+//! answers for its box must leave every fingerprint where it was.
 
 use lams_mpsoc::{Fingerprint, FingerprintHasher};
 use lams_workloads::{suite, Scale, Workload};
@@ -39,25 +39,4 @@ fn suite_workload_fingerprints_are_pinned() {
         Fingerprint(0x8191_0271_4512_4cab, 0x84c8_35dc_2753_92ca),
         "suite workload fingerprints moved"
     );
-}
-
-#[test]
-fn every_suite_space_has_its_bounds_written_in_its_constraints() {
-    // `Workload::concurrent` asks each process space for its bounding
-    // box several times; a unit box answers without Fourier–Motzkin
-    // elimination. A future application whose spaces silently fall
-    // back to elimination should be a decision, not an accident.
-    for scale in SCALES {
-        for app in suite::all(scale) {
-            for p in &app.processes {
-                assert!(
-                    p.space.is_unit_box(),
-                    "{} at {scale}: {} is not a unit box: {}",
-                    app.name,
-                    p.name,
-                    p.space
-                );
-            }
-        }
-    }
 }
