@@ -13,8 +13,8 @@
 //!   report is byte-identical to `record` + `replay` of the same
 //!   scenario, which CI diffs.
 //! * `inspect FILE [--proc I] [--limit N]` — dump a program's decoded
-//!   ops in the `R 0x… / W 0x… / C n` text form (losslessly parseable
-//!   back via `TraceOp::from_str`).
+//!   ops in the `R 0x… / W 0x… / C n` text form of `TraceOp`'s
+//!   `Display`.
 //! * `stats   FILE` — per-process op counts, block counts, and the
 //!   IR's compression ratio over the decoded stream.
 //!

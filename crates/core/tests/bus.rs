@@ -9,8 +9,8 @@
 //!   is bit-identical to the FCFS engine (full `RunResult`s);
 //! * **batched == per-op**: for any window, the batched engine equals
 //!   the one-op-at-a-time oracle, which issues requests in global
-//!   `(clock, core)` order from the scalar trace iterator on its own
-//!   naive machine (the machine-level twin of this check, with stat
+//!   `(clock, core)` order from the spec-derived reference op stream
+//!   on its own naive machine (the machine-level twin of this check, with stat
 //!   conservation, is in `crates/mpsoc/tests/prop.rs`);
 //! * **monotonicity**: with a fixed schedule (single core, no
 //!   preemption) the makespan is non-decreasing in bus occupancy, and a
@@ -24,12 +24,13 @@ use lams_core::{
 };
 use lams_layout::Layout;
 use lams_mpsoc::{BusConfig, MachineConfig};
-use lams_workloads::{suite, synthetic_app, Scale, SyntheticConfig, Workload};
+use lams_workloads::{suite, synthetic_app, AppSpec, Scale, SyntheticConfig, Workload};
 
 #[path = "support/oracle.rs"]
 mod oracle;
 
-fn arb_workload() -> impl Strategy<Value = Workload> {
+/// A synthetic application and its workload.
+fn arb_workload() -> impl Strategy<Value = (AppSpec, Workload)> {
     (0u64..64, 1usize..4, 1usize..5, 0i64..3).prop_map(|(seed, stages, pps, halo)| {
         let app = synthetic_app(SyntheticConfig {
             seed,
@@ -38,7 +39,8 @@ fn arb_workload() -> impl Strategy<Value = Workload> {
             dim: 16,
             max_halo: halo,
         });
-        Workload::single(app).expect("synthetic apps are valid")
+        let w = Workload::single(app.clone()).expect("synthetic apps are valid");
+        (app, w)
     })
 }
 
@@ -69,7 +71,7 @@ proptest! {
     /// overrides.
     #[test]
     fn windowed_engine_matches_per_op_reference(
-        w in arb_workload(),
+        (app, w) in arb_workload(),
         cores in 1usize..5,
         occ_i in 0usize..OCCUPANCIES.len(),
         win_i in 0usize..WINDOWS.len(),
@@ -81,7 +83,8 @@ proptest! {
             .with_cores(cores)
             .with_bus(BusConfig::windowed(OCCUPANCIES[occ_i], WINDOWS[win_i]));
         for make in policy_factories(&w, cores) {
-            oracle::check(&w, &layout, &make, engine_cfg(machine, quantum)).expect("engine runs");
+            oracle::check(std::slice::from_ref(&app), &w, &layout, &make, engine_cfg(machine, quantum))
+                .expect("engine runs");
         }
     }
 
@@ -89,7 +92,7 @@ proptest! {
     /// (makespan, stats, dispatch sequences, per-process records).
     #[test]
     fn window_of_one_is_bit_identical_to_fcfs(
-        w in arb_workload(),
+        (_, w) in arb_workload(),
         cores in 1usize..5,
         occ_i in 0usize..OCCUPANCIES.len(),
         q_i in 0usize..3,
@@ -165,11 +168,12 @@ fn makespan_is_monotone_in_occupancy_on_a_fixed_schedule() {
 fn windowed_bus_engages_on_suite_apps_and_matches_the_oracle() {
     let base = MachineConfig::paper_default();
     for app in suite::all(Scale::Tiny) {
-        let w = Workload::single(app).unwrap();
+        let w = Workload::single(app.clone()).unwrap();
         let layout = Layout::linear(w.arrays());
+        let apps = [app];
         for make in policy_factories(&w, base.num_cores) {
             let run = |machine: MachineConfig| {
-                oracle::check(&w, &layout, &make, machine.into()).expect("engine runs")
+                oracle::check(&apps, &w, &layout, &make, machine.into()).expect("engine runs")
             };
             let free = run(base);
             for bus in [

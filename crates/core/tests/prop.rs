@@ -13,13 +13,15 @@ use lams_core::{
     DEFAULT_QUANTUM,
 };
 use lams_layout::{HalfPage, Layout, RemapAssignment};
+use lams_mpsoc::TraceOp;
 use lams_mpsoc::{BusConfig, CacheConfig, MachineConfig};
-use lams_workloads::{suite, synthetic_app, Scale, SyntheticConfig, Workload};
+use lams_workloads::{suite, synthetic_app, AppSpec, Scale, SyntheticConfig, Workload};
 
 #[path = "support/oracle.rs"]
 mod oracle;
 
-fn arb_workload() -> impl Strategy<Value = Workload> {
+/// A synthetic application and its workload.
+fn arb_workload() -> impl Strategy<Value = (AppSpec, Workload)> {
     (0u64..64, 1usize..4, 1usize..5, 0i64..3).prop_map(|(seed, stages, pps, halo)| {
         let app = synthetic_app(SyntheticConfig {
             seed,
@@ -28,7 +30,8 @@ fn arb_workload() -> impl Strategy<Value = Workload> {
             dim: 16,
             max_halo: halo,
         });
-        Workload::single(app).expect("synthetic apps are valid")
+        let w = Workload::single(app.clone()).expect("synthetic apps are valid");
+        (app, w)
     })
 }
 
@@ -46,7 +49,7 @@ proptest! {
     #![proptest_config(ProptestConfig::with_cases(24))]
 
     #[test]
-    fn every_policy_drains_every_workload(w in arb_workload(), cores in 1usize..5) {
+    fn every_policy_drains_every_workload((_, w) in arb_workload(), cores in 1usize..5) {
         let layout = Layout::linear(w.arrays());
         let cfg = EngineConfig::from(MachineConfig::paper_default().with_cores(cores));
         for mut p in policies(&w, cores) {
@@ -64,7 +67,7 @@ proptest! {
     }
 
     #[test]
-    fn engine_is_deterministic(w in arb_workload()) {
+    fn engine_is_deterministic((_, w) in arb_workload()) {
         let layout = Layout::linear(w.arrays());
         let cfg = EngineConfig::from(MachineConfig::paper_default().with_cores(4));
         let sharing = SharingMatrix::from_workload(&w);
@@ -77,7 +80,7 @@ proptest! {
     }
 
     #[test]
-    fn preemption_preserves_work(w in arb_workload(), quantum in 50u64..2_000) {
+    fn preemption_preserves_work((_, w) in arb_workload(), quantum in 50u64..2_000) {
         let layout = Layout::linear(w.arrays());
         let cfg = EngineConfig::from(MachineConfig::paper_default().with_cores(2));
         let mut rr = RoundRobinPolicy::new(quantum);
@@ -95,7 +98,7 @@ proptest! {
     }
 
     #[test]
-    fn sharing_matrix_is_symmetric_with_zero_diagonal(w in arb_workload()) {
+    fn sharing_matrix_is_symmetric_with_zero_diagonal((_, w) in arb_workload()) {
         let m = SharingMatrix::from_workload(&w);
         for p in w.process_ids() {
             prop_assert_eq!(m.get(p, p), 0);
@@ -106,17 +109,19 @@ proptest! {
     }
 
     #[test]
-    fn makespan_never_below_critical_path_compute(w in arb_workload()) {
+    fn makespan_never_below_critical_path_compute((app, w) in arb_workload()) {
         // A loose lower bound: the critical path of pure compute cycles
         // can never exceed the measured makespan.
         let layout = Layout::linear(w.arrays());
         let cfg = EngineConfig::from(MachineConfig::paper_default().with_cores(4));
+        let streams = oracle::scalar::op_streams(&[app], &layout);
         let (cp, _) = w.epg().critical_path(|p| {
             // compute cycles only (access latencies are extra)
-            w.trace(p, &layout)
-                .filter_map(|op| match op {
-                    lams_mpsoc::TraceOp::Compute(c) => Some(c),
-                    _ => None,
+            streams[p.as_usize()]
+                .iter()
+                .filter_map(|op| match *op {
+                    TraceOp::Compute(c) => Some(c),
+                    TraceOp::Access { .. } => None,
                 })
                 .sum()
         });
@@ -149,7 +154,7 @@ proptest! {
     /// compared field, or fail with the same typed error.
     #[test]
     fn batched_engine_matches_reference(
-        w in arb_workload(),
+        (app, w) in arb_workload(),
         (policy_i, cores, q_i) in (0usize..3, 1usize..5, 0usize..3),
         (bus_i, occ_i) in (0usize..6, 0usize..3),
         (arr_i, arr_seed, cap_i) in (0usize..7, 0u64..1000, 0usize..2),
@@ -185,19 +190,20 @@ proptest! {
         // Half the cases run to completion; the rest split evenly over
         // the three budgets below.
         let Some(budget_i) = deadline_i.checked_sub(3) else {
-            let _ = oracle::check(&w, &layout, &make, cfg);
+            let _ = oracle::check(&[app], &w, &layout, &make, cfg);
             return Ok(());
         };
         // Budgets relative to where the unbudgeted run ends: its
         // makespan, or the cycle at which its queue saturates.
-        let free = oracle::simulate(&w, &layout, make().as_mut(), cfg);
+        let apps = [app];
+        let free = oracle::simulate(&apps, &w, &layout, make().as_mut(), cfg);
         let end = match &free {
             Ok(o) => o.machine.makespan_cycles,
             Err(Error::QueueSaturated { at_cycle, .. }) => *at_cycle,
             Err(e) => panic!("unbudgeted oracle run failed: {e}"),
         };
         cfg.max_cycles = Some([end, end.saturating_sub(1), end * percent / 100][budget_i]);
-        let got = oracle::check(&w, &layout, &make, cfg);
+        let got = oracle::check(&apps, &w, &layout, &make, cfg);
         match budget_i {
             // A run that fits its budget is the unbudgeted run.
             0 => prop_assert_eq!(got.map(|r| oracle::observe(&r)), free),
@@ -235,7 +241,7 @@ fn experiment_runs_match_the_oracle_across_memo_modes_and_arrivals() {
         };
         let mut cfg = EngineConfig::from(machine);
         cfg.arrivals = arrivals;
-        oracle::simulate(w, layout, policy.as_mut(), cfg).expect("oracle runs")
+        oracle::simulate(&apps, w, layout, policy.as_mut(), cfg).expect("oracle runs")
     };
     let linear = Layout::linear(w.arrays());
     for (memo, order) in [

@@ -6,9 +6,12 @@
 //!
 //! It re-collects the ready set, rescans every core and re-enters the
 //! dispatch loop after *every* trace op — the seed engine's loop — with
-//! no batching, no IR, no heap and no memo, and it is fed by the scalar
-//! [`Workload::trace`] iterator, so agreeing with it also cross-checks
-//! the trace compiler. Because it always advances the minimum
+//! no batching, no IR, no heap and no memo. Its ops come from the
+//! reference stream of `crates/workloads/tests/support/scalar.rs`,
+//! written from the callers' [`AppSpec`]s and never from what
+//! [`Workload`] resolves or compiles, so agreeing with it also
+//! cross-checks the trace compiler and the address resolution in
+//! `build.rs`. Because it always advances the minimum
 //! `(key, core)` position by exactly one op, it issues bus requests in
 //! global time order. Slow but obviously time-ordered: the batched
 //! engine must reproduce its schedules, statistics and typed errors bit
@@ -31,12 +34,14 @@ use std::collections::BTreeMap;
 
 use lams_core::{execute, ArrivalPlan, EngineConfig, Error, Policy, ProcessExec, RunResult};
 use lams_layout::Layout;
-use lams_mpsoc::{CoreId, MachineStats};
+use lams_mpsoc::{CoreId, MachineStats, TraceOp};
 use lams_procgraph::{ProcessId, ReadyTracker};
-use lams_workloads::{Trace, Workload};
+use lams_workloads::{AppSpec, Workload};
 
 #[path = "../../../mpsoc/tests/support/naive.rs"]
 mod naive;
+#[path = "../../../workloads/tests/support/scalar.rs"]
+pub mod scalar;
 
 use naive::NaiveMachine;
 
@@ -70,15 +75,17 @@ pub type PolicyFactory<'a> = dyn Fn() -> Box<dyn Policy> + 'a;
 
 /// Runs the engine and the oracle on one configuration and asserts they
 /// agree — on every [`Observed`] field, or on the typed error field by
-/// field. Returns the engine's outcome.
+/// field. `workload` is `Workload::concurrent(apps)`. Returns the
+/// engine's outcome.
 pub fn check(
+    apps: &[AppSpec],
     workload: &Workload,
     layout: &Layout,
     make: &PolicyFactory<'_>,
     config: EngineConfig,
 ) -> Result<RunResult, Error> {
     let got = execute(workload, layout, make().as_mut(), config);
-    let want = simulate(workload, layout, make().as_mut(), config);
+    let want = simulate(apps, workload, layout, make().as_mut(), config);
     assert_eq!(
         got.as_ref().map(observe).map_err(Clone::clone),
         want,
@@ -89,17 +96,19 @@ pub fn check(
     got
 }
 
-struct Slot<'a> {
+struct Slot {
     pid: ProcessId,
-    trace: Trace<'a>,
     quantum_end: Option<u64>,
     /// The quantum was crossed by a bus-stalled access: preempt at the
     /// next selection instead of eagerly.
     lazy_preempt: bool,
 }
 
-/// The naive simulation of `workload` under `policy`.
+/// The naive simulation of `workload` — `Workload::concurrent(apps)`,
+/// whose graph it schedules by — under `policy`, on the op streams of
+/// `apps`.
 pub fn simulate(
+    apps: &[AppSpec],
     workload: &Workload,
     layout: &Layout,
     policy: &mut dyn Policy,
@@ -111,7 +120,13 @@ pub fn simulate(
     let n = workload.num_processes();
     let mut tracker = ReadyTracker::new(workload.epg());
     let mut ready_at: BTreeMap<ProcessId, u64> = BTreeMap::new();
-    let mut paused: BTreeMap<ProcessId, Trace<'_>> = BTreeMap::new();
+    // Each process's remaining ops, by id; a preempted process resumes
+    // where it stopped.
+    let mut streams: Vec<std::vec::IntoIter<TraceOp>> = scalar::op_streams(apps, layout)
+        .into_iter()
+        .map(Vec::into_iter)
+        .collect();
+    assert_eq!(streams.len(), n, "apps do not describe the workload");
     // Blocked-on-bus cores: the latched request's epoch boundary is the
     // core's scheduling key until the access completes. Only a window
     // of two cycles or more has epochs to wait for.
@@ -120,19 +135,17 @@ pub fn simulate(
         .bus
         .is_some_and(|b| b.window().is_some_and(|w| w > 1));
     let mut blocked: Vec<Option<u64>> = vec![None; cores];
-    let mut running: Vec<Option<Slot<'_>>> = (0..cores).map(|_| None).collect();
+    let mut running: Vec<Option<Slot>> = (0..cores).map(|_| None).collect();
     let mut last_on_core: Vec<Option<ProcessId>> = vec![None; cores];
     let mut core_sequences: Vec<Vec<ProcessId>> = vec![Vec::new(); cores];
     let mut execs: BTreeMap<ProcessId, ProcessExec> = BTreeMap::new();
 
     // Open system: a process is dispatchable once it has *arrived* and
-    // its dependences are met. Service demand is the declared scalar
-    // trace length (the engine reads the compiled programs' op counts).
+    // its dependences are met. Service demand is the length of the
+    // reference stream (the engine reads the compiled programs' op
+    // counts).
     let plan = config.arrivals.map(|a| {
-        let service: Vec<u64> = workload
-            .process_ids()
-            .map(|p| workload.trace_len(p))
-            .collect();
+        let service: Vec<u64> = streams.iter().map(|s| s.len() as u64).collect();
         ArrivalPlan::generate(a, &service, cores)
     });
     let mut arrived = vec![plan.is_none(); n];
@@ -154,7 +167,7 @@ pub fn simulate(
     // index one past the last core so it sorts after every core
     // event of the same cycle (engine convention).
     let next_event = |machine: &NaiveMachine,
-                      running: &[Option<Slot<'_>>],
+                      running: &[Option<Slot>],
                       blocked: &[Option<u64>],
                       next_arrival: usize| {
         let busy = (0..cores)
@@ -194,9 +207,6 @@ pub fn simulate(
             machine.wait_until(core, start);
             running[core] = Some(Slot {
                 pid,
-                trace: paused
-                    .remove(&pid)
-                    .unwrap_or_else(|| workload.trace(pid, layout)),
                 quantum_end: config
                     .quantum_override
                     .or(policy.quantum())
@@ -257,7 +267,7 @@ pub fn simulate(
 
         let slot = running[core].as_mut().expect("selected core is busy");
         let crossed =
-            |m: &NaiveMachine, s: &Slot<'_>| s.quantum_end.is_some_and(|qe| m.clock(core) >= qe);
+            |m: &NaiveMachine, s: &Slot| s.quantum_end.is_some_and(|qe| m.clock(core) >= qe);
         let preempt = if blocked[core].take().is_some() {
             // The blocked core's boundary reached the front: every
             // same-epoch request is latched, so the batch resolves in
@@ -273,7 +283,7 @@ pub fn simulate(
             false
         } else if slot.lazy_preempt {
             true
-        } else if let Some(op) = slot.trace.next() {
+        } else if let Some(op) = streams[slot.pid.as_usize()].next() {
             if let Some(key) = machine.issue(core, op) {
                 if epochs {
                     // The grant waits for every same-boundary request.
@@ -308,8 +318,7 @@ pub fn simulate(
         };
         if preempt {
             // Re-entry, not admission: moves the peak, never sheds.
-            let Slot { pid, trace, .. } = running[core].take().expect("selected core is busy");
-            paused.insert(pid, trace);
+            let Slot { pid, .. } = running[core].take().expect("selected core is busy");
             tracker.preempt(pid)?;
             let now = machine.clock(core);
             ready_at.insert(pid, now);

@@ -1,7 +1,7 @@
 //! Differential tests for the compiled-trace (stride-run IR) engine:
 //! executing the compiled programs must be **bit-identical** to the
-//! per-op oracle (`support/oracle.rs`) walking the scalar
-//! [`Workload::trace`] iterator — makespans, dispatch sequences,
+//! per-op oracle (`support/oracle.rs`) walking the reference op stream
+//! it writes from the application specs — makespans, dispatch sequences,
 //! per-process execution records and cache statistics — across
 //! policies, core counts, preemption quanta, remapped layouts and bus
 //! modes; plus the `.ltr` record→replay round trip, which must
@@ -14,7 +14,7 @@ use lams_core::{
 use lams_layout::Layout;
 use lams_mpsoc::{BusConfig, MachineConfig};
 use lams_trace::TraceBundle;
-use lams_workloads::{suite, Scale, Workload};
+use lams_workloads::{suite, AppSpec, Scale, Workload};
 
 #[path = "support/oracle.rs"]
 mod oracle;
@@ -22,9 +22,10 @@ mod oracle;
 /// An owned [`oracle::PolicyFactory`].
 type PolicyFactory = Box<oracle::PolicyFactory<'static>>;
 
-/// Runs one policy through the IR engine and the scalar-fed oracle,
-/// asserts exact equality, and returns the engine's result.
+/// Runs one policy through the IR engine and the oracle, asserts exact
+/// equality, and returns the engine's result.
 fn assert_ir_matches_scalar(
+    app: &AppSpec,
     w: &Workload,
     layout: &Layout,
     make_policy: &oracle::PolicyFactory<'_>,
@@ -33,13 +34,13 @@ fn assert_ir_matches_scalar(
 ) -> RunResult {
     let mut cfg = EngineConfig::from(machine);
     cfg.quantum_override = quantum_override;
-    oracle::check(w, layout, make_policy, cfg).expect("engine runs")
+    oracle::check(std::slice::from_ref(app), w, layout, make_policy, cfg).expect("engine runs")
 }
 
 #[test]
 fn ir_matches_scalar_across_suite_and_policies() {
     for app in suite::all(Scale::Tiny) {
-        let w = Workload::single(app).unwrap();
+        let w = Workload::single(app.clone()).unwrap();
         let layout = Layout::linear(w.arrays());
         let sharing = SharingMatrix::from_workload(&w);
         let policies: Vec<(&str, PolicyFactory)> = vec![
@@ -54,7 +55,7 @@ fn ir_matches_scalar_across_suite_and_policies() {
             // 4-core suite runs meet the oracle in `bus.rs` and `prop.rs`.
             for cores in [1usize, 8] {
                 let machine = MachineConfig::paper_default().with_cores(cores);
-                let r = assert_ir_matches_scalar(&w, &layout, make, machine, None);
+                let r = assert_ir_matches_scalar(&app, &w, &layout, make, machine, None);
                 assert!(r.makespan_cycles > 0, "{name} on {cores} cores");
             }
         }
@@ -65,12 +66,13 @@ fn ir_matches_scalar_across_suite_and_policies() {
 fn ir_matches_scalar_under_tight_quanta() {
     // Tiny quanta force preemptions that split runs mid-line and
     // mid-round — the hardest splitting cases for the IR cursor.
-    let w = Workload::single(suite::shape(Scale::Tiny)).unwrap();
+    let app = suite::shape(Scale::Tiny);
+    let w = Workload::single(app.clone()).unwrap();
     let layout = Layout::linear(w.arrays());
     for quantum in [77u64, 100, 333, 1_000] {
         let make: Box<dyn Fn() -> Box<dyn Policy>> = Box::new(|| Box::new(RandomPolicy::new(7)));
         let machine = MachineConfig::paper_default().with_cores(4);
-        let r = assert_ir_matches_scalar(&w, &layout, &make, machine, Some(quantum));
+        let r = assert_ir_matches_scalar(&app, &w, &layout, &make, machine, Some(quantum));
         assert!(
             r.processes.values().any(|e| e.dispatches > 1),
             "quantum {quantum} caused no preemption"
@@ -84,7 +86,7 @@ fn ir_matches_scalar_on_remapped_layouts() {
     // must split runs at half-page chunk crossings.
     use lams_layout::{HalfPage, RemapAssignment};
     for app in suite::all(Scale::Tiny) {
-        let w = Workload::single(app).unwrap();
+        let w = Workload::single(app.clone()).unwrap();
         let mut asg = RemapAssignment::new();
         for (id, _) in w.arrays().iter() {
             asg.assign(
@@ -100,25 +102,33 @@ fn ir_matches_scalar_on_remapped_layouts() {
         let layout = Layout::remapped(w.arrays(), &cache, &asg);
         let make: Box<dyn Fn() -> Box<dyn Policy>> =
             Box::new(|| Box::new(RoundRobinPolicy::new(10_000)));
-        assert_ir_matches_scalar(&w, &layout, &make, MachineConfig::paper_default(), None);
+        assert_ir_matches_scalar(
+            &app,
+            &w,
+            &layout,
+            &make,
+            MachineConfig::paper_default(),
+            None,
+        );
     }
 }
 
 /// Satellite: the engine under an **FCFS** bus (misses parked at their
 /// pre-op clock and granted one per heap pop, on the same path as
 /// windowed arbitration — `crates/core/tests/bus.rs`) is pinned
-/// differentially — the IR engine and the scalar-fed oracle, which
+/// differentially — the IR engine and the per-op oracle, which
 /// takes its grants inline, agree op-for-op under contention, and the
 /// bus actually costs time relative to the uncontended machine.
 #[test]
 fn bus_mode_batching_is_differentially_pinned() {
-    let w = Workload::single(suite::track(Scale::Tiny)).unwrap();
+    let app = suite::track(Scale::Tiny);
+    let w = Workload::single(app.clone()).unwrap();
     let layout = Layout::linear(w.arrays());
     let make: Box<dyn Fn() -> Box<dyn Policy>> = Box::new(|| Box::new(RandomPolicy::new(3)));
     let no_bus = MachineConfig::paper_default().with_cores(4);
     let bus = no_bus.with_bus(BusConfig::fcfs(12));
-    let free = assert_ir_matches_scalar(&w, &layout, &make, no_bus, None);
-    let contended = assert_ir_matches_scalar(&w, &layout, &make, bus, None);
+    let free = assert_ir_matches_scalar(&app, &w, &layout, &make, no_bus, None);
+    let contended = assert_ir_matches_scalar(&app, &w, &layout, &make, bus, None);
     // The arbiter actually engaged (and only under the bus config).
     // Makespan and even busy cycles may move either way — arbitration
     // shifts dispatch timing and with it the policy's placement and

@@ -184,7 +184,7 @@ impl Layout {
 
     /// Byte address of the first byte of element `index` of `array`.
     ///
-    /// This is the hot path of trace generation, so it does *not*
+    /// This is the hot path of trace compilation, so it does *not*
     /// bounds-check in release builds; [`Layout::addr_checked`] does.
     ///
     /// # Panics

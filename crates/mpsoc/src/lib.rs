@@ -125,4 +125,4 @@ pub use fingerprint::{machine_fingerprint, Fingerprint, FingerprintHasher};
 pub use machine::{BatchOutcome, CoreId, Machine};
 pub use source::{Segment, SegmentLane, TraceSource};
 pub use stats::{CacheStats, CoreStats, MachineStats};
-pub use trace::{ParseTraceOpError, TraceOp, TraceStats};
+pub use trace::{TraceOp, TraceStats};

@@ -1,13 +1,13 @@
 //! Memory-reference trace operations.
 
 use std::fmt;
-use std::str::FromStr;
 
 /// One operation of a process's execution trace.
 ///
-/// Traces are streams of `TraceOp`s produced lazily by workload
-/// generators; the scheduling engine feeds them to a core one at a time
-/// (which is what allows quantum preemption at arbitrary points).
+/// A trace is a stream of `TraceOp`s (`docs/trace-format.md`); a core
+/// executes it op by op, or in batches that end at the same op a
+/// per-op walk would stop at, which is what allows quantum preemption
+/// at arbitrary points.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum TraceOp {
     /// A memory access at a byte address. `write` is informational —
@@ -62,63 +62,6 @@ impl fmt::Display for TraceOp {
     }
 }
 
-/// Error parsing the textual [`TraceOp`] form (see [`TraceOp::from_str`]).
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct ParseTraceOpError {
-    /// The offending input line.
-    input: String,
-}
-
-impl ParseTraceOpError {
-    fn new(input: &str) -> Self {
-        ParseTraceOpError {
-            input: input.to_owned(),
-        }
-    }
-}
-
-impl fmt::Display for ParseTraceOpError {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        write!(
-            f,
-            "invalid trace op {:?} (expected 'R 0x<hex>', 'W 0x<hex>' or 'C <dec>')",
-            self.input
-        )
-    }
-}
-
-impl std::error::Error for ParseTraceOpError {}
-
-impl FromStr for TraceOp {
-    type Err = ParseTraceOpError;
-
-    /// Parses the exact [`fmt::Display`] form back: `R 0x<hex>`,
-    /// `W 0x<hex>` or `C <dec>` — the lossless inverse used by
-    /// `trace_tool inspect` text dumps.
-    fn from_str(s: &str) -> std::result::Result<Self, Self::Err> {
-        let err = || ParseTraceOpError::new(s);
-        let (tag, rest) = s.split_once(' ').ok_or_else(err)?;
-        match tag {
-            "R" | "W" => {
-                let hex = rest.strip_prefix("0x").ok_or_else(err)?;
-                let addr = u64::from_str_radix(hex, 16).map_err(|_| err())?;
-                Ok(TraceOp::Access {
-                    addr,
-                    write: tag == "W",
-                })
-            }
-            "C" => {
-                // Reject forms Display never emits (signs, leading '+').
-                if !rest.bytes().all(|b| b.is_ascii_digit()) || rest.is_empty() {
-                    return Err(err());
-                }
-                rest.parse().map(TraceOp::Compute).map_err(|_| err())
-            }
-            _ => Err(err()),
-        }
-    }
-}
-
 /// Summary statistics of a trace (computed while streaming).
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct TraceStats {
@@ -143,15 +86,6 @@ impl TraceStats {
             TraceOp::Compute(c) => self.compute_cycles += c,
         }
     }
-
-    /// Summarizes a whole trace.
-    pub fn from_trace<I: IntoIterator<Item = TraceOp>>(trace: I) -> Self {
-        let mut s = TraceStats::default();
-        for op in trace {
-            s.record(op);
-        }
-        s
-    }
 }
 
 #[cfg(test)]
@@ -168,13 +102,15 @@ mod tests {
 
     #[test]
     fn stats_fold() {
-        let trace = vec![
+        let mut s = TraceStats::default();
+        for op in [
             TraceOp::read(0),
             TraceOp::write(32),
             TraceOp::compute(5),
             TraceOp::compute(7),
-        ];
-        let s = TraceStats::from_trace(trace);
+        ] {
+            s.record(op);
+        }
         assert_eq!(s.accesses, 2);
         assert_eq!(s.writes, 1);
         assert_eq!(s.compute_cycles, 12);
@@ -185,28 +121,5 @@ mod tests {
         assert_eq!(TraceOp::read(255).to_string(), "R 0xff");
         assert_eq!(TraceOp::write(16).to_string(), "W 0x10");
         assert_eq!(TraceOp::compute(3).to_string(), "C 3");
-    }
-
-    #[test]
-    fn parse_round_trips_display() {
-        for op in [
-            TraceOp::read(0),
-            TraceOp::read(0xdead_beef),
-            TraceOp::write(u64::MAX),
-            TraceOp::compute(0),
-            TraceOp::compute(u64::MAX),
-        ] {
-            assert_eq!(op.to_string().parse::<TraceOp>(), Ok(op));
-        }
-    }
-
-    #[test]
-    fn parse_rejects_malformed_forms() {
-        for bad in [
-            "", "R", "R 10", "R 0x", "R 0xzz", "X 0x10", "C", "C -1", "C +1", "C 0x10", "C 1 2",
-            "r 0x10", "R  0x10",
-        ] {
-            assert!(bad.parse::<TraceOp>().is_err(), "{bad:?} parsed");
-        }
     }
 }

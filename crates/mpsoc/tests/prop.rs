@@ -538,23 +538,6 @@ proptest! {
         prop_assert_eq!(m.makespan(), *per_core.iter().max().unwrap());
         prop_assert_eq!(m.stats().total_busy_cycles, per_core.iter().sum::<u64>());
     }
-
-    /// The textual trace-op form (`trace_tool inspect`'s output) is a
-    /// lossless round trip: Display then FromStr is the identity for
-    /// every op, across the full u64 domain.
-    #[test]
-    fn trace_op_text_form_round_trips(
-        kind in 0u8..3,
-        value in (0u64..u64::MAX).prop_map(|v| v.wrapping_mul(0x9E37_79B9_7F4A_7C15)),
-    ) {
-        let op = match kind {
-            0 => TraceOp::read(value),
-            1 => TraceOp::write(value),
-            _ => TraceOp::compute(value),
-        };
-        let text = op.to_string();
-        prop_assert_eq!(text.parse::<TraceOp>(), Ok(op), "text {:?}", text);
-    }
 }
 
 proptest! {

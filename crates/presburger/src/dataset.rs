@@ -8,9 +8,9 @@ use crate::IndexSet;
 /// The set of data elements a process touches: one [`IndexSet`] of
 /// linearized element indices per array, keyed by an array identifier.
 ///
-/// This is the paper's `DS` set; [`DataSet::shared_with`] computes the
-/// shared set `SS = DS_k ∩ DS_p` whose cardinality fills the sharing
-/// matrix of Figure 2(a).
+/// This is the paper's `DS` set; [`DataSet::shared_len`] computes the
+/// cardinality of the shared set `SS = DS_k ∩ DS_p`, the entry of the
+/// sharing matrix of Figure 2(a).
 ///
 /// The key type `K` is generic so that callers can use their own array
 /// identifiers (the workload crate uses a compact `ArrayId`).
@@ -25,9 +25,7 @@ use crate::IndexSet;
 /// p1.insert("B", IndexSet::from_range(0, 10));
 ///
 /// assert_eq!(p0.shared_len(&p1), 2000);
-/// let ss = p0.shared_with(&p1);
-/// assert_eq!(ss.get(&"A").unwrap().len(), 2000);
-/// assert!(ss.get(&"B").is_none());
+/// assert_eq!(p1.shared_len(&p0), 2000);
 /// ```
 #[derive(Debug, Clone, PartialEq, Eq, Default)]
 pub struct DataSet<K: Ord> {
@@ -80,35 +78,12 @@ impl<K: Ord + Clone> DataSet<K> {
         self.per_array.is_empty()
     }
 
-    /// The shared set `self ∩ other`, per array.
-    pub fn shared_with(&self, other: &DataSet<K>) -> DataSet<K> {
-        let mut out = DataSet::new();
-        for (k, a) in &self.per_array {
-            if let Some(b) = other.per_array.get(k) {
-                let i = a.intersect(b);
-                if !i.is_empty() {
-                    out.per_array.insert(k.clone(), i);
-                }
-            }
-        }
-        out
-    }
-
     /// `|self ∩ other|` — the sharing-matrix entry for a process pair.
     pub fn shared_len(&self, other: &DataSet<K>) -> u64 {
         self.per_array
             .iter()
             .filter_map(|(k, a)| other.per_array.get(k).map(|b| a.intersect(b).len()))
             .sum()
-    }
-
-    /// Union of two data sets.
-    pub fn union(&self, other: &DataSet<K>) -> DataSet<K> {
-        let mut out = self.clone();
-        for (k, b) in &other.per_array {
-            out.insert(k.clone(), b.clone());
-        }
-        out
     }
 
     /// Maps element footprints to coarser blocks (e.g. cache lines) by
@@ -180,7 +155,6 @@ mod tests {
         // Same index ranges on *different* arrays share nothing —
         // exactly why Prog1 and Prog2 in the paper share no data.
         assert_eq!(a.shared_len(&b), 0);
-        assert!(a.shared_with(&b).is_empty());
     }
 
     #[test]
@@ -192,18 +166,6 @@ mod tests {
         b.insert(0, IndexSet::from_range(1000, 4000));
         assert_eq!(a.shared_len(&b), b.shared_len(&a));
         assert_eq!(a.shared_len(&b), 2000);
-    }
-
-    #[test]
-    fn union_merges_arrays() {
-        let mut a: DataSet<u8> = DataSet::new();
-        a.insert(0, IndexSet::from_range(0, 5));
-        let mut b: DataSet<u8> = DataSet::new();
-        b.insert(0, IndexSet::from_range(10, 15));
-        b.insert(1, IndexSet::from_range(0, 3));
-        let u = a.union(&b);
-        assert_eq!(u.total_len(), 13);
-        assert_eq!(u.arrays().count(), 2);
     }
 
     #[test]

@@ -5,12 +5,12 @@ use std::fmt;
 /// Result alias using the crate's [`Error`].
 pub type Result<T> = std::result::Result<T, Error>;
 
-/// Errors produced when building or evaluating Presburger objects.
+/// Errors produced when building or querying Presburger objects.
 #[derive(Debug, Clone, PartialEq, Eq)]
 #[non_exhaustive]
 pub enum Error {
-    /// A variable referenced by an expression is not bound in the
-    /// evaluation environment or iteration space.
+    /// A variable referenced by an expression is not a dimension of the
+    /// iteration space.
     UnboundVariable(String),
     /// A dimension name was declared twice in the same space.
     DuplicateDimension(String),

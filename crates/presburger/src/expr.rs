@@ -4,8 +4,6 @@ use std::collections::BTreeMap;
 use std::fmt;
 use std::ops::{Add, Mul, Neg, Sub};
 
-use crate::{Error, Result};
-
 /// A variable name used in affine expressions and iteration spaces.
 ///
 /// `Var` is a lightweight wrapper around a string; it exists so that
@@ -132,43 +130,6 @@ impl AffineExpr {
         self.coeffs.keys()
     }
 
-    /// Evaluates the expression under an environment.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`Error::UnboundVariable`] when a variable of the
-    /// expression is missing from `env`.
-    pub fn eval(&self, env: &BTreeMap<Var, i64>) -> Result<i64> {
-        let mut acc = self.constant;
-        for (v, c) in &self.coeffs {
-            let x = env
-                .get(v)
-                .copied()
-                .ok_or_else(|| Error::UnboundVariable(v.name().to_owned()))?;
-            acc += c * x;
-        }
-        Ok(acc)
-    }
-
-    /// Evaluates against a positional point: `dims[k]` names the variable
-    /// bound to `point[k]`. Variables not present in `dims` cause an error.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`Error::UnboundVariable`] when a variable of the
-    /// expression is not named by `dims`.
-    pub fn eval_point(&self, dims: &[Var], point: &[i64]) -> Result<i64> {
-        debug_assert_eq!(dims.len(), point.len());
-        let mut acc = self.constant;
-        for (v, c) in &self.coeffs {
-            match dims.iter().position(|d| d == v) {
-                Some(k) => acc += c * point[k],
-                None => return Err(Error::UnboundVariable(v.name().to_owned())),
-            }
-        }
-        Ok(acc)
-    }
-
     /// Multiplies every coefficient and the constant by `k`.
     pub fn scale(&self, k: i64) -> AffineExpr {
         if k == 0 {
@@ -258,15 +219,11 @@ impl fmt::Display for AffineExpr {
 mod tests {
     use super::*;
 
-    fn env(pairs: &[(&str, i64)]) -> BTreeMap<Var, i64> {
-        pairs.iter().map(|(n, v)| (Var::new(*n), *v)).collect()
-    }
-
     #[test]
     fn constant_expr() {
         let e = AffineExpr::constant(42);
         assert_eq!(e.vars().count(), 0);
-        assert_eq!(e.eval(&env(&[])).unwrap(), 42);
+        assert_eq!(e.constant_part(), 42);
         assert_eq!(e.to_string(), "42");
     }
 
@@ -283,29 +240,6 @@ mod tests {
         assert_eq!(e.coeff("x"), 0);
         assert_eq!(e.coeff("y"), 3);
         assert_eq!(e.vars().count(), 1);
-    }
-
-    #[test]
-    fn eval_paper_access() {
-        // d1 = 1000*i1 + i2 at (i1,i2) = (3, 7) -> 3007
-        let d1 = AffineExpr::term("i1", 1000) + AffineExpr::term("i2", 1);
-        assert_eq!(d1.eval(&env(&[("i1", 3), ("i2", 7)])).unwrap(), 3007);
-    }
-
-    #[test]
-    fn eval_unbound_is_error() {
-        let e = AffineExpr::var("q");
-        assert_eq!(
-            e.eval(&env(&[("x", 1)])),
-            Err(Error::UnboundVariable("q".into()))
-        );
-    }
-
-    #[test]
-    fn eval_point_positional() {
-        let e = AffineExpr::term("a", 2) + AffineExpr::term("b", 5) + AffineExpr::constant(1);
-        let dims = [Var::new("a"), Var::new("b")];
-        assert_eq!(e.eval_point(&dims, &[10, 100]).unwrap(), 521);
     }
 
     #[test]

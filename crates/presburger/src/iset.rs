@@ -3,7 +3,7 @@
 //! Array footprints of affine loop nests are unions of (often contiguous,
 //! sometimes strided) index ranges. [`IndexSet`] keeps a canonical form —
 //! sorted, pairwise-disjoint, non-adjacent half-open intervals — so that
-//! set algebra (union / intersection / difference) and cardinality are
+//! set algebra (union / intersection) and cardinality are
 //! exact and fast, which is what the sharing-matrix computation of the
 //! paper's Section 2 needs.
 
@@ -59,7 +59,6 @@ impl fmt::Display for Interval {
 /// let b = IndexSet::from_range(1000, 4000);
 /// assert_eq!(a.intersect(&b).len(), 2000);   // the Figure 2(a) overlap
 /// assert_eq!(a.union(&b).len(), 4000);
-/// assert_eq!(a.difference(&b).len(), 1000);
 /// ```
 #[derive(Debug, Clone, PartialEq, Eq, Hash, Default)]
 pub struct IndexSet {
@@ -77,18 +76,6 @@ impl IndexSet {
     pub fn from_range(start: i64, end: i64) -> Self {
         let mut s = IndexSet::new();
         s.insert_range(start, end);
-        s
-    }
-
-    /// Creates a set from an arithmetic progression
-    /// `start, start+step, …` with `count` elements (`step >= 1`).
-    ///
-    /// # Panics
-    ///
-    /// Panics if `step == 0` and `count > 1` (ill-formed progression).
-    pub fn from_run(start: i64, step: i64, count: u64) -> Self {
-        let mut s = IndexSet::new();
-        s.insert_run(start, step, count);
         s
     }
 
@@ -114,27 +101,6 @@ impl IndexSet {
     /// Inserts a single index.
     pub fn insert(&mut self, x: i64) {
         self.insert_range(x, x + 1);
-    }
-
-    /// Inserts an arithmetic progression (`step >= 1`).
-    ///
-    /// # Panics
-    ///
-    /// Panics if `step == 0` and `count > 1`.
-    pub fn insert_run(&mut self, start: i64, step: i64, count: u64) {
-        if count == 0 {
-            return;
-        }
-        assert!(step != 0 || count == 1, "step must be non-zero for runs");
-        if step == 1 {
-            self.insert_range(start, start + count as i64);
-            return;
-        }
-        let step = step.abs().max(1);
-        for k in 0..count as i64 {
-            let x = start + k * step;
-            self.insert_range(x, x + 1);
-        }
     }
 
     /// The canonical intervals, sorted and disjoint.
@@ -235,52 +201,12 @@ impl IndexSet {
         out
     }
 
-    /// Set difference `self \ other` (linear merge).
-    pub fn difference(&self, other: &IndexSet) -> IndexSet {
-        let mut out = IndexSet::new();
-        let mut j = 0;
-        for &a in &self.runs {
-            let mut cur = a.start;
-            while j < other.runs.len() && other.runs[j].end <= cur {
-                j += 1;
-            }
-            let mut jj = j;
-            while cur < a.end {
-                match other.runs.get(jj) {
-                    Some(&b) if b.start < a.end => {
-                        if b.start > cur {
-                            out.runs.push(Interval::new(cur, b.start.min(a.end)));
-                        }
-                        cur = cur.max(b.end);
-                        jj += 1;
-                    }
-                    _ => {
-                        out.runs.push(Interval::new(cur, a.end));
-                        cur = a.end;
-                    }
-                }
-            }
-        }
-        out
-    }
-
     /// Iterates over every contained index in ascending order.
     pub fn iter(&self) -> Iter<'_> {
         Iter {
             runs: &self.runs,
             run: 0,
             next: self.runs.first().map_or(0, |r| r.start),
-        }
-    }
-
-    /// Translates every index by `delta`.
-    pub fn shift(&self, delta: i64) -> IndexSet {
-        IndexSet {
-            runs: self
-                .runs
-                .iter()
-                .map(|r| Interval::new(r.start + delta, r.end + delta))
-                .collect(),
         }
     }
 
@@ -442,18 +368,6 @@ mod tests {
     }
 
     #[test]
-    fn strided_run() {
-        // 0, 100, 200, 300
-        let s = IndexSet::from_run(0, 100, 4);
-        assert_eq!(s.len(), 4);
-        assert!(s.contains(200));
-        assert!(!s.contains(150));
-        // stride 1 collapses to one interval
-        let d = IndexSet::from_run(5, 1, 10);
-        assert_eq!(d.intervals().len(), 1);
-    }
-
-    #[test]
     fn paper_sharing_counts() {
         // Rows of A touched by Prog1 processes 0..4 (1000k .. 1000k+3000).
         let ds: Vec<IndexSet> = (0..4)
@@ -478,29 +392,6 @@ mod tests {
     }
 
     #[test]
-    fn difference_carves_holes() {
-        let a = IndexSet::from_range(0, 100);
-        let b = IndexSet::from_range(10, 20).union(&IndexSet::from_range(50, 60));
-        let d = a.difference(&b);
-        assert_eq!(d.len(), 80);
-        assert!(d.contains(9));
-        assert!(!d.contains(10));
-        assert!(!d.contains(59));
-        assert!(d.contains(60));
-        assert_eq!(d.intervals().len(), 3);
-    }
-
-    #[test]
-    fn difference_with_leading_and_trailing_cover() {
-        let a = IndexSet::from_range(10, 20);
-        let b = IndexSet::from_range(0, 15);
-        assert_eq!(a.difference(&b), IndexSet::from_range(15, 20));
-        let c = IndexSet::from_range(15, 30);
-        assert_eq!(a.difference(&c), IndexSet::from_range(10, 15));
-        assert!(a.difference(&IndexSet::from_range(0, 30)).is_empty());
-    }
-
-    #[test]
     fn from_iterator_canonicalizes() {
         let s: IndexSet = vec![5, 3, 4, 9, 3, 10].into_iter().collect();
         assert_eq!(s.len(), 5);
@@ -509,20 +400,13 @@ mod tests {
     }
 
     #[test]
-    fn shift_translates() {
-        let s = IndexSet::from_range(0, 4).shift(100);
-        assert_eq!(s.min(), Some(100));
-        assert_eq!(s.max(), Some(103));
-    }
-
-    #[test]
     fn coarsen_to_lines() {
         // Elements 0..100 on 32-element lines -> lines 0..4 (ceil(100/32)).
         let s = IndexSet::from_range(0, 100).coarsen(32);
         assert_eq!(s.len(), 4);
-        // Strided run hits distinct lines.
-        let t = IndexSet::from_run(0, 64, 4).coarsen(32);
-        assert_eq!(t.len(), 4);
+        // Strided elements hit distinct lines.
+        let t: IndexSet = [0, 64, 128, 192].into_iter().collect();
+        assert_eq!(t.coarsen(32).len(), 4);
         // Negative indices floor correctly.
         let n = IndexSet::from_range(-5, 5).coarsen(4);
         assert_eq!(n.iter().collect::<Vec<_>>(), vec![-2, -1, 0, 1]);

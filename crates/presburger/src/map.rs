@@ -7,17 +7,19 @@ use crate::{AffineExpr, Error, Result, Var};
 /// An affine map `Z^n -> Z^m`: one [`AffineExpr`] per output dimension.
 ///
 /// In the paper's running example the access `A[i1*1000 + i2][5]` is the
-/// map `(i1, i2) -> (1000*i1 + i2, 5)`:
+/// map `(i1, i2) -> (1000*i1 + i2, 5)`; against an `8000 × 10` array it
+/// linearizes row-major to `10000*i1 + 10*i2 + 5`:
 ///
 /// ```
-/// use lams_presburger::{AffineExpr, AffineMap, Var};
+/// use lams_presburger::{AffineExpr, AffineMap};
 ///
 /// let access = AffineMap::new(vec![
 ///     AffineExpr::term("i1", 1000) + AffineExpr::term("i2", 1),
 ///     AffineExpr::constant(5),
 /// ]);
-/// let dims = [Var::new("i1"), Var::new("i2")];
-/// assert_eq!(access.apply(&dims, &[2, 30]).unwrap(), vec![2030, 5]);
+/// let lin = access.linearized(&[8000, 10]).unwrap();
+/// assert_eq!((lin.coeff("i1"), lin.coeff("i2")), (10_000, 10));
+/// assert_eq!(lin.constant_part(), 5);
 /// ```
 #[derive(Debug, Clone, PartialEq, Eq, Hash)]
 pub struct AffineMap {
@@ -61,19 +63,6 @@ impl AffineMap {
     /// Panics if `k >= self.arity()`.
     pub fn output(&self, k: usize) -> &AffineExpr {
         &self.outputs[k]
-    }
-
-    /// Applies the map to a positional point.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`Error::UnboundVariable`] if an output mentions a variable
-    /// absent from `dims`.
-    pub fn apply(&self, dims: &[Var], point: &[i64]) -> Result<Vec<i64>> {
-        self.outputs
-            .iter()
-            .map(|e| e.eval_point(dims, point))
-            .collect()
     }
 
     /// Collapses a multi-dimensional map into the single affine expression
@@ -136,8 +125,8 @@ mod tests {
     #[test]
     fn identity() {
         let m = AffineMap::identity(["i", "j"]);
-        let dims = [Var::new("i"), Var::new("j")];
-        assert_eq!(m.apply(&dims, &[4, 9]).unwrap(), vec![4, 9]);
+        assert_eq!(m.outputs(), [AffineExpr::var("i"), AffineExpr::var("j")]);
+        assert_eq!(m.vars(), [Var::new("i"), Var::new("j")]);
     }
 
     #[test]
@@ -146,9 +135,9 @@ mod tests {
             AffineExpr::term("i1", 1000) + AffineExpr::term("i2", 1),
             AffineExpr::constant(5),
         ]);
-        let dims = [Var::new("i1"), Var::new("i2")];
-        assert_eq!(m.apply(&dims, &[7, 2999]).unwrap(), vec![9999, 5]);
         assert_eq!(m.arity(), 2);
+        assert_eq!(m.output(0).coeff("i1"), 1000);
+        assert_eq!(m.output(1), &AffineExpr::constant(5));
     }
 
     #[test]
@@ -174,16 +163,6 @@ mod tests {
                 expected: 2
             })
         );
-    }
-
-    #[test]
-    fn unbound_variable_is_error() {
-        let m = AffineMap::new(vec![AffineExpr::var("q")]);
-        let dims = [Var::new("i")];
-        assert!(matches!(
-            m.apply(&dims, &[0]),
-            Err(Error::UnboundVariable(_))
-        ));
     }
 
     #[test]

@@ -41,7 +41,6 @@
 #![warn(missing_docs)]
 
 mod builder;
-mod dot;
 mod error;
 mod graph;
 mod ids;

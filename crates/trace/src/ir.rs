@@ -263,6 +263,8 @@ mod tests {
         assert_eq!(s.accesses, 20);
         assert_eq!(s.writes, 10);
         assert_eq!(s.compute_cycles, 30);
-        assert_eq!(s, TraceStats::from_trace(p.iter()));
+        let mut folded = TraceStats::default();
+        p.iter().for_each(|op| folded.record(op));
+        assert_eq!(s, folded);
     }
 }

@@ -1,7 +1,7 @@
 //! Compiled stride-run trace IR with binary record/replay — the trace
 //! level of the LAMS hot path.
 //!
-//! The scalar trace path re-evaluates affine maps one op at a time;
+//! A process's op stream re-evaluates affine maps one op at a time;
 //! this crate gives traces a compiled form instead:
 //!
 //! * [`Program`] — a compact block program of strided [`Run`]s,

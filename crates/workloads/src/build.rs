@@ -6,7 +6,6 @@ use lams_layout::{ArrayId, ArrayTable, Layout};
 use lams_presburger::{AffineMap, DataSet, Var};
 use lams_procgraph::{EpgBuilder, ProcessGraph, ProcessId, Task, TaskId};
 
-use crate::trace::Trace;
 use crate::{AccessKind, AppSpec, Result};
 
 /// A process's access with global array ids and the subscript map
@@ -34,7 +33,7 @@ pub(crate) struct ResolvedProcess {
 }
 
 impl ResolvedProcess {
-    /// Feeds `h` exactly what trace generation and compilation read
+    /// Feeds `h` exactly what trace compilation reads
     /// from the process: all of [`Workload::process_fingerprint`] and
     /// the per-process middle of [`Workload::fingerprint`].
     #[deny(unused_variables)]
@@ -276,7 +275,7 @@ impl Workload {
                 }
                 h.write_u32(u32::MAX); // per-process edge terminator
             }
-            // Processes: name, then everything trace generation reads.
+            // Processes: name, then everything trace compilation reads.
             for r in procs {
                 h.write_str(&r.name);
                 r.write_trace_inputs(&mut h);
@@ -297,7 +296,7 @@ impl Workload {
     }
 
     /// Content fingerprint of one process: a structural hash over
-    /// exactly what trace generation and compilation read from the
+    /// exactly what trace compilation reads from the
     /// process — iteration space (its box), accesses (global array id,
     /// linearized coefficients, constant, read/write), compute cost and
     /// iteration count. Deliberately excludes the process name, its
@@ -427,16 +426,6 @@ impl Workload {
         r.num_iters * (r.accesses.len() as u64 + 1)
     }
 
-    /// Lazily generates the process's memory trace, resolving element
-    /// indices to byte addresses through `layout`.
-    ///
-    /// # Panics
-    ///
-    /// Panics when `p` is out of range.
-    pub fn trace<'a>(&'a self, p: ProcessId, layout: &'a Layout) -> Trace<'a> {
-        Trace::new(self.resolved(p), layout)
-    }
-
     /// Total trace ops across all processes — the up-front job weight
     /// the sweep scheduler's longest-job-first ordering uses.
     pub fn total_trace_ops(&self) -> u64 {
@@ -444,9 +433,11 @@ impl Workload {
     }
 
     /// Compiles the process's trace into the stride-run IR against
-    /// `layout`. The program's decoded op stream equals
-    /// [`Workload::trace`] op for op: the box lowers analytically, with
-    /// runs split at half-page chunk crossings for remapped arrays.
+    /// `layout`: the box lowers analytically, with runs split at
+    /// half-page chunk crossings for remapped arrays. The program
+    /// decodes to the op stream `docs/trace-format.md` defines —
+    /// [`Self::trace_len`] ops, each iteration point's accesses in
+    /// program order and then its `Compute` op.
     ///
     /// # Panics
     ///
@@ -577,6 +568,26 @@ mod tests {
     }
 
     #[test]
+    fn an_out_of_bounds_subscript_is_refused() {
+        // p1 writes `B[i+17]` over `16 <= i < 48`: B[64] does not exist,
+        // yet its data set would count it and its trace would address it.
+        let mut app = demo_app("d");
+        app.processes[1].accesses[1].map =
+            AffineMap::new(vec![AffineExpr::var("i") + AffineExpr::constant(17)]);
+        assert!(matches!(
+            Workload::single(app),
+            Err(crate::Error::SubscriptOutOfBounds {
+                process: 1,
+                array: 1,
+                lo: 33,
+                hi: 64,
+                extent: 64,
+                ..
+            })
+        ));
+    }
+
+    #[test]
     fn concurrent_apps_share_nothing() {
         let w = Workload::concurrent(vec![demo_app("x"), demo_app("y")]).unwrap();
         assert_eq!(w.num_processes(), 4);
@@ -616,20 +627,5 @@ mod tests {
         let remapped =
             Layout::remapped(w.arrays(), &lams_mpsoc::CacheConfig::paper_default(), &asg);
         assert_ne!(w.delta_fingerprint(&layout), w.delta_fingerprint(&remapped));
-    }
-
-    #[test]
-    fn trace_resolves_addresses() {
-        let w = Workload::single(demo_app("d")).unwrap();
-        let layout = Layout::linear(w.arrays());
-        let ops: Vec<_> = w.trace(ProcessId::new(0), &layout).collect();
-        assert_eq!(ops.len(), 32 * 3);
-        // First iteration: read A[0], write B[0], compute.
-        use lams_mpsoc::TraceOp;
-        let a0 = layout.addr(ArrayId::new(0), 0);
-        let b0 = layout.addr(ArrayId::new(1), 0);
-        assert_eq!(ops[0], TraceOp::read(a0));
-        assert_eq!(ops[1], TraceOp::write(b0));
-        assert_eq!(ops[2], TraceOp::compute(1));
     }
 }

@@ -1,8 +1,9 @@
 //! Lowering resolved processes into the stride-run trace IR.
 //!
-//! The scalar [`crate::Trace`] iterator re-evaluates every access's
-//! affine map at every iteration point. This module lowers the same
-//! affine description **once** into a [`lams_trace::Program`]:
+//! A process's op stream (`docs/trace-format.md`) visits every point of
+//! its box and evaluates every access's affine map there. This module
+//! lowers the same affine description **once** into a
+//! [`lams_trace::Program`]:
 //!
 //! * the **box** is lowered analytically — one RLE'd loop block per
 //!   innermost-loop span, with per-access address lanes whose strides
@@ -15,10 +16,10 @@
 //!   are split at the earliest chunk crossing of any lane, keeping every
 //!   emitted lane exactly affine.
 //!
-//! In both cases the program's decoded op stream equals the scalar
-//! trace op for op (differentially tested in
-//! `crates/workloads/tests/prop.rs` and pinned end-to-end by the engine
-//! golden makespans).
+//! In both cases the program decodes to that op stream op for op:
+//! `crates/workloads/tests/compile.rs` holds it to a reference written
+//! from the spec alone, and the engine oracle, fed by the same
+//! reference, pins it end to end.
 
 use lams_layout::Layout;
 use lams_trace::{Lane, Program, ProgramBuilder};
@@ -125,50 +126,8 @@ pub(crate) fn compile(proc: &ResolvedProcess, layout: &Layout) -> Program {
 #[cfg(test)]
 mod tests {
     use crate::{suite, AccessSpec, AppSpec, ProcessSpec, Scale, Workload};
-    use lams_layout::{ArrayDecl, ArrayTable, HalfPage, Layout, RemapAssignment};
-    use lams_mpsoc::{CacheConfig, TraceOp};
+    use lams_layout::{ArrayDecl, ArrayTable, Layout};
     use lams_presburger::{AffineMap, IterSpace};
-
-    fn check(w: &Workload, layout: &Layout) {
-        for p in w.process_ids() {
-            let scalar: Vec<TraceOp> = w.trace(p, layout).collect();
-            let prog = w.compile_trace(p, layout);
-            assert_eq!(prog.len_ops(), scalar.len() as u64);
-            let decoded: Vec<TraceOp> = prog.iter().collect();
-            assert_eq!(decoded, scalar, "decode mismatch for {}", w.process(p).name);
-        }
-    }
-
-    #[test]
-    fn suite_traces_compile_exactly_linear() {
-        for app in suite::all(Scale::Tiny) {
-            let w = Workload::single(app).unwrap();
-            let layout = Layout::linear(w.arrays());
-            check(&w, &layout);
-        }
-    }
-
-    #[test]
-    fn suite_traces_compile_exactly_remapped() {
-        for app in suite::all(Scale::Tiny) {
-            let w = Workload::single(app).unwrap();
-            let mut asg = RemapAssignment::new();
-            for (id, _) in w.arrays().iter() {
-                if id.index() % 2 == 0 {
-                    asg.assign(
-                        id,
-                        if id.index() % 4 == 0 {
-                            HalfPage::Lower
-                        } else {
-                            HalfPage::Upper
-                        },
-                    );
-                }
-            }
-            let layout = Layout::remapped(w.arrays(), &CacheConfig::paper_default(), &asg);
-            check(&w, &layout);
-        }
-    }
 
     #[test]
     fn unit_stride_sweep_collapses_to_one_block() {

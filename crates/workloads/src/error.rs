@@ -29,6 +29,24 @@ pub enum Error {
         /// Array rank.
         expected: usize,
     },
+    /// A subscript leaves its array dimension somewhere in the process's
+    /// iteration box.
+    SubscriptOutOfBounds {
+        /// Application name.
+        app: String,
+        /// Process index within the app.
+        process: usize,
+        /// The accessed array (app-local index).
+        array: u32,
+        /// The subscript's position in the access map.
+        dim: usize,
+        /// Smallest value the subscript takes over the box.
+        lo: i64,
+        /// Largest value the subscript takes over the box.
+        hi: i64,
+        /// The array's extent in that dimension.
+        extent: i64,
+    },
     /// A dependence edge references a process index out of range.
     BadDependence {
         /// Application name.
@@ -65,6 +83,18 @@ impl fmt::Display for Error {
             } => write!(
                 f,
                 "{app}: process {process} access arity {got} != array rank {expected}"
+            ),
+            Error::SubscriptOutOfBounds {
+                app,
+                process,
+                array,
+                dim,
+                lo,
+                hi,
+                extent,
+            } => write!(
+                f,
+                "{app}: process {process} subscript {dim} of array {array} spans [{lo}, {hi}], outside [0, {extent})"
             ),
             Error::BadDependence { app, edge } => {
                 write!(f, "{app}: dependence {edge:?} out of range")

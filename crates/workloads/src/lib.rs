@@ -22,8 +22,8 @@
 //! * an extended process graph ([`lams_procgraph::ProcessGraph`]),
 //! * exact per-process data sets computed symbolically with
 //!   [`lams_presburger`] (the Section 2 machinery),
-//! * lazy per-process memory traces ([`Trace`]) resolved through a
-//!   [`lams_layout::Layout`].
+//! * per-process memory traces compiled into the stride-run IR
+//!   ([`lams_trace::Program`]) against a [`lams_layout::Layout`].
 //!
 //! ```
 //! use lams_workloads::{suite, Scale, Workload};
@@ -37,10 +37,9 @@
 //! let p0 = w.process_ids().next().unwrap();
 //! assert!(w.data_set(p0).total_len() > 0);
 //!
-//! // Traces are generated lazily against a layout:
+//! // Traces compile against a layout, to the declared op count:
 //! let layout = Layout::linear(w.arrays());
-//! let ops = w.trace(p0, &layout).count();
-//! assert!(ops > 0);
+//! assert_eq!(w.compile_trace(p0, &layout).len_ops(), w.trace_len(p0));
 //! ```
 
 #![forbid(unsafe_code)]
@@ -58,7 +57,6 @@ mod scale;
 mod spec;
 pub mod suite;
 mod synthetic;
-mod trace;
 
 pub use build::{ProcessHandle, Workload};
 pub use error::{Error, Result};
@@ -66,4 +64,3 @@ pub use prog::{prog1, prog2};
 pub use scale::Scale;
 pub use spec::{AccessKind, AccessSpec, AppSpec, ProcessSpec};
 pub use synthetic::{synthetic_app, SyntheticConfig};
-pub use trace::Trace;

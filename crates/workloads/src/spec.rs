@@ -93,7 +93,10 @@ impl AppSpec {
     }
 
     /// Checks internal consistency: every access references a declared
-    /// array with matching rank, and dependence indices are in range.
+    /// array with matching rank, every subscript stays inside its
+    /// extent over the whole iteration box (its closed-form minimum and
+    /// maximum lie in `0..extent`; an empty box touches nothing and is
+    /// not checked), and dependence indices are in range.
     ///
     /// # Errors
     ///
@@ -103,6 +106,8 @@ impl AppSpec {
             return Err(Error::NoProcesses(self.name.clone()));
         }
         for (pi, p) in self.processes.iter().enumerate() {
+            let bbox = p.space.bounding_box()?;
+            let empty = bbox.iter().any(|&(lo, hi)| lo > hi);
             for a in &p.accesses {
                 let decl = self.arrays.get(a.array).ok_or(Error::UnknownArray {
                     app: self.name.clone(),
@@ -116,6 +121,31 @@ impl AppSpec {
                         got: a.map.arity(),
                         expected: decl.extents().len(),
                     });
+                }
+                if empty {
+                    continue;
+                }
+                for (dim, (e, &extent)) in a.map.outputs().iter().zip(decl.extents()).enumerate() {
+                    // An affine subscript is extreme at a box corner:
+                    // each term at whichever end its sign favours.
+                    let (mut lo, mut hi) = (e.constant_part(), e.constant_part());
+                    for (d, &(dlo, dhi)) in p.space.dims().iter().zip(&bbox) {
+                        let c = e.coeff(d.name());
+                        let (at_lo, at_hi) = (c.saturating_mul(dlo), c.saturating_mul(dhi));
+                        lo = lo.saturating_add(at_lo.min(at_hi));
+                        hi = hi.saturating_add(at_lo.max(at_hi));
+                    }
+                    if lo < 0 || hi >= extent {
+                        return Err(Error::SubscriptOutOfBounds {
+                            app: self.name.clone(),
+                            process: pi,
+                            array: a.array.index(),
+                            dim,
+                            lo,
+                            hi,
+                            extent,
+                        });
+                    }
                 }
             }
         }
@@ -188,6 +218,45 @@ mod tests {
         app.processes[0].accesses[0].map =
             AffineMap::new(vec![AffineExpr::var("i"), AffineExpr::constant(0)]);
         assert!(matches!(app.validate(), Err(Error::AccessArity { .. })));
+    }
+
+    #[test]
+    fn out_of_bounds_subscripts_rejected() {
+        // `A[i-1]` over `0 <= i < 16` on a 16-element array reads A[-1].
+        let mut app = one_proc_app();
+        app.processes[0].accesses[0].map =
+            AffineMap::new(vec![AffineExpr::var("i") + AffineExpr::constant(-1)]);
+        let err = app.validate().unwrap_err();
+        assert_eq!(
+            err,
+            Error::SubscriptOutOfBounds {
+                app: "t".into(),
+                process: 0,
+                array: 0,
+                dim: 0,
+                lo: -1,
+                hi: 14,
+                extent: 16,
+            }
+        );
+        assert_eq!(
+            err.to_string(),
+            "t: process 0 subscript 0 of array 0 spans [-1, 14], outside [0, 16)"
+        );
+        // `A[15-i]` spans [0, 15] (a negative coefficient takes its
+        // minimum at the top of the range); `A[16-i]` reaches A[16].
+        app.processes[0].accesses[0].map =
+            AffineMap::new(vec![AffineExpr::term("i", -1) + AffineExpr::constant(15)]);
+        app.validate().unwrap();
+        app.processes[0].accesses[0].map =
+            AffineMap::new(vec![AffineExpr::term("i", -1) + AffineExpr::constant(16)]);
+        assert!(matches!(
+            app.validate(),
+            Err(Error::SubscriptOutOfBounds { lo: 1, hi: 16, .. })
+        ));
+        // An empty box touches nothing, whatever its subscripts say.
+        app.processes[0].space = IterSpace::builder().dim_range("i", 0, 0).build().unwrap();
+        app.validate().unwrap();
     }
 
     #[test]

@@ -1,5 +1,6 @@
 //! Property tests: randomly generated applications must always compile
-//! into consistent workloads — traces, footprints and sharing all agree.
+//! into consistent workloads — the reference op stream of
+//! `support/scalar.rs`, footprints and sharing all agree.
 
 use std::collections::BTreeSet;
 
@@ -9,6 +10,9 @@ use lams_layout::Layout;
 use lams_mpsoc::TraceOp;
 use lams_procgraph::ProcessId;
 use lams_workloads::{synthetic_app, SyntheticConfig, Workload};
+
+#[path = "support/scalar.rs"]
+mod scalar;
 
 fn arb_config() -> impl Strategy<Value = SyntheticConfig> {
     (0u64..256, 1usize..4, 1usize..6, 8i64..24, 0i64..4).prop_map(
@@ -38,12 +42,13 @@ proptest! {
     #[test]
     fn trace_footprint_equals_data_set(cfg in arb_config()) {
         let app = synthetic_app(cfg);
-        let w = Workload::single(app).expect("builds");
+        let w = Workload::single(app.clone()).expect("builds");
         let layout = Layout::linear(w.arrays());
+        let streams = scalar::op_streams(&[app], &layout);
         for p in w.process_ids().take(4) {
-            let traced: BTreeSet<u64> = w
-                .trace(p, &layout)
-                .filter_map(|op| match op {
+            let traced: BTreeSet<u64> = streams[p.as_usize()]
+                .iter()
+                .filter_map(|op| match *op {
                     TraceOp::Access { addr, .. } => Some(addr),
                     TraceOp::Compute(_) => None,
                 })
@@ -63,10 +68,11 @@ proptest! {
     #[test]
     fn trace_length_is_declared_length(cfg in arb_config()) {
         let app = synthetic_app(cfg);
-        let w = Workload::single(app).expect("builds");
-        let layout = Layout::linear(w.arrays());
-        for p in w.process_ids().take(4) {
-            prop_assert_eq!(w.trace(p, &layout).count() as u64, w.trace_len(p));
+        let w = Workload::single(app.clone()).expect("builds");
+        let streams = scalar::op_streams(&[app], &Layout::linear(w.arrays()));
+        prop_assert_eq!(streams.len(), w.num_processes());
+        for p in w.process_ids() {
+            prop_assert_eq!(streams[p.as_usize()].len() as u64, w.trace_len(p));
         }
     }
 

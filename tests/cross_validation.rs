@@ -1,8 +1,10 @@
 //! Cross-validation between the symbolic layer and the execution layer:
-//! the Presburger-computed data sets must match exactly what the traces
-//! actually touch, for every process of every suite application, under
-//! both the linear and a remapped layout — plus the golden fixed-seed
-//! makespans that pin the simulator's results across perf rewrites.
+//! the Presburger-computed data sets must match exactly what the
+//! reference op streams (written from the specs by the oracle's
+//! `scalar` support) actually touch, for every process of every suite
+//! application, under both the linear and a remapped layout — plus the
+//! golden fixed-seed makespans that pin the simulator's results across
+//! perf rewrites.
 
 use std::collections::BTreeSet;
 
@@ -11,23 +13,25 @@ use lams::core::{
     Policy, PolicyKind, ScenarioMatrix, SharingMatrix, SweepRunner,
 };
 use lams::layout::{HalfPage, Layout, RemapAssignment};
-use lams::mpsoc::{BusConfig, CacheConfig, MachineConfig, TraceOp};
+use lams::mpsoc::{BusConfig, CacheConfig, MachineConfig};
 use lams::workloads::{suite, synthetic_app, AppSpec, Scale, SyntheticConfig, Workload};
 
 #[path = "../crates/core/tests/support/oracle.rs"]
 mod oracle;
 
-/// Replays a process trace and collects the first byte address of each
-/// access; compares with the footprint predicted by the data set mapped
-/// through the same layout.
-fn check_workload(w: &Workload, layout: &Layout) {
+use oracle::scalar;
+
+/// Collects the first byte address of each access of each process's
+/// reference stream; compares with the footprint predicted by the data
+/// set mapped through the same layout.
+fn check_workload(app: &AppSpec, w: &Workload, layout: &Layout) {
+    let streams = scalar::op_streams(std::slice::from_ref(app), layout);
     for p in w.process_ids() {
-        let mut traced = BTreeSet::new();
-        for op in w.trace(p, layout) {
-            if let TraceOp::Access { addr, .. } = op {
-                traced.insert(addr as i64);
-            }
-        }
+        let traced: BTreeSet<i64> = streams[p.as_usize()]
+            .iter()
+            .filter_map(|op| op.addr())
+            .map(|addr| addr as i64)
+            .collect();
         let mut predicted = BTreeSet::new();
         for (&array, elems) in w.data_set(p).iter() {
             for e in elems.iter() {
@@ -47,16 +51,16 @@ fn check_workload(w: &Workload, layout: &Layout) {
 #[test]
 fn traces_match_presburger_footprints_linear() {
     for app in suite::all(Scale::Tiny) {
-        let w = Workload::single(app).unwrap();
+        let w = Workload::single(app.clone()).unwrap();
         let layout = Layout::linear(w.arrays());
-        check_workload(&w, &layout);
+        check_workload(&app, &w, &layout);
     }
 }
 
 #[test]
 fn traces_match_presburger_footprints_remapped() {
     for app in suite::all(Scale::Tiny) {
-        let w = Workload::single(app).unwrap();
+        let w = Workload::single(app.clone()).unwrap();
         // Remap every other array; footprints must still agree.
         let mut asg = RemapAssignment::new();
         for (id, _) in w.arrays().iter() {
@@ -72,17 +76,18 @@ fn traces_match_presburger_footprints_remapped() {
             }
         }
         let layout = Layout::remapped(w.arrays(), &CacheConfig::paper_default(), &asg);
-        check_workload(&w, &layout);
+        check_workload(&app, &w, &layout);
     }
 }
 
 #[test]
 fn trace_lengths_match_declared() {
     for app in suite::all(Scale::Tiny) {
-        let w = Workload::single(app).unwrap();
-        let layout = Layout::linear(w.arrays());
+        let w = Workload::single(app.clone()).unwrap();
+        let streams = scalar::op_streams(&[app], &Layout::linear(w.arrays()));
+        assert_eq!(streams.len(), w.num_processes());
         for p in w.process_ids() {
-            let n = w.trace(p, &layout).count() as u64;
+            let n = streams[p.as_usize()].len() as u64;
             assert_eq!(n, w.trace_len(p), "{}", w.process(p).name);
         }
     }
@@ -303,19 +308,20 @@ fn ls_makespan(app: AppSpec, cfg: EngineConfig) -> u64 {
 
 /// Small-scale LS goldens on the Table 2 machine: Shape out of both
 /// simulators (the engine on compiled programs and the per-op oracle on
-/// the scalar trace, otherwise pinned only against each other), and the
+/// the reference op stream, otherwise pinned only against each other), and the
 /// whole suite summed behind a 20-cycle bus under each arbiter (the
 /// FCFS sum was recorded from the engine's former second-min-cap path
 /// and must survive its removal).
 #[test]
 fn golden_small_scale_ls_makespans_are_reproduced_exactly() {
     let machine = MachineConfig::paper_default();
-    let w = Workload::single(suite::shape(Scale::Small)).expect("valid app");
+    let app = suite::shape(Scale::Small);
+    let w = Workload::single(app.clone()).expect("valid app");
     let sharing = SharingMatrix::from_workload(&w);
     let make =
         || -> Box<dyn Policy> { Box::new(LocalityPolicy::new(sharing.clone(), machine.num_cores)) };
-    let shape =
-        oracle::check(&w, &Layout::linear(w.arrays()), &make, machine.into()).expect("engine runs");
+    let layout = Layout::linear(w.arrays());
+    let shape = oracle::check(&[app], &w, &layout, &make, machine.into()).expect("engine runs");
     assert_eq!(shape.makespan_cycles, 28037, "Shape/Small LS drifted");
     for (bus, expected) in [
         (BusConfig::fcfs(20), 245527),
@@ -432,16 +438,13 @@ fn open_system_grid_is_thread_and_memo_invariant() {
 fn sharing_matrix_matches_trace_overlap() {
     // The sharing matrix (symbolic) must equal the overlap of traced
     // element addresses (operational) for a representative app.
-    let w = Workload::single(suite::shape(Scale::Tiny)).unwrap();
+    let app = suite::shape(Scale::Tiny);
+    let w = Workload::single(app.clone()).unwrap();
     let layout = Layout::linear(w.arrays());
     let m = lams::core::SharingMatrix::from_workload(&w);
-    let footprints: Vec<BTreeSet<u64>> = w
-        .process_ids()
-        .map(|p| {
-            w.trace(p, &layout)
-                .filter_map(|op| op.addr())
-                .collect::<BTreeSet<u64>>()
-        })
+    let footprints: Vec<BTreeSet<u64>> = scalar::op_streams(&[app], &layout)
+        .iter()
+        .map(|ops| ops.iter().filter_map(|op| op.addr()).collect())
         .collect();
     for (i, p) in w.process_ids().enumerate() {
         for (j, q) in w.process_ids().enumerate() {
