@@ -9,22 +9,29 @@
 //!   small) with power-of-two shift/mask indexing — no `Vec<Vec<_>>`
 //!   pointer chasing;
 //! * the fully-associative 3C shadow is an intrusive doubly-linked LRU
-//!   list over a slab of nodes plus an open-addressing `line -> node`
-//!   index ([`LineTable`]: one multiply-shift hash and ~1 linear probe),
-//!   replacing the seed's `HashMap` + `BTreeMap` (SipHash plus tree
-//!   rebalancing on every access).
+//!   list over a slab of nodes plus one open-addressing table over every
+//!   line ever touched ([`LineTable`]: one multiply-shift hash, ~1
+//!   probe) whose value is the line's node, or [`OUT`] once evicted, so
+//!   a miss classifies with one probe (absent: cold, `OUT`: capacity, a
+//!   node: conflict);
+//! * hits do not touch the shadow. An FA LRU's state depends only on the
+//!   order of each line's last touch (the LRU stack property), so a hit
+//!   lists its way as dirty and the next miss, the shadow's only reader,
+//!   replays the dirty ways in stamp order before it classifies.
 //!
 //! Fast-path invariants (checked by `crates/mpsoc/tests/prop.rs` against
 //! the naive reference machine of `crates/mpsoc/tests/support/naive.rs`,
-//! whose per-set directories and shadow are scanned linearly):
+//! whose per-set directories and eager shadow are scanned linearly):
 //!
 //! * way stamps are distinct (the access clock strictly increases), so
-//!   the per-set LRU victim is unique — eviction choices are
-//!   bit-identical to any stamp-based implementation;
+//!   the per-set LRU victim and the replay order are unique;
 //! * a `stamp == 0` way slot is empty (the clock starts at 1);
-//! * the shadow list is ordered head = least recently touched to
-//!   tail = most recently touched, and its membership equals what an
-//!   unbounded-stamp FA LRU of `num_lines` capacity would hold.
+//! * the dirty list holds each way whose stamp is above `synced` (the
+//!   last miss's clock) once, so it never outgrows `num_lines`; only a
+//!   miss evicts, so a dirty way still holds the line it hit;
+//! * after a miss's sync the shadow runs LRU (head) to MRU (tail) and
+//!   holds what an FA LRU of `num_lines` lines touched by every access
+//!   so far would.
 
 use crate::{CacheConfig, CacheStats};
 
@@ -75,15 +82,18 @@ const EMPTY: Way = Way { line: 0, stamp: 0 };
 /// Slot value marking an empty [`LineTable`] slot.
 const VACANT: u32 = u32::MAX;
 
+/// [`LineTable`] value of a line seen before but evicted from the shadow.
+const OUT: u32 = u32::MAX - 1;
+
 /// Minimal open-addressing hash table from cache-line numbers to `u32`
 /// payloads: Fibonacci multiply-shift hashing, linear probing at a load
-/// factor of at most 1/2, backward-shift deletion (no tombstones).
+/// factor of at most 1/2, no deletion.
 ///
 /// This is the cheapest possible index for the hot path's single-word
 /// keys — one multiply plus on average about one slot probe — replacing
 /// the seed's SipHash `HashMap`/`HashSet`. `value == VACANT` marks an
-/// empty slot, so payloads must stay below `u32::MAX` (node indices and
-/// the set marker do).
+/// empty slot, so payloads must stay below `u32::MAX` ([`OUT`] and node
+/// indices, which [`CacheConfig::validate`] bounds, do).
 #[derive(Debug, Clone)]
 struct LineTable {
     /// (line, value) pairs; `value == VACANT` means empty.
@@ -126,9 +136,9 @@ impl LineTable {
         }
     }
 
-    /// Inserts a line that is **not** present (callers check first).
+    /// Sets `line`'s value, inserting the line if it is absent.
     #[inline]
-    fn insert(&mut self, line: u64, value: u32) {
+    fn put(&mut self, line: u64, value: u32) {
         if (self.len + 1) * 2 > self.slots.len() {
             self.grow();
         }
@@ -140,44 +150,12 @@ impl LineTable {
                 self.len += 1;
                 return;
             }
-            debug_assert_ne!(slot.0, line, "duplicate insert");
-            i += 1;
-        }
-    }
-
-    /// Removes a line that **is** present, with backward-shift deletion
-    /// so probe chains stay dense (no tombstones).
-    #[inline]
-    fn remove(&mut self, line: u64) {
-        let mut i = self.bucket(line);
-        loop {
-            let idx = i & self.mask;
-            debug_assert_ne!(self.slots[idx].1, VACANT, "removing absent line");
-            if self.slots[idx].0 == line {
-                break;
+            if slot.0 == line {
+                slot.1 = value;
+                return;
             }
             i += 1;
         }
-        let mut hole = i & self.mask;
-        let mut j = hole;
-        loop {
-            j = (j + 1) & self.mask;
-            let (key, value) = self.slots[j];
-            if value == VACANT {
-                break;
-            }
-            // Shift back entries whose home bucket does not lie in the
-            // (cyclic) open interval (hole, j].
-            let home = self.bucket(key) & self.mask;
-            let dist_home = j.wrapping_sub(home) & self.mask;
-            let dist_hole = j.wrapping_sub(hole) & self.mask;
-            if dist_home >= dist_hole {
-                self.slots[hole] = self.slots[j];
-                hole = j;
-            }
-        }
-        self.slots[hole].1 = VACANT;
-        self.len -= 1;
     }
 
     #[cold]
@@ -190,7 +168,7 @@ impl LineTable {
         self.len = 0;
         for (key, value) in old.iter().copied() {
             if value != VACANT {
-                self.insert(key, value);
+                self.put(key, value);
             }
         }
     }
@@ -208,10 +186,12 @@ struct Node {
 
 /// Fully-associative LRU shadow of `cap` lines: an intrusive
 /// doubly-linked list (head = LRU, tail = MRU) over a slab of nodes,
-/// indexed by a [`LineTable`]. All operations are O(1).
+/// indexed by a [`LineTable`] that also remembers every line it has
+/// evicted. All operations are O(1).
 #[derive(Debug, Clone)]
 struct Shadow {
     cap: usize,
+    /// Every line ever touched: its node, or [`OUT`] once evicted.
     index: LineTable,
     nodes: Vec<Node>,
     head: u32,
@@ -255,37 +235,41 @@ impl Shadow {
         self.tail = i;
     }
 
-    /// Touches `line` (insert or refresh at MRU, evicting the LRU line
-    /// when full) and returns whether it was already present.
+    /// Touches `line` (refresh at MRU, or insert there, evicting the LRU
+    /// line when full) and returns how a miss on it classifies: cold if
+    /// it was never touched, capacity if the shadow had evicted it,
+    /// conflict if the shadow still held it.
     #[inline]
-    fn touch(&mut self, line: u64) -> bool {
-        if let Some(i) = self.index.get(line) {
-            if self.tail != i {
-                self.unlink(i);
-                self.push_mru(i);
+    fn touch(&mut self, line: u64) -> MissKind {
+        let kind = match self.index.get(line) {
+            None => MissKind::Cold,
+            Some(OUT) => MissKind::Capacity,
+            Some(i) => {
+                if self.tail != i {
+                    self.unlink(i);
+                    self.push_mru(i);
+                }
+                return MissKind::Conflict;
             }
-            return true;
-        }
-        if self.nodes.len() == self.cap {
+        };
+        let i = if self.nodes.len() == self.cap {
             // Full: evict the LRU head and reuse its node slot.
             let victim = self.head;
-            let old_line = self.nodes[victim as usize].line;
-            self.index.remove(old_line);
+            self.index.put(self.nodes[victim as usize].line, OUT);
             self.unlink(victim);
             self.nodes[victim as usize].line = line;
-            self.push_mru(victim);
-            self.index.insert(line, victim);
+            victim
         } else {
-            let i = self.nodes.len() as u32;
             self.nodes.push(Node {
                 line,
                 prev: NIL,
                 next: NIL,
             });
-            self.push_mru(i);
-            self.index.insert(line, i);
-        }
-        false
+            (self.nodes.len() - 1) as u32
+        };
+        self.push_mru(i);
+        self.index.put(line, i);
+        kind
     }
 }
 
@@ -319,8 +303,10 @@ pub struct Cache {
     stats: CacheStats,
     /// Fully-associative LRU shadow of equal capacity (3C machinery).
     shadow: Shadow,
-    /// Lines ever seen (for cold-miss detection).
-    seen: LineTable,
+    /// Way slots hit since the last miss, each once, for the next sync.
+    dirty: Vec<u32>,
+    /// Access clock of the last miss, when the shadow was last synced.
+    synced: u64,
 }
 
 impl Cache {
@@ -335,18 +321,18 @@ impl Cache {
         config
             .validate()
             .expect("cache geometry must be valid (powers of two)");
-        let num_sets = config.num_sets() as usize;
-        let assoc = config.associativity as usize;
+        let num_lines = config.num_lines() as usize;
         Cache {
             config,
             line_shift: config.line_bytes.trailing_zeros(),
             set_mask: config.num_sets() - 1,
-            assoc,
-            ways: vec![EMPTY; num_sets * assoc].into_boxed_slice(),
+            assoc: config.associativity as usize,
+            ways: vec![EMPTY; num_lines].into_boxed_slice(),
             clock: 0,
             stats: CacheStats::default(),
-            shadow: Shadow::new(config.num_lines() as usize),
-            seen: LineTable::with_capacity(config.num_lines() as usize),
+            shadow: Shadow::new(num_lines),
+            dirty: Vec::with_capacity(num_lines),
+            synced: 0,
         }
     }
 
@@ -362,11 +348,14 @@ impl Cache {
 
     /// Whether a byte address is currently resident.
     pub fn is_resident(&self, addr: u64) -> bool {
-        let line = addr >> self.line_shift;
-        let set = (line & self.set_mask) as usize;
-        self.ways[set * self.assoc..(set + 1) * self.assoc]
-            .iter()
-            .any(|w| w.stamp != 0 && w.line == line)
+        self.slot_of(addr >> self.line_shift).is_some()
+    }
+
+    /// The way slot holding `line`, if it is resident.
+    fn slot_of(&self, line: u64) -> Option<usize> {
+        let set_base = (line & self.set_mask) as usize * self.assoc;
+        (set_base..set_base + self.assoc)
+            .find(|&slot| self.ways[slot].stamp != 0 && self.ways[slot].line == line)
     }
 
     /// Number of currently resident lines.
@@ -381,46 +370,35 @@ impl Cache {
         self.clock += 1;
         let line = addr >> self.line_shift;
         let set_base = (line & self.set_mask) as usize * self.assoc;
-        let set = &mut self.ways[set_base..set_base + self.assoc];
 
         // Probe all ways, tracking the LRU victim as we go. Stamps are
         // distinct (the clock strictly increases), so the minimum is
         // unique and matches the seed implementation's victim choice.
-        let mut victim = 0usize;
+        let mut victim = set_base;
         let mut victim_stamp = u64::MAX;
-        for (i, w) in set.iter_mut().enumerate() {
+        for slot in set_base..set_base + self.assoc {
+            let w = self.ways[slot];
             if w.stamp != 0 && w.line == line {
-                w.stamp = self.clock;
+                self.restamp(slot, self.clock);
                 self.stats.hits += 1;
-                self.shadow.touch(line);
                 return AccessOutcome::Hit;
             }
             if w.stamp < victim_stamp {
                 victim_stamp = w.stamp;
-                victim = i;
+                victim = slot;
             }
         }
 
-        // Miss: classify before refreshing the shadow.
-        let is_new = self.seen.get(line).is_none();
-        if is_new {
-            self.seen.insert(line, 0);
-        }
-        let in_shadow = self.shadow.touch(line);
-        let kind = if is_new {
-            MissKind::Cold
-        } else if in_shadow {
-            MissKind::Conflict
-        } else {
-            MissKind::Capacity
-        };
+        // Miss: bring the shadow up to date, then classify.
+        self.sync_shadow();
+        let kind = self.shadow.touch(line);
 
         // Fill the empty slot with the smallest stamp, or evict the LRU
         // way (victim_stamp != 0 means every way is occupied).
         if victim_stamp != 0 {
             self.stats.evictions += 1;
         }
-        set[victim] = Way {
+        self.ways[victim] = Way {
             line,
             stamp: self.clock,
         };
@@ -436,9 +414,10 @@ impl Cache {
 
     /// Bulk-applies `rounds` rounds of guaranteed hits over `lines`
     /// (one access per line per round, lines in access order within a
-    /// round) — bit-identical in final state (way stamps, shadow order)
-    /// and statistics to calling [`Cache::access`] for each of the
-    /// `lines.len() * rounds` accesses individually.
+    /// round) — bit-identical in final state and statistics to calling
+    /// [`Cache::access`] for each of the `lines.len() * rounds` accesses
+    /// individually: each way takes its last touch's stamp and is listed
+    /// dirty like any hit.
     ///
     /// The caller must guarantee every covered access *would* hit: each
     /// line is resident at entry and is re-touched every round with no
@@ -448,7 +427,7 @@ impl Cache {
     /// bounding the window at the first lane line-boundary crossing.
     pub(crate) fn bulk_hit_rounds(
         &mut self,
-        lines: impl ExactSizeIterator<Item = u64> + Clone,
+        lines: impl ExactSizeIterator<Item = u64>,
         rounds: u64,
     ) {
         let m = lines.len() as u64;
@@ -456,30 +435,44 @@ impl Cache {
         let start = self.clock;
         self.clock += m * rounds;
         self.stats.hits += m * rounds;
-        for (j, line) in lines.clone().enumerate() {
+        for (j, line) in lines.enumerate() {
             // Final stamp: the access clock of this lane's touch in the
             // last round (a later lane on the same line overwrites, as
             // per-op execution would).
             self.stamp_resident(line, start + (rounds - 1) * m + j as u64 + 1);
         }
-        // Per-op, the window's final shadow order is the order of the
-        // last round's touches — touching once per lane in lane order
-        // reaches the same state.
-        for line in lines {
-            self.shadow.touch(line);
-        }
     }
 
     /// Re-stamps a resident line (bulk-hit bookkeeping).
     fn stamp_resident(&mut self, line: u64, stamp: u64) {
-        let set_base = (line & self.set_mask) as usize * self.assoc;
-        for w in &mut self.ways[set_base..set_base + self.assoc] {
-            if w.stamp != 0 && w.line == line {
-                w.stamp = stamp;
-                return;
-            }
+        match self.slot_of(line) {
+            Some(slot) => self.restamp(slot, stamp),
+            None => debug_assert!(false, "bulk hit on a non-resident line {line}"),
         }
-        debug_assert!(false, "bulk hit on a non-resident line {line}");
+    }
+
+    /// Re-stamps way `slot` on a hit, listing it dirty on its first hit
+    /// since the last miss (its old stamp is at most `synced`).
+    #[inline]
+    fn restamp(&mut self, slot: usize, stamp: u64) {
+        let w = &mut self.ways[slot];
+        if w.stamp <= self.synced {
+            self.dirty.push(slot as u32);
+        }
+        w.stamp = stamp;
+    }
+
+    /// Replays the hits since the last miss into the shadow, one touch
+    /// per dirty way in stamp order: the order of each line's last touch.
+    fn sync_shadow(&mut self) {
+        let ways = &self.ways;
+        self.dirty
+            .sort_unstable_by_key(|&slot| ways[slot as usize].stamp);
+        for &slot in &self.dirty {
+            self.shadow.touch(ways[slot as usize].line);
+        }
+        self.dirty.clear();
+        self.synced = self.clock;
     }
 }
 
@@ -537,6 +530,43 @@ mod tests {
         let out = c.access(0); // shadow (FA, 2 lines) still holds 0
         assert_eq!(out, AccessOutcome::Miss(MissKind::Conflict));
         assert_eq!(c.stats().conflict_misses, 1);
+    }
+
+    #[test]
+    fn shadow_replays_hits_in_last_touch_order() {
+        // Direct-mapped, 2 lines of 16 B: line 0 in set 0, line 1 in set 1.
+        let cfg = CacheConfig::new(32, 1, 16).unwrap();
+        let mut c = Cache::new(cfg);
+        c.access(0); // cold
+        c.access(16); // cold; shadow LRU -> MRU: [0, 1]
+                      // Between two misses, first hits 0 then 1, last touches 1 then 0:
+                      // the shadow must end at [1, 0], not at the first-hit order.
+        for addr in [0, 16, 0] {
+            assert!(c.access(addr).is_hit());
+        }
+        // Line 2 (set 0) evicts line 0 from the cache and the shadow's LRU
+        // line — 1, so the shadow is [0, 2].
+        assert_eq!(c.access(32), AccessOutcome::Miss(MissKind::Cold));
+        assert_eq!(c.access(0), AccessOutcome::Miss(MissKind::Conflict));
+        assert!(c.access(16).is_hit());
+        // The shadow is [2, 0]; the hit on 1 re-enters it at the next
+        // miss's replay and evicts 2, so 2's miss is capacity.
+        assert_eq!(c.access(32), AccessOutcome::Miss(MissKind::Capacity));
+    }
+
+    #[test]
+    fn bulk_hits_reach_the_shadow() {
+        // The machine only bulk-applies hits right after probing the same
+        // lines, which already lists them dirty; the contract does not
+        // need that, so a bulk hit must list its way itself.
+        let cfg = CacheConfig::new(32, 1, 16).unwrap();
+        let mut c = Cache::new(cfg);
+        c.access(0);
+        c.access(16); // shadow [0, 1]
+        c.bulk_hit_rounds(std::iter::once(0), 3); // [1, 0] at the next sync
+        assert_eq!(c.access(32), AccessOutcome::Miss(MissKind::Cold)); // [0, 2]
+        assert_eq!(c.access(0), AccessOutcome::Miss(MissKind::Conflict));
+        assert_eq!(c.stats().hits, 3);
     }
 
     #[test]

@@ -36,8 +36,8 @@ impl CacheConfig {
     /// # Errors
     ///
     /// Returns [`Error::InvalidConfig`] unless all parameters are powers
-    /// of two, `line_bytes <= size_bytes`, and
-    /// `associativity * line_bytes <= size_bytes`.
+    /// of two, `line_bytes <= associativity * line_bytes <= size_bytes`
+    /// and the cache has at most 2^31 lines.
     pub fn new(size_bytes: u64, associativity: u64, line_bytes: u64) -> Result<Self> {
         let c = CacheConfig {
             size_bytes,
@@ -77,6 +77,12 @@ impl CacheConfig {
         if self.associativity * self.line_bytes > self.size_bytes {
             return Err(Error::InvalidConfig(
                 "associativity * line size exceeds cache size".into(),
+            ));
+        }
+        // Line indices are `u32`s below the cache's two sentinel values.
+        if self.num_lines() > u64::from(u32::MAX - 1) {
+            return Err(Error::InvalidConfig(
+                "too many lines for u32 indices".into(),
             ));
         }
         Ok(())
@@ -417,6 +423,15 @@ mod tests {
         assert!(CacheConfig::new(8192, 2, 33).is_err());
         assert!(CacheConfig::new(64, 4, 32).is_err()); // assoc*line > size
         assert!(CacheConfig::new(8192, 2, 32).is_ok());
+    }
+
+    #[test]
+    fn validation_rejects_unindexable_line_counts() {
+        // 2^35 lines cannot be indexed by `u32`; 2^31 still can.
+        let err = CacheConfig::new(1 << 40, 2, 32).unwrap_err();
+        assert!(matches!(err, Error::InvalidConfig(_)), "{err}");
+        assert!(CacheConfig::new(1 << 36, 2, 32).is_ok());
+        assert!(CacheConfig::new(1 << 37, 2, 32).is_err());
     }
 
     #[test]

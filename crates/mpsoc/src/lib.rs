@@ -61,8 +61,8 @@
 //!   geometry. Way stamps strictly increase, so the per-set LRU victim
 //!   is unique and matches any stamp-ordered implementation.
 //! * The 3C shadow directory is an intrusive doubly-linked LRU over a
-//!   slab plus an open-addressing multiply-shift index table — no
-//!   SipHash, no `BTreeMap`.
+//!   slab plus one multiply-shift table over every line ever touched;
+//!   a hit only lists its way, and the next miss replays the list.
 //! * [`Machine::exec_source_until`] — the executor the scheduling
 //!   engine calls — runs a compiled program ([`TraceSource`]) up to an
 //!   event horizon, collapsing guaranteed-hit spans into arithmetic;

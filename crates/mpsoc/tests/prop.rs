@@ -472,6 +472,31 @@ proptest! {
         prop_assert_eq!(*fast.stats(), slow.stats());
     }
 
+    /// Differential on hit-heavy traces: ~600 accesses over ~40 lines, so
+    /// most accesses hit and lines are re-hit in every order between two
+    /// misses — the shadow the optimized cache brings up to date only at
+    /// a miss must classify every miss as the naive cache's shadow,
+    /// touched on every access, does.
+    #[test]
+    fn hit_heavy_cache_matches_reference(
+        lines in prop::collection::vec(0u64..40, 500..700),
+        geom in 0usize..4,
+    ) {
+        let cfg = [
+            CacheConfig::new(256, 1, 16).unwrap(),  // direct-mapped
+            CacheConfig::new(256, 2, 16).unwrap(),  // 2-way
+            CacheConfig::new(512, 4, 32).unwrap(),  // 4-way
+            CacheConfig::new(256, 16, 16).unwrap(), // fully associative
+        ][geom];
+        let mut fast = Cache::new(cfg);
+        let mut slow = NaiveCache::new(cfg);
+        for (i, &line) in lines.iter().enumerate() {
+            let a = line * cfg.line_bytes;
+            prop_assert_eq!(fast.access(a), slow.access(a), "access {} (line {}) diverged", i, line);
+        }
+        prop_assert_eq!(*fast.stats(), slow.stats());
+    }
+
     /// Differential: the batched segment executor
     /// (`Machine::exec_source_until`, completing parked misses through
     /// `complete_bus_access`) is bit-identical to the naive machine

@@ -336,6 +336,33 @@ fn golden_small_scale_ls_makespans_are_reproduced_exactly() {
     }
 }
 
+/// Golden 3C split: `(cold, capacity, conflict)` misses summed over the
+/// fig6 grid at Large scale (every Table 1 app under RS, RRS and LS,
+/// Table 2 machine, RS seed 12345). The makespan goldens cannot see how
+/// misses split, since no simulated time depends on the split. Recorded
+/// from the cache that touched its fully-associative shadow on every
+/// hit, before the shadow was brought up to date only at misses; Large
+/// is the smallest scale at which replaying the hits out of last-touch
+/// order moves the sums.
+#[test]
+fn golden_fig6_three_c_split_is_reproduced_exactly() {
+    let mut sums = (0, 0, 0);
+    for app in suite::all(Scale::Large) {
+        let exp = Experiment::isolated(&app, MachineConfig::paper_default()).with_seed(12345);
+        for kind in [
+            PolicyKind::Random,
+            PolicyKind::RoundRobin,
+            PolicyKind::Locality,
+        ] {
+            let c = exp.run(kind).expect("policy runs").machine.cache;
+            sums.0 += c.cold_misses;
+            sums.1 += c.capacity_misses;
+            sums.2 += c.conflict_misses;
+        }
+    }
+    assert_eq!(sums, (28763, 275, 15036), "3C split drifted: got {sums:?}");
+}
+
 /// Golden arrival-plan checksum: the seeded splitmix64 + inverse-CDF
 /// generator is part of the reproducibility contract — a platform- or
 /// refactor-induced drift in the stream silently changes every
