@@ -3,7 +3,7 @@
 //! Subcommands:
 //!
 //! * `record  --app NAME|--mix N [--scale S] [--out FILE]` — compile a
-//!   suite workload's traces into stride-run IR and write an `.ltr`
+//!   suite workload's traces into the trace IR and write an `.ltr`
 //!   bundle (default `trace.ltr`).
 //! * `replay  FILE [--policy rs|rrs|ls] [--cores N] [--seed N]
 //!   [--quantum N]` — read a bundle and run it through the scheduling

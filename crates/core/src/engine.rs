@@ -294,7 +294,7 @@ fn dispatch_gate(
 /// Executes `workload` on the configured machine under `policy`, with
 /// array addresses resolved through `layout`.
 ///
-/// Each process's trace is first compiled into a stride-run program
+/// Each process's trace is first compiled into a trace program
 /// ([`Workload::compile_traces`]) and executed batchwise. Compilation
 /// happens per call; use [`execute_cached`] to share one compiled
 /// program set across runs (the LSM candidate ladder and policy-dense
@@ -412,11 +412,13 @@ fn run_engine<'a>(
     let cores = machine.num_cores();
     let mut tracker = ReadyTracker::new(epg);
     let mut ready_at: Vec<u64> = vec![0; n];
-    let mut paused: BTreeMap<ProcessId, Cursor<'a>> = BTreeMap::new();
+    // Per-pid state, indexed by `ProcessId::as_usize`: the cursor of a
+    // preempted process, and where and when each dispatched one ran.
+    let mut paused: Vec<Option<Cursor<'a>>> = vec![None; n];
+    let mut execs: Vec<Option<ProcessExec>> = vec![None; n];
     let mut running: Vec<Option<Running<'_>>> = (0..cores).map(|_| None).collect();
     let mut last_on_core: Vec<Option<ProcessId>> = vec![None; cores];
     let mut core_sequences: Vec<Vec<ProcessId>> = vec![Vec::new(); cores];
-    let mut execs: BTreeMap<ProcessId, ProcessExec> = BTreeMap::new();
     let quantum = |p: &dyn Policy| config.quantum_override.or(p.quantum());
 
     // Open-system admission state. In batch mode (`plan` is `None`)
@@ -538,10 +540,10 @@ fn run_engine<'a>(
                 }
                 let start = machine.core_clock(core)?.max(ready_at[pid.as_usize()]);
                 machine.wait_until(core, start)?;
-                let trace = paused
-                    .remove(&pid)
+                let trace = paused[pid.as_usize()]
+                    .take()
                     .unwrap_or_else(|| Cursor::new(program(pid)));
-                let quantum_end = quantum(policy).map(|q| start + q);
+                let quantum_end = quantum(policy).map(|q| start.saturating_add(q));
                 running[core] = Some(Running {
                     pid,
                     trace,
@@ -551,15 +553,14 @@ fn run_engine<'a>(
                 busy.push(Reverse((start, core)));
                 core_sequences[core].push(pid);
                 last_on_core[core] = Some(pid);
-                execs
-                    .entry(pid)
-                    .and_modify(|e| e.dispatches += 1)
-                    .or_insert(ProcessExec {
+                execs[pid.as_usize()]
+                    .get_or_insert(ProcessExec {
                         core,
                         start,
                         finish: 0,
-                        dispatches: 1,
-                    });
+                        dispatches: 0,
+                    })
+                    .dispatches += 1;
                 dispatched = true;
                 break; // re-rank with the updated ready set
             }
@@ -640,7 +641,7 @@ fn run_engine<'a>(
                 debug_assert_eq!(now, key, "completion key is the finish clock");
                 let Running { pid, .. } = running[core].take().expect("core is busy");
                 gate_dirty = true;
-                if let Some(e) = execs.get_mut(&pid) {
+                if let Some(e) = &mut execs[pid.as_usize()] {
                     e.finish = now;
                     e.core = core;
                 }
@@ -665,7 +666,7 @@ fn run_engine<'a>(
                 let now = machine.core_clock(core)?;
                 let Running { pid, trace, .. } = running[core].take().expect("core is busy");
                 gate_dirty = true;
-                paused.insert(pid, trace);
+                paused[pid.as_usize()] = Some(trace);
                 tracker.preempt(pid)?;
                 ready_at[pid.as_usize()] = now;
                 policy.on_preempt(pid, now);
@@ -738,6 +739,11 @@ fn run_engine<'a>(
     }
 
     let stats = machine.stats();
+    let processes: BTreeMap<ProcessId, ProcessExec> = execs
+        .into_iter()
+        .enumerate()
+        .filter_map(|(i, e)| Some((ProcessId::new(i as u32), e?)))
+        .collect();
     let arrival_metrics = match &plan {
         None => None,
         Some(plan) => {
@@ -746,7 +752,7 @@ fn run_engine<'a>(
                 core_busy.push(machine.core_stats(c)?.busy_cycles);
             }
             Some(ArrivalMetrics::collect(
-                execs
+                processes
                     .iter()
                     .map(|(p, e)| (plan.arrival(*p), e.start, e.finish)),
                 queue_peak,
@@ -761,7 +767,7 @@ fn run_engine<'a>(
         seconds: config.machine.cycles_to_seconds(stats.makespan_cycles),
         machine: stats,
         core_sequences,
-        processes: execs,
+        processes,
         arrivals: arrival_metrics,
     })
 }

@@ -1,4 +1,4 @@
-//! Differential tests for the compiled-trace (stride-run IR) engine:
+//! Differential tests for the compiled-trace engine:
 //! executing the compiled programs must be **bit-identical** to the
 //! per-op oracle (`support/oracle.rs`) walking the reference op stream
 //! it writes from the application specs — makespans, dispatch sequences,

@@ -45,8 +45,8 @@
 //!
 //! impl TraceSource for Read {
 //!     fn peek_segment(&mut self) -> Option<Segment> {
-//!         let base = self.0?;
-//!         Some(Segment::Run { base, stride: 0, count: 1, write: false })
+//!         let addr = self.0?;
+//!         Some(Segment::Access { addr, write: false })
 //!     }
 //!     fn lanes(&self) -> &[SegmentLane] {
 //!         &[]
@@ -155,7 +155,9 @@ impl Arbiter {
     fn grant(&mut self, core: CoreId, at: u64) {
         let mut w = self.waiting[core].expect("granted core is waiting");
         let grant = at.max(self.next_free);
-        self.next_free = grant + self.config.occupancy_cycles;
+        // Saturating: a grant this late costs a clock overflow anyway,
+        // which `Machine::complete_bus_access` reports.
+        self.next_free = grant.saturating_add(self.config.occupancy_cycles);
         w.grant = Some(grant);
         self.waiting[core] = Some(w);
     }

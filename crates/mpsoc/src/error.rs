@@ -24,6 +24,13 @@ pub enum Error {
         /// The core in question.
         core: usize,
     },
+    /// An op's cost would carry the core's clock past `u64::MAX` (a
+    /// trace whose op costs no real run can reach, such as a crafted
+    /// `.ltr` bundle).
+    ClockOverflow {
+        /// The core in question.
+        core: usize,
+    },
 }
 
 impl fmt::Display for Error {
@@ -35,6 +42,9 @@ impl fmt::Display for Error {
             }
             Error::NoParkedAccess { core } => {
                 write!(f, "core {core} has no parked bus access to complete")
+            }
+            Error::ClockOverflow { core } => {
+                write!(f, "core {core}'s clock would overflow u64 cycles")
             }
         }
     }

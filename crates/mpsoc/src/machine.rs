@@ -18,6 +18,26 @@ struct Core {
     stats: CoreStats,
 }
 
+impl Core {
+    /// Advances the clock by `cost` busy cycles over `ops` completed
+    /// ops; `None` is a cost that overflowed before it got here.
+    ///
+    /// # Errors
+    ///
+    /// Returns [`Error::ClockOverflow`] for `core`, charging nothing,
+    /// when the clock would pass `u64::MAX`.
+    #[inline]
+    fn charge(&mut self, core: CoreId, cost: Option<u64>, ops: u64) -> Result<()> {
+        let clock = cost
+            .and_then(|cost| self.clock.checked_add(cost))
+            .ok_or(Error::ClockOverflow { core })?;
+        self.stats.busy_cycles += clock - self.clock;
+        self.stats.ops += ops;
+        self.clock = clock;
+        Ok(())
+    }
+}
+
 /// Result of a batched [`Machine::exec_source_until`] call.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct BatchOutcome {
@@ -152,22 +172,23 @@ impl Machine {
         bus: &mut Option<Arbiter>,
         config: &MachineConfig,
         addr: u64,
-    ) -> Access {
+    ) -> Result<Access> {
         let hit = c.cache.access(addr).is_hit();
         let cost = if hit {
-            config.hit_latency
+            Some(config.hit_latency)
         } else if let Some(bus) = bus {
-            let request_at = c.clock + config.hit_latency;
-            return Access::Parked {
+            let request_at = c
+                .clock
+                .checked_add(config.hit_latency)
+                .ok_or(Error::ClockOverflow { core })?;
+            return Ok(Access::Parked {
                 key: bus.latch(core, request_at).unwrap_or(c.clock),
-            };
+            });
         } else {
-            config.hit_latency + config.miss_latency
+            config.hit_latency.checked_add(config.miss_latency)
         };
-        c.clock += cost;
-        c.stats.busy_cycles += cost;
-        c.stats.ops += 1;
-        Access::Done { hit }
+        c.charge(core, cost, 1)?;
+        Ok(Access::Done { hit })
     }
 
     /// Completes a parked access on `core` (see
@@ -193,8 +214,10 @@ impl Machine {
     ///
     /// # Errors
     ///
-    /// Returns [`Error::NoSuchCore`] for an out-of-range core and
-    /// [`Error::NoParkedAccess`] when the core has nothing parked.
+    /// Returns [`Error::NoSuchCore`] for an out-of-range core,
+    /// [`Error::NoParkedAccess`] when the core has nothing parked and
+    /// [`Error::ClockOverflow`] when the granted cost would carry the
+    /// core's clock past `u64::MAX`.
     pub fn complete_bus_access(&mut self, core: CoreId) -> Result<BatchOutcome> {
         let n = self.cores.len();
         let c = self
@@ -204,12 +227,12 @@ impl Machine {
         let bus = self.bus.as_mut().ok_or(Error::NoParkedAccess { core })?;
         let (request, grant) = bus.complete(core).ok_or(Error::NoParkedAccess { core })?;
         let wait = grant - request;
-        let cost = self.config.hit_latency + self.config.miss_latency + wait;
+        let cost = (self.config.hit_latency)
+            .checked_add(self.config.miss_latency)
+            .and_then(|miss| miss.checked_add(wait));
         let start = c.clock;
+        c.charge(core, cost, 1)?;
         c.stats.bus_wait_cycles += wait;
-        c.clock += cost;
-        c.stats.busy_cycles += cost;
-        c.stats.ops += 1;
         Ok(BatchOutcome {
             ops: 1,
             exhausted: false,
@@ -233,25 +256,21 @@ impl Machine {
     /// same clock, same [`BatchOutcome`]); `crates/mpsoc/tests/prop.rs`
     /// holds it to the naive per-op machine of its test support. Where
     /// a per-op executor probes the cache for every access, this one
-    /// exploits two exact structural facts:
-    ///
-    /// * within a [`Segment::Run`], consecutive accesses to the same
-    ///   cache line after a probed access are guaranteed hits (the line
-    ///   was just touched and nothing intervened), so they collapse to
-    ///   one bulk stamp update plus clock arithmetic;
-    /// * within [`Segment::Rounds`], after one fully probed round in
-    ///   which every lane hit, residency cannot change (hits never
-    ///   evict) until some lane crosses a line boundary — whole rounds
-    ///   collapse the same way, compute ops included.
+    /// exploits one exact structural fact: within [`Segment::Rounds`],
+    /// after one fully probed round in which every lane hit, residency
+    /// cannot change (hits never evict) until some lane crosses a line
+    /// boundary — so whole rounds, compute ops included, collapse to one
+    /// bulk stamp update plus clock arithmetic. A [`Segment::Access`]
+    /// (the rest of a round a preemption split) is one probe.
     ///
     /// Horizon checks stay per-op-exact: every bulk op has a fixed,
     /// known cost (guaranteed hit or constant compute), so the op that
-    /// first reaches the horizon is located arithmetically — Burst and
-    /// Run windows are cut at exactly that op, while Rounds windows
-    /// stop strictly before the horizon and hand over to the per-op
-    /// probe. An op with *arbitration-dependent* cost (a miss in bus
-    /// mode) is never bulked — any future bulk extension to bus-visible
-    /// ops must keep that property or bit-identity breaks. On a
+    /// first reaches the horizon is located arithmetically — Burst
+    /// windows are cut at exactly that op, while Rounds windows stop
+    /// strictly before the horizon and hand over to the per-op probe.
+    /// An op with *arbitration-dependent* cost (a miss in bus mode) is
+    /// never bulked — any future bulk extension to bus-visible ops must
+    /// keep that property or bit-identity breaks. On a
     /// contended bus, in either mode, a probed miss latches its request
     /// and **parks** the batch ([`BatchOutcome::parked`]) — the clock
     /// stays at the access's pre-op value until
@@ -261,7 +280,9 @@ impl Machine {
     ///
     /// # Errors
     ///
-    /// Returns [`Error::NoSuchCore`] for an out-of-range core.
+    /// Returns [`Error::NoSuchCore`] for an out-of-range core and
+    /// [`Error::ClockOverflow`] when an op's cost would carry the
+    /// core's clock past `u64::MAX`.
     pub fn exec_source_until<S: TraceSource>(
         &mut self,
         core: CoreId,
@@ -316,69 +337,33 @@ impl Machine {
                     } else {
                         repeat.min((horizon - c.clock).div_ceil(cycles))
                     };
-                    last_op_start = c.clock + (t - 1) * cycles;
-                    c.clock += t * cycles;
-                    c.stats.busy_cycles += t * cycles;
-                    c.stats.ops += t;
+                    c.charge(core, t.checked_mul(cycles), t)?;
+                    last_op_start = c.clock - cycles;
                     executed += t;
                     src.advance(t);
                     if c.clock >= horizon {
                         return done(executed, last_op_start, false);
                     }
                 }
-                Segment::Run {
-                    base,
-                    stride,
-                    count,
-                    write: _,
-                } => {
-                    debug_assert!(count > 0, "empty run segment");
-                    let mut i = 0u64;
-                    while i < count {
-                        // Probe one access through the general path
-                        // (may miss, may wait on or park at the bus).
-                        let addr = base.wrapping_add(stride.wrapping_mul(i as i64) as u64);
-                        last_op_start = c.clock;
-                        if let Access::Parked { key } =
-                            Self::exec_access(core, c, &mut self.bus, &self.config, addr)
-                        {
-                            src.advance(i + 1);
-                            return parked(executed, last_op_start, key);
-                        }
-                        executed += 1;
-                        i += 1;
-                        if c.clock >= horizon {
-                            src.advance(i);
-                            return done(executed, last_op_start, false);
-                        }
-                        // Guaranteed-hit tail: upcoming ops still inside
-                        // the line just touched.
-                        let k = same_line_ops(addr, stride, count - i, shift);
-                        if k == 0 {
-                            continue;
-                        }
-                        // Cap at the horizon-crossing op (hit_latency is
-                        // validated non-zero; clock < horizon here).
-                        let t = k.min((horizon - c.clock).div_ceil(hit_lat));
-                        c.cache.bulk_hit_rounds(std::iter::once(addr >> shift), t);
-                        last_op_start = c.clock + (t - 1) * hit_lat;
-                        c.clock += t * hit_lat;
-                        c.stats.busy_cycles += t * hit_lat;
-                        c.stats.ops += t;
-                        executed += t;
-                        i += t;
-                        if c.clock >= horizon {
-                            src.advance(i);
-                            return done(executed, last_op_start, false);
-                        }
+                Segment::Access { addr, write: _ } => {
+                    last_op_start = c.clock;
+                    let access = Self::exec_access(core, c, &mut self.bus, &self.config, addr)?;
+                    src.advance(1);
+                    if let Access::Parked { key } = access {
+                        return parked(executed, last_op_start, key);
                     }
-                    src.advance(count);
+                    executed += 1;
+                    if c.clock >= horizon {
+                        return done(executed, last_op_start, false);
+                    }
                 }
                 Segment::Rounds { rounds, cycles } => {
                     let lanes = src.lanes();
                     let m = lanes.len() as u64;
                     debug_assert!(m > 0 && rounds > 0, "degenerate rounds segment");
-                    let round_cost = m * hit_lat + cycles;
+                    // Saturating: a round that costs more than `u64::MAX`
+                    // never fits a window below the horizon.
+                    let round_cost = m.saturating_mul(hit_lat).saturating_add(cycles);
                     let mut consumed = 0u64;
                     let mut r = 0u64;
                     'rounds: while r < rounds {
@@ -392,7 +377,7 @@ impl Machine {
                                 &mut self.bus,
                                 &self.config,
                                 lane.addr_at(r),
-                            ) {
+                            )? {
                                 Access::Done { hit } => hit,
                                 Access::Parked { key } => {
                                     src.advance(consumed + 1);
@@ -408,9 +393,7 @@ impl Machine {
                             }
                         }
                         last_op_start = c.clock;
-                        c.clock += cycles;
-                        c.stats.busy_cycles += cycles;
-                        c.stats.ops += 1;
+                        c.charge(core, Some(cycles), 1)?;
                         executed += 1;
                         consumed += 1;
                         r += 1;
@@ -440,9 +423,7 @@ impl Machine {
                         }
                         c.cache
                             .bulk_hit_rounds(lanes.iter().map(|l| l.addr_at(r - 1) >> shift), w);
-                        c.clock += w * round_cost;
-                        c.stats.busy_cycles += w * round_cost;
-                        c.stats.ops += w * (m + 1);
+                        c.charge(core, Some(w * round_cost), w * (m + 1))?;
                         // The window's final op is its last compute.
                         last_op_start = c.clock - cycles;
                         executed += w * (m + 1);
@@ -552,12 +533,7 @@ mod tests {
         fn peek_segment(&mut self) -> Option<Segment> {
             Some(match *self.0.front()? {
                 TraceOp::Compute(cycles) => Segment::Burst { cycles, repeat: 1 },
-                TraceOp::Access { addr, write } => Segment::Run {
-                    base: addr,
-                    stride: 0,
-                    count: 1,
-                    write,
-                },
+                TraceOp::Access { addr, write } => Segment::Access { addr, write },
             })
         }
 

@@ -1,23 +1,20 @@
-//! Batched trace sources: the interface between compiled stride-run
-//! trace programs (the `lams-trace` IR) and the machine's batched
-//! executor [`crate::Machine::exec_source_until`].
+//! Batched trace sources: the interface between compiled trace
+//! programs (the `lams-trace` IR) and the machine's batched executor
+//! [`crate::Machine::exec_source_until`].
 //!
 //! A scalar trace hands the machine one [`crate::TraceOp`] at a time, so
 //! every simulated memory reference pays iterator dispatch, affine
 //! address evaluation and a full cache probe. A [`TraceSource`] instead
-//! exposes the *structure* of the op stream — strided runs, compute
-//! bursts and innermost-loop rounds — which lets the executor:
+//! exposes the *structure* of the op stream — innermost-loop rounds and
+//! compute bursts — which lets the executor collapse whole
+//! [`Segment::Rounds`] windows (one access per lane plus a compute op,
+//! repeated) into a single bulk update while every lane stays inside
+//! its current cache line: hits never evict, so once a full round hits,
+//! residency is provably stable until a lane crosses a line boundary.
+//! A round split by a preemption resumes op-wise, one
+//! [`Segment::Access`] at a time.
 //!
-//! * collapse consecutive same-line accesses of a [`Segment::Run`] into
-//!   one probe plus an arithmetic bulk update (immediately re-accessed
-//!   lines always hit);
-//! * collapse whole [`Segment::Rounds`] windows (one access per lane
-//!   plus a compute op, repeated) into a single bulk update while every
-//!   lane stays inside its current cache line — hits never evict, so
-//!   once a full round hits, residency is provably stable until a lane
-//!   crosses a line boundary.
-//!
-//! Both collapses are **exact**: final cache state (way stamps, shadow
+//! The collapse is **exact**: final cache state (way stamps, shadow
 //! order, statistics), core clock, per-op horizon checks and the
 //! preemption key ([`crate::BatchOutcome::preempt_key`]) are
 //! bit-identical to executing the decoded ops one at a time.
@@ -53,16 +50,11 @@ impl SegmentLane {
 /// [`Segment::ops`] gives its length.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum Segment {
-    /// `count` consecutive accesses at `base`, `base + stride`,
-    /// `base + 2*stride`, … with nothing in between.
-    Run {
-        /// Address of the first access.
-        base: u64,
-        /// Per-access address increment.
-        stride: i64,
-        /// Number of accesses (`> 0`).
-        count: u64,
-        /// Whether the accesses are stores.
+    /// One access: the rest of a round that a preemption split.
+    Access {
+        /// The accessed address.
+        addr: u64,
+        /// Whether the access is a store.
         write: bool,
     },
     /// `repeat` consecutive `Compute(cycles)` ops.
@@ -89,7 +81,7 @@ impl Segment {
     /// current lane count (only [`Segment::Rounds`] uses it).
     pub fn ops(&self, lanes: usize) -> u64 {
         match *self {
-            Segment::Run { count, .. } => count,
+            Segment::Access { .. } => 1,
             Segment::Burst { repeat, .. } => repeat,
             Segment::Rounds { rounds, .. } => rounds * (lanes as u64 + 1),
         }
@@ -143,13 +135,11 @@ mod tests {
 
     #[test]
     fn segment_op_counts() {
-        let run = Segment::Run {
-            base: 0,
-            stride: 4,
-            count: 9,
+        let access = Segment::Access {
+            addr: 0,
             write: false,
         };
-        assert_eq!(run.ops(0), 9);
+        assert_eq!(access.ops(0), 1);
         let burst = Segment::Burst {
             cycles: 3,
             repeat: 5,

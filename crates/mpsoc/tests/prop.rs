@@ -29,8 +29,8 @@ struct TestSeg {
 }
 
 /// A [`TraceSource`] over a fixed segment list, supporting mid-segment
-/// resumption exactly like a compiled-program cursor: partially
-/// consumed runs/bursts re-peek shifted, and a partially consumed round
+/// resumption exactly like a compiled-program cursor: a partially
+/// consumed burst re-peeks shortened, and a partially consumed round
 /// is re-exposed op-wise.
 struct VecSource {
     segs: Vec<TestSeg>,
@@ -54,17 +54,7 @@ impl TraceSource for VecSource {
     fn peek_segment(&mut self) -> Option<Segment> {
         let ts = self.segs.get(self.idx)?;
         Some(match ts.seg {
-            Segment::Run {
-                base,
-                stride,
-                count,
-                write,
-            } => Segment::Run {
-                base: base.wrapping_add(stride.wrapping_mul(self.consumed as i64) as u64),
-                stride,
-                count: count - self.consumed,
-                write,
-            },
+            Segment::Access { .. } => ts.seg,
             Segment::Burst { cycles, repeat } => Segment::Burst {
                 cycles,
                 repeat: repeat - self.consumed,
@@ -76,10 +66,8 @@ impl TraceSource for VecSource {
                 if lane > 0 {
                     if lane < m {
                         let l = ts.lanes[lane as usize];
-                        Segment::Run {
-                            base: l.addr_at(r),
-                            stride: l.stride,
-                            count: 1,
+                        Segment::Access {
+                            addr: l.addr_at(r),
                             write: l.write,
                         }
                     } else {
@@ -121,12 +109,7 @@ fn single_op_segments(ops: &[TraceOp]) -> Vec<TestSeg> {
     ops.iter()
         .map(|&op| TestSeg {
             seg: match op {
-                TraceOp::Access { addr, write } => Segment::Run {
-                    base: addr,
-                    stride: 0,
-                    count: 1,
-                    write,
-                },
+                TraceOp::Access { addr, write } => Segment::Access { addr, write },
                 TraceOp::Compute(cycles) => Segment::Burst { cycles, repeat: 1 },
             },
             lanes: Vec::new(),
@@ -139,19 +122,7 @@ fn decode_segments(segs: &[TestSeg]) -> Vec<TraceOp> {
     let mut ops = Vec::new();
     for ts in segs {
         match ts.seg {
-            Segment::Run {
-                base,
-                stride,
-                count,
-                write,
-            } => {
-                for i in 0..count {
-                    ops.push(TraceOp::Access {
-                        addr: base.wrapping_add(stride.wrapping_mul(i as i64) as u64),
-                        write,
-                    });
-                }
-            }
+            Segment::Access { addr, write } => ops.push(TraceOp::Access { addr, write }),
             Segment::Burst { cycles, repeat } => {
                 ops.extend(std::iter::repeat_n(
                     TraceOp::Compute(cycles),
@@ -174,8 +145,9 @@ fn decode_segments(segs: &[TestSeg]) -> Vec<TraceOp> {
     ops
 }
 
-/// Random segment lists mixing runs, bursts and multi-lane rounds, with
-/// strides spanning sub-line, line-crossing, zero and negative cases.
+/// Random segment lists mixing single accesses, bursts and multi-lane
+/// rounds, with strides spanning sub-line, line-crossing, zero and
+/// negative cases.
 fn arb_segments() -> impl Strategy<Value = Vec<TestSeg>> {
     let lane = (0u64..4096, -80i64..80, 0u8..2).prop_map(|(addr, stride, write)| SegmentLane {
         addr: addr + 1024, // keep negative strides above address zero
@@ -191,10 +163,8 @@ fn arb_segments() -> impl Strategy<Value = Vec<TestSeg>> {
     )
         .prop_map(|(kind, l, lanes, count, cycles)| match kind {
             0 => TestSeg {
-                seg: Segment::Run {
-                    base: l.addr,
-                    stride: l.stride,
-                    count,
+                seg: Segment::Access {
+                    addr: l.addr,
                     write: l.write,
                 },
                 lanes: Vec::new(),

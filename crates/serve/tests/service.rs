@@ -12,6 +12,7 @@ use lams_core::{execute_bundle, ArtifactCache, EngineConfig, RandomPolicy};
 use lams_layout::Layout;
 use lams_mpsoc::MachineConfig;
 use lams_serve::{Exit, FaultPlan, PoolConfig, ServerConfig, Service, TcpServer, Work, WorkerPool};
+use lams_trace::{ProgramBuilder, TraceBundle, TraceRecord};
 use lams_workloads::{suite, Scale, Workload};
 
 /// Runs `input` through an in-process service and returns the response
@@ -308,6 +309,43 @@ fn corrupt_ltr_replays_fail_cleanly_and_valid_ones_match_direct_runs() {
     );
     // The daemon survived every bad bundle.
     assert!(lines[4].starts_with("ok id=ok2 "), "{}", lines[4]);
+}
+
+#[test]
+fn clock_overflowing_replays_fail_cleanly_and_the_connection_lives_on() {
+    // A checksum-valid bundle whose compute ops cost `u64::MAX - 1`
+    // cycles each: replaying it would carry a core clock past `u64::MAX`.
+    let mut b = ProgramBuilder::new();
+    b.push_loop(&[], 1, 1000);
+    b.push_loop(&[], 1000, u64::MAX - 1);
+    let bundle = TraceBundle {
+        name: "overflow".into(),
+        records: vec![TraceRecord {
+            name: "p0".into(),
+            program: b.finish(),
+        }],
+        edges: vec![],
+    };
+    let dir = std::env::temp_dir();
+    let path = dir.join(format!("lams_serve_test_{}_big.ltr", std::process::id()));
+    std::fs::write(&path, bundle.to_bytes()).unwrap();
+    let input = format!(
+        "replay id=big file={} policy=rs\n\
+         replay id=big2 file={} policy=rrs deadline=1000000\n\
+         ping id=after\n",
+        path.display(),
+        path.display(),
+    );
+    let (lines, _, service) = serve_lines(ServerConfig::default(), &input);
+    service.drain();
+    std::fs::remove_file(&path).ok();
+
+    assert_eq!(lines.len(), 3, "{lines:?}");
+    for (line, id) in lines.iter().zip(["big", "big2"]) {
+        assert!(line.starts_with(&format!("err id={id} ")), "{line}");
+        assert!(line.contains("overflow"), "{line}");
+    }
+    assert!(lines[2].starts_with("ok id=after"), "{}", lines[2]);
 }
 
 #[test]

@@ -1,32 +1,21 @@
-//! Building (compiling / recording) trace programs.
+//! Building (compiling) trace programs.
 
-use lams_mpsoc::TraceOp;
-
-use crate::{Block, Lane, LoopBlock, Program, Run};
+use crate::{Block, Lane, LoopBlock, Program};
 
 /// Builds a [`Program`] whose decoded op stream is exactly the sequence
-/// of pushes, with aggressive run-length compression:
+/// of loop pushes ([`ProgramBuilder::push_loop`]). A push that
+/// seamlessly continues the previous loop block is merged into it, so
+/// a contiguous row-major sweep collapses to a single block no matter
+/// how many rows the compiler pushed; an access-free push extends a
+/// preceding burst of the same cycles.
 ///
-/// * structured pushes ([`ProgramBuilder::push_loop`]) merge with the
-///   previous loop block when the strides continue seamlessly — so a
-///   contiguous row-major sweep collapses to a single block no matter
-///   how many rows the compiler pushed;
-/// * raw rounds ([`ProgramBuilder::push_round`]) RLE themselves against
-///   the open loop block, locking strides on the second round;
-/// * raw ops ([`ProgramBuilder::push_op`]) are grouped into rounds at
-///   `Compute` boundaries, and trailing accesses become strided
-///   [`Block::Run`]s.
-///
-/// The three styles can be mixed freely; exactness is differentially
-/// tested (`crates/trace/tests/prop.rs` replays random op streams).
+/// Exactness is differentially tested: `crates/trace/tests/prop.rs`
+/// expands random push sequences by hand and compares.
 #[derive(Debug, Clone, Default)]
 pub struct ProgramBuilder {
     blocks: Vec<Block>,
     lanes: Vec<Lane>,
     ops: u64,
-    /// Accesses of the current (unterminated) round, for
-    /// [`ProgramBuilder::push_op`] streams.
-    pending: Vec<(u64, bool)>,
 }
 
 impl ProgramBuilder {
@@ -35,92 +24,12 @@ impl ProgramBuilder {
         ProgramBuilder::default()
     }
 
-    /// Appends one raw trace op.
-    pub fn push_op(&mut self, op: TraceOp) {
-        match op {
-            TraceOp::Access { addr, write } => self.pending.push((addr, write)),
-            TraceOp::Compute(cycles) => {
-                let round = std::mem::take(&mut self.pending);
-                self.push_round(&round, cycles);
-                self.pending = round; // reuse the allocation
-                self.pending.clear();
-            }
-        }
-    }
-
-    /// Appends one loop round: the given accesses (in order) followed by
-    /// one `Compute(cycles)` op.
-    pub fn push_round(&mut self, accesses: &[(u64, bool)], cycles: u64) {
-        self.ops += accesses.len() as u64 + 1;
-        if self.try_extend_round(accesses, cycles) {
-            return;
-        }
-        if accesses.is_empty() {
-            self.blocks.push(Block::Burst { cycles, repeat: 1 });
-            return;
-        }
-        let lane_start = self.lanes.len() as u32;
-        self.lanes
-            .extend(accesses.iter().map(|&(addr, write)| Lane {
-                base: addr,
-                stride: 0,
-                write,
-            }));
-        self.blocks.push(Block::Loop(LoopBlock {
-            times: 1,
-            cycles,
-            lane_start,
-            lane_len: accesses.len() as u32,
-        }));
-    }
-
-    /// Tries to RLE the round into the last block.
-    fn try_extend_round(&mut self, accesses: &[(u64, bool)], cycles: u64) -> bool {
-        match self.blocks.last_mut() {
-            Some(Block::Burst { cycles: c, repeat }) if accesses.is_empty() && *c == cycles => {
-                *repeat += 1;
-                true
-            }
-            Some(Block::Loop(lp))
-                if lp.lane_len as usize == accesses.len() && lp.cycles == cycles =>
-            {
-                let lanes =
-                    &mut self.lanes[lp.lane_start as usize..(lp.lane_start + lp.lane_len) as usize];
-                if lanes
-                    .iter()
-                    .zip(accesses)
-                    .any(|(l, &(_, write))| l.write != write)
-                {
-                    return false;
-                }
-                if lp.times == 1 {
-                    // Second round locks the strides.
-                    for (l, &(addr, _)) in lanes.iter_mut().zip(accesses) {
-                        l.stride = addr.wrapping_sub(l.base) as i64;
-                    }
-                    lp.times = 2;
-                    true
-                } else {
-                    let t = lp.times as i64;
-                    if lanes.iter().zip(accesses).all(|(l, &(addr, _))| {
-                        l.base.wrapping_add(l.stride.wrapping_mul(t) as u64) == addr
-                    }) {
-                        lp.times += 1;
-                        true
-                    } else {
-                        false
-                    }
-                }
-            }
-            _ => false,
-        }
-    }
-
     /// Appends a whole loop: `times` rounds of one access per lane
-    /// followed by `Compute(cycles)` — the structured fast path used
-    /// when lowering affine loop nests. A loop that seamlessly continues
-    /// the previous loop block (same shape, strides and cycles, bases
-    /// advanced by exactly `times * stride`) is merged into it.
+    /// followed by `Compute(cycles)`. No lanes make a compute burst, and
+    /// `times == 0` appends nothing, so no block decodes to zero ops. A
+    /// loop that seamlessly continues the previous loop block (same
+    /// shape, strides and cycles, bases advanced by exactly `times *
+    /// stride`) is merged into it.
     pub fn push_loop(&mut self, lanes: &[Lane], times: u64, cycles: u64) {
         if times == 0 {
             return;
@@ -216,46 +125,8 @@ impl ProgramBuilder {
         }
     }
 
-    /// Appends a standalone strided run (used for recorded access
-    /// streams that carry no compute ops).
-    pub fn push_run(&mut self, run: Run) {
-        if run.count == 0 {
-            return;
-        }
-        self.ops += run.count;
-        if let Some(Block::Run(prev)) = self.blocks.last_mut() {
-            if prev.write == run.write {
-                if prev.count == 1 && run.count == 1 {
-                    // Second access locks the stride.
-                    prev.stride = run.base.wrapping_sub(prev.base) as i64;
-                    prev.count = 2;
-                    return;
-                }
-                let next = prev
-                    .base
-                    .wrapping_add(prev.stride.wrapping_mul(prev.count as i64) as u64);
-                if next == run.base && (prev.stride == run.stride || run.count == 1) {
-                    prev.count += run.count;
-                    return;
-                }
-            }
-        }
-        self.blocks.push(Block::Run(run));
-    }
-
-    /// Finishes the build. Trailing accesses pushed via
-    /// [`ProgramBuilder::push_op`] (no closing `Compute`) are flushed as
-    /// strided [`Block::Run`]s.
-    pub fn finish(mut self) -> Program {
-        let pending = std::mem::take(&mut self.pending);
-        for &(addr, write) in &pending {
-            self.push_run(Run {
-                base: addr,
-                stride: 0,
-                count: 1,
-                write,
-            });
-        }
+    /// Finishes the build.
+    pub fn finish(self) -> Program {
         debug_assert_eq!(
             self.ops,
             self.blocks.iter().map(Block::ops).sum::<u64>(),
@@ -271,30 +142,38 @@ impl ProgramBuilder {
 
 #[cfg(test)]
 mod tests {
+    use lams_mpsoc::TraceOp;
+
     use super::*;
 
     fn decode(p: &Program) -> Vec<TraceOp> {
         p.iter().collect()
     }
 
+    fn lane(base: u64, write: bool) -> Lane {
+        Lane {
+            base,
+            stride: 0,
+            write,
+        }
+    }
+
     #[test]
     fn op_stream_round_trips() {
-        let ops = vec![
-            TraceOp::read(0),
-            TraceOp::write(64),
-            TraceOp::compute(5),
-            TraceOp::read(4),
-            TraceOp::write(68),
-            TraceOp::compute(5),
-            TraceOp::read(8),
-            TraceOp::write(72),
-            TraceOp::compute(5),
-        ];
+        // Three single-round pushes that continue one another.
         let mut b = ProgramBuilder::new();
-        for &op in &ops {
-            b.push_op(op);
+        for i in 0..3u64 {
+            b.push_loop(&[lane(i * 4, false), lane(64 + i * 4, true)], 1, 5);
         }
         let p = b.finish();
+        let mut ops = Vec::new();
+        for i in 0..3u64 {
+            ops.extend([
+                TraceOp::read(i * 4),
+                TraceOp::write(64 + i * 4),
+                TraceOp::compute(5),
+            ]);
+        }
         assert_eq!(decode(&p), ops);
         // Three rounds RLE into one loop block.
         assert_eq!(p.blocks().len(), 1);
@@ -345,38 +224,34 @@ mod tests {
     }
 
     #[test]
-    fn bursts_and_trailing_accesses() {
+    fn bursts_merge_across_pushes() {
         let mut b = ProgramBuilder::new();
-        b.push_op(TraceOp::compute(7));
-        b.push_op(TraceOp::compute(7));
-        b.push_op(TraceOp::read(0));
-        b.push_op(TraceOp::read(4));
-        b.push_op(TraceOp::read(8));
+        b.push_loop(&[], 1, 7);
+        b.push_loop(&[], 2, 7);
+        b.push_loop(&[lane(0, false)], 0, 7); // no rounds: no block
+        b.push_loop(&[], 1, 8);
         let p = b.finish();
         assert_eq!(
-            decode(&p),
-            vec![
-                TraceOp::compute(7),
-                TraceOp::compute(7),
-                TraceOp::read(0),
-                TraceOp::read(4),
-                TraceOp::read(8),
+            p.blocks(),
+            [
+                Block::Burst {
+                    cycles: 7,
+                    repeat: 3
+                },
+                Block::Burst {
+                    cycles: 8,
+                    repeat: 1
+                },
             ]
         );
-        assert_eq!(p.blocks().len(), 2); // Burst{7,2} + Run{0,+4,3}
-        match p.blocks()[1] {
-            Block::Run(r) => {
-                assert_eq!((r.stride, r.count), (4, 3));
-            }
-            ref blk => panic!("expected run, got {blk:?}"),
-        }
+        assert_eq!(p.len_ops(), 4);
     }
 
     #[test]
     fn write_flag_breaks_rle() {
         let mut b = ProgramBuilder::new();
-        b.push_round(&[(0, false)], 1);
-        b.push_round(&[(4, true)], 1);
+        b.push_loop(&[lane(0, false)], 1, 1);
+        b.push_loop(&[lane(4, true)], 1, 1);
         let p = b.finish();
         assert_eq!(p.blocks().len(), 2);
         assert_eq!(
@@ -393,10 +268,10 @@ mod tests {
     #[test]
     fn stride_break_splits_loops() {
         let mut b = ProgramBuilder::new();
-        b.push_round(&[(0, false)], 1);
-        b.push_round(&[(4, false)], 1);
-        b.push_round(&[(8, false)], 1);
-        b.push_round(&[(100, false)], 1); // breaks the +4 pattern
+        for base in [0, 4, 8, 100] {
+            // 100 breaks the +4 pattern.
+            b.push_loop(&[lane(base, false)], 1, 1);
+        }
         let p = b.finish();
         assert_eq!(p.blocks().len(), 2);
         assert_eq!(p.len_ops(), 8);

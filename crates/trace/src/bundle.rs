@@ -74,7 +74,6 @@ impl TraceBundle {
 mod tests {
     use super::*;
     use crate::{Error, Lane, ProgramBuilder};
-    use lams_mpsoc::TraceOp;
 
     fn sample() -> TraceBundle {
         let mut b0 = ProgramBuilder::new();
@@ -95,8 +94,16 @@ mod tests {
             7,
         );
         let mut b1 = ProgramBuilder::new();
-        b1.push_op(TraceOp::compute(3));
-        b1.push_op(TraceOp::read(64));
+        b1.push_loop(&[], 1, 3);
+        b1.push_loop(
+            &[Lane {
+                base: 64,
+                stride: 0,
+                write: false,
+            }],
+            1,
+            0,
+        );
         TraceBundle {
             name: "sample".into(),
             records: vec![

@@ -2,7 +2,7 @@
 
 use lams_mpsoc::{Segment, SegmentLane, TraceOp, TraceSource};
 
-use crate::{Block, Program, Run};
+use crate::{Block, Program};
 
 /// A resumable position in a [`Program`]'s decoded op stream.
 ///
@@ -21,8 +21,8 @@ pub struct Cursor<'a> {
     prog: &'a Program,
     /// Current block index.
     block: usize,
-    /// Position within the block: ops emitted for [`Block::Run`] /
-    /// [`Block::Burst`]; the current round for [`Block::Loop`].
+    /// Position within the block: ops emitted for [`Block::Burst`]; the
+    /// current round for [`Block::Loop`].
     r: u64,
     /// Within-round lane cursor (loops only); `== lane_len` means the
     /// round's compute op is next.
@@ -37,16 +37,14 @@ pub struct Cursor<'a> {
 impl<'a> Cursor<'a> {
     /// A cursor at the start of `prog`.
     pub fn new(prog: &'a Program) -> Self {
-        let mut c = Cursor {
+        Cursor {
             prog,
             block: 0,
             r: 0,
             lane: 0,
             lane_buf: Vec::new(),
             remaining: prog.len_ops(),
-        };
-        c.skip_empty_blocks();
-        c
+        }
     }
 
     /// Ops not yet emitted.
@@ -59,14 +57,10 @@ impl<'a> Cursor<'a> {
         self.block >= self.prog.blocks.len()
     }
 
-    fn block_ops(&self) -> u64 {
-        self.prog.blocks[self.block].ops()
-    }
-
     /// Position in ops within the current block.
     fn block_pos(&self) -> u64 {
         match self.prog.blocks[self.block] {
-            Block::Run(_) | Block::Burst { .. } => self.r,
+            Block::Burst { .. } => self.r,
             Block::Loop(lp) => self.r * (lp.lane_len as u64 + 1) + self.lane as u64,
         }
     }
@@ -75,15 +69,6 @@ impl<'a> Cursor<'a> {
         self.block += 1;
         self.r = 0;
         self.lane = 0;
-        self.skip_empty_blocks();
-    }
-
-    /// Degenerate zero-op blocks never arise from [`crate::ProgramBuilder`],
-    /// but a hand-built or decoded program may contain them.
-    fn skip_empty_blocks(&mut self) {
-        while self.block < self.prog.blocks.len() && self.block_ops() == 0 {
-            self.block += 1;
-        }
     }
 
     fn lane_addr(lane: &crate::Lane, r: u64) -> u64 {
@@ -100,19 +85,6 @@ impl Iterator for Cursor<'_> {
             return None;
         }
         let op = match self.prog.blocks[self.block] {
-            Block::Run(run) => {
-                let addr = run
-                    .base
-                    .wrapping_add(run.stride.wrapping_mul(self.r as i64) as u64);
-                self.r += 1;
-                if self.r == run.count {
-                    self.next_block();
-                }
-                TraceOp::Access {
-                    addr,
-                    write: run.write,
-                }
-            }
             Block::Burst { cycles, repeat } => {
                 self.r += 1;
                 if self.r == repeat {
@@ -156,17 +128,6 @@ impl TraceSource for Cursor<'_> {
             return None;
         }
         Some(match self.prog.blocks[self.block] {
-            Block::Run(Run {
-                base,
-                stride,
-                count,
-                write,
-            }) => Segment::Run {
-                base: base.wrapping_add(stride.wrapping_mul(self.r as i64) as u64),
-                stride,
-                count: count - self.r,
-                write,
-            },
             Block::Burst { cycles, repeat } => Segment::Burst {
                 cycles,
                 repeat: repeat - self.r,
@@ -178,10 +139,8 @@ impl TraceSource for Cursor<'_> {
                     // round): emit the rest of this round op-wise.
                     if (self.lane as usize) < lanes.len() {
                         let lane = &lanes[self.lane as usize];
-                        Segment::Run {
-                            base: Self::lane_addr(lane, self.r),
-                            stride: lane.stride,
-                            count: 1,
+                        Segment::Access {
+                            addr: Self::lane_addr(lane, self.r),
                             write: lane.write,
                         }
                     } else {
@@ -216,7 +175,7 @@ impl TraceSource for Cursor<'_> {
             return;
         }
         self.remaining -= ops;
-        let total = self.block_ops();
+        let total = self.prog.blocks[self.block].ops();
         let pos = self.block_pos() + ops;
         debug_assert!(pos <= total, "advance crossed a block boundary");
         if pos == total {
@@ -224,7 +183,7 @@ impl TraceSource for Cursor<'_> {
             return;
         }
         match self.prog.blocks[self.block] {
-            Block::Run(_) | Block::Burst { .. } => self.r = pos,
+            Block::Burst { .. } => self.r = pos,
             Block::Loop(lp) => {
                 let len = lp.lane_len as u64 + 1;
                 self.r = pos / len;
@@ -237,16 +196,36 @@ impl TraceSource for Cursor<'_> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::ProgramBuilder;
+    use crate::{Lane, ProgramBuilder};
 
     fn sample() -> Program {
         let mut b = ProgramBuilder::new();
-        for i in 0..6u64 {
-            b.push_round(&[(i * 4, false), (1024 + i * 8, true)], 3);
-        }
-        b.push_op(TraceOp::compute(9));
-        b.push_op(TraceOp::compute(9));
-        b.push_op(TraceOp::read(5000));
+        b.push_loop(
+            &[
+                Lane {
+                    base: 0,
+                    stride: 4,
+                    write: false,
+                },
+                Lane {
+                    base: 1024,
+                    stride: 8,
+                    write: true,
+                },
+            ],
+            6,
+            3,
+        );
+        b.push_loop(&[], 2, 9);
+        b.push_loop(
+            &[Lane {
+                base: 5000,
+                stride: 0,
+                write: false,
+            }],
+            1,
+            0,
+        );
         b.finish()
     }
 
@@ -260,7 +239,7 @@ mod tests {
         let mut ops = Vec::new();
         while let Some(seg) = cur.peek_segment() {
             match seg {
-                Segment::Run { base, write, .. } => ops.push(TraceOp::Access { addr: base, write }),
+                Segment::Access { addr, write } => ops.push(TraceOp::Access { addr, write }),
                 Segment::Burst { cycles, .. } => ops.push(TraceOp::Compute(cycles)),
                 Segment::Rounds { cycles, .. } => {
                     let lanes: Vec<SegmentLane> = cur.lanes().to_vec();

@@ -26,6 +26,9 @@ pub enum Error {
     /// A loop block declares zero lanes (access-free repetition must be
     /// encoded as a burst block; the executors rely on it).
     EmptyLoopBlock,
+    /// A block decodes to no ops: a loop of zero rounds or a burst of
+    /// zero repeats (the builder never writes one).
+    EmptyBlock,
     /// The program's total decoded op count overflows `u64`.
     OpCountOverflow,
     /// A string field is not valid UTF-8.
@@ -61,6 +64,7 @@ impl fmt::Display for Error {
             Error::BadBool(b) => write!(f, "invalid boolean byte {b} in .ltr stream"),
             Error::LaneRangeOutOfBounds => write!(f, ".ltr loop block lane range out of bounds"),
             Error::EmptyLoopBlock => write!(f, ".ltr loop block declares zero lanes"),
+            Error::EmptyBlock => write!(f, ".ltr block decodes to no ops"),
             Error::OpCountOverflow => write!(f, ".ltr program op count overflows u64"),
             Error::BadUtf8 => write!(f, ".ltr string is not valid UTF-8"),
             Error::ChecksumMismatch { stored, computed } => write!(

@@ -1,20 +1,6 @@
-//! The stride-run trace IR: programs, blocks and lanes.
+//! The trace IR: programs of innermost-loop rounds, blocks and lanes.
 
 use lams_mpsoc::TraceStats;
-
-/// A standalone strided run: `count` consecutive accesses at `base`,
-/// `base + stride`, … with nothing in between.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct Run {
-    /// Address of the first access.
-    pub base: u64,
-    /// Per-access address increment (may be negative or zero).
-    pub stride: i64,
-    /// Number of accesses.
-    pub count: u64,
-    /// Whether the accesses are stores.
-    pub write: bool,
-}
 
 /// One access lane of a [`Block::Loop`]: in round `r` of the loop the
 /// lane emits an access at `base + r * stride`.
@@ -45,19 +31,20 @@ pub struct LoopBlock {
     pub lane_len: u32,
 }
 
-/// One block of a trace program.
+/// One block of a trace program: a run of innermost-loop rounds, with
+/// or without accesses. Every block decodes to at least one op.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum Block {
-    /// A standalone strided access run.
-    Run(Run),
-    /// `repeat` consecutive `Compute(cycles)` ops.
+    /// `repeat` consecutive `Compute(cycles)` ops (`repeat > 0`): the
+    /// rounds of an access-free loop.
     Burst {
         /// Cycles per compute op.
         cycles: u64,
         /// Number of compute ops.
         repeat: u64,
     },
-    /// An RLE'd innermost loop of interleaved accesses and computes.
+    /// An RLE'd innermost loop of interleaved accesses and computes
+    /// (`times > 0`).
     Loop(LoopBlock),
 }
 
@@ -65,7 +52,6 @@ impl Block {
     /// Number of trace ops the block decodes to.
     pub fn ops(&self) -> u64 {
         match *self {
-            Block::Run(Run { count, .. }) => count,
             Block::Burst { repeat, .. } => repeat,
             Block::Loop(lp) => lp.times * (lp.lane_len as u64 + 1),
         }
@@ -76,8 +62,8 @@ impl Block {
 /// stream ([`Program::iter`]) is **exactly** the trace it was compiled
 /// or recorded from, op for op.
 ///
-/// Programs are built by [`crate::ProgramBuilder`] (either from a raw
-/// op stream or from structured loop pushes), executed batchwise
+/// Programs are built by [`crate::ProgramBuilder`] from loop pushes (a
+/// push of no lanes is a compute burst), executed batchwise
 /// through [`crate::Cursor`] (a [`lams_mpsoc::TraceSource`]), and
 /// serialized in the `.ltr` binary format (see `docs/trace-format.md`).
 ///
@@ -146,15 +132,10 @@ impl Program {
         let mut h = lams_mpsoc::FingerprintHasher::new("lams.program");
         h.write_u64(self.ops);
         h.write_len(self.blocks.len());
+        // Tags start at 1: tag 0 is retired (as in `.ltr`), and
+        // renumbering would move every fingerprint.
         for b in &self.blocks {
             match *b {
-                Block::Run(r) => {
-                    h.write_u32(0);
-                    h.write_u64(r.base);
-                    h.write_i64(r.stride);
-                    h.write_u64(r.count);
-                    h.write_bool(r.write);
-                }
                 Block::Burst { cycles, repeat } => {
                     h.write_u32(1);
                     h.write_u64(cycles);
@@ -184,12 +165,6 @@ impl Program {
         let mut s = TraceStats::default();
         for b in &self.blocks {
             match *b {
-                Block::Run(r) => {
-                    s.accesses += r.count;
-                    if r.write {
-                        s.writes += r.count;
-                    }
-                }
                 Block::Burst { cycles, repeat } => s.compute_cycles += cycles * repeat,
                 Block::Loop(lp) => {
                     s.accesses += lp.times * lp.lane_len as u64;
@@ -209,16 +184,6 @@ mod tests {
 
     #[test]
     fn block_op_counts() {
-        assert_eq!(
-            Block::Run(Run {
-                base: 0,
-                stride: 4,
-                count: 7,
-                write: false
-            })
-            .ops(),
-            7
-        );
         assert_eq!(
             Block::Burst {
                 cycles: 2,

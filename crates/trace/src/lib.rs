@@ -1,21 +1,21 @@
-//! Compiled stride-run trace IR with binary record/replay — the trace
-//! level of the LAMS hot path.
+//! Compiled trace IR with binary record/replay — the trace level of the
+//! LAMS hot path.
 //!
 //! A process's op stream re-evaluates affine maps one op at a time;
 //! this crate gives traces a compiled form instead:
 //!
-//! * [`Program`] — a compact block program of strided [`Run`]s,
-//!   compute [`Block::Burst`]s and RLE'd innermost [`Block::Loop`]s
-//!   whose decoded stream is the original trace **op for op**;
-//! * [`ProgramBuilder`] — builds programs from raw op streams
-//!   (recording) or structured loop pushes (affine lowering), with
-//!   run-length merging across contiguous rows;
+//! * [`Program`] — a compact program of innermost-loop rounds: RLE'd
+//!   [`Block::Loop`]s and access-free compute [`Block::Burst`]s, whose
+//!   decoded stream is the original trace **op for op**;
+//! * [`ProgramBuilder`] — builds programs from loop pushes (affine
+//!   lowering), merging a push into the previous loop when it
+//!   continues it, so contiguous rows collapse to one block;
 //! * [`Cursor`] — a resumable decode position that is both an
 //!   [`Iterator`] of [`lams_mpsoc::TraceOp`]s and a
 //!   [`lams_mpsoc::TraceSource`], so the machine's batched executor
-//!   ([`lams_mpsoc::Machine::exec_source_until`]) can run whole runs
-//!   between preemption points and split a run at the exact
-//!   quantum/event-horizon op;
+//!   ([`lams_mpsoc::Machine::exec_source_until`]) can run whole windows
+//!   of rounds between preemption points and split a round at the
+//!   exact quantum/event-horizon op;
 //! * [`TraceBundle`] — a workload's programs plus dependence edges,
 //!   serialized in the versioned little-endian `.ltr` format (see
 //!   `docs/trace-format.md`) so any simulation can be recorded and any
@@ -23,17 +23,18 @@
 //!
 //! ```
 //! use lams_mpsoc::TraceOp;
-//! use lams_trace::{ProgramBuilder, TraceBundle, TraceRecord};
+//! use lams_trace::{Lane, ProgramBuilder, TraceBundle, TraceRecord};
 //!
-//! // Record a small op stream...
+//! // Push ten rows of a loop: `read(a[i]); compute(2)` over 100 `i`...
 //! let mut b = ProgramBuilder::new();
-//! for i in 0..1000u64 {
-//!     b.push_op(TraceOp::read(i * 4));
-//!     b.push_op(TraceOp::compute(2));
+//! for row in 0..10u64 {
+//!     let a = Lane { base: row * 400, stride: 4, write: false };
+//!     b.push_loop(&[a], 100, 2);
 //! }
 //! let program = b.finish();
 //! assert_eq!(program.len_ops(), 2000);
-//! assert_eq!(program.blocks().len(), 1); // RLE'd to one loop block
+//! assert_eq!(program.blocks().len(), 1); // contiguous rows: one block
+//! assert_eq!(program.iter().nth(2), Some(TraceOp::read(4)));
 //!
 //! // ...bundle it, serialize, and get it back bit-identically.
 //! let bundle = TraceBundle {
@@ -62,5 +63,5 @@ pub use builder::ProgramBuilder;
 pub use bundle::{TraceBundle, TraceRecord};
 pub use cursor::Cursor;
 pub use error::{Error, Result};
-pub use ir::{Block, Lane, LoopBlock, Program, Run};
+pub use ir::{Block, Lane, LoopBlock, Program};
 pub use ltr::{LTR_MAGIC, LTR_VERSION};

@@ -26,20 +26,22 @@
 //!            nlanes varint, lanes  × { base varint, stride zigzag, write u8 }
 //!            nblocks varint, block × { tag u8, fields }
 //!
-//! block tag 0 (Run)   : base varint, stride zigzag, count varint, write u8
 //! block tag 1 (Burst) : cycles varint, repeat varint
 //! block tag 2 (Loop)  : times varint, cycles varint,
 //!                       lane_start varint, lane_len varint
 //! ```
+//!
+//! Tag 0 is retired: decode refuses it like any unknown tag. Decode
+//! also refuses a block that decodes to no ops (`repeat == 0`,
+//! `times == 0`) and a loop of no lanes.
 
-use crate::{Block, Error, Lane, LoopBlock, Program, Result, Run, TraceBundle, TraceRecord};
+use crate::{Block, Error, Lane, LoopBlock, Program, Result, TraceBundle, TraceRecord};
 
 /// Stream magic.
 pub const LTR_MAGIC: [u8; 4] = *b"LTRC";
 /// Current format version.
 pub const LTR_VERSION: u16 = 1;
 
-const TAG_RUN: u8 = 0;
 const TAG_BURST: u8 = 1;
 const TAG_LOOP: u8 = 2;
 
@@ -143,13 +145,6 @@ fn encode_program(out: &mut Vec<u8>, p: &Program) {
     put_varint(out, p.blocks.len() as u64);
     for b in &p.blocks {
         match *b {
-            Block::Run(r) => {
-                out.push(TAG_RUN);
-                put_varint(out, r.base);
-                put_zigzag(out, r.stride);
-                put_varint(out, r.count);
-                put_bool(out, r.write);
-            }
             Block::Burst { cycles, repeat } => {
                 out.push(TAG_BURST);
                 put_varint(out, cycles);
@@ -189,12 +184,6 @@ fn decode_program(r: &mut Reader<'_>) -> Result<Program> {
     let mut ops = 0u64;
     for _ in 0..nblocks {
         let block = match r.byte()? {
-            TAG_RUN => Block::Run(Run {
-                base: r.varint()?,
-                stride: r.zigzag()?,
-                count: r.varint()?,
-                write: r.boolean()?,
-            }),
             TAG_BURST => Block::Burst {
                 cycles: r.varint()?,
                 repeat: r.varint()?,
@@ -228,13 +217,15 @@ fn decode_program(r: &mut Reader<'_>) -> Result<Program> {
         // the program's op accounting (and Block::ops itself) from
         // wrapping instead of trusting the checksum's author.
         let block_ops = match block {
-            Block::Run(run) => run.count,
             Block::Burst { repeat, .. } => repeat,
             Block::Loop(lp) => lp
                 .times
                 .checked_mul(lp.lane_len as u64 + 1)
                 .ok_or(Error::OpCountOverflow)?,
         };
+        if block_ops == 0 {
+            return Err(Error::EmptyBlock);
+        }
         ops = ops.checked_add(block_ops).ok_or(Error::OpCountOverflow)?;
         blocks.push(block);
     }
@@ -413,16 +404,47 @@ mod tests {
             vec![lane],
         );
         assert_eq!(decode(&bytes).unwrap_err(), Error::OpCountOverflow);
-        // Two runs whose counts sum past u64::MAX wrap the total.
-        let run = |count| {
-            Block::Run(Run {
-                base: 0,
-                stride: 1,
-                count,
-                write: false,
-            })
-        };
-        let bytes = encode_raw(vec![run(u64::MAX), run(2)], vec![]);
+        // Two bursts whose repeats sum past u64::MAX wrap the total.
+        let burst = |repeat| Block::Burst { cycles: 1, repeat };
+        let bytes = encode_raw(vec![burst(u64::MAX), burst(2)], vec![]);
         assert_eq!(decode(&bytes).unwrap_err(), Error::OpCountOverflow);
+    }
+
+    #[test]
+    fn retired_tag_and_zero_op_blocks_are_rejected() {
+        let lane = Lane {
+            base: 0,
+            stride: 0,
+            write: false,
+        };
+        let empty_loop = Block::Loop(LoopBlock {
+            times: 0,
+            cycles: 1,
+            lane_start: 0,
+            lane_len: 1,
+        });
+        let bytes = encode_raw(vec![empty_loop], vec![lane]);
+        assert_eq!(decode(&bytes).unwrap_err(), Error::EmptyBlock);
+        let empty_burst = Block::Burst {
+            cycles: 1,
+            repeat: 0,
+        };
+        let bytes = encode_raw(vec![empty_burst], vec![]);
+        assert_eq!(decode(&bytes).unwrap_err(), Error::EmptyBlock);
+        // Tag 0 in place of a one-op burst's tag 1, resealed: its
+        // fields (`cycles`, `repeat`) are three bytes before the sum.
+        let mut bytes = encode_raw(
+            vec![Block::Burst {
+                cycles: 1,
+                repeat: 1,
+            }],
+            vec![],
+        );
+        let sum_at = bytes.len() - 8;
+        assert_eq!(bytes[sum_at - 3], TAG_BURST);
+        bytes[sum_at - 3] = 0;
+        let sum = fnv1a(&bytes[..sum_at]);
+        bytes[sum_at..].copy_from_slice(&sum.to_le_bytes());
+        assert_eq!(decode(&bytes).unwrap_err(), Error::BadBlockTag(0));
     }
 }

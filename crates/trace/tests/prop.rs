@@ -1,69 +1,125 @@
-//! Property tests for the stride-run IR: recording any op stream and
-//! decoding it back is the identity, `.ltr` serialization round-trips
-//! bit-exactly, and the batched [`TraceSource`] view of a cursor decodes
-//! the same stream as its scalar [`Iterator`] view at every split point.
+//! Property tests for the trace IR: building a program from any
+//! sequence of loop pushes and decoding it back gives the pushes'
+//! explicit expansion, `.ltr` serialization round-trips bit-exactly,
+//! and the batched [`TraceSource`] view of a cursor decodes the same
+//! stream as its scalar [`Iterator`] view at every split point.
 
 use proptest::prelude::*;
 
 use lams_mpsoc::{Segment, TraceOp, TraceSource};
-use lams_trace::{Cursor, Program, ProgramBuilder, TraceBundle, TraceRecord};
+use lams_trace::{Cursor, Lane, Program, ProgramBuilder, TraceBundle, TraceRecord};
 
-/// Random op streams with enough structure for the RLE to engage
-/// (strided rounds) and enough irregularity to break it (jumps, mixed
-/// writes, stray computes, trailing accesses).
-fn arb_ops() -> impl Strategy<Value = Vec<TraceOp>> {
-    let chunk = (
-        0u64..3,    // kind: strided rounds / burst / irregular
-        0u64..2048, // base
-        -12i64..13, // element stride (scaled by 4)
-        1u64..12,   // length
-        0u64..4,    // cycles
-        0u8..2,     // write flag
-    )
-        .prop_map(|(kind, base, stride, len, cycles, write)| {
-            let base = base + 4096;
-            let mut ops = Vec::new();
-            match kind {
-                0 => {
-                    for i in 0..len {
-                        ops.push(TraceOp::Access {
-                            addr: base.wrapping_add((stride * 4 * i as i64) as u64),
-                            write: write == 1,
-                        });
-                        ops.push(TraceOp::Compute(cycles));
-                    }
-                }
-                1 => {
-                    for _ in 0..len {
-                        ops.push(TraceOp::Compute(cycles));
-                    }
-                }
-                _ => {
-                    // Irregular: pseudo-random addresses from a weak mix.
-                    let mut x = base;
-                    for i in 0..len {
-                        x = x.wrapping_mul(6364136223846793005).wrapping_add(i);
-                        ops.push(TraceOp::Access {
-                            addr: x % 65536,
-                            write: (x >> 7) & 1 == 1,
-                        });
-                        if i % 3 == 0 {
-                            ops.push(TraceOp::Compute(cycles + i % 2));
-                        }
-                    }
-                }
-            }
-            ops
-        });
-    prop::collection::vec(chunk, 0usize..8).prop_map(|chunks| chunks.concat())
+/// One `ProgramBuilder::push_loop` call.
+#[derive(Debug, Clone)]
+struct Push {
+    lanes: Vec<Lane>,
+    times: u64,
+    cycles: u64,
 }
 
-fn record(ops: &[TraceOp]) -> Program {
+/// A push sequence, and how many of its pushes must merge into the
+/// block before them.
+#[derive(Debug, Clone)]
+struct Pushes {
+    pushes: Vec<Push>,
+    merges: usize,
+}
+
+/// Random push sequences: compute bursts (no lanes), fresh loops,
+/// single-round loops, seamless continuations of the previous push
+/// (which must merge when that push ran two rounds or more, or was a
+/// burst), and continuations broken by one lane's stride, write flag
+/// or base.
+fn arb_pushes() -> impl Strategy<Value = Pushes> {
+    let lane = (0u64..2048, -12i64..13, 0u8..2).prop_map(|(base, stride, write)| Lane {
+        base: base + 4096,
+        stride: stride * 4,
+        write: write == 1,
+    });
+    let chunk = (
+        0u8..7, // kind: burst / loop / single round / continue / stride, write or base break
+        prop::collection::vec(lane, 1..4),
+        1u64..12,  // rounds
+        0u64..4,   // cycles
+        0usize..4, // lane to break
+    );
+    prop::collection::vec(chunk, 0usize..10).prop_map(|chunks| {
+        let mut out = Pushes {
+            pushes: Vec::new(),
+            merges: 0,
+        };
+        for (kind, lanes, times, cycles, pick) in chunks {
+            let fresh = Push {
+                lanes,
+                times,
+                cycles,
+            };
+            let push = match (kind, out.pushes.last()) {
+                (0, _) => Push {
+                    lanes: Vec::new(),
+                    ..fresh
+                },
+                (1, _) | (3.., None) => fresh,
+                (2, _) => Push { times: 1, ..fresh },
+                (3.., Some(prev)) => {
+                    // Round 0 of the new push is round `prev.times` of
+                    // the previous one.
+                    let mut next = Push {
+                        lanes: prev.lanes.clone(),
+                        times,
+                        cycles: prev.cycles,
+                    };
+                    for l in &mut next.lanes {
+                        l.base = l
+                            .base
+                            .wrapping_add(l.stride.wrapping_mul(prev.times as i64) as u64);
+                    }
+                    if kind == 3 {
+                        out.merges += usize::from(prev.lanes.is_empty() || prev.times > 1);
+                    } else if let Some(l) = next.lanes.get_mut(pick % prev.lanes.len().max(1)) {
+                        match kind {
+                            4 => {
+                                l.stride += 4;
+                                next.times = next.times.max(2);
+                            }
+                            5 => l.write = !l.write,
+                            // The next row of a sweep whose rows are not
+                            // contiguous.
+                            _ => l.base = l.base.wrapping_add(64 * (pick as u64 + 1)),
+                        }
+                    }
+                    next
+                }
+            };
+            out.pushes.push(push);
+        }
+        out
+    })
+}
+
+fn build(pushes: &[Push]) -> Program {
     let mut b = ProgramBuilder::new();
-    for &op in ops {
-        b.push_op(op);
+    for p in pushes {
+        b.push_loop(&p.lanes, p.times, p.cycles);
     }
     b.finish()
+}
+
+/// The op stream the pushes describe, written out round by round.
+fn expand(pushes: &[Push]) -> Vec<TraceOp> {
+    let mut ops = Vec::new();
+    for p in pushes {
+        for r in 0..p.times {
+            for l in &p.lanes {
+                ops.push(TraceOp::Access {
+                    addr: l.base.wrapping_add(l.stride.wrapping_mul(r as i64) as u64),
+                    write: l.write,
+                });
+            }
+            ops.push(TraceOp::Compute(p.cycles));
+        }
+    }
+    ops
 }
 
 /// Decodes a cursor through its batched `TraceSource` interface,
@@ -79,15 +135,7 @@ fn decode_via_source(prog: &Program, chunk: u64) -> Vec<TraceOp> {
         // Expand the first `take` ops of the segment.
         for k in 0..take {
             match seg {
-                Segment::Run {
-                    base,
-                    stride,
-                    write,
-                    ..
-                } => ops.push(TraceOp::Access {
-                    addr: base.wrapping_add(stride.wrapping_mul(k as i64) as u64),
-                    write,
-                }),
+                Segment::Access { addr, write } => ops.push(TraceOp::Access { addr, write }),
                 Segment::Burst { cycles, .. } => ops.push(TraceOp::Compute(cycles)),
                 Segment::Rounds { cycles, .. } => {
                     let m = lanes.len() as u64;
@@ -112,19 +160,29 @@ fn decode_via_source(prog: &Program, chunk: u64) -> Vec<TraceOp> {
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(48))]
 
-    /// Recording an op stream and decoding the program is the identity.
+    /// Building a program from pushes and decoding it gives the pushes'
+    /// expansion, and every continuation merged into the block before.
     #[test]
-    fn record_decode_is_identity(ops in arb_ops()) {
-        let prog = record(&ops);
+    fn record_decode_is_identity(p in arb_pushes()) {
+        let prog = build(&p.pushes);
+        let ops = expand(&p.pushes);
         prop_assert_eq!(prog.len_ops(), ops.len() as u64);
         let decoded: Vec<TraceOp> = prog.iter().collect();
         prop_assert_eq!(decoded, ops);
+        prop_assert!(
+            prog.blocks().len() <= p.pushes.len() - p.merges,
+            "{} blocks from {} pushes with {} merges",
+            prog.blocks().len(),
+            p.pushes.len(),
+            p.merges
+        );
     }
 
     /// The arithmetic program statistics equal the folded stream stats.
     #[test]
-    fn program_stats_match_stream(ops in arb_ops()) {
-        let prog = record(&ops);
+    fn program_stats_match_stream(p in arb_pushes()) {
+        let prog = build(&p.pushes);
+        let ops = expand(&p.pushes);
         let mut folded = lams_mpsoc::TraceStats::default();
         ops.iter().for_each(|&op| folded.record(op));
         prop_assert_eq!(prog.stats(), folded);
@@ -134,18 +192,18 @@ proptest! {
     /// scalar Iterator view, for any consumption chunk size (including
     /// chunk sizes that split rounds mid-way).
     #[test]
-    fn source_view_equals_iterator_view(ops in arb_ops(), chunk in 1u64..17) {
-        let prog = record(&ops);
-        prop_assert_eq!(decode_via_source(&prog, chunk), ops);
+    fn source_view_equals_iterator_view(p in arb_pushes(), chunk in 1u64..17) {
+        let prog = build(&p.pushes);
+        prop_assert_eq!(decode_via_source(&prog, chunk), expand(&p.pushes));
     }
 
     /// `.ltr` bytes round-trip bit-exactly, and re-encoding is stable.
     #[test]
-    fn ltr_round_trips(streams in prop::collection::vec(arb_ops(), 1usize..4)) {
+    fn ltr_round_trips(streams in prop::collection::vec(arb_pushes(), 1usize..4)) {
         let records: Vec<TraceRecord> = streams
             .iter()
             .enumerate()
-            .map(|(i, ops)| TraceRecord { name: format!("p{i}"), program: record(ops) })
+            .map(|(i, p)| TraceRecord { name: format!("p{i}"), program: build(&p.pushes) })
             .collect();
         let n = records.len() as u32;
         let bundle = TraceBundle {
@@ -163,10 +221,10 @@ proptest! {
     /// (checksum, magic, version or a structural validation error) —
     /// never silently decoded to a *different* bundle.
     #[test]
-    fn corruption_never_decodes_silently(ops in arb_ops(), pos_seed in 0u64..10_000, bit in 0u8..8) {
+    fn corruption_never_decodes_silently(p in arb_pushes(), pos_seed in 0u64..10_000, bit in 0u8..8) {
         let bundle = TraceBundle {
             name: "c".into(),
-            records: vec![TraceRecord { name: "p0".into(), program: record(&ops) }],
+            records: vec![TraceRecord { name: "p0".into(), program: build(&p.pushes) }],
             edges: vec![],
         };
         let mut bytes = bundle.to_bytes();

@@ -432,7 +432,7 @@ impl Workload {
         self.process_ids().map(|p| self.trace_len(p)).sum()
     }
 
-    /// Compiles the process's trace into the stride-run IR against
+    /// Compiles the process's trace into the trace IR against
     /// `layout`: the box lowers analytically, with runs split at
     /// half-page chunk crossings for remapped arrays. The program
     /// decodes to the op stream `docs/trace-format.md` defines —

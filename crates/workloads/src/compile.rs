@@ -1,4 +1,4 @@
-//! Lowering resolved processes into the stride-run trace IR.
+//! Lowering resolved processes into the trace IR.
 //!
 //! A process's op stream (`docs/trace-format.md`) visits every point of
 //! its box and evaluates every access's affine map there. This module

@@ -22,7 +22,7 @@
 //! * an extended process graph ([`lams_procgraph::ProcessGraph`]),
 //! * exact per-process data sets computed symbolically with
 //!   [`lams_presburger`] (the Section 2 machinery),
-//! * per-process memory traces compiled into the stride-run IR
+//! * per-process memory traces compiled into the trace IR
 //!   ([`lams_trace::Program`]) against a [`lams_layout::Layout`].
 //!
 //! ```

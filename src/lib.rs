@@ -9,7 +9,7 @@
 //! * [`presburger`] — affine sets and exact footprint algebra (Section 2),
 //! * [`procgraph`] — process graphs and extended process graphs,
 //! * [`mpsoc`] — the MPSoC simulator substrate (cores, caches, memory),
-//! * [`trace`] — the compiled stride-run trace IR and the `.ltr` binary
+//! * [`trace`] — the compiled trace IR and the `.ltr` binary
 //!   record/replay format,
 //! * [`layout`] — conflict analysis and the Figure 4/5 data re-layout,
 //! * [`workloads`] — the six Table 1 applications and the Figure 1 example,

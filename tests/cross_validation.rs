@@ -57,27 +57,58 @@ fn traces_match_presburger_footprints_linear() {
     }
 }
 
+/// The workload's layout with every other array remapped, alternating
+/// lower and upper half pages.
+fn remap_every_other(w: &Workload) -> Layout {
+    let mut asg = RemapAssignment::new();
+    for (id, _) in w.arrays().iter() {
+        if id.index() % 2 == 0 {
+            asg.assign(
+                id,
+                if id.index() % 4 == 0 {
+                    HalfPage::Lower
+                } else {
+                    HalfPage::Upper
+                },
+            );
+        }
+    }
+    Layout::remapped(w.arrays(), &CacheConfig::paper_default(), &asg)
+}
+
 #[test]
 fn traces_match_presburger_footprints_remapped() {
     for app in suite::all(Scale::Tiny) {
         let w = Workload::single(app.clone()).unwrap();
         // Remap every other array; footprints must still agree.
-        let mut asg = RemapAssignment::new();
-        for (id, _) in w.arrays().iter() {
-            if id.index() % 2 == 0 {
-                asg.assign(
-                    id,
-                    if id.index() % 4 == 0 {
-                        HalfPage::Lower
-                    } else {
-                        HalfPage::Upper
-                    },
-                );
-            }
-        }
-        let layout = Layout::remapped(w.arrays(), &CacheConfig::paper_default(), &asg);
-        check_workload(&app, &w, &layout);
+        check_workload(&app, &w, &remap_every_other(&w));
     }
+}
+
+/// Golden `.ltr` bytes: FNV-1a over the concatenated
+/// `Workload::record(..).to_bytes()` of every fig6 app at Tiny scale,
+/// on the linear layout and on the every-other-array remap. Nothing
+/// else pins what a recorded trace file holds byte for byte, so a
+/// change to the IR's block shapes, the builder's merging or the
+/// encoder shows here even when every makespan stays put.
+#[test]
+fn golden_ltr_bytes_are_reproduced_exactly() {
+    let fnv1a = |h: u64, bytes: &[u8]| {
+        bytes.iter().fold(h, |h, &b| {
+            (h ^ b as u64).wrapping_mul(0x0000_0100_0000_01B3)
+        })
+    };
+    let (mut linear, mut remapped) = (0xCBF2_9CE4_8422_2325, 0xCBF2_9CE4_8422_2325);
+    for app in suite::all(Scale::Tiny) {
+        let w = Workload::single(app).expect("valid app");
+        linear = fnv1a(linear, &w.record(&Layout::linear(w.arrays())).to_bytes());
+        remapped = fnv1a(remapped, &w.record(&remap_every_other(&w)).to_bytes());
+    }
+    assert_eq!(
+        (linear, remapped),
+        (0xa8a7_7cd4_311a_b786, 0x0a5a_c480_f817_4e05),
+        "recorded .ltr bytes drifted: got (0x{linear:016x}, 0x{remapped:016x})"
+    );
 }
 
 #[test]

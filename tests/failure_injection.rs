@@ -3,15 +3,16 @@
 //! succeed) loudly and predictably.
 
 use lams::core::{
-    execute, ArrivalConfig, EngineConfig, Error, Experiment, Policy, PolicyKind, RandomPolicy,
-    SharingMatrix,
+    execute, execute_bundle, ArrivalConfig, EngineConfig, Error, Experiment, Policy, PolicyKind,
+    RandomPolicy, SharingMatrix,
 };
 use lams::layout::Layout;
 use lams::layout::{ArrayDecl, ArrayTable};
 use lams::mpsoc::CoreId;
-use lams::mpsoc::{BusConfig, Machine, MachineConfig};
+use lams::mpsoc::{BusConfig, Error as MpsocError, Machine, MachineConfig};
 use lams::presburger::{AffineExpr, AffineMap, IterSpace};
 use lams::procgraph::ProcessId;
+use lams::trace::{Lane, ProgramBuilder, TraceBundle, TraceRecord};
 use lams::workloads::{AccessSpec, AppSpec, ProcessSpec, Workload};
 
 /// A policy that never dispatches anything — contract violation.
@@ -98,6 +99,64 @@ fn invalid_machine_configs_are_rejected() {
     let mut bad = MachineConfig::paper_default();
     bad.miss_latency = 1; // below hit latency
     assert!(Machine::try_new(bad).is_err());
+}
+
+/// A one-process bundle built from `(lanes, times, cycles)` loop pushes.
+fn one_program_bundle(loops: &[(&[Lane], u64, u64)]) -> TraceBundle {
+    let mut b = ProgramBuilder::new();
+    for &(lanes, times, cycles) in loops {
+        b.push_loop(lanes, times, cycles);
+    }
+    TraceBundle {
+        name: "overflow".into(),
+        records: vec![TraceRecord {
+            name: "p0".into(),
+            program: b.finish(),
+        }],
+        edges: vec![],
+    }
+}
+
+/// A checksum-valid trace whose op costs carry a core clock past
+/// `u64::MAX` fails with a typed error, under every way of running it:
+/// a compute burst and a one-lane loop whose compute ops cost
+/// `u64::MAX - 1` cycles, with and without a deadline or a quantum, and
+/// a miss issued near the top of the clock, with and without a bus.
+/// The repeat counts are small enough that an unchecked clock wraps and
+/// the run finishes with a wrapped makespan instead.
+#[test]
+fn clock_overflow_is_a_typed_error() {
+    let lane = [Lane {
+        base: 0,
+        stride: 0,
+        write: false,
+    }];
+    let huge = u64::MAX - 1;
+    for bundle in [
+        one_program_bundle(&[(&[], 1, 1000), (&[], 1000, huge)]),
+        one_program_bundle(&[(&[], 1, 1000), (&lane, 1000, huge)]),
+    ] {
+        for (max_cycles, quantum) in [(None, None), (Some(1 << 40), None), (None, Some(100))] {
+            let mut cfg = EngineConfig::paper_default();
+            cfg.max_cycles = max_cycles;
+            cfg.quantum_override = quantum;
+            let r = execute_bundle(&bundle, &mut RandomPolicy::new(0), cfg);
+            assert!(
+                matches!(r, Err(Error::Mpsoc(MpsocError::ClockOverflow { core: _ }))),
+                "deadline {max_cycles:?}, quantum {quantum:?}: {r:?}"
+            );
+        }
+    }
+    let late_miss = one_program_bundle(&[(&[], 1, u64::MAX - 50), (&lane, 1, 1)]);
+    for bus in [None, Some(BusConfig::fcfs(20))] {
+        let mut machine = MachineConfig::paper_default();
+        machine.bus = bus;
+        let r = execute_bundle(&late_miss, &mut RandomPolicy::new(0), machine);
+        assert!(
+            matches!(r, Err(Error::Mpsoc(MpsocError::ClockOverflow { core: _ }))),
+            "bus {bus:?}: {r:?}"
+        );
+    }
 }
 
 #[test]
