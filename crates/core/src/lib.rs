@@ -33,10 +33,10 @@
 //!   enumerates independent (workload × machine × policy × knob) jobs
 //!   and [`SweepRunner`] executes them across scoped threads with
 //!   results bit-identical to sequential execution,
-//! * [`memo`] — the [`ArtifactCache`]: an `Arc`-shared, lock-striped
-//!   memo of compiled trace programs, sharing matrices and Locality
-//!   pilot runs keyed on content fingerprints, so policy-dense matrices
-//!   and the LSM candidate ladder pay for each shared artifact once
+//! * [`memo`] — the [`ArtifactCache`]: an `Arc`-shared memo (one map
+//!   under one mutex) of compiled trace programs, sharing matrices and
+//!   Locality pilot runs keyed on content fingerprints, so policy-dense
+//!   matrices and the LSM candidate ladder pay for each shared artifact once
 //!   (results stay bit-identical to the uncached path).
 //!
 //! ```

@@ -9,8 +9,8 @@
 //! those artifacts depend only on the workload (and machine), not on
 //! the policy or knob under test.
 //!
-//! [`ArtifactCache`] is an `Arc`-shared memo: one lock-striped map from
-//! a kind-tagged key to an artifact, holding five kinds of entry:
+//! [`ArtifactCache`] is an `Arc`-shared memo: one map under one lock
+//! from a kind-tagged key to an artifact, holding five kinds of entry:
 //!
 //! * **compiled trace program sets**, keyed on `(workload fingerprint,
 //!   delta key)` where the delta key
@@ -71,90 +71,19 @@
 //! ([`MemoStats`]) and surfaced by the daemon's `stats` response, the
 //! figure binaries' `memo` line and the repo benchmark's `core.memo.*`.
 
-use std::collections::HashMap;
 use std::fmt;
-use std::hash::Hash;
-use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::{Arc, Mutex, PoisonError};
+use std::sync::{Arc, Mutex, MutexGuard, PoisonError};
 
 use lams_layout::Layout;
 use lams_mpsoc::{machine_fingerprint, Fingerprint, MachineConfig};
 use lams_trace::Program;
 use lams_workloads::Workload;
 
-use crate::replacement::{lock_witness, EvictionPolicy, ReplacementTracker};
+use crate::replacement::{EvictionPolicy, Sieve};
 use crate::{Result, RunResult, SharingMatrix};
 
-/// Number of lock stripes of the map. Sweeps run at most a few dozen
-/// workers; 16 stripes keep contention negligible without bloating the
-/// (per-experiment) cache.
-const STRIPES: usize = 16;
-
-/// One lock-striped hash map: `STRIPES` independent `Mutex<HashMap>`
-/// shards, so concurrent fills of different artifacts rarely contend.
-///
-/// Stripe locks recover poisoning (`PoisonError::into_inner`): the maps
-/// hold immutable published values, every critical section is a single
-/// `HashMap` operation, and a panicking sweep job must never wedge the
-/// cache for the jobs (or service requests) that share it.
-struct Striped<K, V> {
-    shards: Vec<Mutex<HashMap<K, V>>>,
-}
-
-impl<K: Eq + Hash, V: Clone> Striped<K, V> {
-    fn new() -> Self {
-        Striped {
-            shards: (0..STRIPES).map(|_| Mutex::new(HashMap::new())).collect(),
-        }
-    }
-
-    fn get(&self, stripe: usize, key: &K) -> Option<V> {
-        let shard = self.shards[stripe]
-            .lock()
-            .unwrap_or_else(PoisonError::into_inner);
-        let _held = lock_witness::StripeWitness::acquire();
-        shard.get(key).cloned()
-    }
-
-    /// Publishes `value` unless another writer got there first; returns
-    /// the winning value (first-writer-wins) and whether *this* call
-    /// inserted it — the signal the bounded cache uses to track the
-    /// entry exactly once.
-    fn publish(&self, stripe: usize, key: K, value: V) -> (V, bool) {
-        let mut shard = self.shards[stripe]
-            .lock()
-            .unwrap_or_else(PoisonError::into_inner);
-        let _held = lock_witness::StripeWitness::acquire();
-        match shard.entry(key) {
-            std::collections::hash_map::Entry::Occupied(e) => (e.get().clone(), false),
-            std::collections::hash_map::Entry::Vacant(e) => (e.insert(value).clone(), true),
-        }
-    }
-
-    /// Drops `key` (eviction); absent keys are a no-op.
-    fn remove(&self, stripe: usize, key: &K) {
-        let mut shard = self.shards[stripe]
-            .lock()
-            .unwrap_or_else(PoisonError::into_inner);
-        let _held = lock_witness::StripeWitness::acquire();
-        shard.remove(key);
-    }
-
-    /// Total entries across all stripes.
-    fn len(&self) -> usize {
-        self.shards
-            .iter()
-            .map(|shard| {
-                let shard = shard.lock().unwrap_or_else(PoisonError::into_inner);
-                let _held = lock_witness::StripeWitness::acquire();
-                shard.len()
-            })
-            .sum()
-    }
-}
-
-/// The five artifact kinds; the discriminant indexes the hit/miss
-/// counter block.
+/// The five artifact kinds; the discriminant indexes
+/// [`Table::lookups`].
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 enum Kind {
     Program,
@@ -183,16 +112,6 @@ impl SlotKey {
     fn single(kind: Kind, a: Fingerprint) -> Self {
         let b = Fingerprint(0, 0);
         SlotKey { kind, a, b }
-    }
-
-    /// Stripe index. Folds **both** fingerprints (and both words of
-    /// each, so correlated halves cannot skew the distribution): sweeps
-    /// typically hold one of the pair constant (one machine config
-    /// across a whole matrix, one layout across many workloads), and
-    /// striping on the varying half alone would serialize every lookup
-    /// of that kind on a single stripe.
-    fn stripe(&self) -> usize {
-        ((self.a.0 ^ self.a.1 ^ self.b.0 ^ self.b.1) as usize) & (STRIPES - 1)
     }
 }
 
@@ -315,19 +234,57 @@ impl fmt::Display for MemoStats {
 /// reference the differential tests compare against.
 pub struct ArtifactCache {
     enabled: bool,
+    /// The cache's only shared state. No compute ever runs under it.
+    table: Mutex<Table>,
+}
+
+/// Everything an [`ArtifactCache`] mutates, behind its one lock: the
+/// entries (one SIEVE table, whose map is the only index) and the
+/// counters [`ArtifactCache::stats`] reports, so a snapshot is always
+/// coherent and occupancy never exceeds capacity.
+struct Table {
     /// Maximum resident entries across all five kinds; `None` is
-    /// unbounded (the batch-sweep default).
+    /// unbounded (the batch-sweep default) and never evicts.
     capacity: Option<usize>,
-    slots: Striped<SlotKey, Artifact>,
-    /// Replacement order for bounded caches. Lock ordering: the tracker
-    /// lock is only ever taken while holding **no** stripe lock, and
-    /// stripe locks for victim removal are taken *under* it — one
-    /// consistent order, so hits, publishes and evictions cannot
-    /// deadlock.
-    tracker: Mutex<ReplacementTracker<SlotKey>>,
+    slots: Sieve<SlotKey, Artifact>,
     /// `[hits, misses]` per [`Kind`].
-    lookups: [[AtomicU64; 2]; Kind::Weight as usize + 1],
-    evictions: AtomicU64,
+    lookups: [[u64; 2]; Kind::Weight as usize + 1],
+    evictions: u64,
+}
+
+impl Table {
+    fn new(capacity: Option<usize>) -> Self {
+        Table {
+            capacity,
+            slots: Sieve::new(),
+            lookups: Default::default(),
+            evictions: 0,
+        }
+    }
+
+    /// Counts a lookup of `key` and serves it if resident (a hit marks
+    /// the entry visited).
+    fn lookup(&mut self, key: &SlotKey) -> Option<Artifact> {
+        let hit = self.slots.get(key).cloned();
+        self.lookups[key.kind as usize][usize::from(hit.is_none())] += 1;
+        hit
+    }
+
+    /// Publishes a computed `value` first-writer-wins (a loser's copy is
+    /// dropped and the publish touches the winner), evicts down to
+    /// capacity, and returns the value every caller shares. Capacity 0
+    /// stores nothing, so it never evicts either.
+    fn publish(&mut self, key: SlotKey, value: Artifact) -> Artifact {
+        if self.capacity == Some(0) {
+            return value;
+        }
+        let value = self.slots.insert(key, value).clone();
+        while self.capacity.is_some_and(|cap| self.slots.len() > cap) {
+            self.slots.evict();
+            self.evictions += 1;
+        }
+        value
+    }
 }
 
 impl ArtifactCache {
@@ -337,11 +294,7 @@ impl ArtifactCache {
     pub fn new() -> Self {
         ArtifactCache {
             enabled: true,
-            capacity: None,
-            slots: Striped::new(),
-            tracker: Mutex::new(ReplacementTracker::new()),
-            lookups: Default::default(),
-            evictions: AtomicU64::new(0),
+            table: Mutex::new(Table::new(None)),
         }
     }
 
@@ -360,7 +313,7 @@ impl ArtifactCache {
     /// benchmark calls `bounded(cap, config.eviction)`.
     pub fn bounded(capacity_entries: usize, _policy: EvictionPolicy) -> Self {
         ArtifactCache {
-            capacity: Some(capacity_entries),
+            table: Mutex::new(Table::new(Some(capacity_entries))),
             ..ArtifactCache::new()
         }
     }
@@ -382,58 +335,20 @@ impl ArtifactCache {
         })
     }
 
-    /// Whether lookups may be served from the cache.
-    pub fn is_enabled(&self) -> bool {
-        self.enabled
+    /// The table. A poisoned lock is recovered
+    /// (`PoisonError::into_inner`): no compute runs under it, every
+    /// critical section is a probe or a publish, and a panicking sweep
+    /// job must never wedge the cache for the jobs (or service
+    /// requests) that share it.
+    fn table(&self) -> MutexGuard<'_, Table> {
+        self.table.lock().unwrap_or_else(PoisonError::into_inner)
     }
 
-    /// The configured capacity in entries; `None` for unbounded.
-    pub fn capacity(&self) -> Option<usize> {
-        self.capacity
-    }
-
-    /// Whether publishes may store entries (bounded-to-zero caches keep
-    /// the map empty and skip all replacement bookkeeping).
-    fn stores(&self) -> bool {
-        self.capacity != Some(0)
-    }
-
-    /// Records a served hit in the replacement order (no-op when
-    /// unbounded — there is nothing to rank).
-    fn note_hit(&self, key: SlotKey) {
-        if self.capacity.is_some() {
-            lock_witness::assert_no_stripe_held();
-            self.tracker
-                .lock()
-                .unwrap_or_else(PoisonError::into_inner)
-                .touch(&key);
-        }
-    }
-
-    /// Tracks a publish outcome and evicts down to capacity. `inserted`
-    /// is [`Striped::publish`]'s flag: only the racer that actually
-    /// inserted tracks the entry; losers record a touch.
-    fn admit(&self, key: SlotKey, inserted: bool) {
-        let Some(cap) = self.capacity else { return };
-        lock_witness::assert_no_stripe_held();
-        let mut tracker = self.tracker.lock().unwrap_or_else(PoisonError::into_inner);
-        if inserted {
-            tracker.insert(key);
-        } else {
-            tracker.touch(&key);
-        }
-        while tracker.len() > cap {
-            let Some(victim) = tracker.evict() else { break };
-            self.slots.remove(victim.stripe(), &victim);
-            self.evictions.fetch_add(1, Ordering::Relaxed);
-        }
-    }
-
-    /// The one lookup path behind every public entry point: key →
-    /// stripe lookup → count → compute → publish → admit. A disabled
-    /// cache computes without building the key; `compute` runs with no
-    /// lock held (see the module docs), and its error is propagated
-    /// without caching anything.
+    /// The one lookup path behind every public entry point: key → lock,
+    /// probe and count → compute → lock and publish. A disabled cache
+    /// computes without building the key; `compute` runs with no lock
+    /// held (see the module docs), and its error is propagated without
+    /// caching anything.
     fn get_or_try_compute<E>(
         &self,
         key: impl FnOnce() -> SlotKey,
@@ -443,21 +358,14 @@ impl ArtifactCache {
             return compute();
         }
         let key = key();
-        let stripe = key.stripe();
-        let counters = &self.lookups[key.kind as usize];
-        if let Some(hit) = self.slots.get(stripe, &key) {
-            counters[0].fetch_add(1, Ordering::Relaxed);
-            self.note_hit(key);
+        // Each guard drops at the end of its statement: `compute` may
+        // fill other entries of this cache.
+        let hit = self.table().lookup(&key);
+        if let Some(hit) = hit {
             return Ok(hit);
         }
-        counters[1].fetch_add(1, Ordering::Relaxed);
         let computed = compute()?;
-        if !self.stores() {
-            return Ok(computed);
-        }
-        let (value, inserted) = self.slots.publish(stripe, key, computed);
-        self.admit(key, inserted);
-        Ok(value)
+        Ok(self.table().publish(key, computed))
     }
 
     /// [`ArtifactCache::get_or_try_compute`] for the kinds whose
@@ -619,9 +527,11 @@ impl ArtifactCache {
         weight
     }
 
-    /// Snapshot of the hit/miss/eviction counters and occupancy.
+    /// Snapshot of the hit/miss/eviction counters and occupancy, read
+    /// under the one lock.
     pub fn stats(&self) -> MemoStats {
-        let c = |kind: Kind, miss: usize| self.lookups[kind as usize][miss].load(Ordering::Relaxed);
+        let table = self.table();
+        let c = |kind: Kind, miss: usize| table.lookups[kind as usize][miss];
         MemoStats {
             program_hits: c(Kind::Program, 0),
             program_misses: c(Kind::Program, 1),
@@ -633,9 +543,9 @@ impl ArtifactCache {
             pilot_misses: c(Kind::Pilot, 1),
             weight_hits: c(Kind::Weight, 0),
             weight_misses: c(Kind::Weight, 1),
-            evictions: self.evictions.load(Ordering::Relaxed),
-            occupancy_entries: self.slots.len() as u64,
-            capacity_entries: self.capacity.map(|c| c as u64),
+            evictions: table.evictions,
+            occupancy_entries: table.slots.len() as u64,
+            capacity_entries: table.capacity.map(|c| c as u64),
         }
     }
 }
@@ -723,7 +633,6 @@ mod tests {
         memo.sharing(&w);
         memo.workload_weight(&w);
         assert_eq!(memo.stats(), MemoStats::default());
-        assert!(!memo.is_enabled());
     }
 
     #[test]

@@ -1,27 +1,27 @@
-//! Eviction order for the bounded [`ArtifactCache`](crate::memo): the
-//! replacement bookkeeping behind a capacity-limited memo.
+//! The SIEVE table behind [`ArtifactCache`](crate::memo): one map from
+//! key to value that also keeps the replacement order a bounded cache
+//! evicts in.
 //!
-//! The cache's entries themselves stay in the lock-striped map
-//! ([`crate::memo`]); this module only tracks which key should be
-//! evicted next. One algorithm is implemented, **SIEVE**, over an
-//! intrusive doubly-linked slab (no per-touch allocation): entries
-//! never move; a touch sets the entry's visited bit (O(1)); new entries
-//! are inserted at the head; a hand sweeps from the oldest entry toward
-//! the newest, clearing visited bits and evicting the first unvisited
-//! entry, and wraps to the tail when it falls off the head. An entry
-//! that is never touched is therefore demoted on the hand's first visit
-//! (the "quick demotion" property of the SIEVE algorithm), while
-//! touched survivors stay resident across sweeps.
+//! One algorithm is implemented, **SIEVE**, over an intrusive
+//! doubly-linked slab (no per-touch allocation): entries never move; a
+//! lookup sets the entry's visited bit (O(1)); new entries are inserted
+//! at the head; a hand sweeps from the oldest entry toward the newest,
+//! clearing visited bits and evicting the first unvisited entry, and
+//! wraps to the tail when it falls off the head. An entry that is never
+//! looked up again is therefore demoted on the hand's first visit (the
+//! "quick demotion" property of the SIEVE algorithm), while touched
+//! survivors stay resident across sweeps.
 //!
-//! The order is deterministic given the same touch/insert sequence, and
-//! it never affects simulation *results* — every cached artifact is a
-//! pure function of its key, so eviction only changes when an artifact
-//! is recomputed, never what it contains. The differential tests in
-//! `crates/core/tests/memo.rs` hold a bounded cache bit-identical to
+//! The order is deterministic given the same lookup/insert sequence,
+//! and it never affects simulation *results* — every cached artifact is
+//! a pure function of its key, so eviction only changes when an
+//! artifact is recomputed, never what it contains. The differential
+//! tests in `crates/core/tests/memo.rs` hold a bounded cache
+//! bit-identical to
 //! [`ArtifactCache::disabled`](crate::ArtifactCache::disabled) for
 //! every capacity, including 0 and 1.
 
-use std::collections::HashMap;
+use std::collections::hash_map::{Entry, HashMap};
 use std::hash::Hash;
 
 /// The replacement algorithm a bounded cache evicts with. A vestige of
@@ -51,26 +51,28 @@ struct Node<K> {
     visited: bool,
 }
 
-/// Replacement-order bookkeeping: a key set in eviction order.
+/// A key → value map in SIEVE eviction order.
 ///
 /// The list runs head (newest) to tail (oldest); `prev` points toward
 /// the head, `next` toward the tail. Freed slab slots are recycled so
 /// a long-lived cache at capacity allocates nothing per insert.
 #[derive(Debug)]
-pub(crate) struct ReplacementTracker<K> {
+pub(crate) struct Sieve<K, V> {
     nodes: Vec<Node<K>>,
-    index: HashMap<K, usize>,
+    /// The only index: each resident key's slab node and value.
+    /// Evicting a key drops its value here.
+    entries: HashMap<K, (usize, V)>,
     head: usize,
     tail: usize,
     hand: usize,
     free: Vec<usize>,
 }
 
-impl<K: Eq + Hash + Copy> ReplacementTracker<K> {
+impl<K: Eq + Hash + Copy, V> Sieve<K, V> {
     pub(crate) fn new() -> Self {
-        ReplacementTracker {
+        Sieve {
             nodes: Vec::new(),
-            index: HashMap::new(),
+            entries: HashMap::new(),
             head: NIL,
             tail: NIL,
             hand: NIL,
@@ -78,57 +80,62 @@ impl<K: Eq + Hash + Copy> ReplacementTracker<K> {
         }
     }
 
-    /// Number of tracked keys.
+    /// Number of resident keys.
     pub(crate) fn len(&self) -> usize {
-        self.index.len()
+        self.entries.len()
     }
 
-    /// Records a cache hit on `key`. Unknown keys (already evicted by a
-    /// racing worker) are ignored.
-    pub(crate) fn touch(&mut self, key: &K) {
-        if let Some(&at) = self.index.get(key) {
-            self.nodes[at].visited = true;
-        }
+    /// The value of `key`, marking the entry visited (a hit).
+    pub(crate) fn get(&mut self, key: &K) -> Option<&V> {
+        let (at, value) = self.entries.get(key)?;
+        self.nodes[*at].visited = true;
+        Some(value)
     }
 
-    /// Tracks a newly published `key` at the head of the order. Keys
-    /// already present (a racing publisher lost first-writer-wins) are
-    /// treated as a touch.
-    pub(crate) fn insert(&mut self, key: K) {
-        if self.index.contains_key(&key) {
-            self.touch(&key);
-            return;
-        }
-        let node = Node {
-            key,
-            prev: NIL,
-            next: self.head,
-            visited: false,
-        };
-        let at = match self.free.pop() {
-            Some(slot) => {
-                self.nodes[slot] = node;
-                slot
+    /// Publishes `value` under `key` at the head of the order and
+    /// returns the resident value. A key already present keeps its
+    /// value (first-writer-wins: a racing publisher lost) and the
+    /// publish counts as a hit on it.
+    pub(crate) fn insert(&mut self, key: K, value: V) -> &V {
+        match self.entries.entry(key) {
+            Entry::Occupied(e) => {
+                let (at, value) = e.into_mut();
+                self.nodes[*at].visited = true;
+                value
             }
-            None => {
-                self.nodes.push(node);
-                self.nodes.len() - 1
+            Entry::Vacant(e) => {
+                let node = Node {
+                    key,
+                    prev: NIL,
+                    next: self.head,
+                    visited: false,
+                };
+                let at = match self.free.pop() {
+                    Some(slot) => {
+                        self.nodes[slot] = node;
+                        slot
+                    }
+                    None => {
+                        self.nodes.push(node);
+                        self.nodes.len() - 1
+                    }
+                };
+                if self.head != NIL {
+                    self.nodes[self.head].prev = at;
+                }
+                self.head = at;
+                if self.tail == NIL {
+                    self.tail = at;
+                }
+                &e.insert((at, value)).1
             }
-        };
-        if self.head != NIL {
-            self.nodes[self.head].prev = at;
         }
-        self.head = at;
-        if self.tail == NIL {
-            self.tail = at;
-        }
-        self.index.insert(key, at);
     }
 
-    /// Picks and removes the victim to evict next. Returns `None` when
-    /// empty.
+    /// Picks the next victim, drops it with its value and returns its
+    /// key. Returns `None` when empty.
     pub(crate) fn evict(&mut self) -> Option<K> {
-        if self.index.is_empty() {
+        if self.entries.is_empty() {
             return None;
         }
         // The scan walks tail-ward entries toward the head, clearing
@@ -163,102 +170,9 @@ impl<K: Eq + Hash + Copy> ReplacementTracker<K> {
             self.tail = prev;
         }
         let key = self.nodes[at].key;
-        self.index.remove(&key);
+        self.entries.remove(&key);
         self.free.push(at);
         Some(key)
-    }
-}
-
-/// Debug-build runtime witness of the cache's lock-order invariant: the
-/// tracker lock (which guards this module's bookkeeping) may only be
-/// taken while the taking thread holds **no** stripe lock — the reverse
-/// nesting (stripe under tracker) is eviction's allowed direction.
-///
-/// This is the enforcing mechanism for the lock-order invariant
-/// (`docs/invariants.md`): every stripe acquisition and every tracker
-/// acquisition in `memo.rs` goes through it, so any path that nests them
-/// the wrong way — through trait dispatch or callbacks included — fails
-/// on every debug/test run. A new nested lock pair extends this module.
-/// Release builds compile both operations to nothing.
-pub(crate) mod lock_witness {
-    #[cfg(debug_assertions)]
-    use std::cell::Cell;
-
-    #[cfg(debug_assertions)]
-    thread_local! {
-        /// Stripe locks currently held by this thread.
-        static STRIPES_HELD: Cell<usize> = const { Cell::new(0) };
-    }
-
-    /// RAII marker for one held stripe lock. Declare it immediately
-    /// after the stripe guard, so it drops (in reverse declaration
-    /// order) just before the guard releases.
-    #[must_use]
-    pub(crate) struct StripeWitness {
-        /// Prevents construction without [`StripeWitness::acquire`].
-        _priv: (),
-    }
-
-    impl StripeWitness {
-        pub(crate) fn acquire() -> StripeWitness {
-            #[cfg(debug_assertions)]
-            STRIPES_HELD.with(|c| c.set(c.get() + 1));
-            StripeWitness { _priv: () }
-        }
-    }
-
-    impl Drop for StripeWitness {
-        fn drop(&mut self) {
-            #[cfg(debug_assertions)]
-            STRIPES_HELD.with(|c| c.set(c.get() - 1));
-        }
-    }
-
-    /// Asserts (debug builds only) that this thread holds no stripe
-    /// lock. Call immediately before acquiring the tracker lock.
-    pub(crate) fn assert_no_stripe_held() {
-        #[cfg(debug_assertions)]
-        STRIPES_HELD.with(|c| {
-            debug_assert_eq!(
-                c.get(),
-                0,
-                "tracker lock requested while a stripe lock is held — \
-                 stripe→tracker nesting deadlocks against eviction's \
-                 tracker→stripe direction"
-            );
-        });
-    }
-
-    #[cfg(test)]
-    mod tests {
-        use super::*;
-
-        #[test]
-        #[cfg(debug_assertions)]
-        #[should_panic(expected = "stripe lock is held")]
-        fn stripe_then_tracker_is_caught() {
-            let _w = StripeWitness::acquire();
-            assert_no_stripe_held();
-        }
-
-        #[test]
-        fn witness_releases_on_drop() {
-            {
-                let _w = StripeWitness::acquire();
-            }
-            assert_no_stripe_held();
-        }
-
-        #[test]
-        fn nested_witnesses_count() {
-            let _a = StripeWitness::acquire();
-            {
-                let _b = StripeWitness::acquire();
-            }
-            // Still one outstanding: dropping `_b` must not zero the
-            // count. (Indirectly observed: no panic on drop underflow
-            // when `_a` goes out of scope.)
-        }
     }
 }
 
@@ -267,18 +181,24 @@ mod tests {
     use super::*;
     use proptest::prelude::*;
 
-    fn drain<K: Eq + Hash + Copy>(t: &mut ReplacementTracker<K>) -> Vec<K> {
+    fn drain<K: Eq + Hash + Copy, V>(t: &mut Sieve<K, V>) -> Vec<K> {
         std::iter::from_fn(|| t.evict()).collect()
+    }
+
+    /// A table of `keys` inserted oldest first, each valued by itself.
+    fn sieve_of(keys: impl IntoIterator<Item = u8>) -> Sieve<u8, u8> {
+        let mut t = Sieve::new();
+        for k in keys {
+            t.insert(k, k);
+        }
+        t
     }
 
     #[test]
     fn touched_entries_get_a_second_chance() {
-        let mut t = ReplacementTracker::new();
-        for k in 0..4 {
-            t.insert(k);
-        }
-        t.touch(&0);
-        t.touch(&1);
+        let mut t = sieve_of(0..4);
+        assert_eq!(t.get(&0), Some(&0));
+        assert_eq!(t.get(&1), Some(&1));
         // Scan from the tail (0): 0 and 1 are visited — cleared and
         // skipped; 2 is the first unvisited victim.
         assert_eq!(t.evict(), Some(2));
@@ -291,28 +211,23 @@ mod tests {
 
     #[test]
     fn sieve_quickly_demotes_untouched_newcomers() {
-        let mut t = ReplacementTracker::new();
-        for k in 0..3 {
-            t.insert(k);
-        }
-        t.touch(&0);
+        let mut t = sieve_of(0..3);
+        t.get(&0);
         assert_eq!(t.evict(), Some(1), "oldest unvisited goes first");
         // A new entry lands at the head, in the resumed hand's path:
         // untouched, it is demoted on the hand's first visit ("quick
         // demotion"), before the once-touched survivor 0.
-        t.insert(9);
+        t.insert(9, 9);
         assert_eq!(t.evict(), Some(2));
         assert_eq!(drain(&mut t), vec![9, 0]);
     }
 
     #[test]
     fn reinserting_an_evicted_key_works() {
-        let mut t = ReplacementTracker::new();
-        t.insert(1);
-        t.insert(2);
+        let mut t = sieve_of([1, 2]);
         assert!(t.evict().is_some());
-        t.insert(1);
-        t.insert(3);
+        t.insert(1, 1);
+        t.insert(3, 3);
         let mut rest = drain(&mut t);
         rest.sort_unstable();
         assert_eq!(rest.len(), 3);
@@ -320,7 +235,7 @@ mod tests {
 
     /// SIEVE as its published pseudocode states it, over a plain `Vec`
     /// (index 0 = oldest, end = newest) with O(n) everything: the
-    /// reference the slab tracker is held against.
+    /// reference the slab table is held against.
     #[derive(Default)]
     struct NaiveSieve {
         /// `(key, visited)`, oldest first.
@@ -368,29 +283,31 @@ mod tests {
         /// Model differential: random insert/touch/evict sequences over
         /// a small key space (so reinserts of evicted keys, touches of
         /// unknown keys and hand wrap-arounds all occur) must pick the
-        /// same victims and keep the same length as the naive SIEVE.
+        /// same victims and keep the same length as the naive SIEVE,
+        /// and a lookup finds exactly the keys the model holds.
         #[test]
         fn interleaved_insert_touch_evict_stays_consistent(
             ops in prop::collection::vec((0u8..3, 0u8..24), 1..400),
         ) {
-            let mut tracker = ReplacementTracker::new();
+            let mut table = Sieve::new();
             let mut model = NaiveSieve::default();
             for (op, key) in ops {
                 match op {
                     0 => {
-                        tracker.insert(key);
+                        prop_assert_eq!(*table.insert(key, key), key);
                         model.insert(key);
                     }
                     1 => {
-                        tracker.touch(&key);
+                        let resident = model.queue.iter().any(|e| e.0 == key);
+                        prop_assert_eq!(table.get(&key).copied(), resident.then_some(key));
                         model.touch(key);
                     }
-                    _ => prop_assert_eq!(tracker.evict(), model.evict()),
+                    _ => prop_assert_eq!(table.evict(), model.evict()),
                 }
-                prop_assert_eq!(tracker.len(), model.queue.len());
+                prop_assert_eq!(table.len(), model.queue.len());
             }
             let rest: Vec<u8> = std::iter::from_fn(|| model.evict()).collect();
-            prop_assert_eq!(drain(&mut tracker), rest);
+            prop_assert_eq!(drain(&mut table), rest);
         }
     }
 }

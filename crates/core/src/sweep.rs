@@ -13,7 +13,8 @@
 //!   `std::thread::scope` workers (the build image has no rayon; scoped
 //!   threads need no `'static` bounds and no dependencies), with an
 //!   optional **longest-job-first** queue order
-//!   ([`SweepRunner::run_weighted`]) fed by up-front IR trace lengths;
+//!   ([`SweepRunner::run_weighted`]) fed by up-front trace-op counts
+//!   (a closed form over each process's box, nothing compiled);
 //! * a deterministic collection step that reassembles results **in
 //!   enumeration order**, regardless of which worker finished first or
 //!   how the queue was ordered.
@@ -133,7 +134,8 @@ impl SweepRunner {
     /// started last would otherwise overhang the pool).
     ///
     /// Weights are whatever monotone cost proxy the caller has up
-    /// front; [`ScenarioMatrix::run`] uses compiled IR trace lengths.
+    /// front; [`ScenarioMatrix::run`] uses each workload's trace-op
+    /// count ([`Workload::total_trace_ops`](lams_workloads::Workload::total_trace_ops)).
     pub fn run_weighted<T, F>(&self, weights: &[u64], f: F) -> Vec<T>
     where
         T: Send,
@@ -267,7 +269,8 @@ impl SweepJob {
     }
 
     /// Up-front cost estimate for queue ordering: the workload's total
-    /// trace ops (known before any simulation — the compiled IR length),
+    /// trace ops (Σ `num_iters × (accesses + 1)` over its processes, a
+    /// closed form known before anything is compiled or simulated),
     /// scaled for LSM whose pilot run plus candidate-layout ladder
     /// re-simulates the workload several times. A heuristic, not a
     /// promise: only the *ordering* of the longest-job-first queue

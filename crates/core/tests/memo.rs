@@ -4,6 +4,7 @@
 //! checksum — plus property tests that memo keys (content fingerprints)
 //! collide only for identical (workload, layout) content.
 
+use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
 
 use proptest::prelude::*;
@@ -271,23 +272,50 @@ fn bounded_counters_account_under_concurrency() {
     const THREADS: usize = 8;
     const ROUNDS: usize = 4;
     let memo = bounded(4);
+    let filling = AtomicBool::new(true);
     std::thread::scope(|s| {
-        for t in 0..THREADS {
-            let memo = &memo;
-            let workloads = &workloads;
-            s.spawn(move || {
-                for r in 0..ROUNDS {
-                    // Stagger the start so threads collide on
-                    // different keys.
-                    for i in 0..workloads.len() {
-                        let w = &workloads[(i + t + r) % workloads.len()];
-                        let weight = memo.workload_weight(w);
-                        assert_eq!(weight, w.total_trace_ops());
-                        let sharing = memo.sharing(w);
-                        assert_eq!(sharing.len(), w.num_processes());
+        // A reader polls while the fillers run: every snapshot is taken
+        // under the cache's one lock, so even mid-race it never shows
+        // more residents than the capacity, nor more insertions than
+        // counted misses.
+        let reader = s.spawn(|| {
+            let mut reads = 0u64;
+            while filling.load(Ordering::Acquire) || reads == 0 {
+                let stats = memo.stats();
+                assert!(stats.occupancy_entries <= 4, "mid-race: {stats}");
+                assert!(
+                    stats.occupancy_entries + stats.evictions <= stats.misses(),
+                    "mid-race, more insertions than misses: {stats}"
+                );
+                reads += 1;
+            }
+        });
+        let fillers: Vec<_> = (0..THREADS)
+            .map(|t| {
+                let memo = &memo;
+                let workloads = &workloads;
+                s.spawn(move || {
+                    for r in 0..ROUNDS {
+                        // Stagger the start so threads collide on
+                        // different keys.
+                        for i in 0..workloads.len() {
+                            let w = &workloads[(i + t + r) % workloads.len()];
+                            let weight = memo.workload_weight(w);
+                            assert_eq!(weight, w.total_trace_ops());
+                            let sharing = memo.sharing(w);
+                            assert_eq!(sharing.len(), w.num_processes());
+                        }
                     }
-                }
-            });
+                })
+            })
+            .collect();
+        // Stop the reader before surfacing a filler's panic, or the
+        // scope would wait on it forever.
+        let filled: Vec<_> = fillers.into_iter().map(|f| f.join()).collect();
+        filling.store(false, Ordering::Release);
+        reader.join().unwrap();
+        for result in filled {
+            result.unwrap();
         }
     });
     let stats = memo.stats();
