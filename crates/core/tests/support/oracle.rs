@@ -35,6 +35,7 @@ use std::collections::BTreeMap;
 use lams_core::{execute, ArrivalPlan, EngineConfig, Error, Policy, ProcessExec, RunResult};
 use lams_layout::Layout;
 use lams_mpsoc::{CoreId, MachineStats, TraceOp};
+use lams_presburger::IterSpace;
 use lams_procgraph::{ProcessId, ReadyTracker};
 use lams_workloads::{AppSpec, Workload};
 
@@ -68,6 +69,28 @@ pub fn observe(r: &RunResult) -> Observed {
             .as_ref()
             .map(|m| (m.queue_depth_peak, m.plan_checksum)),
     }
+}
+
+/// `app` with each process's leading `rep` extent multiplied by `k`: `k`
+/// times the passes over the same data, since no subscript reads `rep`.
+pub fn repeat_passes(app: &AppSpec, k: i64) -> AppSpec {
+    let mut app = app.clone();
+    for p in &mut app.processes {
+        assert_eq!(
+            p.space.dims()[0].name(),
+            "rep",
+            "{} has no leading rep",
+            p.name
+        );
+        let bounds = p.space.bounding_box().expect("a box");
+        let mut b = IterSpace::builder();
+        for (d, (dim, &(lo, hi))) in p.space.dims().iter().zip(&bounds).enumerate() {
+            let extent = (hi - lo + 1) * if d == 0 { k } else { 1 };
+            b = b.dim_range(dim.clone(), lo, lo + extent);
+        }
+        p.space = b.build().expect("the same dimensions");
+    }
+    app
 }
 
 /// A fresh-policy factory: engine and oracle each get their own instance.

@@ -462,6 +462,41 @@ impl Cache {
         w.stamp = stamp;
     }
 
+    /// The state [`Cache::repeat_pass`] measures a pass from.
+    pub(crate) fn mark(&self) -> CacheMark {
+        CacheMark {
+            clock: self.clock,
+            stats: self.stats,
+        }
+    }
+
+    /// Repeats `k` more times the pass run since `from`, which must have
+    /// started at an LRU fixed point of that pass (see
+    /// [`crate::Machine::exec_source_until`]): every counter, the access
+    /// clock, the stamp of each way the pass touched and, if the pass
+    /// missed, the shadow's sync clock move on by `k` times what the
+    /// pass moved them. Each repetition would touch the same lines in
+    /// the same order and miss, hit and evict the same way, so only the
+    /// stamps of the touched ways rise, by the same amount; the shadow
+    /// and the dirty list end as they are.
+    pub(crate) fn repeat_pass(&mut self, from: &CacheMark, k: u64) {
+        let shift = k * (self.clock - from.clock);
+        for w in self.ways.iter_mut().filter(|w| w.stamp > from.clock) {
+            w.stamp += shift;
+        }
+        if self.synced > from.clock {
+            self.synced += shift;
+        }
+        self.clock += shift;
+        let (s, f) = (&mut self.stats, &from.stats);
+        s.hits += k * (s.hits - f.hits);
+        s.misses += k * (s.misses - f.misses);
+        s.cold_misses += k * (s.cold_misses - f.cold_misses);
+        s.capacity_misses += k * (s.capacity_misses - f.capacity_misses);
+        s.conflict_misses += k * (s.conflict_misses - f.conflict_misses);
+        s.evictions += k * (s.evictions - f.evictions);
+    }
+
     /// Replays the hits since the last miss into the shadow, one touch
     /// per dirty way in stamp order: the order of each line's last touch.
     fn sync_shadow(&mut self) {
@@ -474,6 +509,14 @@ impl Cache {
         self.dirty.clear();
         self.synced = self.clock;
     }
+}
+
+/// A cache's access clock and counters at the start of a pass
+/// ([`Cache::mark`]).
+#[derive(Debug, Clone, Copy, Default)]
+pub(crate) struct CacheMark {
+    clock: u64,
+    stats: CacheStats,
 }
 
 #[cfg(test)]
@@ -567,6 +610,76 @@ mod tests {
         assert_eq!(c.access(32), AccessOutcome::Miss(MissKind::Cold)); // [0, 2]
         assert_eq!(c.access(0), AccessOutcome::Miss(MissKind::Conflict));
         assert_eq!(c.stats().hits, 3);
+    }
+
+    /// Per set, its `(line, stamp)` pairs in stamp order; the dirty
+    /// lines in stamp order; the shadow's lines from LRU to MRU.
+    type Order = (Vec<Vec<(u64, u64)>>, Vec<u64>, Vec<u64>);
+
+    /// The state that decides every future outcome, without slots.
+    fn order(c: &Cache) -> Order {
+        let sets = c
+            .ways
+            .chunks(c.assoc)
+            .map(|set| {
+                let mut set: Vec<(u64, u64)> = set
+                    .iter()
+                    .filter(|w| w.stamp != 0)
+                    .map(|w| (w.line, w.stamp))
+                    .collect();
+                set.sort_unstable_by_key(|&(_, stamp)| stamp);
+                set
+            })
+            .collect();
+        let mut dirty: Vec<&Way> = c.dirty.iter().map(|&s| &c.ways[s as usize]).collect();
+        dirty.sort_unstable_by_key(|w| w.stamp);
+        let mut shadow = Vec::new();
+        let mut i = c.shadow.head;
+        while i != NIL {
+            shadow.push(c.shadow.nodes[i as usize].line);
+            i = c.shadow.nodes[i as usize].next;
+        }
+        (sets, dirty.iter().map(|w| w.line).collect(), shadow)
+    }
+
+    #[test]
+    fn repeated_pass_equals_running_it() {
+        // 8 lines of 16 B, 2-way => 4 sets. Each pass leaves sets 2 and 3
+        // alone (set 3 empty, set 2 holding a line from before): one
+        // pass thrashes set 0, one thrashes set 0 and ends in hits, one
+        // never misses after the first.
+        let cfg = CacheConfig::new(128, 2, 16).unwrap();
+        let before = [2u64, 1, 5];
+        let passes: [&[u64]; 3] = [&[0, 4, 8, 1], &[0, 4, 8, 1, 5, 1, 5], &[1, 5, 0, 1]];
+        for pass in passes {
+            for k in [1, 2, 7] {
+                let run = |c: &mut Cache, lines: &[u64]| {
+                    for &line in lines {
+                        c.access(line * 16);
+                    }
+                };
+                let mut skipped = Cache::new(cfg);
+                let mut stepped = Cache::new(cfg);
+                for c in [&mut skipped, &mut stepped] {
+                    run(c, &before);
+                    run(c, pass);
+                }
+                let mark = skipped.mark();
+                run(&mut skipped, pass);
+                skipped.repeat_pass(&mark, k);
+                for _ in 0..=k {
+                    run(&mut stepped, pass);
+                }
+                assert_eq!(skipped.stats, stepped.stats, "{pass:?} x {k}");
+                assert_eq!(skipped.clock, stepped.clock);
+                assert_eq!(skipped.synced, stepped.synced);
+                assert_eq!(order(&skipped), order(&stepped), "{pass:?} x {k}");
+                // And they go on alike.
+                let probe = [3, 7, 2, 0, 6, 1, 4, 5];
+                let outcomes = |c: &mut Cache| probe.map(|line| c.access(line * 16));
+                assert_eq!(outcomes(&mut skipped), outcomes(&mut stepped));
+            }
+        }
     }
 
     #[test]

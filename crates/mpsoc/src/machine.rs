@@ -3,6 +3,7 @@
 use std::fmt;
 
 use crate::bus::Arbiter;
+use crate::cache::CacheMark;
 use crate::{Cache, CoreStats, Error, MachineConfig, MachineStats, Result, Segment, TraceSource};
 
 /// Index of a processor core.
@@ -251,12 +252,13 @@ impl Machine {
     /// even if the clock is already at or past `horizon` — the
     /// one-op-per-selection semantics when two core clocks tie.
     ///
-    /// The result is **bit-identical** to executing the decoded op
-    /// stream one op at a time (same final cache state and statistics,
-    /// same clock, same [`BatchOutcome`]); `crates/mpsoc/tests/prop.rs`
-    /// holds it to the naive per-op machine of its test support. Where
-    /// a per-op executor probes the cache for every access, this one
-    /// exploits one exact structural fact: within [`Segment::Rounds`],
+    /// The result equals executing the decoded op stream one op at a
+    /// time: the same statistics, clock, [`BatchOutcome`], resident
+    /// lines and per-set LRU order (which slot of a thrashing set holds
+    /// which line may differ); `crates/mpsoc/tests/prop.rs` holds it to
+    /// the naive per-op machine of its test support. Where a per-op
+    /// executor probes the cache for every access, this one exploits two
+    /// exact structural facts. The first: within [`Segment::Rounds`],
     /// after one fully probed round in which every lane hit, residency
     /// cannot change (hits never evict) until some lane crosses a line
     /// boundary — so whole rounds, compute ops included, collapse to one
@@ -278,12 +280,41 @@ impl Machine {
     /// bulk-collapsed spans are all guaranteed hits, so everything
     /// between two misses still reduces to arithmetic.
     ///
+    /// The second fact is the LRU fixed point of a repeated pass (crate
+    /// docs, "Fast-path invariants"). On a machine with no bus, at each
+    /// pass boundary the source reports ([`TraceSource::pass`]): the
+    /// first boundary of the batch skips nothing; the second is the
+    /// fixed point, where the core is marked; at the third the core has
+    /// run one steady pass, and skips the `k` passes left that end
+    /// strictly before `horizon` by adding `k` times that pass's
+    /// deltas — to the clock, busy cycles and ops, the cache counters,
+    /// the access clock, the stamps of the ways the pass touched and,
+    /// if it missed, the shadow's sync clock. The preemption key moves
+    /// with the clock. A contended miss costs what the other cores'
+    /// requests make it, so the bus path never skips.
+    ///
     /// # Errors
     ///
     /// Returns [`Error::NoSuchCore`] for an out-of-range core and
     /// [`Error::ClockOverflow`] when an op's cost would carry the
     /// core's clock past `u64::MAX`.
     pub fn exec_source_until<S: TraceSource>(
+        &mut self,
+        core: CoreId,
+        src: &mut S,
+        horizon: u64,
+    ) -> Result<BatchOutcome> {
+        if self.bus.is_none() {
+            self.exec_loop::<S, true>(core, src, horizon)
+        } else {
+            self.exec_loop::<S, false>(core, src, horizon)
+        }
+    }
+
+    /// The loop of [`Machine::exec_source_until`], instantiated once with
+    /// the pass fast-forward (`FF`, bus-free machines) and once without,
+    /// so the bus path carries no trace of it.
+    fn exec_loop<S: TraceSource, const FF: bool>(
         &mut self,
         core: CoreId,
         src: &mut S,
@@ -318,7 +349,21 @@ impl Machine {
             })
         };
 
+        let mut meter = PassMeter::default();
         loop {
+            if FF {
+                if let Some((_, left)) = src.pass() {
+                    meter.boundary(
+                        core,
+                        c,
+                        src,
+                        left,
+                        horizon,
+                        &mut executed,
+                        &mut last_op_start,
+                    )?;
+                }
+            }
             let Some(seg) = src.peek_segment() else {
                 return done(executed, last_op_start, true);
             };
@@ -486,6 +531,62 @@ impl Machine {
     /// The maximum core clock — the completion time so far.
     pub fn makespan(&self) -> u64 {
         self.cores.iter().map(|c| c.clock).max().unwrap_or(0)
+    }
+}
+
+/// The pass boundaries one bus-free batch has crossed, and the core at
+/// the latest one after the first.
+#[derive(Default)]
+struct PassMeter {
+    seen: u32,
+    clock: u64,
+    executed: u64,
+    cache: CacheMark,
+}
+
+impl PassMeter {
+    /// At a pass boundary with `left` passes to go: from the third
+    /// boundary on, the pass since the last mark started at an LRU
+    /// fixed point, so the next `k` passes repeat it exactly — `k` is
+    /// every pass left that ends strictly before `horizon` — and are
+    /// applied at once. From the second boundary on, marks the core.
+    #[inline(never)]
+    #[allow(clippy::too_many_arguments)]
+    fn boundary<S: TraceSource>(
+        &mut self,
+        core: CoreId,
+        c: &mut Core,
+        src: &mut S,
+        left: u64,
+        horizon: u64,
+        executed: &mut u64,
+        last_op_start: &mut u64,
+    ) -> Result<()> {
+        self.seen += 1;
+        if self.seen >= 3 {
+            let cycles = c.clock - self.clock;
+            let ops = *executed - self.executed;
+            debug_assert_eq!(src.pass().map(|(pass_ops, _)| pass_ops), Some(ops));
+            // The clock is below the horizon here: every op that
+            // reaches it ends the batch.
+            let k = match cycles {
+                0 => left,
+                d => left.min((horizon - 1 - c.clock) / d),
+            };
+            if k > 0 {
+                c.charge(core, k.checked_mul(cycles), k * ops)?;
+                c.cache.repeat_pass(&self.cache, k);
+                src.skip_passes(k);
+                *executed += k * ops;
+                *last_op_start += k * cycles;
+            }
+        }
+        if self.seen >= 2 {
+            self.clock = c.clock;
+            self.executed = *executed;
+            self.cache = c.cache.mark();
+        }
+        Ok(())
     }
 }
 

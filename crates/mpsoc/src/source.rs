@@ -104,6 +104,19 @@ pub trait TraceSource {
     /// Consumes `ops` trace ops; at most the peeked segment's length
     /// ([`Segment::ops`]).
     fn advance(&mut self, ops: u64);
+
+    /// `Some((ops per pass, passes left))` when the rest of the stream
+    /// is whole passes of one repeated op sequence and the cursor sits
+    /// exactly at the start of one. The default reports no passes.
+    fn pass(&self) -> Option<(u64, u64)> {
+        None
+    }
+
+    /// Consumes `k` whole passes; only at a pass boundary, with `k` at
+    /// most the passes left ([`TraceSource::pass`]).
+    fn skip_passes(&mut self, k: u64) {
+        debug_assert_eq!(k, 0, "a source without passes skipped {k}");
+    }
 }
 
 #[cfg(test)]

@@ -1,8 +1,8 @@
 //! Property tests for the machine model: LRU inclusion, 3C accounting,
 //! determinism, capacity invariants, and differential checks of the
 //! optimized cache and the batched executor against the naive reference
-//! machine of `support/naive.rs`, alone and with cores contending for a
-//! bus.
+//! machine of `support/naive.rs`, alone, over repeated passes, and with
+//! cores contending for a bus.
 
 use proptest::prelude::*;
 
@@ -37,6 +37,8 @@ struct VecSource {
     idx: usize,
     consumed: u64,
     lane_buf: Vec<SegmentLane>,
+    /// Segments per pass when `segs` is one body repeated, else 0.
+    period: usize,
 }
 
 impl VecSource {
@@ -46,6 +48,16 @@ impl VecSource {
             idx: 0,
             consumed: 0,
             lane_buf: Vec::new(),
+            period: 0,
+        }
+    }
+
+    /// `passes` copies of `body`, reporting its passes like a compiled
+    /// program's cursor.
+    fn repeated(body: &[TestSeg], passes: usize) -> Self {
+        VecSource {
+            period: body.len(),
+            ..VecSource::new(repeat(body, passes))
         }
     }
 }
@@ -101,6 +113,37 @@ impl TraceSource for VecSource {
             self.consumed = 0;
         }
     }
+
+    fn pass(&self) -> Option<(u64, u64)> {
+        let left = self
+            .segs
+            .len()
+            .checked_sub(self.idx)?
+            .checked_div(self.period)?;
+        if self.consumed != 0 || !self.idx.is_multiple_of(self.period) || left == 0 {
+            return None;
+        }
+        let ops = self.segs[..self.period]
+            .iter()
+            .map(|ts| ts.seg.ops(ts.lanes.len()));
+        Some((ops.sum(), left as u64))
+    }
+
+    fn skip_passes(&mut self, k: u64) {
+        assert!(
+            self.pass().is_some_and(|(_, left)| k <= left),
+            "skip off a boundary"
+        );
+        self.idx += k as usize * self.period;
+    }
+}
+
+/// `passes` copies of `body`.
+fn repeat(body: &[TestSeg], passes: usize) -> Vec<TestSeg> {
+    std::iter::repeat_n(body, passes)
+        .flatten()
+        .cloned()
+        .collect()
 }
 
 /// One single-op segment per op: a source that never collapses
@@ -257,6 +300,105 @@ fn run_in_step(
         }
     }
     Ok(())
+}
+
+/// The per-op horizons of a repeated body worth stopping at, as
+/// absolute clocks: each pass boundary, one cycle either side of it,
+/// points inside each pass, the end and past it. `boundaries` holds the
+/// core's clock at every pass boundary, start and end included.
+fn pass_horizons(boundaries: &[u64], picks: &[(usize, u8, u64)]) -> Vec<u64> {
+    let end = *boundaries.last().expect("at least the start");
+    let mut hs: Vec<u64> = picks
+        .iter()
+        .map(|&(i, kind, frac)| {
+            let i = i % boundaries.len();
+            let (b, next) = (boundaries[i], boundaries.get(i + 1).copied().unwrap_or(end));
+            match kind {
+                0 => b,
+                1 => b.saturating_sub(1),
+                2 => b + 1,
+                3 => b + (next - b) * frac / 100,
+                _ => end + 1 + frac,
+            }
+        })
+        .collect();
+    hs.sort_unstable();
+    hs
+}
+
+/// Runs `passes` copies of `body` on core 0 of both machines — as one
+/// source that reports its passes on `fast`, decoded one op at a time on
+/// `slow` — batch by batch to each of `horizons` and then to the end,
+/// and asserts after every batch and completed bus access equal
+/// outcomes, clocks and statistics and, by an adversarial probe
+/// sequence run on copies of both machines, equal residency and LRU
+/// order.
+fn run_passes(
+    cfg: MachineConfig,
+    body: &[TestSeg],
+    passes: usize,
+    horizons: &[u64],
+) -> Result<(), TestCaseError> {
+    let mut fast = Machine::new(cfg);
+    let mut slow = NaiveMachine::new(cfg);
+    let ops = decode_segments(&repeat(body, passes));
+    // The body's lines from its last touch back (most recent first:
+    // every miss then classifies by stack distance), twice, then their
+    // neighbours.
+    let mut lines: Vec<u64> = Vec::new();
+    for addr in decode_segments(body).iter().rev().filter_map(TraceOp::addr) {
+        if !lines.contains(&(addr / 32)) {
+            lines.push(addr / 32);
+        }
+    }
+    let probe: Vec<TraceOp> = [&lines, &lines]
+        .into_iter()
+        .flatten()
+        .map(|line| line * 32)
+        .chain(lines.iter().map(|line| (line ^ 1) * 32))
+        .map(TraceOp::read)
+        .collect();
+    let mut src = VecSource::repeated(body, passes);
+    let mut ops = ops.into_iter();
+    let mut horizons = horizons.iter().copied().chain(std::iter::repeat(u64::MAX));
+    loop {
+        let h = horizons.next().expect("endless");
+        let mut got = fast.exec_source_until(0, &mut src, h).unwrap();
+        let want = naive_until(&mut slow, 0, &mut ops, h);
+        prop_assert_eq!(got, want, "batch outcome diverged at horizon {}", h);
+        if got.parked.is_some() {
+            got = fast.complete_bus_access(0).unwrap();
+            let preempt_key = slow.complete(0);
+            prop_assert_eq!(got.preempt_key, preempt_key, "completion diverged");
+        } else {
+            // Stopped at the horizon or the end, where a skip may have
+            // just landed.
+            let segs = single_op_segments(&probe);
+            run_in_step(&mut fast.clone(), &mut slow.clone(), segs, &[0])?;
+        }
+        prop_assert_eq!(fast.core_clock(0).unwrap(), slow.clock(0));
+        prop_assert_eq!(fast.core_stats(0).unwrap(), slow.core_stats(0));
+        if got.exhausted {
+            return Ok(());
+        }
+    }
+}
+
+/// The core's clock at every pass boundary of `passes` copies of `body`,
+/// run alone on the naive machine.
+fn boundary_clocks(cfg: MachineConfig, body: &[TestSeg], passes: usize) -> Vec<u64> {
+    let mut m = NaiveMachine::new(cfg);
+    let pass = decode_segments(body);
+    let mut clocks = vec![0];
+    for _ in 0..passes {
+        for &op in &pass {
+            if m.issue(0, op).is_some() {
+                m.complete(0);
+            }
+        }
+        clocks.push(m.clock(0));
+    }
+    clocks
 }
 
 const OCCUPANCIES: [u64; 4] = [1, 9, 20, 75];
@@ -537,6 +679,29 @@ proptest! {
 
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(32))]
+
+    /// Differential over repeated passes, where a bus-free core skips
+    /// every pass after it has measured one from the LRU fixed point: a
+    /// random body repeated 3–12 times, stopped at horizons on, beside
+    /// and between pass boundaries and past the end, equals the naive
+    /// machine after every batch — without a bus, under FCFS and under
+    /// windowed arbitration.
+    #[test]
+    fn repeated_passes_match_per_op_executor(
+        body in arb_segments(),
+        passes in 3usize..13,
+        picks in prop::collection::vec((0usize..14, 0u8..5, 0u64..100), 0..8),
+        geom in 0usize..2,
+    ) {
+        for bus in [None, Some(BusConfig::fcfs(9)), Some(BusConfig::windowed(9, 32))] {
+            let mut cfg = MachineConfig::paper_default().with_cores(1);
+            // Small caches, so steady passes still miss and evict.
+            cfg.cache = CacheConfig::new([512, 256][geom], [2, 1][geom], 32).unwrap();
+            cfg.bus = bus;
+            let horizons = pass_horizons(&boundary_clocks(cfg, &body, passes), &picks);
+            run_passes(cfg, &body, passes, &horizons)?;
+        }
+    }
 
     /// Machine-level differential across cores: engine-style batches,
     /// with parked cores keyed at `BatchOutcome::parked` and completed

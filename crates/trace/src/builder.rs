@@ -132,11 +132,7 @@ impl ProgramBuilder {
             self.blocks.iter().map(Block::ops).sum::<u64>(),
             "op accounting drifted"
         );
-        Program {
-            blocks: self.blocks,
-            lanes: self.lanes,
-            ops: self.ops,
-        }
+        Program::from_parts(self.blocks, self.lanes, self.ops)
     }
 }
 

@@ -191,6 +191,26 @@ impl TraceSource for Cursor<'_> {
             }
         }
     }
+
+    fn pass(&self) -> Option<(u64, u64)> {
+        let period = self.prog.period;
+        if period == 0 || self.r != 0 || self.lane != 0 || !self.block.is_multiple_of(period) {
+            return None;
+        }
+        let passes = (self.prog.blocks.len() / period) as u64;
+        let left = passes - (self.block / period) as u64;
+        (left > 0).then(|| (self.prog.ops / passes, left))
+    }
+
+    fn skip_passes(&mut self, k: u64) {
+        let Some((pass_ops, left)) = self.pass() else {
+            debug_assert_eq!(k, 0, "skipped passes off a pass boundary");
+            return;
+        };
+        debug_assert!(k <= left, "skipped {k} of {left} passes");
+        self.block += k as usize * self.prog.period;
+        self.remaining -= k * pass_ops;
+    }
 }
 
 #[cfg(test)]

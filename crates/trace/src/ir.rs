@@ -74,17 +74,37 @@ impl Block {
 /// oracle for those delta keys — equal keys must imply structurally
 /// equal programs, which this equality (blocks, lanes, op count)
 /// witnesses field for field (see `docs/memoization.md`).
+///
+/// One field is derived rather than stored: the pass structure, which
+/// [`crate::Cursor`] reports through [`lams_mpsoc::TraceSource::pass`].
+/// It is computed whenever a program is built or decoded, and never
+/// serialized or fingerprinted.
 #[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct Program {
     pub(crate) blocks: Vec<Block>,
     pub(crate) lanes: Vec<Lane>,
     pub(crate) ops: u64,
+    /// Blocks per pass: the smallest `p` such that the block sequence
+    /// is one body of `p` blocks repeated at least three times, or 0.
+    pub(crate) period: usize,
 }
 
 impl Program {
     /// An empty program (decodes to no ops).
     pub fn new() -> Self {
         Program::default()
+    }
+
+    /// A program over validated blocks and lanes, with its pass
+    /// structure derived.
+    pub(crate) fn from_parts(blocks: Vec<Block>, lanes: Vec<Lane>, ops: u64) -> Self {
+        let period = pass_period(&blocks, &lanes);
+        Program {
+            blocks,
+            lanes,
+            ops,
+            period,
+        }
     }
 
     /// The block sequence.
@@ -175,6 +195,38 @@ impl Program {
             }
         }
         s
+    }
+}
+
+/// The smallest block period `p` such that `blocks` is one body of `p`
+/// blocks repeated at least three times, or 0: the shortest border of
+/// the sequence (Knuth–Morris–Pratt failure function), kept only when
+/// its period divides the length.
+fn pass_period(blocks: &[Block], lanes: &[Lane]) -> usize {
+    let lanes_of = |lp: &LoopBlock| &lanes[lp.lane_start as usize..][..lp.lane_len as usize];
+    let same = |a: &Block, b: &Block| match (a, b) {
+        (Block::Loop(x), Block::Loop(y)) => {
+            x.times == y.times && x.cycles == y.cycles && lanes_of(x) == lanes_of(y)
+        }
+        _ => a == b,
+    };
+    let n = blocks.len();
+    let mut border = vec![0usize; n];
+    let mut k = 0;
+    for i in 1..n {
+        while k > 0 && !same(&blocks[i], &blocks[k]) {
+            k = border[k - 1];
+        }
+        if same(&blocks[i], &blocks[k]) {
+            k += 1;
+        }
+        border[i] = k;
+    }
+    let p = n - border.last().unwrap_or(&0);
+    if n > 0 && n.is_multiple_of(p) && n / p >= 3 {
+        p
+    } else {
+        0
     }
 }
 

@@ -229,7 +229,7 @@ fn decode_program(r: &mut Reader<'_>) -> Result<Program> {
         ops = ops.checked_add(block_ops).ok_or(Error::OpCountOverflow)?;
         blocks.push(block);
     }
-    Ok(Program { blocks, lanes, ops })
+    Ok(Program::from_parts(blocks, lanes, ops))
 }
 
 /// Encodes a bundle into `.ltr` bytes.
@@ -364,6 +364,7 @@ mod tests {
                     blocks,
                     lanes,
                     ops: 0,
+                    period: 0,
                 },
             }],
             edges: vec![],

@@ -1,8 +1,9 @@
 //! Property tests for the trace IR: building a program from any
 //! sequence of loop pushes and decoding it back gives the pushes'
 //! explicit expansion, `.ltr` serialization round-trips bit-exactly,
-//! and the batched [`TraceSource`] view of a cursor decodes the same
-//! stream as its scalar [`Iterator`] view at every split point.
+//! the batched [`TraceSource`] view of a cursor decodes the same
+//! stream as its scalar [`Iterator`] view at every split point, and a
+//! program's derived pass structure is exactly its repeated body.
 
 use proptest::prelude::*;
 
@@ -157,8 +158,135 @@ fn decode_via_source(prog: &Program, chunk: u64) -> Vec<TraceOp> {
     ops
 }
 
+/// `passes` copies of a body that opens with a one-lane marker loop
+/// below every address `arb_pushes` draws and closes with a burst of
+/// cycles it never draws, so no pass merges into the next and the body
+/// is the shortest period; with `perturb = Some((pass, push, lane))`
+/// that pass moves one lane base of its `push`-th push (the marker at
+/// 0), cyclically over the pushes with lanes.
+fn repeat(body: &[Push], passes: usize, perturb: Option<(usize, usize, usize)>) -> Vec<Push> {
+    let marker = Push {
+        lanes: vec![Lane {
+            base: 64,
+            stride: 0,
+            write: false,
+        }],
+        times: 2,
+        cycles: 1,
+    };
+    let closer = Push {
+        lanes: Vec::new(),
+        times: 1,
+        cycles: 99,
+    };
+    let mut out = Vec::new();
+    for pass in 0..passes {
+        let mut one: Vec<Push> = std::iter::once(marker.clone())
+            .chain(body.iter().cloned())
+            .chain([closer.clone()])
+            .collect();
+        if let Some((_, push, lane)) = perturb.filter(|&(p, ..)| p == pass) {
+            let mut with_lanes: Vec<&mut Push> =
+                one.iter_mut().filter(|p| !p.lanes.is_empty()).collect();
+            let n = with_lanes.len();
+            let p = &mut with_lanes[push % n];
+            let n = p.lanes.len();
+            p.lanes[lane % n].base += 4;
+        }
+        out.extend(one);
+    }
+    out
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(48))]
+
+    /// A body repeated three times or more reports its pass at every
+    /// boundary, with the passes left; moving one lane base in any one
+    /// pass removes that period.
+    #[test]
+    fn repeated_bodies_report_their_passes(
+        p in arb_pushes(),
+        passes in 3usize..8,
+        perturb in (0usize..8, 0usize..10, 0usize..4),
+    ) {
+        let prog = build(&repeat(&p.pushes, passes, None));
+        let pass_ops = prog.len_ops() / passes as u64;
+        let mut cur = Cursor::new(&prog);
+        for left in (1..=passes as u64).rev() {
+            prop_assert_eq!(cur.pass(), Some((pass_ops, left)));
+            for _ in 0..pass_ops {
+                cur.next();
+                if !cur.remaining_ops().is_multiple_of(pass_ops) {
+                    prop_assert_eq!(cur.pass(), None);
+                }
+            }
+        }
+        prop_assert_eq!(cur.pass(), None, "no pass starts at the end");
+        let perturb = (perturb.0 % passes, perturb.1, perturb.2);
+        let bent = build(&repeat(&p.pushes, passes, Some(perturb)));
+        prop_assert_eq!(bent.len_ops(), prog.len_ops());
+        prop_assert_eq!(Cursor::new(&bent).pass(), None, "perturbed pass {}", perturb.0);
+    }
+
+    /// Wherever a cursor reports a pass, the rest of the stream is that
+    /// many copies of one pass, and skipping `k` passes lands where
+    /// `k * pass_ops` calls of `next` do — also from a pass boundary
+    /// inside the program.
+    #[test]
+    fn skipped_passes_decode_like_stepped_ones(
+        p in arb_pushes(),
+        repeated in 0usize..2,
+        passes in 3usize..7,
+        (from, k) in (0u64..7, 0u64..7),
+    ) {
+        let pushes = if repeated == 1 { repeat(&p.pushes, passes, None) } else { p.pushes };
+        let prog = build(&pushes);
+        let ops: Vec<TraceOp> = prog.iter().collect();
+        let Some((pass_ops, total)) = Cursor::new(&prog).pass() else {
+            prop_assert_eq!(repeated, 0, "a repeated body reports its pass");
+            return Ok(());
+        };
+        prop_assert_eq!(pass_ops * total, ops.len() as u64);
+        let n = pass_ops as usize;
+        prop_assert!(ops.chunks(n).all(|pass| pass == &ops[..n]), "passes differ");
+        let from = from % total;
+        let k = k % (total - from + 1);
+        let mut skipped = Cursor::new(&prog);
+        let mut stepped = Cursor::new(&prog);
+        for _ in 0..from * pass_ops {
+            skipped.next();
+            stepped.next();
+        }
+        prop_assert_eq!(skipped.pass(), Some((pass_ops, total - from)));
+        skipped.skip_passes(k);
+        for _ in 0..k * pass_ops {
+            stepped.next();
+        }
+        prop_assert_eq!(skipped.remaining_ops(), stepped.remaining_ops());
+        prop_assert_eq!(skipped.pass(), stepped.pass());
+        prop_assert_eq!(skipped.collect::<Vec<_>>(), stepped.collect::<Vec<_>>());
+    }
+
+    /// The pass survives an `.ltr` round trip, and the encoding of a
+    /// repeated program is the one the format has always written.
+    #[test]
+    fn ltr_round_trip_keeps_the_pass(p in arb_pushes(), passes in 3usize..6) {
+        let program = build(&repeat(&p.pushes, passes, None));
+        let bundle = TraceBundle {
+            name: "passes".into(),
+            records: vec![TraceRecord { name: "p0".into(), program }],
+            edges: vec![],
+        };
+        let back = TraceBundle::from_bytes(&bundle.to_bytes()).expect("decodes");
+        let pass = |b: &TraceBundle| Cursor::new(&b.records[0].program).pass();
+        prop_assert_eq!(pass(&back), pass(&bundle));
+        prop_assert!(pass(&back).is_some());
+        prop_assert_eq!(
+            back.records[0].program.fingerprint(),
+            bundle.records[0].program.fingerprint()
+        );
+    }
 
     /// Building a program from pushes and decoding it gives the pushes'
     /// expansion, and every continuation merged into the block before.
@@ -242,3 +370,45 @@ proptest! {
         }
     }
 }
+
+/// Three passes of a two-block body encode to exactly the bytes version
+/// 1 always wrote: the derived pass structure is neither serialized nor
+/// fingerprinted.
+#[test]
+fn repeated_program_bytes_and_fingerprint_are_pinned() {
+    let mut b = ProgramBuilder::new();
+    for _ in 0..3 {
+        let lanes = [Lane {
+            base: 4096,
+            stride: 4,
+            write: true,
+        }];
+        b.push_loop(&lanes, 8, 2);
+        b.push_loop(&[], 3, 5);
+    }
+    let program = b.finish();
+    assert_eq!(program.blocks().len(), 6);
+    assert_eq!(Cursor::new(&program).pass(), Some((19, 3)));
+    let bundle = TraceBundle {
+        name: "pin".into(),
+        records: vec![TraceRecord {
+            name: "p0".into(),
+            program,
+        }],
+        edges: vec![],
+    };
+    let hex: String = bundle
+        .to_bytes()
+        .iter()
+        .map(|b| format!("{b:02x}"))
+        .collect();
+    assert_eq!(hex, PINNED_LTR);
+    assert_eq!(
+        format!("{}", bundle.records[0].program.fingerprint()),
+        PINNED_FINGERPRINT
+    );
+}
+
+/// Written by the encoder before programs derived their passes.
+const PINNED_LTR: &str = "4c54524301000370696e010002703003802008018020080180200801060208020001010503020802010101050302080202010105036fa8d42bb2b45165";
+const PINNED_FINGERPRINT: &str = "0b73f0cd65751b6a632ad9b058ea00a1";
