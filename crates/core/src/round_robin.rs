@@ -38,11 +38,6 @@ impl RoundRobinPolicy {
             quantum,
         }
     }
-
-    /// Current queue length (for inspection/tests).
-    pub fn queue_len(&self) -> usize {
-        self.queue.len()
-    }
 }
 
 impl Default for RoundRobinPolicy {

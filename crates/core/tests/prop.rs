@@ -162,7 +162,7 @@ proptest! {
         (deadline_i, percent) in (0usize..6, 1u64..100),
         chunked in 0usize..2,
     ) {
-        // Three passes or more, where a bus-free core fast-forwards.
+        // Three passes or more, where a core fast-forwards.
         let app = oracle::repeat_passes(&app, reps);
         let w = Workload::single(app.clone()).expect("synthetic apps are valid");
         let layout = if chunked == 1 { chunked_layout(&w) } else { Layout::linear(w.arrays()) };

@@ -60,15 +60,6 @@ impl ArrayDecl {
         }
     }
 
-    /// Sets a base-address alignment requirement in bytes (e.g. 4096 for
-    /// a loader's page-aligned data segment). Layouts round the array's
-    /// base up to a multiple of this (and never below line alignment).
-    pub fn with_align(mut self, align: u64) -> Self {
-        assert!(align.is_power_of_two(), "alignment must be a power of two");
-        self.align = align;
-        self
-    }
-
     /// The base-address alignment requirement (1 = none beyond the
     /// layout's default line alignment).
     pub fn align(&self) -> u64 {
@@ -98,20 +89,6 @@ impl ArrayDecl {
     /// Total size in bytes.
     pub fn size_bytes(&self) -> u64 {
         self.num_elems() * self.elem_bytes
-    }
-
-    /// Row-major linear index of a subscript vector.
-    ///
-    /// # Panics
-    ///
-    /// Panics when `subs.len()` differs from the rank.
-    pub fn linearize(&self, subs: &[i64]) -> i64 {
-        assert_eq!(subs.len(), self.extents.len(), "subscript arity mismatch");
-        let mut idx = 0i64;
-        for (s, n) in subs.iter().zip(&self.extents) {
-            idx = idx * n + s;
-        }
-        idx
     }
 }
 
@@ -175,11 +152,6 @@ impl ArrayTable {
             .map(|(i, d)| (ArrayId::new(i as u32), d))
     }
 
-    /// Total bytes across all arrays (un-remapped).
-    pub fn total_bytes(&self) -> u64 {
-        self.decls.iter().map(ArrayDecl::size_bytes).sum()
-    }
-
     /// Overrides the alignment requirement of an existing array.
     ///
     /// # Panics
@@ -209,7 +181,6 @@ mod tests {
         let d = ArrayDecl::new("A", vec![8000, 10], 4);
         assert_eq!(d.num_elems(), 80_000);
         assert_eq!(d.size_bytes(), 320_000);
-        assert_eq!(d.linearize(&[2, 5]), 25);
         assert_eq!(d.to_string(), "A[8000][10] (4B elems)");
     }
 
@@ -228,7 +199,6 @@ mod tests {
         assert_eq!(t.get(a).unwrap().name(), "A");
         assert_eq!(t.by_name("B"), Some(b));
         assert_eq!(t.by_name("zz"), None);
-        assert_eq!(t.total_bytes(), 16 * 4 + 8 * 8);
         assert_eq!(t.iter().count(), 2);
     }
 

@@ -70,12 +70,11 @@
 //!   [`Machine::core_stats`]/[`Machine::stats`] rather than copied per
 //!   op.
 //! * A repeated pass costs one pass. When the source is whole passes of
-//!   one op sequence `P` ([`TraceSource::pass`]) and no bus is
-//!   configured, the executor fast-forwards. Let `f(S)` be the LRU
-//!   state after running `P` from state `S`. LRU has the stack property
-//!   (Mattson et al., 1970): each set, and the fully-associative 3C
-//!   shadow, holds its most recently used distinct lines in recency
-//!   order. So `f(f(S)) = f(S)`: after `P` the lines of `P` lead in an
+//!   one op sequence `P` ([`TraceSource::pass`]), the executor
+//!   fast-forwards. Let `f(S)` be the LRU state after running `P` from
+//!   state `S`. LRU has the stack property (Mattson et al., 1970): each
+//!   set, and the fully-associative 3C shadow, holds its most recently
+//!   used distinct lines in recency order. So `f(f(S)) = f(S)`: after `P` the lines of `P` lead in an
 //!   order only `P` decides, and the rest keep their order behind them.
 //!   After one pass every line of `P` has also been seen, so no later
 //!   miss is cold. Hence every pass after the first that one batch runs
@@ -83,7 +82,9 @@
 //!   ends in the same state up to a uniform shift of the stamps. The
 //!   executor measures the second whole pass and adds that pass's
 //!   deltas `k` times for the `k` passes left that end strictly before
-//!   the horizon.
+//!   the horizon. A bus changes nothing here: on a contended bus a miss
+//!   parks the batch, so a pass measured inside one batch never missed
+//!   and cost no arbitration, and neither do its repeats.
 //! * Every batch equals executing its ops one at a time: the same
 //!   statistics, clocks, [`BatchOutcome`], resident lines and per-set
 //!   LRU order. Which slot of a thrashing set holds which line may

@@ -281,17 +281,18 @@ impl Machine {
     /// between two misses still reduces to arithmetic.
     ///
     /// The second fact is the LRU fixed point of a repeated pass (crate
-    /// docs, "Fast-path invariants"). On a machine with no bus, at each
-    /// pass boundary the source reports ([`TraceSource::pass`]): the
-    /// first boundary of the batch skips nothing; the second is the
-    /// fixed point, where the core is marked; at the third the core has
-    /// run one steady pass, and skips the `k` passes left that end
-    /// strictly before `horizon` by adding `k` times that pass's
-    /// deltas — to the clock, busy cycles and ops, the cache counters,
-    /// the access clock, the stamps of the ways the pass touched and,
-    /// if it missed, the shadow's sync clock. The preemption key moves
-    /// with the clock. A contended miss costs what the other cores'
-    /// requests make it, so the bus path never skips.
+    /// docs, "Fast-path invariants"). At each pass boundary the source
+    /// reports ([`TraceSource::pass`]): the first boundary of the batch
+    /// skips nothing; the second is the fixed point, where the core is
+    /// marked; at the third the core has run one steady pass, and skips
+    /// the `k` passes left that end strictly before `horizon` by adding
+    /// `k` times that pass's deltas — to the clock, busy cycles and ops,
+    /// the cache counters, the access clock, the stamps of the ways the
+    /// pass touched and, if it missed, the shadow's sync clock. The
+    /// preemption key moves with the clock. The same loop serves a
+    /// machine with a bus: there a miss parks the batch, so a pass
+    /// measured inside one batch has no miss, costs no arbitration, and
+    /// its repeats are as exact as on a bus-free machine.
     ///
     /// # Errors
     ///
@@ -299,22 +300,6 @@ impl Machine {
     /// [`Error::ClockOverflow`] when an op's cost would carry the
     /// core's clock past `u64::MAX`.
     pub fn exec_source_until<S: TraceSource>(
-        &mut self,
-        core: CoreId,
-        src: &mut S,
-        horizon: u64,
-    ) -> Result<BatchOutcome> {
-        if self.bus.is_none() {
-            self.exec_loop::<S, true>(core, src, horizon)
-        } else {
-            self.exec_loop::<S, false>(core, src, horizon)
-        }
-    }
-
-    /// The loop of [`Machine::exec_source_until`], instantiated once with
-    /// the pass fast-forward (`FF`, bus-free machines) and once without,
-    /// so the bus path carries no trace of it.
-    fn exec_loop<S: TraceSource, const FF: bool>(
         &mut self,
         core: CoreId,
         src: &mut S,
@@ -351,18 +336,16 @@ impl Machine {
 
         let mut meter = PassMeter::default();
         loop {
-            if FF {
-                if let Some((_, left)) = src.pass() {
-                    meter.boundary(
-                        core,
-                        c,
-                        src,
-                        left,
-                        horizon,
-                        &mut executed,
-                        &mut last_op_start,
-                    )?;
-                }
+            if let Some((_, left)) = src.pass() {
+                meter.boundary(
+                    core,
+                    c,
+                    src,
+                    left,
+                    horizon,
+                    &mut executed,
+                    &mut last_op_start,
+                )?;
             }
             let Some(seg) = src.peek_segment() else {
                 return done(executed, last_op_start, true);
@@ -534,8 +517,8 @@ impl Machine {
     }
 }
 
-/// The pass boundaries one bus-free batch has crossed, and the core at
-/// the latest one after the first.
+/// The pass boundaries one batch has crossed, and the core at the
+/// latest one after the first.
 #[derive(Default)]
 struct PassMeter {
     seen: u32,

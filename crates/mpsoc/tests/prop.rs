@@ -680,8 +680,8 @@ proptest! {
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(32))]
 
-    /// Differential over repeated passes, where a bus-free core skips
-    /// every pass after it has measured one from the LRU fixed point: a
+    /// Differential over repeated passes, where a core skips every
+    /// pass after it has measured one from the LRU fixed point: a
     /// random body repeated 3–12 times, stopped at horizons on, beside
     /// and between pass boundaries and past the end, equals the naive
     /// machine after every batch — without a bus, under FCFS and under

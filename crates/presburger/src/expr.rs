@@ -1,6 +1,6 @@
 //! Integer affine expressions over named variables.
 
-use std::collections::BTreeMap;
+use std::borrow::Borrow;
 use std::fmt;
 use std::ops::{Add, Mul, Neg, Sub};
 
@@ -53,6 +53,14 @@ impl AsRef<str> for Var {
     }
 }
 
+/// Lets terms keyed by `Var` be looked up with a plain `&str`: `Var`
+/// orders exactly as its name does.
+impl Borrow<str> for Var {
+    fn borrow(&self) -> &str {
+        &self.0
+    }
+}
+
 /// An integer affine expression `c0 + c1*x1 + c2*x2 + …`.
 ///
 /// Terms with zero coefficient are never stored, so two expressions that
@@ -67,7 +75,10 @@ impl AsRef<str> for Var {
 /// ```
 #[derive(Debug, Clone, PartialEq, Eq, Hash, Default)]
 pub struct AffineExpr {
-    coeffs: BTreeMap<Var, i64>,
+    /// The non-zero coefficients, sorted by variable, one per variable.
+    /// An expression has a handful of terms, so a sorted `Vec` beats a
+    /// map on every operation, allocation included.
+    terms: Vec<(Var, i64)>,
     constant: i64,
 }
 
@@ -80,21 +91,16 @@ impl AffineExpr {
     /// A constant expression.
     pub fn constant(c: i64) -> Self {
         AffineExpr {
-            coeffs: BTreeMap::new(),
+            terms: Vec::new(),
             constant: c,
         }
     }
 
     /// A single term `coeff * var`.
     pub fn term(var: impl Into<Var>, coeff: i64) -> Self {
-        let mut coeffs = BTreeMap::new();
-        if coeff != 0 {
-            coeffs.insert(var.into(), coeff);
-        }
-        AffineExpr {
-            coeffs,
-            constant: 0,
-        }
+        let mut e = AffineExpr::zero();
+        e.add_term(var, coeff);
+        e
     }
 
     /// The variable `var` with coefficient 1.
@@ -108,16 +114,28 @@ impl AffineExpr {
             return;
         }
         let var = var.into();
-        let entry = self.coeffs.entry(var.clone()).or_insert(0);
-        *entry += coeff;
-        if *entry == 0 {
-            self.coeffs.remove(&var);
+        match self.terms.binary_search_by(|(v, _)| v.cmp(&var)) {
+            Ok(k) => {
+                self.terms[k].1 += coeff;
+                if self.terms[k].1 == 0 {
+                    self.terms.remove(k);
+                }
+            }
+            Err(k) => self.terms.insert(k, (var, coeff)),
         }
     }
 
-    /// Returns the coefficient of `var` (0 when absent).
-    pub fn coeff(&self, var: impl Into<Var>) -> i64 {
-        self.coeffs.get(&var.into()).copied().unwrap_or(0)
+    /// Returns the coefficient of `var` (0 when absent). Takes the name
+    /// by reference — a `&str` or a `&Var` — so a lookup allocates
+    /// nothing.
+    pub fn coeff<Q>(&self, var: &Q) -> i64
+    where
+        Var: Borrow<Q>,
+        Q: Ord + ?Sized,
+    {
+        self.terms
+            .binary_search_by(|(v, _)| v.borrow().cmp(var))
+            .map_or(0, |k| self.terms[k].1)
     }
 
     /// Returns the constant part of the expression.
@@ -127,7 +145,7 @@ impl AffineExpr {
 
     /// The set of variables with non-zero coefficients.
     pub fn vars(&self) -> impl Iterator<Item = &Var> + '_ {
-        self.coeffs.keys()
+        self.terms.iter().map(|(v, _)| v)
     }
 
     /// Multiplies every coefficient and the constant by `k`.
@@ -136,11 +154,7 @@ impl AffineExpr {
             return AffineExpr::zero();
         }
         AffineExpr {
-            coeffs: self
-                .coeffs
-                .iter()
-                .map(|(v, c)| (v.clone(), c * k))
-                .collect(),
+            terms: self.terms.iter().map(|(v, c)| (v.clone(), c * k)).collect(),
             constant: self.constant * k,
         }
     }
@@ -150,7 +164,7 @@ impl Add for AffineExpr {
     type Output = AffineExpr;
     fn add(mut self, rhs: AffineExpr) -> AffineExpr {
         self.constant += rhs.constant;
-        for (v, c) in rhs.coeffs {
+        for (v, c) in rhs.terms {
             self.add_term(v, c);
         }
         self
@@ -186,11 +200,11 @@ impl From<i64> for AffineExpr {
 
 impl fmt::Display for AffineExpr {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        if self.coeffs.is_empty() {
+        if self.terms.is_empty() {
             return write!(f, "{}", self.constant);
         }
         let mut first = true;
-        for (v, c) in &self.coeffs {
+        for (v, c) in &self.terms {
             if first {
                 match *c {
                     1 => write!(f, "{v}")?,

@@ -85,9 +85,9 @@ impl AffineMap {
         }
         let mut acc = AffineExpr::zero();
         let mut scale = 1i64;
-        for (e, _n) in self.outputs.iter().zip(extents).rev() {
-            acc = acc + e.clone().scale(scale);
-            scale *= _n;
+        for (e, n) in self.outputs.iter().zip(extents).rev() {
+            acc = acc + e.scale(scale);
+            scale *= n;
         }
         Ok(acc)
     }

@@ -2,7 +2,7 @@
 
 use std::fmt;
 
-use crate::{AffineExpr, AffineMap, Error, IndexSet, Result, Var};
+use crate::{AffineMap, Error, IndexSet, Result, Var};
 
 /// Most sparse-offset combinations [`IterSpace::image_1d`] enumerates
 /// before it gives up with [`Error::TooLarge`].
@@ -80,6 +80,16 @@ impl IterSpace {
         Ok(self.bounds.clone())
     }
 
+    /// The box, borrowed: [`IterSpace::bounding_box`] without the copy.
+    pub fn bounds(&self) -> &[(i64, i64)] {
+        &self.bounds
+    }
+
+    /// Whether the box holds no point.
+    pub fn is_empty(&self) -> bool {
+        self.bounds.iter().any(|&(lo, hi)| hi < lo)
+    }
+
     /// Exact number of integer points, saturating at `u64::MAX`.
     ///
     /// # Errors
@@ -115,21 +125,43 @@ impl IterSpace {
         if let Some(v) = expr.vars().find(|v| !self.dims.contains(v)) {
             return Err(Error::UnboundVariable(v.name().to_owned()));
         }
-        if self.bounds.iter().any(|&(lo, hi)| hi < lo) {
+        if self.is_empty() {
             return Ok(IndexSet::new());
         }
-        box_image(&self.dims, &self.bounds, expr)
+        let coeffs: Vec<i64> = self.dims.iter().map(|d| expr.coeff(d)).collect();
+        box_image(&self.bounds, &coeffs, expr.constant_part())
+    }
+
+    /// [`IterSpace::image_1d`] of `constant + Σ coeffs[d] · x_d`, with
+    /// the expression given positionally: `coeffs[d]` multiplies
+    /// dimension `d`. The same closed form, with no names to resolve.
+    ///
+    /// # Errors
+    ///
+    /// Returns [`Error::ArityMismatch`] when `coeffs.len()` differs from
+    /// the rank and [`Error::TooLarge`] when the sparse dimensions have
+    /// too many offset combinations.
+    pub fn linear_image(&self, coeffs: &[i64], constant: i64) -> Result<IndexSet> {
+        if coeffs.len() != self.rank() {
+            return Err(Error::ArityMismatch {
+                got: coeffs.len(),
+                expected: self.rank(),
+            });
+        }
+        if self.is_empty() {
+            return Ok(IndexSet::new());
+        }
+        box_image(&self.bounds, coeffs, constant)
     }
 }
 
-/// Closed-form image of a non-empty box under an affine expression
-/// over its dimensions.
-fn box_image(dims: &[Var], bounds: &[(i64, i64)], expr: &AffineExpr) -> Result<IndexSet> {
+/// Closed-form image of a non-empty box under `constant + Σ coeffs[d] ·
+/// x_d`.
+fn box_image(bounds: &[(i64, i64)], coeffs: &[i64], constant: i64) -> Result<IndexSet> {
     // Gather (|coeff|, extent-1) per mentioned dim and the base value.
-    let mut base = expr.constant_part();
+    let mut base = constant;
     let mut terms: Vec<(i64, i64)> = Vec::new(); // (|c|, n) with n = hi-lo
-    for (d, &(lo, hi)) in dims.iter().zip(bounds) {
-        let c = expr.coeff(d.clone());
+    for (&c, &(lo, hi)) in coeffs.iter().zip(bounds) {
         if c == 0 {
             continue;
         }
@@ -244,9 +276,9 @@ impl IterSpaceBuilder {
         if self.dims.is_empty() {
             return Err(Error::MalformedSpace("no dimensions".to_owned()));
         }
-        let mut seen = std::collections::BTreeSet::new();
-        for d in &self.dims {
-            if !seen.insert(d) {
+        // A box has a handful of dimensions: pairwise beats a set.
+        for (k, d) in self.dims.iter().enumerate() {
+            if self.dims[..k].contains(d) {
                 return Err(Error::DuplicateDimension(d.name().to_owned()));
             }
         }
@@ -265,6 +297,7 @@ impl IterSpaceBuilder {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::AffineExpr;
 
     fn is1() -> IterSpace {
         IterSpace::builder()
@@ -420,6 +453,7 @@ mod tests {
             AffineExpr::term("i", 1 << 20) + AffineExpr::term("j", 1 << 40),
         ]);
         assert!(matches!(s.image_1d(&m), Err(Error::TooLarge { .. })));
+        assert_eq!(s.linear_image(&[1 << 20, 1 << 40], 0), s.image_1d(&m));
         // count() is closed-form at any size.
         assert_eq!(s.count().unwrap(), 1u64 << 30);
     }

@@ -178,3 +178,70 @@ proptest! {
         prop_assert_eq!(space.image_1d(&AffineMap::new(vec![expr])), Ok(image), "{}", space);
     }
 }
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(512))]
+
+    #[test]
+    fn positional_image_matches_the_symbolic_route(
+        dims in prop::collection::vec((-6i64..6, -1i64..5), 1..5),
+        outputs in prop::collection::vec(
+            (prop::collection::vec(-9i64..9, 4..5), -20i64..20, 1i64..7),
+            1..4,
+        ),
+    ) {
+        // A rank 1–4 box (empty when some `len <= 0`) and an arity 1–3
+        // map over it, each output `c0 + Σ c[k] x_k` into an extent.
+        let mut builder = IterSpace::builder();
+        for (k, &(a, len)) in dims.iter().enumerate() {
+            builder = builder.dim_range(format!("x{k}"), a, a + len);
+        }
+        let space = builder.build().expect("distinct dimension names");
+        let rank = dims.len();
+        let map = AffineMap::new(
+            outputs
+                .iter()
+                .map(|(c, c0, _)| {
+                    (0..rank).fold(AffineExpr::constant(*c0), |e, k| {
+                        e + AffineExpr::term(format!("x{k}"), c[k])
+                    })
+                })
+                .collect(),
+        );
+        let extents: Vec<i64> = outputs.iter().map(|&(_, _, n)| n).collect();
+
+        // Row-major by hand: output `j` scales by the extents after it.
+        let mut coeffs = vec![0i64; rank];
+        let mut constant = 0i64;
+        for (j, (c, c0, _)) in outputs.iter().enumerate() {
+            let stride: i64 = extents[j + 1..].iter().product();
+            for (k, x) in coeffs.iter_mut().enumerate() {
+                *x += c[k] * stride;
+            }
+            constant += c0 * stride;
+        }
+
+        let lin = map.linearized(&extents).expect("arity matches");
+        for (k, &c) in coeffs.iter().enumerate() {
+            prop_assert_eq!(lin.coeff(format!("x{k}").as_str()), c);
+        }
+        prop_assert_eq!(lin.constant_part(), constant);
+        prop_assert_eq!(
+            space.linear_image(&coeffs, constant),
+            space.image_1d(&AffineMap::new(vec![lin])),
+            "{}", space
+        );
+    }
+}
+
+#[test]
+fn positional_image_refuses_a_wrong_rank() {
+    let space = IterSpace::builder().dim_range("i", 0, 4).build().unwrap();
+    assert_eq!(
+        space.linear_image(&[1, 2], 0),
+        Err(lams_presburger::Error::ArityMismatch {
+            got: 2,
+            expected: 1
+        })
+    );
+}

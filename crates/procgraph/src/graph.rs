@@ -86,6 +86,12 @@ impl ProcessGraph {
         if src == dst {
             return true;
         }
+        // A process with no successors reaches nothing else. When edges
+        // are added in topological order, each new edge's head has none
+        // yet, so building a pipeline's graph allocates no search state.
+        if self.nodes.get(&src).is_none_or(|n| n.succs.is_empty()) {
+            return false;
+        }
         let mut seen = BTreeSet::new();
         let mut stack = vec![src];
         while let Some(p) = stack.pop() {

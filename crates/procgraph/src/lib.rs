@@ -18,7 +18,7 @@
 //! * [`ReadyTracker`] — incremental ready-set maintenance for scheduling
 //!   engines,
 //! * DAG utilities: topological order, cycle detection, levels
-//!   (wavefronts), critical path, Graphviz export.
+//!   (wavefronts), critical path.
 //!
 //! ```
 //! use lams_procgraph::{EpgBuilder, ProcessId, Task, TaskId};

@@ -3,9 +3,10 @@
 use std::fmt;
 
 use lams_layout::{ArrayId, ArrayTable, Layout};
-use lams_presburger::{AffineMap, DataSet, Var};
+use lams_presburger::{AffineMap, DataSet};
 use lams_procgraph::{EpgBuilder, ProcessGraph, ProcessId, Task, TaskId};
 
+use crate::spec::Linear;
 use crate::{AccessKind, AppSpec, Result};
 
 /// A process's access with global array ids and the subscript map
@@ -24,7 +25,6 @@ pub(crate) struct ResolvedAccess {
 pub(crate) struct ResolvedProcess {
     pub(crate) name: String,
     pub(crate) task: TaskId,
-    pub(crate) dims: Vec<Var>,
     pub(crate) bbox: Vec<(i64, i64)>,
     pub(crate) accesses: Vec<ResolvedAccess>,
     pub(crate) compute: u64,
@@ -46,8 +46,6 @@ impl ResolvedProcess {
             // the name and the task partition itself.
             name: _,
             task: _,
-            // Variable names only; `coeffs` is already aligned with them.
-            dims: _,
             bbox,
             accesses,
             compute,
@@ -149,53 +147,67 @@ impl Workload {
         let mut procs: Vec<ResolvedProcess> = Vec::new();
         let mut names = Vec::new();
 
-        for (ti, app) in apps.iter().enumerate() {
-            app.validate()?;
-            names.push(app.name.clone());
-            let array_off = arrays.merge(&app.arrays);
+        for (ti, app) in apps.into_iter().enumerate() {
+            let mut linear = app.resolve()?.into_iter();
+            let AppSpec {
+                name,
+                arrays: app_arrays,
+                processes,
+                deps,
+                ..
+            } = app;
+            let array_off = arrays.merge(&app_arrays);
             // Real loaders place each application's data segment on a page
             // boundary; that systematic cross-application alignment is the
             // conflict source the paper's data re-layout targets.
-            if !app.arrays.is_empty() {
+            if !app_arrays.is_empty() {
                 arrays.set_align(lams_layout::ArrayId::new(array_off), 4096);
             }
             let task = Task::with_base(
                 TaskId::new(ti as u32),
-                app.name.clone(),
+                name.clone(),
                 ProcessId::new(procs.len() as u32),
-                app.processes.len() as u32,
+                processes.len() as u32,
             );
+            names.push(name);
             builder.add_task(&task)?;
-            for &(from, to) in &app.deps {
+            for (from, to) in deps {
                 builder.add_edge(task.process(from as u32), task.process(to as u32))?;
             }
 
-            for p in &app.processes {
-                let dims = p.space.dims().to_vec();
-                let bbox = p.space.bounding_box()?;
+            for p in processes {
                 let num_iters = p.space.count()?;
                 let mut accesses = Vec::with_capacity(p.accesses.len());
                 let mut data_set = DataSet::new();
                 for a in &p.accesses {
+                    let Linear {
+                        coeffs,
+                        constant,
+                        unbound,
+                    } = linear.next().expect("one linear form per access");
                     let global = ArrayId::new(array_off + a.array.index());
-                    let decl = app.arrays.get(a.array).expect("validated");
-                    let lin = a.map.linearized(decl.extents())?;
-                    let coeffs: Vec<i64> = dims.iter().map(|d| lin.coeff(d.clone())).collect();
-                    // Exact element footprint via the Presburger machinery.
-                    let img = p.space.image_1d(&AffineMap::new(vec![lin.clone()]))?;
+                    // Exact element footprint, in closed form over the box.
+                    let img = if unbound {
+                        // The symbolic route names the stray variable in
+                        // its error (or finds that it cancels out).
+                        let decl = app_arrays.get(a.array).expect("validated");
+                        let lin = a.map.linearized(decl.extents())?;
+                        p.space.image_1d(&AffineMap::new(vec![lin]))?
+                    } else {
+                        p.space.linear_image(&coeffs, constant)?
+                    };
                     data_set.insert(global, img);
                     accesses.push(ResolvedAccess {
                         array: global,
                         coeffs,
-                        constant: lin.constant_part(),
+                        constant,
                         write: matches!(a.kind, AccessKind::Write),
                     });
                 }
                 procs.push(ResolvedProcess {
-                    name: p.name.clone(),
+                    name: p.name,
                     task: task.id(),
-                    dims,
-                    bbox,
+                    bbox: p.space.bounds().to_vec(),
                     accesses,
                     compute: p.compute_cycles_per_iter,
                     data_set,
@@ -260,9 +272,8 @@ impl Workload {
             // Task structure (process partition into applications).
             h.write_len(tasks.len());
             for task in tasks {
-                let procs: Vec<ProcessId> = task.processes().collect();
-                h.write_len(procs.len());
-                for p in procs {
+                h.write_len(task.len() as usize);
+                for p in task.processes() {
                     h.write_u32(p.index());
                 }
             }
@@ -280,9 +291,8 @@ impl Workload {
                 h.write_str(&r.name);
                 r.write_trace_inputs(&mut h);
                 // Exact footprints (the sharing matrix's raw material).
-                let arrays: Vec<_> = r.data_set.iter().collect();
-                h.write_len(arrays.len());
-                for (&arr, elems) in arrays {
+                h.write_len(r.data_set.arrays().count());
+                for (&arr, elems) in r.data_set.iter() {
                     h.write_u32(arr.index());
                     h.write_len(elems.intervals().len());
                     for iv in elems.intervals() {
@@ -497,7 +507,7 @@ impl fmt::Display for Workload {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::{AccessSpec, ProcessSpec};
+    use crate::{suite, synthetic_app, AccessSpec, ProcessSpec, Scale, SyntheticConfig};
     use lams_layout::ArrayDecl;
     use lams_presburger::{AffineExpr, IterSpace};
 
@@ -561,10 +571,76 @@ mod tests {
         let mut app = demo_app("d");
         app.processes[0].accesses[0].map =
             AffineMap::new(vec![AffineExpr::var("i") + AffineExpr::term("k", 10)]);
-        assert_eq!(
-            Workload::single(app).unwrap_err(),
-            crate::Error::Presburger(lams_presburger::Error::UnboundVariable("k".into()))
-        );
+        let unbound = crate::Error::Presburger(lams_presburger::Error::UnboundVariable("k".into()));
+        assert_eq!(Workload::single(app.clone()).unwrap_err(), unbound);
+        // An empty box touches nothing, yet `k` still has no value.
+        app.processes[0].space = IterSpace::builder().dim_range("i", 4, 0).build().unwrap();
+        assert_eq!(Workload::single(app).unwrap_err(), unbound);
+    }
+
+    #[test]
+    fn a_stray_variable_that_cancels_out_is_harmless() {
+        // `C[i + k][-k]` on a 64 x 1 array folds to `i`: `k` leaves the
+        // linear index, and the footprint is that of `C[i][0]`.
+        let footprint = |map: AffineMap| {
+            let mut app = demo_app("d");
+            let c = app.arrays.push(ArrayDecl::new("C", vec![64, 1], 4));
+            app.processes[0].accesses[0] = AccessSpec::read(c, map);
+            let w = Workload::single(app).unwrap();
+            w.data_set(ProcessId::new(0)).get(&c).cloned()
+        };
+        let stray = footprint(AffineMap::new(vec![
+            AffineExpr::var("i") + AffineExpr::var("k"),
+            AffineExpr::term("k", -1),
+        ]));
+        let plain = footprint(AffineMap::new(vec![
+            AffineExpr::var("i"),
+            AffineExpr::constant(0),
+        ]));
+        assert_eq!(stray, plain);
+        assert_eq!(plain.map(|s| s.len()), Some(32));
+    }
+
+    /// Every access of every suite app at every scale, and of seeded
+    /// synthetic apps, resolves to what the symbolic route gives:
+    /// linearise the map, look each dimension's coefficient up by name,
+    /// and take the image of the linearised map.
+    #[test]
+    fn resolution_matches_the_symbolic_route() {
+        let scales = [
+            Scale::Tiny,
+            Scale::Small,
+            Scale::Paper,
+            Scale::Large,
+            Scale::Huge,
+        ];
+        let synthetic = (0..24u64).map(|seed| {
+            synthetic_app(SyntheticConfig {
+                seed,
+                stages: 1 + seed as usize % 3,
+                procs_per_stage: 1 + seed as usize % 5,
+                dim: 8 + 2 * seed as i64,
+                max_halo: seed as i64 % 4,
+            })
+        });
+        for app in scales.into_iter().flat_map(suite::all).chain(synthetic) {
+            let w = Workload::single(app.clone()).unwrap();
+            assert_eq!(w.procs.len(), app.processes.len());
+            for (r, p) in w.procs.iter().zip(&app.processes) {
+                let mut data_set = DataSet::new();
+                for (ra, a) in r.accesses.iter().zip(&p.accesses) {
+                    let extents = app.arrays.get(a.array).unwrap().extents();
+                    let lin = a.map.linearized(extents).unwrap();
+                    let coeffs: Vec<i64> = p.space.dims().iter().map(|d| lin.coeff(d)).collect();
+                    assert_eq!(ra.coeffs, coeffs, "{}", p.name);
+                    assert_eq!(ra.constant, lin.constant_part(), "{}", p.name);
+                    let image = p.space.image_1d(&AffineMap::new(vec![lin])).unwrap();
+                    data_set.insert(ra.array, image);
+                }
+                assert_eq!(r.bbox, p.space.bounding_box().unwrap(), "{}", p.name);
+                assert_eq!(r.data_set, data_set, "{}", p.name);
+            }
+        }
     }
 
     #[test]
@@ -574,17 +650,25 @@ mod tests {
         let mut app = demo_app("d");
         app.processes[1].accesses[1].map =
             AffineMap::new(vec![AffineExpr::var("i") + AffineExpr::constant(17)]);
-        assert!(matches!(
-            Workload::single(app),
-            Err(crate::Error::SubscriptOutOfBounds {
-                process: 1,
-                array: 1,
-                lo: 33,
-                hi: 64,
-                extent: 64,
-                ..
-            })
-        ));
+        let refused = |app: AppSpec| {
+            matches!(
+                Workload::single(app),
+                Err(crate::Error::SubscriptOutOfBounds {
+                    process: 1,
+                    array: 1,
+                    lo: 33,
+                    hi: 64,
+                    extent: 64,
+                    ..
+                })
+            )
+        };
+        assert!(refused(app.clone()));
+        // The whole app is validated before any footprint: p1's bounds
+        // fail first, though p0 names a variable that is not a dimension.
+        app.processes[0].accesses[0].map =
+            AffineMap::new(vec![AffineExpr::var("i") + AffineExpr::term("k", 10)]);
+        assert!(refused(app));
     }
 
     #[test]

@@ -46,7 +46,7 @@ pub(crate) fn compile(proc: &ResolvedProcess, layout: &Layout) -> Program {
     if proc.bbox.iter().any(|&(lo, hi)| hi < lo) {
         return Program::new();
     }
-    let inner = proc.dims.len() - 1;
+    let inner = proc.bbox.len() - 1;
     let (ilo, ihi) = proc.bbox[inner];
     let n_inner = (ihi - ilo + 1) as u64;
     // Per-access constants: byte stride per inner step, element size,

@@ -102,40 +102,58 @@ impl AppSpec {
     ///
     /// Returns the first inconsistency found.
     pub fn validate(&self) -> Result<()> {
+        self.resolve().map(drop)
+    }
+
+    /// [`AppSpec::validate`], keeping what it resolves: every access as
+    /// a [`Linear`] form, in process order and then program order.
+    pub(crate) fn resolve(&self) -> Result<Vec<Linear>> {
         if self.processes.is_empty() {
             return Err(Error::NoProcesses(self.name.clone()));
         }
+        let mut out = Vec::with_capacity(self.processes.iter().map(|p| p.accesses.len()).sum());
         for (pi, p) in self.processes.iter().enumerate() {
-            let bbox = p.space.bounding_box()?;
-            let empty = bbox.iter().any(|&(lo, hi)| lo > hi);
+            let (dims, bbox) = (p.space.dims(), p.space.bounds());
+            let empty = p.space.is_empty();
             for a in &p.accesses {
                 let decl = self.arrays.get(a.array).ok_or(Error::UnknownArray {
                     app: self.name.clone(),
                     process: pi,
                     array: a.array.index(),
                 })?;
-                if a.map.arity() != decl.extents().len() {
+                let extents = decl.extents();
+                if a.map.arity() != extents.len() {
                     return Err(Error::AccessArity {
                         app: self.name.clone(),
                         process: pi,
                         got: a.map.arity(),
-                        expected: decl.extents().len(),
+                        expected: extents.len(),
                     });
                 }
-                if empty {
-                    continue;
-                }
-                for (dim, (e, &extent)) in a.map.outputs().iter().zip(decl.extents()).enumerate() {
+                let mut lin = Linear {
+                    coeffs: vec![0; dims.len()],
+                    constant: 0,
+                    unbound: false,
+                };
+                for (dim, (e, &extent)) in a.map.outputs().iter().zip(extents).enumerate() {
+                    // Row-major: subscript `dim` steps over every element
+                    // of the dimensions after it.
+                    let stride: i64 = extents[dim + 1..].iter().product();
+                    lin.constant += e.constant_part() * stride;
                     // An affine subscript is extreme at a box corner:
                     // each term at whichever end its sign favours.
                     let (mut lo, mut hi) = (e.constant_part(), e.constant_part());
-                    for (d, &(dlo, dhi)) in p.space.dims().iter().zip(&bbox) {
-                        let c = e.coeff(d.name());
+                    let mut terms = 0;
+                    for ((d, &(dlo, dhi)), x) in dims.iter().zip(bbox).zip(&mut lin.coeffs) {
+                        let c = e.coeff(d);
+                        terms += usize::from(c != 0);
+                        *x += c * stride;
                         let (at_lo, at_hi) = (c.saturating_mul(dlo), c.saturating_mul(dhi));
                         lo = lo.saturating_add(at_lo.min(at_hi));
                         hi = hi.saturating_add(at_lo.max(at_hi));
                     }
-                    if lo < 0 || hi >= extent {
+                    lin.unbound |= terms != e.vars().count();
+                    if !empty && (lo < 0 || hi >= extent) {
                         return Err(Error::SubscriptOutOfBounds {
                             app: self.name.clone(),
                             process: pi,
@@ -147,6 +165,7 @@ impl AppSpec {
                         });
                     }
                 }
+                out.push(lin);
             }
         }
         for &(from, to) in &self.deps {
@@ -157,8 +176,21 @@ impl AppSpec {
                 });
             }
         }
-        Ok(())
+        Ok(out)
     }
+}
+
+/// One access resolved against its process's box: the subscripts
+/// folded row-major over the array's extents into one coefficient per
+/// box dimension plus a constant, so the element index at point `x` is
+/// `constant + Σ coeffs[d] * x[d]`.
+#[derive(Debug)]
+pub(crate) struct Linear {
+    pub(crate) coeffs: Vec<i64>,
+    pub(crate) constant: i64,
+    /// Some subscript names a variable that is not a box dimension; the
+    /// coefficients leave it out.
+    pub(crate) unbound: bool,
 }
 
 impl fmt::Display for AppSpec {
@@ -218,6 +250,10 @@ mod tests {
         app.processes[0].accesses[0].map =
             AffineMap::new(vec![AffineExpr::var("i"), AffineExpr::constant(0)]);
         assert!(matches!(app.validate(), Err(Error::AccessArity { .. })));
+        assert_eq!(
+            crate::Workload::single(app.clone()).unwrap_err(),
+            app.validate().unwrap_err()
+        );
     }
 
     #[test]
