@@ -3,15 +3,16 @@
 //!
 //! # Hot-path design
 //!
-//! The engine advances the busy core with the smallest local clock. The
-//! seed implementation re-collected the ready set, rescanned every core
-//! for the minimum busy clock and re-entered the dispatch loop after
-//! *every trace op* — O(cores + ready) of allocation and scanning per
-//! simulated memory reference. This implementation batches instead:
+//! The engine advances the busy core with the smallest local clock, a
+//! batch of trace ops at a time. One run is a private `Engine`:
+//! `run_engine` alternates a dispatch pass with handing the minimum
+//! `(key, Event)` heap entry to the method for its kind, which returns
+//! when that event fires next. Every batch ends in `Running::end_batch`,
+//! the one place that says why.
 //!
-//! * busy cores live in a small min-heap holding exactly one entry per
-//!   busy core (popped on selection, re-pushed after the batch while
-//!   the core stays busy);
+//! * the heap holds one entry per busy core (replaced in place after each
+//!   batch while the core stays busy, popped when it idles) plus at most
+//!   one [`Event::Arrival`], the next pending admission;
 //! * the selected core runs its compiled trace program in a tight inner
 //!   loop ([`Machine::exec_source_until`] over a [`Cursor`]) until the
 //!   next *event horizon* — its own quantum end or the next
@@ -39,12 +40,11 @@
 //! * the dispatch gate ([`Gate`]: the cycle, plus one, at which an idle
 //!   core could first start a ready process) is cached, and recomputed
 //!   only after the four events that can move it: a dispatch, a
-//!   completion, a preemption and an admission. The dispatch loop's
-//!   guard and an executing batch's horizon both read the cached value,
-//!   so a batch ended by a bus miss costs a heap round-trip and no
-//!   ready-set scan. A debug-build witness recomputes the gate on every
-//!   pass of the dispatch loop and asserts that the cache agrees;
-//! * the ready/idle scratch vectors are reused across iterations.
+//!   completion, a preemption and an admission. The dispatch guard and
+//!   an executing batch's horizon both read the cached value, so a
+//!   batch ended by a bus miss costs one heap update and no ready-set
+//!   scan. A debug-build witness in [`Engine::gate`] recomputes it on
+//!   every dispatch pass and asserts that the cache agrees.
 //!
 //! Batching is exact, not approximate: makespans, dispatch sequences
 //! and cache statistics are bit-identical to the seed engine
@@ -59,11 +59,12 @@
 //! policies refuse.
 
 use std::cmp::Reverse;
+use std::collections::binary_heap::PeekMut;
 use std::collections::{BTreeMap, BinaryHeap};
 use std::fmt;
 
 use lams_layout::Layout;
-use lams_mpsoc::{CoreId, Machine, MachineConfig, MachineStats};
+use lams_mpsoc::{BatchOutcome, CoreId, Machine, MachineConfig, MachineStats};
 use lams_procgraph::{EpgBuilder, ProcessGraph, ProcessId, ReadyTracker};
 use lams_trace::{Cursor, Program, TraceBundle};
 use lams_workloads::Workload;
@@ -93,7 +94,7 @@ pub struct EngineConfig {
     /// Open-system mode: when set, processes are not all ready at cycle
     /// zero but *arrive* on the deterministic seeded stream described by
     /// the config ([`crate::arrivals`]). Arrivals ride the engine's
-    /// deferred-event heap (as `RunState::ArrivalPending` entries), admission
+    /// deferred-event heap (as `Event::Arrival` entries), admission
     /// re-invokes the policy's placement, and the result additionally
     /// carries steady-state metrics ([`RunResult::arrivals`]). `None`
     /// (the default) is the paper's batch mode, bit-identical to
@@ -200,6 +201,21 @@ impl fmt::Display for RunResult {
     }
 }
 
+/// The subject of an event-heap entry. The heap orders entries by
+/// `(key, Event)`, and declaration order is the tie order: at an equal
+/// key every core event fires, in core order, before the arrival.
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord)]
+enum Event {
+    /// The busy core's next step; its [`RunState`] says which.
+    Core(CoreId),
+    /// Admission of every process arriving by the key's cycle
+    /// ([`EngineConfig::arrivals`]); the entry then moves to the next
+    /// arrival. The heap is therefore never empty while arrivals remain,
+    /// which keeps a too-tight deadline a clean
+    /// [`Error::DeadlineExceeded`] and not an [`Error::EngineStalled`].
+    Arrival,
+}
+
 /// What a busy core's heap entry represents.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 enum RunState {
@@ -225,24 +241,8 @@ enum RunState {
     /// minimum, every busy core's key, and hence clock, is at or past
     /// it, and any idle-core dispatch eligible before it would have
     /// produced a smaller heap entry first — so no request that must be
-    /// granted before this one can still be issued, and
-    /// [`Machine::complete_bus_access`] takes the grant
-    /// deterministically.
+    /// granted before this one can still be issued.
     BusPending,
-    /// An open-system arrival event ([`EngineConfig::arrivals`]). These
-    /// entries belong to no core: they are keyed `(arrival_cycle,
-    /// sentinel)` where the sentinel index is one past the last real
-    /// core, so an arrival fires in exact global order with every other
-    /// deferred event (and, sorting after real cores at an equal key,
-    /// only once all events of that cycle have been processed). When it
-    /// pops, every process arriving at that cycle is admitted — marked
-    /// arrived, enqueued if its dependences are already met, announced
-    /// via `Policy::on_ready` — and the next pending arrival is
-    /// re-queued. The heap is therefore never empty while arrivals
-    /// remain, which is what keeps a too-tight deadline a clean
-    /// [`Error::DeadlineExceeded`] instead of an
-    /// [`Error::EngineStalled`] misclassification.
-    ArrivalPending,
 }
 
 struct Running<'a> {
@@ -250,6 +250,25 @@ struct Running<'a> {
     trace: Cursor<'a>,
     quantum_end: Option<u64>,
     state: RunState,
+}
+
+impl Running<'_> {
+    /// Sets the [`RunState`] of the reason a batch ended at clock `now`,
+    /// and returns that state's key.
+    fn end_batch(&mut self, now: u64, outcome: BatchOutcome) -> u64 {
+        let (state, key) = match (outcome.parked, outcome.exhausted) {
+            // The miss cost applies, and the quantum check happens, when
+            // the parked entry pops.
+            (Some(parked), _) => (RunState::BusPending, parked),
+            (None, true) => (RunState::FinishPending, now),
+            _ if self.quantum_end.is_some_and(|qe| now >= qe) => {
+                (RunState::PreemptPending, outcome.preempt_key)
+            }
+            _ => (RunState::Executing, now),
+        };
+        self.state = state;
+        key
+    }
 }
 
 /// The dispatch gate: when some arrived process is ready and some core
@@ -262,33 +281,6 @@ struct Gate {
     min_ready_at: u64,
     /// The gate cycle itself.
     at: u64,
-}
-
-/// Computes the dispatch gate from scratch: `None` when no arrived
-/// process is ready or no core idles.
-fn dispatch_gate(
-    tracker: &ReadyTracker,
-    arrived: &[bool],
-    ready_at: &[u64],
-    running: &[Option<Running<'_>>],
-    machine: &Machine,
-) -> Result<Option<Gate>> {
-    let Some(min_ready_at) = tracker
-        .ready()
-        .filter(|p| arrived[p.as_usize()])
-        .map(|p| ready_at[p.as_usize()])
-        .min()
-    else {
-        return Ok(None);
-    };
-    let mut at: Option<u64> = None;
-    for (c, slot) in running.iter().enumerate() {
-        if slot.is_none() {
-            let gate = machine.core_clock(c)?.max(min_ready_at) + 1;
-            at = Some(at.map_or(gate, |a| a.min(gate)));
-        }
-    }
-    Ok(at.map(|at| Gate { min_ready_at, at }))
 }
 
 /// Executes `workload` on the configured machine under `policy`, with
@@ -320,12 +312,8 @@ pub fn execute(
     config: impl Into<EngineConfig>,
 ) -> Result<RunResult> {
     let programs = workload.compile_traces(layout);
-    run_engine(
-        workload.epg(),
-        &|p| &programs[p.as_usize()],
-        policy,
-        config.into(),
-    )
+    let program = |p: ProcessId| &programs[p.as_usize()];
+    run_engine(workload.epg(), &program, policy, config.into())
 }
 
 /// [`execute`] with the compiled trace programs served from `memo`
@@ -347,12 +335,8 @@ pub fn execute_cached(
     memo: &crate::memo::ArtifactCache,
 ) -> Result<RunResult> {
     let programs = memo.programs(workload, layout);
-    run_engine(
-        workload.epg(),
-        &|p| &programs[p.as_usize()],
-        policy,
-        config.into(),
-    )
+    let program = |p: ProcessId| &*programs[p.as_usize()];
+    run_engine(workload.epg(), &program, policy, config.into())
 }
 
 /// Replays a recorded [`TraceBundle`] (`.ltr` record/replay) under
@@ -379,397 +363,413 @@ pub fn execute_bundle(
     for &(from, to) in &bundle.edges {
         builder.add_edge(ProcessId::new(from), ProcessId::new(to))?;
     }
-    run_engine(
-        &builder.build()?,
-        &|p| &bundle.records[p.as_usize()].program,
-        policy,
-        config.into(),
-    )
+    let program = |p: ProcessId| &bundle.records[p.as_usize()].program;
+    run_engine(&builder.build()?, &program, policy, config.into())
 }
 
 /// The engine proper: runs the processes of `epg` under `policy`, each
 /// executing the compiled trace `program(pid)` names.
-///
-/// In open-system mode the arrival plan is derived here, once: service
-/// demand is each program's op count, which equals the workload's
-/// declared trace length whatever the layout (the layout only moves
-/// addresses, never op counts), so open-system runs stay comparable
-/// across LSM candidate layouts and `.ltr` replays.
 fn run_engine<'a>(
     epg: &ProcessGraph,
     program: &dyn Fn(ProcessId) -> &'a Program,
     policy: &mut dyn Policy,
     config: EngineConfig,
 ) -> Result<RunResult> {
-    let n = epg.len();
-    let plan = config.arrivals.map(|a| {
-        let service: Vec<u64> = (0..n)
-            .map(|i| program(ProcessId::new(i as u32)).len_ops())
-            .collect();
-        ArrivalPlan::generate(a, &service, config.machine.num_cores)
-    });
-    let mut machine = Machine::try_new(config.machine)?;
-    let cores = machine.num_cores();
-    let mut tracker = ReadyTracker::new(epg);
-    let mut ready_at: Vec<u64> = vec![0; n];
-    // Per-pid state, indexed by `ProcessId::as_usize`: the cursor of a
-    // preempted process, and where and when each dispatched one ran.
-    let mut paused: Vec<Option<Cursor<'a>>> = vec![None; n];
-    let mut execs: Vec<Option<ProcessExec>> = vec![None; n];
-    let mut running: Vec<Option<Running<'_>>> = (0..cores).map(|_| None).collect();
-    let mut last_on_core: Vec<Option<ProcessId>> = vec![None; cores];
-    let mut core_sequences: Vec<Vec<ProcessId>> = vec![Vec::new(); cores];
-    let quantum = |p: &dyn Policy| config.quantum_override.or(p.quantum());
-
-    // Open-system admission state. In batch mode (`plan` is `None`)
-    // every process has "arrived" up front and the per-event filters
-    // below pass everything through — bit-identical to the pre-arrival
-    // engine. Arrival events carry the sentinel index `cores` (one past
-    // the last real core) in the busy heap; the pop handler resolves it
-    // to [`RunState::ArrivalPending`] before touching any per-core slot.
-    let open = plan.is_some();
-    let arrival_key: usize = cores;
-    let mut arrived: Vec<bool> = vec![!open; n];
-    let mut dep_ready: Vec<bool> = vec![false; n];
-    let mut next_arrival: usize = 0;
-    // Admitted-and-ready queue accounting (open mode only): +1 when a
-    // process becomes dispatchable (admission, dependence completion,
-    // preemption re-entry), −1 on dispatch. The capacity bound sheds
-    // on *admission-driven* growth; preemption re-entries only move the
-    // high-water mark.
-    let mut queued: usize = 0;
-    let mut queue_peak: usize = 0;
-
-    // Scratch buffers reused across iterations, and the busy-core
-    // min-heap: exactly one entry per busy core (popped on selection,
-    // re-pushed after each batch while the core stays busy). An entry's
-    // key is the core's clock while executing, or the deferred event's
-    // scheduling position after its batch ended in one — either way
-    // `peek` is the next scheduling position, which for dispatch gating
-    // coincides with the seed engine's minimum busy clock.
-    let mut ready_vec: Vec<ProcessId> = Vec::new();
-    let mut idle: Vec<(CoreId, Option<ProcessId>, u64)> = Vec::new();
-    let mut busy: BinaryHeap<Reverse<(u64, CoreId)>> = BinaryHeap::with_capacity(cores);
-    // The cached dispatch gate, recomputed at the top of the dispatch
-    // loop when dirty. Every event that changes the ready set, the idle
-    // set or an idle core's clock marks it dirty: dispatch, completion,
-    // preemption and admission. Executing and bus-grant batches change
-    // none of these.
-    let mut gate: Option<Gate> = None;
-    let mut gate_dirty = true;
-
-    // Roots are dependence-ready at time zero; in batch mode they are
-    // also immediately dispatchable, in open mode they wait for their
-    // arrival event.
-    for p in tracker.ready().collect::<Vec<_>>() {
-        dep_ready[p.as_usize()] = true;
-        if !open {
-            policy.on_ready(p, 0);
-        }
-    }
-    if let Some(plan) = &plan {
-        if !plan.is_empty() {
-            busy.push(Reverse((plan.time(0), arrival_key)));
-        }
-    }
-
+    let mut engine = Engine::new(epg, program, policy, config)?;
     loop {
-        // Dispatch ready processes onto idle cores, one at a time, in the
-        // policy's preferred core order (re-ranked after every dispatch so
-        // the policy sees the shrinking ready set).
-        //
-        // Event-ordering rule: a dispatch at time `t` must not happen
-        // while some busy core could still produce an event (completion,
-        // preemption) at a time `<= t` — otherwise simultaneous
-        // completions become visible one at a time and the policy commits
-        // to stale information. Busy cores whose clocks are `<= t` are
-        // advanced first; dispatching resumes once every busy clock is
-        // strictly ahead of the candidate start time. The cached gate
-        // says whether any idle core passes that test, so a batch that
-        // changed no schedule state breaks here without a ready-set scan.
-        loop {
-            if gate_dirty {
-                gate = dispatch_gate(&tracker, &arrived, &ready_at, &running, &machine)?;
-                gate_dirty = false;
-            }
-            // Witness: every read of the cached gate (the guard and idle
-            // filter here, the horizon below) sees what a from-scratch
-            // recomputation gives. The oracle suites alone miss a gate
-            // that is stale only on the low side of a horizon: a batch
-            // split early changes no result.
-            debug_assert_eq!(
-                gate,
-                dispatch_gate(&tracker, &arrived, &ready_at, &running, &machine)?,
-                "stale dispatch gate"
-            );
-            let min_busy_clock = busy.peek().map(|&Reverse((t, _))| t);
-            let Some(Gate { min_ready_at, .. }) =
-                gate.filter(|g| min_busy_clock.is_none_or(|mb| g.at <= mb))
-            else {
-                break;
-            };
-            ready_vec.clear();
-            ready_vec.extend(tracker.ready().filter(|p| arrived[p.as_usize()]));
-            idle.clear();
-            for c in 0..cores {
-                if running[c].is_none() {
-                    let clock = machine.core_clock(c).expect("core in range");
-                    let earliest_start = clock.max(min_ready_at);
-                    if min_busy_clock.is_none_or(|mb| earliest_start < mb) {
-                        idle.push((c, last_on_core[c], clock));
-                    }
-                }
-            }
-            debug_assert!(!idle.is_empty(), "the gate admits an idle core");
-            let order = policy.rank_idle(&idle, &ready_vec);
-            debug_assert!(
-                order
-                    .iter()
-                    .all(|c| idle.iter().any(|&(ic, _, _)| ic == *c)),
-                "rank_idle must return idle cores"
-            );
-            let mut dispatched = false;
-            for core in order {
-                let Some(pid) = policy.select(core, last_on_core[core], &ready_vec) else {
-                    continue;
-                };
-                tracker.start(pid)?;
-                gate_dirty = true;
-                if open {
-                    queued -= 1;
-                }
-                let start = machine.core_clock(core)?.max(ready_at[pid.as_usize()]);
-                machine.wait_until(core, start)?;
-                let trace = paused[pid.as_usize()]
-                    .take()
-                    .unwrap_or_else(|| Cursor::new(program(pid)));
-                let quantum_end = quantum(policy).map(|q| start.saturating_add(q));
-                running[core] = Some(Running {
-                    pid,
-                    trace,
-                    quantum_end,
-                    state: RunState::Executing,
-                });
-                busy.push(Reverse((start, core)));
-                core_sequences[core].push(pid);
-                last_on_core[core] = Some(pid);
-                execs[pid.as_usize()]
-                    .get_or_insert(ProcessExec {
-                        core,
-                        start,
-                        finish: 0,
-                        dispatches: 0,
-                    })
-                    .dispatches += 1;
-                dispatched = true;
-                break; // re-rank with the updated ready set
-            }
-            if !dispatched {
-                break;
-            }
-        }
-
-        // Select the busy core whose entry has the smallest (key, core).
-        // An entry's key is the core's clock while executing, or a
-        // deferred event's scheduling position once its batch ended in a
-        // completion or preemption.
-        let Some(Reverse((key, core))) = busy.pop() else {
-            if tracker.all_done() {
+        engine.dispatch()?;
+        let Some(&Reverse((key, event))) = engine.events.peek() else {
+            if engine.tracker.all_done() {
                 break;
             }
             return Err(Error::EngineStalled {
-                ready: tracker.ready_len(),
+                ready: engine.tracker.ready_len(),
             });
         };
-        // Deadline: the popped key is the global scheduling position, so
+        // Deadline: the top key is the global scheduling position, so
         // `key > budget` means the simulation provably cannot complete
         // within the budget (every remaining event is at `>= key`). A run
         // whose makespan fits the budget never trips this — all its keys
         // are `<= makespan <= budget` — so accepted results are
         // bit-identical to an unbudgeted run.
-        if let Some(budget) = config.max_cycles {
-            if key > budget {
-                return Err(Error::DeadlineExceeded {
-                    budget_cycles: budget,
-                    elapsed_cycles: key,
-                });
+        if let Some(budget) = config.max_cycles.filter(|&b| key > b) {
+            return Err(Error::DeadlineExceeded {
+                budget_cycles: budget,
+                elapsed_cycles: key,
+            });
+        }
+        // Each handler returns the key at which its event fires next,
+        // which replaces the entry in place, or `None` to drop it.
+        let next = match event {
+            Event::Arrival => engine.admit(key)?,
+            Event::Core(core) => match engine.running[core].as_ref().expect("core is busy").state {
+                RunState::Executing => Some(engine.run_batch(core, key)?),
+                RunState::BusPending => Some(engine.grant_bus(core)?),
+                RunState::PreemptPending => engine.preempt(core)?,
+                RunState::FinishPending => engine.complete(core, key)?,
+            },
+        };
+        let mut top = engine.events.peek_mut().expect("the entry is still on top");
+        match next {
+            Some(next) => *top = Reverse((next, event)),
+            None => drop(PeekMut::pop(top)),
+        }
+    }
+    engine.finish()
+}
+
+/// The state of one engine run, with one method per event kind.
+struct Engine<'a, 'r> {
+    program: &'r dyn Fn(ProcessId) -> &'a Program,
+    policy: &'r mut dyn Policy,
+    config: EngineConfig,
+    /// The open-system arrival plan; `None` in batch mode.
+    plan: Option<ArrivalPlan>,
+    machine: Machine,
+    tracker: ReadyTracker,
+    // Per-pid state, indexed by `ProcessId::as_usize`: when it became
+    // dispatchable, a preempted one's cursor, where and when it ran.
+    ready_at: Vec<u64>,
+    paused: Vec<Option<Cursor<'a>>>,
+    execs: Vec<Option<ProcessExec>>,
+    // Per-core state: the busy slot, and what each core ran.
+    running: Vec<Option<Running<'a>>>,
+    core_sequences: Vec<Vec<ProcessId>>,
+    /// Every process below this index has arrived. Admission walks the
+    /// plan in process-id order, which is also non-decreasing arrival
+    /// order; in batch mode every process has arrived up front.
+    next_arrival: usize,
+    /// Admitted-and-ready queue depth: +1 when a process becomes
+    /// dispatchable (a root at cycle 0 in batch mode, admission,
+    /// dependence completion, preemption re-entry), −1 on dispatch. The
+    /// capacity bound sheds on admission-driven growth only.
+    queued: usize,
+    queue_peak: usize,
+    /// A core's key is its clock while executing, or its deferred event's
+    /// scheduling position: `peek` is the next scheduling position, which
+    /// for dispatch gating is the seed engine's minimum busy clock.
+    events: BinaryHeap<Reverse<(u64, Event)>>,
+    /// The cached dispatch gate, read through [`Engine::gate`] and
+    /// marked dirty by dispatch, completion, preemption and admission.
+    gate: Option<Gate>,
+    gate_dirty: bool,
+    // Scratch buffers reused across dispatch passes.
+    ready_vec: Vec<ProcessId>,
+    idle: Vec<(CoreId, Option<ProcessId>, u64)>,
+}
+
+impl<'a, 'r> Engine<'a, 'r> {
+    /// In open-system mode the arrival plan is derived here, once:
+    /// service demand is each program's op count, which equals the
+    /// workload's declared trace length whatever the layout (the layout
+    /// only moves addresses, never op counts), so open-system runs stay
+    /// comparable across LSM candidate layouts and `.ltr` replays.
+    fn new(
+        epg: &ProcessGraph,
+        program: &'r dyn Fn(ProcessId) -> &'a Program,
+        policy: &'r mut dyn Policy,
+        config: EngineConfig,
+    ) -> Result<Self> {
+        let n = epg.len();
+        let plan = config.arrivals.map(|a| {
+            let service: Vec<u64> = (0..n)
+                .map(|i| program(ProcessId::new(i as u32)).len_ops())
+                .collect();
+            ArrivalPlan::generate(a, &service, config.machine.num_cores)
+        });
+        let machine = Machine::try_new(config.machine)?;
+        let cores = machine.num_cores();
+        let first_arrival = plan.as_ref().filter(|p| !p.is_empty()).map(|p| p.time(0));
+        let mut events = BinaryHeap::with_capacity(cores + 1);
+        events.extend(first_arrival.map(|at| Reverse((at, Event::Arrival))));
+        let mut engine = Engine {
+            program,
+            policy,
+            config,
+            plan,
+            machine,
+            tracker: ReadyTracker::new(epg),
+            ready_at: vec![0; n],
+            paused: vec![None; n],
+            execs: vec![None; n],
+            running: (0..cores).map(|_| None).collect(),
+            core_sequences: vec![Vec::new(); cores],
+            next_arrival: if config.arrivals.is_some() { 0 } else { n },
+            queued: 0,
+            queue_peak: 0,
+            events,
+            gate: None,
+            gate_dirty: true,
+            ready_vec: Vec::new(),
+            idle: Vec::new(),
+        };
+        // Roots are dependence-ready at time zero; in batch mode they are
+        // also dispatchable, in open mode they wait for their arrival.
+        if engine.plan.is_none() {
+            for p in engine.tracker.ready().collect::<Vec<_>>() {
+                engine.enqueue(p, 0);
+                engine.policy.on_ready(p, 0);
             }
         }
-        let state = if core == arrival_key {
-            RunState::ArrivalPending
-        } else {
-            running[core].as_ref().expect("core is busy").state
-        };
-        let outcome = match state {
-            RunState::ArrivalPending => {
-                // Admit every process arriving at this cycle: mark it
-                // arrived and, when its dependences are already met,
-                // enqueue it (placement is re-invoked naturally — the
-                // dispatch loop above re-ranks and re-selects with the
-                // grown ready set on the next iteration). The admission
-                // cursor walks the plan in process-id order, which is
-                // also non-decreasing arrival order.
-                let plan = plan.as_ref().expect("arrival event implies a plan");
-                gate_dirty = true;
-                while next_arrival < n && plan.time(next_arrival) <= key {
-                    let pid = ProcessId::new(next_arrival as u32);
-                    arrived[next_arrival] = true;
-                    if dep_ready[next_arrival] {
-                        ready_at[next_arrival] = key;
-                        policy.on_ready(pid, key);
-                        queued += 1;
-                        queue_peak = queue_peak.max(queued);
-                        if let Some(cap) = config.arrivals.and_then(|a| a.queue_capacity) {
-                            if queued as u64 > cap {
-                                return Err(Error::QueueSaturated {
-                                    capacity: cap,
-                                    depth: queued,
-                                    at_cycle: key,
-                                });
-                            }
-                        }
-                    }
-                    next_arrival += 1;
-                }
-                if next_arrival < n {
-                    busy.push(Reverse((plan.time(next_arrival), arrival_key)));
-                }
-                continue;
-            }
-            RunState::FinishPending => {
-                let now = machine.core_clock(core)?;
-                debug_assert_eq!(now, key, "completion key is the finish clock");
-                let Running { pid, .. } = running[core].take().expect("core is busy");
-                gate_dirty = true;
-                if let Some(e) = &mut execs[pid.as_usize()] {
-                    e.finish = now;
-                    e.core = core;
-                }
-                for succ in tracker.complete(pid)? {
-                    dep_ready[succ.as_usize()] = true;
-                    if arrived[succ.as_usize()] {
-                        ready_at[succ.as_usize()] = now;
-                        policy.on_ready(succ, now);
-                        if open {
-                            queued += 1;
-                            queue_peak = queue_peak.max(queued);
-                        }
-                    }
-                    // Not yet arrived: admission (above) announces it,
-                    // at its arrival cycle, which is later than `now`.
-                }
-                continue;
-            }
-            RunState::PreemptPending => {
-                // Ready again at the core's *post-op* clock, as in the
-                // seed engine (the key was the crossing op's pre-clock).
-                let now = machine.core_clock(core)?;
-                let Running { pid, trace, .. } = running[core].take().expect("core is busy");
-                gate_dirty = true;
-                paused[pid.as_usize()] = Some(trace);
-                tracker.preempt(pid)?;
-                ready_at[pid.as_usize()] = now;
-                policy.on_preempt(pid, now);
-                if open {
-                    // Re-entry, not admission: counts toward the queue
-                    // high-water mark but never sheds (see above).
-                    queued += 1;
-                    queue_peak = queue_peak.max(queued);
-                }
-                continue;
-            }
-            // No request that precedes this one can still be issued
-            // (see the RunState docs): take the grant and apply the
-            // miss cost. The completion is policy-invisible — below, the
-            // core resumes at its true clock, or preempts if the access
-            // crossed the quantum, like after any other batch.
-            RunState::BusPending => machine.complete_bus_access(core)?,
-            RunState::Executing => {
-                debug_assert_eq!(machine.core_clock(core)?, key, "stale heap entry");
-                // Event horizon: nothing the policy can observe changes
-                // before (a) this core's quantum expires, or (b) a gated
-                // idle core becomes eligible for dispatch (every busy
-                // clock passes its earliest start). Completion,
-                // preemption and contended misses need no horizon —
-                // they end the batch on their own and are re-queued as
-                // deferred events at their exact scheduling position.
-                let slot = running[core].as_ref().expect("core is busy");
-                let mut horizon = slot.quantum_end.unwrap_or(u64::MAX);
-                // Cap batches just past the deadline so one unbounded
-                // batch (a quantum-free core running a huge trace)
-                // cannot blow arbitrarily far past the budget before the
-                // check above sees it. Splitting a batch never changes
-                // results — batching is exact — it only bounds the
-                // overshoot to one op's cost.
-                if let Some(budget) = config.max_cycles {
-                    horizon = horizon.min(budget.saturating_add(1));
-                }
-                // The dispatch loop above left the gate clean and checked,
-                // and the pop changed no schedule state.
-                if let Some(gate) = gate {
-                    horizon = horizon.min(gate.at);
-                }
-                let slot = running[core].as_mut().expect("core is busy");
-                machine.exec_source_until(core, &mut slot.trace, horizon)?
-            }
-        };
+        Ok(engine)
+    }
 
-        let slot = running[core].as_mut().expect("core is busy");
-        let now = machine.core_clock(core)?;
-        if let Some(key) = outcome.parked {
-            // A miss on a contended bus latched its request: park the
-            // core at the machine's key. The cost applies (and the
-            // quantum check happens) when the entry pops.
-            slot.state = RunState::BusPending;
-            busy.push(Reverse((key, core)));
-        } else if outcome.exhausted {
-            // Defer: the seed engine discovered an empty trace at the
-            // *next selection* of this core, i.e. when (finish, core)
-            // becomes the minimum key.
-            slot.state = RunState::FinishPending;
-            busy.push(Reverse((now, core)));
-        } else if slot.quantum_end.is_some_and(|qe| now >= qe) {
-            // Defer to the crossing op's key (see RunState docs).
-            slot.state = RunState::PreemptPending;
-            busy.push(Reverse((outcome.preempt_key, core)));
-        } else {
-            slot.state = RunState::Executing;
-            busy.push(Reverse((now, core)));
+    fn core_clock(&self, core: CoreId) -> u64 {
+        self.machine.core_clock(core).expect("core in range")
+    }
+
+    /// Marks `pid` dispatchable from cycle `at` and counts it queued.
+    fn enqueue(&mut self, pid: ProcessId, at: u64) {
+        self.ready_at[pid.as_usize()] = at;
+        self.queued += 1;
+        self.queue_peak = self.queue_peak.max(self.queued);
+    }
+
+    /// Computes the dispatch gate from scratch: `None` when no arrived
+    /// process is ready or no core idles.
+    fn compute_gate(&self) -> Option<Gate> {
+        let min_ready_at = self
+            .tracker
+            .ready()
+            .filter(|p| p.as_usize() < self.next_arrival)
+            .map(|p| self.ready_at[p.as_usize()])
+            .min()?;
+        let at = (0..self.running.len())
+            .filter(|&c| self.running[c].is_none())
+            .map(|c| self.core_clock(c).max(min_ready_at) + 1)
+            .min()?;
+        Some(Gate { min_ready_at, at })
+    }
+
+    /// The dispatch gate, recomputed if dirty. Witness: every read of the
+    /// cache (the dispatch guard, the idle filter, the batch horizon)
+    /// sees a from-scratch recomputation. The oracle suites alone miss a
+    /// gate stale on the low side of a horizon: an early split is exact.
+    fn gate(&mut self) -> Option<Gate> {
+        if self.gate_dirty {
+            self.gate = self.compute_gate();
+            self.gate_dirty = false;
+        }
+        debug_assert_eq!(self.gate, self.compute_gate(), "stale dispatch gate");
+        self.gate
+    }
+
+    /// Dispatches ready processes onto idle cores, one at a time, in the
+    /// policy's preferred core order (re-ranked after every dispatch so
+    /// the policy sees the shrinking ready set).
+    ///
+    /// Event-ordering rule: a dispatch at time `t` must not happen while
+    /// some busy core could still produce an event (completion,
+    /// preemption) at a time `<= t` — otherwise simultaneous completions
+    /// become visible one at a time and the policy commits to stale
+    /// information. Busy cores whose clocks are `<= t` are advanced
+    /// first; dispatching resumes once every busy clock is strictly
+    /// ahead of the candidate start time. The cached gate says whether
+    /// any idle core passes that test, so a batch that changed no
+    /// schedule state returns here without a ready-set scan.
+    fn dispatch(&mut self) -> Result<()> {
+        loop {
+            let min_busy_clock = self.events.peek().map(|&Reverse((t, _))| t);
+            let Some(Gate { min_ready_at, .. }) = self
+                .gate()
+                .filter(|g| min_busy_clock.is_none_or(|mb| g.at <= mb))
+            else {
+                return Ok(());
+            };
+            let arrived = self.next_arrival;
+            self.ready_vec.clear();
+            self.ready_vec
+                .extend(self.tracker.ready().filter(|p| p.as_usize() < arrived));
+            self.idle.clear();
+            for c in (0..self.running.len()).filter(|&c| self.running[c].is_none()) {
+                let clock = self.core_clock(c);
+                if min_busy_clock.is_none_or(|mb| clock.max(min_ready_at) < mb) {
+                    self.idle
+                        .push((c, self.core_sequences[c].last().copied(), clock));
+                }
+            }
+            debug_assert!(!self.idle.is_empty(), "the gate admits an idle core");
+            let order = self.policy.rank_idle(&self.idle, &self.ready_vec);
+            debug_assert!(
+                order
+                    .iter()
+                    .all(|c| self.idle.iter().any(|&(ic, _, _)| ic == *c)),
+                "rank_idle must return idle cores"
+            );
+            let Some((core, pid)) = order.into_iter().find_map(|core| {
+                let last = self.core_sequences[core].last().copied();
+                Some((core, self.policy.select(core, last, &self.ready_vec)?))
+            }) else {
+                return Ok(());
+            };
+            self.tracker.start(pid)?;
+            self.gate_dirty = true;
+            self.queued -= 1;
+            let ready_at = self.ready_at[pid.as_usize()];
+            let start = self.core_clock(core).max(ready_at);
+            self.machine.wait_until(core, start)?;
+            let trace = self.paused[pid.as_usize()]
+                .take()
+                .unwrap_or_else(|| Cursor::new((self.program)(pid)));
+            let quantum = self.config.quantum_override.or(self.policy.quantum());
+            self.running[core] = Some(Running {
+                pid,
+                trace,
+                quantum_end: quantum.map(|q| start.saturating_add(q)),
+                state: RunState::Executing,
+            });
+            self.events.push(Reverse((start, Event::Core(core))));
+            self.core_sequences[core].push(pid);
+            self.execs[pid.as_usize()]
+                .get_or_insert(ProcessExec {
+                    core,
+                    start,
+                    finish: 0,
+                    dispatches: 0,
+                })
+                .dispatches += 1;
         }
     }
 
-    let stats = machine.stats();
-    let processes: BTreeMap<ProcessId, ProcessExec> = execs
-        .into_iter()
-        .enumerate()
-        .filter_map(|(i, e)| Some((ProcessId::new(i as u32), e?)))
-        .collect();
-    let arrival_metrics = match &plan {
-        None => None,
-        Some(plan) => {
-            let mut core_busy = Vec::with_capacity(cores);
-            for c in 0..cores {
-                core_busy.push(machine.core_stats(c)?.busy_cycles);
-            }
-            Some(ArrivalMetrics::collect(
-                processes
-                    .iter()
-                    .map(|(p, e)| (plan.arrival(*p), e.start, e.finish)),
-                queue_peak,
-                &core_busy,
-                stats.makespan_cycles,
-                plan,
-            ))
+    /// Runs the core's process up to the next event horizon: nothing the
+    /// policy can observe changes before (a) this core's quantum
+    /// expires, or (b) a gated idle core becomes eligible for dispatch
+    /// (every busy clock passes its earliest start). Completion,
+    /// preemption and contended misses need no horizon — they end the
+    /// batch on their own and are re-queued as deferred events at their
+    /// exact scheduling position.
+    fn run_batch(&mut self, core: CoreId, key: u64) -> Result<u64> {
+        debug_assert_eq!(self.core_clock(core), key, "stale heap entry");
+        let slot = self.running[core].as_mut().expect("core is busy");
+        let mut horizon = slot.quantum_end.unwrap_or(u64::MAX);
+        // Cap batches just past the deadline so one unbounded batch (a
+        // quantum-free core running a huge trace) cannot blow arbitrarily
+        // far past the budget before the check in `run_engine` sees it.
+        // Splitting a batch never changes results — batching is exact —
+        // it only bounds the overshoot to one op's cost.
+        if let Some(budget) = self.config.max_cycles {
+            horizon = horizon.min(budget.saturating_add(1));
         }
-    };
-    Ok(RunResult {
-        makespan_cycles: stats.makespan_cycles,
-        seconds: config.machine.cycles_to_seconds(stats.makespan_cycles),
-        machine: stats,
-        core_sequences,
-        processes,
-        arrivals: arrival_metrics,
-    })
+        // `dispatch` left the gate clean and checked, and nothing since
+        // changed schedule state.
+        if let Some(gate) = self.gate {
+            horizon = horizon.min(gate.at);
+        }
+        let outcome = self
+            .machine
+            .exec_source_until(core, &mut slot.trace, horizon)?;
+        Ok(slot.end_batch(self.machine.core_clock(core)?, outcome))
+    }
+
+    /// Takes the bus grant, since no earlier request can still be issued
+    /// (see [`RunState::BusPending`]), and applies the miss cost. This is
+    /// policy-invisible: the core resumes at its true clock, or preempts
+    /// if the access crossed the quantum, like after any other batch.
+    fn grant_bus(&mut self, core: CoreId) -> Result<u64> {
+        let slot = self.running[core].as_mut().expect("core is busy");
+        let outcome = self.machine.complete_bus_access(core)?;
+        Ok(slot.end_batch(self.machine.core_clock(core)?, outcome))
+    }
+
+    /// Preempts the core's process: ready again at the core's *post-op*
+    /// clock, as in the seed engine (the key was the crossing op's
+    /// pre-op clock).
+    fn preempt(&mut self, core: CoreId) -> Result<Option<u64>> {
+        let slot = self.running[core].take().expect("core is busy");
+        let now = self.core_clock(core);
+        self.gate_dirty = true;
+        self.paused[slot.pid.as_usize()] = Some(slot.trace);
+        self.tracker.preempt(slot.pid)?;
+        self.enqueue(slot.pid, now);
+        self.policy.on_preempt(slot.pid, now);
+        Ok(None)
+    }
+
+    /// Completes the core's process and enqueues every successor it leaves
+    /// dependence-ready that has arrived (admission announces the rest).
+    fn complete(&mut self, core: CoreId, key: u64) -> Result<Option<u64>> {
+        let pid = self.running[core].take().expect("core is busy").pid;
+        let now = self.core_clock(core);
+        debug_assert_eq!(now, key, "completion key is the finish clock");
+        self.gate_dirty = true;
+        if let Some(e) = &mut self.execs[pid.as_usize()] {
+            e.finish = now;
+            e.core = core;
+        }
+        for succ in self.tracker.complete(pid)? {
+            if succ.as_usize() < self.next_arrival {
+                self.enqueue(succ, now);
+                self.policy.on_ready(succ, now);
+            }
+        }
+        Ok(None)
+    }
+
+    /// Admits every process arriving by cycle `key`: marks it arrived
+    /// and, when its dependences are already met, enqueues it and
+    /// announces it via `Policy::on_ready`. Placement is re-invoked
+    /// naturally: the next dispatch pass re-ranks with the grown set.
+    fn admit(&mut self, key: u64) -> Result<Option<u64>> {
+        let plan = self.plan.as_ref().expect("arrival event implies a plan");
+        let (first, n) = (self.next_arrival, self.ready_at.len());
+        self.next_arrival = (first..n).find(|&i| plan.time(i) > key).unwrap_or(n);
+        let next = (self.next_arrival < n).then(|| plan.time(self.next_arrival));
+        self.gate_dirty = true;
+        for i in first..self.next_arrival {
+            let pid = ProcessId::new(i as u32);
+            // Dependence-ready: not started, since it had not arrived.
+            if self.tracker.is_ready(pid) {
+                self.enqueue(pid, key);
+                self.policy.on_ready(pid, key);
+                if let Some(cap) = self.config.arrivals.and_then(|a| a.queue_capacity) {
+                    if self.queued as u64 > cap {
+                        return Err(Error::QueueSaturated {
+                            capacity: cap,
+                            depth: self.queued,
+                            at_cycle: key,
+                        });
+                    }
+                }
+            }
+        }
+        Ok(next)
+    }
+
+    /// The run's result, once every process completed.
+    fn finish(self) -> Result<RunResult> {
+        let stats = self.machine.stats();
+        let processes: BTreeMap<ProcessId, ProcessExec> = self
+            .execs
+            .into_iter()
+            .enumerate()
+            .filter_map(|(i, e)| Some((ProcessId::new(i as u32), e?)))
+            .collect();
+        let arrivals = match &self.plan {
+            None => None,
+            Some(plan) => {
+                let core_busy = (0..self.running.len())
+                    .map(|c| Ok(self.machine.core_stats(c)?.busy_cycles))
+                    .collect::<Result<Vec<u64>>>()?;
+                Some(ArrivalMetrics::collect(
+                    processes
+                        .iter()
+                        .map(|(p, e)| (plan.arrival(*p), e.start, e.finish)),
+                    self.queue_peak,
+                    &core_busy,
+                    stats.makespan_cycles,
+                    plan,
+                ))
+            }
+        };
+        Ok(RunResult {
+            makespan_cycles: stats.makespan_cycles,
+            seconds: self.config.machine.cycles_to_seconds(stats.makespan_cycles),
+            machine: stats,
+            core_sequences: self.core_sequences,
+            processes,
+            arrivals,
+        })
+    }
 }
 
 #[cfg(test)]

@@ -10,7 +10,7 @@
 //! the policy or knob under test.
 //!
 //! [`ArtifactCache`] is an `Arc`-shared memo: one map under one lock
-//! from a kind-tagged key to an artifact, holding five kinds of entry:
+//! from a kind-tagged key to an artifact, holding four kinds of entry:
 //!
 //! * **compiled trace program sets**, keyed on `(workload fingerprint,
 //!   delta key)` where the delta key
@@ -31,11 +31,11 @@
 //!   is the classic *pilot* (simultaneously the LS result of a policy
 //!   comparison and phase 1 of every LSM run); candidate-layout entries
 //!   let the LSM threshold ladder skip re-simulating any candidate
-//!   whose effective layout it (or a sibling job) has already run;
-//! * **workload weights** (total trace ops), keyed on the workload
-//!   fingerprint — the up-front cost proxy
-//!   [`SweepJob::weight`](crate::SweepJob) feeds the longest-job-first
-//!   queue, computed once per workload instead of once per job.
+//!   whose effective layout it (or a sibling job) has already run.
+//!
+//! Each kind earns its slot by a measured end-to-end effect, recorded
+//! in `docs/memoization.md`; a workload's total trace-op count, cheap to
+//! sum, is read directly and not memoized.
 //!
 //! # Sharing semantics
 //!
@@ -82,7 +82,7 @@ use lams_workloads::Workload;
 use crate::replacement::{EvictionPolicy, Sieve};
 use crate::{Result, RunResult, SharingMatrix};
 
-/// The five artifact kinds; the discriminant indexes
+/// The four artifact kinds; the discriminant indexes
 /// [`Table::lookups`].
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 enum Kind {
@@ -90,15 +90,14 @@ enum Kind {
     ProcProgram,
     Sharing,
     Pilot,
-    Weight,
 }
 
-/// The key of one cache entry, uniform across the five artifact kinds
+/// The key of one cache entry, uniform across the four artifact kinds
 /// so one map and one replacement order span the whole cache (a pilot
 /// can evict a program set and vice versa — total occupancy is what a
 /// server budgets, not per-kind occupancy). The kind tag keeps kinds
-/// that key on the same fingerprint (a workload's sharing matrix and
-/// its weight) apart.
+/// that key on the same fingerprint (a workload's program sets, sharing
+/// matrix and LS results) apart.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 struct SlotKey {
     kind: Kind,
@@ -115,15 +114,14 @@ impl SlotKey {
     }
 }
 
-/// One cached value: a small enum over the five value types, every
-/// variant a cheap clone (`Arc` or `u64`).
+/// One cached value: a small enum over the four value types, every
+/// variant a cheap clone (an `Arc`).
 #[derive(Clone)]
 enum Artifact {
     Programs(Arc<[Arc<Program>]>),
     ProcProgram(Arc<Program>),
     Sharing(Arc<SharingMatrix>),
     LsResult(Arc<RunResult>),
-    Weight(u64),
 }
 
 /// Hit/miss counters per artifact kind, plus eviction and occupancy
@@ -149,14 +147,10 @@ pub struct MemoStats {
     pub pilot_hits: u64,
     /// LS-result lookups that had to simulate.
     pub pilot_misses: u64,
-    /// Workload-weight lookups served from the cache.
-    pub weight_hits: u64,
-    /// Workload-weight lookups that had to count trace ops.
-    pub weight_misses: u64,
     /// Entries evicted to stay within a bounded cache's capacity
     /// (always 0 for unbounded and disabled caches).
     pub evictions: u64,
-    /// Entries currently resident, across all five artifact kinds.
+    /// Entries currently resident, across all four artifact kinds.
     pub occupancy_entries: u64,
     /// The configured capacity; `None` for unbounded (and disabled)
     /// caches.
@@ -166,20 +160,12 @@ pub struct MemoStats {
 impl MemoStats {
     /// Total lookups served from the cache.
     pub fn hits(&self) -> u64 {
-        self.program_hits
-            + self.per_process_hits
-            + self.sharing_hits
-            + self.pilot_hits
-            + self.weight_hits
+        self.program_hits + self.per_process_hits + self.sharing_hits + self.pilot_hits
     }
 
     /// Total lookups that had to compute the artifact.
     pub fn misses(&self) -> u64 {
-        self.program_misses
-            + self.per_process_misses
-            + self.sharing_misses
-            + self.pilot_misses
-            + self.weight_misses
+        self.program_misses + self.per_process_misses + self.sharing_misses + self.pilot_misses
     }
 
     /// `hits / (hits + misses)`; 0 when nothing was looked up.
@@ -197,7 +183,7 @@ impl fmt::Display for MemoStats {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         write!(
             f,
-            "{} hits / {} misses ({:.1}% hit rate; programs {}/{}, per-process {}/{}, sharing {}/{}, ls-results {}/{}, weights {}/{})",
+            "{} hits / {} misses ({:.1}% hit rate; programs {}/{}, per-process {}/{}, sharing {}/{}, ls-results {}/{})",
             self.hits(),
             self.misses(),
             self.hit_rate() * 100.0,
@@ -209,8 +195,6 @@ impl fmt::Display for MemoStats {
             self.sharing_misses,
             self.pilot_hits,
             self.pilot_misses,
-            self.weight_hits,
-            self.weight_misses,
         )?;
         if let Some(cap) = self.capacity_entries {
             write!(
@@ -243,12 +227,12 @@ pub struct ArtifactCache {
 /// counters [`ArtifactCache::stats`] reports, so a snapshot is always
 /// coherent and occupancy never exceeds capacity.
 struct Table {
-    /// Maximum resident entries across all five kinds; `None` is
+    /// Maximum resident entries across all four kinds; `None` is
     /// unbounded (the batch-sweep default) and never evicts.
     capacity: Option<usize>,
     slots: Sieve<SlotKey, Artifact>,
     /// `[hits, misses]` per [`Kind`].
-    lookups: [[u64; 2]; Kind::Weight as usize + 1],
+    lookups: [[u64; 2]; Kind::Pilot as usize + 1],
     evictions: u64,
 }
 
@@ -299,7 +283,7 @@ impl ArtifactCache {
     }
 
     /// A fresh enabled cache bounded to at most `capacity_entries`
-    /// resident entries (across all five artifact kinds), evicting in
+    /// resident entries (across all four artifact kinds), evicting in
     /// SIEVE order. Capacity 0 stores nothing (every lookup recomputes
     /// but counters still move); capacity 1 holds exactly one entry.
     ///
@@ -422,7 +406,7 @@ impl ArtifactCache {
     /// of the layout beyond the touched arrays' placement (plus the
     /// chunk size when one of them is remapped), so equal keys imply a
     /// byte-identical [`Program`]. First-writer-wins and bounded
-    /// eviction behave exactly as for the other four slot kinds.
+    /// eviction behave exactly as for the other three slot kinds.
     fn proc_program(
         &self,
         workload: &Workload,
@@ -511,22 +495,6 @@ impl ArtifactCache {
         Ok(result)
     }
 
-    /// The workload's total trace-op count
-    /// ([`Workload::total_trace_ops`]), the raw material of
-    /// [`SweepJob::weight`](crate::SweepJob::weight) — computed once
-    /// per workload so enumerating the longest-job-first queue is
-    /// O(workloads), not O(jobs).
-    pub fn workload_weight(&self, workload: &Workload) -> u64 {
-        let weight = self.get_or_compute(
-            || SlotKey::single(Kind::Weight, workload.fingerprint()),
-            || Artifact::Weight(workload.total_trace_ops()),
-        );
-        let Artifact::Weight(weight) = weight else {
-            unreachable!("a Weight key holds a trace-op count")
-        };
-        weight
-    }
-
     /// Snapshot of the hit/miss/eviction counters and occupancy, read
     /// under the one lock.
     pub fn stats(&self) -> MemoStats {
@@ -541,8 +509,6 @@ impl ArtifactCache {
             sharing_misses: c(Kind::Sharing, 1),
             pilot_hits: c(Kind::Pilot, 0),
             pilot_misses: c(Kind::Pilot, 1),
-            weight_hits: c(Kind::Weight, 0),
-            weight_misses: c(Kind::Weight, 1),
             evictions: table.evictions,
             occupancy_entries: table.slots.len() as u64,
             capacity_entries: table.capacity.map(|c| c as u64),
@@ -607,19 +573,32 @@ mod tests {
         assert_eq!(memo.stats().program_misses, 2);
     }
 
+    /// The LS run of `w` on the linear layout, computed without a memo.
+    fn ls_run(w: &Workload) -> Result<RunResult> {
+        let machine = MachineConfig::paper_default();
+        crate::Experiment::for_workload(w.clone(), machine).run(crate::PolicyKind::Locality)
+    }
+
     #[test]
-    fn sharing_and_weight_memoize_per_workload() {
+    fn sharing_and_ls_results_memoize_per_workload() {
         let memo = ArtifactCache::new();
         let w = workload();
         let s1 = memo.sharing(&w);
         let s2 = memo.sharing(&w);
         assert!(Arc::ptr_eq(&s1, &s2));
         assert_eq!(*s1, SharingMatrix::from_workload(&w));
-        assert_eq!(memo.workload_weight(&w), w.total_trace_ops());
-        assert_eq!(memo.workload_weight(&w), w.total_trace_ops());
+        let (machine, linear) = (MachineConfig::paper_default(), Layout::linear(w.arrays()));
+        let r1 = memo
+            .ls_result(&w, &machine, &linear, || ls_run(&w))
+            .unwrap();
+        let r2 = memo
+            .ls_result(&w, &machine, &linear, || ls_run(&w))
+            .unwrap();
+        assert!(Arc::ptr_eq(&r1, &r2));
+        assert_eq!(r1.makespan_cycles, ls_run(&w).unwrap().makespan_cycles);
         let s = memo.stats();
         assert_eq!((s.sharing_hits, s.sharing_misses), (1, 1));
-        assert_eq!((s.weight_hits, s.weight_misses), (1, 1));
+        assert_eq!((s.pilot_hits, s.pilot_misses), (1, 1));
     }
 
     #[test]
@@ -631,7 +610,9 @@ mod tests {
         let b = memo.programs(&w, &layout);
         assert!(!Arc::ptr_eq(&a, &b), "disabled cache must recompute");
         memo.sharing(&w);
-        memo.workload_weight(&w);
+        let machine = MachineConfig::paper_default();
+        memo.ls_result(&w, &machine, &layout, || ls_run(&w))
+            .unwrap();
         assert_eq!(memo.stats(), MemoStats::default());
     }
 

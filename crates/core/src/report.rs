@@ -95,28 +95,6 @@ impl ComparisonReport {
         self.outcome(kind)
             .unwrap_or_else(|| panic!("policy {kind} was not part of this comparison"))
     }
-
-    /// One CSV row per policy:
-    /// `workload,policy,cycles,seconds,hits,misses,conflict_misses,remapped`.
-    pub fn to_csv(&self) -> String {
-        let mut out =
-            String::from("workload,policy,cycles,seconds,hits,misses,conflict_misses,remapped\n");
-        for o in &self.outcomes {
-            let c = &o.result.machine.cache;
-            out.push_str(&format!(
-                "{},{},{},{:.6},{},{},{},{}\n",
-                self.workload,
-                o.kind,
-                o.result.makespan_cycles,
-                o.result.seconds,
-                c.hits,
-                c.misses,
-                c.conflict_misses,
-                o.remapped_arrays
-            ));
-        }
-        out
-    }
 }
 
 impl fmt::Display for ComparisonReport {
@@ -186,16 +164,6 @@ mod tests {
             .run_all(&[PolicyKind::Random])
             .unwrap();
         let _ = r.cycles(PolicyKind::Locality);
-    }
-
-    #[test]
-    fn csv_has_header_and_rows() {
-        let r = report();
-        let csv = r.to_csv();
-        let lines: Vec<&str> = csv.trim().lines().collect();
-        assert_eq!(lines.len(), 5);
-        assert!(lines[0].starts_with("workload,policy"));
-        assert!(lines[1].starts_with("Shape,RS,"));
     }
 
     #[test]

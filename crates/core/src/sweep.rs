@@ -275,19 +275,8 @@ impl SweepJob {
     /// re-simulates the workload several times. A heuristic, not a
     /// promise: only the *ordering* of the longest-job-first queue
     /// consumes it, never the results.
-    ///
-    /// The op count is memoized in the experiment's [`ArtifactCache`]
-    /// per workload, so weighing a policy-dense matrix costs
-    /// O(workloads), not O(jobs) — jobs pushed under one group share
-    /// their experiment (and memo) by `Arc`.
     pub fn weight(&self) -> u64 {
-        self.weight_memo(self.experiment.memo())
-    }
-
-    /// [`SweepJob::weight`] against an explicit memo (the matrix-wide
-    /// cache [`ScenarioMatrix::run`] threads through its jobs).
-    fn weight_memo(&self, memo: &ArtifactCache) -> u64 {
-        let ops = memo.workload_weight(self.experiment.workload());
+        let ops = self.experiment.workload().total_trace_ops();
         match self.kind {
             // Pilot + typically ~5–10 deduplicated ladder candidates.
             PolicyKind::LocalityMap => ops.saturating_mul(8),
@@ -439,7 +428,7 @@ impl ScenarioMatrix {
         memo: &ArtifactCache,
     ) -> Result<Vec<ComparisonReport>> {
         let parallel = runner.threads() > 1 && self.jobs.len() > 1;
-        let weights: Vec<u64> = self.jobs.iter().map(|j| j.weight_memo(memo)).collect();
+        let weights: Vec<u64> = self.jobs.iter().map(SweepJob::weight).collect();
         // Panic-isolated: a panicking job becomes that job's
         // `Error::JobPanicked` instead of unwinding through (and wedging)
         // the worker pool — sibling jobs still complete, and the

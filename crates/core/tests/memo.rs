@@ -10,7 +10,7 @@ use std::sync::Arc;
 use proptest::prelude::*;
 
 use lams_core::{
-    ArtifactCache, EvictionPolicy, Experiment, PolicyKind, ScenarioMatrix, SweepRunner,
+    ArtifactCache, EvictionPolicy, Experiment, PolicyKind, RunResult, ScenarioMatrix, SweepRunner,
 };
 use lams_layout::{ArrayDecl, ArrayTable, HalfPage, Layout, RemapAssignment};
 use lams_mpsoc::{machine_fingerprint, BusConfig, CacheConfig, MachineConfig};
@@ -269,6 +269,20 @@ fn bounded_counters_account_under_concurrency() {
             })
         })
         .collect();
+    // Each workload's LS run on the linear layout, the value its
+    // `ls_result` slot must serve whichever thread fills it.
+    let machine = MachineConfig::paper_default();
+    let linear: Vec<Layout> = workloads
+        .iter()
+        .map(|w| Layout::linear(w.arrays()))
+        .collect();
+    let expected: Vec<RunResult> = workloads
+        .iter()
+        .map(|w| {
+            let exp = Experiment::for_workload(w.clone(), machine);
+            exp.run(PolicyKind::Locality).expect("LS runs")
+        })
+        .collect();
     const THREADS: usize = 8;
     const ROUNDS: usize = 4;
     let memo = bounded(4);
@@ -294,14 +308,17 @@ fn bounded_counters_account_under_concurrency() {
             .map(|t| {
                 let memo = &memo;
                 let workloads = &workloads;
+                let (machine, linear, expected) = (&machine, &linear, &expected);
                 s.spawn(move || {
                     for r in 0..ROUNDS {
                         // Stagger the start so threads collide on
                         // different keys.
                         for i in 0..workloads.len() {
-                            let w = &workloads[(i + t + r) % workloads.len()];
-                            let weight = memo.workload_weight(w);
-                            assert_eq!(weight, w.total_trace_ops());
+                            let k = (i + t + r) % workloads.len();
+                            let w = &workloads[k];
+                            let fill = || Ok(expected[k].clone());
+                            let ls = memo.ls_result(w, machine, &linear[k], fill).unwrap();
+                            assert_eq!(ls.makespan_cycles, expected[k].makespan_cycles);
                             let sharing = memo.sharing(w);
                             assert_eq!(sharing.len(), w.num_processes());
                         }

@@ -188,7 +188,8 @@ pub fn simulate(
     // busy cores — keyed at their clock, or at their epoch boundary
     // while bus-blocked — and the pending arrival, which carries the
     // index one past the last core so it sorts after every core
-    // event of the same cycle (engine convention).
+    // event of the same cycle (the engine's `Event` order, encoded
+    // here without the engine's types).
     let next_event = |machine: &NaiveMachine,
                       running: &[Option<Slot>],
                       blocked: &[Option<u64>],

@@ -36,16 +36,6 @@ impl CacheStats {
             self.hits as f64 / n as f64
         }
     }
-
-    /// Miss rate in `[0, 1]`; 0 for an untouched cache.
-    pub fn miss_rate(&self) -> f64 {
-        let n = self.accesses();
-        if n == 0 {
-            0.0
-        } else {
-            self.misses as f64 / n as f64
-        }
-    }
 }
 
 impl AddAssign for CacheStats {
@@ -133,7 +123,6 @@ mod tests {
         };
         assert_eq!(s.accesses(), 4);
         assert!((s.hit_rate() - 0.75).abs() < 1e-12);
-        assert!((s.miss_rate() - 0.25).abs() < 1e-12);
         assert_eq!(CacheStats::default().hit_rate(), 0.0);
     }
 

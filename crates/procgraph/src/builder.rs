@@ -56,26 +56,6 @@ impl EpgBuilder {
         Ok(self)
     }
 
-    /// Adds a dependence from every process in `froms` to every process
-    /// in `tos` (a full bipartite stage barrier, the common shape in
-    /// staged image/video pipelines).
-    ///
-    /// # Errors
-    ///
-    /// Same conditions as [`ProcessGraph::add_edge`].
-    pub fn add_barrier(
-        &mut self,
-        froms: impl IntoIterator<Item = ProcessId> + Clone,
-        tos: impl IntoIterator<Item = ProcessId>,
-    ) -> Result<&mut Self> {
-        for to in tos {
-            for from in froms.clone() {
-                self.graph.add_edge(from, to)?;
-            }
-        }
-        Ok(self)
-    }
-
     /// Finishes the build, yielding the EPG.
     ///
     /// # Errors
@@ -121,20 +101,6 @@ mod tests {
         let mut b = EpgBuilder::new();
         b.add_task(&t0).unwrap();
         assert!(b.add_task(&t1).is_err());
-    }
-
-    #[test]
-    fn barrier_adds_bipartite_edges() {
-        let t = Task::new(TaskId::new(0), "staged", 6);
-        let mut b = EpgBuilder::new();
-        b.add_task(&t).unwrap();
-        let stage1: Vec<_> = (0..3).map(|j| t.process(j)).collect();
-        let stage2: Vec<_> = (3..6).map(|j| t.process(j)).collect();
-        b.add_barrier(stage1.iter().copied(), stage2.iter().copied())
-            .unwrap();
-        let g = b.build().unwrap();
-        assert_eq!(g.num_edges(), 9);
-        assert_eq!(g.levels().len(), 2);
     }
 
     #[test]

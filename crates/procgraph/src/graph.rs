@@ -1,6 +1,6 @@
 //! The dependence DAG over processes (used for both PGs and EPGs).
 
-use std::collections::{BTreeMap, BTreeSet, VecDeque};
+use std::collections::{BTreeMap, BTreeSet};
 use std::fmt;
 
 use crate::{Error, ProcessId, Result, TaskId};
@@ -280,23 +280,6 @@ impl ProcessGraph {
         path.reverse();
         (total, path)
     }
-
-    /// Transitive closure count: number of ordered dependent pairs.
-    /// Useful for characterizing how serial a workload is.
-    pub fn dependence_pairs(&self) -> usize {
-        let mut count = 0;
-        for p in self.processes() {
-            let mut seen = BTreeSet::new();
-            let mut q: VecDeque<ProcessId> = self.nodes[&p].succs.iter().copied().collect();
-            while let Some(s) = q.pop_front() {
-                if seen.insert(s) {
-                    count += 1;
-                    q.extend(self.nodes[&s].succs.iter().copied());
-                }
-            }
-        }
-        count
-    }
 }
 
 impl fmt::Display for ProcessGraph {
@@ -416,13 +399,6 @@ mod tests {
         assert!(g.is_reachable(p(0), p(3)));
         assert!(!g.is_reachable(p(1), p(2)));
         assert!(g.is_reachable(p(2), p(2)));
-    }
-
-    #[test]
-    fn dependence_pairs_counts_closure() {
-        let g = diamond();
-        // 0->{1,2,3}, 1->{3}, 2->{3}
-        assert_eq!(g.dependence_pairs(), 5);
     }
 
     #[test]

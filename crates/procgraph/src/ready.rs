@@ -75,11 +75,6 @@ impl ReadyTracker {
         self.ready.contains(&p)
     }
 
-    /// Whether `p` has completed.
-    pub fn is_completed(&self, p: ProcessId) -> bool {
-        self.completed.contains(&p)
-    }
-
     /// Whether every process has completed.
     pub fn all_done(&self) -> bool {
         self.completed.len() == self.remaining_preds.len()
@@ -207,6 +202,5 @@ mod tests {
         assert!(rt.preempt(p(0)).is_err()); // not running any more
         rt.start(p(0)).unwrap();
         rt.complete(p(0)).unwrap();
-        assert!(rt.is_completed(p(0)));
     }
 }

@@ -80,11 +80,6 @@ impl Task {
     pub fn contains(&self, p: ProcessId) -> bool {
         p.index() >= self.first.index() && p.index() < self.first.index() + self.count
     }
-
-    /// The local index of `p` within the task, if it belongs to it.
-    pub fn local_index(&self, p: ProcessId) -> Option<u32> {
-        self.contains(p).then(|| p.index() - self.first.index())
-    }
 }
 
 impl fmt::Display for Task {
@@ -105,8 +100,6 @@ mod tests {
         assert_eq!(t.processes().count(), 4);
         assert!(t.contains(ProcessId::new(12)));
         assert!(!t.contains(ProcessId::new(14)));
-        assert_eq!(t.local_index(ProcessId::new(12)), Some(2));
-        assert_eq!(t.local_index(ProcessId::new(9)), None);
     }
 
     #[test]

@@ -123,8 +123,6 @@ impl Service {
                 ("sharing_misses", memo.sharing_misses.to_string()),
                 ("pilot_hits", memo.pilot_hits.to_string()),
                 ("pilot_misses", memo.pilot_misses.to_string()),
-                ("weight_hits", memo.weight_hits.to_string()),
-                ("weight_misses", memo.weight_misses.to_string()),
                 ("occupancy", memo.occupancy_entries.to_string()),
                 (
                     "capacity",
