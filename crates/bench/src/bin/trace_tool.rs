@@ -15,8 +15,9 @@
 //! * `inspect FILE [--proc I] [--limit N]` — dump a program's decoded
 //!   ops in the `R 0x… / W 0x… / C n` text form of `TraceOp`'s
 //!   `Display`.
-//! * `stats   FILE` — per-process op counts, block counts, and the
-//!   IR's compression ratio over the decoded stream.
+//! * `stats   FILE` — per-process op counts, the blocks of one pass and
+//!   the pass count, and the IR's compression ratio: decoded ops per
+//!   stored block.
 //!
 //! # Error handling
 //!
@@ -249,10 +250,11 @@ fn cmd_inspect(rest: &[String]) -> CliResult<()> {
             continue;
         }
         println!(
-            "# proc {i} {} ({} ops, {} blocks)",
+            "# proc {i} {} ({} ops, {} blocks x {} passes)",
             rec.name,
             rec.program.len_ops(),
-            rec.program.blocks().len()
+            rec.program.blocks().len(),
+            rec.program.passes()
         );
         for op in rec.program.iter().take(limit as usize) {
             println!("{op}");
@@ -277,13 +279,14 @@ fn cmd_stats(rest: &[String]) -> CliResult<()> {
     for (i, rec) in bundle.records.iter().enumerate() {
         let s = rec.program.stats();
         println!(
-            "proc {i} {}: ops {} (accesses {} writes {} compute_cycles {}), {} blocks, {:.1}x compression",
+            "proc {i} {}: ops {} (accesses {} writes {} compute_cycles {}), {} blocks x {} passes, {:.1}x compression",
             rec.name,
             rec.program.len_ops(),
             s.accesses,
             s.writes,
             s.compute_cycles,
             rec.program.blocks().len(),
+            rec.program.passes(),
             rec.program.len_ops() as f64 / rec.program.blocks().len().max(1) as f64
         );
     }

@@ -20,6 +20,9 @@ use lams_workloads::{suite, synthetic_app, AppSpec, Scale, SyntheticConfig, Work
 #[path = "support/oracle.rs"]
 mod oracle;
 
+#[path = "../../procgraph/tests/support/critical_path.rs"]
+mod critical_path;
+
 /// A synthetic application and its workload.
 fn arb_workload() -> impl Strategy<Value = (AppSpec, Workload)> {
     (0u64..64, 1usize..4, 1usize..5, 0i64..3).prop_map(|(seed, stages, pps, halo)| {
@@ -115,7 +118,7 @@ proptest! {
         let layout = Layout::linear(w.arrays());
         let cfg = EngineConfig::from(MachineConfig::paper_default().with_cores(4));
         let streams = oracle::scalar::op_streams(&[app], &layout);
-        let (cp, _) = w.epg().critical_path(|p| {
+        let (cp, _) = critical_path::critical_path(w.epg(), |p| {
             // compute cycles only (access latencies are extra)
             streams[p.as_usize()]
                 .iter()

@@ -259,11 +259,13 @@ impl Machine {
     /// the naive per-op machine of its test support. Where a per-op
     /// executor probes the cache for every access, this one exploits two
     /// exact structural facts. The first: within [`Segment::Rounds`],
-    /// after one fully probed round in which every lane hit, residency
-    /// cannot change (hits never evict) until some lane crosses a line
-    /// boundary — so whole rounds, compute ops included, collapse to one
-    /// bulk stamp update plus clock arithmetic. A [`Segment::Access`]
-    /// (the rest of a round a preemption split) is one probe.
+    /// after one fully probed round that left every lane's line
+    /// resident (every lane hit, or the round's misses evicted none of
+    /// its lines), residency cannot change (hits never evict) until some
+    /// lane crosses a line boundary — so whole rounds, compute ops
+    /// included, collapse to one bulk stamp update plus clock
+    /// arithmetic. A [`Segment::Access`] (the rest of a round a
+    /// preemption split) is one probe.
     ///
     /// Horizon checks stay per-op-exact: every bulk op has a fixed,
     /// known cost (guaranteed hit or constant compute), so the op that
@@ -429,13 +431,21 @@ impl Machine {
                             src.advance(consumed);
                             return done(executed, last_op_start, false);
                         }
-                        if !all_hit || r == rounds {
+                        // A round that missed still opens a window when
+                        // every lane's line survived it.
+                        if r == rounds
+                            || !(all_hit
+                                || lanes.iter().all(|l| c.cache.is_resident(l.addr_at(r - 1))))
+                        {
                             continue 'rounds;
                         }
                         // Hit-stable window: every lane re-reads the
-                        // line it touched in the probed round (r - 1).
-                        // Hits never evict, so residency is stable until
-                        // the first lane line-boundary crossing.
+                        // line it touched in the probed round (r - 1),
+                        // still resident. Hits never evict, so residency
+                        // is stable until the first lane line-boundary
+                        // crossing. A lane hit before the round's miss
+                        // is restamped in bulk as it would be per op,
+                        // which lists it dirty for the shadow.
                         let mut w = rounds - r;
                         for lane in lanes {
                             w = w.min(same_line_ops(lane.addr_at(r - 1), lane.stride, w, shift));

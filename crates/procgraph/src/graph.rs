@@ -248,38 +248,6 @@ impl ProcessGraph {
         }
         out
     }
-
-    /// Longest weighted path through the DAG, with node weights given by
-    /// `weight`. Returns `(total_weight, path)`; the empty graph yields
-    /// `(0, [])`.
-    pub fn critical_path<F>(&self, mut weight: F) -> (u64, Vec<ProcessId>)
-    where
-        F: FnMut(ProcessId) -> u64,
-    {
-        let order = self.topo_order();
-        let mut best: BTreeMap<ProcessId, (u64, Option<ProcessId>)> = BTreeMap::new();
-        for &p in &order {
-            let w = weight(p);
-            let (pre, via) = self.nodes[&p]
-                .preds
-                .iter()
-                .map(|&q| (best[&q].0, Some(q)))
-                .max_by_key(|&(cost, _)| cost)
-                .unwrap_or((0, None));
-            best.insert(p, (pre + w, via));
-        }
-        let Some((&end, &(total, _))) = best.iter().max_by_key(|(_, &(cost, _))| cost) else {
-            return (0, Vec::new());
-        };
-        let mut path = vec![end];
-        let mut cur = end;
-        while let Some(prev) = best[&cur].1 {
-            path.push(prev);
-            cur = prev;
-        }
-        path.reverse();
-        (total, path)
-    }
 }
 
 impl fmt::Display for ProcessGraph {
@@ -385,15 +353,6 @@ mod tests {
     }
 
     #[test]
-    fn critical_path_weighted() {
-        let g = diamond();
-        // Make node 2 heavy: path 0 -> 2 -> 3.
-        let (total, path) = g.critical_path(|q| if q == p(2) { 100 } else { 1 });
-        assert_eq!(total, 102);
-        assert_eq!(path, vec![p(0), p(2), p(3)]);
-    }
-
-    #[test]
     fn reachability() {
         let g = diamond();
         assert!(g.is_reachable(p(0), p(3)));
@@ -407,6 +366,5 @@ mod tests {
         assert!(g.is_empty());
         assert_eq!(g.topo_order(), Vec::<ProcessId>::new());
         assert_eq!(g.levels(), Vec::<Vec<ProcessId>>::new());
-        assert_eq!(g.critical_path(|_| 1), (0, vec![]));
     }
 }

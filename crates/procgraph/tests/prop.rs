@@ -1,9 +1,14 @@
 //! Property tests over random DAGs: construction safety, topological
-//! order validity, level consistency and ready-tracker liveness.
+//! order validity, level consistency and ready-tracker liveness — and
+//! the critical path of the test support.
 
 use proptest::prelude::*;
 
 use lams_procgraph::{ProcessGraph, ProcessId, ReadyTracker};
+
+#[path = "support/critical_path.rs"]
+mod critical_path;
+use critical_path::critical_path;
 
 /// Builds a random DAG by only adding forward edges (i -> j with i < j),
 /// which can never create a cycle — so every `add_edge` must succeed.
@@ -90,11 +95,33 @@ proptest! {
 
     #[test]
     fn critical_path_bounds(g in arb_dag()) {
-        let (total, path) = g.critical_path(|_| 1);
+        let (total, path) = critical_path(&g, |_| 1);
         prop_assert_eq!(total as usize, path.len());
         prop_assert_eq!(path.len(), g.levels().len());
         for w in path.windows(2) {
             prop_assert!(g.succs(w[0]).unwrap().any(|s| s == w[1]));
         }
     }
+}
+
+/// The diamond `0 -> {1, 2} -> 3` with node 2 heavy: the path runs
+/// through it.
+#[test]
+fn critical_path_weighted() {
+    let p = ProcessId::new;
+    let mut g = ProcessGraph::new();
+    for i in 0..4 {
+        g.add_node(p(i), None).unwrap();
+    }
+    for (a, b) in [(0, 1), (0, 2), (1, 3), (2, 3)] {
+        g.add_edge(p(a), p(b)).unwrap();
+    }
+    let (total, path) = critical_path(&g, |q| if q == p(2) { 100 } else { 1 });
+    assert_eq!(total, 102);
+    assert_eq!(path, vec![p(0), p(2), p(3)]);
+}
+
+#[test]
+fn critical_path_of_the_empty_graph_is_empty() {
+    assert_eq!(critical_path(&ProcessGraph::new(), |_| 1), (0, vec![]));
 }

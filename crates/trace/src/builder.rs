@@ -9,8 +9,13 @@ use crate::{Block, Lane, LoopBlock, Program};
 /// how many rows the compiler pushed; an access-free push extends a
 /// preceding burst of the same cycles.
 ///
+/// A program of repeated passes is built from one of them:
+/// [`ProgramBuilder::passes`] lowers a single pass and stores it once
+/// with the count.
+///
 /// Exactness is differentially tested: `crates/trace/tests/prop.rs`
-/// expands random push sequences by hand and compares.
+/// expands random push sequences by hand and compares, and holds every
+/// folded program to the one its passes' pushes build.
 #[derive(Debug, Clone, Default)]
 pub struct ProgramBuilder {
     blocks: Vec<Block>,
@@ -125,14 +130,69 @@ impl ProgramBuilder {
         }
     }
 
-    /// Finishes the build.
+    /// Whether the first round of the first block, pushed after the
+    /// last block, could merge into it. Only then may a second pass
+    /// build other blocks than the first one did: a pass whose first
+    /// push opens a new block leaves every later push facing what it
+    /// faced in the pass before. The probe is one round, which merges
+    /// whenever the first push could.
+    fn seam_merges(&self) -> bool {
+        let (Some(&first), Some(&last)) = (self.blocks.first(), self.blocks.last()) else {
+            return false;
+        };
+        // A block as the push that rebuilds it: lanes, rounds, cycles.
+        let push = |b: Block| match b {
+            Block::Loop(lp) => (
+                &self.lanes[lp.lane_start as usize..][..lp.lane_len as usize],
+                lp.times,
+                lp.cycles,
+            ),
+            Block::Burst { cycles, repeat } => (&[][..], repeat, cycles),
+        };
+        let mut probe = ProgramBuilder::new();
+        let (lanes, times, cycles) = push(last);
+        probe.push_loop(lanes, times, cycles);
+        let (lanes, _, cycles) = push(first);
+        probe.push_loop(lanes, 1, cycles);
+        probe.blocks.len() == 1
+    }
+
+    /// The program that running `push_pass` on one builder `passes`
+    /// times builds, from one run of it where it can: at three passes
+    /// or more, unless the next pass could merge into the last block of
+    /// the one before, one pass is stored with the count. Otherwise
+    /// every pass is pushed and the result is finished like
+    /// [`ProgramBuilder::finish`]. `push_pass` must push the same loops
+    /// each time it runs.
+    pub fn passes(passes: u64, mut push_pass: impl FnMut(&mut ProgramBuilder)) -> Program {
+        if passes == 0 {
+            return Program::new();
+        }
+        let mut b = ProgramBuilder::new();
+        push_pass(&mut b);
+        if passes < 3 || b.seam_merges() {
+            for _ in 1..passes {
+                push_pass(&mut b);
+            }
+            return b.finish();
+        }
+        b.finish_passes(passes)
+    }
+
+    /// Finishes the build. A block sequence that is one body repeated
+    /// at least three times is stored as the body and its pass count.
     pub fn finish(self) -> Program {
+        self.finish_passes(1)
+    }
+
+    /// The program that runs the pushes so far `passes` times.
+    fn finish_passes(self, passes: u64) -> Program {
         debug_assert_eq!(
             self.ops,
             self.blocks.iter().map(Block::ops).sum::<u64>(),
             "op accounting drifted"
         );
-        Program::from_parts(self.blocks, self.lanes, self.ops)
+        Program::from_parts(self.blocks, self.lanes, self.ops * passes, passes)
     }
 }
 

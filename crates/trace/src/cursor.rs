@@ -19,7 +19,9 @@ use crate::{Block, Program};
 #[derive(Debug, Clone)]
 pub struct Cursor<'a> {
     prog: &'a Program,
-    /// Current block index.
+    /// Current pass (`== prog.passes` once done).
+    pass: u64,
+    /// Current block index within the pass.
     block: usize,
     /// Position within the block: ops emitted for [`Block::Burst`]; the
     /// current round for [`Block::Loop`].
@@ -39,6 +41,7 @@ impl<'a> Cursor<'a> {
     pub fn new(prog: &'a Program) -> Self {
         Cursor {
             prog,
+            pass: 0,
             block: 0,
             r: 0,
             lane: 0,
@@ -54,7 +57,7 @@ impl<'a> Cursor<'a> {
 
     /// Whether the stream is exhausted.
     pub fn is_done(&self) -> bool {
-        self.block >= self.prog.blocks.len()
+        self.pass == self.prog.passes
     }
 
     /// Position in ops within the current block.
@@ -69,6 +72,10 @@ impl<'a> Cursor<'a> {
         self.block += 1;
         self.r = 0;
         self.lane = 0;
+        if self.block == self.prog.blocks.len() {
+            self.block = 0;
+            self.pass += 1;
+        }
     }
 
     fn lane_addr(lane: &crate::Lane, r: u64) -> u64 {
@@ -193,13 +200,11 @@ impl TraceSource for Cursor<'_> {
     }
 
     fn pass(&self) -> Option<(u64, u64)> {
-        let period = self.prog.period;
-        if period == 0 || self.r != 0 || self.lane != 0 || !self.block.is_multiple_of(period) {
+        let passes = self.prog.passes;
+        if passes < 2 || self.is_done() || self.block != 0 || self.r != 0 || self.lane != 0 {
             return None;
         }
-        let passes = (self.prog.blocks.len() / period) as u64;
-        let left = passes - (self.block / period) as u64;
-        (left > 0).then(|| (self.prog.ops / passes, left))
+        Some((self.prog.ops / passes, passes - self.pass))
     }
 
     fn skip_passes(&mut self, k: u64) {
@@ -208,7 +213,7 @@ impl TraceSource for Cursor<'_> {
             return;
         };
         debug_assert!(k <= left, "skipped {k} of {left} passes");
-        self.block += k as usize * self.prog.period;
+        self.pass += k;
         self.remaining -= k * pass_ops;
     }
 }

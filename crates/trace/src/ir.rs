@@ -56,6 +56,17 @@ impl Block {
             Block::Loop(lp) => lp.times * (lp.lane_len as u64 + 1),
         }
     }
+
+    /// The block with its lanes `shift` places further into the arena.
+    pub(crate) fn shifted(self, shift: u32) -> Block {
+        match self {
+            Block::Loop(lp) => Block::Loop(LoopBlock {
+                lane_start: lp.lane_start.wrapping_add(shift),
+                ..lp
+            }),
+            burst => burst,
+        }
+    }
 }
 
 /// A compiled trace program: a compact block sequence whose decoded op
@@ -67,26 +78,29 @@ impl Block {
 /// through [`crate::Cursor`] (a [`lams_mpsoc::TraceSource`]), and
 /// serialized in the `.ltr` binary format (see `docs/trace-format.md`).
 ///
+/// A program stores one **pass**: its blocks and lanes are a body that
+/// the stream runs [`Program::passes`] times, each pass addressing
+/// the same data. A stream that is one body repeated at least three
+/// times is always stored folded, however it was built or decoded, and
+/// any other stream as one pass, so two programs of one block
+/// sequence are the same value.
+///
 /// A `Program` is also the unit of per-process memoization: the
 /// artifact cache shares one compiled program across every layout
 /// whose *restricted* view (the arrays this process touches) is
 /// unchanged, so the derived `PartialEq` doubles as the soundness
 /// oracle for those delta keys — equal keys must imply structurally
-/// equal programs, which this equality (blocks, lanes, op count)
+/// equal programs, which this equality (body, passes, op count)
 /// witnesses field for field (see `docs/memoization.md`).
-///
-/// One field is derived rather than stored: the pass structure, which
-/// [`crate::Cursor`] reports through [`lams_mpsoc::TraceSource::pass`].
-/// It is computed whenever a program is built or decoded, and never
-/// serialized or fingerprinted.
 #[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct Program {
     pub(crate) blocks: Vec<Block>,
     pub(crate) lanes: Vec<Lane>,
+    /// Times the body runs: 0 for the empty program, 1 for a stream
+    /// that is no body repeated three times or more, else at least 3.
+    pub(crate) passes: u64,
+    /// Ops of the whole stream, every pass included.
     pub(crate) ops: u64,
-    /// Blocks per pass: the smallest `p` such that the block sequence
-    /// is one body of `p` blocks repeated at least three times, or 0.
-    pub(crate) period: usize,
 }
 
 impl Program {
@@ -95,26 +109,55 @@ impl Program {
         Program::default()
     }
 
-    /// A program over validated blocks and lanes, with its pass
-    /// structure derived.
-    pub(crate) fn from_parts(blocks: Vec<Block>, lanes: Vec<Lane>, ops: u64) -> Self {
+    /// The program whose stream is `passes` (1, or at least 3) copies
+    /// of the one that `blocks` and `lanes` decode to, `ops` ops in
+    /// all: stored folded when that stream is one body repeated at
+    /// least three times, and as one pass otherwise.
+    pub(crate) fn from_parts(
+        mut blocks: Vec<Block>,
+        mut lanes: Vec<Lane>,
+        ops: u64,
+        passes: u64,
+    ) -> Self {
+        debug_assert!(passes == 1 || passes >= 3, "{passes} passes stored folded");
+        if blocks.is_empty() {
+            return Program::new();
+        }
         let period = pass_period(&blocks, &lanes);
+        let copies = blocks.len() / period;
+        let passes = passes * copies as u64;
+        if passes < 3 {
+            return Program {
+                blocks,
+                lanes,
+                passes: 1,
+                ops,
+            };
+        }
+        blocks.truncate(period);
+        lanes.truncate(lanes.len() / copies);
         Program {
             blocks,
             lanes,
+            passes,
             ops,
-            period,
         }
     }
 
-    /// The block sequence.
+    /// The block sequence of one pass.
     pub fn blocks(&self) -> &[Block] {
         &self.blocks
     }
 
-    /// The lane arena (loops reference sub-slices of it).
+    /// The lane arena of one pass (loops reference sub-slices of it).
     pub fn lanes(&self) -> &[Lane] {
         &self.lanes
+    }
+
+    /// How many times the stream runs [`Program::blocks`]: 0 for the
+    /// empty program, else 1 or at least 3.
+    pub fn passes(&self) -> u64 {
+        self.passes
     }
 
     /// The lanes of one loop block.
@@ -143,19 +186,35 @@ impl Program {
         crate::Cursor::new(self)
     }
 
-    /// Content fingerprint of the block/lane structure — O(blocks), no
-    /// decoding. Two programs fingerprint equal iff their IR is
-    /// identical, so this is a cheap way to assert that a memoized
-    /// program set matches a freshly compiled one (see
-    /// `lams_core::memo` and `crates/core/tests/memo.rs`).
+    /// Every pass's blocks in stream order, as the `.ltr` byte layout
+    /// writes them: pass `k` reads lanes `k * lanes().len()` on.
+    pub(crate) fn unrolled_blocks(&self) -> impl Iterator<Item = Block> + '_ {
+        (0..self.passes).flat_map(move |k| {
+            let shift = (k * self.lanes.len() as u64) as u32;
+            self.blocks.iter().map(move |b| b.shifted(shift))
+        })
+    }
+
+    /// Every pass's lanes, in the order [`Program::unrolled_blocks`]
+    /// addresses them.
+    pub(crate) fn unrolled_lanes(&self) -> impl Iterator<Item = &Lane> {
+        (0..self.passes).flat_map(move |_| &self.lanes)
+    }
+
+    /// Content fingerprint of the whole block sequence with its lanes,
+    /// every pass written out — O(blocks × passes), no decoding. Two
+    /// programs fingerprint equal iff their IR is identical, so this is
+    /// a cheap way to assert that a memoized program set matches a
+    /// freshly compiled one (see `lams_core::memo` and
+    /// `crates/core/tests/memo.rs`).
     pub fn fingerprint(&self) -> lams_mpsoc::Fingerprint {
         let mut h = lams_mpsoc::FingerprintHasher::new("lams.program");
         h.write_u64(self.ops);
-        h.write_len(self.blocks.len());
+        h.write_len(self.blocks.len() * self.passes as usize);
         // Tags start at 1: tag 0 is retired (as in `.ltr`), and
         // renumbering would move every fingerprint.
-        for b in &self.blocks {
-            match *b {
+        for b in self.unrolled_blocks() {
+            match b {
                 Block::Burst { cycles, repeat } => {
                     h.write_u32(1);
                     h.write_u64(cycles);
@@ -170,8 +229,8 @@ impl Program {
                 }
             }
         }
-        h.write_len(self.lanes.len());
-        for lane in &self.lanes {
+        h.write_len(self.lanes.len() * self.passes as usize);
+        for lane in self.unrolled_lanes() {
             h.write_u64(lane.base);
             h.write_i64(lane.stride);
             h.write_bool(lane.write);
@@ -194,14 +253,21 @@ impl Program {
                 }
             }
         }
-        s
+        TraceStats {
+            accesses: s.accesses * self.passes,
+            writes: s.writes * self.passes,
+            compute_cycles: s.compute_cycles * self.passes,
+        }
     }
 }
 
-/// The smallest block period `p` such that `blocks` is one body of `p`
-/// blocks repeated at least three times, or 0: the shortest border of
-/// the sequence (Knuth–Morris–Pratt failure function), kept only when
-/// its period divides the length.
+/// The smallest `p` dividing `blocks.len()` such that `blocks` and
+/// `lanes` are one body of `p` blocks and its lanes repeated, or
+/// `blocks.len()`. The candidate is the shortest border of the
+/// sequence (Knuth–Morris–Pratt failure function), comparing loops by
+/// their lanes' contents; it is kept only when the arena is the body's
+/// arena repeated and every copy addresses its own copy of it, so that
+/// the folded program writes back the same blocks and lanes.
 fn pass_period(blocks: &[Block], lanes: &[Lane]) -> usize {
     let lanes_of = |lp: &LoopBlock| &lanes[lp.lane_start as usize..][..lp.lane_len as usize];
     let same = |a: &Block, b: &Block| match (a, b) {
@@ -223,10 +289,26 @@ fn pass_period(blocks: &[Block], lanes: &[Lane]) -> usize {
         border[i] = k;
     }
     let p = n - border.last().unwrap_or(&0);
-    if n > 0 && n.is_multiple_of(p) && n / p >= 3 {
+    let copies = n / p;
+    if copies < 2 || !n.is_multiple_of(p) || !lanes.len().is_multiple_of(copies) {
+        return n;
+    }
+    let body_lanes = lanes.len() / copies;
+    let folds = blocks.iter().enumerate().all(|(j, b)| {
+        let shift = (j / p * body_lanes) as u32;
+        *b == blocks[j % p].shifted(shift)
+            && match blocks[j % p] {
+                Block::Loop(lp) => (lp.lane_start + lp.lane_len) as usize <= body_lanes,
+                Block::Burst { .. } => true,
+            }
+    }) && lanes
+        .iter()
+        .enumerate()
+        .all(|(i, l)| *l == lanes[i % body_lanes]);
+    if folds {
         p
     } else {
-        0
+        n
     }
 }
 

@@ -135,16 +135,18 @@ impl<'a> Reader<'a> {
     }
 }
 
+/// Writes every pass of `p`: the byte layout has no pass count, and
+/// decoding folds the repetition back.
 fn encode_program(out: &mut Vec<u8>, p: &Program) {
-    put_varint(out, p.lanes.len() as u64);
-    for l in &p.lanes {
+    put_varint(out, p.lanes.len() as u64 * p.passes);
+    for l in p.unrolled_lanes() {
         put_varint(out, l.base);
         put_zigzag(out, l.stride);
         put_bool(out, l.write);
     }
-    put_varint(out, p.blocks.len() as u64);
-    for b in &p.blocks {
-        match *b {
+    put_varint(out, p.blocks.len() as u64 * p.passes);
+    for b in p.unrolled_blocks() {
+        match b {
             Block::Burst { cycles, repeat } => {
                 out.push(TAG_BURST);
                 put_varint(out, cycles);
@@ -229,7 +231,7 @@ fn decode_program(r: &mut Reader<'_>) -> Result<Program> {
         ops = ops.checked_add(block_ops).ok_or(Error::OpCountOverflow)?;
         blocks.push(block);
     }
-    Ok(Program::from_parts(blocks, lanes, ops))
+    Ok(Program::from_parts(blocks, lanes, ops, 1))
 }
 
 /// Encodes a bundle into `.ltr` bytes.
@@ -363,12 +365,35 @@ mod tests {
                 program: Program {
                     blocks,
                     lanes,
+                    passes: 1,
                     ops: 0,
-                    period: 0,
                 },
             }],
             edges: vec![],
         })
+    }
+
+    #[test]
+    fn shared_lanes_stay_one_pass() {
+        // Three equal loops over three equal lanes repeat a body in
+        // content, but every loop reads the first lane: a folded
+        // program would write each pass its own lane back instead.
+        let lane = Lane {
+            base: 64,
+            stride: 4,
+            write: false,
+        };
+        let lp = Block::Loop(LoopBlock {
+            times: 2,
+            cycles: 1,
+            lane_start: 0,
+            lane_len: 1,
+        });
+        let bytes = encode_raw(vec![lp; 3], vec![lane; 3]);
+        let bundle = decode(&bytes).unwrap();
+        let p = &bundle.records[0].program;
+        assert_eq!((p.blocks().len(), p.passes()), (3, 1));
+        assert_eq!(encode(&bundle), bytes);
     }
 
     #[test]

@@ -2,8 +2,9 @@
 //! sequence of loop pushes and decoding it back gives the pushes'
 //! explicit expansion, `.ltr` serialization round-trips bit-exactly,
 //! the batched [`TraceSource`] view of a cursor decodes the same
-//! stream as its scalar [`Iterator`] view at every split point, and a
-//! program's derived pass structure is exactly its repeated body.
+//! stream as its scalar [`Iterator`] view at every split point, a
+//! program's stored passes are exactly its repeated body, and building
+//! one pass of a repeated body gives the program every pass builds.
 
 use proptest::prelude::*;
 
@@ -198,8 +199,91 @@ fn repeat(body: &[Push], passes: usize, perturb: Option<(usize, usize, usize)>) 
     out
 }
 
+/// `.ltr` bytes of a one-record bundle holding `program`.
+fn ltr_bytes(program: &Program) -> Vec<u8> {
+    TraceBundle {
+        name: "passes".into(),
+        records: vec![TraceRecord {
+            name: "p0".into(),
+            program: program.clone(),
+        }],
+        edges: vec![],
+    }
+    .to_bytes()
+}
+
+/// `body` with one of four seams: as drawn; bursts of equal cycles at
+/// both ends; a stride-0 loop at both ends, which continues itself;
+/// or a last loop that the first one continues.
+fn with_seam(mut body: Vec<Push>, seam: u8) -> Vec<Push> {
+    let lane = |base, stride| Lane {
+        base,
+        stride,
+        write: false,
+    };
+    let (head, tail) = match seam {
+        1 => {
+            let burst = Push {
+                lanes: Vec::new(),
+                times: 2,
+                cycles: 7,
+            };
+            (burst.clone(), burst)
+        }
+        2 => {
+            let still = Push {
+                lanes: vec![lane(64, 0)],
+                times: 3,
+                cycles: 1,
+            };
+            (still.clone(), still)
+        }
+        3 => (
+            Push {
+                lanes: vec![lane(512, 4), lane(1024, -8)],
+                times: 3,
+                cycles: 2,
+            },
+            Push {
+                lanes: vec![lane(512 - 12, 4), lane(1024 + 24, -8)],
+                times: 3,
+                cycles: 2,
+            },
+        ),
+        _ => return body,
+    };
+    body.insert(0, head);
+    body.push(tail);
+    body
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(48))]
+
+    /// Building one pass with `ProgramBuilder::passes` gives the program
+    /// that pushing every pass builds — the same value, stream, `.ltr`
+    /// bytes, fingerprint and pass — also where a pass merges into the
+    /// one before it.
+    #[test]
+    fn one_pass_builds_what_every_pass_builds(
+        p in arb_pushes(),
+        n in 1u64..6,
+        seam in 0u8..4,
+    ) {
+        let body = with_seam(p.pushes, seam);
+        let every: Vec<Push> = (0..n).flat_map(|_| body.iter().cloned()).collect();
+        let explicit = build(&every);
+        let folded = ProgramBuilder::passes(n, |b| {
+            for push in &body {
+                b.push_loop(&push.lanes, push.times, push.cycles);
+            }
+        });
+        prop_assert_eq!(folded.iter().collect::<Vec<_>>(), expand(&every));
+        prop_assert_eq!(ltr_bytes(&folded), ltr_bytes(&explicit));
+        prop_assert_eq!(folded.fingerprint(), explicit.fingerprint());
+        prop_assert_eq!(Cursor::new(&folded).pass(), Cursor::new(&explicit).pass());
+        prop_assert_eq!(&folded, &explicit);
+    }
 
     /// A body repeated three times or more reports its pass at every
     /// boundary, with the passes left; moving one lane base in any one
@@ -372,7 +456,7 @@ proptest! {
 }
 
 /// Three passes of a two-block body encode to exactly the bytes version
-/// 1 always wrote: the derived pass structure is neither serialized nor
+/// 1 always wrote: the stored pass count is neither serialized nor
 /// fingerprinted.
 #[test]
 fn repeated_program_bytes_and_fingerprint_are_pinned() {
@@ -387,7 +471,7 @@ fn repeated_program_bytes_and_fingerprint_are_pinned() {
         b.push_loop(&[], 3, 5);
     }
     let program = b.finish();
-    assert_eq!(program.blocks().len(), 6);
+    assert_eq!((program.blocks().len(), program.passes()), (2, 3));
     assert_eq!(Cursor::new(&program).pass(), Some((19, 3)));
     let bundle = TraceBundle {
         name: "pin".into(),

@@ -14,7 +14,11 @@
 //!   affine addresses: within one half-page chunk the stride is
 //!   unchanged, at a chunk boundary the address jumps by a page. Spans
 //!   are split at the earliest chunk crossing of any lane, keeping every
-//!   emitted lane exactly affine.
+//!   emitted lane exactly affine;
+//! * a **pass dimension** — an outer dim 0 that no subscript reads, the
+//!   suite's `rep` — is lowered for its first value only, and the
+//!   program stores that pass once with its count
+//!   ([`ProgramBuilder::passes`], `docs/trace-format.md` "Passes").
 //!
 //! In both cases the program decodes to that op stream op for op:
 //! `crates/workloads/tests/compile.rs` holds it to a reference written
@@ -70,57 +74,72 @@ pub(crate) fn compile(proc: &ResolvedProcess, layout: &Layout) -> Program {
         .collect();
     let half_page = layout.half_page();
 
-    let mut b = ProgramBuilder::new();
-    let mut outer: Vec<i64> = proc.bbox[..inner].iter().map(|&(lo, _)| lo).collect();
+    // A pass dimension: an outer dim 0 that no subscript reads repeats
+    // one pass over the same addresses, so only its first value is
+    // lowered and the program repeats that pass.
+    let mut bbox = proc.bbox.clone();
+    let passes = if inner > 0 && proc.accesses.iter().all(|a| a.coeffs[0] == 0) {
+        let (lo, hi) = bbox[0];
+        bbox[0] = (lo, lo);
+        (hi - lo + 1) as u64
+    } else {
+        1
+    };
+
+    let mut outer: Vec<i64> = Vec::with_capacity(inner);
     let mut lanes: Vec<Lane> = Vec::with_capacity(proc.accesses.len());
     let mut lin0: Vec<i64> = vec![0; proc.accesses.len()];
-    loop {
-        // Linear element index of each access at the inner lower bound.
-        for (l0, a) in lin0.iter_mut().zip(&proc.accesses) {
-            let mut lin = a.constant + a.coeffs[inner] * ilo;
-            for (c, x) in a.coeffs[..inner].iter().zip(&outer) {
-                lin += c * x;
-            }
-            *l0 = lin;
-        }
-        // Emit the inner loop, split at the earliest chunk crossing of
-        // any remapped lane so every lane stays exactly affine.
-        let mut i = 0u64;
-        while i < n_inner {
-            let mut steps = n_inner - i;
-            lanes.clear();
-            for ((a, spec), &l0) in proc.accesses.iter().zip(&specs).zip(&lin0) {
-                let lin = l0 + a.coeffs[inner] * i as i64;
-                if spec.remapped {
-                    let rel = lin as u64 * spec.elem_bytes;
-                    steps = steps.min(chunk_run(rel, spec.byte_stride, half_page));
-                }
-                lanes.push(Lane {
-                    base: layout.addr(a.array, lin),
-                    stride: spec.byte_stride,
-                    write: a.write,
-                });
-            }
-            b.push_loop(&lanes, steps, proc.compute);
-            i += steps;
-        }
-        // Odometer step over the outer dimensions.
-        let mut k = outer.len();
+    ProgramBuilder::passes(passes, |b| {
+        outer.clear();
+        outer.extend(bbox[..inner].iter().map(|&(lo, _)| lo));
         loop {
-            if k == 0 {
-                return b.finish();
-            }
-            k -= 1;
-            if outer[k] < proc.bbox[k].1 {
-                outer[k] += 1;
-                for (x, bb) in outer.iter_mut().zip(&proc.bbox).skip(k + 1) {
-                    *x = bb.0;
+            // Linear element index of each access at the inner lower bound.
+            for (l0, a) in lin0.iter_mut().zip(&proc.accesses) {
+                let mut lin = a.constant + a.coeffs[inner] * ilo;
+                for (c, x) in a.coeffs[..inner].iter().zip(&outer) {
+                    lin += c * x;
                 }
-                break;
+                *l0 = lin;
             }
-            outer[k] = proc.bbox[k].0;
+            // Emit the inner loop, split at the earliest chunk crossing of
+            // any remapped lane so every lane stays exactly affine.
+            let mut i = 0u64;
+            while i < n_inner {
+                let mut steps = n_inner - i;
+                lanes.clear();
+                for ((a, spec), &l0) in proc.accesses.iter().zip(&specs).zip(&lin0) {
+                    let lin = l0 + a.coeffs[inner] * i as i64;
+                    if spec.remapped {
+                        let rel = lin as u64 * spec.elem_bytes;
+                        steps = steps.min(chunk_run(rel, spec.byte_stride, half_page));
+                    }
+                    lanes.push(Lane {
+                        base: layout.addr(a.array, lin),
+                        stride: spec.byte_stride,
+                        write: a.write,
+                    });
+                }
+                b.push_loop(&lanes, steps, proc.compute);
+                i += steps;
+            }
+            // Odometer step over the outer dimensions.
+            let mut k = outer.len();
+            loop {
+                if k == 0 {
+                    return;
+                }
+                k -= 1;
+                if outer[k] < bbox[k].1 {
+                    outer[k] += 1;
+                    for (x, bb) in outer.iter_mut().zip(&bbox).skip(k + 1) {
+                        *x = bb.0;
+                    }
+                    break;
+                }
+                outer[k] = bbox[k].0;
+            }
         }
-    }
+    })
 }
 
 #[cfg(test)]

@@ -124,6 +124,47 @@ fn concurrent_mix_compiles_exactly() {
     check(&apps, &w, &suite_remapped_layout(&w));
 }
 
+/// Every suite process whose outer `rep` dimension no subscript reads
+/// stores one pass, run `rep`'s extent (`Scale::passes` of its base)
+/// times, at every scale that lengthens runs; a process that falls
+/// back to one stored pass fails here. The folded programs still
+/// decode to the reference stream.
+#[test]
+fn suite_processes_store_one_pass() {
+    for scale in [Scale::Paper, Scale::Large, Scale::Huge] {
+        let apps = suite::all(scale);
+        let w = Workload::concurrent(apps.clone()).unwrap();
+        let layout = Layout::linear(w.arrays());
+        let specs = apps.iter().flat_map(|app| &app.processes);
+        let mut repeated = 0;
+        for (p, spec) in w.process_ids().zip(specs) {
+            let dims = spec.space.dims();
+            let rep_unread = dims.len() >= 2
+                && spec
+                    .accesses
+                    .iter()
+                    .all(|a| a.map.outputs().iter().all(|e| e.coeff(dims[0].name()) == 0));
+            if !rep_unread {
+                continue;
+            }
+            let (lo, hi) = spec.space.bounding_box().unwrap()[0];
+            let prog = w.compile_trace(p, &layout);
+            assert_eq!(
+                prog.passes(),
+                (hi - lo + 1) as u64,
+                "{} at {scale}",
+                spec.name
+            );
+            repeated += 1;
+        }
+        // All but MxM's 18 processes, whose subscripts read every loop.
+        assert_eq!((repeated, w.num_processes()), (106, 124), "at {scale}");
+        if scale == Scale::Paper {
+            check(&apps, &w, &layout);
+        }
+    }
+}
+
 /// One process over `space` on a 64×64 array `A` and a 64-element `B`.
 fn one_process_app(space: IterSpace, accesses: Vec<AccessSpec>) -> AppSpec {
     let mut arrays = ArrayTable::new();
