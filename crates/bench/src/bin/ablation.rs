@@ -18,7 +18,7 @@
 //! [`Experiment::with_runner`]. Output is bit-identical for any
 //! `--threads N`.
 
-use lams_bench::{csv_table, parse_scale, parse_threads, parse_usize_flag};
+use lams_bench::{csv_table, flag};
 use lams_core::{
     execute, Experiment, LocalityPolicy, PolicyKind, RunResult, SharingMatrix, SweepRunner,
 };
@@ -28,9 +28,9 @@ use lams_workloads::{suite, Workload};
 
 fn main() {
     let args: Vec<String> = std::env::args().skip(1).collect();
-    let scale = parse_scale(&args);
-    let tasks = parse_usize_flag(&args, "--tasks", 4).clamp(1, 6);
-    let runner = SweepRunner::new(parse_threads(&args));
+    let scale = flag(&args, "--scale").unwrap_or_default();
+    let tasks = flag(&args, "--tasks").unwrap_or(4).clamp(1, 6);
+    let runner = SweepRunner::new(flag(&args, "--threads").unwrap_or(1));
     let machine = MachineConfig::paper_default();
     let workload = Workload::concurrent(suite::mix(tasks, scale)).expect("valid mix");
     let layout = Layout::linear(workload.arrays());

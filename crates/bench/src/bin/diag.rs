@@ -1,21 +1,16 @@
 //! Diagnostic: per-core schedules and idle accounting for one app under
 //! RS and LS. Development aid, not a paper artifact.
 
-use lams_bench::parse_scale;
+use lams_bench::{flag, flag_value};
 use lams_core::{Experiment, PolicyKind};
 use lams_mpsoc::MachineConfig;
 use lams_workloads::{suite, Workload};
 
 fn main() {
     let args: Vec<String> = std::env::args().skip(1).collect();
-    let scale = parse_scale(&args);
-    let name = args
-        .iter()
-        .position(|a| a == "--app")
-        .and_then(|i| args.get(i + 1))
-        .cloned()
-        .unwrap_or_else(|| "Usonic".into());
-    let app = suite::by_name(&name, scale).expect("known app");
+    let scale = flag(&args, "--scale").unwrap_or_default();
+    let name = flag_value(&args, "--app").unwrap_or("Usonic");
+    let app = suite::by_name(name, scale).expect("known app");
     let w = Workload::single(app.clone()).unwrap();
     let machine = MachineConfig::paper_default();
     let exp = Experiment::isolated(&app, machine);

@@ -17,20 +17,22 @@
 //! Prints a CSV block (one row per application x policy) followed by an
 //! ASCII bar chart shaped like the paper's figure.
 
-use lams_bench::{bar_chart, csv_table, parse_arrivals, parse_bus, parse_scale_or, parse_threads};
-use lams_core::{ArtifactCache, Experiment, PolicyKind, ScenarioMatrix, SweepRunner};
+use lams_bench::{bar_chart, csv_table, flag};
+use lams_core::{
+    ArrivalConfig, ArtifactCache, Experiment, PolicyKind, ScenarioMatrix, SweepRunner,
+};
 use lams_mpsoc::MachineConfig;
 use lams_workloads::{suite, Scale};
 
 fn main() {
     let args: Vec<String> = std::env::args().skip(1).collect();
-    let scale = parse_scale_or(&args, Scale::Large);
-    let runner = SweepRunner::new(parse_threads(&args));
+    let scale = flag(&args, "--scale").unwrap_or(Scale::Large);
+    let runner = SweepRunner::new(flag(&args, "--threads").unwrap_or(1));
     let mut machine = MachineConfig::paper_default();
-    if let Some(bus) = parse_bus(&args) {
+    if let Some(bus) = flag(&args, "--bus") {
         machine = machine.with_bus(bus);
     }
-    let arrivals = parse_arrivals(&args);
+    let arrivals: Option<ArrivalConfig> = flag(&args, "--arrivals");
 
     println!(
         "Figure 6 reproduction — isolated execution, scale {scale}, {machine}, {} thread(s)",
@@ -53,9 +55,9 @@ fn main() {
         matrix.push_all(&app.name, &exp, PolicyKind::ALL);
     }
     // One artifact memo across the whole matrix: jobs sharing a
-    // workload reuse compiled traces, sharing matrices and the LS
-    // pilot. CI asserts the `memo` line below reports a nonzero hit
-    // count on the Tiny smoke run.
+    // workload reuse compiled traces and the LS pilot. CI asserts the
+    // `memo` line below reports a nonzero hit count on the Tiny smoke
+    // run.
     let memo = ArtifactCache::shared();
     let reports = matrix
         .run_with_memo(&runner, &memo)

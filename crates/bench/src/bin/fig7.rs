@@ -16,20 +16,20 @@
 //! N workers with bit-identical output. Defaults to the `large` sweep
 //! scale.
 
-use lams_bench::{bar_chart, csv_table, parse_arrivals, parse_bus, parse_scale_or, parse_threads};
-use lams_core::{Experiment, PolicyKind, ScenarioMatrix, SweepRunner};
+use lams_bench::{bar_chart, csv_table, flag};
+use lams_core::{ArrivalConfig, Experiment, PolicyKind, ScenarioMatrix, SweepRunner};
 use lams_mpsoc::MachineConfig;
 use lams_workloads::{suite, Scale};
 
 fn main() {
     let args: Vec<String> = std::env::args().skip(1).collect();
-    let scale = parse_scale_or(&args, Scale::Large);
-    let runner = SweepRunner::new(parse_threads(&args));
+    let scale = flag(&args, "--scale").unwrap_or(Scale::Large);
+    let runner = SweepRunner::new(flag(&args, "--threads").unwrap_or(1));
     let mut machine = MachineConfig::paper_default();
-    if let Some(bus) = parse_bus(&args) {
+    if let Some(bus) = flag(&args, "--bus") {
         machine = machine.with_bus(bus);
     }
-    let arrivals = parse_arrivals(&args);
+    let arrivals: Option<ArrivalConfig> = flag(&args, "--arrivals");
 
     println!(
         "Figure 7 reproduction — concurrent execution, scale {scale}, {machine}, {} thread(s)",

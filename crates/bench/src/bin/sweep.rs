@@ -20,25 +20,23 @@
 //! `--threads N` fans the jobs across N workers with bit-identical
 //! output.
 
-use lams_bench::{
-    csv_table, parse_arrivals, parse_bus, parse_scale, parse_threads, parse_usize_flag,
-};
-use lams_core::{Experiment, PolicyKind, ScenarioMatrix, SweepRunner};
+use lams_bench::{csv_table, flag};
+use lams_core::{ArrivalConfig, Experiment, PolicyKind, ScenarioMatrix, SweepRunner};
 use lams_mpsoc::{BusConfig, CacheConfig, MachineConfig};
 use lams_workloads::suite;
 
 fn main() {
     let args: Vec<String> = std::env::args().skip(1).collect();
-    let scale = parse_scale(&args);
-    let tasks = parse_usize_flag(&args, "--tasks", 4).clamp(1, 6);
-    let runner = SweepRunner::new(parse_threads(&args));
+    let scale = flag(&args, "--scale").unwrap_or_default();
+    let tasks = flag(&args, "--tasks").unwrap_or(4).clamp(1, 6);
+    let runner = SweepRunner::new(flag(&args, "--threads").unwrap_or(1));
     let mix = suite::mix(tasks, scale);
     let mut base = MachineConfig::paper_default();
-    let bus = parse_bus(&args);
+    let bus: Option<BusConfig> = flag(&args, "--bus");
     if let Some(bus) = bus {
         base = base.with_bus(bus);
     }
-    let arrivals = parse_arrivals(&args);
+    let arrivals: Option<ArrivalConfig> = flag(&args, "--arrivals");
 
     println!(
         "Sensitivity sweep — |T|={tasks}, scale {scale} (baseline {base}), {} thread(s)",

@@ -10,14 +10,14 @@
 //! independent job fanned through a [`SweepRunner`]; rows print in
 //! Table 1 order for any `--threads N`.
 
-use lams_bench::{parse_scale, parse_threads};
+use lams_bench::flag;
 use lams_core::{SharingMatrix, SweepRunner};
 use lams_workloads::{suite, Workload};
 
 fn main() {
     let args: Vec<String> = std::env::args().skip(1).collect();
-    let scale = parse_scale(&args);
-    let runner = SweepRunner::new(parse_threads(&args));
+    let scale = flag(&args, "--scale").unwrap_or_default();
+    let runner = SweepRunner::new(flag(&args, "--threads").unwrap_or(1));
 
     println!("Table 1 reproduction — applications used in this study (scale {scale})");
     println!(

@@ -8,13 +8,13 @@
 //! Accepts `--threads` for interface uniformity with the other harness
 //! binaries, but runs no simulations — there is nothing to fan out.
 
-use lams_bench::parse_threads;
+use lams_bench::flag;
 use lams_core::Policy as _;
 use lams_mpsoc::{EnergyModel, MachineConfig};
 
 fn main() {
     let args: Vec<String> = std::env::args().skip(1).collect();
-    let _ = parse_threads(&args);
+    let _: Option<usize> = flag(&args, "--threads");
     let m = MachineConfig::paper_default();
     let e = EnergyModel::embedded_default();
 

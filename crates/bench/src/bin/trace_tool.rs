@@ -27,18 +27,18 @@
 //! (exit 1) — always a contextful one-line message on stderr, never a
 //! panic backtrace.
 
+use std::fmt::Display;
 use std::process::exit;
+use std::str::FromStr;
+use std::sync::Arc;
 
-use lams_core::{
-    execute, execute_bundle, LocalityPolicy, Policy, RandomPolicy, RoundRobinPolicy, RunResult,
-    SharingMatrix,
-};
+use lams_core::{execute, execute_bundle, Policy, PolicyKind, RunResult, SharingMatrix};
 use lams_layout::Layout;
 use lams_mpsoc::MachineConfig;
 use lams_trace::TraceBundle;
-use lams_workloads::{suite, Workload};
+use lams_workloads::{suite, Scale, Workload};
 
-use lams_bench::scale_from_str;
+use lams_bench::{flag_value, try_flag};
 
 /// A failed subcommand: usage errors reprint the usage text and exit 2,
 /// runtime errors exit 1. Both print `error: <context>` on stderr.
@@ -67,44 +67,28 @@ const USAGE: &str = "usage: trace_tool <record|replay|run|inspect|stats> ...\n\
                      inspect FILE [--proc I] [--limit N]\n\
                      stats   FILE";
 
-fn flag<'a>(args: &'a [String], name: &str) -> Option<&'a str> {
-    args.iter()
-        .position(|a| a == name)
-        .and_then(|i| args.get(i + 1))
-        .map(String::as_str)
-}
-
-/// `--name N` as a number: the default when absent, a usage error when
-/// present but malformed (a typo must not silently run the default).
-fn num_flag<T: std::str::FromStr>(args: &[String], name: &str, default: T) -> CliResult<T> {
-    match flag(args, name) {
-        None => Ok(default),
-        Some(v) => v
-            .parse()
-            .map_err(|_| CliError::usage(format!("{name} expects a number, got '{v}'"))),
-    }
+/// `--name VALUE` parsed as a `T`: the default when absent, a usage
+/// error when present but malformed (a typo must not silently run the
+/// default).
+fn parsed_flag<T: FromStr>(args: &[String], name: &str, default: T) -> CliResult<T>
+where
+    T::Err: Display,
+{
+    Ok(try_flag(args, name)
+        .map_err(CliError::usage)?
+        .unwrap_or(default))
 }
 
 /// The workload named by `--app`/`--mix` at `--scale`.
 fn workload_from_args(args: &[String]) -> CliResult<Workload> {
-    let scale = match flag(args, "--scale") {
-        None => lams_workloads::Scale::Small,
-        Some(v) => scale_from_str(v).ok_or_else(|| {
-            CliError::usage(format!(
-                "unknown --scale '{v}' (expected tiny|small|paper|large|huge)"
-            ))
-        })?,
-    };
-    if let Some(name) = flag(args, "--app") {
+    let scale = parsed_flag(args, "--scale", Scale::Small)?;
+    if let Some(name) = flag_value(args, "--app") {
         let app = suite::by_name(name, scale)
             .ok_or_else(|| CliError::usage(format!("unknown --app '{name}'")))?;
         return Workload::single(app)
             .map_err(|e| CliError::runtime(format!("building workload '{name}': {e}")));
     }
-    if let Some(t) = flag(args, "--mix") {
-        let t: usize = t
-            .parse()
-            .map_err(|_| CliError::usage(format!("--mix expects a number, got '{t}'")))?;
+    if let Some(t) = try_flag::<usize>(args, "--mix").map_err(CliError::usage)? {
         if !(1..=suite::NAMES.len()).contains(&t) {
             return Err(CliError::usage(format!(
                 "--mix must be in 1..={}, got {t}",
@@ -118,7 +102,7 @@ fn workload_from_args(args: &[String]) -> CliResult<Workload> {
 }
 
 fn machine_from_args(args: &[String]) -> CliResult<MachineConfig> {
-    let cores = num_flag(args, "--cores", 8usize)?;
+    let cores = parsed_flag(args, "--cores", 8usize)?;
     if cores == 0 {
         return Err(CliError::usage("--cores must be at least 1"));
     }
@@ -128,19 +112,21 @@ fn machine_from_args(args: &[String]) -> CliResult<MachineConfig> {
 /// Builds the requested policy; `sharing` supplies LS's matrix (from
 /// the workload when running directly, from the bundle when replaying —
 /// identical for recorded bundles, see `SharingMatrix::from_bundle`).
+/// LSM is refused: a trace has no symbolic arrays to re-layout.
 fn policy_from_args(
     args: &[String],
     sharing: impl FnOnce() -> SharingMatrix,
 ) -> CliResult<Box<dyn Policy>> {
-    let cores = num_flag(args, "--cores", 8usize)?.max(1);
-    let seed = num_flag(args, "--seed", 12_345u64)?;
-    let quantum = num_flag(args, "--quantum", 50_000u64)?;
-    match flag(args, "--policy").unwrap_or("ls") {
-        "rs" => Ok(Box::new(RandomPolicy::new(seed))),
-        "rrs" => Ok(Box::new(RoundRobinPolicy::new(quantum))),
-        "ls" => Ok(Box::new(LocalityPolicy::new(sharing(), cores))),
-        p => Err(CliError::usage(format!(
-            "unknown --policy '{p}' (expected rs|rrs|ls)"
+    let cores = parsed_flag(args, "--cores", 8usize)?.max(1);
+    let seed = parsed_flag(args, "--seed", 12_345u64)?;
+    let quantum = parsed_flag(args, "--quantum", 50_000u64)?;
+    let name = flag_value(args, "--policy").unwrap_or("ls");
+    match name.parse::<PolicyKind>() {
+        Ok(kind) if kind != PolicyKind::LocalityMap => {
+            Ok(kind.scheduler(seed, quantum, cores, || Arc::new(sharing())))
+        }
+        _ => Err(CliError::usage(format!(
+            "unknown --policy '{name}' (expected rs|rrs|ls)"
         ))),
     }
 }
@@ -188,7 +174,7 @@ fn path_arg<'a>(args: &'a [String], cmd: &str) -> CliResult<&'a str> {
 fn cmd_record(rest: &[String]) -> CliResult<()> {
     let w = workload_from_args(rest)?;
     let layout = Layout::linear(w.arrays());
-    let out = flag(rest, "--out").unwrap_or("trace.ltr");
+    let out = flag_value(rest, "--out").unwrap_or("trace.ltr");
     let bundle = w.record(&layout);
     let bytes = bundle.to_bytes();
     std::fs::write(out, &bytes).map_err(|e| CliError::runtime(format!("writing {out}: {e}")))?;
@@ -229,14 +215,8 @@ fn cmd_run(rest: &[String]) -> CliResult<()> {
 fn cmd_inspect(rest: &[String]) -> CliResult<()> {
     let path = path_arg(rest, "inspect")?;
     let bundle = read_bundle(path)?;
-    let limit: u64 = num_flag(rest, "--limit", 64u64)?;
-    let only: Option<usize> =
-        match flag(rest, "--proc") {
-            None => None,
-            Some(v) => Some(v.parse().map_err(|_| {
-                CliError::usage(format!("--proc expects a process index, got '{v}'"))
-            })?),
-        };
+    let limit: u64 = parsed_flag(rest, "--limit", 64u64)?;
+    let only: Option<usize> = try_flag(rest, "--proc").map_err(CliError::usage)?;
     if let Some(p) = only {
         if p >= bundle.records.len() {
             return Err(CliError::runtime(format!(

@@ -17,8 +17,5 @@
 pub mod args;
 pub mod render;
 
-pub use args::{
-    parse_arrivals, parse_bus, parse_scale, parse_scale_or, parse_threads, parse_usize_flag,
-    scale_from_str,
-};
+pub use args::{flag, flag_value, try_flag};
 pub use render::{bar_chart, csv_table};

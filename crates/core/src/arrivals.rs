@@ -109,20 +109,24 @@ impl ArrivalConfig {
         self.shape = shape;
         self
     }
+}
+
+impl std::str::FromStr for ArrivalConfig {
+    type Err = String;
 
     /// Parses the CLI / service syntax
     /// `SHAPE:LOAD:SEED[:QCAP]`, e.g. `poisson:0.8:7` or
-    /// `burst:1.25:42:256`. `LOAD` is a decimal load factor (rounded to
-    /// thousandths), `SEED` the generator seed, and the optional `QCAP`
-    /// the ready-queue bound.
+    /// `burst:1.25:42:256` (the shape name in any case). `LOAD` is a
+    /// decimal load factor (rounded to thousandths), `SEED` the
+    /// generator seed, and the optional `QCAP` the ready-queue bound.
     ///
     /// # Errors
     ///
     /// Returns a human-readable message for unknown shapes, malformed
     /// numbers, non-positive loads, or trailing fields.
-    pub fn parse(s: &str) -> std::result::Result<ArrivalConfig, String> {
+    fn from_str(s: &str) -> std::result::Result<ArrivalConfig, String> {
         let mut parts = s.split(':');
-        let shape = match parts.next() {
+        let shape = match parts.next().map(str::to_ascii_lowercase).as_deref() {
             Some("poisson") => ArrivalShape::Poisson,
             Some("burst") => ArrivalShape::Burst,
             Some("diurnal") => ArrivalShape::Diurnal,
@@ -190,7 +194,7 @@ impl std::fmt::Display for ArrivalConfig {
     }
 }
 
-/// splitmix64 — the same generator `lams_core::sweep` uses for fault
+/// splitmix64 — the same generator `lams_serve::fault` uses for fault
 /// seeding: passes practical randomness tests, two lines of code, and
 /// bit-stable forever.
 fn splitmix64(state: &mut u64) -> u64 {
@@ -541,9 +545,10 @@ mod tests {
 
     #[test]
     fn parse_round_trips_and_rejects_garbage() {
-        let c = ArrivalConfig::parse("poisson:0.8:7").unwrap();
+        let c: ArrivalConfig = "poisson:0.8:7".parse().unwrap();
         assert_eq!(c, ArrivalConfig::poisson(800, 7));
-        let c = ArrivalConfig::parse("burst:1.25:42:256").unwrap();
+        assert_eq!("Poisson:0.8:7".parse(), Ok(c));
+        let c: ArrivalConfig = "burst:1.25:42:256".parse().unwrap();
         assert_eq!(c.shape, ArrivalShape::Burst);
         assert_eq!(c.load_milli, 1250);
         assert_eq!(c.queue_capacity, Some(256));
@@ -560,7 +565,7 @@ mod tests {
             "poisson:0.8:7:1:extra",
             "warp:0.8:7",
         ] {
-            assert!(ArrivalConfig::parse(bad).is_err(), "accepted {bad:?}");
+            assert!(bad.parse::<ArrivalConfig>().is_err(), "accepted {bad:?}");
         }
     }
 

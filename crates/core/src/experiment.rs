@@ -1,7 +1,7 @@
 //! The paper's experimental harness: isolated and concurrent runs under
 //! the four schedulers, including the LSM data-mapping phase.
 
-use std::sync::Arc;
+use std::sync::{Arc, OnceLock};
 
 use lams_layout::{relayout_pass, AdjacentArrays, ConflictMatrix, Layout, RemapAssignment};
 use lams_mpsoc::MachineConfig;
@@ -13,8 +13,8 @@ use crate::memo::ArtifactCache;
 use crate::report::ComparisonReport;
 use crate::round_robin::DEFAULT_QUANTUM;
 use crate::{
-    execute_cached, EngineConfig, LocalityPolicy, PolicyKind, RandomPolicy, Result,
-    RoundRobinPolicy, RunResult, ScenarioMatrix, SweepRunner,
+    execute_cached, EngineConfig, PolicyKind, Result, RunResult, ScenarioMatrix, SharingMatrix,
+    SweepRunner,
 };
 
 /// What the LSM data-mapping phase decided (kept for inspection).
@@ -190,6 +190,7 @@ impl Experiment {
     /// [`crate::sweep`] uses to share one [`ArtifactCache`] across a
     /// whole matrix.
     pub(crate) fn run_memo(&self, kind: PolicyKind, memo: &ArtifactCache) -> Result<RunResult> {
+        let sharing = || Arc::new(SharingMatrix::from_workload(&self.workload));
         match kind {
             PolicyKind::LocalityMap => Ok(self.run_lsm_memo(self.runner, memo)?.0),
             // The plain LS run *is* the LSM pilot (LS on the linear
@@ -199,11 +200,11 @@ impl Experiment {
             // read or fill it — it runs the engine directly instead,
             // through the arm the other policies take.
             PolicyKind::Locality if self.arrivals.is_none() => {
-                Ok(self.pilot(memo)?.as_ref().clone())
+                Ok(self.pilot(memo, sharing)?.as_ref().clone())
             }
             _ => {
                 let layout = Layout::linear(self.workload.arrays());
-                self.run_with_layout(kind, &layout, memo)
+                self.run_with_layout(kind, &layout, memo, sharing)
             }
         }
     }
@@ -212,10 +213,14 @@ impl Experiment {
     /// (workload, machine). Shared between the LS policy result and
     /// phase 1 of every LSM run — neither depends on the RRS quantum,
     /// the RS seed or the relayout threshold, so the key is exact.
-    fn pilot(&self, memo: &ArtifactCache) -> Result<Arc<RunResult>> {
+    fn pilot(
+        &self,
+        memo: &ArtifactCache,
+        sharing: impl Fn() -> Arc<SharingMatrix>,
+    ) -> Result<Arc<RunResult>> {
         // The pilot *is* the linear-layout LS result: same slot, same
         // deadline check.
-        self.ls_cached(&Layout::linear(self.workload.arrays()), memo)
+        self.ls_cached(&Layout::linear(self.workload.arrays()), memo, sharing)
     }
 
     /// An LS run against an arbitrary (candidate) layout, served from
@@ -225,9 +230,15 @@ impl Experiment {
     /// reuses that run's full result (per-process hit/miss summaries
     /// included) instead of re-simulating. Sound because LS runs are
     /// quantum/seed-free and depend only on (workload, machine,
-    /// compiled programs); see [`ArtifactCache::ls_result`].
-    fn ls_cached(&self, layout: &Layout, memo: &ArtifactCache) -> Result<Arc<RunResult>> {
-        let run = || self.run_with_layout(PolicyKind::LocalityMap, layout, memo);
+    /// compiled programs); see [`ArtifactCache::ls_result`]. `sharing`
+    /// is called only when the run is simulated.
+    fn ls_cached(
+        &self,
+        layout: &Layout,
+        memo: &ArtifactCache,
+        sharing: impl Fn() -> Arc<SharingMatrix>,
+    ) -> Result<Arc<RunResult>> {
+        let run = || self.run_with_layout(PolicyKind::LocalityMap, layout, memo, &sharing);
         let served = memo.ls_result(&self.workload, &self.machine, layout, run)?;
         // The deadline is outside the slot key (errors are never cached
         // and runs that fit are bit-identical to unbudgeted ones), so a
@@ -240,30 +251,21 @@ impl Experiment {
         }
     }
 
+    /// One engine run of `kind` on `layout`; `sharing` supplies the
+    /// matrix LS and LSM schedule by.
     fn run_with_layout(
         &self,
         kind: PolicyKind,
         layout: &Layout,
         memo: &ArtifactCache,
+        sharing: impl Fn() -> Arc<SharingMatrix>,
     ) -> Result<RunResult> {
         let mut cfg = EngineConfig::from(self.machine);
         cfg.max_cycles = self.deadline_cycles;
         cfg.arrivals = self.arrivals;
-        match kind {
-            PolicyKind::Random => {
-                let mut p = RandomPolicy::new(self.seed);
-                execute_cached(&self.workload, layout, &mut p, cfg, memo)
-            }
-            PolicyKind::RoundRobin => {
-                let mut p = RoundRobinPolicy::new(self.quantum);
-                execute_cached(&self.workload, layout, &mut p, cfg, memo)
-            }
-            PolicyKind::Locality | PolicyKind::LocalityMap => {
-                let sharing = memo.sharing(&self.workload);
-                let mut p = LocalityPolicy::new(sharing, self.machine.num_cores);
-                execute_cached(&self.workload, layout, &mut p, cfg, memo)
-            }
-        }
+        let cores = self.machine.num_cores;
+        let mut policy = kind.scheduler(self.seed, self.quantum, cores, sharing);
+        execute_cached(&self.workload, layout, policy.as_mut(), cfg, memo)
     }
 
     /// Runs LSM and additionally returns the data-mapping artifacts.
@@ -278,13 +280,29 @@ impl Experiment {
     /// The LSM orchestration proper, against an explicit runner (lets
     /// [`crate::sweep`] force the inner fan-out sequential when the
     /// enclosing matrix already occupies the cores) and memo. The
-    /// pilot, the sharing matrix and every compiled program set are
-    /// served from `memo`, so the candidate ladder pays only for the
-    /// simulations of *new* layouts.
+    /// pilot and every compiled program set are served from `memo`, so
+    /// the candidate ladder pays only for the simulations of *new*
+    /// layouts. Those share one sharing matrix, built when the first of
+    /// them needs it and dropped when the run returns.
     pub(crate) fn run_lsm_memo(
         &self,
         runner: SweepRunner,
         memo: &ArtifactCache,
+    ) -> Result<(RunResult, LsmArtifacts)> {
+        let matrix = OnceLock::new();
+        let sharing = || {
+            let build = || Arc::new(SharingMatrix::from_workload(&self.workload));
+            Arc::clone(matrix.get_or_init(build))
+        };
+        self.lsm(runner, memo, &sharing)
+    }
+
+    /// [`Experiment::run_lsm_memo`] with the run's one `sharing` matrix.
+    fn lsm(
+        &self,
+        runner: SweepRunner,
+        memo: &ArtifactCache,
+        sharing: &(impl Fn() -> Arc<SharingMatrix> + Sync),
     ) -> Result<(RunResult, LsmArtifacts)> {
         // Open system: the data-mapping decision is compile-time — run
         // the whole candidate ladder on the *batch* variant of this
@@ -296,20 +314,20 @@ impl Experiment {
         if self.arrivals.is_some() {
             let mut batch = self.clone();
             batch.arrivals = None;
-            let (_, art) = batch.run_lsm_memo(runner, memo)?;
+            let (_, art) = batch.lsm(runner, memo, sharing)?;
             let layout = if art.assignment.is_empty() {
                 Layout::linear(self.workload.arrays())
             } else {
                 Layout::remapped(self.workload.arrays(), &self.machine.cache, &art.assignment)
             };
-            let result = self.run_with_layout(PolicyKind::LocalityMap, &layout, memo)?;
+            let result = self.run_with_layout(PolicyKind::LocalityMap, &layout, memo, sharing)?;
             return Ok((result, art));
         }
 
         // Phase 1: LS schedule on the plain layout — memoized per
         // (workload, machine), shared with the plain LS policy run.
         let linear = Layout::linear(self.workload.arrays());
-        let pilot = self.pilot(memo)?;
+        let pilot = self.pilot(memo, sharing)?;
 
         // Half-page fit guard: the Figure 4 transform confines an array to
         // half of the cache sets, which only helps when the slices
@@ -463,23 +481,6 @@ impl Experiment {
         // sweep runner. Selection scans results in enumeration order
         // with a strict `<`, so the chosen mapping is identical to the
         // old serial double loop for any thread count.
-        // Arrays no process touches cannot change any trace address, so
-        // remapping them is unobservable: drop them from candidate
-        // assignments, and a candidate left empty remaps nothing the
-        // workload can see — it would re-simulate the pilot schedule
-        // exactly, so it falls through to the pilot result instead of
-        // burning a simulation. With the adjacency relations built
-        // above this filter is an invariant guard (they only ever
-        // contain arrays from process data sets, which are touched by
-        // definition); it becomes load-bearing the moment a wider
-        // adjacency source — user-supplied relations, whole-table
-        // heuristics — feeds the ladder.
-        let mut touched = vec![false; self.workload.arrays().len()];
-        for p in self.workload.process_ids() {
-            for a in self.workload.arrays_of(p) {
-                touched[a.as_usize()] = true;
-            }
-        }
         let mut seen = std::collections::BTreeSet::new();
         let adjacency_candidates: Vec<&AdjacentArrays> = [&adjacency, &adjacency_same]
             .into_iter()
@@ -488,13 +489,7 @@ impl Experiment {
         let mut cands: Vec<(RemapAssignment, Layout)> = Vec::new();
         for adj in adjacency_candidates {
             for &t in &candidates {
-                let raw = relayout_pass(&conflicts, adj, Some(t));
-                let mut assignment = RemapAssignment::new();
-                for (a, h) in raw.iter() {
-                    if touched[a.as_usize()] {
-                        assignment.assign(a, h);
-                    }
-                }
+                let assignment = relayout_pass(&conflicts, adj, Some(t));
                 if assignment.is_empty() {
                     // Remaps nothing observable: the pilot already is
                     // this candidate's result.
@@ -518,7 +513,7 @@ impl Experiment {
         // simulation is skipped when the candidate's delta key matches
         // an LS result already in the memo.
         let results = runner.run(cands.len(), |i| {
-            self.ls_cached(&cands[i].1, memo)
+            self.ls_cached(&cands[i].1, memo, sharing)
                 .map(|r| r.as_ref().clone())
         });
         let mut best: Option<(RunResult, RemapAssignment)> = None;

@@ -34,8 +34,9 @@
 //!   and [`SweepRunner`] executes them across scoped threads with
 //!   results bit-identical to sequential execution,
 //! * [`memo`] — the [`ArtifactCache`]: an `Arc`-shared memo (one map
-//!   under one mutex) of compiled trace programs, sharing matrices and
-//!   Locality pilot runs keyed on content fingerprints, so policy-dense
+//!   under one mutex) of three kinds — compiled trace program sets,
+//!   per-process programs and Locality (pilot) runs — keyed on content
+//!   fingerprints, so policy-dense
 //!   matrices and the LSM candidate ladder pay for each shared artifact once
 //!   (results stay bit-identical to the uncached path).
 //!

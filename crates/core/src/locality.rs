@@ -31,8 +31,9 @@ use crate::{Policy, SharingMatrix};
 /// paper.
 #[derive(Debug, Clone)]
 pub struct LocalityPolicy {
-    /// Shared, not owned: sweeps construct one LS policy per job from a
-    /// memoized matrix ([`crate::memo::ArtifactCache::sharing`]), so the
+    /// Shared, not owned: an LSM run hands one matrix to its pilot and
+    /// every ladder candidate
+    /// ([`PolicyKind::scheduler`](crate::PolicyKind::scheduler)), so the
     /// policy borrows it via `Arc` instead of cloning O(n²) data.
     sharing: Arc<SharingMatrix>,
     num_cores: usize,

@@ -4,13 +4,13 @@
 //! alone runs a pilot plus a whole ladder of candidate layouts, and a
 //! [`ScenarioMatrix`](crate::ScenarioMatrix) multiplies that across
 //! policies and knobs. Before this module, every one of those runs
-//! recompiled the trace IR ([`Workload::compile_traces`]) and rebuilt
-//! the [`SharingMatrix`] and Locality pilot from scratch, even though
-//! those artifacts depend only on the workload (and machine), not on
-//! the policy or knob under test.
+//! recompiled the trace IR ([`Workload::compile_traces`]) and re-ran
+//! the Locality pilot from scratch, even though those artifacts depend
+//! only on the workload (and machine), not on the policy or knob under
+//! test.
 //!
 //! [`ArtifactCache`] is an `Arc`-shared memo: one map under one lock
-//! from a kind-tagged key to an artifact, holding four kinds of entry:
+//! from a kind-tagged key to an artifact, holding three kinds of entry:
 //!
 //! * **compiled trace program sets**, keyed on `(workload fingerprint,
 //!   delta key)` where the delta key
@@ -24,8 +24,6 @@
 //!   process, so a candidate layout that remaps arrays a process never
 //!   touches reuses that process's pilot-compiled
 //!   [`Program`] verbatim;
-//! * **sharing matrices**, keyed on the workload fingerprint — consumed
-//!   by every Locality/LSM policy construction;
 //! * **LS results**, keyed on `(workload, machine ⊕ layout delta key)`
 //!   — the Locality schedule on a given layout. The linear-layout entry
 //!   is the classic *pilot* (simultaneously the LS result of a policy
@@ -34,8 +32,10 @@
 //!   whose effective layout it (or a sibling job) has already run.
 //!
 //! Each kind earns its slot by a measured end-to-end effect, recorded
-//! in `docs/memoization.md`; a workload's total trace-op count, cheap to
-//! sum, is read directly and not memoized.
+//! in `docs/memoization.md`. A workload's total trace-op count, cheap to
+//! sum, is read directly and not memoized; nor is its
+//! [`SharingMatrix`](crate::SharingMatrix), which an LS or LSM run
+//! builds once, only when no LS result is cached for it.
 //!
 //! # Sharing semantics
 //!
@@ -80,24 +80,23 @@ use lams_trace::Program;
 use lams_workloads::Workload;
 
 use crate::replacement::{EvictionPolicy, Sieve};
-use crate::{Result, RunResult, SharingMatrix};
+use crate::{Result, RunResult};
 
-/// The four artifact kinds; the discriminant indexes
+/// The three artifact kinds; the discriminant indexes
 /// [`Table::lookups`].
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 enum Kind {
     Program,
     ProcProgram,
-    Sharing,
     Pilot,
 }
 
-/// The key of one cache entry, uniform across the four artifact kinds
+/// The key of one cache entry, uniform across the three artifact kinds
 /// so one map and one replacement order span the whole cache (a pilot
 /// can evict a program set and vice versa — total occupancy is what a
 /// server budgets, not per-kind occupancy). The kind tag keeps kinds
-/// that key on the same fingerprint (a workload's program sets, sharing
-/// matrix and LS results) apart.
+/// that key on the same fingerprint (a workload's program sets and LS
+/// results) apart.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 struct SlotKey {
     kind: Kind,
@@ -105,22 +104,12 @@ struct SlotKey {
     b: Fingerprint,
 }
 
-impl SlotKey {
-    /// A key over one fingerprint (the kinds that depend on the
-    /// workload alone).
-    fn single(kind: Kind, a: Fingerprint) -> Self {
-        let b = Fingerprint(0, 0);
-        SlotKey { kind, a, b }
-    }
-}
-
-/// One cached value: a small enum over the four value types, every
+/// One cached value: a small enum over the three value types, every
 /// variant a cheap clone (an `Arc`).
 #[derive(Clone)]
 enum Artifact {
     Programs(Arc<[Arc<Program>]>),
     ProcProgram(Arc<Program>),
-    Sharing(Arc<SharingMatrix>),
     LsResult(Arc<RunResult>),
 }
 
@@ -138,10 +127,6 @@ pub struct MemoStats {
     pub per_process_hits: u64,
     /// Per-process compiled-program lookups that had to compile.
     pub per_process_misses: u64,
-    /// Sharing-matrix lookups served from the cache.
-    pub sharing_hits: u64,
-    /// Sharing-matrix lookups that had to compute.
-    pub sharing_misses: u64,
     /// LS-result lookups (pilot and candidate layouts) served from the
     /// cache.
     pub pilot_hits: u64,
@@ -150,7 +135,7 @@ pub struct MemoStats {
     /// Entries evicted to stay within a bounded cache's capacity
     /// (always 0 for unbounded and disabled caches).
     pub evictions: u64,
-    /// Entries currently resident, across all four artifact kinds.
+    /// Entries currently resident, across all three artifact kinds.
     pub occupancy_entries: u64,
     /// The configured capacity; `None` for unbounded (and disabled)
     /// caches.
@@ -160,12 +145,12 @@ pub struct MemoStats {
 impl MemoStats {
     /// Total lookups served from the cache.
     pub fn hits(&self) -> u64 {
-        self.program_hits + self.per_process_hits + self.sharing_hits + self.pilot_hits
+        self.program_hits + self.per_process_hits + self.pilot_hits
     }
 
     /// Total lookups that had to compute the artifact.
     pub fn misses(&self) -> u64 {
-        self.program_misses + self.per_process_misses + self.sharing_misses + self.pilot_misses
+        self.program_misses + self.per_process_misses + self.pilot_misses
     }
 
     /// `hits / (hits + misses)`; 0 when nothing was looked up.
@@ -183,7 +168,7 @@ impl fmt::Display for MemoStats {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         write!(
             f,
-            "{} hits / {} misses ({:.1}% hit rate; programs {}/{}, per-process {}/{}, sharing {}/{}, ls-results {}/{})",
+            "{} hits / {} misses ({:.1}% hit rate; programs {}/{}, per-process {}/{}, ls-results {}/{})",
             self.hits(),
             self.misses(),
             self.hit_rate() * 100.0,
@@ -191,8 +176,6 @@ impl fmt::Display for MemoStats {
             self.program_misses,
             self.per_process_hits,
             self.per_process_misses,
-            self.sharing_hits,
-            self.sharing_misses,
             self.pilot_hits,
             self.pilot_misses,
         )?;
@@ -227,7 +210,7 @@ pub struct ArtifactCache {
 /// counters [`ArtifactCache::stats`] reports, so a snapshot is always
 /// coherent and occupancy never exceeds capacity.
 struct Table {
-    /// Maximum resident entries across all four kinds; `None` is
+    /// Maximum resident entries across all three kinds; `None` is
     /// unbounded (the batch-sweep default) and never evicts.
     capacity: Option<usize>,
     slots: Sieve<SlotKey, Artifact>,
@@ -283,7 +266,7 @@ impl ArtifactCache {
     }
 
     /// A fresh enabled cache bounded to at most `capacity_entries`
-    /// resident entries (across all four artifact kinds), evicting in
+    /// resident entries (across all three artifact kinds), evicting in
     /// SIEVE order. Capacity 0 stores nothing (every lookup recomputes
     /// but counters still move); capacity 1 holds exactly one entry.
     ///
@@ -406,7 +389,7 @@ impl ArtifactCache {
     /// of the layout beyond the touched arrays' placement (plus the
     /// chunk size when one of them is remapped), so equal keys imply a
     /// byte-identical [`Program`]. First-writer-wins and bounded
-    /// eviction behave exactly as for the other three slot kinds.
+    /// eviction behave exactly as for the other two slot kinds.
     fn proc_program(
         &self,
         workload: &Workload,
@@ -425,18 +408,6 @@ impl ArtifactCache {
             unreachable!("a ProcProgram key holds one program")
         };
         program
-    }
-
-    /// The workload's [`SharingMatrix`], computed on first use.
-    pub fn sharing(&self, workload: &Workload) -> Arc<SharingMatrix> {
-        let matrix = self.get_or_compute(
-            || SlotKey::single(Kind::Sharing, workload.fingerprint()),
-            || Artifact::Sharing(Arc::new(SharingMatrix::from_workload(workload))),
-        );
-        let Artifact::Sharing(matrix) = matrix else {
-            unreachable!("a Sharing key holds a sharing matrix")
-        };
-        matrix
     }
 
     /// The LS run of `workload` against an arbitrary `layout` on
@@ -505,8 +476,6 @@ impl ArtifactCache {
             program_misses: c(Kind::Program, 1),
             per_process_hits: c(Kind::ProcProgram, 0),
             per_process_misses: c(Kind::ProcProgram, 1),
-            sharing_hits: c(Kind::Sharing, 0),
-            sharing_misses: c(Kind::Sharing, 1),
             pilot_hits: c(Kind::Pilot, 0),
             pilot_misses: c(Kind::Pilot, 1),
             evictions: table.evictions,
@@ -580,13 +549,9 @@ mod tests {
     }
 
     #[test]
-    fn sharing_and_ls_results_memoize_per_workload() {
+    fn ls_results_memoize_per_workload() {
         let memo = ArtifactCache::new();
         let w = workload();
-        let s1 = memo.sharing(&w);
-        let s2 = memo.sharing(&w);
-        assert!(Arc::ptr_eq(&s1, &s2));
-        assert_eq!(*s1, SharingMatrix::from_workload(&w));
         let (machine, linear) = (MachineConfig::paper_default(), Layout::linear(w.arrays()));
         let r1 = memo
             .ls_result(&w, &machine, &linear, || ls_run(&w))
@@ -597,7 +562,6 @@ mod tests {
         assert!(Arc::ptr_eq(&r1, &r2));
         assert_eq!(r1.makespan_cycles, ls_run(&w).unwrap().makespan_cycles);
         let s = memo.stats();
-        assert_eq!((s.sharing_hits, s.sharing_misses), (1, 1));
         assert_eq!((s.pilot_hits, s.pilot_misses), (1, 1));
     }
 
@@ -609,7 +573,6 @@ mod tests {
         let a = memo.programs(&w, &layout);
         let b = memo.programs(&w, &layout);
         assert!(!Arc::ptr_eq(&a, &b), "disabled cache must recompute");
-        memo.sharing(&w);
         let machine = MachineConfig::paper_default();
         memo.ls_result(&w, &machine, &layout, || ls_run(&w))
             .unwrap();

@@ -1,9 +1,12 @@
 //! The scheduling-policy abstraction shared by the four schedulers.
 
 use std::fmt;
+use std::sync::Arc;
 
 use lams_mpsoc::CoreId;
 use lams_procgraph::ProcessId;
+
+use crate::{LocalityPolicy, RandomPolicy, RoundRobinPolicy, SharingMatrix};
 
 /// A process scheduling policy, driven by the engine ([`crate::execute`]).
 ///
@@ -101,11 +104,49 @@ impl PolicyKind {
             PolicyKind::LocalityMap => "LSM",
         }
     }
+
+    /// The scheduler of this kind on a `cores`-core machine: RS draws
+    /// from `seed`, RRS preempts every `quantum` cycles, and LS and LSM
+    /// schedule by the matrix `sharing` builds, called only for them.
+    /// LSM schedules as LS; its data mapping is the layout the caller
+    /// runs it on ([`Experiment`](crate::Experiment)).
+    ///
+    /// # Panics
+    ///
+    /// Panics for RRS when `quantum` is 0.
+    pub fn scheduler(
+        self,
+        seed: u64,
+        quantum: u64,
+        cores: usize,
+        sharing: impl FnOnce() -> Arc<SharingMatrix>,
+    ) -> Box<dyn Policy> {
+        match self {
+            PolicyKind::Random => Box::new(RandomPolicy::new(seed)),
+            PolicyKind::RoundRobin => Box::new(RoundRobinPolicy::new(quantum)),
+            PolicyKind::Locality | PolicyKind::LocalityMap => {
+                Box::new(LocalityPolicy::new(sharing(), cores))
+            }
+        }
+    }
 }
 
 impl fmt::Display for PolicyKind {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         f.write_str(self.abbrev())
+    }
+}
+
+impl std::str::FromStr for PolicyKind {
+    type Err = String;
+
+    /// Parses an abbreviation (`rs`, `rrs`, `ls`, `lsm`) in any case.
+    fn from_str(s: &str) -> std::result::Result<Self, String> {
+        PolicyKind::ALL
+            .iter()
+            .copied()
+            .find(|k| k.abbrev().eq_ignore_ascii_case(s))
+            .ok_or_else(|| format!("unknown policy '{s}' (expected rs|rrs|ls|lsm)"))
     }
 }
 
@@ -120,5 +161,37 @@ mod tests {
         assert_eq!(PolicyKind::Locality.to_string(), "LS");
         assert_eq!(PolicyKind::LocalityMap.to_string(), "LSM");
         assert_eq!(PolicyKind::ALL.len(), 4);
+    }
+
+    #[test]
+    fn names_round_trip_in_any_case() {
+        for &k in PolicyKind::ALL {
+            let name = k.to_string();
+            assert_eq!(name.parse(), Ok(k));
+            assert_eq!(name.to_ascii_lowercase().parse(), Ok(k));
+        }
+        assert_eq!("Lsm".parse(), Ok(PolicyKind::LocalityMap));
+        assert!("warp9".parse::<PolicyKind>().is_err());
+    }
+
+    #[test]
+    fn scheduler_builds_the_matrix_only_for_locality_kinds() {
+        let matrix = || -> Arc<SharingMatrix> { panic!("RS and RRS never read a matrix") };
+        assert_eq!(PolicyKind::Random.scheduler(1, 5, 4, matrix).name(), "RS");
+        assert_eq!(
+            PolicyKind::RoundRobin.scheduler(1, 5, 4, matrix).name(),
+            "RRS"
+        );
+        let w = lams_workloads::Workload::single(lams_workloads::prog1()).unwrap();
+        let built = || Arc::new(SharingMatrix::from_workload(&w));
+        assert_eq!(PolicyKind::Locality.scheduler(1, 5, 4, built).name(), "LS");
+        assert_eq!(
+            PolicyKind::LocalityMap.scheduler(1, 5, 4, built).name(),
+            "LS"
+        );
+        assert_eq!(
+            PolicyKind::RoundRobin.scheduler(1, 5, 4, matrix).quantum(),
+            Some(5)
+        );
     }
 }

@@ -69,11 +69,16 @@ impl SharingMatrix {
         // Sorted, deduplicated footprint vectors: bundles can carry
         // millions of references per process, and a two-pointer merge
         // over contiguous memory beats tree-set intersection there.
+        // Every pass of a program replays the same blocks, so the first
+        // pass holds its whole footprint.
         let footprints: Vec<Vec<u64>> = bundle
             .records
             .iter()
             .map(|r| {
-                let mut addrs: Vec<u64> = r.program.iter().filter_map(|op| op.addr()).collect();
+                let pass_ops = r.program.len_ops() / r.program.passes().max(1);
+                let mut addrs: Vec<u64> = (r.program.iter().take(pass_ops as usize))
+                    .filter_map(|op| op.addr())
+                    .collect();
                 addrs.sort_unstable();
                 addrs.dedup();
                 addrs

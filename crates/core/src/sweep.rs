@@ -293,8 +293,8 @@ impl SweepJob {
     /// bit-identical either way (the ladder's selection is
     /// order-reassembled), so this is purely a scheduling choice.
     ///
-    /// Shared artifacts (compiled programs, sharing matrices, the
-    /// Locality pilot) are served from `memo`, which the enclosing
+    /// Shared artifacts (compiled programs, the Locality pilot) are
+    /// served from `memo`, which the enclosing
     /// matrix shares across all workers (first-writer-wins; see
     /// [`crate::memo`]).
     fn execute(&self, parallel_matrix: bool, memo: &ArtifactCache) -> Result<(RunResult, usize)> {
@@ -398,8 +398,8 @@ impl ScenarioMatrix {
     /// `crates/core/tests/sweep.rs`).
     ///
     /// One fresh [`ArtifactCache`] is threaded through every job, so
-    /// jobs sharing a workload pay for compiled traces, sharing
-    /// matrices and Locality pilots once across the whole matrix. Use
+    /// jobs sharing a workload pay for compiled traces and Locality
+    /// pilots once across the whole matrix. Use
     /// [`ScenarioMatrix::run_with_memo`] to supply (and afterwards
     /// inspect) the cache yourself.
     ///

@@ -209,3 +209,30 @@ fn concurrent_mix_replays_identically() {
     };
     assert_eq!(format!("{direct:?}"), format!("{replay:?}"));
 }
+
+#[test]
+fn bundle_sharing_reads_one_pass_and_matches_the_footprints() {
+    // `from_bundle` collects each program's addresses from its first
+    // pass only; at Paper scale programs store three passes or more, so
+    // a footprint that stopped short of a whole pass would show here.
+    let workloads = suite::all(Scale::Paper)
+        .into_iter()
+        .map(|app| Workload::single(app).unwrap())
+        .chain((1..=6).map(|t| Workload::concurrent(suite::mix(t, Scale::Paper)).unwrap()));
+    let mut repeated = 0;
+    for w in workloads {
+        let bundle = w.record(&Layout::linear(w.arrays()));
+        repeated += bundle
+            .records
+            .iter()
+            .filter(|r| r.program.passes() >= 3)
+            .count();
+        assert_eq!(
+            SharingMatrix::from_bundle(&bundle),
+            SharingMatrix::from_workload(&w),
+            "{}",
+            w.name()
+        );
+    }
+    assert!(repeated > 0, "no Paper-scale program stores several passes");
+}

@@ -1,7 +1,7 @@
 //! Content fingerprints: 128-bit structural hashes used as memo keys.
 //!
 //! The sweep subsystem memoizes expensive artifacts (compiled trace
-//! programs, sharing matrices, pilot runs) across jobs. Memo keys must
+//! programs, pilot runs) across jobs. Memo keys must
 //! be **content** fingerprints — two workloads or layouts that describe
 //! the same simulation must key to the same slot no matter how they were
 //! constructed, and any structural difference must (with overwhelming

@@ -65,7 +65,6 @@ pub mod server;
 pub use fault::{Fault, FaultPlan};
 pub use pool::{execute_work, PoolConfig, ServiceStats, Work, WorkerPool};
 pub use protocol::{
-    policy_from_str, scale_from_str, ErrorCode, ParseError, ReplayRequest, Request, Response,
-    RunRequest, MAX_LINE_BYTES, NO_ID,
+    ErrorCode, ParseError, ReplayRequest, Request, Response, RunRequest, MAX_LINE_BYTES, NO_ID,
 };
 pub use server::{serve_stdio, Exit, ServerConfig, Service, TcpServer, TcpServerHandle};

@@ -27,8 +27,7 @@ use std::thread::JoinHandle;
 use std::time::Duration;
 
 use lams_core::{
-    execute_bundle, ArtifactCache, EngineConfig, Experiment, LocalityPolicy, PolicyKind,
-    RandomPolicy, RoundRobinPolicy, SharingMatrix, DEFAULT_QUANTUM,
+    execute_bundle, ArtifactCache, EngineConfig, Experiment, SharingMatrix, DEFAULT_QUANTUM,
 };
 use lams_mpsoc::MachineConfig;
 use lams_trace::TraceBundle;
@@ -384,26 +383,14 @@ fn execute_replay(req: &ReplayRequest, default_deadline: Option<u64>) -> Respons
     let machine = machine_for(req.cores);
     let mut cfg = EngineConfig::from(machine);
     cfg.max_cycles = req.deadline.or(default_deadline);
-    let result = match req.policy {
-        PolicyKind::Random => {
-            let mut p = RandomPolicy::new(req.seed.unwrap_or(0));
-            execute_bundle(&bundle, &mut p, cfg)
-        }
-        PolicyKind::RoundRobin => {
-            let mut p = RoundRobinPolicy::new(req.quantum.unwrap_or(DEFAULT_QUANTUM));
-            execute_bundle(&bundle, &mut p, cfg)
-        }
-        PolicyKind::Locality => {
-            let sharing = SharingMatrix::from_bundle(&bundle);
-            let mut p = LocalityPolicy::new(sharing, machine.num_cores);
-            execute_bundle(&bundle, &mut p, cfg)
-        }
-        // The parser rejects lsm replays before they reach the pool.
-        PolicyKind::LocalityMap => {
-            return Response::err(&req.id, ErrorCode::BadRequest, "lsm cannot replay")
-        }
-    };
-    match result {
+    // The parser rejects lsm replays, so the policy is RS, RRS or LS.
+    let mut policy = req.policy.scheduler(
+        req.seed.unwrap_or(0),
+        req.quantum.unwrap_or(DEFAULT_QUANTUM),
+        machine.num_cores,
+        || Arc::new(SharingMatrix::from_bundle(&bundle)),
+    );
+    match execute_bundle(&bundle, policy.as_mut(), cfg) {
         Ok(r) => {
             let mut fields = vec![("policy", req.policy.abbrev().to_ascii_lowercase())];
             fields.extend(result_fields(&r));

@@ -346,6 +346,14 @@ impl<'a> Fields<'a> {
             .ok_or_else(|| ParseError::new(&id, format!("missing required key '{key}'")))
     }
 
+    /// A required name (`scale`, `policy`) parsed through its type's
+    /// `FromStr`.
+    fn require_known<T: std::str::FromStr>(&mut self, key: &str) -> Result<T, ParseError> {
+        let v = self.require(key)?;
+        v.parse()
+            .map_err(|_| ParseError::new(&self.id, format!("unknown {key} '{v}'")))
+    }
+
     fn take_parsed<T: std::str::FromStr>(&mut self, key: &str) -> Result<Option<T>, ParseError> {
         match self.take(key) {
             None => Ok(None),
@@ -391,31 +399,6 @@ impl<'a> Fields<'a> {
     }
 }
 
-/// Parses a policy abbreviation (case-insensitive): `rs`, `rrs`, `ls`,
-/// `lsm`.
-pub fn policy_from_str(v: &str) -> Option<PolicyKind> {
-    match v.to_ascii_lowercase().as_str() {
-        "rs" => Some(PolicyKind::Random),
-        "rrs" => Some(PolicyKind::RoundRobin),
-        "ls" => Some(PolicyKind::Locality),
-        "lsm" => Some(PolicyKind::LocalityMap),
-        _ => None,
-    }
-}
-
-/// Parses a scale name (case-insensitive): `tiny`, `small`, `paper`,
-/// `large`, `huge`.
-pub fn scale_from_str(v: &str) -> Option<Scale> {
-    match v.to_ascii_lowercase().as_str() {
-        "tiny" => Some(Scale::Tiny),
-        "small" => Some(Scale::Small),
-        "paper" => Some(Scale::Paper),
-        "large" => Some(Scale::Large),
-        "huge" => Some(Scale::Huge),
-        _ => None,
-    }
-}
-
 impl Request {
     /// Parses one request line (already stripped of its terminator).
     /// Returns `Ok(None)` for blank and `#`-comment lines.
@@ -439,13 +422,8 @@ impl Request {
             "shutdown" => Request::Shutdown { id },
             "run" => {
                 let app = fields.require("app")?.to_string();
-                let scale_raw = fields.require("scale")?;
-                let scale = scale_from_str(scale_raw)
-                    .ok_or_else(|| ParseError::new(&id, format!("unknown scale '{scale_raw}'")))?;
-                let policy_raw = fields.require("policy")?;
-                let policy = policy_from_str(policy_raw).ok_or_else(|| {
-                    ParseError::new(&id, format!("unknown policy '{policy_raw}'"))
-                })?;
+                let scale = fields.require_known("scale")?;
+                let policy = fields.require_known("policy")?;
                 let bus = match fields.take("bus") {
                     None => None,
                     Some(v) => Some(
@@ -455,7 +433,7 @@ impl Request {
                 };
                 let arrivals = match fields.take("arrivals") {
                     None => None,
-                    Some(v) => Some(ArrivalConfig::parse(v).map_err(|e| {
+                    Some(v) => Some(v.parse::<ArrivalConfig>().map_err(|e| {
                         ParseError::new(&id, format!("invalid arrivals '{v}': {e}"))
                     })?),
                 };
@@ -474,10 +452,7 @@ impl Request {
             }
             "replay" => {
                 let file = fields.require("file")?.to_string();
-                let policy_raw = fields.require("policy")?;
-                let policy = policy_from_str(policy_raw).ok_or_else(|| {
-                    ParseError::new(&id, format!("unknown policy '{policy_raw}'"))
-                })?;
+                let policy = fields.require_known("policy")?;
                 if policy == PolicyKind::LocalityMap {
                     return Err(ParseError::new(
                         &id,
@@ -589,6 +564,33 @@ mod tests {
         // No id at all → placeholder.
         let e = Request::parse("nonsense").unwrap_err();
         assert_eq!(e.id, NO_ID);
+    }
+
+    #[test]
+    fn unknown_names_answer_byte_identical_lines() {
+        for (line, want) in [
+            (
+                "run id=3 app=shape scale=x policy=ls",
+                "err id=3 code=bad_request msg=unknown scale 'x'",
+            ),
+            (
+                "run id=4 app=shape scale=tiny policy=x",
+                "err id=4 code=bad_request msg=unknown policy 'x'",
+            ),
+            (
+                "replay id=5 file=t.ltr policy=x",
+                "err id=5 code=bad_request msg=unknown policy 'x'",
+            ),
+        ] {
+            let e = Request::parse(line).unwrap_err();
+            assert_eq!(e.response().to_string(), want);
+        }
+        // Names parse in any case.
+        let Some(Request::Run(r)) = Request::parse("run app=shape scale=TINY policy=Lsm").unwrap()
+        else {
+            panic!("a run request");
+        };
+        assert_eq!((r.scale, r.policy), (Scale::Tiny, PolicyKind::LocalityMap));
     }
 
     #[test]

@@ -119,8 +119,6 @@ impl Service {
                 ("program_misses", memo.program_misses.to_string()),
                 ("per_process_hits", memo.per_process_hits.to_string()),
                 ("per_process_misses", memo.per_process_misses.to_string()),
-                ("sharing_hits", memo.sharing_hits.to_string()),
-                ("sharing_misses", memo.sharing_misses.to_string()),
                 ("pilot_hits", memo.pilot_hits.to_string()),
                 ("pilot_misses", memo.pilot_misses.to_string()),
                 ("occupancy", memo.occupancy_entries.to_string()),

@@ -445,7 +445,7 @@ fn bounded_service_cache_evicts_and_stays_correct() {
     );
     assert_eq!(field(stats, "capacity"), Some("2"), "{stats}");
     // The `stats` wire format after `ok id=end`: clients and the repo
-    // benchmark read these 18 keys, in this order.
+    // benchmark read these 16 keys, in this order.
     let keys: Vec<&str> = stats
         .split_ascii_whitespace()
         .skip(2)
@@ -461,8 +461,6 @@ fn bounded_service_cache_evicts_and_stays_correct() {
             "program_misses",
             "per_process_hits",
             "per_process_misses",
-            "sharing_hits",
-            "sharing_misses",
             "pilot_hits",
             "pilot_misses",
             "occupancy",

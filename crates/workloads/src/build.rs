@@ -237,7 +237,7 @@ impl Workload {
     /// overwhelming probability — the key is 128 bits wide).
     ///
     /// Used as the memo key for workload-derived artifacts (compiled
-    /// trace program sets, sharing matrices, Locality pilot runs) in
+    /// trace program sets, Locality pilot runs) in
     /// `lams_core::memo::ArtifactCache`. Computed once per workload and
     /// cached.
     #[deny(unused_variables)]

@@ -76,6 +76,25 @@ impl fmt::Display for Scale {
     }
 }
 
+impl std::str::FromStr for Scale {
+    type Err = String;
+
+    /// Parses a [`Display`](fmt::Display) name (`tiny`, `small`,
+    /// `paper`, `large`, `huge`) in any case.
+    fn from_str(s: &str) -> Result<Self, String> {
+        match s.to_ascii_lowercase().as_str() {
+            "tiny" => Ok(Scale::Tiny),
+            "small" => Ok(Scale::Small),
+            "paper" => Ok(Scale::Paper),
+            "large" => Ok(Scale::Large),
+            "huge" => Ok(Scale::Huge),
+            _ => Err(format!(
+                "unknown scale '{s}' (expected tiny|small|paper|large|huge)"
+            )),
+        }
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -96,6 +115,23 @@ mod tests {
         assert_eq!(Scale::Huge.dim(64), 64);
         assert_eq!(Scale::Large.passes(2), 32);
         assert_eq!(Scale::Huge.passes(2), 128);
+    }
+
+    #[test]
+    fn names_round_trip_in_any_case() {
+        for scale in [
+            Scale::Tiny,
+            Scale::Small,
+            Scale::Paper,
+            Scale::Large,
+            Scale::Huge,
+        ] {
+            let name = scale.to_string();
+            assert_eq!(name.parse(), Ok(scale));
+            assert_eq!(name.to_ascii_uppercase().parse(), Ok(scale));
+        }
+        assert_eq!("Paper".parse(), Ok(Scale::Paper));
+        assert!("smal".parse::<Scale>().is_err());
     }
 
     #[test]
