@@ -31,7 +31,8 @@ fn main() {
     let scale = flag(&args, "--scale").unwrap_or_default();
     let tasks = flag(&args, "--tasks").unwrap_or(4).clamp(1, 6);
     let runner = SweepRunner::new(flag(&args, "--threads").unwrap_or(1));
-    let machine = MachineConfig::paper_default();
+    // It prints the conflict misses: ask for the miss split.
+    let machine = MachineConfig::paper_default().with_explain(true);
     let workload = Workload::concurrent(suite::mix(tasks, scale)).expect("valid mix");
     let layout = Layout::linear(workload.arrays());
 

@@ -25,7 +25,8 @@ fn main() {
     let args: Vec<String> = std::env::args().skip(1).collect();
     let scale = flag(&args, "--scale").unwrap_or(Scale::Large);
     let runner = SweepRunner::new(flag(&args, "--threads").unwrap_or(1));
-    let mut machine = MachineConfig::paper_default();
+    // It prints the conflict misses: ask for the miss split.
+    let mut machine = MachineConfig::paper_default().with_explain(true);
     if let Some(bus) = flag(&args, "--bus") {
         machine = machine.with_bus(bus);
     }

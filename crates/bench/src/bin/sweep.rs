@@ -31,7 +31,8 @@ fn main() {
     let tasks = flag(&args, "--tasks").unwrap_or(4).clamp(1, 6);
     let runner = SweepRunner::new(flag(&args, "--threads").unwrap_or(1));
     let mix = suite::mix(tasks, scale);
-    let mut base = MachineConfig::paper_default();
+    // It prints conflict and capacity misses: ask for the miss split.
+    let mut base = MachineConfig::paper_default().with_explain(true);
     let bus: Option<BusConfig> = flag(&args, "--bus");
     if let Some(bus) = bus {
         base = base.with_bus(bus);

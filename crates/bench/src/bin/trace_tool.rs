@@ -106,7 +106,10 @@ fn machine_from_args(args: &[String]) -> CliResult<MachineConfig> {
     if cores == 0 {
         return Err(CliError::usage("--cores must be at least 1"));
     }
-    Ok(MachineConfig::paper_default().with_cores(cores))
+    // The report prints the miss split: ask for it.
+    Ok(MachineConfig::paper_default()
+        .with_cores(cores)
+        .with_explain(true))
 }
 
 /// Builds the requested policy; `sharing` supplies LS's matrix (from

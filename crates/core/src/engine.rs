@@ -44,7 +44,10 @@
 //!   an executing batch's horizon both read the cached value, so a
 //!   batch ended by a bus miss costs one heap update and no ready-set
 //!   scan. A debug-build witness in [`Engine::gate`] recomputes it on
-//!   every dispatch pass and asserts that the cache agrees.
+//!   every dispatch pass and asserts that the cache agrees;
+//! * the miss split is paid for only when asked: `run_engine` reads
+//!   [`MachineConfig::explain`] once and runs an `Engine` over a
+//!   [`Plain`] or an [`Explain`] machine, which schedule alike.
 //!
 //! Batching is exact, not approximate: makespans, dispatch sequences
 //! and cache statistics are bit-identical to the seed engine
@@ -64,7 +67,9 @@ use std::collections::{BTreeMap, BinaryHeap};
 use std::fmt;
 
 use lams_layout::Layout;
-use lams_mpsoc::{BatchOutcome, CoreId, Machine, MachineConfig, MachineStats};
+use lams_mpsoc::{
+    BatchOutcome, Classifier, CoreId, Explain, Machine, MachineConfig, MachineStats, Plain,
+};
 use lams_procgraph::{EpgBuilder, ProcessGraph, ProcessId, ReadyTracker};
 use lams_trace::{Cursor, Program, TraceBundle};
 use lams_workloads::Workload;
@@ -368,14 +373,29 @@ pub fn execute_bundle(
 }
 
 /// The engine proper: runs the processes of `epg` under `policy`, each
-/// executing the compiled trace `program(pid)` names.
+/// executing the compiled trace `program(pid)` names, on a machine that
+/// splits its misses only when [`MachineConfig::explain`] asks.
 fn run_engine<'a>(
     epg: &ProcessGraph,
     program: &dyn Fn(ProcessId) -> &'a Program,
     policy: &mut dyn Policy,
     config: EngineConfig,
 ) -> Result<RunResult> {
-    let mut engine = Engine::new(epg, program, policy, config)?;
+    if config.machine.explain {
+        run::<Explain>(epg, program, policy, config)
+    } else {
+        run::<Plain>(epg, program, policy, config)
+    }
+}
+
+/// [`run_engine`] on a machine of classifier `C`.
+fn run<'a, C: Classifier>(
+    epg: &ProcessGraph,
+    program: &dyn Fn(ProcessId) -> &'a Program,
+    policy: &mut dyn Policy,
+    config: EngineConfig,
+) -> Result<RunResult> {
+    let mut engine = Engine::<C>::new(epg, program, policy, config)?;
     loop {
         engine.dispatch()?;
         let Some(&Reverse((key, event))) = engine.events.peek() else {
@@ -419,13 +439,13 @@ fn run_engine<'a>(
 }
 
 /// The state of one engine run, with one method per event kind.
-struct Engine<'a, 'r> {
+struct Engine<'a, 'r, C: Classifier> {
     program: &'r dyn Fn(ProcessId) -> &'a Program,
     policy: &'r mut dyn Policy,
     config: EngineConfig,
     /// The open-system arrival plan; `None` in batch mode.
     plan: Option<ArrivalPlan>,
-    machine: Machine,
+    machine: Machine<C>,
     tracker: ReadyTracker,
     // Per-pid state, indexed by `ProcessId::as_usize`: when it became
     // dispatchable, a preempted one's cursor, where and when it ran.
@@ -458,7 +478,7 @@ struct Engine<'a, 'r> {
     idle: Vec<(CoreId, Option<ProcessId>, u64)>,
 }
 
-impl<'a, 'r> Engine<'a, 'r> {
+impl<'a, 'r, C: Classifier> Engine<'a, 'r, C> {
     /// In open-system mode the arrival plan is derived here, once:
     /// service demand is each program's op count, which equals the
     /// workload's declared trace length whatever the layout (the layout
@@ -477,7 +497,7 @@ impl<'a, 'r> Engine<'a, 'r> {
                 .collect();
             ArrivalPlan::generate(a, &service, config.machine.num_cores)
         });
-        let machine = Machine::try_new(config.machine)?;
+        let machine = Machine::try_build(config.machine)?;
         let cores = machine.num_cores();
         let first_arrival = plan.as_ref().filter(|p| !p.is_empty()).map(|p| p.time(0));
         let mut events = BinaryHeap::with_capacity(cores + 1);

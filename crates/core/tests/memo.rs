@@ -147,6 +147,43 @@ fn lsm_ladder_is_bit_identical_cached_vs_uncached_across_threads() {
     }
 }
 
+/// The miss split is in the machine fingerprint: LS and LSM runs with
+/// `explain` off and on, in either order, on one shared memo, each get
+/// the split their own machine asks for — an explaining run the split
+/// of the same run on a disabled memo, a plain run an all-zero one —
+/// and never the other's memoized pilot or LS result.
+#[test]
+fn explain_switch_never_shares_a_memoized_result() {
+    let apps = vec![suite::shape(Scale::Tiny), suite::track(Scale::Tiny)];
+    let machine = MachineConfig::paper_default().with_cores(4);
+    // (makespan, cold, capacity, conflict) of the LS run and the LSM run.
+    let run = |explain: bool, memo: Arc<ArtifactCache>| {
+        let exp = Experiment::concurrent(&apps, machine.with_explain(explain)).with_memo(memo);
+        let ls = exp.run(PolicyKind::Locality).expect("ls runs");
+        let (lsm, _) = exp.run_lsm().expect("lsm runs");
+        [ls, lsm].map(|r| {
+            let c = r.machine.cache;
+            let split = (c.cold_misses, c.capacity_misses, c.conflict_misses);
+            (r.makespan_cycles, split)
+        })
+    };
+    let explained = run(true, ArtifactCache::disabled());
+    assert!(explained.iter().all(|&(_, (cold, ..))| cold > 0));
+    let plain = explained.map(|(makespan, _)| (makespan, (0, 0, 0)));
+    for order in [[false, true], [true, false]] {
+        let memo = ArtifactCache::shared();
+        for explain in order {
+            let want = if explain { explained } else { plain };
+            assert_eq!(
+                run(explain, memo.clone()),
+                want,
+                "explain={explain} after {order:?}"
+            );
+        }
+        assert!(memo.stats().pilot_hits >= 2, "{}", memo.stats());
+    }
+}
+
 #[test]
 fn repeated_lsm_runs_reuse_every_artifact() {
     let apps = vec![suite::shape(Scale::Tiny), suite::track(Scale::Tiny)];

@@ -153,8 +153,9 @@ proptest! {
     /// Differential over the whole configuration space, as a
     /// cross-product and not axis by axis: policy × cores × quantum
     /// override × bus mode × arrival stream × queue capacity × deadline
-    /// × layout × pass count. The batched engine must equal the oracle
-    /// on every compared field, or fail with the same typed error.
+    /// × layout × pass count × miss split (`MachineConfig::explain`).
+    /// The batched engine must equal the oracle on every compared field,
+    /// or fail with the same typed error.
     #[test]
     fn batched_engine_matches_reference(
         (app, _) in arb_workload(),
@@ -163,14 +164,16 @@ proptest! {
         (bus_i, occ_i) in (0usize..6, 0usize..3),
         (arr_i, arr_seed, cap_i) in (0usize..7, 0u64..1000, 0usize..2),
         (deadline_i, percent) in (0usize..6, 1u64..100),
-        chunked in 0usize..2,
+        (chunked, explain) in (0usize..2, 0usize..2),
     ) {
         // Three passes or more, where a core fast-forwards.
         let app = oracle::repeat_passes(&app, reps);
         let w = Workload::single(app.clone()).expect("synthetic apps are valid");
         let layout = if chunked == 1 { chunked_layout(&w) } else { Layout::linear(w.arrays()) };
         let occ = [9, 20, 75][occ_i];
-        let mut machine = MachineConfig::paper_default().with_cores(cores);
+        let mut machine = MachineConfig::paper_default()
+            .with_cores(cores)
+            .with_explain(explain == 1);
         match bus_i {
             0 => {}
             1 => machine = machine.with_bus(BusConfig::fcfs(occ)),

@@ -1,23 +1,38 @@
-//! Set-associative LRU cache with 3C miss classification.
+//! Set-associative LRU cache, with 3C miss classification when asked.
 //!
 //! This is the simulator's innermost hot path — every memory reference of
 //! every simulated process goes through [`Cache::access`] — so the data
-//! structures are chosen for O(1), allocation-free accesses:
+//! structures are chosen for O(1), allocation-free accesses. The set-
+//! associative directory is one flat slab of [`Way`] slots (`set *
+//! associativity + way`), probed linearly (associativity is small) with
+//! power-of-two shift/mask indexing — no `Vec<Vec<_>>` pointer chasing.
 //!
-//! * the set-associative directory is one flat slab of [`Way`] slots
-//!   (`set * associativity + way`), probed linearly (associativity is
-//!   small) with power-of-two shift/mask indexing — no `Vec<Vec<_>>`
-//!   pointer chasing;
-//! * the fully-associative 3C shadow is an intrusive doubly-linked LRU
-//!   list over a slab of nodes plus one open-addressing table over every
-//!   line ever touched ([`LineTable`]: one multiply-shift hash, ~1
-//!   probe) whose value is the line's node, or [`OUT`] once evicted, so
-//!   a miss classifies with one probe (absent: cold, `OUT`: capacity, a
-//!   node: conflict);
-//! * hits do not touch the shadow. An FA LRU's state depends only on the
-//!   order of each line's last touch (the LRU stack property), so a hit
-//!   lists its way as dirty and the next miss, the shadow's only reader,
-//!   replays the dirty ways in stamp order before it classifies.
+//! How misses are accounted is the cache's type parameter, a
+//! [`Classifier`], chosen once per run ([`crate::MachineConfig::explain`]):
+//!
+//! * [`Plain`] (the default) keeps the way slab, the access clock and
+//!   the hit, miss and eviction counts, and nothing else. A hit re-stamps
+//!   its way; a miss fills or evicts. No scheduling decision, memo key,
+//!   checksum or wire response reads more than this.
+//! * [`Explain`] adds Hill's cold/capacity/conflict split ([`MissKind`]),
+//!   which explains *why* the paper's data re-layout helps. It keeps a
+//!   fully-associative LRU shadow: an intrusive doubly-linked list over a
+//!   slab of nodes plus one open-addressing table over every line ever
+//!   touched ([`LineTable`]: one multiply-shift hash, ~1 probe) whose
+//!   value is the line's node, or [`OUT`] once evicted, so a miss
+//!   classifies with one probe (absent: cold, `OUT`: capacity, a node:
+//!   conflict). Hits do not touch the shadow. An FA LRU's state depends
+//!   only on the order of each line's last touch (the LRU stack
+//!   property), so a hit lists its way as dirty and the next miss, the
+//!   shadow's only reader, replays the dirty ways in stamp order before
+//!   it classifies.
+//!
+//! The two differ only in calls on the classifier, with no runtime
+//! branch between them; both hit, miss and evict alike. Running
+//! [`Plain`] where nothing asks for the split took the repo benchmark's
+//! `wall_s@grid_batch` from 0.110 s to 0.071 s and
+//! `wall_s@bus_contended` from 0.149 s to 0.112 s (medians of 12
+//! alternating pairs on a 2-vCPU host, every pair faster).
 //!
 //! Fast-path invariants (checked by `crates/mpsoc/tests/prop.rs` against
 //! the naive reference machine of `crates/mpsoc/tests/support/naive.rs`,
@@ -26,12 +41,15 @@
 //! * way stamps are distinct (the access clock strictly increases), so
 //!   the per-set LRU victim and the replay order are unique;
 //! * a `stamp == 0` way slot is empty (the clock starts at 1);
-//! * the dirty list holds each way whose stamp is above `synced` (the
-//!   last miss's clock) once, so it never outgrows `num_lines`; only a
-//!   miss evicts, so a dirty way still holds the line it hit;
+//! * under [`Explain`], the dirty list holds each way whose stamp is
+//!   above `synced` (the last miss's clock) once, so it never outgrows
+//!   `num_lines`; only a miss evicts, so a dirty way still holds the
+//!   line it hit;
 //! * after a miss's sync the shadow runs LRU (head) to MRU (tail) and
 //!   holds what an FA LRU of `num_lines` lines touched by every access
 //!   so far would.
+
+use std::fmt;
 
 use crate::{CacheConfig, CacheStats};
 
@@ -53,16 +71,17 @@ pub enum MissKind {
     Conflict,
 }
 
-/// Outcome of a single cache access.
+/// Outcome of a single cache access. `K` is what a miss reports: its
+/// [`MissKind`] on an [`Explain`] cache, `()` on a [`Plain`] one.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum AccessOutcome {
+pub enum AccessOutcome<K = MissKind> {
     /// The line was resident.
     Hit,
-    /// The line was not resident, and why.
-    Miss(MissKind),
+    /// The line was not resident, and why when the cache explains.
+    Miss(K),
 }
 
-impl AccessOutcome {
+impl<K> AccessOutcome<K> {
     /// Whether the access hit.
     pub fn is_hit(self) -> bool {
         matches!(self, AccessOutcome::Hit)
@@ -72,7 +91,7 @@ impl AccessOutcome {
 /// One way slot of the flat set-associative directory. `stamp == 0`
 /// means empty (the access clock starts at 1).
 #[derive(Debug, Clone, Copy)]
-struct Way {
+pub struct Way {
     line: u64,
     stamp: u64,
 }
@@ -273,24 +292,154 @@ impl Shadow {
     }
 }
 
+/// How a [`Cache`] (and a [`crate::Machine`]) accounts its misses:
+/// [`Plain`] or [`Explain`], fixed for the cache's lifetime. Its methods
+/// are the cache's hooks, called on every hit and miss; some take the
+/// cache's private types, so no other crate can implement the trait.
+pub trait Classifier: Clone + fmt::Debug {
+    /// What a miss reports ([`AccessOutcome::Miss`]).
+    type Kind: Copy + fmt::Debug + Eq;
+
+    /// The empty state of a cache of `num_lines` lines.
+    #[doc(hidden)]
+    fn with_lines(num_lines: usize) -> Self;
+
+    /// A hit re-stamps way `slot`, whose stamp was `old`.
+    #[doc(hidden)]
+    fn hit(&mut self, slot: usize, old: u64);
+
+    /// A miss on `line` at access clock `clock`, before its fill
+    /// overwrites a way: classifies it and counts its kind in `stats`.
+    #[doc(hidden)]
+    fn miss(&mut self, ways: &[Way], line: u64, clock: u64, stats: &mut CacheStats) -> Self::Kind;
+
+    /// [`Cache::repeat_pass`]'s share: moves what the classifier keeps
+    /// on by `k` passes of the pass since `from`. `shift` is what the
+    /// access clock moves by.
+    #[doc(hidden)]
+    fn repeat_pass(&mut self, from: &CacheMark, shift: u64, k: u64, stats: &mut CacheStats);
+}
+
+/// The default [`Classifier`]: no miss split. The split counters of
+/// [`CacheStats`] stay 0.
+#[derive(Debug, Clone, Copy)]
+pub struct Plain;
+
+impl Classifier for Plain {
+    type Kind = ();
+
+    #[inline]
+    fn with_lines(_: usize) -> Self {
+        Plain
+    }
+
+    #[inline]
+    fn hit(&mut self, _: usize, _: u64) {}
+
+    #[inline]
+    fn miss(&mut self, _: &[Way], _: u64, _: u64, _: &mut CacheStats) {}
+
+    #[inline]
+    fn repeat_pass(&mut self, _: &CacheMark, _: u64, _: u64, _: &mut CacheStats) {}
+}
+
+/// The [`Classifier`] that splits misses into cold, capacity and
+/// conflict ([`MissKind`]) by a lazily synced fully-associative shadow
+/// (module docs).
+#[derive(Debug, Clone)]
+pub struct Explain {
+    /// Fully-associative LRU shadow of equal capacity.
+    shadow: Shadow,
+    /// Way slots hit since the last miss, each once, for the next sync.
+    dirty: Vec<u32>,
+    /// Access clock of the last miss, when the shadow was last synced.
+    synced: u64,
+}
+
+impl Explain {
+    /// Replays the hits since the last miss into the shadow, one touch
+    /// per dirty way in stamp order: the order of each line's last touch.
+    fn sync_shadow(&mut self, ways: &[Way], clock: u64) {
+        self.dirty
+            .sort_unstable_by_key(|&slot| ways[slot as usize].stamp);
+        for &slot in &self.dirty {
+            self.shadow.touch(ways[slot as usize].line);
+        }
+        self.dirty.clear();
+        self.synced = clock;
+    }
+}
+
+impl Classifier for Explain {
+    type Kind = MissKind;
+
+    fn with_lines(num_lines: usize) -> Self {
+        Explain {
+            shadow: Shadow::new(num_lines),
+            dirty: Vec::with_capacity(num_lines),
+            synced: 0,
+        }
+    }
+
+    /// Lists the way dirty on its first hit since the last miss (its old
+    /// stamp is at most `synced`).
+    #[inline]
+    fn hit(&mut self, slot: usize, old: u64) {
+        if old <= self.synced {
+            self.dirty.push(slot as u32);
+        }
+    }
+
+    /// Brings the shadow up to date, then classifies.
+    #[inline]
+    fn miss(&mut self, ways: &[Way], line: u64, clock: u64, stats: &mut CacheStats) -> MissKind {
+        self.sync_shadow(ways, clock);
+        let kind = self.shadow.touch(line);
+        match kind {
+            MissKind::Cold => stats.cold_misses += 1,
+            MissKind::Capacity => stats.capacity_misses += 1,
+            MissKind::Conflict => stats.conflict_misses += 1,
+        }
+        kind
+    }
+
+    /// The split counters and, if the pass missed, the sync clock move
+    /// on; the shadow and the dirty list end as they are.
+    fn repeat_pass(&mut self, from: &CacheMark, shift: u64, k: u64, s: &mut CacheStats) {
+        if self.synced > from.clock {
+            self.synced += shift;
+        }
+        let f = &from.stats;
+        s.cold_misses += k * (s.cold_misses - f.cold_misses);
+        s.capacity_misses += k * (s.capacity_misses - f.capacity_misses);
+        s.conflict_misses += k * (s.conflict_misses - f.conflict_misses);
+    }
+}
+
 /// A private, set-associative, write-allocate LRU cache.
 ///
 /// Addresses are byte addresses; the cache tracks resident *lines*.
 /// Writes and reads are treated identically for residency (write-allocate,
 /// no write-back latency modelling — the paper's evaluation is
-/// latency-per-access driven).
+/// latency-per-access driven). `C` says whether misses are split by
+/// kind ([`Classifier`]); [`Cache::new`] builds a [`Plain`] cache and
+/// [`Cache::build`] either.
 ///
 /// ```
-/// use lams_mpsoc::{Cache, CacheConfig};
+/// use lams_mpsoc::{AccessOutcome, Cache, CacheConfig, Explain, MissKind};
 ///
 /// let mut c = Cache::new(CacheConfig::paper_default());
 /// assert!(!c.access(0x1000).is_hit()); // cold
 /// assert!(c.access(0x1000).is_hit());
 /// assert!(c.access(0x101f).is_hit()); // same 32-byte line
 /// assert!(!c.access(0x1020).is_hit()); // next line
+///
+/// let mut c = Cache::<Explain>::build(CacheConfig::paper_default());
+/// assert_eq!(c.access(0x1000), AccessOutcome::Miss(MissKind::Cold));
+/// assert_eq!(c.stats().cold_misses, 1);
 /// ```
 #[derive(Debug, Clone)]
-pub struct Cache {
+pub struct Cache<C: Classifier = Plain> {
     config: CacheConfig,
     /// `addr >> line_shift` is the line number.
     line_shift: u32,
@@ -301,23 +450,30 @@ pub struct Cache {
     ways: Box<[Way]>,
     clock: u64,
     stats: CacheStats,
-    /// Fully-associative LRU shadow of equal capacity (3C machinery).
-    shadow: Shadow,
-    /// Way slots hit since the last miss, each once, for the next sync.
-    dirty: Vec<u32>,
-    /// Access clock of the last miss, when the shadow was last synced.
-    synced: u64,
+    class: C,
 }
 
-impl Cache {
-    /// Creates an empty cache.
+impl Cache<Plain> {
+    /// Creates an empty [`Plain`] cache.
+    ///
+    /// # Panics
+    ///
+    /// As for [`Cache::build`].
+    pub fn new(config: CacheConfig) -> Self {
+        Cache::build(config)
+    }
+}
+
+impl<C: Classifier> Cache<C> {
+    /// Creates an empty cache of either [`Classifier`]:
+    /// `Cache::<Explain>::build(config)`.
     ///
     /// # Panics
     ///
     /// Panics when `config` fails [`CacheConfig::validate`] — shift/mask
     /// indexing requires the power-of-two geometry the validator
     /// guarantees.
-    pub fn new(config: CacheConfig) -> Self {
+    pub fn build(config: CacheConfig) -> Self {
         config
             .validate()
             .expect("cache geometry must be valid (powers of two)");
@@ -330,9 +486,7 @@ impl Cache {
             ways: vec![EMPTY; num_lines].into_boxed_slice(),
             clock: 0,
             stats: CacheStats::default(),
-            shadow: Shadow::new(num_lines),
-            dirty: Vec::with_capacity(num_lines),
-            synced: 0,
+            class: C::with_lines(num_lines),
         }
     }
 
@@ -341,7 +495,8 @@ impl Cache {
         &self.config
     }
 
-    /// Accumulated statistics.
+    /// Accumulated statistics. The split counters read 0 on a [`Plain`]
+    /// cache.
     pub fn stats(&self) -> &CacheStats {
         &self.stats
     }
@@ -366,7 +521,7 @@ impl Cache {
     /// Performs one access (read or write — residency behaviour is
     /// identical) and returns the outcome, updating statistics.
     #[inline]
-    pub fn access(&mut self, addr: u64) -> AccessOutcome {
+    pub fn access(&mut self, addr: u64) -> AccessOutcome<C::Kind> {
         self.clock += 1;
         let line = addr >> self.line_shift;
         let set_base = (line & self.set_mask) as usize * self.assoc;
@@ -389,9 +544,11 @@ impl Cache {
             }
         }
 
-        // Miss: bring the shadow up to date, then classify.
-        self.sync_shadow();
-        let kind = self.shadow.touch(line);
+        // Miss: classify (before the fill, which may overwrite a way
+        // the classifier still reads).
+        let kind = self
+            .class
+            .miss(&self.ways, line, self.clock, &mut self.stats);
 
         // Fill the empty slot with the smallest stamp, or evict the LRU
         // way (victim_stamp != 0 means every way is occupied).
@@ -402,13 +559,7 @@ impl Cache {
             line,
             stamp: self.clock,
         };
-
         self.stats.misses += 1;
-        match kind {
-            MissKind::Cold => self.stats.cold_misses += 1,
-            MissKind::Capacity => self.stats.capacity_misses += 1,
-            MissKind::Conflict => self.stats.conflict_misses += 1,
-        }
         AccessOutcome::Miss(kind)
     }
 
@@ -416,8 +567,8 @@ impl Cache {
     /// (one access per line per round, lines in access order within a
     /// round) — bit-identical in final state and statistics to calling
     /// [`Cache::access`] for each of the `lines.len() * rounds` accesses
-    /// individually: each way takes its last touch's stamp and is listed
-    /// dirty like any hit.
+    /// individually: each way takes its last touch's stamp, and the
+    /// classifier hears of it as of any hit.
     ///
     /// The caller must guarantee every covered access *would* hit: each
     /// line is resident at entry and is re-touched every round with no
@@ -451,14 +602,11 @@ impl Cache {
         }
     }
 
-    /// Re-stamps way `slot` on a hit, listing it dirty on its first hit
-    /// since the last miss (its old stamp is at most `synced`).
+    /// Re-stamps way `slot` on a hit, and tells the classifier.
     #[inline]
     fn restamp(&mut self, slot: usize, stamp: u64) {
         let w = &mut self.ways[slot];
-        if w.stamp <= self.synced {
-            self.dirty.push(slot as u32);
-        }
+        self.class.hit(slot, w.stamp);
         w.stamp = stamp;
     }
 
@@ -472,49 +620,30 @@ impl Cache {
 
     /// Repeats `k` more times the pass run since `from`, which must have
     /// started at an LRU fixed point of that pass (see
-    /// [`crate::Machine::exec_source_until`]): every counter, the access
-    /// clock, the stamp of each way the pass touched and, if the pass
-    /// missed, the shadow's sync clock move on by `k` times what the
+    /// [`crate::Machine::exec_source_until`]): every counter the cache
+    /// keeps, the access clock, the stamp of each way the pass touched
+    /// and whatever the classifier keeps move on by `k` times what the
     /// pass moved them. Each repetition would touch the same lines in
     /// the same order and miss, hit and evict the same way, so only the
-    /// stamps of the touched ways rise, by the same amount; the shadow
-    /// and the dirty list end as they are.
+    /// stamps of the touched ways rise, by the same amount.
     pub(crate) fn repeat_pass(&mut self, from: &CacheMark, k: u64) {
         let shift = k * (self.clock - from.clock);
         for w in self.ways.iter_mut().filter(|w| w.stamp > from.clock) {
             w.stamp += shift;
         }
-        if self.synced > from.clock {
-            self.synced += shift;
-        }
         self.clock += shift;
         let (s, f) = (&mut self.stats, &from.stats);
         s.hits += k * (s.hits - f.hits);
         s.misses += k * (s.misses - f.misses);
-        s.cold_misses += k * (s.cold_misses - f.cold_misses);
-        s.capacity_misses += k * (s.capacity_misses - f.capacity_misses);
-        s.conflict_misses += k * (s.conflict_misses - f.conflict_misses);
         s.evictions += k * (s.evictions - f.evictions);
-    }
-
-    /// Replays the hits since the last miss into the shadow, one touch
-    /// per dirty way in stamp order: the order of each line's last touch.
-    fn sync_shadow(&mut self) {
-        let ways = &self.ways;
-        self.dirty
-            .sort_unstable_by_key(|&slot| ways[slot as usize].stamp);
-        for &slot in &self.dirty {
-            self.shadow.touch(ways[slot as usize].line);
-        }
-        self.dirty.clear();
-        self.synced = self.clock;
+        self.class.repeat_pass(from, shift, k, s);
     }
 }
 
 /// A cache's access clock and counters at the start of a pass
 /// ([`Cache::mark`]).
 #[derive(Debug, Clone, Copy, Default)]
-pub(crate) struct CacheMark {
+pub struct CacheMark {
     clock: u64,
     stats: CacheStats,
 }
@@ -528,9 +657,13 @@ mod tests {
         CacheConfig::new(64, 2, 16).unwrap()
     }
 
+    fn explain(cfg: CacheConfig) -> Cache<Explain> {
+        Cache::build(cfg)
+    }
+
     #[test]
     fn hit_after_fill() {
-        let mut c = Cache::new(tiny());
+        let mut c = explain(tiny());
         assert_eq!(c.access(0), AccessOutcome::Miss(MissKind::Cold));
         assert_eq!(c.access(15), AccessOutcome::Hit); // same line
         assert_eq!(c.access(16), AccessOutcome::Miss(MissKind::Cold));
@@ -567,7 +700,7 @@ mod tests {
         // Direct-mapped, 2 lines of 16 B: lines 0 and 2 collide in set 0
         // while the cache has capacity for both.
         let cfg = CacheConfig::new(32, 1, 16).unwrap();
-        let mut c = Cache::new(cfg);
+        let mut c = explain(cfg);
         c.access(0); // cold
         c.access(2 * 16); // cold, evicts 0 in the direct-mapped cache
         let out = c.access(0); // shadow (FA, 2 lines) still holds 0
@@ -579,7 +712,7 @@ mod tests {
     fn shadow_replays_hits_in_last_touch_order() {
         // Direct-mapped, 2 lines of 16 B: line 0 in set 0, line 1 in set 1.
         let cfg = CacheConfig::new(32, 1, 16).unwrap();
-        let mut c = Cache::new(cfg);
+        let mut c = explain(cfg);
         c.access(0); // cold
         c.access(16); // cold; shadow LRU -> MRU: [0, 1]
                       // Between two misses, first hits 0 then 1, last touches 1 then 0:
@@ -603,7 +736,7 @@ mod tests {
         // lines, which already lists them dirty; the contract does not
         // need that, so a bulk hit must list its way itself.
         let cfg = CacheConfig::new(32, 1, 16).unwrap();
-        let mut c = Cache::new(cfg);
+        let mut c = explain(cfg);
         c.access(0);
         c.access(16); // shadow [0, 1]
         c.bulk_hit_rounds(std::iter::once(0), 3); // [1, 0] at the next sync
@@ -612,14 +745,9 @@ mod tests {
         assert_eq!(c.stats().hits, 3);
     }
 
-    /// Per set, its `(line, stamp)` pairs in stamp order; the dirty
-    /// lines in stamp order; the shadow's lines from LRU to MRU.
-    type Order = (Vec<Vec<(u64, u64)>>, Vec<u64>, Vec<u64>);
-
-    /// The state that decides every future outcome, without slots.
-    fn order(c: &Cache) -> Order {
-        let sets = c
-            .ways
+    /// Per set, its `(line, stamp)` pairs in stamp order.
+    fn sets<C: Classifier>(c: &Cache<C>) -> Vec<Vec<(u64, u64)>> {
+        c.ways
             .chunks(c.assoc)
             .map(|set| {
                 let mut set: Vec<(u64, u64)> = set
@@ -630,20 +758,35 @@ mod tests {
                 set.sort_unstable_by_key(|&(_, stamp)| stamp);
                 set
             })
-            .collect();
-        let mut dirty: Vec<&Way> = c.dirty.iter().map(|&s| &c.ways[s as usize]).collect();
-        dirty.sort_unstable_by_key(|w| w.stamp);
-        let mut shadow = Vec::new();
-        let mut i = c.shadow.head;
-        while i != NIL {
-            shadow.push(c.shadow.nodes[i as usize].line);
-            i = c.shadow.nodes[i as usize].next;
-        }
-        (sets, dirty.iter().map(|w| w.line).collect(), shadow)
+            .collect()
     }
 
-    #[test]
-    fn repeated_pass_equals_running_it() {
+    /// The sets; the sync clock; the dirty lines in stamp order; the
+    /// shadow's lines from LRU to MRU.
+    type Order = (Vec<Vec<(u64, u64)>>, u64, Vec<u64>, Vec<u64>);
+
+    /// The state that decides every future outcome, without slots.
+    fn order(c: &Cache<Explain>) -> Order {
+        let x = &c.class;
+        let mut dirty: Vec<&Way> = x.dirty.iter().map(|&s| &c.ways[s as usize]).collect();
+        dirty.sort_unstable_by_key(|w| w.stamp);
+        let mut shadow = Vec::new();
+        let mut i = x.shadow.head;
+        while i != NIL {
+            shadow.push(x.shadow.nodes[i as usize].line);
+            i = x.shadow.nodes[i as usize].next;
+        }
+        let dirty = dirty.iter().map(|w| w.line).collect();
+        (sets(c), x.synced, dirty, shadow)
+    }
+
+    /// Skipping `k` passes of a pass with [`Cache::repeat_pass`] ends in
+    /// the same counters, clock and `state` as running them, and the
+    /// two caches go on alike.
+    fn check_repeated_pass<C: Classifier, S>(state: fn(&Cache<C>) -> S)
+    where
+        S: PartialEq + fmt::Debug,
+    {
         // 8 lines of 16 B, 2-way => 4 sets. Each pass leaves sets 2 and 3
         // alone (set 3 empty, set 2 holding a line from before): one
         // pass thrashes set 0, one thrashes set 0 and ends in hits, one
@@ -653,13 +796,13 @@ mod tests {
         let passes: [&[u64]; 3] = [&[0, 4, 8, 1], &[0, 4, 8, 1, 5, 1, 5], &[1, 5, 0, 1]];
         for pass in passes {
             for k in [1, 2, 7] {
-                let run = |c: &mut Cache, lines: &[u64]| {
+                let run = |c: &mut Cache<C>, lines: &[u64]| {
                     for &line in lines {
                         c.access(line * 16);
                     }
                 };
-                let mut skipped = Cache::new(cfg);
-                let mut stepped = Cache::new(cfg);
+                let mut skipped = Cache::<C>::build(cfg);
+                let mut stepped = Cache::<C>::build(cfg);
                 for c in [&mut skipped, &mut stepped] {
                     run(c, &before);
                     run(c, pass);
@@ -672,20 +815,29 @@ mod tests {
                 }
                 assert_eq!(skipped.stats, stepped.stats, "{pass:?} x {k}");
                 assert_eq!(skipped.clock, stepped.clock);
-                assert_eq!(skipped.synced, stepped.synced);
-                assert_eq!(order(&skipped), order(&stepped), "{pass:?} x {k}");
+                assert_eq!(state(&skipped), state(&stepped), "{pass:?} x {k}");
                 // And they go on alike.
                 let probe = [3, 7, 2, 0, 6, 1, 4, 5];
-                let outcomes = |c: &mut Cache| probe.map(|line| c.access(line * 16));
+                let outcomes = |c: &mut Cache<C>| probe.map(|line| c.access(line * 16));
                 assert_eq!(outcomes(&mut skipped), outcomes(&mut stepped));
             }
         }
     }
 
     #[test]
+    fn repeated_pass_equals_running_it() {
+        check_repeated_pass(order);
+    }
+
+    #[test]
+    fn repeated_pass_equals_running_it_plain() {
+        check_repeated_pass::<Plain, _>(sets);
+    }
+
+    #[test]
     fn capacity_miss_when_working_set_exceeds_cache() {
         let cfg = CacheConfig::new(32, 2, 16).unwrap(); // FA, 2 lines
-        let mut c = Cache::new(cfg);
+        let mut c = explain(cfg);
         // Touch 3 distinct lines cyclically: steady-state misses are
         // capacity (the FA shadow of equal size also misses).
         for _ in 0..4 {
@@ -700,7 +852,7 @@ mod tests {
 
     #[test]
     fn cold_misses_counted_once_per_line() {
-        let mut c = Cache::new(tiny());
+        let mut c = explain(tiny());
         for _ in 0..3 {
             for line in 0..8u64 {
                 c.access(line * 16);
@@ -724,7 +876,7 @@ mod tests {
         // Two arrays laid out in *different* half-pages of the paper's
         // 8 KB 2-way cache never conflict: they map to disjoint sets.
         let cfg = CacheConfig::paper_default();
-        let mut c = Cache::new(cfg);
+        let mut c = explain(cfg);
         // 2 KB half-page. Array 1 lives in the low half of each page,
         // array 2 in the high half; two page-strided chunks each, so the
         // combined working set (256 lines) exactly fills the cache and

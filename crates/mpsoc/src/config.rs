@@ -294,11 +294,20 @@ pub struct MachineConfig {
     /// Optional shared-bus contention; `None` models the paper's
     /// fixed-latency memory.
     pub bus: Option<BusConfig>,
+    /// Whether runs split their misses into cold, capacity and conflict
+    /// ([`crate::Explain`]). Off by default: the split explains the
+    /// paper's re-layout but decides nothing, and keeping it costs a
+    /// fully-associative shadow on every miss. Nothing else a run
+    /// reports depends on it. It is hashed in
+    /// [`machine_fingerprint`](crate::machine_fingerprint), so a result
+    /// memoized without the split never answers a run that asks for it.
+    /// The [`Display`](fmt::Display) form does not show it.
+    pub explain: bool,
 }
 
 impl MachineConfig {
     /// Table 2: 8 cores, 8 KB 2-way caches, 2-cycle hit, 75-cycle miss,
-    /// 200 MHz, no bus contention.
+    /// 200 MHz, no bus contention; no miss split.
     pub fn paper_default() -> Self {
         MachineConfig {
             num_cores: 8,
@@ -307,6 +316,7 @@ impl MachineConfig {
             miss_latency: 75,
             clock_hz: 200_000_000,
             bus: None,
+            explain: false,
         }
     }
 
@@ -359,6 +369,12 @@ impl MachineConfig {
     /// Builder-style bus contention.
     pub fn with_bus(mut self, bus: BusConfig) -> Self {
         self.bus = Some(bus);
+        self
+    }
+
+    /// Builder-style miss split (see [`MachineConfig::explain`]).
+    pub fn with_explain(mut self, explain: bool) -> Self {
+        self.explain = explain;
         self
     }
 }
@@ -458,6 +474,7 @@ mod tests {
         assert!(s.contains("8 cores @ 200 MHz"));
         assert!(s.contains("8KB 2-way"));
         assert!(!s.contains("bus"));
+        assert_eq!(m.with_explain(true).to_string(), s, "explain is not shown");
         let s = m.with_bus(BusConfig::windowed(20, 64)).to_string();
         assert!(s.contains("bus windowed/64 x20cy"), "{s}");
     }

@@ -147,6 +147,7 @@ pub fn machine_fingerprint(m: &crate::MachineConfig) -> Fingerprint {
         miss_latency,
         clock_hz,
         bus,
+        explain,
     } = *m;
     let mut h = FingerprintHasher::new("lams.machine");
     h.write_u64(num_cores as u64);
@@ -176,6 +177,8 @@ pub fn machine_fingerprint(m: &crate::MachineConfig) -> Fingerprint {
             }
         }
     }
+    // An explaining run reports a miss split a plain one reads as 0.
+    h.write_bool(explain);
     h.finish()
 }
 
@@ -218,7 +221,8 @@ mod tests {
         assert_eq!(fp, machine_fingerprint(&base.clone()));
         assert_ne!(fp, machine_fingerprint(&base.with_cores(4)));
         assert_ne!(fp, machine_fingerprint(&base.with_bus(BusConfig::fcfs(4))));
-        let scalar_knobs: [fn(&mut MachineConfig); 6] = [
+        let scalar_knobs: [fn(&mut MachineConfig); 7] = [
+            |m| m.explain = true,
             |m| m.miss_latency += 1,
             |m| m.hit_latency += 1,
             |m| m.clock_hz += 1,

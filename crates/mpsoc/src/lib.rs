@@ -12,15 +12,18 @@
 //!
 //! * [`CacheConfig`] / [`MachineConfig`] — geometry and latencies, with
 //!   [`MachineConfig::paper_default`] reproducing Table 2,
-//! * [`Cache`] — set-associative LRU with hit/miss statistics and
-//!   cold/capacity/conflict (3C) miss classification,
+//! * [`Cache`] — set-associative LRU with hit/miss statistics, and
+//!   cold/capacity/conflict (3C) miss classification when its
+//!   [`Classifier`] is [`Explain`],
 //! * [`TraceOp`] — per-process memory-reference streams (never
 //!   materialized: generators yield ops lazily),
 //! * [`BusConfig`] — optional shared-bus contention for off-chip
 //!   accesses, with FCFS and time-windowed ([`BusMode`]) arbitration,
 //! * [`Machine`] — N cores with private caches and per-core clocks; a
 //!   scheduling engine runs compiled traces ([`TraceSource`]) on cores
-//!   and orders their contended misses in global time,
+//!   and orders their contended misses in global time. Its caches'
+//!   classifier is its type parameter, chosen once per run by
+//!   [`MachineConfig::explain`],
 //! * [`EnergyModel`] — on-chip vs off-chip access energy, supporting the
 //!   paper's power-saving claims.
 //!
@@ -60,9 +63,18 @@
 //!   because [`CacheConfig`] validation guarantees power-of-two
 //!   geometry. Way stamps strictly increase, so the per-set LRU victim
 //!   is unique and matches any stamp-ordered implementation.
-//! * The 3C shadow directory is an intrusive doubly-linked LRU over a
-//!   slab plus one multiply-shift table over every line ever touched;
-//!   a hit only lists its way, and the next miss replays the list.
+//! * The split of misses costs nothing unless asked for. A [`Plain`]
+//!   cache, the default, keeps the way slab, the clock and the hit,
+//!   miss and eviction counts; its classifier hooks are empty and
+//!   inline away, with no runtime branch. An [`Explain`] cache adds the
+//!   3C shadow: an intrusive doubly-linked LRU over a slab plus one
+//!   multiply-shift table over every line ever touched; a hit only
+//!   lists its way, and the next miss replays the list before it
+//!   classifies. The engine reads [`MachineConfig::explain`] once per
+//!   run and instantiates the machine as one or the other. Skipping
+//!   the shadow where nothing asks for the split cut the engine's time
+//!   per op on the repo benchmark's `grid_batch` by about 38 % (2-vCPU
+//!   host; `cache.rs` has the end-to-end figures).
 //! * [`Machine::exec_source_until`] — the executor the scheduling
 //!   engine calls — runs a compiled program ([`TraceSource`]) up to an
 //!   event horizon, collapsing guaranteed-hit spans into arithmetic;
@@ -73,9 +85,10 @@
 //!   one op sequence `P` ([`TraceSource::pass`]), the executor
 //!   fast-forwards. Let `f(S)` be the LRU state after running `P` from
 //!   state `S`. LRU has the stack property (Mattson et al., 1970): each
-//!   set, and the fully-associative 3C shadow, holds its most recently
-//!   used distinct lines in recency order. So `f(f(S)) = f(S)`: after `P` the lines of `P` lead in an
-//!   order only `P` decides, and the rest keep their order behind them.
+//!   set, and an explaining cache's fully-associative shadow, holds its
+//!   most recently used distinct lines in recency order. So
+//!   `f(f(S)) = f(S)`: after `P` the lines of `P` lead in an order only
+//!   `P` decides, and the rest keep their order behind them.
 //!   After one pass every line of `P` has also been seen, so no later
 //!   miss is cold. Hence every pass after the first that one batch runs
 //!   has the same hits, misses of each kind, evictions and cycles, and
@@ -104,9 +117,9 @@
 //!   in `tests/cross_validation.rs`.
 //!
 //! ```
-//! use lams_mpsoc::{Cache, CacheConfig};
+//! use lams_mpsoc::{Cache, CacheConfig, Explain};
 //!
-//! let mut c = Cache::new(CacheConfig::paper_default());
+//! let mut c = Cache::<Explain>::build(CacheConfig::paper_default());
 //! // Two passes over the same 1 KiB: the second pass hits in L1.
 //! for pass in 0..2 {
 //!     for a in (0..1024u64).step_by(4) {
@@ -137,7 +150,7 @@ mod source;
 mod stats;
 mod trace;
 
-pub use cache::{AccessOutcome, Cache, MissKind};
+pub use cache::{AccessOutcome, Cache, Classifier, Explain, MissKind, Plain};
 pub use config::{BusConfig, BusMode, CacheConfig, MachineConfig};
 pub use energy::EnergyModel;
 pub use error::{Error, Result};

@@ -4,14 +4,17 @@ use std::fmt;
 
 use crate::bus::Arbiter;
 use crate::cache::CacheMark;
-use crate::{Cache, CoreStats, Error, MachineConfig, MachineStats, Result, Segment, TraceSource};
+use crate::{
+    Cache, Classifier, CoreStats, Error, MachineConfig, MachineStats, Plain, Result, Segment,
+    TraceSource,
+};
 
 /// Index of a processor core.
 pub type CoreId = usize;
 
 #[derive(Debug, Clone)]
-struct Core {
-    cache: Cache,
+struct Core<C: Classifier> {
+    cache: Cache<C>,
     clock: u64,
     /// Running counters *except* `cache`, which is snapshotted lazily
     /// from the core's cache by [`Machine::core_stats`] — copying the
@@ -19,7 +22,7 @@ struct Core {
     stats: CoreStats,
 }
 
-impl Core {
+impl<C: Classifier> Core<C> {
     /// Advances the clock by `cost` busy cycles over `ops` completed
     /// ops; `None` is a cost that overflowed before it got here.
     ///
@@ -79,10 +82,14 @@ pub struct BatchOutcome {
 ///
 /// Caches persist across process switches on a core — that persistence is
 /// precisely the data reuse the paper's locality-aware scheduler exploits.
+///
+/// `C` is the caches' [`Classifier`]: [`Plain`] by default, or
+/// [`crate::Explain`] for the cold/capacity/conflict split. Both simulate
+/// alike; only [`CacheStats`](crate::CacheStats)' split differs.
 #[derive(Debug, Clone)]
-pub struct Machine {
+pub struct Machine<C: Classifier = Plain> {
     config: MachineConfig,
-    cores: Vec<Core>,
+    cores: Vec<Core<C>>,
     /// The contended bus, when one is configured (a zero-occupancy bus
     /// never contends and gets no arbiter).
     bus: Option<Arbiter>,
@@ -105,8 +112,9 @@ enum Access {
     },
 }
 
-impl Machine {
-    /// Creates a machine with cold caches and all clocks at zero.
+impl Machine<Plain> {
+    /// Creates a [`Plain`] machine with cold caches and all clocks at
+    /// zero.
     ///
     /// # Panics
     ///
@@ -116,17 +124,30 @@ impl Machine {
         Machine::try_new(config).expect("invalid machine configuration")
     }
 
-    /// Fallible constructor.
+    /// Fallible constructor of a [`Plain`] machine.
+    ///
+    /// # Errors
+    ///
+    /// As for [`Machine::try_build`].
+    pub fn try_new(config: MachineConfig) -> Result<Self> {
+        Machine::try_build(config)
+    }
+}
+
+impl<C: Classifier> Machine<C> {
+    /// Fallible constructor of a machine of either [`Classifier`]:
+    /// `Machine::<Explain>::try_build(config)`. It does not read
+    /// [`MachineConfig::explain`]; the caller picks `C` by it.
     ///
     /// # Errors
     ///
     /// Returns [`Error::InvalidConfig`] when the configuration fails
     /// validation.
-    pub fn try_new(config: MachineConfig) -> Result<Self> {
+    pub fn try_build(config: MachineConfig) -> Result<Self> {
         config.validate()?;
         let cores = (0..config.num_cores)
             .map(|_| Core {
-                cache: Cache::new(config.cache),
+                cache: Cache::build(config.cache),
                 clock: 0,
                 stats: CoreStats::default(),
             })
@@ -148,14 +169,14 @@ impl Machine {
         self.cores.len()
     }
 
-    fn core(&self, core: CoreId) -> Result<&Core> {
+    fn core(&self, core: CoreId) -> Result<&Core<C>> {
         self.cores.get(core).ok_or(Error::NoSuchCore {
             core,
             num_cores: self.cores.len(),
         })
     }
 
-    fn core_mut(&mut self, core: CoreId) -> Result<&mut Core> {
+    fn core_mut(&mut self, core: CoreId) -> Result<&mut Core<C>> {
         let n = self.cores.len();
         self.cores
             .get_mut(core)
@@ -169,7 +190,7 @@ impl Machine {
     #[inline]
     fn exec_access(
         core: CoreId,
-        c: &mut Core,
+        c: &mut Core<C>,
         bus: &mut Option<Arbiter>,
         config: &MachineConfig,
         addr: u64,
@@ -290,7 +311,8 @@ impl Machine {
     /// the `k` passes left that end strictly before `horizon` by adding
     /// `k` times that pass's deltas — to the clock, busy cycles and ops,
     /// the cache counters, the access clock, the stamps of the ways the
-    /// pass touched and, if it missed, the shadow's sync clock. The
+    /// pass touched and, on an explaining machine whose pass missed, the
+    /// shadow's sync clock. The
     /// preemption key moves with the clock. The same loop serves a
     /// machine with a bus: there a miss parks the batch, so a pass
     /// measured inside one batch has no miss, costs no arbitration, and
@@ -545,10 +567,10 @@ impl PassMeter {
     /// applied at once. From the second boundary on, marks the core.
     #[inline(never)]
     #[allow(clippy::too_many_arguments)]
-    fn boundary<S: TraceSource>(
+    fn boundary<C: Classifier, S: TraceSource>(
         &mut self,
         core: CoreId,
-        c: &mut Core,
+        c: &mut Core<C>,
         src: &mut S,
         left: u64,
         horizon: u64,
@@ -603,7 +625,7 @@ fn same_line_ops(addr: u64, stride: i64, remaining: u64, line_shift: u32) -> u64
     }
 }
 
-impl fmt::Display for Machine {
+impl<C: Classifier> fmt::Display for Machine<C> {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         write!(f, "Machine[{}] @ {}", self.config, self.makespan())
     }

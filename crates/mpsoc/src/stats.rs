@@ -4,6 +4,11 @@ use std::fmt;
 use std::ops::AddAssign;
 
 /// Hit/miss counters of one cache, with its 3C miss classification.
+///
+/// The three split counters (`cold_misses`, `capacity_misses`,
+/// `conflict_misses`) are kept only by a cache that explains its misses
+/// ([`crate::Explain`], [`crate::MachineConfig::explain`]); a
+/// [`crate::Plain`] one reads 0 on all three.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct CacheStats {
     /// Accesses that found the line resident.

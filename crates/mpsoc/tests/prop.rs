@@ -7,8 +7,8 @@
 use proptest::prelude::*;
 
 use lams_mpsoc::{
-    BatchOutcome, BusConfig, Cache, CacheConfig, Machine, MachineConfig, Segment, SegmentLane,
-    TraceOp, TraceSource,
+    BatchOutcome, BusConfig, Cache, CacheConfig, CacheStats, Classifier, Explain, Machine,
+    MachineConfig, Plain, Segment, SegmentLane, TraceOp, TraceSource,
 };
 
 #[path = "support/naive.rs"]
@@ -267,8 +267,8 @@ fn naive_until(
 /// the `i`-th horizon `steps[i % steps.len()]` past the core's clock —
 /// and asserts equal outcomes, clocks and statistics after every batch
 /// and every completed bus access.
-fn run_in_step(
-    fast: &mut Machine,
+fn run_in_step<C: Classifier>(
+    fast: &mut Machine<C>,
     slow: &mut NaiveMachine,
     segs: Vec<TestSeg>,
     steps: &[u64],
@@ -333,13 +333,13 @@ fn pass_horizons(boundaries: &[u64], picks: &[(usize, u8, u64)]) -> Vec<u64> {
 /// outcomes, clocks and statistics and, by an adversarial probe
 /// sequence run on copies of both machines, equal residency and LRU
 /// order.
-fn run_passes(
+fn run_passes<C: Classifier>(
     cfg: MachineConfig,
     body: &[TestSeg],
     passes: usize,
     horizons: &[u64],
 ) -> Result<(), TestCaseError> {
-    let mut fast = Machine::new(cfg);
+    let mut fast = Machine::<C>::try_build(cfg).unwrap();
     let mut slow = NaiveMachine::new(cfg);
     let ops = decode_segments(&repeat(body, passes));
     // The body's lines from its last touch back (most recent first:
@@ -408,14 +408,14 @@ const WINDOWS: [u64; 4] = [1, 4, 64, 1000];
 /// batched `exec_source_until` to an unbounded horizon, parked cores
 /// re-keyed at whatever `BatchOutcome::parked` names, minimum key first
 /// — and returns the machine.
-fn drive_batched(cfg: MachineConfig, programs: &[Vec<TestSeg>]) -> Machine {
+fn drive_batched<C: Classifier>(cfg: MachineConfig, programs: &[Vec<TestSeg>]) -> Machine<C> {
     #[derive(Clone, Copy, PartialEq)]
     enum St {
         Run,
         Parked(u64),
         Done,
     }
-    let mut m = Machine::new(cfg);
+    let mut m = Machine::<C>::try_build(cfg).unwrap();
     let mut srcs: Vec<VecSource> = programs.iter().cloned().map(VecSource::new).collect();
     let mut st = vec![St::Run; programs.len()];
     loop {
@@ -476,6 +476,56 @@ fn drive_per_op(cfg: MachineConfig, programs: &[Vec<TestSeg>]) -> NaiveMachine {
     m
 }
 
+/// [`run_in_step`] on a `C` machine, then an adversarial probe one op
+/// per batch: any stamp or shadow divergence the counters did not show
+/// surfaces as a differing outcome.
+fn source_executor_matches<C: Classifier>(
+    cfg: MachineConfig,
+    segs: Vec<TestSeg>,
+    steps: &[u64],
+) -> Result<(), TestCaseError> {
+    let mut fast = Machine::<C>::try_build(cfg).unwrap();
+    let mut slow = NaiveMachine::new(cfg);
+    let probe: Vec<TraceOp> = decode_segments(&segs)
+        .iter()
+        .filter_map(TraceOp::addr)
+        .map(|addr| TraceOp::read(addr ^ 32))
+        .collect();
+    run_in_step(&mut fast, &mut slow, segs, steps)?;
+    run_in_step(&mut fast, &mut slow, single_op_segments(&probe), &[0])
+}
+
+/// [`drive_batched`] on a `C` machine equals [`drive_per_op`], core by
+/// core, and the bus stats conserve.
+fn parked_batches_match<C: Classifier>(
+    cfg: MachineConfig,
+    programs: &[Vec<TestSeg>],
+) -> Result<(), TestCaseError> {
+    let batched = drive_batched::<C>(cfg, programs);
+    let per_op = drive_per_op(cfg, programs);
+    let mut wait_sum = 0;
+    let mut miss_sum = 0;
+    for c in 0..programs.len() {
+        prop_assert_eq!(
+            batched.core_clock(c).unwrap(),
+            per_op.clock(c),
+            "core {} clock",
+            c
+        );
+        let bs = batched.core_stats(c).unwrap();
+        prop_assert_eq!(bs, per_op.core_stats(c), "core {} stats", c);
+        wait_sum += bs.bus_wait_cycles;
+        miss_sum += bs.cache.misses;
+    }
+    prop_assert_eq!(wait_sum, per_op.total_wait, "wait conservation");
+    prop_assert_eq!(
+        miss_sum,
+        per_op.transfers,
+        "every miss transfers exactly once"
+    );
+    Ok(())
+}
+
 proptest! {
     /// LRU inclusion: with the same number of sets and line size, doubling
     /// the associativity can never increase misses (each set is an
@@ -506,7 +556,7 @@ proptest! {
     #[test]
     fn three_c_accounting(addrs in arb_trace()) {
         let cfg = CacheConfig::new(256, 2, 16).unwrap();
-        let mut c = Cache::new(cfg);
+        let mut c = Cache::<Explain>::build(cfg);
         for &a in &addrs {
             c.access(a);
         }
@@ -522,7 +572,7 @@ proptest! {
     #[test]
     fn fully_associative_has_no_conflicts(addrs in arb_trace()) {
         let cfg = CacheConfig::new(256, 16, 16).unwrap(); // 16 lines, FA
-        let mut c = Cache::new(cfg);
+        let mut c = Cache::<Explain>::build(cfg);
         for &a in &addrs {
             c.access(a);
         }
@@ -560,7 +610,9 @@ proptest! {
 
     /// Differential: the optimized cache agrees with the naive reference
     /// model on the outcome *and 3C kind* of every access, across
-    /// geometries (direct-mapped, 2/4-way, fully-associative).
+    /// geometries (direct-mapped, 2/4-way, fully-associative); a plain
+    /// cache on the outcome and every counter but the split, which it
+    /// reads as 0.
     #[test]
     fn optimized_cache_matches_reference(addrs in arb_trace(), geom in 0usize..4) {
         let cfg = [
@@ -569,19 +621,31 @@ proptest! {
             CacheConfig::new(512, 4, 32).unwrap(),  // 4-way
             CacheConfig::new(256, 16, 16).unwrap(), // fully associative
         ][geom];
-        let mut fast = Cache::new(cfg);
+        let mut fast = Cache::<Explain>::build(cfg);
+        let mut plain = Cache::new(cfg);
         let mut slow = NaiveCache::new(cfg);
         for (i, &a) in addrs.iter().enumerate() {
             let f = fast.access(a);
+            let p = plain.access(a);
             let s = slow.access(a);
             prop_assert_eq!(f, s, "access {} (addr {:#x}) diverged", i, a);
+            prop_assert_eq!(p.is_hit(), s.is_hit(), "plain access {} diverged", i);
         }
         // Residency and every counter, evictions included, agree too.
         for &a in &addrs {
             prop_assert_eq!(fast.is_resident(a), slow.is_resident(a));
+            prop_assert_eq!(plain.is_resident(a), slow.is_resident(a));
         }
         prop_assert_eq!(fast.resident_lines(), slow.resident_lines());
         prop_assert_eq!(*fast.stats(), slow.stats());
+        // The plain cache keeps every counter but the split.
+        let unsplit = CacheStats {
+            cold_misses: 0,
+            capacity_misses: 0,
+            conflict_misses: 0,
+            ..slow.stats()
+        };
+        prop_assert_eq!(*plain.stats(), unsplit);
     }
 
     /// Differential on hit-heavy traces: ~600 accesses over ~40 lines, so
@@ -600,7 +664,7 @@ proptest! {
             CacheConfig::new(512, 4, 32).unwrap(),  // 4-way
             CacheConfig::new(256, 16, 16).unwrap(), // fully associative
         ][geom];
-        let mut fast = Cache::new(cfg);
+        let mut fast = Cache::<Explain>::build(cfg);
         let mut slow = NaiveCache::new(cfg);
         for (i, &line) in lines.iter().enumerate() {
             let a = line * cfg.line_bytes;
@@ -617,12 +681,14 @@ proptest! {
     /// keys, park keys), same clocks, same statistics, and the same
     /// final cache state — across random segment programs and
     /// arbitrary horizon schedules, without a bus, under FCFS
-    /// contention, and under windowed arbitration.
+    /// contention, and under windowed arbitration — on a plain machine
+    /// and an explaining one.
     #[test]
     fn source_executor_matches_per_op_executor(
         segs in arb_segments(),
         steps in prop::collection::vec(0u64..300, 1..40),
         bus_mode in 0u8..3,
+        explain in 0usize..2,
     ) {
         // A small 2-way cache so evictions and conflicts actually occur.
         let mut cfg = MachineConfig::paper_default().with_cores(1);
@@ -632,18 +698,12 @@ proptest! {
             2 => cfg.bus = Some(BusConfig::windowed(9, 32)),
             _ => {}
         }
-        let mut fast = Machine::new(cfg);
-        let mut slow = NaiveMachine::new(cfg);
-        let probe: Vec<TraceOp> = decode_segments(&segs)
-            .iter()
-            .filter_map(TraceOp::addr)
-            .map(|addr| TraceOp::read(addr ^ 32))
-            .collect();
-        run_in_step(&mut fast, &mut slow, segs, &steps)?;
-        // Final cache state (stamps, shadow order) must agree too: replay
-        // an adversarial probe sequence one op per batch on both — any
-        // stamp or shadow divergence surfaces as a differing outcome.
-        run_in_step(&mut fast, &mut slow, single_op_segments(&probe), &[0])?;
+        cfg.explain = explain == 1;
+        if cfg.explain {
+            source_executor_matches::<Explain>(cfg, segs, &steps)?;
+        } else {
+            source_executor_matches::<Plain>(cfg, segs, &steps)?;
+        }
     }
 
     /// Machine-level: an access costs a hit or a miss latency, a compute
@@ -685,21 +745,27 @@ proptest! {
     /// random body repeated 3–12 times, stopped at horizons on, beside
     /// and between pass boundaries and past the end, equals the naive
     /// machine after every batch — without a bus, under FCFS and under
-    /// windowed arbitration.
+    /// windowed arbitration, on a plain machine and an explaining one.
     #[test]
     fn repeated_passes_match_per_op_executor(
         body in arb_segments(),
         passes in 3usize..13,
         picks in prop::collection::vec((0usize..14, 0u8..5, 0u64..100), 0..8),
         geom in 0usize..2,
+        explain in 0usize..2,
     ) {
         for bus in [None, Some(BusConfig::fcfs(9)), Some(BusConfig::windowed(9, 32))] {
             let mut cfg = MachineConfig::paper_default().with_cores(1);
             // Small caches, so steady passes still miss and evict.
             cfg.cache = CacheConfig::new([512, 256][geom], [2, 1][geom], 32).unwrap();
             cfg.bus = bus;
+            cfg.explain = explain == 1;
             let horizons = pass_horizons(&boundary_clocks(cfg, &body, passes), &picks);
-            run_passes(cfg, &body, passes, &horizons)?;
+            if cfg.explain {
+                run_passes::<Explain>(cfg, &body, passes, &horizons)?;
+            } else {
+                run_passes::<Plain>(cfg, &body, passes, &horizons)?;
+            }
         }
     }
 
@@ -710,12 +776,14 @@ proptest! {
     /// statistics — and the bus stats conserve: per-core waits sum to
     /// the naive bus's total wait, and transfers equal misses. Every
     /// window, the 1-cycle one included, and FCFS (index
-    /// `WINDOWS.len()`): each parks, at its own key.
+    /// `WINDOWS.len()`): each parks, at its own key. On a plain machine
+    /// and an explaining one.
     #[test]
     fn parked_batches_match_per_op_grants_and_conserve_stats(
         programs in prop::collection::vec(arb_segments(), 1..5),
         occ_i in 0usize..OCCUPANCIES.len(),
         win_i in 0usize..=WINDOWS.len(),
+        explain in 0usize..2,
     ) {
         let mut cfg = MachineConfig::paper_default().with_cores(programs.len());
         cfg.cache = CacheConfig::new(512, 2, 32).unwrap();
@@ -723,18 +791,11 @@ proptest! {
             Some(&window) => BusConfig::windowed(OCCUPANCIES[occ_i], window),
             None => BusConfig::fcfs(OCCUPANCIES[occ_i]),
         });
-        let batched = drive_batched(cfg, &programs);
-        let per_op = drive_per_op(cfg, &programs);
-        let mut wait_sum = 0;
-        let mut miss_sum = 0;
-        for c in 0..programs.len() {
-            prop_assert_eq!(batched.core_clock(c).unwrap(), per_op.clock(c), "core {} clock", c);
-            let bs = batched.core_stats(c).unwrap();
-            prop_assert_eq!(bs, per_op.core_stats(c), "core {} stats", c);
-            wait_sum += bs.bus_wait_cycles;
-            miss_sum += bs.cache.misses;
+        cfg.explain = explain == 1;
+        if cfg.explain {
+            parked_batches_match::<Explain>(cfg, &programs)?;
+        } else {
+            parked_batches_match::<Plain>(cfg, &programs)?;
         }
-        prop_assert_eq!(wait_sum, per_op.total_wait, "wait conservation");
-        prop_assert_eq!(miss_sum, per_op.transfers, "every miss transfers exactly once");
     }
 }

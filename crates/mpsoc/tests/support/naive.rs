@@ -13,7 +13,10 @@
 //! * **3C**: a miss to a line never seen before is cold; otherwise it is
 //!   a conflict miss if a fully-associative LRU cache of the same
 //!   capacity (the *shadow*, touched by every access) still holds the
-//!   line, and a capacity miss if not.
+//!   line, and a capacity miss if not. Every cache classifies, but a
+//!   machine whose config does not explain
+//!   (`MachineConfig::explain`) reports the split as 0, as a plain
+//!   `lams_mpsoc::Machine` does.
 //! * **Cost**: a compute op costs its cycles, a hit `hit_latency`, a
 //!   miss `hit_latency + miss_latency` plus its bus wait. Only the
 //!   executing core's clock moves.
@@ -300,20 +303,31 @@ impl NaiveMachine {
         }
     }
 
+    /// `core`'s cache counters, the split only if the config explains.
+    fn cache_stats(&self, core: usize) -> CacheStats {
+        let mut s = self.cores[core].cache.stats();
+        if !self.config.explain {
+            s.cold_misses = 0;
+            s.capacity_misses = 0;
+            s.conflict_misses = 0;
+        }
+        s
+    }
+
     pub fn core_stats(&self, core: usize) -> CoreStats {
         let c = &self.cores[core];
         CoreStats {
             busy_cycles: c.busy_cycles,
             bus_wait_cycles: c.bus_wait_cycles,
             ops: c.ops,
-            cache: c.cache.stats(),
+            cache: self.cache_stats(core),
         }
     }
 
     pub fn stats(&self) -> MachineStats {
         let mut s = MachineStats::default();
-        for c in &self.cores {
-            s.cache += c.cache.stats();
+        for (core, c) in self.cores.iter().enumerate() {
+            s.cache += self.cache_stats(core);
             s.total_busy_cycles += c.busy_cycles;
             s.total_bus_wait_cycles += c.bus_wait_cycles;
             s.makespan_cycles = s.makespan_cycles.max(c.clock);

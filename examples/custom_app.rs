@@ -86,8 +86,11 @@ fn main() {
     println!("sharing matrix (elements shared per process pair):");
     println!("{m}");
 
-    // Four-policy comparison on a 4-core machine.
-    let machine = MachineConfig::paper_default().with_cores(4);
+    // Four-policy comparison on a 4-core machine; the report prints
+    // conflict misses, so the runs split their misses.
+    let machine = MachineConfig::paper_default()
+        .with_cores(4)
+        .with_explain(true);
     let report = Experiment::isolated(&app, machine)
         .run_all(PolicyKind::ALL)
         .expect("simulation succeeds");

@@ -12,14 +12,15 @@
 use lams::layout::{
     relayout_pass, AdjacentArrays, ArrayDecl, ArrayId, ArrayTable, ConflictMatrix, Layout,
 };
-use lams::mpsoc::{Cache, CacheConfig};
+use lams::mpsoc::{Cache, CacheConfig, Explain};
 use lams::presburger::IndexSet;
 
 /// Interleaved sweep over several arrays, three passes — the access
 /// pattern of a process (or successive processes on one core) juggling
 /// all of them.
 fn thrash(cache_cfg: &CacheConfig, layout: &Layout, arrays: &[ArrayId], n: i64) -> u64 {
-    let mut cache = Cache::new(*cache_cfg);
+    // Conflict misses are part of the miss split: an explaining cache.
+    let mut cache = Cache::<Explain>::build(*cache_cfg);
     for _ in 0..3 {
         for idx in 0..n {
             for &a in arrays {
