@@ -251,10 +251,11 @@ const DIURNAL_PERIOD_GAPS: f64 = 64.0;
 
 /// The materialized arrival schedule: one arrival cycle per process, in
 /// process-id order with non-decreasing times. Generated once per run
-/// and never cached: generation runs at about 14 million processes a
-/// second on a 2-vCPU host (`core.arrivals.plan_mprocs_per_s`), so about
-/// 70 ms per million processes, which is small beside simulating them,
-/// and regenerating keeps the memo free of plan aliasing.
+/// and never cached, which keeps the memo free of plan aliasing. It is
+/// not cheap: a million-process plan takes 60–65 ms to generate on a
+/// 2-vCPU host, and [`ArrivalPlan::checksum`], byte-wise FNV, about
+/// 13 ms more — 35–44 % of a repetition of the repo benchmark's
+/// `open_arrivals`, which builds one such plan.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct ArrivalPlan {
     arrivals: Vec<u64>,

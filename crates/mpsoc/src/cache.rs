@@ -41,6 +41,10 @@
 //! * way stamps are distinct (the access clock strictly increases), so
 //!   the per-set LRU victim and the replay order are unique;
 //! * a `stamp == 0` way slot is empty (the clock starts at 1);
+//! * a line stays in the way it was filled into until a fill evicts
+//!   it (a hit only re-stamps), so the way [`Cache::access_slot`]
+//!   reports answers "still resident?" in one compare
+//!   ([`Cache::holds`]);
 //! * under [`Explain`], the dirty list holds each way whose stamp is
 //!   above `synced` (the last miss's clock) once, so it never outgrows
 //!   `num_lines`; only a miss evicts, so a dirty way still holds the
@@ -503,14 +507,19 @@ impl<C: Classifier> Cache<C> {
 
     /// Whether a byte address is currently resident.
     pub fn is_resident(&self, addr: u64) -> bool {
-        self.slot_of(addr >> self.line_shift).is_some()
+        let line = addr >> self.line_shift;
+        let set_base = (line & self.set_mask) as usize * self.assoc;
+        (set_base..set_base + self.assoc).any(|slot| self.holds(slot, line))
     }
 
-    /// The way slot holding `line`, if it is resident.
-    fn slot_of(&self, line: u64) -> Option<usize> {
-        let set_base = (line & self.set_mask) as usize * self.assoc;
-        (set_base..set_base + self.assoc)
-            .find(|&slot| self.ways[slot].stamp != 0 && self.ways[slot].line == line)
+    /// Whether way `slot` holds `line` — in O(1), where
+    /// [`Cache::is_resident`] scans the set. A line never moves between
+    /// ways, so the way [`Cache::access_slot`] reported for a line holds
+    /// it until a fill evicts it.
+    #[inline]
+    pub(crate) fn holds(&self, slot: usize, line: u64) -> bool {
+        let w = self.ways[slot];
+        w.stamp != 0 && w.line == line
     }
 
     /// Number of currently resident lines.
@@ -522,6 +531,13 @@ impl<C: Classifier> Cache<C> {
     /// identical) and returns the outcome, updating statistics.
     #[inline]
     pub fn access(&mut self, addr: u64) -> AccessOutcome<C::Kind> {
+        self.access_slot(addr).0
+    }
+
+    /// [`Cache::access`], also returning the way slot it hit or filled:
+    /// the one that now holds the line.
+    #[inline]
+    pub(crate) fn access_slot(&mut self, addr: u64) -> (AccessOutcome<C::Kind>, usize) {
         self.clock += 1;
         let line = addr >> self.line_shift;
         let set_base = (line & self.set_mask) as usize * self.assoc;
@@ -536,7 +552,7 @@ impl<C: Classifier> Cache<C> {
             if w.stamp != 0 && w.line == line {
                 self.restamp(slot, self.clock);
                 self.stats.hits += 1;
-                return AccessOutcome::Hit;
+                return (AccessOutcome::Hit, slot);
             }
             if w.stamp < victim_stamp {
                 victim_stamp = w.stamp;
@@ -560,45 +576,45 @@ impl<C: Classifier> Cache<C> {
             stamp: self.clock,
         };
         self.stats.misses += 1;
-        AccessOutcome::Miss(kind)
+        (AccessOutcome::Miss(kind), victim)
     }
 
-    /// Bulk-applies `rounds` rounds of guaranteed hits over `lines`
-    /// (one access per line per round, lines in access order within a
-    /// round) — bit-identical in final state and statistics to calling
-    /// [`Cache::access`] for each of the `lines.len() * rounds` accesses
+    /// Bulk-applies `rounds` rounds of guaranteed hits over `lanes`,
+    /// each the way slot a lane hits and the line that slot holds (one
+    /// access per lane per round, lanes in access order within a round)
+    /// — bit-identical in final state and statistics to calling
+    /// [`Cache::access`] for each of the `lanes.len() * rounds` accesses
     /// individually: each way takes its last touch's stamp, and the
     /// classifier hears of it as of any hit.
     ///
-    /// The caller must guarantee every covered access *would* hit: each
-    /// line is resident at entry and is re-touched every round with no
-    /// intervening misses (hits never evict, so residency is stable
-    /// across the window). [`crate::Machine::exec_source_until`]
-    /// establishes this by probing one full round per window and
-    /// bounding the window at the first lane line-boundary crossing.
+    /// The caller must guarantee every covered access *would* hit in
+    /// its slot: each slot holds its line at entry and is re-touched
+    /// every round with no intervening misses (hits never evict, so the
+    /// slots are stable across the window).
+    /// [`crate::Machine::exec_source_until`] establishes this by probing
+    /// one full round per window, keeping the slots that round reported
+    /// ([`Cache::access_slot`]), and bounding the window at the first
+    /// lane line-boundary crossing.
     pub(crate) fn bulk_hit_rounds(
         &mut self,
-        lines: impl ExactSizeIterator<Item = u64>,
+        lanes: impl ExactSizeIterator<Item = (usize, u64)>,
         rounds: u64,
     ) {
-        let m = lines.len() as u64;
+        let m = lanes.len() as u64;
         debug_assert!(m > 0 && rounds > 0, "empty bulk window");
-        let start = self.clock;
+        // The access clock of the last round's first touch, less one.
+        let last = self.clock + (rounds - 1) * m;
         self.clock += m * rounds;
         self.stats.hits += m * rounds;
-        for (j, line) in lines.enumerate() {
+        for (j, (slot, line)) in lanes.enumerate() {
+            debug_assert!(
+                self.holds(slot, line),
+                "bulk hit on way {slot}, which does not hold line {line}"
+            );
             // Final stamp: the access clock of this lane's touch in the
             // last round (a later lane on the same line overwrites, as
             // per-op execution would).
-            self.stamp_resident(line, start + (rounds - 1) * m + j as u64 + 1);
-        }
-    }
-
-    /// Re-stamps a resident line (bulk-hit bookkeeping).
-    fn stamp_resident(&mut self, line: u64, stamp: u64) {
-        match self.slot_of(line) {
-            Some(slot) => self.restamp(slot, stamp),
-            None => debug_assert!(false, "bulk hit on a non-resident line {line}"),
+            self.restamp(slot, last + j as u64 + 1);
         }
     }
 
@@ -739,7 +755,7 @@ mod tests {
         let mut c = explain(cfg);
         c.access(0);
         c.access(16); // shadow [0, 1]
-        c.bulk_hit_rounds(std::iter::once(0), 3); // [1, 0] at the next sync
+        c.bulk_hit_rounds(std::iter::once((0, 0)), 3); // [1, 0] at the next sync
         assert_eq!(c.access(32), AccessOutcome::Miss(MissKind::Cold)); // [0, 2]
         assert_eq!(c.access(0), AccessOutcome::Miss(MissKind::Conflict));
         assert_eq!(c.stats().hits, 3);

@@ -80,7 +80,16 @@
 //!   event horizon, collapsing guaranteed-hit spans into arithmetic;
 //!   per-core cache statistics are snapshotted lazily by
 //!   [`Machine::core_stats`]/[`Machine::stats`] rather than copied per
-//!   op.
+//!   op. A window of hit rounds opens after one probed round and
+//!   carries the way slot each lane hit or filled there, in a scratch
+//!   buffer the machine owns: whether every lane's line survived the
+//!   round is one compare per lane, and the window restamps those
+//!   ways by slot, so each set is scanned once per window, by the
+//!   probe. It serves every machine, bus or not, and both
+//!   classifiers. Against rescanning each set twice more per window,
+//!   this took the repo benchmark's `wall_s@grid_batch` from 0.090 s
+//!   to 0.074 s (medians of 12 alternating pairs, 2-vCPU host; most of
+//!   the fall is RRS re-warming a preempted process's pass).
 //! * A repeated pass costs one pass. When the source is whole passes of
 //!   one op sequence `P` ([`TraceSource::pass`]), the executor
 //!   fast-forwards. Let `f(S)` be the LRU state after running `P` from

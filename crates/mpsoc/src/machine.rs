@@ -93,14 +93,17 @@ pub struct Machine<C: Classifier = Plain> {
     /// The contended bus, when one is configured (a zero-occupancy bus
     /// never contends and gets no arbiter).
     bus: Option<Arbiter>,
+    /// Scratch of [`Machine::exec_source_until`]: each lane's address
+    /// and way slot in the round it probed last.
+    probed: Vec<(u64, usize)>,
 }
 
 /// Outcome of executing one memory access on a core.
 enum Access {
     /// The access completed; the core's clock and stats are updated.
     Done {
-        /// Whether it hit in the cache.
-        hit: bool,
+        /// The way slot that holds the line now.
+        slot: usize,
     },
     /// A miss latched a request on a contended bus: the cache was
     /// probed and updated, but the clock/stats cost is pending until
@@ -156,6 +159,7 @@ impl<C: Classifier> Machine<C> {
             config,
             cores,
             bus: config.bus.and_then(|b| Arbiter::new(b, config.num_cores)),
+            probed: Vec::new(),
         })
     }
 
@@ -195,8 +199,8 @@ impl<C: Classifier> Machine<C> {
         config: &MachineConfig,
         addr: u64,
     ) -> Result<Access> {
-        let hit = c.cache.access(addr).is_hit();
-        let cost = if hit {
+        let (outcome, slot) = c.cache.access_slot(addr);
+        let cost = if outcome.is_hit() {
             Some(config.hit_latency)
         } else if let Some(bus) = bus {
             let request_at = c
@@ -210,7 +214,7 @@ impl<C: Classifier> Machine<C> {
             config.hit_latency.checked_add(config.miss_latency)
         };
         c.charge(core, cost, 1)?;
-        Ok(Access::Done { hit })
+        Ok(Access::Done { slot })
     }
 
     /// Completes a parked access on `core` (see
@@ -285,8 +289,12 @@ impl<C: Classifier> Machine<C> {
     /// its lines), residency cannot change (hits never evict) until some
     /// lane crosses a line boundary — so whole rounds, compute ops
     /// included, collapse to one bulk stamp update plus clock
-    /// arithmetic. A [`Segment::Access`] (the rest of a round a
-    /// preemption split) is one probe.
+    /// arithmetic. The probed round keeps, per lane, the way slot it
+    /// hit or filled; a line never moves between ways, so "every
+    /// lane's line survived" is one compare per lane (does that way
+    /// still hold the line?), and the window restamps those ways
+    /// without scanning a set again. A [`Segment::Access`] (the rest of
+    /// a round a preemption split) is one probe.
     ///
     /// Horizon checks stay per-op-exact: every bulk op has a fixed,
     /// known cost (guaranteed hit or constant compute), so the op that
@@ -358,6 +366,7 @@ impl<C: Classifier> Machine<C> {
             })
         };
 
+        let probed = &mut self.probed;
         let mut meter = PassMeter::default();
         loop {
             if let Some((_, left)) = src.pass() {
@@ -419,24 +428,26 @@ impl<C: Classifier> Machine<C> {
                     let mut consumed = 0u64;
                     let mut r = 0u64;
                     'rounds: while r < rounds {
-                        // Probe one full round op-by-op.
-                        let mut all_hit = true;
+                        // Probe one full round op-by-op, keeping each
+                        // lane's address and the way that holds its line.
+                        probed.clear();
                         for lane in lanes {
                             last_op_start = c.clock;
-                            let hit = match Self::exec_access(
+                            let addr = lane.addr_at(r);
+                            let slot = match Self::exec_access(
                                 core,
                                 c,
                                 &mut self.bus,
                                 &self.config,
-                                lane.addr_at(r),
+                                addr,
                             )? {
-                                Access::Done { hit } => hit,
+                                Access::Done { slot } => slot,
                                 Access::Parked { key } => {
                                     src.advance(consumed + 1);
                                     return parked(executed, last_op_start, key);
                                 }
                             };
-                            all_hit &= hit;
+                            probed.push((addr, slot));
                             executed += 1;
                             consumed += 1;
                             if c.clock >= horizon {
@@ -453,36 +464,46 @@ impl<C: Classifier> Machine<C> {
                             src.advance(consumed);
                             return done(executed, last_op_start, false);
                         }
-                        // A round that missed still opens a window when
-                        // every lane's line survived it.
+                        // The round opens a window when every lane's line
+                        // survived it: when the way the lane hit or
+                        // filled still holds it (a line never moves
+                        // between ways; a later lane's miss may have
+                        // evicted it).
                         if r == rounds
-                            || !(all_hit
-                                || lanes.iter().all(|l| c.cache.is_resident(l.addr_at(r - 1))))
+                            || !probed
+                                .iter()
+                                .all(|&(addr, slot)| c.cache.holds(slot, addr >> shift))
                         {
                             continue 'rounds;
                         }
                         // Hit-stable window: every lane re-reads the
                         // line it touched in the probed round (r - 1),
-                        // still resident. Hits never evict, so residency
-                        // is stable until the first lane line-boundary
-                        // crossing. A lane hit before the round's miss
-                        // is restamped in bulk as it would be per op,
-                        // which lists it dirty for the shadow.
+                        // still in the same way. Hits never evict, so
+                        // the ways are stable until the first lane
+                        // line-boundary crossing. A lane hit before the
+                        // round's miss is restamped in bulk as it would
+                        // be per op, which lists it dirty for the shadow.
                         let mut w = rounds - r;
-                        for lane in lanes {
-                            w = w.min(same_line_ops(lane.addr_at(r - 1), lane.stride, w, shift));
+                        for (lane, &(addr, _)) in lanes.iter().zip(probed.iter()) {
+                            w = w.min(same_line_ops(addr, lane.stride, w, shift));
                             if w == 0 {
                                 continue 'rounds;
                             }
                         }
                         // Whole rounds ending strictly below the horizon
-                        // (round_cost >= hit_lat >= 1; clock < horizon).
-                        w = w.min((horizon - 1 - c.clock) / round_cost);
-                        if w == 0 {
-                            continue 'rounds;
+                        // (round_cost >= hit_lat >= 1; clock < horizon);
+                        // the division only when the window reaches it.
+                        let room = horizon - 1 - c.clock;
+                        if w.checked_mul(round_cost).is_none_or(|cost| cost > room) {
+                            w = room / round_cost;
+                            if w == 0 {
+                                continue 'rounds;
+                            }
                         }
-                        c.cache
-                            .bulk_hit_rounds(lanes.iter().map(|l| l.addr_at(r - 1) >> shift), w);
+                        c.cache.bulk_hit_rounds(
+                            probed.iter().map(|&(addr, slot)| (slot, addr >> shift)),
+                            w,
+                        );
                         c.charge(core, Some(w * round_cost), w * (m + 1))?;
                         // The window's final op is its last compute.
                         last_op_start = c.clock - cycles;
@@ -609,20 +630,23 @@ impl PassMeter {
 /// `addr + 2*stride`, …) still fall in the cache line of `addr`.
 #[inline]
 fn same_line_ops(addr: u64, stride: i64, remaining: u64, line_shift: u32) -> u64 {
-    if remaining == 0 {
-        return 0;
-    }
     if stride == 0 {
         return remaining;
     }
-    let line_start = (addr >> line_shift) << line_shift;
-    if stride > 0 {
-        let room = line_start + (1u64 << line_shift) - 1 - addr;
-        (room / stride as u64).min(remaining)
+    // Bytes left in the line in the stride's direction.
+    let mask = (1u64 << line_shift) - 1;
+    let room = if stride > 0 {
+        !addr & mask
     } else {
-        let room = addr - line_start;
-        (room / stride.unsigned_abs()).min(remaining)
-    }
+        addr & mask
+    };
+    let step = stride.unsigned_abs();
+    let ops = if step.is_power_of_two() {
+        room >> step.trailing_zeros()
+    } else {
+        room / step
+    };
+    ops.min(remaining)
 }
 
 impl<C: Classifier> fmt::Display for Machine<C> {

@@ -230,6 +230,35 @@ fn arb_segments() -> impl Strategy<Value = Vec<TestSeg>> {
     prop::collection::vec(seg, 1..12)
 }
 
+/// `Rounds` segments whose 2–4 lanes crowd one set of the 512 B 2-way
+/// cache with 32 B lines the machine props use: each lane starts a
+/// whole number of 256 B set strides past a shared base, at any byte of
+/// its line, and steps less than a line per round. Up to
+/// associativity + 2 distinct lines meet in one set, so a later lane's
+/// miss can evict the line an earlier lane of the same round hit or
+/// filled; equal strides apart put two lanes on one line.
+fn arb_crowded_rounds() -> impl Strategy<Value = Vec<TestSeg>> {
+    let lane = (0u64..4, 0u64..32, -8i64..9, 0u8..2);
+    let seg = (
+        0u64..128,
+        prop::collection::vec(lane, 2..5),
+        1u64..40,
+        0u64..6,
+    )
+        .prop_map(|(line, lanes, rounds, cycles)| TestSeg {
+            seg: Segment::Rounds { rounds, cycles },
+            lanes: lanes
+                .into_iter()
+                .map(|(k, offset, stride, write)| SegmentLane {
+                    addr: 1024 + line * 32 + k * 256 + offset,
+                    stride,
+                    write: write == 1,
+                })
+                .collect(),
+        });
+    prop::collection::vec(seg, 1..6)
+}
+
 /// Runs `ops` on the naive machine's `core` one op at a time until its
 /// clock reaches `horizon` (at least one op) or a miss parks — the
 /// per-op meaning of one `exec_source_until` batch.
@@ -262,18 +291,46 @@ fn naive_until(
     }
 }
 
+/// An adversarial probe of the last `max_lines` distinct lines `ops`
+/// touch: from the last touch back (most recent first: every miss then
+/// classifies by stack distance), twice, then their neighbours. Run on
+/// copies of two machines, it surfaces a residency, LRU-order or shadow
+/// divergence that their counters did not show as a differing outcome.
+fn lru_probe(ops: &[TraceOp], max_lines: usize) -> Vec<TraceOp> {
+    let mut lines: Vec<u64> = Vec::new();
+    for addr in ops.iter().rev().filter_map(TraceOp::addr) {
+        if lines.len() == max_lines {
+            break;
+        }
+        if !lines.contains(&(addr / 32)) {
+            lines.push(addr / 32);
+        }
+    }
+    [&lines, &lines]
+        .into_iter()
+        .flatten()
+        .map(|line| line * 32)
+        .chain(lines.iter().map(|line| (line ^ 1) * 32))
+        .map(TraceOp::read)
+        .collect()
+}
+
 /// Runs `segs` on core 0 of both machines to the same horizons — the
 /// batched executor on `fast`, the decoded ops one at a time on `slow`,
 /// the `i`-th horizon `steps[i % steps.len()]` past the core's clock —
 /// and asserts equal outcomes, clocks and statistics after every batch
-/// and every completed bus access.
+/// and every completed bus access, and there, unless `probe_lines` is
+/// 0, equal outcomes of the [`lru_probe`] of that many lines of the ops
+/// run so far, on copies of both.
 fn run_in_step<C: Classifier>(
     fast: &mut Machine<C>,
     slow: &mut NaiveMachine,
     segs: Vec<TestSeg>,
     steps: &[u64],
+    probe_lines: usize,
 ) -> Result<(), TestCaseError> {
-    let mut ops = decode_segments(&segs).into_iter();
+    let all = decode_segments(&segs);
+    let mut ops = all.iter().copied();
     let mut src = VecSource::new(segs);
     for i in 0.. {
         let h = slow.clock(0) + steps[i % steps.len()];
@@ -295,7 +352,13 @@ fn run_in_step<C: Classifier>(
             prop_assert_eq!(got, want, "completion diverged");
             prop_assert_eq!(fast.core_clock(0).unwrap(), slow.clock(0));
             prop_assert_eq!(fast.core_stats(0).unwrap(), slow.core_stats(0));
-        } else if got.exhausted {
+        }
+        if probe_lines > 0 {
+            let probe = lru_probe(&all[..all.len() - ops.len()], probe_lines);
+            let segs = single_op_segments(&probe);
+            run_in_step(&mut fast.clone(), &mut slow.clone(), segs, &[0], 0)?;
+        }
+        if got.exhausted {
             break;
         }
     }
@@ -342,22 +405,7 @@ fn run_passes<C: Classifier>(
     let mut fast = Machine::<C>::try_build(cfg).unwrap();
     let mut slow = NaiveMachine::new(cfg);
     let ops = decode_segments(&repeat(body, passes));
-    // The body's lines from its last touch back (most recent first:
-    // every miss then classifies by stack distance), twice, then their
-    // neighbours.
-    let mut lines: Vec<u64> = Vec::new();
-    for addr in decode_segments(body).iter().rev().filter_map(TraceOp::addr) {
-        if !lines.contains(&(addr / 32)) {
-            lines.push(addr / 32);
-        }
-    }
-    let probe: Vec<TraceOp> = [&lines, &lines]
-        .into_iter()
-        .flatten()
-        .map(|line| line * 32)
-        .chain(lines.iter().map(|line| (line ^ 1) * 32))
-        .map(TraceOp::read)
-        .collect();
+    let probe = lru_probe(&decode_segments(body), usize::MAX);
     let mut src = VecSource::repeated(body, passes);
     let mut ops = ops.into_iter();
     let mut horizons = horizons.iter().copied().chain(std::iter::repeat(u64::MAX));
@@ -374,7 +422,7 @@ fn run_passes<C: Classifier>(
             // Stopped at the horizon or the end, where a skip may have
             // just landed.
             let segs = single_op_segments(&probe);
-            run_in_step(&mut fast.clone(), &mut slow.clone(), segs, &[0])?;
+            run_in_step(&mut fast.clone(), &mut slow.clone(), segs, &[0], 0)?;
         }
         prop_assert_eq!(fast.core_clock(0).unwrap(), slow.clock(0));
         prop_assert_eq!(fast.core_stats(0).unwrap(), slow.core_stats(0));
@@ -476,9 +524,8 @@ fn drive_per_op(cfg: MachineConfig, programs: &[Vec<TestSeg>]) -> NaiveMachine {
     m
 }
 
-/// [`run_in_step`] on a `C` machine, then an adversarial probe one op
-/// per batch: any stamp or shadow divergence the counters did not show
-/// surfaces as a differing outcome.
+/// [`run_in_step`] on a `C` machine, probing after every batch the
+/// last twice as many lines as the cache holds.
 fn source_executor_matches<C: Classifier>(
     cfg: MachineConfig,
     segs: Vec<TestSeg>,
@@ -486,13 +533,8 @@ fn source_executor_matches<C: Classifier>(
 ) -> Result<(), TestCaseError> {
     let mut fast = Machine::<C>::try_build(cfg).unwrap();
     let mut slow = NaiveMachine::new(cfg);
-    let probe: Vec<TraceOp> = decode_segments(&segs)
-        .iter()
-        .filter_map(TraceOp::addr)
-        .map(|addr| TraceOp::read(addr ^ 32))
-        .collect();
-    run_in_step(&mut fast, &mut slow, segs, steps)?;
-    run_in_step(&mut fast, &mut slow, single_op_segments(&probe), &[0])
+    let probe_lines = 2 * cfg.cache.num_lines() as usize;
+    run_in_step(&mut fast, &mut slow, segs, steps, probe_lines)
 }
 
 /// [`drive_batched`] on a `C` machine equals [`drive_per_op`], core by
@@ -682,14 +724,17 @@ proptest! {
     /// final cache state — across random segment programs and
     /// arbitrary horizon schedules, without a bus, under FCFS
     /// contention, and under windowed arbitration — on a plain machine
-    /// and an explaining one.
+    /// and an explaining one. Every program ends in rounds whose lanes
+    /// crowd one set, where a round's own misses evict its lines.
     #[test]
     fn source_executor_matches_per_op_executor(
         segs in arb_segments(),
+        crowded in arb_crowded_rounds(),
         steps in prop::collection::vec(0u64..300, 1..40),
         bus_mode in 0u8..3,
         explain in 0usize..2,
     ) {
+        let segs: Vec<TestSeg> = segs.into_iter().chain(crowded).collect();
         // A small 2-way cache so evictions and conflicts actually occur.
         let mut cfg = MachineConfig::paper_default().with_cores(1);
         cfg.cache = CacheConfig::new(512, 2, 32).unwrap();
