@@ -5,13 +5,17 @@
 //! * `record  --app NAME|--mix N [--scale S] [--out FILE]` — compile a
 //!   suite workload's traces into the trace IR and write an `.ltr`
 //!   bundle (default `trace.ltr`).
-//! * `replay  FILE [--policy rs|rrs|ls] [--cores N] [--seed N]
-//!   [--quantum N]` — read a bundle and run it through the scheduling
-//!   engine, printing a deterministic report.
-//! * `run     --app NAME|--mix N [--scale S] [--policy ...] …` — the
-//!   same simulation driven directly from the workload (no file); its
-//!   report is byte-identical to `record` + `replay` of the same
-//!   scenario, which CI diffs.
+//! * `run     --app NAME|--mix N [--scale S] [SCENARIO]` and
+//!   `replay  FILE [SCENARIO]` — simulate one [`Scenario`]: a suite
+//!   workload compiled on the spot, or a recorded bundle. Both print
+//!   the same deterministic report, and `run` is byte-identical to
+//!   `record` + `replay` of the same scenario, which CI diffs.
+//!   `SCENARIO` is any of `--policy rs|rrs|ls`, `--cores N`,
+//!   `--quantum CYCLES`, `--seed N`, `--bus SPEC`, `--deadline CYCLES`
+//!   and `--arrivals SPEC`: the keys of a `lams-serve` request line,
+//!   with the same meaning and the same checks. `trace_tool` defaults
+//!   to `--scale small --policy ls --seed 12345 --quantum 50000` and
+//!   asks for the miss split, which its report prints.
 //! * `inspect FILE [--proc I] [--limit N]` — dump a program's decoded
 //!   ops in the `R 0x… / W 0x… / C n` text form of `TraceOp`'s
 //!   `Display`.
@@ -30,13 +34,13 @@
 use std::fmt::Display;
 use std::process::exit;
 use std::str::FromStr;
-use std::sync::Arc;
 
-use lams_core::{execute, execute_bundle, Policy, PolicyKind, RunResult, SharingMatrix};
+use lams_core::{
+    ArtifactCache, Error, FieldError, Fields, Loaded, PolicyKind, RunResult, Scenario,
+};
 use lams_layout::Layout;
 use lams_mpsoc::MachineConfig;
 use lams_trace::TraceBundle;
-use lams_workloads::{suite, Scale, Workload};
 
 use lams_bench::{flag_value, try_flag};
 
@@ -62,10 +66,15 @@ type CliResult<T> = Result<T, CliError>;
 const USAGE: &str = "usage: trace_tool <record|replay|run|inspect|stats> ...\n\
                      \n\
                      record  --app NAME|--mix N [--scale S] [--out FILE]\n\
-                     replay  FILE [--policy rs|rrs|ls] [--cores N] [--seed N] [--quantum N]\n\
-                     run     --app NAME|--mix N [--scale S] [--policy rs|rrs|ls] [--cores N] [--seed N] [--quantum N]\n\
+                     replay  FILE [SCENARIO]\n\
+                     run     --app NAME|--mix N [--scale S] [SCENARIO]\n\
                      inspect FILE [--proc I] [--limit N]\n\
-                     stats   FILE";
+                     stats   FILE\n\
+                     \n\
+                     SCENARIO: [--policy rs|rrs|ls] [--cores N] [--quantum CYCLES] [--seed N]\n\
+                     \x20         [--bus fcfs:OCC|windowed:OCC:WIN] [--deadline CYCLES]\n\
+                     \x20         [--arrivals poisson|burst|diurnal:LOAD:SEED[:QCAP]]\n\
+                     defaults: --scale small --policy ls --seed 12345 --quantum 50000";
 
 /// `--name VALUE` parsed as a `T`: the default when absent, a usage
 /// error when present but malformed (a typo must not silently run the
@@ -79,58 +88,49 @@ where
         .unwrap_or(default))
 }
 
-/// The workload named by `--app`/`--mix` at `--scale`.
-fn workload_from_args(args: &[String]) -> CliResult<Workload> {
-    let scale = parsed_flag(args, "--scale", Scale::Small)?;
-    if let Some(name) = flag_value(args, "--app") {
-        let app = suite::by_name(name, scale)
-            .ok_or_else(|| CliError::usage(format!("unknown --app '{name}'")))?;
-        return Workload::single(app)
-            .map_err(|e| CliError::runtime(format!("building workload '{name}': {e}")));
+/// The scenario `cmd`'s arguments name. `trace_tool`'s own defaults
+/// are set first; each `--key value` of [`Scenario::KEYS`] then
+/// replaces its key. `replay` takes its file as the first argument.
+fn scenario_from_args(cmd: &str, args: &[String]) -> CliResult<Scenario> {
+    let file = match cmd {
+        "replay" => Some(path_arg(args, cmd)?),
+        _ => None,
+    };
+    let mut fields = Fields::default();
+    match file {
+        Some(path) => fields.set("file", path),
+        None => fields.set("scale", "small"),
     }
-    if let Some(t) = try_flag::<usize>(args, "--mix").map_err(CliError::usage)? {
-        if !(1..=suite::NAMES.len()).contains(&t) {
-            return Err(CliError::usage(format!(
-                "--mix must be in 1..={}, got {t}",
-                suite::NAMES.len()
-            )));
+    for (key, value) in [("policy", "ls"), ("seed", "12345"), ("quantum", "50000")] {
+        fields.set(key, value);
+    }
+    for key in Scenario::KEYS.into_iter().filter(|&k| k != "file") {
+        if let Some(value) = flag_value(args, &format!("--{key}")) {
+            fields.set(key, value);
         }
-        return Workload::concurrent(suite::mix(t, scale))
-            .map_err(|e| CliError::runtime(format!("building mix |T|={t}: {e}")));
     }
-    Err(CliError::usage("need --app NAME or --mix N"))
+    let flag_error = |e| {
+        CliError::usage(match e {
+            FieldError::Missing(_) => "need --app NAME or --mix N".to_string(),
+            FieldError::Malformed { key, value, reason } => {
+                format!("bad --{key} '{value}': {reason}")
+            }
+            FieldError::Unknown(key) => format!("{cmd} takes no --{key}"),
+            FieldError::Conflict(a, b) => format!("--{a} and --{b} exclude each other"),
+            e => format!("--{e}"),
+        })
+    };
+    let scenario = Scenario::from_fields(&mut fields, file.is_some()).map_err(flag_error)?;
+    fields.finish().map_err(flag_error)?;
+    Ok(scenario)
 }
 
-fn machine_from_args(args: &[String]) -> CliResult<MachineConfig> {
-    let cores = parsed_flag(args, "--cores", 8usize)?;
-    if cores == 0 {
-        return Err(CliError::usage("--cores must be at least 1"));
-    }
-    // The report prints the miss split: ask for it.
-    Ok(MachineConfig::paper_default()
-        .with_cores(cores)
-        .with_explain(true))
-}
-
-/// Builds the requested policy; `sharing` supplies LS's matrix (from
-/// the workload when running directly, from the bundle when replaying —
-/// identical for recorded bundles, see `SharingMatrix::from_bundle`).
-/// LSM is refused: a trace has no symbolic arrays to re-layout.
-fn policy_from_args(
-    args: &[String],
-    sharing: impl FnOnce() -> SharingMatrix,
-) -> CliResult<Box<dyn Policy>> {
-    let cores = parsed_flag(args, "--cores", 8usize)?.max(1);
-    let seed = parsed_flag(args, "--seed", 12_345u64)?;
-    let quantum = parsed_flag(args, "--quantum", 50_000u64)?;
-    let name = flag_value(args, "--policy").unwrap_or("ls");
-    match name.parse::<PolicyKind>() {
-        Ok(kind) if kind != PolicyKind::LocalityMap => {
-            Ok(kind.scheduler(seed, quantum, cores, || Arc::new(sharing())))
-        }
-        _ => Err(CliError::usage(format!(
-            "unknown --policy '{name}' (expected rs|rrs|ls)"
-        ))),
+/// A scenario that failed to load or run: an unknown `--app` is a
+/// usage error, the rest are runtime errors naming the scenario.
+fn run_error(cmd: &str, scenario: &Scenario, e: Error) -> CliError {
+    match e {
+        Error::UnknownApp(name) => CliError::usage(format!("unknown --app '{name}'")),
+        e => CliError::runtime(format!("{cmd} {scenario}: {e}")),
     }
 }
 
@@ -175,7 +175,11 @@ fn path_arg<'a>(args: &'a [String], cmd: &str) -> CliResult<&'a str> {
 }
 
 fn cmd_record(rest: &[String]) -> CliResult<()> {
-    let w = workload_from_args(rest)?;
+    let scenario = scenario_from_args("record", rest)?;
+    let loaded = scenario.source.load();
+    let Loaded::Workload(w) = loaded.map_err(|e| run_error("record", &scenario, e))? else {
+        return Err(CliError::usage("record needs --app NAME or --mix N"));
+    };
     let layout = Layout::linear(w.arrays());
     let out = flag_value(rest, "--out").unwrap_or("trace.ltr");
     let bundle = w.record(&layout);
@@ -193,25 +197,22 @@ fn cmd_record(rest: &[String]) -> CliResult<()> {
     Ok(())
 }
 
-fn cmd_replay(rest: &[String]) -> CliResult<()> {
-    let path = path_arg(rest, "replay")?;
-    let bundle = read_bundle(path)?;
-    let machine = machine_from_args(rest)?;
-    let mut policy = policy_from_args(rest, || SharingMatrix::from_bundle(&bundle))?;
-    let r = execute_bundle(&bundle, policy.as_mut(), machine)
-        .map_err(|e| CliError::runtime(format!("replaying {path}: {e}")))?;
-    print_report(&bundle.name, policy.name(), &machine, &r);
-    Ok(())
-}
-
-fn cmd_run(rest: &[String]) -> CliResult<()> {
-    let w = workload_from_args(rest)?;
-    let layout = Layout::linear(w.arrays());
-    let machine = machine_from_args(rest)?;
-    let mut policy = policy_from_args(rest, || SharingMatrix::from_workload(&w))?;
-    let r = execute(&w, &layout, policy.as_mut(), machine)
-        .map_err(|e| CliError::runtime(format!("simulating {}: {e}", w.name())))?;
-    print_report(w.name(), policy.name(), &machine, &r);
+/// `run` and `replay`: one scenario, one report.
+fn cmd_simulate(cmd: &str, rest: &[String]) -> CliResult<()> {
+    let scenario = scenario_from_args(cmd, rest)?;
+    // A bundle cannot run LSM, and `run` must print what `replay` of
+    // its recording prints.
+    if scenario.policy == PolicyKind::LocalityMap {
+        return Err(CliError::usage(
+            "unknown --policy 'lsm' (expected rs|rrs|ls)",
+        ));
+    }
+    // The report prints the miss split: ask for it.
+    let machine = scenario.machine().with_explain(true);
+    let (name, r) = scenario
+        .run(machine, &ArtifactCache::disabled())
+        .map_err(|e| run_error(cmd, &scenario, e))?;
+    print_report(&name, scenario.policy.abbrev(), &machine, &r);
     Ok(())
 }
 
@@ -283,8 +284,7 @@ fn dispatch(args: &[String]) -> CliResult<()> {
     let rest = &args[1..];
     match cmd {
         "record" => cmd_record(rest),
-        "replay" => cmd_replay(rest),
-        "run" => cmd_run(rest),
+        "replay" | "run" => cmd_simulate(cmd, rest),
         "inspect" => cmd_inspect(rest),
         "stats" => cmd_stats(rest),
         _ => Err(CliError::usage(format!("unknown subcommand '{cmd}'"))),

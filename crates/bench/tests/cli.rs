@@ -67,3 +67,46 @@ fn trace_tool_refuses_lsm() {
         "{stderr}"
     );
 }
+
+#[test]
+fn trace_tool_refuses_the_counts_the_wire_refuses() {
+    for (flag, value, msg) in [
+        ("--quantum", "0", "error: --quantum must be at least 1\n"),
+        ("--cores", "1025", "error: --cores must be at most 1024\n"),
+    ] {
+        let args = [
+            "run", "--app", "shape", "--scale", "tiny", "--policy", "rrs", flag, value,
+        ];
+        let (code, stderr) = run(env!("CARGO_BIN_EXE_trace_tool"), &args);
+        assert_eq!(code, Some(2), "{flag} {value}: {stderr}");
+        assert!(stderr.starts_with(msg), "{flag} {value}: {stderr}");
+    }
+}
+
+/// `trace_tool`'s report under `args`.
+fn report(args: &[&str]) -> String {
+    let out = Command::new(env!("CARGO_BIN_EXE_trace_tool"))
+        .args(args)
+        .output()
+        .expect("binary runs");
+    assert_eq!(out.status.code(), Some(0), "{args:?}");
+    String::from_utf8(out.stdout).expect("UTF-8 report")
+}
+
+#[test]
+fn trace_tool_keeps_its_own_seed_and_quantum() {
+    // RS reads the seed; RRS at Tiny finishes every process inside
+    // either quantum, so the quantum is checked at Small.
+    for (scale, policy, key, own, wire) in [
+        ("tiny", "rs", "--seed", "12345", "0"),
+        ("small", "rrs", "--quantum", "50000", "10000"),
+    ] {
+        let base = [
+            "run", "--app", "shape", "--scale", scale, "--policy", policy,
+        ];
+        let with = |v: &'static str| report(&[&base[..], &[key, v]].concat());
+        let default = report(&base);
+        assert_eq!(default, with(own), "{policy} {key}");
+        assert_ne!(default, with(wire), "{policy} {key}");
+    }
+}

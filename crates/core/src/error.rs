@@ -56,6 +56,18 @@ pub enum Error {
     Workload(lams_workloads::Error),
     /// Layout error.
     Layout(lams_layout::Error),
+    /// A scenario named no suite application
+    /// ([`lams_workloads::suite::by_name`]).
+    UnknownApp(String),
+    /// A scenario's `.ltr` file could not be read.
+    Unreadable {
+        /// The path as the scenario gave it.
+        path: String,
+        /// The I/O error.
+        reason: String,
+    },
+    /// A scenario's `.ltr` file failed to decode.
+    Trace(lams_trace::Error),
 }
 
 impl fmt::Display for Error {
@@ -86,6 +98,9 @@ impl fmt::Display for Error {
             Error::Graph(e) => write!(f, "process graph: {e}"),
             Error::Workload(e) => write!(f, "workload: {e}"),
             Error::Layout(e) => write!(f, "layout: {e}"),
+            Error::UnknownApp(name) => write!(f, "unknown app '{name}'"),
+            Error::Unreadable { path, reason } => write!(f, "cannot read '{path}': {reason}"),
+            Error::Trace(e) => write!(f, "trace: {e}"),
         }
     }
 }
@@ -97,7 +112,10 @@ impl std::error::Error for Error {
             Error::Graph(e) => Some(e),
             Error::Workload(e) => Some(e),
             Error::Layout(e) => Some(e),
+            Error::Trace(e) => Some(e),
             Error::EngineStalled { .. }
+            | Error::UnknownApp(_)
+            | Error::Unreadable { .. }
             | Error::DeadlineExceeded { .. }
             | Error::QueueSaturated { .. }
             | Error::JobPanicked { .. } => None,

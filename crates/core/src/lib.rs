@@ -38,7 +38,10 @@
 //!   per-process programs and Locality (pilot) runs — keyed on content
 //!   fingerprints, so policy-dense
 //!   matrices and the LSM candidate ladder pay for each shared artifact once
-//!   (results stay bit-identical to the uncached path).
+//!   (results stay bit-identical to the uncached path),
+//! * [`Scenario`] — one scenario (source, policy, knobs) in the
+//!   `key=value` grammar `lams-serve` and `trace_tool` both read, with
+//!   one validation and one [`Scenario::run`].
 //!
 //! ```
 //! use lams_core::{Experiment, PolicyKind};
@@ -71,6 +74,7 @@ mod random;
 pub mod replacement;
 mod report;
 mod round_robin;
+mod scenario;
 mod sharing;
 pub mod sweep;
 
@@ -85,6 +89,7 @@ pub use random::RandomPolicy;
 pub use replacement::EvictionPolicy;
 pub use report::{ComparisonReport, RunOutcome};
 pub use round_robin::{RoundRobinPolicy, DEFAULT_QUANTUM};
+pub use scenario::{FieldError, Fields, Loaded, Parsed, Scenario, Source};
 pub use sharing::SharingMatrix;
 pub use sweep::{ScenarioMatrix, SweepJob, SweepRunner};
 

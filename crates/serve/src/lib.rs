@@ -65,6 +65,6 @@ pub mod server;
 pub use fault::{Fault, FaultPlan};
 pub use pool::{execute_work, PoolConfig, ServiceStats, Work, WorkerPool};
 pub use protocol::{
-    ErrorCode, ParseError, ReplayRequest, Request, Response, RunRequest, MAX_LINE_BYTES, NO_ID,
+    ErrorCode, ParseError, Request, Response, ScenarioRequest, MAX_LINE_BYTES, NO_ID,
 };
 pub use server::{serve_stdio, Exit, ServerConfig, Service, TcpServer, TcpServerHandle};

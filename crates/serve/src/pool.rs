@@ -26,31 +26,30 @@ use std::sync::{Arc, Condvar, Mutex, PoisonError};
 use std::thread::JoinHandle;
 use std::time::Duration;
 
-use lams_core::{
-    execute_bundle, ArtifactCache, EngineConfig, Experiment, SharingMatrix, DEFAULT_QUANTUM,
-};
-use lams_mpsoc::MachineConfig;
-use lams_trace::TraceBundle;
-use lams_workloads::{suite, Workload};
+use lams_core::{ArtifactCache, Scenario, Source};
 
 use crate::fault::FaultPlan;
-use crate::protocol::{ErrorCode, ReplayRequest, Response, RunRequest};
+use crate::protocol::{ErrorCode, Response, ScenarioRequest};
 
-/// A unit of pool work (the subset of requests that simulate).
+/// A unit of pool work (the subset of requests that simulate). Both
+/// verbs carry one scenario and run the same way; the verb only names
+/// the source.
 #[derive(Debug, Clone, PartialEq)]
 pub enum Work {
     /// A `run` request.
-    Run(RunRequest),
+    Run(ScenarioRequest),
     /// A `replay` request.
-    Replay(ReplayRequest),
+    Replay(ScenarioRequest),
 }
 
 impl Work {
+    fn request(&self) -> &ScenarioRequest {
+        let (Work::Run(r) | Work::Replay(r)) = self;
+        r
+    }
+
     fn id(&self) -> &str {
-        match self {
-            Work::Run(r) => &r.id,
-            Work::Replay(r) => &r.id,
-        }
+        &self.request().id
     }
 }
 
@@ -285,117 +284,42 @@ fn panic_message(payload: Box<dyn std::any::Any + Send>) -> String {
 
 /// Executes one unit of work (also called directly, without a pool, by
 /// the repo benchmark's traced pass in `benchmark/src/serve.rs`).
+/// `default_deadline` applies when the scenario carries none.
 pub fn execute_work(
     work: &Work,
     default_deadline: Option<u64>,
     cache: &Arc<ArtifactCache>,
 ) -> Response {
-    match work {
-        Work::Run(req) => execute_run(req, default_deadline, cache),
-        Work::Replay(req) => execute_replay(req, default_deadline),
-    }
-}
-
-fn machine_for(cores: Option<usize>) -> MachineConfig {
-    match cores {
-        Some(n) => MachineConfig::paper_default().with_cores(n),
-        None => MachineConfig::paper_default(),
-    }
-}
-
-fn result_fields(r: &lams_core::RunResult) -> Vec<(&'static str, String)> {
-    vec![
+    let ScenarioRequest { id, scenario } = work.request();
+    let budgeted = Scenario {
+        deadline: scenario.deadline.or(default_deadline),
+        ..scenario.clone()
+    };
+    let (name, r) = match budgeted.run(scenario.machine(), cache) {
+        Ok(run) => run,
+        Err(e) => return Response::from_core_error(id, &e),
+    };
+    let mut fields = match &scenario.source {
+        Source::App { name, .. } => vec![("app", name.clone())],
+        // A mix answers with its applications' names joined by `+`.
+        Source::Mix { .. } => vec![("app", name)],
+        Source::File(_) => Vec::new(),
+    };
+    fields.extend([
+        ("policy", scenario.policy.abbrev().to_ascii_lowercase()),
         ("makespan", r.makespan_cycles.to_string()),
         ("cache_hits", r.machine.cache.hits.to_string()),
         ("cache_misses", r.machine.cache.misses.to_string()),
         ("processes", r.processes.len().to_string()),
-    ]
-}
-
-fn execute_run(
-    req: &RunRequest,
-    default_deadline: Option<u64>,
-    cache: &Arc<ArtifactCache>,
-) -> Response {
-    let Some(app) = suite::by_name(&req.app, req.scale) else {
-        return Response::err(
-            &req.id,
-            ErrorCode::BadRequest,
-            format!("unknown app '{}'", req.app),
-        );
-    };
-    let workload = match Workload::single(app) {
-        Ok(w) => w,
-        Err(e) => return Response::err(&req.id, ErrorCode::BadRequest, e),
-    };
-    let mut machine = machine_for(req.cores);
-    if let Some(bus) = req.bus {
-        machine = machine.with_bus(bus);
+    ]);
+    if let Some(m) = &r.arrivals {
+        fields.extend([
+            ("arrived", m.completed.to_string()),
+            ("queue_peak", m.queue_depth_peak.to_string()),
+            ("sojourn_p50", m.sojourn.p50.to_string()),
+            ("sojourn_p99", m.sojourn.p99.to_string()),
+            ("queueing_p99", m.queueing.p99.to_string()),
+        ]);
     }
-    let mut exp = Experiment::for_workload(workload, machine).with_memo(Arc::clone(cache));
-    if let Some(q) = req.quantum {
-        exp = exp.with_quantum(q);
-    }
-    if let Some(s) = req.seed {
-        exp = exp.with_seed(s);
-    }
-    if let Some(d) = req.deadline.or(default_deadline) {
-        exp = exp.with_deadline_cycles(d);
-    }
-    if let Some(a) = req.arrivals {
-        exp = exp.with_arrivals(a);
-    }
-    match exp.run(req.policy) {
-        Ok(r) => {
-            let mut fields = vec![
-                ("app", req.app.clone()),
-                ("policy", req.policy.abbrev().to_ascii_lowercase()),
-            ];
-            fields.extend(result_fields(&r));
-            if let Some(m) = &r.arrivals {
-                fields.push(("arrived", m.completed.to_string()));
-                fields.push(("queue_peak", m.queue_depth_peak.to_string()));
-                fields.push(("sojourn_p50", m.sojourn.p50.to_string()));
-                fields.push(("sojourn_p99", m.sojourn.p99.to_string()));
-                fields.push(("queueing_p99", m.queueing.p99.to_string()));
-            }
-            Response::ok(&req.id, fields)
-        }
-        Err(e) => Response::from_core_error(&req.id, &e),
-    }
-}
-
-fn execute_replay(req: &ReplayRequest, default_deadline: Option<u64>) -> Response {
-    let bytes = match std::fs::read(&req.file) {
-        Ok(b) => b,
-        Err(e) => {
-            return Response::err(
-                &req.id,
-                ErrorCode::BadRequest,
-                format!("cannot read '{}': {e}", req.file),
-            )
-        }
-    };
-    let bundle = match TraceBundle::from_bytes(&bytes) {
-        Ok(b) => b,
-        Err(e) => return Response::err(&req.id, ErrorCode::BadTrace, e),
-    };
-    let machine = machine_for(req.cores);
-    let mut cfg = EngineConfig::from(machine);
-    cfg.max_cycles = req.deadline.or(default_deadline);
-    // The parser rejects lsm replays, so the policy is RS, RRS or LS.
-    let mut policy = req.policy.scheduler(
-        req.seed.unwrap_or(0),
-        req.quantum.unwrap_or(DEFAULT_QUANTUM),
-        machine.num_cores,
-        || Arc::new(SharingMatrix::from_bundle(&bundle)),
-    );
-    match execute_bundle(&bundle, policy.as_mut(), cfg) {
-        Ok(r) => {
-            let mut fields = vec![("policy", req.policy.abbrev().to_ascii_lowercase())];
-            fields.extend(result_fields(&r));
-            Response::ok(&req.id, fields)
-        }
-        Err(e) => Response::from_core_error(&req.id, &e),
-    }
+    Response::ok(id, fields)
 }

@@ -12,16 +12,19 @@
 //! ping [id=X]
 //! stats [id=X]
 //! shutdown [id=X]
-//! run id=X app=NAME scale=SCALE policy=rs|rrs|ls|lsm
-//!     [cores=N] [quantum=CYCLES] [seed=N]
-//!     [bus=fcfs:OCC|windowed:OCC:WINDOW] [deadline=CYCLES]
-//!     [arrivals=poisson|burst|diurnal:LOAD:SEED[:QCAP]]
-//! replay id=X file=PATH policy=rs|rrs|ls
-//!     [cores=N] [quantum=CYCLES] [seed=N] [deadline=CYCLES]
+//! run    id=X (app=NAME | mix=N) scale=SCALE SCENARIO
+//! replay id=X file=PATH SCENARIO
+//!
+//! SCENARIO = policy=rs|rrs|ls|lsm [cores=N] [quantum=CYCLES] [seed=N]
+//!            [bus=fcfs:OCC|windowed:OCC:WINDOW] [deadline=CYCLES]
+//!            [arrivals=poisson|burst|diurnal:LOAD:SEED[:QCAP]]
 //! ```
 //!
-//! Blank lines and lines starting with `#` are ignored. `cores` and
-//! `quantum` must be at least 1; `cores` at most 1024.
+//! The verb names the source; every other key means the same on both
+//! verbs. Everything after the id is one [`Scenario`] (its `FromStr`
+//! and `Display`): `cores` 1..=1024, `quantum` at least 1, `mix`
+//! 1..=6, and no `lsm` on a `replay`. Blank lines and lines starting
+//! with `#` are ignored.
 //!
 //! # Responses
 //!
@@ -37,21 +40,13 @@
 
 use std::fmt;
 
-use lams_core::{ArrivalConfig, Error as CoreError, PolicyKind};
-use lams_mpsoc::BusConfig;
-use lams_workloads::Scale;
+use lams_core::{Error as CoreError, Fields, Scenario};
 
 /// Longest accepted request line, in bytes (terminator excluded).
 /// Longer lines are answered with [`ErrorCode::Oversized`] and skipped
 /// without buffering them whole — a line-length attack costs the
 /// server one fixed-size buffer, not memory proportional to the line.
 pub const MAX_LINE_BYTES: usize = 8 * 1024;
-
-/// Most `cores` a request may ask for: 128× the paper's 8-core machine.
-/// A machine allocates ≈ 24 KB of cache model per core, so an unbounded
-/// count lets one request line exhaust memory — an abort, which the
-/// pool's `catch_unwind` cannot isolate.
-const MAX_CORES: usize = 1024;
 
 /// The placeholder request id used in responses when the request was
 /// too malformed (or too long) to carry one.
@@ -75,59 +70,19 @@ pub enum Request {
         /// Echoed request id.
         id: String,
     },
-    /// Simulate a suite scenario.
-    Run(RunRequest),
-    /// Replay a recorded `.ltr` trace bundle from disk.
-    Replay(ReplayRequest),
+    /// Simulate suite applications (`app` or `mix`).
+    Run(ScenarioRequest),
+    /// Replay a recorded `.ltr` trace bundle from disk (`file`).
+    Replay(ScenarioRequest),
 }
 
-/// A `run` request: one scheduling scenario against the suite.
+/// A `run` or `replay` request: one scenario, answered under its id.
 #[derive(Debug, Clone, PartialEq)]
-pub struct RunRequest {
+pub struct ScenarioRequest {
     /// Echoed request id.
     pub id: String,
-    /// Suite application name (`lams_workloads::suite::by_name`).
-    pub app: String,
-    /// Problem scale.
-    pub scale: Scale,
-    /// Scheduling policy under test.
-    pub policy: PolicyKind,
-    /// Core-count override (paper default when absent).
-    pub cores: Option<usize>,
-    /// RRS preemption-quantum override, in cycles.
-    pub quantum: Option<u64>,
-    /// RS seed override.
-    pub seed: Option<u64>,
-    /// Optional bus-contention model.
-    pub bus: Option<BusConfig>,
-    /// Per-request simulated-cycle budget; the server's default applies
-    /// when absent.
-    pub deadline: Option<u64>,
-    /// Optional open-system arrival stream
-    /// (`SHAPE:LOAD:SEED[:QCAP]`, e.g. `poisson:0.8:42`); batch
-    /// semantics when absent.
-    pub arrivals: Option<ArrivalConfig>,
-}
-
-/// A `replay` request: re-run a recorded `.ltr` bundle.
-#[derive(Debug, Clone, PartialEq)]
-pub struct ReplayRequest {
-    /// Echoed request id.
-    pub id: String,
-    /// Path of the `.ltr` file on the server's filesystem.
-    pub file: String,
-    /// Scheduling policy (`lsm` is rejected: a replayed bundle carries
-    /// no symbolic arrays to re-layout).
-    pub policy: PolicyKind,
-    /// Core-count override (paper default when absent).
-    pub cores: Option<usize>,
-    /// RRS preemption-quantum override, in cycles.
-    pub quantum: Option<u64>,
-    /// RS seed override.
-    pub seed: Option<u64>,
-    /// Per-request simulated-cycle budget; the server's default applies
-    /// when absent.
-    pub deadline: Option<u64>,
+    /// What to simulate; its `deadline`, when absent, is the server's.
+    pub scenario: Scenario,
 }
 
 /// The closed set of machine-readable error codes.
@@ -236,7 +191,11 @@ impl Response {
             CoreError::QueueSaturated { .. } => ErrorCode::QueueSaturated,
             CoreError::JobPanicked { .. } => ErrorCode::JobPanicked,
             CoreError::EngineStalled { .. } => ErrorCode::EngineStalled,
-            CoreError::Workload(_) | CoreError::Graph(_) => ErrorCode::BadRequest,
+            CoreError::Trace(e) => return Response::err(id, ErrorCode::BadTrace, e),
+            CoreError::Workload(_)
+            | CoreError::Graph(_)
+            | CoreError::UnknownApp(_)
+            | CoreError::Unreadable { .. } => ErrorCode::BadRequest,
             _ => ErrorCode::Internal,
         };
         Response::err(id, code, e)
@@ -297,108 +256,6 @@ impl ParseError {
     }
 }
 
-/// Key/value pairs with strict single-use consumption: every key must
-/// be recognized and used exactly once.
-struct Fields<'a> {
-    pairs: Vec<(&'a str, &'a str, bool)>,
-    id: String,
-}
-
-impl<'a> Fields<'a> {
-    fn parse(tokens: &[&'a str]) -> Result<Fields<'a>, ParseError> {
-        let mut pairs: Vec<(&str, &str, bool)> = Vec::with_capacity(tokens.len());
-        for tok in tokens {
-            let Some((k, v)) = tok.split_once('=') else {
-                return Err(ParseError::new(
-                    NO_ID,
-                    format!("bare token '{tok}' (expected key=value)"),
-                ));
-            };
-            if k.is_empty() || v.is_empty() {
-                return Err(ParseError::new(
-                    NO_ID,
-                    format!("empty key or value in '{tok}'"),
-                ));
-            }
-            if pairs.iter().any(|&(pk, _, _)| pk == k) {
-                return Err(ParseError::new(NO_ID, format!("duplicate key '{k}'")));
-            }
-            pairs.push((k, v, false));
-        }
-        let id = pairs
-            .iter()
-            .find(|&&(k, _, _)| k == "id")
-            .map_or(NO_ID, |&(_, v, _)| v)
-            .to_string();
-        Ok(Fields { pairs, id })
-    }
-
-    fn take(&mut self, key: &str) -> Option<&'a str> {
-        self.pairs.iter_mut().find(|(k, _, _)| *k == key).map(|p| {
-            p.2 = true;
-            p.1
-        })
-    }
-
-    fn require(&mut self, key: &str) -> Result<&'a str, ParseError> {
-        let id = self.id.clone();
-        self.take(key)
-            .ok_or_else(|| ParseError::new(&id, format!("missing required key '{key}'")))
-    }
-
-    /// A required name (`scale`, `policy`) parsed through its type's
-    /// `FromStr`.
-    fn require_known<T: std::str::FromStr>(&mut self, key: &str) -> Result<T, ParseError> {
-        let v = self.require(key)?;
-        v.parse()
-            .map_err(|_| ParseError::new(&self.id, format!("unknown {key} '{v}'")))
-    }
-
-    fn take_parsed<T: std::str::FromStr>(&mut self, key: &str) -> Result<Option<T>, ParseError> {
-        match self.take(key) {
-            None => Ok(None),
-            Some(v) => v
-                .parse()
-                .map(Some)
-                .map_err(|_| ParseError::new(&self.id, format!("invalid {key} '{v}'"))),
-        }
-    }
-
-    /// A count that must be at least 1 (`cores`, `quantum`): zero is
-    /// well-formed text but no machine or time slice, and would reach
-    /// an assertion inside the simulator instead of an error.
-    fn take_positive<T>(&mut self, key: &str) -> Result<Option<T>, ParseError>
-    where
-        T: std::str::FromStr + Default + PartialEq,
-    {
-        match self.take_parsed(key)? {
-            Some(v) if v == T::default() => Err(ParseError::new(
-                &self.id,
-                format!("{key} must be at least 1"),
-            )),
-            v => Ok(v),
-        }
-    }
-
-    /// `cores`: at least 1, at most [`MAX_CORES`].
-    fn take_cores(&mut self) -> Result<Option<usize>, ParseError> {
-        match self.take_positive("cores")? {
-            Some(n) if n > MAX_CORES => Err(ParseError::new(
-                &self.id,
-                format!("cores must be at most {MAX_CORES}"),
-            )),
-            v => Ok(v),
-        }
-    }
-
-    fn finish(self) -> Result<(), ParseError> {
-        match self.pairs.iter().find(|&&(k, _, used)| !used && k != "id") {
-            Some(&(k, _, _)) => Err(ParseError::new(&self.id, format!("unknown key '{k}'"))),
-            None => Ok(()),
-        }
-    }
-}
-
 impl Request {
     /// Parses one request line (already stripped of its terminator).
     /// Returns `Ok(None)` for blank and `#`-comment lines.
@@ -413,62 +270,18 @@ impl Request {
         let Some(verb) = tokens.next() else {
             return Ok(None);
         };
-        let rest: Vec<&str> = tokens.collect();
-        let mut fields = Fields::parse(&rest)?;
-        let id = fields.id.clone();
+        let mut fields =
+            Fields::parse(tokens).map_err(|e| ParseError::new(NO_ID, e.to_string()))?;
+        let id = fields.take("id").unwrap_or(NO_ID).to_string();
         let req = match verb {
             "ping" => Request::Ping { id },
             "stats" => Request::Stats { id },
             "shutdown" => Request::Shutdown { id },
-            "run" => {
-                let app = fields.require("app")?.to_string();
-                let scale = fields.require_known("scale")?;
-                let policy = fields.require_known("policy")?;
-                let bus = match fields.take("bus") {
-                    None => None,
-                    Some(v) => Some(
-                        v.parse()
-                            .map_err(|_| ParseError::new(&id, format!("invalid bus '{v}'")))?,
-                    ),
-                };
-                let arrivals = match fields.take("arrivals") {
-                    None => None,
-                    Some(v) => Some(v.parse::<ArrivalConfig>().map_err(|e| {
-                        ParseError::new(&id, format!("invalid arrivals '{v}': {e}"))
-                    })?),
-                };
-                Request::Run(RunRequest {
-                    id,
-                    app,
-                    scale,
-                    policy,
-                    cores: fields.take_cores()?,
-                    quantum: fields.take_positive("quantum")?,
-                    seed: fields.take_parsed("seed")?,
-                    bus,
-                    deadline: fields.take_parsed("deadline")?,
-                    arrivals,
-                })
-            }
-            "replay" => {
-                let file = fields.require("file")?.to_string();
-                let policy = fields.require_known("policy")?;
-                if policy == PolicyKind::LocalityMap {
-                    return Err(ParseError::new(
-                        &id,
-                        "policy lsm cannot replay: a bundle has no symbolic arrays to re-layout",
-                    ));
-                }
-                Request::Replay(ReplayRequest {
-                    id,
-                    file,
-                    policy,
-                    cores: fields.take_cores()?,
-                    quantum: fields.take_positive("quantum")?,
-                    seed: fields.take_parsed("seed")?,
-                    deadline: fields.take_parsed("deadline")?,
-                })
-            }
+            "run" | "replay" => match Scenario::from_fields(&mut fields, verb == "replay") {
+                Ok(scenario) if verb == "run" => Request::Run(ScenarioRequest { id, scenario }),
+                Ok(scenario) => Request::Replay(ScenarioRequest { id, scenario }),
+                Err(e) => return Err(ParseError::new(&id, e.to_string())),
+            },
             other => {
                 return Err(ParseError::new(
                     &id,
@@ -476,7 +289,9 @@ impl Request {
                 ))
             }
         };
-        fields.finish()?;
+        fields
+            .finish()
+            .map_err(|e| ParseError::new(req.id(), e.to_string()))?;
         Ok(Some(req))
     }
 
@@ -485,8 +300,7 @@ impl Request {
     pub fn id(&self) -> &str {
         match self {
             Request::Ping { id } | Request::Stats { id } | Request::Shutdown { id } => id,
-            Request::Run(r) => &r.id,
-            Request::Replay(r) => &r.id,
+            Request::Run(r) | Request::Replay(r) => &r.id,
         }
     }
 }
@@ -494,6 +308,11 @@ impl Request {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use lams_core::{ArrivalConfig, PolicyKind, Source};
+    use lams_mpsoc::BusConfig;
+    use lams_workloads::Scale;
+
+    const MAX_CORES: usize = Scenario::MAX_CORES;
 
     #[test]
     fn blank_and_comment_lines_are_skipped() {
@@ -513,16 +332,19 @@ mod tests {
             panic!("not a run")
         };
         assert_eq!(r.id, "7");
-        assert_eq!(r.app, "shape");
-        assert_eq!(r.scale, Scale::Tiny);
-        assert_eq!(r.policy, PolicyKind::Locality);
-        assert_eq!(r.cores, Some(4));
-        assert_eq!(r.quantum, Some(500));
-        assert_eq!(r.seed, Some(9));
-        assert_eq!(r.bus, Some(BusConfig::fcfs(20)));
-        assert_eq!(r.deadline, Some(100_000));
+        let Source::App { name, scale } = &r.scenario.source else {
+            panic!("not an app source")
+        };
+        assert_eq!(name, "shape");
+        assert_eq!(*scale, Scale::Tiny);
+        assert_eq!(r.scenario.policy, PolicyKind::Locality);
+        assert_eq!(r.scenario.cores, Some(4));
+        assert_eq!(r.scenario.quantum, Some(500));
+        assert_eq!(r.scenario.seed, Some(9));
+        assert_eq!(r.scenario.bus, Some(BusConfig::fcfs(20)));
+        assert_eq!(r.scenario.deadline, Some(100_000));
         assert_eq!(
-            r.arrivals,
+            r.scenario.arrivals,
             Some(ArrivalConfig::poisson(800, 42).with_queue_capacity(64))
         );
     }
@@ -590,7 +412,13 @@ mod tests {
         else {
             panic!("a run request");
         };
-        assert_eq!((r.scale, r.policy), (Scale::Tiny, PolicyKind::LocalityMap));
+        let Source::App { scale, .. } = r.scenario.source else {
+            panic!("not an app source")
+        };
+        assert_eq!(
+            (scale, r.scenario.policy),
+            (Scale::Tiny, PolicyKind::LocalityMap)
+        );
     }
 
     #[test]
