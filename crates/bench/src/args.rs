@@ -11,12 +11,20 @@
 use std::fmt::Display;
 use std::str::FromStr;
 
-/// The raw VALUE of `--name VALUE`; `None` when the flag is absent.
-pub fn flag_value<'a>(args: &'a [String], name: &str) -> Option<&'a str> {
-    args.iter()
-        .position(|a| a == name)
-        .and_then(|i| args.get(i + 1))
-        .map(String::as_str)
+/// The raw VALUE of `--name VALUE`; `Ok(None)` when the flag is absent.
+///
+/// # Errors
+///
+/// Returns `NAME needs a value` when the flag is the last argument or
+/// is followed by another `--flag`.
+pub fn flag_value<'a>(args: &'a [String], name: &str) -> Result<Option<&'a str>, String> {
+    let Some(i) = args.iter().position(|a| a == name) else {
+        return Ok(None);
+    };
+    match args.get(i + 1) {
+        Some(v) if !v.starts_with("--") => Ok(Some(v)),
+        _ => Err(format!("{name} needs a value")),
+    }
 }
 
 /// `--name VALUE` parsed as a `T`: `Ok(None)` when the flag is absent,
@@ -26,12 +34,12 @@ pub fn flag_value<'a>(args: &'a [String], name: &str) -> Option<&'a str> {
 /// # Errors
 ///
 /// Returns `bad NAME 'VALUE': REASON`, with `T`'s parse error as the
-/// reason.
+/// reason, or `NAME needs a value` (see [`flag_value`]).
 pub fn try_flag<T: FromStr>(args: &[String], name: &str) -> Result<Option<T>, String>
 where
     T::Err: Display,
 {
-    let Some(v) = flag_value(args, name) else {
+    let Some(v) = flag_value(args, name)? else {
         return Ok(None);
     };
     v.parse()
@@ -120,6 +128,21 @@ mod tests {
         for bad in ["poisson:0.8", "gauss:0.8:1"] {
             assert!(try_flag::<ArrivalConfig>(&argv(&["--arrivals", bad]), "--arrivals").is_err());
         }
+    }
+
+    #[test]
+    fn a_flag_without_a_value_is_an_error() {
+        for args in [&["--cores"][..], &["--cores", "--scale", "tiny"]] {
+            assert_eq!(
+                try_flag::<usize>(&argv(args), "--cores"),
+                Err("--cores needs a value".into())
+            );
+        }
+        // A negative number is a value, not a flag.
+        assert_eq!(
+            flag_value(&argv(&["--tasks", "-1"]), "--tasks"),
+            Ok(Some("-1"))
+        );
     }
 
     #[test]

@@ -1,7 +1,7 @@
 //! Diagnostic: per-core schedules and idle accounting for one app under
 //! RS and LS. Development aid, not a paper artifact.
 
-use lams_bench::{flag, flag_value};
+use lams_bench::flag;
 use lams_core::{Experiment, PolicyKind};
 use lams_mpsoc::MachineConfig;
 use lams_workloads::{suite, Workload};
@@ -9,8 +9,8 @@ use lams_workloads::{suite, Workload};
 fn main() {
     let args: Vec<String> = std::env::args().skip(1).collect();
     let scale = flag(&args, "--scale").unwrap_or_default();
-    let name = flag_value(&args, "--app").unwrap_or("Usonic");
-    let app = suite::by_name(name, scale).expect("known app");
+    let name: String = flag(&args, "--app").unwrap_or_else(|| "Usonic".into());
+    let app = suite::by_name(&name, scale).expect("known app");
     let w = Workload::single(app.clone()).unwrap();
     let machine = MachineConfig::paper_default();
     let exp = Experiment::isolated(&app, machine);

@@ -13,7 +13,9 @@
 //!   `SCENARIO` is any of `--policy rs|rrs|ls`, `--cores N`,
 //!   `--quantum CYCLES`, `--seed N`, `--bus SPEC`, `--deadline CYCLES`
 //!   and `--arrivals SPEC`: the keys of a `lams-serve` request line,
-//!   with the same meaning and the same checks. `trace_tool` defaults
+//!   with the same meaning and the same checks. A flag outside its
+//!   subcommand's keys, or one without a value, is a usage error: a
+//!   typo never runs the defaults. `trace_tool` defaults
 //!   to `--scale small --policy ls --seed 12345 --quantum 50000` and
 //!   asks for the miss split, which its report prints.
 //! * `inspect FILE [--proc I] [--limit N]` — dump a program's decoded
@@ -88,10 +90,32 @@ where
         .unwrap_or(default))
 }
 
+/// Refuses a `--flag` whose name is not in `known`: a typo such as
+/// `--quantun 5` must not run the defaults.
+fn refuse_unknown_flags(cmd: &str, args: &[String], known: &[&str]) -> CliResult<()> {
+    let mut names = args.iter().filter_map(|a| a.strip_prefix("--"));
+    match names.find(|name| !known.contains(name)) {
+        Some(name) => Err(CliError::usage(format!("{cmd} takes no --{name}"))),
+        None => Ok(()),
+    }
+}
+
+/// The raw value of `--name`, a usage error when it has none.
+fn raw_flag<'a>(args: &'a [String], name: &str) -> CliResult<Option<&'a str>> {
+    flag_value(args, name).map_err(CliError::usage)
+}
+
 /// The scenario `cmd`'s arguments name. `trace_tool`'s own defaults
 /// are set first; each `--key value` of [`Scenario::KEYS`] then
-/// replaces its key. `replay` takes its file as the first argument.
+/// replaces its key. `replay` takes its file as the first argument,
+/// and `record` also reads `--out`; any other `--flag` is refused.
 fn scenario_from_args(cmd: &str, args: &[String]) -> CliResult<Scenario> {
+    let keys = Scenario::KEYS.into_iter().filter(|&k| k != "file");
+    let mut known: Vec<&str> = keys.clone().collect();
+    if cmd == "record" {
+        known.push("out");
+    }
+    refuse_unknown_flags(cmd, args, &known)?;
     let file = match cmd {
         "replay" => Some(path_arg(args, cmd)?),
         _ => None,
@@ -104,8 +128,8 @@ fn scenario_from_args(cmd: &str, args: &[String]) -> CliResult<Scenario> {
     for (key, value) in [("policy", "ls"), ("seed", "12345"), ("quantum", "50000")] {
         fields.set(key, value);
     }
-    for key in Scenario::KEYS.into_iter().filter(|&k| k != "file") {
-        if let Some(value) = flag_value(args, &format!("--{key}")) {
+    for key in keys {
+        if let Some(value) = raw_flag(args, &format!("--{key}"))? {
             fields.set(key, value);
         }
     }
@@ -181,7 +205,7 @@ fn cmd_record(rest: &[String]) -> CliResult<()> {
         return Err(CliError::usage("record needs --app NAME or --mix N"));
     };
     let layout = Layout::linear(w.arrays());
-    let out = flag_value(rest, "--out").unwrap_or("trace.ltr");
+    let out = raw_flag(rest, "--out")?.unwrap_or("trace.ltr");
     let bundle = w.record(&layout);
     let bytes = bundle.to_bytes();
     std::fs::write(out, &bytes).map_err(|e| CliError::runtime(format!("writing {out}: {e}")))?;
@@ -218,6 +242,7 @@ fn cmd_simulate(cmd: &str, rest: &[String]) -> CliResult<()> {
 
 fn cmd_inspect(rest: &[String]) -> CliResult<()> {
     let path = path_arg(rest, "inspect")?;
+    refuse_unknown_flags("inspect", rest, &["proc", "limit"])?;
     let bundle = read_bundle(path)?;
     let limit: u64 = parsed_flag(rest, "--limit", 64u64)?;
     let only: Option<usize> = try_flag(rest, "--proc").map_err(CliError::usage)?;
@@ -252,6 +277,7 @@ fn cmd_inspect(rest: &[String]) -> CliResult<()> {
 
 fn cmd_stats(rest: &[String]) -> CliResult<()> {
     let path = path_arg(rest, "stats")?;
+    refuse_unknown_flags("stats", rest, &[])?;
     let bundle = read_bundle(path)?;
     println!(
         "bundle {} ({} processes, {} edges, {} ops)",

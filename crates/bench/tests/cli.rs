@@ -56,6 +56,60 @@ fn malformed_flag_values_exit_2() {
 }
 
 #[test]
+fn a_flag_without_a_value_exits_2() {
+    let cases: [(&str, &[&str], &str); 4] = [
+        (env!("CARGO_BIN_EXE_fig6"), &["--scale"], "--scale"),
+        (
+            env!("CARGO_BIN_EXE_sweep"),
+            &["--threads", "--scale", "tiny"],
+            "--threads",
+        ),
+        (
+            env!("CARGO_BIN_EXE_trace_tool"),
+            &["run", "--app", "shape", "--scale", "tiny", "--quantum"],
+            "--quantum",
+        ),
+        (
+            env!("CARGO_BIN_EXE_trace_tool"),
+            &["record", "--app", "shape", "--scale", "tiny", "--out"],
+            "--out",
+        ),
+    ];
+    for (bin, args, flag) in cases {
+        let (code, stderr) = run(bin, args);
+        assert_eq!(code, Some(2), "{bin} {args:?}: {stderr}");
+        let msg = format!("error: {flag} needs a value\n");
+        assert!(stderr.starts_with(&msg), "{bin} {args:?}: {stderr}");
+    }
+}
+
+#[test]
+fn trace_tool_refuses_a_flag_its_verb_does_not_read() {
+    for (args, msg) in [
+        (
+            &["run", "--app", "shape", "--scale", "tiny", "--quantun", "5"][..],
+            "error: run takes no --quantun\n",
+        ),
+        (
+            &["replay", "absent.ltr", "--policy", "rs", "--seeed", "3"],
+            "error: replay takes no --seeed\n",
+        ),
+        (
+            &["run", "--app", "shape", "--scale", "tiny", "--out", "t.ltr"],
+            "error: run takes no --out\n",
+        ),
+        (
+            &["stats", "absent.ltr", "--limit", "3"],
+            "error: stats takes no --limit\n",
+        ),
+    ] {
+        let (code, stderr) = run(env!("CARGO_BIN_EXE_trace_tool"), args);
+        assert_eq!(code, Some(2), "{args:?}: {stderr}");
+        assert!(stderr.starts_with(msg), "{args:?}: {stderr}");
+    }
+}
+
+#[test]
 fn trace_tool_refuses_lsm() {
     let args = [
         "run", "--app", "shape", "--scale", "tiny", "--policy", "lsm",

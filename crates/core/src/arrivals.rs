@@ -18,7 +18,11 @@
 //!   software natural log built from IEEE basic operations only (no
 //!   `libm` transcendentals, whose last-bit behaviour is
 //!   platform-defined), so the same `(config, workload, machine)`
-//!   produces the same plan on every host, thread count and memo state;
+//!   produces the same plan on every host, thread count and memo state.
+//!   Each gap is rounded from a table-driven log, `ln_fast`, unless the
+//!   error bound on it brackets a rounding boundary of the gap; then
+//!   the series `ln_det` decides, so every gap is `ln_det`'s. The plan
+//!   checksum is folded in as the arrivals are generated;
 //! * [`ArrivalMetrics`] — the steady-state results the engine reports
 //!   next to makespan: queueing/sojourn latency percentiles over
 //!   **simulated cycles**, the ready-queue high-water mark, and per-core
@@ -148,7 +152,10 @@ impl std::str::FromStr for ArrivalConfig {
                 "arrivals '{s}': load must be in (0, 1000], got {load_str}"
             ));
         }
-        let load_milli = (load * 1000.0 + 0.5) as u64;
+        // At least one thousandth, which `generate` runs anyway: a
+        // load that rounds to 0 would print as `0.000`, a load this
+        // parse refuses.
+        let load_milli = ((load * 1000.0 + 0.5) as u64).max(1);
         let seed_str = parts
             .next()
             .ok_or_else(|| format!("arrivals '{s}': missing seed (SHAPE:LOAD:SEED[:QCAP])"))?;
@@ -216,8 +223,9 @@ fn unit(state: &mut u64) -> f64 {
 /// conforming host; `f64::ln` goes through the platform's libm, whose
 /// last bits are not). Decomposes `x = m·2^e` with `m ∈ [1, 2)` and
 /// sums the atanh series for `ln m`. Accurate to well under 1 ulp of
-/// the cycle quantization that consumes it.
-fn ln_det(x: f64) -> f64 {
+/// the cycle quantization that consumes it. The reference every gap
+/// is rounded from; `const` so that [`LN_TABLE`] is its values.
+const fn ln_det(x: f64) -> f64 {
     debug_assert!(x > 0.0 && x.is_finite());
     let bits = x.to_bits();
     let e = ((bits >> 52) & 0x7FF) as i64 - 1023;
@@ -239,11 +247,95 @@ fn ln_det(x: f64) -> f64 {
     2.0 * sum + (e as f64) * std::f64::consts::LN_2
 }
 
+/// `ln_det(1 + j/128)` for `j = 0..=128`, evaluated at compile time.
+const LN_TABLE: [f64; 129] = {
+    let mut table = [0.0; 129];
+    let mut j = 0;
+    while j < table.len() {
+        table[j] = ln_det(1.0 + j as f64 / 128.0);
+        j += 1;
+    }
+    table
+};
+
+/// Natural log from [`LN_TABLE`] and one division, within
+/// [`LN_FAST_ERROR`] of [`ln_det`] on every draw in `[2^-53, 1]`.
+/// With `x = m·2^e` and `c = 1 + j/128` the table point nearest `m`,
+/// `ln x = ln c + 2·atanh(s) + e·ln 2` where `s = (m − c)/(m + c)`;
+/// `|s| < 1/512`, so four odd terms of the atanh series reach well
+/// below an ulp. The sum is ordered like `ln_det`'s, which adds the
+/// same rounded `e·ln 2` last.
+fn ln_fast(x: f64) -> f64 {
+    let bits = x.to_bits();
+    let e = ((bits >> 52) & 0x7FF) as i64 - 1023;
+    let frac = bits & 0x000F_FFFF_FFFF_FFFF;
+    let m = f64::from_bits(frac | (1023u64 << 52));
+    // `m − 1 = frac / 2^52`: the nearest `j / 128` rounds `frac / 2^45`.
+    let j = ((frac + (1 << 44)) >> 45) as usize;
+    let c = 1.0 + j as f64 / 128.0;
+    let s = (m - c) / (m + c);
+    let s2 = s * s;
+    let atanh2 = s * (2.0 + s2 * (2.0 / 3.0 + s2 * (2.0 / 5.0 + s2 * (2.0 / 7.0))));
+    (LN_TABLE[j] + atanh2) + (e as f64) * std::f64::consts::LN_2
+}
+
+/// A bound on `|ln_fast(u) − ln_det(u)|` over every draw `u`, with a
+/// hundredfold margin over the largest difference the unit tests find.
+const LN_FAST_ERROR: f64 = 1e-12;
+
+/// The gap `-ln_det(u) · mean`, rounded to the nearest cycle.
+///
+/// The rounding `l ↦ (-l·mean + 0.5) as u64` is monotone in `l`
+/// (correctly rounded `*` and `+` and the saturating cast all are), and
+/// `ln_det(u)` lies within [`LN_FAST_ERROR`] of `ln_fast(u)`, so the
+/// rounded ends of that interval bracket it as well. When both ends
+/// round to one gap, that is `ln_det`'s gap; otherwise `ln_det` is
+/// evaluated.
+fn gap(u: f64, mean: f64) -> u64 {
+    let round = |l: f64| (-l * mean + 0.5) as u64;
+    let l = ln_fast(u);
+    let below = round(l + LN_FAST_ERROR);
+    if below == round(l - LN_FAST_ERROR) {
+        below
+    } else {
+        round(ln_det(u))
+    }
+}
+
 /// An exponential inter-arrival draw with the given mean, in cycles
 /// (rounded to nearest; simultaneous arrivals are legal).
 fn exp_gap(state: &mut u64, mean: f64) -> u64 {
-    let draw = -ln_det(unit(state)) * mean;
-    (draw + 0.5) as u64
+    gap(unit(state), mean)
+}
+
+/// FNV-1a offset basis: the checksum of the empty plan.
+const FNV_OFFSET: u64 = 0xCBF2_9CE4_8422_2325;
+
+/// The FNV-1a prime.
+const FNV_PRIME: u64 = 0x0000_0100_0000_01B3;
+
+/// `FNV_PRIME^k` for `k = 0..=8`.
+const FNV_PRIME_POWERS: [u64; 9] = {
+    let mut powers = [1u64; 9];
+    let mut k = 1;
+    while k < powers.len() {
+        powers[k] = powers[k - 1].wrapping_mul(FNV_PRIME);
+        k += 1;
+    }
+    powers
+};
+
+/// One arrival cycle folded into an FNV-1a checksum, byte-wise and
+/// little-endian. A zero byte XORs nothing in, so the high zero bytes
+/// of `t` are one multiply by a power of the prime, which shortens the
+/// serial chain from eight multiplies to six for a cycle below 2^40.
+fn fnv1a(mut sum: u64, t: u64) -> u64 {
+    let len = 8 - t.leading_zeros() as usize / 8;
+    for &b in &t.to_le_bytes()[..len] {
+        sum ^= b as u64;
+        sum = sum.wrapping_mul(FNV_PRIME);
+    }
+    sum.wrapping_mul(FNV_PRIME_POWERS[8 - len])
 }
 
 /// The diurnal period, in mean inter-arrival gaps.
@@ -251,14 +343,16 @@ const DIURNAL_PERIOD_GAPS: f64 = 64.0;
 
 /// The materialized arrival schedule: one arrival cycle per process, in
 /// process-id order with non-decreasing times. Generated once per run
-/// and never cached, which keeps the memo free of plan aliasing. It is
-/// not cheap: a million-process plan takes 60–65 ms to generate on a
-/// 2-vCPU host, and [`ArrivalPlan::checksum`], byte-wise FNV, about
-/// 13 ms more — 35–44 % of a repetition of the repo benchmark's
-/// `open_arrivals`, which builds one such plan.
+/// and never cached, which keeps the memo free of plan aliasing. Its
+/// checksum is computed as it is generated. A million-process plan
+/// (the Huge Shape service lengths cycled, load 0.9, 8 cores) takes
+/// about 35 ms on a 2-vCPU Xeon host, checksum included: a median over
+/// 21 seeds, against 72 ms plus a 14 ms checksum pass with `ln_det` on
+/// every draw.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct ArrivalPlan {
     arrivals: Vec<u64>,
+    checksum: u64,
 }
 
 impl ArrivalPlan {
@@ -272,23 +366,24 @@ impl ArrivalPlan {
     /// [`ArrivalShape`]); the empty workload yields the empty plan.
     pub fn generate(config: ArrivalConfig, service: &[u64], cores: usize) -> ArrivalPlan {
         let n = service.len();
+        let mut plan = ArrivalPlan {
+            arrivals: Vec::with_capacity(n),
+            checksum: FNV_OFFSET,
+        };
         if n == 0 {
-            return ArrivalPlan {
-                arrivals: Vec::new(),
-            };
+            return plan;
         }
         let total: u128 = service.iter().map(|&s| s as u128).sum();
         let mean_service = ((total / n as u128) as u64).max(1);
         let load_milli = config.load_milli.max(1);
         let inter_mean = (mean_service as f64 * 1000.0) / (load_milli as f64 * cores.max(1) as f64);
         let mut state = config.seed;
-        let mut arrivals = Vec::with_capacity(n);
         let mut t: u64 = 0;
         match config.shape {
             ArrivalShape::Poisson => {
                 for _ in 0..n {
                     t += exp_gap(&mut state, inter_mean);
-                    arrivals.push(t);
+                    plan.push(t);
                 }
             }
             ArrivalShape::Burst => {
@@ -300,7 +395,7 @@ impl ArrivalPlan {
                         left_in_burst = burst;
                     }
                     left_in_burst -= 1;
-                    arrivals.push(t);
+                    plan.push(t);
                 }
             }
             ArrivalShape::Diurnal => {
@@ -314,11 +409,17 @@ impl ArrivalPlan {
                     let tri = 1.0 - (2.0 * frac - 1.0).abs();
                     let factor = 0.5 + tri;
                     t += exp_gap(&mut state, inter_mean / factor);
-                    arrivals.push(t);
+                    plan.push(t);
                 }
             }
         }
-        ArrivalPlan { arrivals }
+        plan
+    }
+
+    /// Appends arrival cycle `t` and folds it into the checksum.
+    fn push(&mut self, t: u64) {
+        self.arrivals.push(t);
+        self.checksum = fnv1a(self.checksum, t);
     }
 
     /// Number of arrivals (one per process).
@@ -346,17 +447,11 @@ impl ArrivalPlan {
         self.arrivals.last().copied().unwrap_or(0)
     }
 
-    /// FNV-1a over the arrival cycles — the seed-stability golden
+    /// FNV-1a over the arrival cycles' little-endian bytes, stored when
+    /// the plan was generated — the seed-stability golden
     /// (`tests/cross_validation.rs` pins one for a fixed config).
     pub fn checksum(&self) -> u64 {
-        let mut sum: u64 = 0xCBF2_9CE4_8422_2325;
-        for &t in &self.arrivals {
-            for b in t.to_le_bytes() {
-                sum ^= b as u64;
-                sum = sum.wrapping_mul(0x0000_0100_0000_01B3);
-            }
-        }
-        sum
+        self.checksum
     }
 }
 
@@ -468,6 +563,212 @@ mod tests {
             seed: 7,
             queue_capacity: None,
         }
+    }
+
+    /// Whether the full case counts run: in release, where they take
+    /// about a second. A debug run takes a sample of each.
+    const FULL: bool = !cfg!(debug_assertions);
+
+    /// The reference generator: every gap rounded from `ln_det`, and
+    /// the checksum a second, plain byte-wise FNV-1a pass over the
+    /// finished plan.
+    fn reference_plan(config: ArrivalConfig, service: &[u64], cores: usize) -> (Vec<u64>, u64) {
+        fn exp_gap(state: &mut u64, mean: f64) -> u64 {
+            let draw = -ln_det(unit(state)) * mean;
+            (draw + 0.5) as u64
+        }
+        let n = service.len();
+        if n == 0 {
+            return (Vec::new(), 0xCBF2_9CE4_8422_2325);
+        }
+        let total: u128 = service.iter().map(|&s| s as u128).sum();
+        let mean_service = ((total / n as u128) as u64).max(1);
+        let load_milli = config.load_milli.max(1);
+        let inter_mean = (mean_service as f64 * 1000.0) / (load_milli as f64 * cores.max(1) as f64);
+        let mut state = config.seed;
+        let mut arrivals = Vec::with_capacity(n);
+        let mut t: u64 = 0;
+        match config.shape {
+            ArrivalShape::Poisson => {
+                for _ in 0..n {
+                    t += exp_gap(&mut state, inter_mean);
+                    arrivals.push(t);
+                }
+            }
+            ArrivalShape::Burst => {
+                let mut left_in_burst = 0u64;
+                for _ in 0..n {
+                    if left_in_burst == 0 {
+                        let burst = 1 + (splitmix64(&mut state) % 8);
+                        t += exp_gap(&mut state, inter_mean * burst as f64);
+                        left_in_burst = burst;
+                    }
+                    left_in_burst -= 1;
+                    arrivals.push(t);
+                }
+            }
+            ArrivalShape::Diurnal => {
+                let period = inter_mean * DIURNAL_PERIOD_GAPS;
+                for _ in 0..n {
+                    let phase = (t as f64) / period;
+                    let frac = phase - (phase as u64) as f64;
+                    let tri = 1.0 - (2.0 * frac - 1.0).abs();
+                    let factor = 0.5 + tri;
+                    t += exp_gap(&mut state, inter_mean / factor);
+                    arrivals.push(t);
+                }
+            }
+        }
+        let mut sum: u64 = 0xCBF2_9CE4_8422_2325;
+        for &t in &arrivals {
+            for b in t.to_le_bytes() {
+                sum ^= b as u64;
+                sum = sum.wrapping_mul(0x0000_0100_0000_01B3);
+            }
+        }
+        (arrivals, sum)
+    }
+
+    #[test]
+    fn plans_match_the_reference_generator() {
+        let n: u64 = if FULL { 1000 } else { 60 };
+        let seeds: &[u64] = if FULL {
+            &[
+                0,
+                1,
+                7,
+                42,
+                1000,
+                12345,
+                0xDEAD_BEEF,
+                u64::MAX - 2,
+                u64::MAX,
+            ]
+        } else {
+            &[7, u64::MAX]
+        };
+        // Mean service from 1 cycle to about 2^40, uniform and varied.
+        let services: [Vec<u64>; 4] = [
+            vec![1; n as usize],
+            (0..n).map(|i| 1 + (i * 7919) % 5000).collect(),
+            (0..n)
+                .map(|i| (1 << 20) + (i * 104_729) % (1 << 18))
+                .collect(),
+            (0..n).map(|i| (1 << 40) - (i % 5) * 999_983).collect(),
+        ];
+        for shape in [
+            ArrivalShape::Poisson,
+            ArrivalShape::Burst,
+            ArrivalShape::Diurnal,
+        ] {
+            for &seed in seeds {
+                for load_milli in [1, 9, 250, 800, 1000, 4321, 1_000_000] {
+                    for cores in [1, 3, 8, 64] {
+                        for service in &services {
+                            let config = ArrivalConfig {
+                                shape,
+                                load_milli,
+                                seed,
+                                queue_capacity: None,
+                            };
+                            let plan = ArrivalPlan::generate(config, service, cores);
+                            let (arrivals, checksum) = reference_plan(config, service, cores);
+                            assert!(
+                                plan.arrivals == arrivals && plan.checksum() == checksum,
+                                "{config} on {cores} cores, service {}..: plan differs",
+                                service[0]
+                            );
+                        }
+                    }
+                }
+            }
+        }
+        assert_eq!(
+            ArrivalPlan::generate(cfg(ArrivalShape::Poisson), &[], 8).checksum(),
+            reference_plan(cfg(ArrivalShape::Poisson), &[], 8).1
+        );
+    }
+
+    fn assert_ln_close(x: f64) {
+        let d = (ln_fast(x) - ln_det(x)).abs();
+        assert!(
+            d <= LN_FAST_ERROR / 100.0,
+            "|ln_fast({x:e}) - ln_det({x:e})| = {d:e}"
+        );
+    }
+
+    #[test]
+    fn ln_fast_stays_within_a_hundredth_of_its_bound() {
+        let powers: Vec<f64> = (0..=53).map(|e| f64::from_bits((1023 - e) << 52)).collect();
+        assert_eq!(powers[53], 1.0 / 9_007_199_254_740_992.0);
+        // Every table point `k = 2j` and every cell edge between two
+        // points (odd `k`), with their neighbouring floats, scaled by
+        // each power of two in the draw range.
+        for k in 0..=256 {
+            let m = 1.0 + k as f64 / 256.0;
+            for x in [m.next_down(), m, m.next_up()] {
+                if (1.0..2.0).contains(&x) {
+                    for &p in &powers[1..] {
+                        assert_ln_close(x * p);
+                    }
+                }
+            }
+        }
+        for &p in &powers {
+            assert_ln_close(p);
+        }
+        let mut state = 2024;
+        for _ in 0..if FULL { 4_000_000 } else { 100_000 } {
+            assert_ln_close(unit(&mut state));
+        }
+    }
+
+    /// Where `ln_fast` and `ln_det` differ in bits, a `mean` that puts a
+    /// rounding boundary between their gaps must still get `ln_det`'s.
+    #[test]
+    fn a_gap_the_bound_cannot_settle_is_ln_det_s() {
+        let round = |l: f64, mean: f64| (-l * mean + 0.5) as u64;
+        let mut state = 99;
+        let mut split = 0;
+        for i in 0..if FULL { 200_000 } else { 20_000 } {
+            let before = state;
+            let u = unit(&mut state);
+            let (fast, exact) = (ln_fast(u), ln_det(u));
+            if fast == exact {
+                continue;
+            }
+            // Aim `-exact · mean + 0.5` at the boundary below cycle
+            // `target`, then walk `mean` an ulp at a time across it.
+            let target = 10 + i % 5000;
+            let mut mean = (target as f64 - 0.5) / -exact;
+            for _ in 0..64 {
+                mean = mean.next_down();
+            }
+            for _ in 0..128 {
+                if round(fast, mean) != round(exact, mean) {
+                    assert_eq!(
+                        exp_gap(&mut before.clone(), mean),
+                        round(exact, mean),
+                        "u = {u:e}, mean = {mean:e}"
+                    );
+                    split += 1;
+                    break;
+                }
+                mean = mean.next_up();
+            }
+        }
+        assert!(split >= 100, "only {split} draws split by a boundary");
+    }
+
+    #[test]
+    fn a_load_below_a_thousandth_parses_to_one() {
+        let c: ArrivalConfig = "poisson:0.0001:1".parse().unwrap();
+        assert_eq!(c.load_milli, 1);
+        assert_eq!(c.to_string(), "poisson load=0.001 seed=1");
+        let s: crate::Scenario = "app=shape scale=tiny policy=rs arrivals=poisson:0.0001:1"
+            .parse()
+            .unwrap();
+        assert_eq!(s.to_string().parse(), Ok(s));
     }
 
     #[test]
