@@ -53,10 +53,27 @@ pub fn flag<T: FromStr>(args: &[String], name: &str) -> Option<T>
 where
     T::Err: Display,
 {
-    try_flag(args, name).unwrap_or_else(|e| {
-        eprintln!("error: {e}");
-        std::process::exit(2);
-    })
+    try_flag(args, name).unwrap_or_else(|e| usage_error(e))
+}
+
+/// Prints `error: {e}` and exits with status 2.
+pub(crate) fn usage_error(e: String) -> ! {
+    eprintln!("error: {e}");
+    std::process::exit(2);
+}
+
+/// Refuses a `--flag` whose name is not in `known`: a typo such as
+/// `--quantun 5` must not run the defaults.
+///
+/// # Errors
+///
+/// Returns `CMD takes no --NAME` for the first unknown flag.
+pub fn refuse_unknown_flags(cmd: &str, args: &[String], known: &[&str]) -> Result<(), String> {
+    let mut names = args.iter().filter_map(|a| a.strip_prefix("--"));
+    match names.find(|name| !known.contains(name)) {
+        Some(name) => Err(format!("{cmd} takes no --{name}")),
+        None => Ok(()),
+    }
 }
 
 #[cfg(test)]
@@ -142,6 +159,28 @@ mod tests {
         assert_eq!(
             flag_value(&argv(&["--tasks", "-1"]), "--tasks"),
             Ok(Some("-1"))
+        );
+    }
+
+    #[test]
+    fn unknown_flags_are_refused_by_name() {
+        let known = ["scale", "threads"];
+        assert_eq!(
+            refuse_unknown_flags(
+                "fig7",
+                &argv(&["--scale", "tiny", "--threads", "2"]),
+                &known
+            ),
+            Ok(())
+        );
+        assert_eq!(
+            refuse_unknown_flags("fig7", &argv(&["--scal", "tiny"]), &known),
+            Err("fig7 takes no --scal".into())
+        );
+        // A negative value is not a flag.
+        assert_eq!(
+            refuse_unknown_flags("sweep", &argv(&["--threads", "-1"]), &known),
+            Ok(())
         );
     }
 

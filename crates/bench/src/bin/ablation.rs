@@ -11,35 +11,30 @@
 //!     [--scale tiny|small|paper|large|huge] [--tasks 4] [--threads N]
 //! ```
 //!
-//! The policy-variant grid fans through a [`SweepRunner`] (the custom
-//! policies are not [`PolicyKind`]s, so they use the runner's generic
-//! indexed fan-out rather than a [`lams_core::ScenarioMatrix`]); the LSM
-//! rows run their candidate ladders on the same runner via
-//! [`Experiment::with_runner`]. Output is bit-identical for any
-//! `--threads N`.
+//! The flags are read through [`Figure`]. The thinning and line-sharing
+//! variants are not [`PolicyKind`]s, so they are a bench-only list fanned
+//! through the figure's [`lams_core::SweepRunner`]; the LSM rows run the
+//! base scenario's experiment, their candidate ladders on the same
+//! runner via [`lams_core::Experiment::with_runner`]. Output is
+//! bit-identical for any `--threads N`.
 
-use lams_bench::{csv_table, flag};
-use lams_core::{
-    execute, Experiment, LocalityPolicy, PolicyKind, RunResult, SharingMatrix, SweepRunner,
-};
+use lams_bench::{csv_table, emit, Figure};
+use lams_core::{execute, LocalityPolicy, PolicyKind, RunResult, SharingMatrix};
 use lams_layout::Layout;
-use lams_mpsoc::MachineConfig;
-use lams_workloads::{suite, Workload};
+use lams_workloads::{suite, Scale, Workload};
 
 fn main() {
-    let args: Vec<String> = std::env::args().skip(1).collect();
-    let scale = flag(&args, "--scale").unwrap_or_default();
-    let tasks = flag(&args, "--tasks").unwrap_or(4).clamp(1, 6);
-    let runner = SweepRunner::new(flag(&args, "--threads").unwrap_or(1));
+    let fig = Figure::read("ablation", &["scale", "tasks", "threads"], Scale::Small);
+    let runner = fig.runner;
     // It prints the conflict misses: ask for the miss split.
-    let machine = MachineConfig::paper_default().with_explain(true);
-    let workload = Workload::concurrent(suite::mix(tasks, scale)).expect("valid mix");
+    let machine = fig.machine();
+    let workload = Workload::concurrent(suite::mix(fig.tasks, fig.scale)).expect("valid mix");
     let layout = Layout::linear(workload.arrays());
 
-    println!(
-        "Ablation — |T|={tasks}, scale {scale}, {machine}, {} thread(s)",
-        runner.threads()
-    );
+    fig.header(format_args!(
+        "Ablation — |T|={}, scale {}, {machine}",
+        fig.tasks, fig.scale
+    ));
 
     // A1a (thinning on/off) and A1b (sharing granularity) use custom
     // policy constructions; declared as labelled variants and fanned
@@ -61,47 +56,40 @@ fn main() {
         execute(&workload, &layout, &mut p, machine).expect("runs")
     };
     let results = runner.run(variants.len(), |i| eval(&variants[i]));
-
-    let mut rows = Vec::new();
-    for ((label, _, _), r) in variants.iter().zip(&results) {
-        rows.push(format!(
+    let row = |label: &str, r: &RunResult| {
+        let c = &r.machine.cache;
+        format!(
             "{label},{},{},{}",
-            r.makespan_cycles, r.machine.cache.misses, r.machine.cache.conflict_misses
-        ));
-    }
+            r.makespan_cycles, c.misses, c.conflict_misses
+        )
+    };
+    let mut rows: Vec<String> = (variants.iter().zip(&results))
+        .map(|((label, ..), r)| row(label, r))
+        .collect();
 
     // A1c: LSM threshold policy — the paper's fixed mean vs the ladder.
     // The fixed-mean run needs the ladder's conflict matrix first, so
     // these two stay sequential; their candidate ladders fan internally.
-    let exp = Experiment::for_workload(workload.clone(), machine).with_runner(runner);
+    let exp = fig
+        .base
+        .experiment(workload.clone(), machine)
+        .with_runner(runner);
     let (ladder, art) = exp.run_lsm().expect("runs");
-    rows.push(format!(
-        "lsm_ladder,{},{},{}",
-        ladder.makespan_cycles, ladder.machine.cache.misses, ladder.machine.cache.conflict_misses
-    ));
+    rows.push(row("lsm_ladder", &ladder));
     let mean = art.conflicts.mean_all_pairs();
     let (fixed_run, _) = exp
         .clone()
         .with_relayout_threshold(mean)
         .run_lsm()
         .expect("runs");
-    rows.push(format!(
-        "lsm_fixed_mean,{},{},{}",
-        fixed_run.makespan_cycles,
-        fixed_run.machine.cache.misses,
-        fixed_run.machine.cache.conflict_misses
-    ));
+    rows.push(row("lsm_fixed_mean", &fixed_run));
     // Baselines for reference.
     for kind in [PolicyKind::Random, PolicyKind::Locality] {
-        let r = exp.run(kind).expect("runs");
-        rows.push(format!(
-            "baseline_{},{},{},{}",
-            kind, r.makespan_cycles, r.machine.cache.misses, r.machine.cache.conflict_misses
+        rows.push(row(
+            &format!("baseline_{kind}"),
+            &exp.run(kind).expect("runs"),
         ));
     }
 
-    println!(
-        "{}",
-        csv_table("variant,cycles,misses,conflict_misses", &rows)
-    );
+    emit(csv_table("variant,cycles,misses,conflict_misses", &rows));
 }

@@ -16,10 +16,11 @@
 //! cargo run --release -p lams-bench --bin fig2a
 //! ```
 
+use lams_bench::{emit, Figure};
 use lams_core::{Experiment, PolicyKind, SharingMatrix};
 use lams_mpsoc::MachineConfig;
 use lams_procgraph::ProcessId;
-use lams_workloads::{prog1, Workload};
+use lams_workloads::{prog1, Scale, Workload};
 
 fn chained_sharing(m: &SharingMatrix, mapping: &[Vec<ProcessId>]) -> u64 {
     mapping
@@ -29,25 +30,26 @@ fn chained_sharing(m: &SharingMatrix, mapping: &[Vec<ProcessId>]) -> u64 {
 }
 
 fn print_mapping(label: &str, mapping: &[Vec<ProcessId>], m: &SharingMatrix) {
-    println!("{label}");
+    emit(label);
     for (c, seq) in mapping.iter().enumerate() {
         let names: Vec<String> = seq.iter().map(|p| p.to_string()).collect();
-        println!("  core {c}: {}", names.join(" then "));
+        emit!("  core {c}: {}", names.join(" then "));
     }
-    println!(
+    emit!(
         "  data shared between successive processes on the same core: {} elements",
         chained_sharing(m, mapping)
     );
 }
 
 fn main() {
+    Figure::read("fig2a", &[], Scale::Small);
     let app = prog1();
     let w = Workload::single(app.clone()).expect("valid app");
     let m = SharingMatrix::from_workload(&w);
 
-    println!("Figure 2(a) reproduction — data sharings between the processes of Prog1");
-    println!("(cell (k, p) = |DS_k ∩ DS_p|, elements)");
-    println!("{m}");
+    emit!("Figure 2(a) reproduction — data sharings between the processes of Prog1");
+    emit!("(cell (k, p) = |DS_k ∩ DS_p|, elements)");
+    emit(&m);
 
     // Figure 2(b): the locality-aware scheduler's own choice on 4 cores.
     let machine = MachineConfig::paper_default().with_cores(4);

@@ -15,104 +15,59 @@
 //! contention model, and the grid gains a bus axis sweeping the
 //! transfer occupancy around the requested value.
 //!
-//! The 17 sweep points × four policies are declared as one
-//! [`ScenarioMatrix`] (68 jobs) and executed on a [`SweepRunner`];
-//! `--threads N` fans the jobs across N workers with bit-identical
-//! output.
+//! Each of the 17 sweep points is the base scenario `mix=TASKS` with one
+//! key set (`cache=4096:2:32`, `cores=16`, `quantum=1000`, …), run under
+//! the four policies on `--threads N` workers with bit-identical output.
 
-use lams_bench::{csv_table, flag};
-use lams_core::{ArrivalConfig, Experiment, PolicyKind, ScenarioMatrix, SweepRunner};
-use lams_mpsoc::{BusConfig, CacheConfig, MachineConfig};
-use lams_workloads::suite;
+use lams_bench::{csv_table, emit, Figure};
+use lams_core::{PolicyKind, Scenario, DEFAULT_QUANTUM};
+use lams_workloads::Scale;
 
 fn main() {
-    let args: Vec<String> = std::env::args().skip(1).collect();
-    let scale = flag(&args, "--scale").unwrap_or_default();
-    let tasks = flag(&args, "--tasks").unwrap_or(4).clamp(1, 6);
-    let runner = SweepRunner::new(flag(&args, "--threads").unwrap_or(1));
-    let mix = suite::mix(tasks, scale);
-    // It prints conflict and capacity misses: ask for the miss split.
-    let mut base = MachineConfig::paper_default().with_explain(true);
-    let bus: Option<BusConfig> = flag(&args, "--bus");
-    if let Some(bus) = bus {
-        base = base.with_bus(bus);
-    }
-    let arrivals: Option<ArrivalConfig> = flag(&args, "--arrivals");
+    let known = ["scale", "tasks", "threads", "bus", "arrivals"];
+    let fig = Figure::read("sweep", &known, Scale::Small);
+    fig.header(format_args!(
+        "Sensitivity sweep — |T|={}, scale {} (baseline {})",
+        fig.tasks,
+        fig.scale,
+        fig.machine()
+    ));
 
-    println!(
-        "Sensitivity sweep — |T|={tasks}, scale {scale} (baseline {base}), {} thread(s)",
-        runner.threads()
-    );
-    // Open-system axis: the marker line only appears when the flag is
-    // given, so batch output stays byte-identical.
-    if let Some(a) = arrivals {
-        println!("arrivals {a}");
-    }
-
-    // The sweep grid, declared as data: (group label, machine, quantum).
-    let mut points: Vec<(String, MachineConfig, u64)> = Vec::new();
+    // The sweep grid, declared as data: (group label, scenario).
+    let mut points: Vec<(String, Scenario)> = Vec::new();
     for kb in [4u64, 8, 16, 32] {
-        let cache = CacheConfig::new(kb * 1024, 2, 32).expect("valid cache");
-        points.push((
-            format!("# cache size {kb} KB"),
-            base.with_cache(cache),
-            10_000,
-        ));
+        let cache = format!("{}:2:32", kb * 1024);
+        points.push((format!("# cache size {kb} KB"), fig.with("cache", cache)));
     }
     // Direct-mapped is the conflict-dominated regime where the LSM data
     // mapping matters most.
     for assoc in [1u64, 2, 4, 8] {
-        let cache = CacheConfig::new(8 * 1024, assoc, 32).expect("valid cache");
-        points.push((
-            format!("# associativity {assoc}"),
-            base.with_cache(cache),
-            10_000,
-        ));
+        let cache = format!("8192:{assoc}:32");
+        points.push((format!("# associativity {assoc}"), fig.with("cache", cache)));
     }
     for cores in [2usize, 4, 8, 16] {
-        points.push((format!("# cores {cores}"), base.with_cores(cores), 10_000));
+        points.push((format!("# cores {cores}"), fig.with("cores", cores)));
     }
     for quantum in [1_000u64, 5_000, 10_000, 50_000, 200_000] {
-        points.push((format!("# quantum {quantum}"), base, quantum));
+        points.push((format!("# quantum {quantum}"), fig.with("quantum", quantum)));
     }
-    if let Some(bus) = bus {
+    if fig.base.bus.is_some() {
         // Bus axis: sweep the transfer occupancy around the requested
         // value (halved, as given, doubled) under the same mode.
         for scale in [1u64, 2, 4] {
-            let occ = bus.occupancy_cycles * scale / 2;
-            let swept = BusConfig {
-                occupancy_cycles: occ,
-                ..bus
-            };
-            points.push((
-                format!("# bus occupancy {occ}"),
-                base.with_bus(swept),
-                10_000,
-            ));
+            let mut swept = fig.base.clone();
+            let bus = swept.bus.as_mut().expect("a bus");
+            bus.occupancy_cycles = bus.occupancy_cycles * scale / 2;
+            points.push((format!("# bus occupancy {}", bus.occupancy_cycles), swept));
         }
     }
 
-    let mut matrix = ScenarioMatrix::new();
-    for (label, machine, quantum) in &points {
-        let mut exp = Experiment::concurrent(&mix, *machine).with_quantum(*quantum);
-        if let Some(a) = arrivals {
-            exp = exp.with_arrivals(a);
-        }
-        matrix.push_all(label, &exp, PolicyKind::ALL);
-    }
-    let reports = matrix.run(&runner).expect("simulation succeeds");
-    // One report per sweep point: a duplicated point label would merge
-    // reports and shift every subsequent row's metadata silently.
-    assert_eq!(
-        reports.len(),
-        points.len(),
-        "sweep point labels must be unique"
-    );
-
+    let reports = fig.run(&points);
     let header = "cache_kb,assoc,cores,quantum,policy,cycles,misses,seconds,conflict_misses,capacity_misses,remapped";
     let mut rows = Vec::new();
-    for ((label, machine, quantum), report) in points.iter().zip(&reports) {
+    for ((label, s), report) in points.iter().zip(&reports) {
         rows.push(label.clone());
+        let machine = s.machine();
         for &k in PolicyKind::ALL {
             let o = report.outcome(k).expect("ran");
             rows.push(format!(
@@ -120,7 +75,7 @@ fn main() {
                 machine.cache.size_bytes / 1024,
                 machine.cache.associativity,
                 machine.num_cores,
-                quantum,
+                s.quantum.unwrap_or(DEFAULT_QUANTUM),
                 k,
                 o.result.makespan_cycles,
                 o.result.machine.cache.misses,
@@ -131,6 +86,5 @@ fn main() {
             ));
         }
     }
-
-    println!("{}", csv_table(header, &rows));
+    emit(csv_table(header, &rows));
 }

@@ -7,22 +7,26 @@
 //! ```
 //!
 //! Each application's row (workload build + sharing analysis) is an
-//! independent job fanned through a [`SweepRunner`]; rows print in
-//! Table 1 order for any `--threads N`.
+//! independent job fanned through a [`lams_core::SweepRunner`]; rows
+//! print in Table 1 order for any `--threads N`.
 
-use lams_bench::flag;
-use lams_core::{SharingMatrix, SweepRunner};
-use lams_workloads::{suite, Workload};
+use lams_bench::{emit, Figure};
+use lams_core::SharingMatrix;
+use lams_workloads::{suite, Scale, Workload};
 
 fn main() {
-    let args: Vec<String> = std::env::args().skip(1).collect();
-    let scale = flag(&args, "--scale").unwrap_or_default();
-    let runner = SweepRunner::new(flag(&args, "--threads").unwrap_or(1));
+    let Figure { scale, runner, .. } = Figure::read("table1", &["scale", "threads"], Scale::Small);
 
-    println!("Table 1 reproduction — applications used in this study (scale {scale})");
-    println!(
+    emit!("Table 1 reproduction — applications used in this study (scale {scale})");
+    emit!(
         "{:<10} {:<42} {:>6} {:>7} {:>6} {:>7} {:>9}",
-        "app", "description", "procs", "arrays", "edges", "levels", "sharing%"
+        "app",
+        "description",
+        "procs",
+        "arrays",
+        "edges",
+        "levels",
+        "sharing%"
     );
     let apps = suite::all(scale);
     let rows = runner.run(apps.len(), |i| {
@@ -53,8 +57,8 @@ fn main() {
         )
     });
     for row in rows {
-        println!("{row}");
+        emit(row);
     }
-    println!();
-    println!("Paper: process counts vary between 9 and 37 across the suite.");
+    emit!();
+    emit("Paper: process counts vary between 9 and 37 across the suite.");
 }

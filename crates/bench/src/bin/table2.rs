@@ -8,48 +8,52 @@
 //! Accepts `--threads` for interface uniformity with the other harness
 //! binaries, but runs no simulations — there is nothing to fan out.
 
-use lams_bench::flag;
+use lams_bench::{emit, Figure};
 use lams_core::Policy as _;
 use lams_mpsoc::{EnergyModel, MachineConfig};
+use lams_workloads::Scale;
 
 fn main() {
-    let args: Vec<String> = std::env::args().skip(1).collect();
-    let _: Option<usize> = flag(&args, "--threads");
+    Figure::read("table2", &["threads"], Scale::Small);
     let m = MachineConfig::paper_default();
     let e = EnergyModel::embedded_default();
 
-    println!("Table 2 reproduction — default simulation parameters");
-    println!("{:<38} Value", "Parameter");
-    println!("{:<38} {}", "Number of processors", m.num_cores);
-    println!(
+    emit!("Table 2 reproduction — default simulation parameters");
+    emit!("{:<38} Value", "Parameter");
+    emit!("{:<38} {}", "Number of processors", m.num_cores);
+    emit!(
         "{:<38} {}KB, {}-way",
         "Data cache per processor",
         m.cache.size_bytes / 1024,
         m.cache.associativity
     );
-    println!("{:<38} {} cycles", "Cache access latency", m.hit_latency);
-    println!(
+    emit!("{:<38} {} cycles", "Cache access latency", m.hit_latency);
+    emit!(
         "{:<38} {} cycles",
-        "Off-chip memory access latency", m.miss_latency
+        "Off-chip memory access latency",
+        m.miss_latency
     );
-    println!("{:<38} {} MHz", "Processor speed", m.clock_hz / 1_000_000);
-    println!();
-    println!("Derived / reproduction-specific:");
-    println!(
+    emit!("{:<38} {} MHz", "Processor speed", m.clock_hz / 1_000_000);
+    emit!();
+    emit!("Derived / reproduction-specific:");
+    emit!(
         "{:<38} {} B (not stated in the paper)",
-        "Cache line size", m.cache.line_bytes
+        "Cache line size",
+        m.cache.line_bytes
     );
-    println!("{:<38} {}", "Cache sets", m.cache.num_sets());
-    println!(
+    emit!("{:<38} {}", "Cache sets", m.cache.num_sets());
+    emit!(
         "{:<38} {} B (= size / associativity; footnote 1)",
         "Cache page",
         m.cache.page_bytes()
     );
-    println!(
+    emit!(
         "{:<38} {:.2} nJ / {:.2} nJ",
-        "Access energy (on-chip / off-chip)", e.cache_access_nj, e.offchip_access_nj
+        "Access energy (on-chip / off-chip)",
+        e.cache_access_nj,
+        e.offchip_access_nj
     );
-    println!(
+    emit!(
         "{:<38} {} cycles (50 us; not stated in the paper)",
         "RRS preemption quantum",
         lams_core::RoundRobinPolicy::default()

@@ -11,13 +11,14 @@
 //!   the same deterministic report, and `run` is byte-identical to
 //!   `record` + `replay` of the same scenario, which CI diffs.
 //!   `SCENARIO` is any of `--policy rs|rrs|ls`, `--cores N`,
-//!   `--quantum CYCLES`, `--seed N`, `--bus SPEC`, `--deadline CYCLES`
-//!   and `--arrivals SPEC`: the keys of a `lams-serve` request line,
-//!   with the same meaning and the same checks. A flag outside its
-//!   subcommand's keys, or one without a value, is a usage error: a
-//!   typo never runs the defaults. `trace_tool` defaults
-//!   to `--scale small --policy ls --seed 12345 --quantum 50000` and
-//!   asks for the miss split, which its report prints.
+//!   `--cache SIZE:ASSOC:LINE`, `--quantum CYCLES`, `--seed N`,
+//!   `--bus SPEC`, `--deadline CYCLES` and `--arrivals SPEC`: the keys
+//!   of a `lams-serve` request line, with the same meaning and the same
+//!   checks. A flag outside its subcommand's keys, or one without a
+//!   value, is a usage error: a typo never runs the defaults.
+//!   `trace_tool` defaults to `--scale small --policy ls --seed 12345
+//!   --quantum 50000` and asks for the miss split, which its report
+//!   prints.
 //! * `inspect FILE [--proc I] [--limit N]` — dump a program's decoded
 //!   ops in the `R 0x… / W 0x… / C n` text form of `TraceOp`'s
 //!   `Display`.
@@ -31,7 +32,8 @@
 //! are *usage* errors (exit 2, with the usage text), while I/O,
 //! truncated/corrupt bundles and engine failures are *runtime* errors
 //! (exit 1) — always a contextful one-line message on stderr, never a
-//! panic backtrace.
+//! panic backtrace. Output goes through [`emit()`], so a closed stdout
+//! (`| head -1`) ends the tool quietly with status 0.
 
 use std::fmt::Display;
 use std::process::exit;
@@ -44,7 +46,7 @@ use lams_layout::Layout;
 use lams_mpsoc::MachineConfig;
 use lams_trace::TraceBundle;
 
-use lams_bench::{flag_value, try_flag};
+use lams_bench::{emit, flag_value, refuse_unknown_flags, try_flag};
 
 /// A failed subcommand: usage errors reprint the usage text and exit 2,
 /// runtime errors exit 1. Both print `error: <context>` on stderr.
@@ -73,8 +75,9 @@ const USAGE: &str = "usage: trace_tool <record|replay|run|inspect|stats> ...\n\
                      inspect FILE [--proc I] [--limit N]\n\
                      stats   FILE\n\
                      \n\
-                     SCENARIO: [--policy rs|rrs|ls] [--cores N] [--quantum CYCLES] [--seed N]\n\
-                     \x20         [--bus fcfs:OCC|windowed:OCC:WIN] [--deadline CYCLES]\n\
+                     SCENARIO: [--policy rs|rrs|ls] [--cores N] [--cache SIZE:ASSOC:LINE]\n\
+                     \x20         [--quantum CYCLES] [--seed N] [--deadline CYCLES]\n\
+                     \x20         [--bus fcfs:OCC|windowed:OCC:WIN]\n\
                      \x20         [--arrivals poisson|burst|diurnal:LOAD:SEED[:QCAP]]\n\
                      defaults: --scale small --policy ls --seed 12345 --quantum 50000";
 
@@ -88,16 +91,6 @@ where
     Ok(try_flag(args, name)
         .map_err(CliError::usage)?
         .unwrap_or(default))
-}
-
-/// Refuses a `--flag` whose name is not in `known`: a typo such as
-/// `--quantun 5` must not run the defaults.
-fn refuse_unknown_flags(cmd: &str, args: &[String], known: &[&str]) -> CliResult<()> {
-    let mut names = args.iter().filter_map(|a| a.strip_prefix("--"));
-    match names.find(|name| !known.contains(name)) {
-        Some(name) => Err(CliError::usage(format!("{cmd} takes no --{name}"))),
-        None => Ok(()),
-    }
 }
 
 /// The raw value of `--name`, a usage error when it has none.
@@ -115,7 +108,7 @@ fn scenario_from_args(cmd: &str, args: &[String]) -> CliResult<Scenario> {
     if cmd == "record" {
         known.push("out");
     }
-    refuse_unknown_flags(cmd, args, &known)?;
+    refuse_unknown_flags(cmd, args, &known).map_err(CliError::usage)?;
     let file = match cmd {
         "replay" => Some(path_arg(args, cmd)?),
         _ => None,
@@ -161,10 +154,10 @@ fn run_error(cmd: &str, scenario: &Scenario, e: Error) -> CliError {
 /// Deterministic report shared by `run` and `replay` — CI diffs these
 /// byte-for-byte, so it must not mention where the traces came from.
 fn print_report(name: &str, policy: &str, machine: &MachineConfig, r: &RunResult) {
-    println!("workload {name}");
-    println!("policy   {policy} on {} cores", machine.num_cores);
-    println!("makespan {} cycles ({:.6} s)", r.makespan_cycles, r.seconds);
-    println!(
+    emit!("workload {name}");
+    emit!("policy   {policy} on {} cores", machine.num_cores);
+    emit!("makespan {} cycles ({:.6} s)", r.makespan_cycles, r.seconds);
+    emit!(
         "cache    hits {} misses {} (cold {} capacity {} conflict {})",
         r.machine.cache.hits,
         r.machine.cache.misses,
@@ -172,15 +165,18 @@ fn print_report(name: &str, policy: &str, machine: &MachineConfig, r: &RunResult
         r.machine.cache.capacity_misses,
         r.machine.cache.conflict_misses
     );
-    println!("busy     {} cycles", r.machine.total_busy_cycles);
+    emit!("busy     {} cycles", r.machine.total_busy_cycles);
     for (c, seq) in r.core_sequences.iter().enumerate() {
         let seq: Vec<String> = seq.iter().map(|p| p.to_string()).collect();
-        println!("core {c}: {}", seq.join(" "));
+        emit!("core {c}: {}", seq.join(" "));
     }
     for (pid, e) in &r.processes {
-        println!(
+        emit!(
             "proc {pid}: core {} start {} finish {} dispatches {}",
-            e.core, e.start, e.finish, e.dispatches
+            e.core,
+            e.start,
+            e.finish,
+            e.dispatches
         );
     }
 }
@@ -242,7 +238,7 @@ fn cmd_simulate(cmd: &str, rest: &[String]) -> CliResult<()> {
 
 fn cmd_inspect(rest: &[String]) -> CliResult<()> {
     let path = path_arg(rest, "inspect")?;
-    refuse_unknown_flags("inspect", rest, &["proc", "limit"])?;
+    refuse_unknown_flags("inspect", rest, &["proc", "limit"]).map_err(CliError::usage)?;
     let bundle = read_bundle(path)?;
     let limit: u64 = parsed_flag(rest, "--limit", 64u64)?;
     let only: Option<usize> = try_flag(rest, "--proc").map_err(CliError::usage)?;
@@ -258,7 +254,7 @@ fn cmd_inspect(rest: &[String]) -> CliResult<()> {
         if only.is_some_and(|p| p != i) {
             continue;
         }
-        println!(
+        emit!(
             "# proc {i} {} ({} ops, {} blocks x {} passes)",
             rec.name,
             rec.program.len_ops(),
@@ -266,10 +262,10 @@ fn cmd_inspect(rest: &[String]) -> CliResult<()> {
             rec.program.passes()
         );
         for op in rec.program.iter().take(limit as usize) {
-            println!("{op}");
+            emit(op);
         }
         if rec.program.len_ops() > limit {
-            println!("# ... {} more ops", rec.program.len_ops() - limit);
+            emit!("# ... {} more ops", rec.program.len_ops() - limit);
         }
     }
     Ok(())
@@ -277,9 +273,9 @@ fn cmd_inspect(rest: &[String]) -> CliResult<()> {
 
 fn cmd_stats(rest: &[String]) -> CliResult<()> {
     let path = path_arg(rest, "stats")?;
-    refuse_unknown_flags("stats", rest, &[])?;
+    refuse_unknown_flags("stats", rest, &[]).map_err(CliError::usage)?;
     let bundle = read_bundle(path)?;
-    println!(
+    emit!(
         "bundle {} ({} processes, {} edges, {} ops)",
         bundle.name,
         bundle.records.len(),
@@ -288,7 +284,7 @@ fn cmd_stats(rest: &[String]) -> CliResult<()> {
     );
     for (i, rec) in bundle.records.iter().enumerate() {
         let s = rec.program.stats();
-        println!(
+        emit!(
             "proc {i} {}: ops {} (accesses {} writes {} compute_cycles {}), {} blocks x {} passes, {:.1}x compression",
             rec.name,
             rec.program.len_ops(),

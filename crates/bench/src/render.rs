@@ -1,4 +1,22 @@
-//! ASCII rendering of the paper's bar charts and tables.
+//! ASCII rendering of the paper's bar charts and tables, and the one
+//! way the binaries print them.
+
+use std::fmt::Display;
+use std::io::{ErrorKind, Write};
+
+/// Writes `text` and a newline to stdout, as `println!` does, but a
+/// closed stdout ends the process quietly with status 0: `fig6 | head -1`
+/// is not an error. Any other write error exits 1 with a message. The
+/// [`emit!`](crate::emit!) macro takes `println!`'s arguments.
+pub fn emit(text: impl Display) {
+    if let Err(e) = writeln!(std::io::stdout().lock(), "{text}") {
+        if e.kind() == ErrorKind::BrokenPipe {
+            std::process::exit(0);
+        }
+        eprintln!("error: writing stdout: {e}");
+        std::process::exit(1);
+    }
+}
 
 /// Renders grouped bars (one group per label, one bar per series) as an
 /// ASCII chart, the moral equivalent of the paper's Figures 6 and 7.
@@ -37,6 +55,17 @@ pub fn csv_table(header: &str, rows: &[String]) -> String {
         out.push('\n');
     }
     out
+}
+
+/// [`emit()`] with `println!`'s arguments.
+#[macro_export]
+macro_rules! emit {
+    () => {
+        $crate::emit("")
+    };
+    ($($arg:tt)*) => {
+        $crate::emit(format_args!($($arg)*))
+    };
 }
 
 #[cfg(test)]

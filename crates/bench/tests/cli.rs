@@ -1,8 +1,11 @@
 //! Command-line handling of the harness binaries: a malformed flag
-//! value must exit 2 before any simulation runs, never fall back to a
-//! default and run another configuration.
+//! value or an unknown flag must exit 2 before any simulation runs,
+//! never fall back to a default and run another configuration; a closed
+//! stdout ends a binary quietly; and a figure row is the scenario
+//! `trace_tool run` reproduces.
 
-use std::process::Command;
+use std::io::{BufRead, BufReader};
+use std::process::{Command, Stdio};
 
 /// Runs binary `bin` with `args` and returns its exit code and stderr.
 fn run(bin: &str, args: &[&str]) -> (Option<i32>, String) {
@@ -15,7 +18,7 @@ fn run(bin: &str, args: &[&str]) -> (Option<i32>, String) {
 
 #[test]
 fn malformed_flag_values_exit_2() {
-    let cases: [(&str, &[&str]); 10] = [
+    let cases: [(&str, &[&str]); 9] = [
         (
             env!("CARGO_BIN_EXE_sweep"),
             &["--scale", "tiny", "--tasks", "x"],
@@ -39,7 +42,6 @@ fn malformed_flag_values_exit_2() {
         ),
         (env!("CARGO_BIN_EXE_table1"), &["--scale", "x"]),
         (env!("CARGO_BIN_EXE_table2"), &["--threads", "x"]),
-        (env!("CARGO_BIN_EXE_diag"), &["--scale", "x"]),
         (
             env!("CARGO_BIN_EXE_trace_tool"),
             &["run", "--app", "shape", "--scale", "x"],
@@ -53,6 +55,104 @@ fn malformed_flag_values_exit_2() {
             "{bin} {args:?}: {stderr}"
         );
     }
+}
+
+#[test]
+fn every_binary_refuses_a_flag_it_does_not_read() {
+    let cases: [(&str, &[&str], &str); 9] = [
+        (
+            env!("CARGO_BIN_EXE_fig2a"),
+            &["--scale", "tiny"],
+            "fig2a takes no --scale",
+        ),
+        (
+            env!("CARGO_BIN_EXE_fig6"),
+            &["--quantun", "5"],
+            "fig6 takes no --quantun",
+        ),
+        (
+            env!("CARGO_BIN_EXE_fig6"),
+            &["--scale", "tiny", "--tasks", "2"],
+            "fig6 takes no --tasks",
+        ),
+        (
+            env!("CARGO_BIN_EXE_fig7"),
+            &["--scal", "tiny"],
+            "fig7 takes no --scal",
+        ),
+        (
+            env!("CARGO_BIN_EXE_sweep"),
+            &["--scale", "tiny", "--cache", "4096:2:32"],
+            "sweep takes no --cache",
+        ),
+        (
+            env!("CARGO_BIN_EXE_ablation"),
+            &["--scale", "tiny", "--bus", "fcfs:20"],
+            "ablation takes no --bus",
+        ),
+        (
+            env!("CARGO_BIN_EXE_table1"),
+            &["--scale", "tiny", "--tasks", "2"],
+            "table1 takes no --tasks",
+        ),
+        (
+            env!("CARGO_BIN_EXE_table2"),
+            &["--scale", "tiny"],
+            "table2 takes no --scale",
+        ),
+        (
+            env!("CARGO_BIN_EXE_table2"),
+            &["--threads", "2", "--help"],
+            "table2 takes no --help",
+        ),
+    ];
+    for (bin, args, msg) in cases {
+        let (code, stderr) = run(bin, args);
+        assert_eq!(code, Some(2), "{bin} {args:?}: {stderr}");
+        assert_eq!(stderr, format!("error: {msg}\n"), "{bin} {args:?}");
+    }
+}
+
+#[test]
+fn a_closed_stdout_ends_a_binary_quietly() {
+    let bundle = std::env::temp_dir().join(format!("lams_cli_test_{}.ltr", std::process::id()));
+    let bundle = bundle.to_str().expect("UTF-8 temp path");
+    // Small Shape decodes to about 150 KB of ops, more than a pipe holds.
+    report(&[
+        "record", "--app", "shape", "--scale", "small", "--out", bundle,
+    ]);
+    let cases: [(&str, &[&str]); 3] = [
+        (
+            env!("CARGO_BIN_EXE_trace_tool"),
+            &["inspect", bundle, "--limit", "100000"],
+        ),
+        (env!("CARGO_BIN_EXE_fig6"), &["--scale", "tiny"]),
+        (
+            env!("CARGO_BIN_EXE_sweep"),
+            &["--scale", "tiny", "--tasks", "2"],
+        ),
+    ];
+    for (bin, args) in cases {
+        let mut child = Command::new(bin)
+            .args(args)
+            .stdout(Stdio::piped())
+            .stderr(Stdio::piped())
+            .spawn()
+            .expect("binary runs");
+        let mut first = String::new();
+        let stdout = child.stdout.take().expect("piped stdout");
+        BufReader::new(stdout)
+            .read_line(&mut first)
+            .expect("one line");
+        assert!(!first.is_empty(), "{bin} {args:?} printed nothing");
+        // The reader is dropped here: the rest of the output meets a
+        // closed pipe.
+        let out = child.wait_with_output().expect("binary ends");
+        let stderr = String::from_utf8_lossy(&out.stderr);
+        assert_eq!(out.status.code(), Some(0), "{bin} {args:?}: {stderr}");
+        assert!(!stderr.contains("panicked"), "{bin} {args:?}: {stderr}");
+    }
+    std::fs::remove_file(bundle).ok();
 }
 
 #[test]
@@ -162,5 +262,59 @@ fn trace_tool_keeps_its_own_seed_and_quantum() {
         let default = report(&base);
         assert_eq!(default, with(own), "{policy} {key}");
         assert_ne!(default, with(wire), "{policy} {key}");
+    }
+}
+
+/// `(cycles, misses)` of the sweep row under `label` for `policy`.
+fn sweep_row(sweep: &str, label: &str, policy: &str) -> (u64, u64) {
+    let mut rows = sweep.lines().skip_while(|l| *l != label).skip(1);
+    let row = rows
+        .find(|r| r.split(',').nth(4) == Some(policy))
+        .unwrap_or_else(|| panic!("no {policy} row under {label}"));
+    let cols: Vec<&str> = row.split(',').collect();
+    (cols[5].parse().unwrap(), cols[6].parse().unwrap())
+}
+
+/// `(makespan, misses)` of a `trace_tool` report.
+fn report_numbers(report: &str) -> (u64, u64) {
+    let word_after = |prefix: &str, word: &str| -> u64 {
+        let line = report.lines().find(|l| l.starts_with(prefix)).unwrap();
+        let mut words = line.split_whitespace();
+        words.find(|w| *w == word).unwrap();
+        words.next().unwrap().parse().unwrap()
+    };
+    (
+        word_after("makespan", "makespan"),
+        word_after("cache", "misses"),
+    )
+}
+
+#[test]
+fn sweep_rows_replay_as_scenarios() {
+    let out = Command::new(env!("CARGO_BIN_EXE_sweep"))
+        .args(["--scale", "tiny", "--tasks", "2"])
+        .output()
+        .expect("binary runs");
+    assert_eq!(out.status.code(), Some(0));
+    let sweep = String::from_utf8(out.stdout).expect("UTF-8 sweep");
+    // Each point is the sweep's base scenario, `mix=2 scale=tiny` at
+    // seed 0 and the 10,000-cycle quantum, with one key set.
+    for (label, policy, key, value) in [
+        ("# cache size 4 KB", "LS", "--cache", "4096:2:32"),
+        ("# cores 4", "LS", "--cores", "4"),
+        ("# quantum 1000", "RRS", "--quantum", "1000"),
+    ] {
+        let lower = policy.to_ascii_lowercase();
+        let mut args = vec![
+            "run", "--mix", "2", "--scale", "tiny", "--policy", &lower, "--seed", "0", key, value,
+        ];
+        if key != "--quantum" {
+            args.extend(["--quantum", "10000"]);
+        }
+        assert_eq!(
+            report_numbers(&report(&args)),
+            sweep_row(&sweep, label, policy),
+            "{label} {policy}"
+        );
     }
 }

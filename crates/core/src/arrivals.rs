@@ -342,7 +342,8 @@ fn fnv1a(mut sum: u64, t: u64) -> u64 {
 const DIURNAL_PERIOD_GAPS: f64 = 64.0;
 
 /// The materialized arrival schedule: one arrival cycle per process, in
-/// process-id order with non-decreasing times. Generated once per run
+/// process-id order with non-decreasing times (a time that would pass
+/// `u64::MAX` saturates there). Generated once per run
 /// and never cached, which keeps the memo free of plan aliasing. Its
 /// checksum is computed as it is generated. A million-process plan
 /// (the Huge Shape service lengths cycled, load 0.9, 8 cores) takes
@@ -382,7 +383,7 @@ impl ArrivalPlan {
         match config.shape {
             ArrivalShape::Poisson => {
                 for _ in 0..n {
-                    t += exp_gap(&mut state, inter_mean);
+                    t = t.saturating_add(exp_gap(&mut state, inter_mean));
                     plan.push(t);
                 }
             }
@@ -391,7 +392,7 @@ impl ArrivalPlan {
                 for _ in 0..n {
                     if left_in_burst == 0 {
                         let burst = 1 + (splitmix64(&mut state) % 8);
-                        t += exp_gap(&mut state, inter_mean * burst as f64);
+                        t = t.saturating_add(exp_gap(&mut state, inter_mean * burst as f64));
                         left_in_burst = burst;
                     }
                     left_in_burst -= 1;
@@ -408,7 +409,7 @@ impl ArrivalPlan {
                     let frac = phase - (phase as u64) as f64;
                     let tri = 1.0 - (2.0 * frac - 1.0).abs();
                     let factor = 0.5 + tri;
-                    t += exp_gap(&mut state, inter_mean / factor);
+                    t = t.saturating_add(exp_gap(&mut state, inter_mean / factor));
                     plan.push(t);
                 }
             }
@@ -591,7 +592,7 @@ mod tests {
         match config.shape {
             ArrivalShape::Poisson => {
                 for _ in 0..n {
-                    t += exp_gap(&mut state, inter_mean);
+                    t = t.saturating_add(exp_gap(&mut state, inter_mean));
                     arrivals.push(t);
                 }
             }
@@ -600,7 +601,7 @@ mod tests {
                 for _ in 0..n {
                     if left_in_burst == 0 {
                         let burst = 1 + (splitmix64(&mut state) % 8);
-                        t += exp_gap(&mut state, inter_mean * burst as f64);
+                        t = t.saturating_add(exp_gap(&mut state, inter_mean * burst as f64));
                         left_in_burst = burst;
                     }
                     left_in_burst -= 1;
@@ -614,7 +615,7 @@ mod tests {
                     let frac = phase - (phase as u64) as f64;
                     let tri = 1.0 - (2.0 * frac - 1.0).abs();
                     let factor = 0.5 + tri;
-                    t += exp_gap(&mut state, inter_mean / factor);
+                    t = t.saturating_add(exp_gap(&mut state, inter_mean / factor));
                     arrivals.push(t);
                 }
             }
@@ -687,6 +688,32 @@ mod tests {
             ArrivalPlan::generate(cfg(ArrivalShape::Poisson), &[], 8).checksum(),
             reference_plan(cfg(ArrivalShape::Poisson), &[], 8).1
         );
+    }
+
+    #[test]
+    fn a_plan_past_u64_max_saturates_instead_of_wrapping() {
+        // A mean gap of about 2^60 cycles: the plan passes u64::MAX
+        // within a few dozen arrivals, and before saturation it wrapped
+        // 1,226 times.
+        let service = [1u64 << 50; 20_000];
+        for shape in [
+            ArrivalShape::Poisson,
+            ArrivalShape::Burst,
+            ArrivalShape::Diurnal,
+        ] {
+            let config = ArrivalConfig::poisson(1, 7).with_shape(shape);
+            let plan = ArrivalPlan::generate(config, &service, 1);
+            assert!(
+                plan.arrivals.windows(2).all(|w| w[0] <= w[1]),
+                "{config}: the plan decreases"
+            );
+            assert_eq!(plan.arrivals.last(), Some(&u64::MAX), "{config}");
+            let (arrivals, checksum) = reference_plan(config, &service, 1);
+            assert!(
+                plan.arrivals == arrivals && plan.checksum() == checksum,
+                "{config}"
+            );
+        }
     }
 
     fn assert_ln_close(x: f64) {

@@ -149,7 +149,7 @@ impl Experiment {
     /// fills and consults. Fresh by default; clones of an experiment
     /// share its memo (the `Arc` is cloned, not the cache), and a sweep
     /// threads one memo through all its jobs
-    /// ([`ScenarioMatrix::run`]). Any memo — shared, fresh or
+    /// ([`ScenarioMatrix::run_with_memo`]). Any memo — shared, fresh or
     /// [`ArtifactCache::disabled`] — yields bit-identical results; a
     /// warmer one just gets them sooner.
     pub fn with_memo(mut self, memo: Arc<ArtifactCache>) -> Self {

@@ -195,7 +195,7 @@ impl fmt::Display for MemoStats {
 /// Every [`Experiment`](crate::Experiment) owns one (fresh by default,
 /// shareable via
 /// [`Experiment::with_memo`](crate::Experiment::with_memo)), and
-/// [`ScenarioMatrix::run`](crate::ScenarioMatrix::run) threads one
+/// [`ScenarioMatrix::run_with_memo`](crate::ScenarioMatrix::run_with_memo) threads one
 /// cache through all of a sweep's workers. [`ArtifactCache::disabled`]
 /// builds a pass-through instance that always recomputes — the uncached
 /// reference the differential tests compare against.

@@ -20,7 +20,7 @@ use std::fmt::{self, Display};
 use std::str::FromStr;
 use std::sync::Arc;
 
-use lams_mpsoc::{BusConfig, BusMode, MachineConfig};
+use lams_mpsoc::{BusConfig, BusMode, CacheConfig, MachineConfig};
 use lams_trace::TraceBundle;
 use lams_workloads::{suite, Scale, Workload};
 
@@ -92,8 +92,8 @@ impl Source {
 }
 
 /// One scenario: a source, a policy, and the optional knobs. An absent
-/// knob takes the [`Experiment`] default (8 cores, no bus,
-/// [`DEFAULT_QUANTUM`], seed 0, no deadline, batch arrivals).
+/// knob takes the [`Experiment`] default (8 cores, the paper's cache, no
+/// bus, [`DEFAULT_QUANTUM`], seed 0, no deadline, batch arrivals).
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct Scenario {
     /// What to simulate.
@@ -109,6 +109,8 @@ pub struct Scenario {
     pub seed: Option<u64>,
     /// Shared-bus contention model.
     pub bus: Option<BusConfig>,
+    /// Per-core cache geometry (see [`Scenario::MAX_CORES`]).
+    pub cache: Option<CacheConfig>,
     /// Simulated-cycle budget ([`Experiment::with_deadline_cycles`]).
     pub deadline: Option<u64>,
     /// Open-system arrival stream ([`Experiment::with_arrivals`]).
@@ -118,15 +120,16 @@ pub struct Scenario {
 impl Scenario {
     /// Every key a scenario reads, in the order it reads and prints
     /// them.
-    pub const KEYS: [&'static str; 11] = [
-        "file", "app", "mix", "scale", "policy", "bus", "arrivals", "cores", "quantum", "seed",
-        "deadline",
+    pub const KEYS: [&'static str; 12] = [
+        "file", "app", "mix", "scale", "policy", "bus", "arrivals", "cache", "cores", "quantum",
+        "seed", "deadline",
     ];
 
     /// Most cores a scenario may ask for: 128× the paper's 8-core
     /// machine. A machine allocates ≈ 24 KB of cache model per core,
     /// so an unbounded count lets one request line exhaust memory — an
-    /// abort no `catch_unwind` can isolate.
+    /// abort no `catch_unwind` can isolate. A `cache` is held to as
+    /// much model: `cores ×` its lines at most `MAX_CORES ×` the 256.
     pub const MAX_CORES: usize = 1024;
 
     /// Reads a scenario from `fields`: a `file` source when `file` is
@@ -167,9 +170,15 @@ impl Scenario {
         }
         let bus = fields.parsed("bus")?;
         let arrivals = fields.parsed("arrivals")?;
+        let cache = fields.parsed::<CacheConfig>("cache")?;
         let cores = fields.parsed::<usize>("cores")?;
         if let Some(n) = cores {
             in_range("cores", n as u64, 1, Scenario::MAX_CORES as u64)?;
+        }
+        if let Some(c) = cache {
+            let n = cores.unwrap_or(MachineConfig::paper_default().num_cores) as u64;
+            let most = Scenario::MAX_CORES as u64 * CacheConfig::paper_default().num_lines();
+            in_range("cores * cache lines", n * c.num_lines(), 1, most)?;
         }
         let quantum = fields.parsed("quantum")?;
         if let Some(q) = quantum {
@@ -182,29 +191,51 @@ impl Scenario {
             quantum,
             seed: fields.parsed("seed")?,
             bus,
+            cache,
             deadline: fields.parsed("deadline")?,
             arrivals,
         })
     }
 
-    /// The machine the scenario names: the paper's, with its core count
-    /// and bus.
+    /// The machine the scenario names: the paper's, with its core
+    /// count, cache and bus.
     pub fn machine(&self) -> MachineConfig {
         let mut machine = MachineConfig::paper_default();
         if let Some(n) = self.cores {
             machine = machine.with_cores(n);
         }
+        machine.cache = self.cache.unwrap_or(machine.cache);
         if let Some(bus) = self.bus {
             machine = machine.with_bus(bus);
         }
         machine
     }
 
+    /// The [`Experiment`] that runs `workload` on `machine` under the
+    /// scenario's quantum, seed, deadline and arrivals: the one place
+    /// a scenario's knobs map onto an experiment.
+    pub fn experiment(&self, workload: Workload, machine: MachineConfig) -> Experiment {
+        let mut exp = Experiment::for_workload(workload, machine);
+        if let Some(q) = self.quantum {
+            exp = exp.with_quantum(q);
+        }
+        if let Some(s) = self.seed {
+            exp = exp.with_seed(s);
+        }
+        if let Some(d) = self.deadline {
+            exp = exp.with_deadline_cycles(d);
+        }
+        if let Some(a) = self.arrivals {
+            exp = exp.with_arrivals(a);
+        }
+        exp
+    }
+
     /// Runs the scenario on `machine` ([`Scenario::machine`], or a
     /// variant of it, say one that explains its misses) and returns the
-    /// workload's name with the result. A suite source runs as an
-    /// [`Experiment`] against `memo`; a file source replays its bundle
-    /// through [`execute_bundle`], with RS, RRS or LS.
+    /// workload's name with the result. A suite source runs as its
+    /// [`Scenario::experiment`] against `memo`; a file source replays
+    /// its bundle through [`execute_bundle`], with RS, RRS or LS.
     ///
     /// # Errors
     ///
@@ -223,20 +254,9 @@ impl Scenario {
             Loaded::Bundle(bundle) => bundle,
             Loaded::Workload(workload) => {
                 let name = workload.name().to_string();
-                let mut exp =
-                    Experiment::for_workload(workload, machine).with_memo(Arc::clone(memo));
-                if let Some(q) = self.quantum {
-                    exp = exp.with_quantum(q);
-                }
-                if let Some(s) = self.seed {
-                    exp = exp.with_seed(s);
-                }
-                if let Some(d) = self.deadline {
-                    exp = exp.with_deadline_cycles(d);
-                }
-                if let Some(a) = self.arrivals {
-                    exp = exp.with_arrivals(a);
-                }
+                let exp = self
+                    .experiment(workload, machine)
+                    .with_memo(Arc::clone(memo));
                 return Ok((name, exp.run(self.policy)?));
             }
         };
@@ -299,6 +319,10 @@ impl Display for Scenario {
                 write!(f, ":{cap}")?;
             }
         }
+        if let Some(c) = self.cache {
+            let (size, ways, line) = (c.size_bytes, c.associativity, c.line_bytes);
+            write!(f, " cache={size}:{ways}:{line}")?;
+        }
         let knobs = [
             ("cores", self.cores.map(|n| n as u64)),
             ("quantum", self.quantum),
@@ -360,8 +384,9 @@ impl Display for FieldError {
             FieldError::Missing(key) => write!(f, "missing required key '{key}'"),
             FieldError::Malformed { key, value, reason } => match *key {
                 "scale" | "policy" => write!(f, "unknown {key} '{value}'"),
-                // An arrival spec can be wrong in five ways: name which.
-                "arrivals" => write!(f, "invalid {key} '{value}': {reason}"),
+                // An arrival or cache spec can be wrong in several
+                // ways: name which.
+                "arrivals" | "cache" => write!(f, "invalid {key} '{value}': {reason}"),
                 _ => write!(f, "invalid {key} '{value}'"),
             },
             FieldError::Below(key, least) => write!(f, "{key} must be at least {least}"),
@@ -483,6 +508,7 @@ mod tests {
             "app=Shape scale=tiny policy=lsm",
             "mix=3 scale=small policy=rrs quantum=500 seed=9",
             "file=t.ltr policy=ls bus=windowed:20:256 arrivals=burst:1.250:7:64 cores=4 deadline=10",
+            "mix=2 scale=tiny policy=ls cache=4096:1:32 quantum=1000",
         ] {
             let s: Scenario = line.parse().unwrap();
             assert_eq!(s.to_string(), line);
@@ -516,6 +542,44 @@ mod tests {
             err("app=shape scale=tiny policy=rs id=1"),
             "unknown key 'id'"
         );
+    }
+
+    #[test]
+    fn a_cache_is_a_valid_geometry_within_the_model_bound() {
+        let err = |line: &str| line.parse::<Scenario>().unwrap_err().to_string();
+        assert_eq!(
+            err("app=shape scale=tiny policy=rs cache=4096:2"),
+            "invalid cache '4096:2': invalid configuration: cache spec '4096:2' is not SIZE:ASSOC:LINE"
+        );
+        assert!(
+            err("app=shape scale=tiny policy=rs cache=4096:3:32")
+                .starts_with("invalid cache '4096:3:32': invalid configuration: associativity 3"),
+            "{}",
+            err("app=shape scale=tiny policy=rs cache=4096:3:32")
+        );
+        // 1,024 cores of the paper's 256 lines is the most cache model a
+        // line may ask for; one line more is refused.
+        assert_eq!(
+            err("app=shape scale=tiny policy=rs cache=16384:2:32 cores=1024"),
+            "cores * cache lines must be at most 262144"
+        );
+        assert_eq!(
+            err("app=shape scale=tiny policy=rs cache=2097152:2:32"),
+            "cores * cache lines must be at most 262144"
+        );
+        for line in [
+            "app=shape scale=tiny policy=rs cache=8192:2:32 cores=1024",
+            "app=shape scale=tiny policy=rs cache=1048576:2:32 cores=8",
+            "app=shape scale=tiny policy=rs cache=8388608:2:32 cores=1",
+        ] {
+            let s: Scenario = line.parse().unwrap();
+            let m = s.machine();
+            assert_eq!(m.num_cores as u64 * m.cache.num_lines(), 262_144, "{line}");
+        }
+        let s: Scenario = "app=shape scale=tiny policy=rs cache=4096:1:32"
+            .parse()
+            .unwrap();
+        assert_eq!(s.machine().cache, CacheConfig::new(4096, 1, 32).unwrap());
     }
 
     #[test]

@@ -26,7 +26,7 @@
 //! inside the job, and nothing is shared between jobs but immutable
 //! borrows. Results are written into a slot vector indexed by
 //! enumeration position and reduced in that order, so for any thread
-//! count — 1, 2 or 64 — [`ScenarioMatrix::run`] returns
+//! count — 1, 2 or 64 — [`ScenarioMatrix::run_with_memo`] returns
 //! **bit-identical** [`ComparisonReport`]s, and
 //! [`Experiment::run_lsm`](crate::Experiment::run_lsm) (whose candidate
 //! ladder fans through the same runner) returns bit-identical artifacts.
@@ -44,7 +44,7 @@
 //! request.
 //!
 //! ```
-//! use lams_core::{PolicyKind, ScenarioMatrix, SweepRunner, Experiment};
+//! use lams_core::{ArtifactCache, PolicyKind, ScenarioMatrix, SweepRunner, Experiment};
 //! use lams_mpsoc::MachineConfig;
 //! use lams_workloads::{suite, Scale};
 //!
@@ -53,7 +53,7 @@
 //!     let exp = Experiment::isolated(&app, MachineConfig::paper_default());
 //!     matrix.push_all(&app.name, &exp, &[PolicyKind::Random, PolicyKind::Locality]);
 //! }
-//! let reports = matrix.run(&SweepRunner::new(2)).unwrap();
+//! let reports = matrix.run_with_memo(&SweepRunner::new(2), &ArtifactCache::new()).unwrap();
 //! assert_eq!(reports.len(), 6); // one ComparisonReport per group
 //! ```
 
@@ -134,7 +134,7 @@ impl SweepRunner {
     /// started last would otherwise overhang the pool).
     ///
     /// Weights are whatever monotone cost proxy the caller has up
-    /// front; [`ScenarioMatrix::run`] uses each workload's trace-op
+    /// front; [`ScenarioMatrix::run_with_memo`] uses each workload's trace-op
     /// count ([`Workload::total_trace_ops`](lams_workloads::Workload::total_trace_ops)).
     pub fn run_weighted<T, F>(&self, weights: &[u64], f: F) -> Vec<T>
     where
@@ -377,7 +377,7 @@ impl ScenarioMatrix {
     }
 
     /// The distinct group labels, in first-appearance order — the order
-    /// [`ScenarioMatrix::run`] returns reports in.
+    /// [`ScenarioMatrix::run_with_memo`] returns reports in.
     pub fn groups(&self) -> Vec<&str> {
         let mut seen: Vec<&str> = Vec::new();
         for job in &self.jobs {
@@ -388,8 +388,8 @@ impl ScenarioMatrix {
         seen
     }
 
-    /// Executes every job on `runner` and reassembles one
-    /// [`ComparisonReport`] per group, in first-appearance order.
+    /// Executes every job on `runner` against `memo` and reassembles
+    /// one [`ComparisonReport`] per group, in first-appearance order.
     ///
     /// The queue is ordered **longest-job-first** by up-front trace
     /// length ([`SweepJob::weight`]), which tightens the pool's makespan
@@ -397,26 +397,13 @@ impl ScenarioMatrix {
     /// bit-identical to FIFO order for any thread count (pinned in
     /// `crates/core/tests/sweep.rs`).
     ///
-    /// One fresh [`ArtifactCache`] is threaded through every job, so
-    /// jobs sharing a workload pay for compiled traces and Locality
-    /// pilots once across the whole matrix. Use
-    /// [`ScenarioMatrix::run_with_memo`] to supply (and afterwards
-    /// inspect) the cache yourself.
-    ///
-    /// # Errors
-    ///
-    /// Returns the error of the earliest enumerated failing job.
-    pub fn run(&self, runner: &SweepRunner) -> Result<Vec<ComparisonReport>> {
-        self.run_with_memo(runner, &ArtifactCache::new())
-    }
-
-    /// [`ScenarioMatrix::run`] against a caller-supplied
-    /// [`ArtifactCache`]: all workers share `memo` (first-writer-wins;
-    /// results are bit-identical for any cache state and thread count —
-    /// differentially tested in `crates/core/tests/memo.rs`). Callers
-    /// keep the cache, so hit/miss counters
-    /// ([`ArtifactCache::stats`]) and the warmed artifacts survive the
-    /// run — chain several matrices over one memo, or pass
+    /// All workers share `memo` (first-writer-wins; results are
+    /// bit-identical for any cache state and thread count —
+    /// differentially tested in `crates/core/tests/memo.rs`), so jobs
+    /// sharing a workload pay for compiled traces and Locality pilots
+    /// once across the whole matrix. Callers keep the cache, so hit/miss
+    /// counters ([`ArtifactCache::stats`]) and the warmed artifacts
+    /// survive the run — chain several matrices over one memo, or pass
     /// [`ArtifactCache::disabled`] for the uncached reference path.
     ///
     /// # Errors
@@ -504,7 +491,9 @@ mod tests {
         m.push("b", exp, PolicyKind::Locality);
         assert_eq!(m.len(), 3);
         assert_eq!(m.groups(), vec!["b", "a"]);
-        let reports = m.run(&SweepRunner::sequential()).unwrap();
+        let reports = m
+            .run_with_memo(&SweepRunner::sequential(), &ArtifactCache::new())
+            .unwrap();
         assert_eq!(reports.len(), 2);
         assert_eq!(reports[0].workload(), "b");
         assert_eq!(reports[0].outcomes().len(), 2);
@@ -520,7 +509,9 @@ mod tests {
         for threads in [1, 2, 8] {
             let mut m = ScenarioMatrix::new();
             m.push_all("Track", &exp, PolicyKind::ALL);
-            let reports = m.run(&SweepRunner::new(threads)).unwrap();
+            let reports = m
+                .run_with_memo(&SweepRunner::new(threads), &ArtifactCache::new())
+                .unwrap();
             assert_eq!(reports.len(), 1);
             assert_eq!(
                 format!("{:?}", reports[0]),

@@ -8,7 +8,7 @@
 
 use proptest::prelude::*;
 
-use lams_core::{Experiment, PolicyKind, ScenarioMatrix, SweepRunner};
+use lams_core::{ArtifactCache, Experiment, PolicyKind, ScenarioMatrix, SweepRunner};
 use lams_mpsoc::MachineConfig;
 use lams_workloads::{suite, Scale};
 
@@ -99,14 +99,14 @@ fn multi_group_matrix_is_byte_identical_across_thread_counts() {
         m
     };
     let reference: Vec<String> = build()
-        .run(&SweepRunner::sequential())
+        .run_with_memo(&SweepRunner::sequential(), &ArtifactCache::new())
         .expect("sweep runs")
         .iter()
         .map(|r| format!("{r:?}"))
         .collect();
     for threads in [2usize, 8] {
         let reports: Vec<String> = build()
-            .run(&SweepRunner::new(threads))
+            .run_with_memo(&SweepRunner::new(threads), &ArtifactCache::new())
             .expect("sweep runs")
             .iter()
             .map(|r| format!("{r:?}"))
@@ -145,7 +145,9 @@ fn ljf_queue_keeps_reports_bit_identical() {
         .collect();
     for threads in [1usize, 2, 8] {
         let m = build();
-        let reports = m.run(&SweepRunner::new(threads)).expect("sweep runs");
+        let reports = m
+            .run_with_memo(&SweepRunner::new(threads), &ArtifactCache::new())
+            .expect("sweep runs");
         let got: Vec<String> = reports
             .iter()
             .flat_map(|r| r.outcomes().iter().map(|o| format!("{:?}", o.result)))

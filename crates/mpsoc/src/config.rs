@@ -129,6 +129,23 @@ impl Default for CacheConfig {
     }
 }
 
+impl std::str::FromStr for CacheConfig {
+    type Err = Error;
+
+    /// Parses `SIZE:ASSOC:LINE` (bytes, ways, bytes) for [`CacheConfig::new`].
+    fn from_str(s: &str) -> Result<Self> {
+        let bad = || Error::InvalidConfig(format!("cache spec '{s}' is not SIZE:ASSOC:LINE"));
+        let parts: Vec<u64> = s
+            .split(':')
+            .map(|p| p.parse().map_err(|_| bad()))
+            .collect::<Result<_>>()?;
+        let [size, assoc, line] = parts[..] else {
+            return Err(bad());
+        };
+        CacheConfig::new(size, assoc, line)
+    }
+}
+
 impl fmt::Display for CacheConfig {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         write!(
@@ -501,6 +518,29 @@ mod tests {
         assert_eq!(parse("windowed:20:256:9"), None);
         assert_eq!(parse("tdm:20"), None);
         assert_eq!(parse(""), None);
+    }
+
+    #[test]
+    fn cache_spec_parsing() {
+        let parse = |s: &str| s.parse::<CacheConfig>().ok();
+        assert_eq!(parse("8192:2:32"), Some(CacheConfig::paper_default()));
+        assert_eq!(parse("4096:1:32"), CacheConfig::new(4096, 1, 32).ok());
+        for bad in [
+            "",
+            "8192",
+            "8192:2",
+            "8192:2:32:1",
+            "8192:x:32",
+            "8192:3:32",
+            "64:4:32",
+        ] {
+            assert_eq!(parse(bad), None, "{bad}");
+        }
+        assert_eq!(
+            "8192:3:32".parse::<CacheConfig>().unwrap_err().to_string(),
+            CacheConfig::new(8192, 3, 32).unwrap_err().to_string(),
+            "the geometry is CacheConfig::new's to refuse"
+        );
     }
 
     #[test]

@@ -7,7 +7,7 @@ use std::path::PathBuf;
 
 use lams_core::{ArrivalConfig, ArrivalShape, ArtifactCache, PolicyKind, Scenario, Source};
 use lams_layout::Layout;
-use lams_mpsoc::BusConfig;
+use lams_mpsoc::{BusConfig, CacheConfig};
 use lams_serve::{execute_work, Request, Response, Work};
 use lams_workloads::{suite, Scale, Workload};
 use proptest::prelude::*;
@@ -29,13 +29,15 @@ const FILES: [&str; 3] = ["t.ltr", "/tmp/lams/shape_tiny.ltr", "dir/a=b.ltr"];
 
 /// A scenario from independent draws over every axis. `pick` selects
 /// the source kind, the name, the scale and the policy; `on` which
-/// knobs are present.
+/// knobs are present; `cache` the log2 of the line size, the ways and
+/// the sets, which it fits under the bound on `cores ×` lines.
 fn scenario(
     pick: (usize, usize, usize, usize, usize),
     on: u8,
     counts: (usize, u64, u64, u64),
     bus: (usize, u64, u64),
     arrivals: (usize, u64, u64, u64),
+    cache: (u32, u32, u32),
 ) -> Scenario {
     let (kind, name, tasks, scale, policy) = pick;
     let scale = SCALES[scale % SCALES.len()];
@@ -64,10 +66,16 @@ fn scenario(
     ];
     let arrival = ArrivalConfig::poisson(load_milli, arrival_seed).with_shape(shapes[shape % 3]);
     let bit = |b: u8| on & (1 << b) != 0;
+    let cores = bit(0).then_some(cores);
+    // The most lines per core the bound leaves, as a power of two.
+    let most = Scenario::MAX_CORES * 256 / cores.unwrap_or(8);
+    let (line, ways, sets) = cache;
+    let sets = sets.min(most.ilog2() - ways);
+    let cache = CacheConfig::new(1 << (line + ways + sets), 1 << ways, 1 << line).unwrap();
     Scenario {
         source,
         policy: policies[policy % policies.len()],
-        cores: bit(0).then_some(cores),
+        cores,
         quantum: bit(1).then_some(quantum),
         seed: bit(2).then_some(seed),
         bus: match bus_kind % 3 {
@@ -75,6 +83,7 @@ fn scenario(
             1 => Some(BusConfig::fcfs(occupancy)),
             _ => Some(BusConfig::windowed(occupancy, window)),
         },
+        cache: bit(6).then_some(cache),
         deadline: bit(3).then_some(deadline),
         arrivals: bit(4).then(|| match bit(5) {
             true => arrival.with_queue_capacity(cap),
@@ -89,12 +98,13 @@ proptest! {
     #[test]
     fn every_scenario_prints_the_line_it_parses_from(
         pick in (0usize..3, 0usize..64, 1usize..=6, 0usize..5, 0usize..4),
-        on in 0u8..64,
+        on in 0u8..128,
         counts in (1usize..=Scenario::MAX_CORES, 1u64..=u64::MAX, 0u64..=u64::MAX, 0u64..=u64::MAX),
         bus in (0usize..3, 0u64..=u64::MAX, 1u64..=u64::MAX),
         arrivals in (0usize..3, 1u64..=1_000_000, 0u64..=u64::MAX, 0u64..=u64::MAX),
+        cache in (0u32..=7, 0u32..=3, 0u32..=17),
     ) {
-        let s = scenario(pick, on, counts, bus, arrivals);
+        let s = scenario(pick, on, counts, bus, arrivals, cache);
         let line = s.to_string();
         prop_assert_eq!(line.parse::<Scenario>(), Ok(s.clone()));
         // The wire reads the same value from the same keys.
@@ -143,6 +153,8 @@ fn hand_written_request_lines_round_trip() {
         "run id=7 app=track scale=tiny policy=rs",
         "run id=3-2 app=usonic scale=tiny policy=ls",
         "run id=13 mix=2 scale=tiny policy=ls",
+        "run id=14 mix=2 scale=tiny policy=ls cache=4096:1:32",
+        "run id=15 app=shape scale=tiny policy=rs cache=8192:2:32 cores=1024",
     ];
     for line in accepted {
         let request = Request::parse(line).unwrap().unwrap();
@@ -173,6 +185,18 @@ fn hand_written_request_lines_round_trip() {
         (
             "run id=11 app=shape scale=tiny policy=ls cores=1000000",
             "cores must be at most 1024",
+        ),
+        (
+            "run id=14 app=shape scale=tiny policy=ls cache=4096:2",
+            "invalid cache '4096:2': invalid configuration: cache spec '4096:2' is not SIZE:ASSOC:LINE",
+        ),
+        (
+            "run id=15 app=shape scale=tiny policy=ls cache=4096:3:32",
+            "invalid cache '4096:3:32': invalid configuration: associativity 3 is not a power of two",
+        ),
+        (
+            "run id=16 app=shape scale=tiny policy=ls cache=16384:2:32 cores=1024",
+            "cores * cache lines must be at most 262144",
         ),
     ];
     for (line, msg) in refused {
@@ -232,6 +256,7 @@ fn replay_answers_what_run_answers_under_every_shared_key() {
                 "bus=fcfs:20",
                 "bus=windowed:20:256",
                 "arrivals=poisson:0.8:42",
+                "cache=4096:1:32",
             ] {
                 let keys = format!("policy={policy} {knobs}");
                 let run = execute_work(

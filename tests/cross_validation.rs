@@ -293,7 +293,7 @@ fn golden_bus_mode_grid_is_thread_invariant() {
         let mut reference = None;
         for threads in [1usize, 4] {
             let reports = matrix
-                .run(&SweepRunner::new(threads))
+                .run_with_memo(&SweepRunner::new(threads), &ArtifactCache::new())
                 .expect("bus-mode sweep runs");
             let makespans: Vec<u64> = reports
                 .iter()
