@@ -1,105 +1,80 @@
-//! Minimal command-line parsing for the harness binaries (no external
-//! dependencies needed for `--scale`-style flags).
+//! How the harness binaries report a command line they cannot act on.
 //!
-//! Every flag value parses through its type's `FromStr`: `--scale`
-//! through [`lams_workloads::Scale`], `--bus` through
-//! [`lams_mpsoc::BusConfig`], `--arrivals` through
-//! [`lams_core::ArrivalConfig`], counts through `usize`. A malformed
-//! value is an error, never a silent default — a typo must not run
-//! another configuration.
+//! Every binary reads its arguments through
+//! [`lams_core::Fields::from_flags`], the wire's strict reader in
+//! `--key value` spelling, and every flag value parses through its
+//! type's `FromStr`. A malformed value, an unknown, repeated or
+//! valueless flag and a stray positional are each an error, never a
+//! silent default: a typo must not run another configuration.
 
 use std::fmt::Display;
-use std::str::FromStr;
 
-/// The raw VALUE of `--name VALUE`; `Ok(None)` when the flag is absent.
-///
-/// # Errors
-///
-/// Returns `NAME needs a value` when the flag is the last argument or
-/// is followed by another `--flag`.
-pub fn flag_value<'a>(args: &'a [String], name: &str) -> Result<Option<&'a str>, String> {
-    let Some(i) = args.iter().position(|a| a == name) else {
-        return Ok(None);
-    };
-    match args.get(i + 1) {
-        Some(v) if !v.starts_with("--") => Ok(Some(v)),
-        _ => Err(format!("{name} needs a value")),
+use lams_core::FieldError;
+
+/// Renders `e`, met reading binary or verb `cmd`'s flags, in `--`
+/// spelling: `bad --scale 'smal': …`, `fig7 takes no --scal`,
+/// `--cores needs a value`, `--quantum must be at least 1`.
+pub fn flag_error(cmd: &str, e: FieldError) -> String {
+    match e {
+        // Every key but the source has a default.
+        FieldError::Missing(_) => "need --app NAME or --mix N".to_string(),
+        FieldError::Malformed { key, value, reason } => {
+            format!("bad --{key} '{value}': {reason}")
+        }
+        FieldError::Unknown(key) => format!("{cmd} takes no --{key}"),
+        FieldError::Bare(tok) => format!("{cmd} takes no argument '{tok}'"),
+        FieldError::Empty(key) => format!("--{key} needs a value"),
+        FieldError::Duplicate(key) => format!("--{key} is given twice"),
+        FieldError::Conflict(a, b) => format!("--{a} and --{b} exclude each other"),
+        e => format!("--{e}"),
     }
 }
 
-/// `--name VALUE` parsed as a `T`: `Ok(None)` when the flag is absent,
-/// and an error naming the flag and the value when the value does not
-/// parse.
-///
-/// # Errors
-///
-/// Returns `bad NAME 'VALUE': REASON`, with `T`'s parse error as the
-/// reason, or `NAME needs a value` (see [`flag_value`]).
-pub fn try_flag<T: FromStr>(args: &[String], name: &str) -> Result<Option<T>, String>
-where
-    T::Err: Display,
-{
-    let Some(v) = flag_value(args, name)? else {
-        return Ok(None);
-    };
-    v.parse()
-        .map(Some)
-        .map_err(|e| format!("bad {name} '{v}': {e}"))
-}
-
-/// [`try_flag`] for the figure binaries: `None` when the flag is absent;
-/// a malformed value prints the error and exits with status 2.
-pub fn flag<T: FromStr>(args: &[String], name: &str) -> Option<T>
-where
-    T::Err: Display,
-{
-    try_flag(args, name).unwrap_or_else(|e| usage_error(e))
-}
-
-/// Prints `error: {e}` and exits with status 2.
-pub(crate) fn usage_error(e: String) -> ! {
+/// Prints `error: {e}` and exits with `code`: 2 for a command line the
+/// binary cannot act on, 1 for a run that failed.
+pub fn exit_with(code: i32, e: impl Display) -> ! {
     eprintln!("error: {e}");
-    std::process::exit(2);
-}
-
-/// Refuses a `--flag` whose name is not in `known`: a typo such as
-/// `--quantun 5` must not run the defaults.
-///
-/// # Errors
-///
-/// Returns `CMD takes no --NAME` for the first unknown flag.
-pub fn refuse_unknown_flags(cmd: &str, args: &[String], known: &[&str]) -> Result<(), String> {
-    let mut names = args.iter().filter_map(|a| a.strip_prefix("--"));
-    match names.find(|name| !known.contains(name)) {
-        Some(name) => Err(format!("{cmd} takes no --{name}")),
-        None => Ok(()),
-    }
+    std::process::exit(code);
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use lams_core::{ArrivalConfig, ArrivalShape};
+    use lams_core::{ArrivalConfig, ArrivalShape, Fields, Scenario};
     use lams_mpsoc::BusConfig;
     use lams_workloads::Scale;
+    use std::str::FromStr;
 
     fn argv(s: &[&str]) -> Vec<String> {
         s.iter().map(|x| x.to_string()).collect()
     }
 
+    /// `--key VALUE` read as a `T` the way a binary reads it.
+    fn flag<T: FromStr>(args: &[&str], key: &'static str) -> Result<Option<T>, String>
+    where
+        T::Err: Display,
+    {
+        let args = argv(args);
+        let mut fields = Fields::from_flags(&args, &[key]).map_err(|e| flag_error("bin", e))?;
+        fields.parsed(key).map_err(|e| flag_error("bin", e))
+    }
+
+    /// What binary `cmd` says about `args` read as a scenario.
+    fn scenario_error(cmd: &str, args: &[&str]) -> String {
+        let args = argv(args);
+        let e = Fields::from_flags(&args, &Scenario::KEYS)
+            .and_then(|mut f| Scenario::from_fields(&mut f, false))
+            .unwrap_err();
+        flag_error(cmd, e)
+    }
+
     #[test]
     fn scale_parsing() {
+        assert_eq!(flag(&["--scale", "tiny"], "scale"), Ok(Some(Scale::Tiny)));
+        assert_eq!(flag(&["--scale", "SMALL"], "scale"), Ok(Some(Scale::Small)));
+        assert_eq!(flag::<Scale>(&[], "scale"), Ok(None));
         assert_eq!(
-            flag(&argv(&["--scale", "tiny"]), "--scale"),
-            Some(Scale::Tiny)
-        );
-        assert_eq!(
-            flag(&argv(&["--scale", "SMALL"]), "--scale"),
-            Some(Scale::Small)
-        );
-        assert_eq!(flag::<Scale>(&argv(&[]), "--scale"), None);
-        assert_eq!(
-            try_flag::<Scale>(&argv(&["--scale", "smal"]), "--scale"),
+            flag::<Scale>(&["--scale", "smal"], "scale"),
             Err(
                 "bad --scale 'smal': unknown scale 'smal' (expected tiny|small|paper|large|huge)"
                     .into()
@@ -111,39 +86,54 @@ mod tests {
     fn threads_flag() {
         // The binaries pass the count to `SweepRunner::new`, which
         // clamps 0 to 1.
-        assert_eq!(flag(&argv(&["--threads", "4"]), "--threads"), Some(4usize));
-        assert_eq!(flag::<usize>(&argv(&[]), "--threads"), None);
-        assert!(try_flag::<usize>(&argv(&["--threads", "-1"]), "--threads").is_err());
+        assert_eq!(flag(&["--threads", "4"], "threads"), Ok(Some(4usize)));
+        assert_eq!(flag::<usize>(&[], "threads"), Ok(None));
+        assert!(flag::<usize>(&["--threads", "-1"], "threads").is_err());
     }
 
     #[test]
     fn usize_flag() {
-        assert_eq!(flag(&argv(&["--cores", "4"]), "--cores"), Some(4usize));
-        assert_eq!(flag::<usize>(&argv(&[]), "--cores"), None);
+        assert_eq!(flag(&["--cores", "4"], "cores"), Ok(Some(4usize)));
         // A malformed count is an error, not the default.
         assert_eq!(
-            try_flag::<usize>(&argv(&["--cores", "x"]), "--cores"),
+            flag::<usize>(&["--cores", "x"], "cores"),
             Err("bad --cores 'x': invalid digit found in string".into())
+        );
+        assert_eq!(
+            scenario_error(
+                "run",
+                &[
+                    "--mix",
+                    "2",
+                    "--scale",
+                    "tiny",
+                    "--policy",
+                    "rrs",
+                    "--quantum",
+                    "0"
+                ]
+            ),
+            "--quantum must be at least 1"
         );
     }
 
     #[test]
     fn arrivals_flag() {
-        assert_eq!(flag::<ArrivalConfig>(&argv(&[]), "--arrivals"), None);
+        assert_eq!(flag::<ArrivalConfig>(&[], "arrivals"), Ok(None));
         assert_eq!(
-            flag(&argv(&["--arrivals", "poisson:0.8:42"]), "--arrivals"),
-            Some(ArrivalConfig::poisson(800, 42))
+            flag(&["--arrivals", "poisson:0.8:42"], "arrivals"),
+            Ok(Some(ArrivalConfig::poisson(800, 42)))
         );
         assert_eq!(
-            flag(&argv(&["--arrivals", "burst:1.5:7:128"]), "--arrivals"),
-            Some(
+            flag(&["--arrivals", "burst:1.5:7:128"], "arrivals"),
+            Ok(Some(
                 ArrivalConfig::poisson(1500, 7)
                     .with_shape(ArrivalShape::Burst)
                     .with_queue_capacity(128)
-            )
+            ))
         );
         for bad in ["poisson:0.8", "gauss:0.8:1"] {
-            assert!(try_flag::<ArrivalConfig>(&argv(&["--arrivals", bad]), "--arrivals").is_err());
+            assert!(flag::<ArrivalConfig>(&["--arrivals", bad], "arrivals").is_err());
         }
     }
 
@@ -151,50 +141,60 @@ mod tests {
     fn a_flag_without_a_value_is_an_error() {
         for args in [&["--cores"][..], &["--cores", "--scale", "tiny"]] {
             assert_eq!(
-                try_flag::<usize>(&argv(args), "--cores"),
-                Err("--cores needs a value".into())
+                scenario_error("run", args),
+                "--cores needs a value",
+                "{args:?}"
             );
         }
         // A negative number is a value, not a flag.
+        assert!(flag::<usize>(&["--tasks", "-1"], "tasks")
+            .unwrap_err()
+            .starts_with("bad --tasks '-1'"));
+        // Nor is a repeated or positional argument read.
         assert_eq!(
-            flag_value(&argv(&["--tasks", "-1"]), "--tasks"),
-            Ok(Some("-1"))
+            scenario_error("run", &["--app", "shape", "--app", "shape"]),
+            "--app is given twice"
+        );
+        assert_eq!(
+            scenario_error("fig6", &["tiny", "--scale", "tiny"]),
+            "fig6 takes no argument 'tiny'"
+        );
+        assert_eq!(
+            scenario_error("run", &["--scale", "tiny"]),
+            "need --app NAME or --mix N"
         );
     }
 
     #[test]
     fn unknown_flags_are_refused_by_name() {
-        let known = ["scale", "threads"];
         assert_eq!(
-            refuse_unknown_flags(
-                "fig7",
-                &argv(&["--scale", "tiny", "--threads", "2"]),
-                &known
-            ),
-            Ok(())
+            scenario_error("fig7", &["--scal", "tiny"]),
+            "fig7 takes no --scal"
         );
         assert_eq!(
-            refuse_unknown_flags("fig7", &argv(&["--scal", "tiny"]), &known),
-            Err("fig7 takes no --scal".into())
+            scenario_error("run", &["--app", "x", "--mix", "2", "--scale", "tiny"]),
+            "--app and --mix exclude each other"
         );
         // A negative value is not a flag.
         assert_eq!(
-            refuse_unknown_flags("sweep", &argv(&["--threads", "-1"]), &known),
+            flag(&["--threads", "-1"], "threads").map(|_: Option<i64>| ()),
             Ok(())
         );
     }
 
     #[test]
     fn bus_flag() {
-        assert_eq!(flag::<BusConfig>(&argv(&[]), "--bus"), None);
+        assert_eq!(flag::<BusConfig>(&[], "bus"), Ok(None));
         assert_eq!(
-            flag(&argv(&["--bus", "fcfs:20"]), "--bus"),
-            Some(BusConfig::fcfs(20))
+            flag(&["--bus", "fcfs:20"], "bus"),
+            Ok(Some(BusConfig::fcfs(20)))
         );
         assert_eq!(
-            flag(&argv(&["--bus", "windowed:20:256"]), "--bus"),
-            Some(BusConfig::windowed(20, 256))
+            flag(&["--bus", "windowed:20:256"], "bus"),
+            Ok(Some(BusConfig::windowed(20, 256)))
         );
-        assert!(try_flag::<BusConfig>(&argv(&["--bus", "fcfs"]), "--bus").is_err());
+        assert!(flag::<BusConfig>(&["--bus", "fcfs"], "bus")
+            .unwrap_err()
+            .starts_with("bad --bus 'fcfs': "));
     }
 }

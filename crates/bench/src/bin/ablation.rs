@@ -71,7 +71,7 @@ fn main() {
     // The fixed-mean run needs the ladder's conflict matrix first, so
     // these two stay sequential; their candidate ladders fan internally.
     let exp = fig
-        .base
+        .base()
         .experiment(workload.clone(), machine)
         .with_runner(runner);
     let (ladder, art) = exp.run_lsm().expect("runs");

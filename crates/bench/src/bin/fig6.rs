@@ -29,7 +29,7 @@ fn main() {
     let groups: Vec<_> = suite::NAMES
         .iter()
         .map(|&name| {
-            let mut app = fig.base.clone();
+            let mut app = fig.base();
             app.source = Source::App {
                 name: name.into(),
                 scale: fig.scale,

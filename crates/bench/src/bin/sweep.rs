@@ -13,14 +13,16 @@
 //!
 //! With `--bus`, every sweep point runs behind the given shared-bus
 //! contention model, and the grid gains a bus axis sweeping the
-//! transfer occupancy around the requested value.
+//! transfer occupancy around the requested value: halved, as given and
+//! doubled. An occupancy that cannot be doubled is a usage error.
 //!
 //! Each of the 17 sweep points is the base scenario `mix=TASKS` with one
 //! key set (`cache=4096:2:32`, `cores=16`, `quantum=1000`, …), run under
 //! the four policies on `--threads N` workers with bit-identical output.
 
-use lams_bench::{csv_table, emit, Figure};
+use lams_bench::{csv_table, emit, exit_with, Figure};
 use lams_core::{PolicyKind, Scenario, DEFAULT_QUANTUM};
+use lams_mpsoc::BusMode;
 use lams_workloads::Scale;
 
 fn main() {
@@ -51,18 +53,24 @@ fn main() {
     for quantum in [1_000u64, 5_000, 10_000, 50_000, 200_000] {
         points.push((format!("# quantum {quantum}"), fig.with("quantum", quantum)));
     }
-    if fig.base.bus.is_some() {
+    if let Some(bus) = fig.base().bus {
         // Bus axis: sweep the transfer occupancy around the requested
         // value (halved, as given, doubled) under the same mode.
-        for scale in [1u64, 2, 4] {
-            let mut swept = fig.base.clone();
-            let bus = swept.bus.as_mut().expect("a bus");
-            bus.occupancy_cycles = bus.occupancy_cycles * scale / 2;
-            points.push((format!("# bus occupancy {}", bus.occupancy_cycles), swept));
+        let spec = |occ| match bus.mode {
+            BusMode::Fcfs => format!("fcfs:{occ}"),
+            BusMode::Windowed { window_cycles } => format!("windowed:{occ}:{window_cycles}"),
+        };
+        let occ = bus.occupancy_cycles;
+        let Some(doubled) = occ.checked_mul(2) else {
+            let e = format!("bad --bus '{}': its doubled occupancy overflows", spec(occ));
+            exit_with(2, e);
+        };
+        for occ in [occ / 2, occ, doubled] {
+            points.push((format!("# bus occupancy {occ}"), fig.with("bus", spec(occ))));
         }
     }
 
-    let reports = fig.run(&points);
+    let reports = fig.run(&points).unwrap_or_else(|e| exit_with(1, e));
     let header = "cache_kb,assoc,cores,quantum,policy,cycles,misses,seconds,conflict_misses,capacity_misses,remapped";
     let mut rows = Vec::new();
     for ((label, s), report) in points.iter().zip(&reports) {

@@ -14,8 +14,10 @@
 //!   `--cache SIZE:ASSOC:LINE`, `--quantum CYCLES`, `--seed N`,
 //!   `--bus SPEC`, `--deadline CYCLES` and `--arrivals SPEC`: the keys
 //!   of a `lams-serve` request line, with the same meaning and the same
-//!   checks. A flag outside its subcommand's keys, or one without a
-//!   value, is a usage error: a typo never runs the defaults.
+//!   checks, read by the same reader ([`Fields::from_flags`]). A flag
+//!   outside its subcommand's keys, one without a value, a repeated
+//!   flag and a positional argument other than FILE are usage errors:
+//!   a typo never runs the defaults.
 //!   `trace_tool` defaults to `--scale small --policy ls --seed 12345
 //!   --quantum 50000` and asks for the miss split, which its report
 //!   prints.
@@ -35,9 +37,7 @@
 //! panic backtrace. Output goes through [`emit()`], so a closed stdout
 //! (`| head -1`) ends the tool quietly with status 0.
 
-use std::fmt::Display;
 use std::process::exit;
-use std::str::FromStr;
 
 use lams_core::{
     ArtifactCache, Error, FieldError, Fields, Loaded, PolicyKind, RunResult, Scenario,
@@ -46,7 +46,7 @@ use lams_layout::Layout;
 use lams_mpsoc::MachineConfig;
 use lams_trace::TraceBundle;
 
-use lams_bench::{emit, flag_value, refuse_unknown_flags, try_flag};
+use lams_bench::{emit, flag_error};
 
 /// A failed subcommand: usage errors reprint the usage text and exit 2,
 /// runtime errors exit 1. Both print `error: <context>` on stderr.
@@ -79,67 +79,59 @@ const USAGE: &str = "usage: trace_tool <record|replay|run|inspect|stats> ...\n\
                      \x20         [--quantum CYCLES] [--seed N] [--deadline CYCLES]\n\
                      \x20         [--bus fcfs:OCC|windowed:OCC:WIN]\n\
                      \x20         [--arrivals poisson|burst|diurnal:LOAD:SEED[:QCAP]]\n\
-                     defaults: --scale small --policy ls --seed 12345 --quantum 50000";
+                     defaults: --scale small --policy ls --seed 12345 --quantum 50000\n\
+                     Each flag is given at most once; FILE is the only positional.";
 
-/// `--name VALUE` parsed as a `T`: the default when absent, a usage
-/// error when present but malformed (a typo must not silently run the
-/// default).
-fn parsed_flag<T: FromStr>(args: &[String], name: &str, default: T) -> CliResult<T>
-where
-    T::Err: Display,
-{
-    Ok(try_flag(args, name)
-        .map_err(CliError::usage)?
-        .unwrap_or(default))
+/// Renders a refused flag of verb `cmd` as a usage error.
+fn usage(cmd: &str) -> impl Fn(FieldError) -> CliError + Copy + '_ {
+    move |e| CliError::usage(flag_error(cmd, e))
 }
 
-/// The raw value of `--name`, a usage error when it has none.
-fn raw_flag<'a>(args: &'a [String], name: &str) -> CliResult<Option<&'a str>> {
-    flag_value(args, name).map_err(CliError::usage)
+/// The FILE a verb takes first, when one is there, and the flags after
+/// it.
+fn split_file(args: &[String]) -> (Option<&str>, &[String]) {
+    match args.split_first() {
+        Some((file, rest)) if !file.starts_with("--") => (Some(file), rest),
+        _ => (None, args),
+    }
 }
 
-/// The scenario `cmd`'s arguments name. `trace_tool`'s own defaults
-/// are set first; each `--key value` of [`Scenario::KEYS`] then
-/// replaces its key. `replay` takes its file as the first argument,
-/// and `record` also reads `--out`; any other `--flag` is refused.
-fn scenario_from_args(cmd: &str, args: &[String]) -> CliResult<Scenario> {
-    let keys = Scenario::KEYS.into_iter().filter(|&k| k != "file");
-    let mut known: Vec<&str> = keys.clone().collect();
+fn need_file<'a>(cmd: &str, file: Option<&'a str>) -> CliResult<&'a str> {
+    file.ok_or_else(|| CliError::usage(format!("{cmd} needs a FILE argument")))
+}
+
+/// The scenario `cmd`'s arguments name, with `record`'s `--out`. The
+/// flags are the keys of [`Scenario::KEYS`] but `file`, which `replay`
+/// takes as its first argument; `trace_tool`'s own defaults fill the
+/// keys they leave out.
+fn scenario_from_args<'a>(cmd: &str, args: &'a [String]) -> CliResult<(Scenario, Option<&'a str>)> {
+    let (file, args) = match cmd {
+        "replay" => split_file(args),
+        _ => (None, args),
+    };
+    let mut known: Vec<&str> = Scenario::KEYS
+        .into_iter()
+        .filter(|&k| k != "file")
+        .collect();
     if cmd == "record" {
         known.push("out");
     }
-    refuse_unknown_flags(cmd, args, &known).map_err(CliError::usage)?;
-    let file = match cmd {
-        "replay" => Some(path_arg(args, cmd)?),
-        _ => None,
-    };
-    let mut fields = Fields::default();
+    let mut fields = Fields::from_flags(args, &known).map_err(usage(cmd))?;
+    let out = fields.take("out");
     match file {
         Some(path) => fields.set("file", path),
-        None => fields.set("scale", "small"),
+        None if cmd == "replay" => return Err(CliError::usage("replay needs a FILE argument")),
+        None if !fields.contains("scale") => fields.set("scale", "small"),
+        None => {}
     }
     for (key, value) in [("policy", "ls"), ("seed", "12345"), ("quantum", "50000")] {
-        fields.set(key, value);
-    }
-    for key in keys {
-        if let Some(value) = raw_flag(args, &format!("--{key}"))? {
+        if !fields.contains(key) {
             fields.set(key, value);
         }
     }
-    let flag_error = |e| {
-        CliError::usage(match e {
-            FieldError::Missing(_) => "need --app NAME or --mix N".to_string(),
-            FieldError::Malformed { key, value, reason } => {
-                format!("bad --{key} '{value}': {reason}")
-            }
-            FieldError::Unknown(key) => format!("{cmd} takes no --{key}"),
-            FieldError::Conflict(a, b) => format!("--{a} and --{b} exclude each other"),
-            e => format!("--{e}"),
-        })
-    };
-    let scenario = Scenario::from_fields(&mut fields, file.is_some()).map_err(flag_error)?;
-    fields.finish().map_err(flag_error)?;
-    Ok(scenario)
+    let scenario = Scenario::from_fields(&mut fields, file.is_some()).map_err(usage(cmd))?;
+    fields.finish().map_err(usage(cmd))?;
+    Ok((scenario, out))
 }
 
 /// A scenario that failed to load or run: an unknown `--app` is a
@@ -185,23 +177,14 @@ fn read_bundle(path: &str) -> CliResult<TraceBundle> {
     TraceBundle::read_file(path).map_err(|e| CliError::runtime(format!("reading {path}: {e}")))
 }
 
-/// First positional (non-flag) argument: the bundle path of
-/// `replay`/`inspect`/`stats`.
-fn path_arg<'a>(args: &'a [String], cmd: &str) -> CliResult<&'a str> {
-    args.first()
-        .map(String::as_str)
-        .filter(|a| !a.starts_with("--"))
-        .ok_or_else(|| CliError::usage(format!("{cmd} needs a FILE argument")))
-}
-
 fn cmd_record(rest: &[String]) -> CliResult<()> {
-    let scenario = scenario_from_args("record", rest)?;
+    let (scenario, out) = scenario_from_args("record", rest)?;
     let loaded = scenario.source.load();
     let Loaded::Workload(w) = loaded.map_err(|e| run_error("record", &scenario, e))? else {
         return Err(CliError::usage("record needs --app NAME or --mix N"));
     };
     let layout = Layout::linear(w.arrays());
-    let out = raw_flag(rest, "--out")?.unwrap_or("trace.ltr");
+    let out = out.unwrap_or("trace.ltr");
     let bundle = w.record(&layout);
     let bytes = bundle.to_bytes();
     std::fs::write(out, &bytes).map_err(|e| CliError::runtime(format!("writing {out}: {e}")))?;
@@ -219,7 +202,7 @@ fn cmd_record(rest: &[String]) -> CliResult<()> {
 
 /// `run` and `replay`: one scenario, one report.
 fn cmd_simulate(cmd: &str, rest: &[String]) -> CliResult<()> {
-    let scenario = scenario_from_args(cmd, rest)?;
+    let (scenario, _) = scenario_from_args(cmd, rest)?;
     // A bundle cannot run LSM, and `run` must print what `replay` of
     // its recording prints.
     if scenario.policy == PolicyKind::LocalityMap {
@@ -237,11 +220,15 @@ fn cmd_simulate(cmd: &str, rest: &[String]) -> CliResult<()> {
 }
 
 fn cmd_inspect(rest: &[String]) -> CliResult<()> {
-    let path = path_arg(rest, "inspect")?;
-    refuse_unknown_flags("inspect", rest, &["proc", "limit"]).map_err(CliError::usage)?;
+    let (file, rest) = split_file(rest);
+    let path = need_file("inspect", file)?;
+    let mut fields = Fields::from_flags(rest, &["proc", "limit"]).map_err(usage("inspect"))?;
     let bundle = read_bundle(path)?;
-    let limit: u64 = parsed_flag(rest, "--limit", 64u64)?;
-    let only: Option<usize> = try_flag(rest, "--proc").map_err(CliError::usage)?;
+    let limit: u64 = fields
+        .parsed("limit")
+        .map_err(usage("inspect"))?
+        .unwrap_or(64);
+    let only: Option<usize> = fields.parsed("proc").map_err(usage("inspect"))?;
     if let Some(p) = only {
         if p >= bundle.records.len() {
             return Err(CliError::runtime(format!(
@@ -272,8 +259,9 @@ fn cmd_inspect(rest: &[String]) -> CliResult<()> {
 }
 
 fn cmd_stats(rest: &[String]) -> CliResult<()> {
-    let path = path_arg(rest, "stats")?;
-    refuse_unknown_flags("stats", rest, &[]).map_err(CliError::usage)?;
+    let (file, rest) = split_file(rest);
+    let path = need_file("stats", file)?;
+    Fields::from_flags(rest, &[]).map_err(usage("stats"))?;
     let bundle = read_bundle(path)?;
     emit!(
         "bundle {} ({} processes, {} edges, {} ops)",

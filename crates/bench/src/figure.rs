@@ -6,14 +6,13 @@
 use std::fmt::Display;
 
 use lams_core::{
-    ArtifactCache, ComparisonReport, Fields, Loaded, PolicyKind, Scenario, ScenarioMatrix, Source,
-    SweepRunner,
+    ArtifactCache, ComparisonReport, Fields, Loaded, Parsed, PolicyKind, Scenario, ScenarioMatrix,
+    Source, SweepRunner,
 };
 use lams_mpsoc::MachineConfig;
 use lams_workloads::Scale;
 
-use crate::args::usage_error;
-use crate::{bar_chart, csv_table, emit, flag, refuse_unknown_flags};
+use crate::{bar_chart, csv_table, emit, exit_with, flag_error};
 
 /// The flags of one figure or table binary, read once.
 #[derive(Debug, Clone)]
@@ -24,53 +23,77 @@ pub struct Figure {
     pub tasks: usize,
     /// The runner `--threads N` asks for.
     pub runner: SweepRunner,
-    /// `mix=TASKS scale=SCALE` with `--bus` and `--arrivals`: what every
-    /// group varies. Its policy is a placeholder; groups run them all.
-    pub base: Scenario,
+    /// The flags as read, `--scale`, `--tasks` and `--threads` taken
+    /// and a placeholder policy set: what every scenario of the figure
+    /// lays its keys over.
+    fields: Fields<'static>,
 }
 
 impl Figure {
     /// Reads the flags of binary `cmd`, which reads those in `known`
     /// (of `scale`, `tasks`, `threads`, `bus` and `arrivals`) and
-    /// defaults to `scale`. An unknown flag or a malformed value prints
-    /// the error and exits with status 2.
+    /// defaults to `scale`. An unknown, repeated or valueless flag, a
+    /// stray positional or a malformed value prints the error and
+    /// exits with status 2.
     pub fn read(cmd: &str, known: &[&str], scale: Scale) -> Figure {
-        let args: Vec<String> = std::env::args().skip(1).collect();
-        refuse_unknown_flags(cmd, &args, known).unwrap_or_else(|e| usage_error(e));
-        let scale = flag(&args, "--scale").unwrap_or(scale);
-        let tasks = flag(&args, "--tasks").unwrap_or(4).clamp(1, 6);
-        let runner = SweepRunner::new(flag(&args, "--threads").unwrap_or(1));
-        let line = format!("mix={tasks} scale={scale} policy=ls");
-        let mut base: Scenario = line.parse().expect("a valid scenario");
-        (base.bus, base.arrivals) = (flag(&args, "--bus"), flag(&args, "--arrivals"));
-        Figure {
-            scale,
-            tasks,
-            runner,
-            base,
-        }
+        // Every scenario of the run borrows from the arguments.
+        let args = Vec::leak(std::env::args().skip(1).collect());
+        let read = || -> Parsed<Figure> {
+            let mut fields = Fields::from_flags(args, known)?;
+            let scale = fields.parsed("scale")?.unwrap_or(scale);
+            let tasks: usize = fields.parsed("tasks")?.unwrap_or(4);
+            let threads = fields.parsed("threads")?.unwrap_or(1);
+            // A placeholder: groups run every policy.
+            fields.set("policy", "ls");
+            let fig = Figure {
+                scale,
+                tasks: tasks.clamp(1, 6),
+                runner: SweepRunner::new(threads),
+                fields,
+            };
+            fig.scenario(None).map(|_| fig)
+        };
+        read().unwrap_or_else(|e| exit_with(2, flag_error(cmd, e)))
+    }
+
+    /// `mix=TASKS scale=SCALE` with `--bus` and `--arrivals`: what every
+    /// group varies. Its policy is a placeholder; groups run them all.
+    pub fn base(&self) -> Scenario {
+        self.scenario(None).expect("read checked it")
     }
 
     /// The base scenario's machine, with the miss split the figures print.
     pub fn machine(&self) -> MachineConfig {
-        self.base.machine().with_explain(true)
+        self.base().machine().with_explain(true)
     }
 
     /// The base scenario with `key=value` set, read as the wire reads
     /// it; panics where the wire would refuse.
     pub fn with(&self, key: &str, value: impl Display) -> Scenario {
-        let (line, value) = (self.base.to_string(), value.to_string());
-        let mut fields = Fields::parse(line.split_ascii_whitespace()).expect("printed line");
-        fields.set(key, &value);
-        let s = Scenario::from_fields(&mut fields, false).and_then(|s| fields.finish().map(|()| s));
-        s.unwrap_or_else(|e| panic!("{line} {key}={value}: {e}"))
+        let value = value.to_string();
+        self.scenario(Some((key, &value)))
+            .unwrap_or_else(|e| panic!("{} {key}={value}: {e}", self.base()))
+    }
+
+    /// The flags as a scenario at `mix=TASKS scale=SCALE`, with `set`'s
+    /// `key=value` laid over them.
+    fn scenario(&self, set: Option<(&str, &str)>) -> Parsed<Scenario> {
+        let (mix, scale) = (self.tasks.to_string(), self.scale.to_string());
+        let mut fields = self.fields.clone();
+        fields.set("mix", &mix);
+        fields.set("scale", &scale);
+        if let Some((key, value)) = set {
+            fields.set(key, value);
+        }
+        let s = Scenario::from_fields(&mut fields, false)?;
+        fields.finish().map(|()| s)
     }
 
     /// Prints `title`, the thread count, and the `arrivals` marker when
     /// `--arrivals` was given (so batch output stays as it was).
     pub fn header(&self, title: impl Display) {
         emit!("{title}, {} thread(s)", self.runner.threads());
-        if let Some(a) = self.base.arrivals {
+        if let Some(a) = self.base().arrivals {
             emit!("arrivals {a}");
         }
     }
@@ -79,12 +102,17 @@ impl Figure {
     /// groups sharing a workload reuse its traces and LS pilot (CI checks
     /// that fig6's Tiny memo line reports hits): one report per group, in
     /// order. The memo line goes to stderr, as its counts depend on how
-    /// workers raced; stdout is identical for any `--threads N`. Panics when a run fails or labels repeat (their
-    /// reports would merge and misalign every later row).
-    pub fn run(&self, groups: &[(String, Scenario)]) -> Vec<ComparisonReport> {
+    /// workers raced; stdout is identical for any `--threads N`. Panics
+    /// when labels repeat (their reports would merge and misalign every
+    /// later row).
+    ///
+    /// # Errors
+    ///
+    /// `SCENARIO: ERROR` for the first group that fails to load or run.
+    pub fn run(&self, groups: &[(String, Scenario)]) -> Result<Vec<ComparisonReport>, String> {
         let (memo, mut matrix) = (ArtifactCache::shared(), ScenarioMatrix::new());
         for (label, s) in groups {
-            let Ok(Loaded::Workload(w)) = s.source.load() else {
+            let Loaded::Workload(w) = s.source.load().map_err(|e| format!("{s}: {e}"))? else {
                 panic!("{s}: not a suite workload");
             };
             let exp = s.experiment(w, s.machine().with_explain(true));
@@ -92,22 +120,27 @@ impl Figure {
         }
         let reports = matrix
             .run_with_memo(&self.runner, &memo)
-            .expect("simulation succeeds");
+            .map_err(|(label, e)| {
+                let (_, s) = groups.iter().find(|(l, _)| l == label).expect("a group");
+                format!("{s}: {e}")
+            })?;
         assert_eq!(reports.len(), groups.len(), "group labels must be unique");
         eprintln!("memo {}", memo.stats());
-        reports
+        Ok(reports)
     }
 
     /// Runs and prints Figure 6 or 7: a CSV row per group and policy, led
     /// by the app name or mix size under column `key`, then a bar chart
-    /// of seconds with one bar group per label.
+    /// of seconds with one bar group per label. A group that fails
+    /// prints [`Figure::run`]'s error and exits with status 1.
     pub fn bars(&self, key: &str, title: &str, groups: &[(String, Scenario)]) {
         let mut rows = Vec::new();
         let mut series: Vec<_> = PolicyKind::ALL
             .iter()
             .map(|k| (k.abbrev(), vec![]))
             .collect();
-        for ((_, s), report) in groups.iter().zip(self.run(groups)) {
+        let reports = self.run(groups).unwrap_or_else(|e| exit_with(1, e));
+        for ((_, s), report) in groups.iter().zip(reports) {
             let lead = match &s.source {
                 Source::App { name, .. } | Source::File(name) => name.clone(),
                 Source::Mix { tasks, .. } => tasks.to_string(),

@@ -18,7 +18,7 @@ fn run(bin: &str, args: &[&str]) -> (Option<i32>, String) {
 
 #[test]
 fn malformed_flag_values_exit_2() {
-    let cases: [(&str, &[&str]); 9] = [
+    let cases: [(&str, &[&str]); 10] = [
         (
             env!("CARGO_BIN_EXE_sweep"),
             &["--scale", "tiny", "--tasks", "x"],
@@ -46,6 +46,16 @@ fn malformed_flag_values_exit_2() {
             env!("CARGO_BIN_EXE_trace_tool"),
             &["run", "--app", "shape", "--scale", "x"],
         ),
+        // The bus axis doubles the occupancy.
+        (
+            env!("CARGO_BIN_EXE_sweep"),
+            &[
+                "--scale",
+                "tiny",
+                "--bus",
+                "windowed:9223372036854775808:256",
+            ],
+        ),
     ];
     for (bin, args) in cases {
         let (code, stderr) = run(bin, args);
@@ -59,7 +69,7 @@ fn malformed_flag_values_exit_2() {
 
 #[test]
 fn every_binary_refuses_a_flag_it_does_not_read() {
-    let cases: [(&str, &[&str], &str); 9] = [
+    let cases: [(&str, &[&str], &str); 25] = [
         (
             env!("CARGO_BIN_EXE_fig2a"),
             &["--scale", "tiny"],
@@ -104,6 +114,87 @@ fn every_binary_refuses_a_flag_it_does_not_read() {
             env!("CARGO_BIN_EXE_table2"),
             &["--threads", "2", "--help"],
             "table2 takes no --help",
+        ),
+        // `fig2a` reads no flag, so a repeated one is refused by name.
+        (
+            env!("CARGO_BIN_EXE_fig2a"),
+            &["--threads", "1", "--threads", "1"],
+            "fig2a takes no --threads",
+        ),
+        (
+            env!("CARGO_BIN_EXE_fig2a"),
+            &["tiny"],
+            "fig2a takes no argument 'tiny'",
+        ),
+        (
+            env!("CARGO_BIN_EXE_fig6"),
+            &["--scale", "tiny", "--scale", "small"],
+            "--scale is given twice",
+        ),
+        (
+            env!("CARGO_BIN_EXE_fig6"),
+            &["tiny", "--scale", "tiny"],
+            "fig6 takes no argument 'tiny'",
+        ),
+        (
+            env!("CARGO_BIN_EXE_fig7"),
+            &["--scale", "tiny", "--threads", "1", "--threads", "2"],
+            "--threads is given twice",
+        ),
+        (
+            env!("CARGO_BIN_EXE_fig7"),
+            &["--scale", "tiny", "small"],
+            "fig7 takes no argument 'small'",
+        ),
+        (
+            env!("CARGO_BIN_EXE_sweep"),
+            &["--scale", "tiny", "--tasks", "2", "--tasks", "3"],
+            "--tasks is given twice",
+        ),
+        (
+            env!("CARGO_BIN_EXE_sweep"),
+            &["--scale", "tiny", "--", "2"],
+            "sweep takes no --",
+        ),
+        (
+            env!("CARGO_BIN_EXE_sweep"),
+            &["--scale", "tiny", "-tasks", "2"],
+            "sweep takes no argument '-tasks'",
+        ),
+        (
+            env!("CARGO_BIN_EXE_ablation"),
+            &["--scale", "tiny", "--scale", "tiny"],
+            "--scale is given twice",
+        ),
+        (
+            env!("CARGO_BIN_EXE_ablation"),
+            &["--scale", "tiny", "4"],
+            "ablation takes no argument '4'",
+        ),
+        (
+            env!("CARGO_BIN_EXE_table1"),
+            &["--scale", "tiny", "--scale", "small"],
+            "--scale is given twice",
+        ),
+        (
+            env!("CARGO_BIN_EXE_table1"),
+            &["small"],
+            "table1 takes no argument 'small'",
+        ),
+        (
+            env!("CARGO_BIN_EXE_table2"),
+            &["--threads", "1", "--threads", "4"],
+            "--threads is given twice",
+        ),
+        (
+            env!("CARGO_BIN_EXE_table2"),
+            &["bogus"],
+            "table2 takes no argument 'bogus'",
+        ),
+        (
+            env!("CARGO_BIN_EXE_table2"),
+            &["--threads", "2", "bogus"],
+            "table2 takes no argument 'bogus'",
         ),
     ];
     for (bin, args, msg) in cases {
@@ -201,6 +292,58 @@ fn trace_tool_refuses_a_flag_its_verb_does_not_read() {
         (
             &["stats", "absent.ltr", "--limit", "3"],
             "error: stats takes no --limit\n",
+        ),
+        (
+            &[
+                "record", "--app", "shape", "--scale", "tiny", "--app", "track",
+            ],
+            "error: --app is given twice\n",
+        ),
+        (
+            &["record", "t.ltr", "--app", "shape", "--scale", "tiny"],
+            "error: record takes no argument 't.ltr'\n",
+        ),
+        (
+            &[
+                "run",
+                "--app",
+                "shape",
+                "--scale",
+                "tiny",
+                "--quantum",
+                "1000",
+                "--quantum",
+                "5",
+            ],
+            "error: --quantum is given twice\n",
+        ),
+        (
+            &["run", "--app", "shape", "tiny", "--scale", "tiny"],
+            "error: run takes no argument 'tiny'\n",
+        ),
+        (
+            &["replay", "absent.ltr", "--policy", "rs", "--policy", "ls"],
+            "error: --policy is given twice\n",
+        ),
+        (
+            &["replay", "a.ltr", "b.ltr"],
+            "error: replay takes no argument 'b.ltr'\n",
+        ),
+        (
+            &["inspect", "absent.ltr", "--limit", "1", "--limit", "2"],
+            "error: --limit is given twice\n",
+        ),
+        (
+            &["inspect", "a.ltr", "--proc", "0", "b.ltr"],
+            "error: inspect takes no argument 'b.ltr'\n",
+        ),
+        (
+            &["stats", "absent.ltr", "--proc", "0", "--proc", "0"],
+            "error: stats takes no --proc\n",
+        ),
+        (
+            &["stats", "a.ltr", "b.ltr"],
+            "error: stats takes no argument 'b.ltr'\n",
         ),
     ] {
         let (code, stderr) = run(env!("CARGO_BIN_EXE_trace_tool"), args);
@@ -315,6 +458,44 @@ fn sweep_rows_replay_as_scenarios() {
             report_numbers(&report(&args)),
             sweep_row(&sweep, label, policy),
             "{label} {policy}"
+        );
+    }
+}
+
+#[test]
+fn a_failing_group_is_an_error_line_not_a_panic() {
+    let (code, stderr) = run(
+        env!("CARGO_BIN_EXE_fig6"),
+        &["--scale", "tiny", "--bus", "fcfs:18446744073709551615"],
+    );
+    assert_eq!(code, Some(1), "{stderr}");
+    assert!(
+        stderr.starts_with(
+            "error: app=Med-Im04 scale=tiny policy=ls bus=fcfs:18446744073709551615: machine: "
+        ),
+        "{stderr}"
+    );
+    assert!(!stderr.contains("panicked"), "{stderr}");
+}
+
+#[test]
+fn sweep_bus_rows_replay_as_scenarios() {
+    let out = Command::new(env!("CARGO_BIN_EXE_sweep"))
+        .args(["--scale", "tiny", "--tasks", "2", "--bus", "fcfs:21"])
+        .output()
+        .expect("binary runs");
+    assert_eq!(out.status.code(), Some(0));
+    let sweep = String::from_utf8(out.stdout).expect("UTF-8 sweep");
+    // The axis halves (rounding down), keeps and doubles the occupancy.
+    for occ in ["10", "21", "42"] {
+        let bus = format!("fcfs:{occ}");
+        let scenario = ["run", "--mix", "2", "--scale", "tiny", "--policy", "ls"];
+        let knobs = ["--seed", "0", "--quantum", "10000", "--bus", &bus];
+        let label = format!("# bus occupancy {occ}");
+        assert_eq!(
+            report_numbers(&report(&[&scenario[..], &knobs].concat())),
+            sweep_row(&sweep, &label, "LS"),
+            "{label}"
         );
     }
 }

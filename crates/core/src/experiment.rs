@@ -560,7 +560,8 @@ impl Experiment {
         }
         let mut matrix = ScenarioMatrix::new();
         matrix.push_all(self.workload.name(), self, kinds);
-        let mut reports = matrix.run_with_memo(&self.runner, &self.memo)?;
+        let reports = matrix.run_with_memo(&self.runner, &self.memo);
+        let mut reports = reports.map_err(|(_, e)| e)?;
         Ok(reports
             .pop()
             .expect("single-group matrix yields one report"))

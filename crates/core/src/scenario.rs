@@ -425,8 +425,9 @@ fn in_range(key: &'static str, n: u64, least: u64, most: u64) -> Parsed<()> {
 
 /// `key=value` pairs read strictly: each key once, and every key
 /// consumed by someone — a typo must not silently run another
-/// scenario.
-#[derive(Debug, Default)]
+/// scenario. A command line spells the same pairs `--key value`
+/// ([`Fields::from_flags`]).
+#[derive(Debug, Default, Clone)]
 pub struct Fields<'a> {
     /// `(key, value, consumed)`, in the order given.
     pairs: Vec<(&'a str, &'a str, bool)>,
@@ -448,6 +449,37 @@ impl<'a> Fields<'a> {
             if key.is_empty() || value.is_empty() {
                 return Err(FieldError::Empty(tok.to_string()));
             }
+            if fields.contains(key) {
+                return Err(FieldError::Duplicate(key.to_string()));
+            }
+            fields.pairs.push((key, value, false));
+        }
+        Ok(fields)
+    }
+
+    /// Reads `--key value` pairs, the command-line spelling of the
+    /// tokens [`Fields::parse`] reads; a value may start with `-`, not
+    /// with `--`.
+    ///
+    /// # Errors
+    ///
+    /// The first token out of grammar, its key named without `--`:
+    /// [`FieldError::Bare`] where a `--key` belongs, `Unknown` for a key
+    /// outside `known` (before its value), `Empty` for a key without a
+    /// value, `Duplicate` for a key given twice.
+    pub fn from_flags(args: &'a [String], known: &[&str]) -> Parsed<Self> {
+        let mut fields = Fields::default();
+        let mut args = args.iter();
+        while let Some(tok) = args.next() {
+            let Some(key) = tok.strip_prefix("--") else {
+                return Err(FieldError::Bare(tok.clone()));
+            };
+            if !known.contains(&key) {
+                return Err(FieldError::Unknown(key.to_string()));
+            }
+            let Some(value) = args.next().filter(|v| !v.starts_with("--")) else {
+                return Err(FieldError::Empty(key.to_string()));
+            };
             if fields.contains(key) {
                 return Err(FieldError::Duplicate(key.to_string()));
             }
@@ -478,7 +510,12 @@ impl<'a> Fields<'a> {
         self.take(key).ok_or(FieldError::Missing(key))
     }
 
-    fn parsed<T: FromStr>(&mut self, key: &'static str) -> Parsed<Option<T>>
+    /// Consumes `key`'s value parsed as a `T`, if it was given.
+    ///
+    /// # Errors
+    ///
+    /// [`FieldError::Malformed`] when it does not parse.
+    pub fn parsed<T: FromStr>(&mut self, key: &'static str) -> Parsed<Option<T>>
     where
         T::Err: Display,
     {
@@ -592,6 +629,49 @@ mod tests {
         let s = Scenario::from_fields(&mut fields, false).unwrap();
         fields.finish().unwrap();
         assert_eq!(s.policy, PolicyKind::RoundRobin);
+    }
+
+    fn flags(args: &[&str]) -> Vec<String> {
+        args.iter().map(|a| a.to_string()).collect()
+    }
+
+    #[test]
+    fn flags_read_as_the_pairs_a_line_spells() {
+        let args = flags(&["--scale", "tiny", "--policy", "rrs", "--app", "shape"]);
+        let mut fields = Fields::from_flags(&args, &Scenario::KEYS).unwrap();
+        let s = Scenario::from_fields(&mut fields, false).unwrap();
+        fields.finish().unwrap();
+        assert_eq!(s.to_string(), "app=shape scale=tiny policy=rrs");
+        // A negative number is a value, not a flag.
+        let args = flags(&["--tasks", "-1"]);
+        let mut fields = Fields::from_flags(&args, &["tasks"]).unwrap();
+        assert_eq!(fields.take("tasks"), Some("-1"));
+        assert_eq!(Fields::from_flags(&[], &[]).unwrap().finish(), Ok(()));
+    }
+
+    #[test]
+    fn flags_break_the_grammar_where_a_line_would() {
+        let known = ["scale", "threads"];
+        let err = |args: &[&str]| Fields::from_flags(&flags(args), &known).unwrap_err();
+        let unknown = |key: &str| FieldError::Unknown(key.into());
+        // An unknown name is refused at its place, before its value.
+        assert_eq!(err(&["--threads", "2", "--help"]), unknown("help"));
+        assert_eq!(err(&["--scal", "tiny"]), unknown("scal"));
+        assert_eq!(err(&["--", "tiny"]), unknown(""));
+        for args in [&["--scale"][..], &["--scale", "--threads", "2"]] {
+            assert_eq!(err(args), FieldError::Empty("scale".into()), "{args:?}");
+        }
+        assert_eq!(
+            err(&["--threads", "1", "--threads", "4"]),
+            FieldError::Duplicate("threads".into())
+        );
+        for (args, tok) in [
+            (&["tiny", "--scale", "tiny"][..], "tiny"),
+            (&["--scale", "tiny", "small"], "small"),
+            (&["-scale", "tiny"], "-scale"),
+        ] {
+            assert_eq!(err(args), FieldError::Bare(tok.into()), "{args:?}");
+        }
     }
 
     #[test]

@@ -408,12 +408,13 @@ impl ScenarioMatrix {
     ///
     /// # Errors
     ///
-    /// Returns the error of the earliest enumerated failing job.
+    /// Returns the group label and the error of the earliest enumerated
+    /// failing job.
     pub fn run_with_memo(
         &self,
         runner: &SweepRunner,
         memo: &ArtifactCache,
-    ) -> Result<Vec<ComparisonReport>> {
+    ) -> std::result::Result<Vec<ComparisonReport>, (&str, Error)> {
         let parallel = runner.threads() > 1 && self.jobs.len() > 1;
         let weights: Vec<u64> = self.jobs.iter().map(SweepJob::weight).collect();
         // Panic-isolated: a panicking job becomes that job's
@@ -426,7 +427,9 @@ impl ScenarioMatrix {
         let mut order: Vec<&str> = Vec::new();
         let mut grouped: Vec<(MachineConfig, Vec<RunOutcome>)> = Vec::new();
         for (job, result) in self.jobs.iter().zip(results) {
-            let (result, remapped_arrays) = result.and_then(|r| r)?;
+            let (result, remapped_arrays) = result
+                .and_then(|r| r)
+                .map_err(|e| (job.group.as_str(), e))?;
             let at = match order.iter().position(|&g| g == job.group) {
                 Some(at) => at,
                 None => {

@@ -13,19 +13,28 @@
 //! as `listening addr=HOST:PORT` and connections are served until a
 //! `shutdown` request arrives.
 //!
-//! Every flag takes a value. An unknown flag or a flag without its
-//! value prints the usage text and exits 2: a mistyped
-//! `--cache-capcity 64` must not silently start an unbounded daemon.
+//! Every flag takes one value, once, read like a request line's keys
+//! ([`lams_core::Fields::from_flags`]). Anything else prints the usage
+//! text and exits 2: `--cache-capcity 64` never starts a daemon.
 
 // Panic policy: the request path never unwinds (docs/invariants.md).
 #![deny(clippy::unwrap_used, clippy::expect_used, clippy::panic)]
 #![deny(clippy::unreachable, clippy::todo, clippy::unimplemented)]
 
+use lams_core::{FieldError, Fields};
 use lams_serve::{serve_stdio, FaultPlan, ServerConfig, TcpServer};
 
 const USAGE: &str = "usage: lams_serve [--tcp ADDR] [--workers N] [--queue N]
                   [--cache-capacity N] [--deadline CYCLES]
                   [--faults SPEC|seed:SEED:JOBS]";
+const FLAGS: &[&str] = &[
+    "tcp",
+    "workers",
+    "queue",
+    "cache-capacity",
+    "deadline",
+    "faults",
+];
 
 fn die(msg: &str) -> ! {
     eprintln!("error: {msg}");
@@ -51,38 +60,39 @@ fn parse_faults(spec: &str) -> FaultPlan {
     })
 }
 
-/// A command line the daemon cannot act on: says why, prints the
-/// usage text and exits 2.
-fn usage(msg: &str) -> ! {
-    die(&format!("{msg}\n{USAGE}"));
-}
-
-fn number<T: std::str::FromStr>(flag: &str, v: &str) -> T {
-    v.parse()
-        .unwrap_or_else(|_| die(&format!("invalid {flag} '{v}'")))
+/// `--key`'s value parsed as a `T`, if it was given; a malformed
+/// value exits 2.
+fn parsed<T: std::str::FromStr>(fields: &mut Fields<'_>, key: &str) -> Option<T> {
+    let v = fields.take(key)?;
+    let bad = || die(&format!("invalid --{key} '{v}'"));
+    Some(v.parse().unwrap_or_else(|_| bad()))
 }
 
 fn main() {
-    let mut config = ServerConfig::default();
-    let mut tcp = None;
-    let mut args = std::env::args().skip(1);
-    while let Some(flag) = args.next() {
-        let mut value = || {
-            args.next()
-                .unwrap_or_else(|| usage(&format!("{flag} needs a value")))
+    let args: Vec<String> = std::env::args().skip(1).collect();
+    // A command line the daemon cannot act on: say why, print the
+    // usage text and exit 2.
+    let mut fields = Fields::from_flags(&args, FLAGS).unwrap_or_else(|e| {
+        let why = match e {
+            FieldError::Empty(key) => format!("--{key} needs a value"),
+            FieldError::Duplicate(key) => format!("--{key} is given twice"),
+            FieldError::Unknown(key) => format!("unknown flag '--{key}'"),
+            FieldError::Bare(tok) => format!("unknown flag '{tok}'"),
+            e => e.to_string(),
         };
-        match flag.as_str() {
-            "--tcp" => tcp = Some(value()),
-            "--workers" => config.workers = number(&flag, &value()),
-            "--queue" => config.queue_depth = number(&flag, &value()),
-            "--cache-capacity" => config.cache_capacity = Some(number(&flag, &value())),
-            "--deadline" => config.default_deadline = Some(number(&flag, &value())),
-            "--faults" => config.fault_plan = parse_faults(&value()),
-            _ => usage(&format!("unknown flag '{flag}'")),
-        }
-    }
+        die(&format!("{why}\n{USAGE}"))
+    });
+    let (defaults, faults) = (ServerConfig::default(), fields.take("faults"));
+    let config = ServerConfig {
+        workers: parsed(&mut fields, "workers").unwrap_or(defaults.workers),
+        queue_depth: parsed(&mut fields, "queue").unwrap_or(defaults.queue_depth),
+        cache_capacity: parsed(&mut fields, "cache-capacity"),
+        default_deadline: parsed(&mut fields, "deadline"),
+        fault_plan: faults.map_or_else(FaultPlan::none, parse_faults),
+        ..defaults
+    };
 
-    match tcp.as_deref() {
+    match fields.take("tcp") {
         Some(addr) => {
             let server = TcpServer::bind(addr, config)
                 .unwrap_or_else(|e| die(&format!("cannot bind {addr}: {e}")));

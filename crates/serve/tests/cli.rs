@@ -44,3 +44,13 @@ fn a_valid_command_line_serves_stdin_to_eof() {
     let (code, stderr) = run(&["--workers", "1", "--cache-capacity", "4"]);
     assert_eq!(code, Some(0), "{stderr}");
 }
+
+#[test]
+fn a_repeated_flag_is_rejected_with_usage() {
+    let (code, stderr) = run(&["--workers", "1", "--workers", "4"]);
+    assert_eq!(code, Some(2), "{stderr}");
+    assert!(
+        stderr.starts_with("error: --workers is given twice\nusage: lams_serve"),
+        "{stderr}"
+    );
+}
