@@ -13,9 +13,9 @@
 //!
 //! The flags are read through [`Figure`]. The thinning and line-sharing
 //! variants are not [`PolicyKind`]s, so they are a bench-only list fanned
-//! through the figure's [`lams_core::SweepRunner`]; the LSM rows run the
-//! base scenario's experiment, their candidate ladders on the same
-//! runner via [`lams_core::Experiment::with_runner`]. Output is
+//! through the figure's [`lams_core::SweepRunner`]; the LSM rows and the
+//! baselines run the base scenario's experiment, one after another
+//! (an LSM candidate ladder is an in-order loop). Output is
 //! bit-identical for any `--threads N`.
 
 use lams_bench::{csv_table, emit, Figure};
@@ -25,7 +25,6 @@ use lams_workloads::{suite, Scale, Workload};
 
 fn main() {
     let fig = Figure::read("ablation", &["scale", "tasks", "threads"], Scale::Small);
-    let runner = fig.runner;
     // It prints the conflict misses: ask for the miss split.
     let machine = fig.machine();
     let workload = Workload::concurrent(suite::mix(fig.tasks, fig.scale)).expect("valid mix");
@@ -55,7 +54,7 @@ fn main() {
         }
         execute(&workload, &layout, &mut p, machine).expect("runs")
     };
-    let results = runner.run(variants.len(), |i| eval(&variants[i]));
+    let results = fig.runner.run(variants.len(), |i| eval(&variants[i]));
     let row = |label: &str, r: &RunResult| {
         let c = &r.machine.cache;
         format!(
@@ -69,11 +68,8 @@ fn main() {
 
     // A1c: LSM threshold policy — the paper's fixed mean vs the ladder.
     // The fixed-mean run needs the ladder's conflict matrix first, so
-    // these two stay sequential; their candidate ladders fan internally.
-    let exp = fig
-        .base()
-        .experiment(workload.clone(), machine)
-        .with_runner(runner);
+    // these two run one after the other.
+    let exp = fig.base().experiment(workload.clone(), machine);
     let (ladder, art) = exp.run_lsm().expect("runs");
     rows.push(row("lsm_ladder", &ladder));
     let mean = art.conflicts.mean_all_pairs();

@@ -4,13 +4,14 @@
 //! so every figure row is the run that line reproduces.
 
 use std::fmt::Display;
+use std::sync::Arc;
 
 use lams_core::{
-    ArtifactCache, ComparisonReport, Fields, Loaded, Parsed, PolicyKind, Scenario, ScenarioMatrix,
-    Source, SweepRunner,
+    in_range, ArtifactCache, ComparisonReport, Fields, Loaded, Parsed, PolicyKind, Scenario,
+    ScenarioMatrix, Source, SweepRunner,
 };
 use lams_mpsoc::MachineConfig;
-use lams_workloads::Scale;
+use lams_workloads::{suite, Scale};
 
 use crate::{bar_chart, csv_table, emit, exit_with, flag_error};
 
@@ -19,7 +20,7 @@ use crate::{bar_chart, csv_table, emit, exit_with, flag_error};
 pub struct Figure {
     /// Problem scale (`--scale`).
     pub scale: Scale,
-    /// Applications in the mix (`--tasks`, clamped to `1..=6`; 4).
+    /// Applications in the mix (`--tasks`, `1..=6`; 4).
     pub tasks: usize,
     /// The runner `--threads N` asks for.
     pub runner: SweepRunner,
@@ -33,8 +34,8 @@ impl Figure {
     /// Reads the flags of binary `cmd`, which reads those in `known`
     /// (of `scale`, `tasks`, `threads`, `bus` and `arrivals`) and
     /// defaults to `scale`. An unknown, repeated or valueless flag, a
-    /// stray positional or a malformed value prints the error and
-    /// exits with status 2.
+    /// stray positional, a malformed value or a `--tasks` outside
+    /// `1..=6` prints the error and exits with status 2.
     pub fn read(cmd: &str, known: &[&str], scale: Scale) -> Figure {
         // Every scenario of the run borrows from the arguments.
         let args = Vec::leak(std::env::args().skip(1).collect());
@@ -42,12 +43,13 @@ impl Figure {
             let mut fields = Fields::from_flags(args, known)?;
             let scale = fields.parsed("scale")?.unwrap_or(scale);
             let tasks: usize = fields.parsed("tasks")?.unwrap_or(4);
+            in_range("tasks", tasks as u64, 1, suite::NAMES.len() as u64)?;
             let threads = fields.parsed("threads")?.unwrap_or(1);
             // A placeholder: groups run every policy.
             fields.set("policy", "ls");
             let fig = Figure {
                 scale,
-                tasks: tasks.clamp(1, 6),
+                tasks,
                 runner: SweepRunner::new(threads),
                 fields,
             };
@@ -98,8 +100,9 @@ impl Figure {
         }
     }
 
-    /// Runs every group under [`PolicyKind::ALL`] on one shared memo, so
-    /// groups sharing a workload reuse its traces and LS pilot (CI checks
+    /// Runs every group under [`PolicyKind::ALL`], every group's
+    /// experiment on one shared memo, so groups sharing a workload reuse
+    /// its traces and LS pilot (CI checks
     /// that fig6's Tiny memo line reports hits): one report per group, in
     /// order. The memo line goes to stderr, as its counts depend on how
     /// workers raced; stdout is identical for any `--threads N`. Panics
@@ -116,14 +119,12 @@ impl Figure {
                 panic!("{s}: not a suite workload");
             };
             let exp = s.experiment(w, s.machine().with_explain(true));
-            matrix.push_all(label, &exp, PolicyKind::ALL);
+            matrix.push_all(label, &exp.with_memo(Arc::clone(&memo)), PolicyKind::ALL);
         }
-        let reports = matrix
-            .run_with_memo(&self.runner, &memo)
-            .map_err(|(label, e)| {
-                let (_, s) = groups.iter().find(|(l, _)| l == label).expect("a group");
-                format!("{s}: {e}")
-            })?;
+        let reports = matrix.run(&self.runner).map_err(|(label, e)| {
+            let (_, s) = groups.iter().find(|(l, _)| l == label).expect("a group");
+            format!("{s}: {e}")
+        })?;
         assert_eq!(reports.len(), groups.len(), "group labels must be unique");
         eprintln!("memo {}", memo.stats());
         Ok(reports)

@@ -65,6 +65,24 @@ fn malformed_flag_values_exit_2() {
             "{bin} {args:?}: {stderr}"
         );
     }
+    // A mix size the suite cannot fill names its flag and bound, as the
+    // wire refuses `mix=0` and `mix=7`.
+    let out_of_range: [(&str, &[&str], &str); 2] = [
+        (
+            env!("CARGO_BIN_EXE_ablation"),
+            &["--scale", "tiny", "--tasks", "0"],
+            "error: --tasks must be at least 1\n",
+        ),
+        (
+            env!("CARGO_BIN_EXE_sweep"),
+            &["--scale", "tiny", "--tasks", "7"],
+            "error: --tasks must be at most 6\n",
+        ),
+    ];
+    for (bin, args, want) in out_of_range {
+        let (code, stderr) = run(bin, args);
+        assert_eq!((code, stderr.as_str()), (Some(2), want), "{bin} {args:?}");
+    }
 }
 
 #[test]

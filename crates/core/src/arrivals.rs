@@ -9,8 +9,8 @@
 //!
 //! * [`ArrivalConfig`] — the knob set (shape, offered load, seed, ready
 //!   queue bound), `Copy`. Open-system runs bypass the memo's result
-//!   slots (`Experiment::run_memo`), so they can never alias batch
-//!   runs there;
+//!   slots (`Experiment::run`, on the experiment's one memo), so they
+//!   can never alias batch runs there;
 //! * [`ArrivalPlan`] — the materialized per-process arrival cycles,
 //!   generated once per run from the config, the per-process service
 //!   demands and the core count. Generation is **bit-deterministic**:

@@ -77,15 +77,13 @@ use lams_workloads::Workload;
 use crate::arrivals::{ArrivalConfig, ArrivalMetrics, ArrivalPlan};
 use crate::{Error, Policy, Result};
 
-/// Engine configuration: the machine plus an optional quantum override
-/// (normally the quantum comes from the policy), an optional per-run
-/// deadline and an optional open-system arrival stream.
+/// Engine configuration: the machine plus an optional per-run deadline
+/// and an optional open-system arrival stream. The preemption quantum is
+/// the policy's ([`Policy::quantum`]).
 #[derive(Debug, Clone, Copy)]
 pub struct EngineConfig {
     /// The simulated machine.
     pub machine: MachineConfig,
-    /// When set, overrides the policy's preemption quantum.
-    pub quantum_override: Option<u64>,
     /// Per-run budget in **simulated cycles**: the run fails with
     /// [`Error::DeadlineExceeded`] once the global clock (the engine's
     /// minimum busy-core key) passes this bound. `None` (the default)
@@ -138,7 +136,6 @@ impl From<MachineConfig> for EngineConfig {
     fn from(machine: MachineConfig) -> Self {
         EngineConfig {
             machine,
-            quantum_override: None,
             max_cycles: None,
             arrivals: None,
         }
@@ -631,11 +628,10 @@ impl<'a, 'r, C: Classifier> Engine<'a, 'r, C> {
             let trace = self.paused[pid.as_usize()]
                 .take()
                 .unwrap_or_else(|| Cursor::new((self.program)(pid)));
-            let quantum = self.config.quantum_override.or(self.policy.quantum());
             self.running[core] = Some(Running {
                 pid,
                 trace,
-                quantum_end: quantum.map(|q| start.saturating_add(q)),
+                quantum_end: self.policy.quantum().map(|q| start.saturating_add(q)),
                 state: RunState::Executing,
             });
             self.events.push(Reverse((start, Event::Core(core))));
@@ -793,6 +789,10 @@ impl<'a, 'r, C: Classifier> Engine<'a, 'r, C> {
 }
 
 #[cfg(test)]
+#[path = "../tests/support/quantum.rs"]
+mod quantum;
+
+#[cfg(test)]
 mod tests {
     use super::*;
     use crate::{LocalityPolicy, RandomPolicy, RoundRobinPolicy, SharingMatrix};
@@ -914,14 +914,12 @@ mod tests {
     }
 
     #[test]
-    fn quantum_override_forces_preemption_on_ls() {
+    fn a_policy_quantum_forces_preemption_on_ls() {
         let w = Workload::single(prog1()).unwrap();
         let sharing = SharingMatrix::from_workload(&w);
-        let mut ls = LocalityPolicy::new(sharing, 4);
-        let layout = Layout::linear(w.arrays());
-        let mut cfg = small_machine(4);
-        cfg.quantum_override = Some(500);
-        let r = execute(&w, &layout, &mut ls, cfg).unwrap();
+        let ls = Box::new(LocalityPolicy::new(sharing, 4));
+        let mut ls = quantum::with_quantum(ls, Some(500));
+        let r = run_policy(&w, ls.as_mut(), 4);
         assert!(r.processes.values().any(|e| e.dispatches > 1));
     }
 

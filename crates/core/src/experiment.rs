@@ -1,7 +1,8 @@
 //! The paper's experimental harness: isolated and concurrent runs under
 //! the four schedulers, including the LSM data-mapping phase.
 
-use std::sync::{Arc, OnceLock};
+use std::cell::OnceCell;
+use std::sync::Arc;
 
 use lams_layout::{relayout_pass, AdjacentArrays, ConflictMatrix, Layout, RemapAssignment};
 use lams_mpsoc::MachineConfig;
@@ -47,7 +48,6 @@ pub struct Experiment {
     relayout_threshold: Option<f64>,
     deadline_cycles: Option<u64>,
     arrivals: Option<ArrivalConfig>,
-    runner: SweepRunner,
     memo: Arc<ArtifactCache>,
 }
 
@@ -84,7 +84,6 @@ impl Experiment {
             relayout_threshold: None,
             deadline_cycles: None,
             arrivals: None,
-            runner: SweepRunner::sequential(),
             memo: ArtifactCache::shared(),
         }
     }
@@ -135,21 +134,12 @@ impl Experiment {
         self
     }
 
-    /// Overrides the sweep runner used for internal fan-out (the LSM
-    /// candidate ladder, [`Experiment::run_all`]). Defaults to
-    /// [`SweepRunner::sequential`]; any runner yields bit-identical
-    /// results (see [`crate::sweep`]), a parallel one just gets them
-    /// sooner.
-    pub fn with_runner(mut self, runner: SweepRunner) -> Self {
-        self.runner = runner;
-        self
-    }
-
     /// Overrides the artifact memo ([`ArtifactCache`]) this experiment
-    /// fills and consults. Fresh by default; clones of an experiment
-    /// share its memo (the `Arc` is cloned, not the cache), and a sweep
-    /// threads one memo through all its jobs
-    /// ([`ScenarioMatrix::run_with_memo`]). Any memo — shared, fresh or
+    /// fills and consults — the one memo every run of it uses, inside a
+    /// sweep ([`ScenarioMatrix::run`]) too. Fresh by default; clones of
+    /// an experiment share its memo (the `Arc` is cloned, not the
+    /// cache), so a sweep shares one memo across its jobs by giving it
+    /// to every experiment it pushes. Any memo — shared, fresh or
     /// [`ArtifactCache::disabled`] — yields bit-identical results; a
     /// warmer one just gets them sooner.
     pub fn with_memo(mut self, memo: Arc<ArtifactCache>) -> Self {
@@ -160,11 +150,6 @@ impl Experiment {
     /// The artifact memo this experiment fills and consults.
     pub fn memo(&self) -> &Arc<ArtifactCache> {
         &self.memo
-    }
-
-    /// The configured sweep runner (see [`Experiment::with_runner`]).
-    pub(crate) fn runner(&self) -> SweepRunner {
-        self.runner
     }
 
     /// The workload under experiment.
@@ -183,16 +168,9 @@ impl Experiment {
     ///
     /// Propagates engine errors.
     pub fn run(&self, kind: PolicyKind) -> Result<RunResult> {
-        self.run_memo(kind, &self.memo)
-    }
-
-    /// [`Experiment::run`] against an explicit memo — the entry point
-    /// [`crate::sweep`] uses to share one [`ArtifactCache`] across a
-    /// whole matrix.
-    pub(crate) fn run_memo(&self, kind: PolicyKind, memo: &ArtifactCache) -> Result<RunResult> {
         let sharing = || Arc::new(SharingMatrix::from_workload(&self.workload));
         match kind {
-            PolicyKind::LocalityMap => Ok(self.run_lsm_memo(self.runner, memo)?.0),
+            PolicyKind::LocalityMap => Ok(self.run_lsm()?.0),
             // The plain LS run *is* the LSM pilot (LS on the linear
             // layout): serve both from one memo slot. The pilot slot is
             // keyed on (workload, machine) only, so an open-system run
@@ -200,11 +178,11 @@ impl Experiment {
             // read or fill it — it runs the engine directly instead,
             // through the arm the other policies take.
             PolicyKind::Locality if self.arrivals.is_none() => {
-                Ok(self.pilot(memo, sharing)?.as_ref().clone())
+                Ok(self.pilot(sharing)?.as_ref().clone())
             }
             _ => {
                 let layout = Layout::linear(self.workload.arrays());
-                self.run_with_layout(kind, &layout, memo, sharing)
+                self.run_with_layout(kind, &layout, sharing)
             }
         }
     }
@@ -213,14 +191,10 @@ impl Experiment {
     /// (workload, machine). Shared between the LS policy result and
     /// phase 1 of every LSM run — neither depends on the RRS quantum,
     /// the RS seed or the relayout threshold, so the key is exact.
-    fn pilot(
-        &self,
-        memo: &ArtifactCache,
-        sharing: impl Fn() -> Arc<SharingMatrix>,
-    ) -> Result<Arc<RunResult>> {
+    fn pilot(&self, sharing: impl Fn() -> Arc<SharingMatrix>) -> Result<Arc<RunResult>> {
         // The pilot *is* the linear-layout LS result: same slot, same
         // deadline check.
-        self.ls_cached(&Layout::linear(self.workload.arrays()), memo, sharing)
+        self.ls_cached(&Layout::linear(self.workload.arrays()), sharing)
     }
 
     /// An LS run against an arbitrary (candidate) layout, served from
@@ -235,11 +209,12 @@ impl Experiment {
     fn ls_cached(
         &self,
         layout: &Layout,
-        memo: &ArtifactCache,
         sharing: impl Fn() -> Arc<SharingMatrix>,
     ) -> Result<Arc<RunResult>> {
-        let run = || self.run_with_layout(PolicyKind::LocalityMap, layout, memo, &sharing);
-        let served = memo.ls_result(&self.workload, &self.machine, layout, run)?;
+        let run = || self.run_with_layout(PolicyKind::LocalityMap, layout, &sharing);
+        let served = self
+            .memo
+            .ls_result(&self.workload, &self.machine, layout, run)?;
         // The deadline is outside the slot key (errors are never cached
         // and runs that fit are bit-identical to unbudgeted ones), so a
         // hit may hold a run that a cold request under this budget
@@ -257,7 +232,6 @@ impl Experiment {
         &self,
         kind: PolicyKind,
         layout: &Layout,
-        memo: &ArtifactCache,
         sharing: impl Fn() -> Arc<SharingMatrix>,
     ) -> Result<RunResult> {
         let mut cfg = EngineConfig::from(self.machine);
@@ -265,45 +239,31 @@ impl Experiment {
         cfg.arrivals = self.arrivals;
         let cores = self.machine.num_cores;
         let mut policy = kind.scheduler(self.seed, self.quantum, cores, sharing);
-        execute_cached(&self.workload, layout, policy.as_mut(), cfg, memo)
+        execute_cached(&self.workload, layout, policy.as_mut(), cfg, &self.memo)
     }
 
     /// Runs LSM and additionally returns the data-mapping artifacts.
+    ///
+    /// The pilot and every compiled program set are served from this
+    /// experiment's memo, so the candidate ladder pays only for the
+    /// simulations of *new* layouts. Those share one sharing matrix,
+    /// built when the first of them needs it and dropped when the run
+    /// returns.
     ///
     /// # Errors
     ///
     /// Propagates engine and layout errors.
     pub fn run_lsm(&self) -> Result<(RunResult, LsmArtifacts)> {
-        self.run_lsm_memo(self.runner, &self.memo)
-    }
-
-    /// The LSM orchestration proper, against an explicit runner (lets
-    /// [`crate::sweep`] force the inner fan-out sequential when the
-    /// enclosing matrix already occupies the cores) and memo. The
-    /// pilot and every compiled program set are served from `memo`, so
-    /// the candidate ladder pays only for the simulations of *new*
-    /// layouts. Those share one sharing matrix, built when the first of
-    /// them needs it and dropped when the run returns.
-    pub(crate) fn run_lsm_memo(
-        &self,
-        runner: SweepRunner,
-        memo: &ArtifactCache,
-    ) -> Result<(RunResult, LsmArtifacts)> {
-        let matrix = OnceLock::new();
+        let matrix = OnceCell::new();
         let sharing = || {
             let build = || Arc::new(SharingMatrix::from_workload(&self.workload));
             Arc::clone(matrix.get_or_init(build))
         };
-        self.lsm(runner, memo, &sharing)
+        self.lsm(&sharing)
     }
 
-    /// [`Experiment::run_lsm_memo`] with the run's one `sharing` matrix.
-    fn lsm(
-        &self,
-        runner: SweepRunner,
-        memo: &ArtifactCache,
-        sharing: &(impl Fn() -> Arc<SharingMatrix> + Sync),
-    ) -> Result<(RunResult, LsmArtifacts)> {
+    /// [`Experiment::run_lsm`] with the run's one `sharing` matrix.
+    fn lsm(&self, sharing: &impl Fn() -> Arc<SharingMatrix>) -> Result<(RunResult, LsmArtifacts)> {
         // Open system: the data-mapping decision is compile-time — run
         // the whole candidate ladder on the *batch* variant of this
         // experiment (arrival-independent, so the pilot and LS-result
@@ -314,20 +274,20 @@ impl Experiment {
         if self.arrivals.is_some() {
             let mut batch = self.clone();
             batch.arrivals = None;
-            let (_, art) = batch.lsm(runner, memo, sharing)?;
+            let (_, art) = batch.lsm(sharing)?;
             let layout = if art.assignment.is_empty() {
                 Layout::linear(self.workload.arrays())
             } else {
                 Layout::remapped(self.workload.arrays(), &self.machine.cache, &art.assignment)
             };
-            let result = self.run_with_layout(PolicyKind::LocalityMap, &layout, memo, sharing)?;
+            let result = self.run_with_layout(PolicyKind::LocalityMap, &layout, sharing)?;
             return Ok((result, art));
         }
 
         // Phase 1: LS schedule on the plain layout — memoized per
         // (workload, machine), shared with the plain LS policy run.
         let linear = Layout::linear(self.workload.arrays());
-        let pilot = self.pilot(memo, sharing)?;
+        let pilot = self.pilot(sharing)?;
 
         // Half-page fit guard: the Figure 4 transform confines an array to
         // half of the cache sets, which only helps when the slices
@@ -476,18 +436,16 @@ impl Experiment {
             }
         }
 
-        // Enumerate the deduplicated candidate layouts first (cheap,
-        // sequential), then fan the expensive simulations through the
-        // sweep runner. Selection scans results in enumeration order
-        // with a strict `<`, so the chosen mapping is identical to the
-        // old serial double loop for any thread count.
+        // Evaluate the deduplicated candidate layouts in enumeration
+        // order and keep the first with the strictly smallest makespan.
+        // Each candidate is evaluated pilot-plus-delta: the compiled
+        // program set reuses every pilot program whose process the
+        // remap does not touch (per-process memo slots), and the whole
+        // simulation is skipped when the candidate's delta key matches
+        // an LS result already in the memo.
         let mut seen = std::collections::BTreeSet::new();
-        let adjacency_candidates: Vec<&AdjacentArrays> = [&adjacency, &adjacency_same]
-            .into_iter()
-            .chain(per_app.iter())
-            .collect();
-        let mut cands: Vec<(RemapAssignment, Layout)> = Vec::new();
-        for adj in adjacency_candidates {
+        let mut best: Option<(Arc<RunResult>, RemapAssignment)> = None;
+        for adj in [&adjacency, &adjacency_same].into_iter().chain(&per_app) {
             for &t in &candidates {
                 let assignment = relayout_pass(&conflicts, adj, Some(t));
                 if assignment.is_empty() {
@@ -504,34 +462,21 @@ impl Experiment {
                     continue;
                 }
                 let remapped = Layout::remapped(self.workload.arrays(), &cache, &assignment);
-                cands.push((assignment, remapped));
-            }
-        }
-        // Each candidate is evaluated pilot-plus-delta: the compiled
-        // program set reuses every pilot program whose process the
-        // remap does not touch (per-process memo slots), and the whole
-        // simulation is skipped when the candidate's delta key matches
-        // an LS result already in the memo.
-        let results = runner.run(cands.len(), |i| {
-            self.ls_cached(&cands[i].1, memo, sharing)
-                .map(|r| r.as_ref().clone())
-        });
-        let mut best: Option<(RunResult, RemapAssignment)> = None;
-        for ((assignment, _), result) in cands.into_iter().zip(results) {
-            let result = result?;
-            if best
-                .as_ref()
-                .is_none_or(|(b, _)| result.makespan_cycles < b.makespan_cycles)
-            {
-                best = Some((result, assignment));
+                let result = self.ls_cached(&remapped, sharing)?;
+                if best
+                    .as_ref()
+                    .is_none_or(|(b, _)| result.makespan_cycles < b.makespan_cycles)
+                {
+                    best = Some((result, assignment));
+                }
             }
         }
         let (result, assignment) = match best {
             Some((r, a)) if r.makespan_cycles <= pilot.makespan_cycles => (r, a),
-            _ => (pilot.as_ref().clone(), RemapAssignment::new()),
+            _ => (pilot, RemapAssignment::new()),
         };
         Ok((
-            result,
+            Arc::unwrap_or_clone(result),
             LsmArtifacts {
                 conflicts,
                 adjacency,
@@ -542,10 +487,8 @@ impl Experiment {
 
     /// Runs several strategies and collects a comparison report.
     ///
-    /// Delegates to a one-group [`ScenarioMatrix`] executed on this
-    /// experiment's [`SweepRunner`] (sequential unless overridden with
-    /// [`Experiment::with_runner`]); either way the report is
-    /// bit-identical to running the policies one after another.
+    /// Delegates to a one-group [`ScenarioMatrix`] run sequentially: the
+    /// report is the policies' [`Experiment::run`]s, one after another.
     ///
     /// # Errors
     ///
@@ -560,7 +503,7 @@ impl Experiment {
         }
         let mut matrix = ScenarioMatrix::new();
         matrix.push_all(self.workload.name(), self, kinds);
-        let reports = matrix.run_with_memo(&self.runner, &self.memo);
+        let reports = matrix.run(&SweepRunner::sequential());
         let mut reports = reports.map_err(|(_, e)| e)?;
         Ok(reports
             .pop()

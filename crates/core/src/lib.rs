@@ -89,7 +89,7 @@ pub use random::RandomPolicy;
 pub use replacement::EvictionPolicy;
 pub use report::{ComparisonReport, RunOutcome};
 pub use round_robin::{RoundRobinPolicy, DEFAULT_QUANTUM};
-pub use scenario::{FieldError, Fields, Loaded, Parsed, Scenario, Source};
+pub use scenario::{in_range, FieldError, Fields, Loaded, Parsed, Scenario, Source};
 pub use sharing::SharingMatrix;
 pub use sweep::{ScenarioMatrix, SweepJob, SweepRunner};
 

@@ -194,9 +194,10 @@ impl fmt::Display for MemoStats {
 ///
 /// Every [`Experiment`](crate::Experiment) owns one (fresh by default,
 /// shareable via
-/// [`Experiment::with_memo`](crate::Experiment::with_memo)), and
-/// [`ScenarioMatrix::run_with_memo`](crate::ScenarioMatrix::run_with_memo) threads one
-/// cache through all of a sweep's workers. [`ArtifactCache::disabled`]
+/// [`Experiment::with_memo`](crate::Experiment::with_memo)) and is its
+/// only owner: each job of a [`ScenarioMatrix`](crate::ScenarioMatrix)
+/// runs on its experiment's memo, so a sweep shares one cache across its
+/// workers by giving it to every experiment. [`ArtifactCache::disabled`]
 /// builds a pass-through instance that always recomputes — the uncached
 /// reference the differential tests compare against.
 pub struct ArtifactCache {

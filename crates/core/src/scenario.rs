@@ -410,10 +410,10 @@ where
     })
 }
 
-/// Refuses a well-formed count that names no machine, time slice or
-/// mix: zero cores or a zero quantum would reach an assertion inside
-/// the simulator instead of an error.
-fn in_range(key: &'static str, n: u64, least: u64, most: u64) -> Parsed<()> {
+/// Refuses a well-formed count `key` outside `least..=most` — one that
+/// names no machine, time slice or mix: zero cores or a zero quantum
+/// would reach an assertion inside the simulator instead of an error.
+pub fn in_range(key: &'static str, n: u64, least: u64, most: u64) -> Parsed<()> {
     if n < least {
         Err(FieldError::Below(key, least))
     } else if n > most {

@@ -26,12 +26,13 @@
 //! inside the job, and nothing is shared between jobs but immutable
 //! borrows. Results are written into a slot vector indexed by
 //! enumeration position and reduced in that order, so for any thread
-//! count — 1, 2 or 64 — [`ScenarioMatrix::run_with_memo`] returns
-//! **bit-identical** [`ComparisonReport`]s, and
-//! [`Experiment::run_lsm`](crate::Experiment::run_lsm) (whose candidate
-//! ladder fans through the same runner) returns bit-identical artifacts.
+//! count — 1, 2 or 64 — [`ScenarioMatrix::run`] returns
+//! **bit-identical** [`ComparisonReport`]s. The matrix is the only
+//! thread fan-out: each job is one [`Experiment::run`] (or
+//! [`Experiment::run_lsm`], whose candidate ladder is a plain in-order
+//! loop) on the experiment's own memo.
 //! Differential tests in `crates/core/tests/sweep.rs` hold this contract
-//! against the sequential path; the golden makespans in
+//! against those calls; the golden makespans in
 //! `tests/cross_validation.rs` pin it across PRs.
 //!
 //! Errors are reported deterministically too: when several jobs fail,
@@ -44,7 +45,7 @@
 //! request.
 //!
 //! ```
-//! use lams_core::{ArtifactCache, PolicyKind, ScenarioMatrix, SweepRunner, Experiment};
+//! use lams_core::{PolicyKind, ScenarioMatrix, SweepRunner, Experiment};
 //! use lams_mpsoc::MachineConfig;
 //! use lams_workloads::{suite, Scale};
 //!
@@ -53,7 +54,7 @@
 //!     let exp = Experiment::isolated(&app, MachineConfig::paper_default());
 //!     matrix.push_all(&app.name, &exp, &[PolicyKind::Random, PolicyKind::Locality]);
 //! }
-//! let reports = matrix.run_with_memo(&SweepRunner::new(2), &ArtifactCache::new()).unwrap();
+//! let reports = matrix.run(&SweepRunner::new(2)).unwrap();
 //! assert_eq!(reports.len(), 6); // one ComparisonReport per group
 //! ```
 
@@ -63,14 +64,13 @@ use std::sync::{Arc, Mutex, PoisonError};
 
 use lams_mpsoc::MachineConfig;
 
-use crate::memo::ArtifactCache;
 use crate::report::RunOutcome;
 use crate::{ComparisonReport, Error, Experiment, PolicyKind, Result, RunResult};
 
-/// Renders a caught panic payload for [`Error::JobPanicked`]. Panics
-/// raised with `panic!("...")` carry `&str` or `String`; anything else
-/// is opaque.
-fn panic_message(payload: Box<dyn std::any::Any + Send>) -> String {
+/// Renders a caught panic payload for [`Error::JobPanicked`] (and for
+/// `lams-serve`'s job-panicked responses). Panics raised with
+/// `panic!("...")` carry `&str` or `String`; anything else is opaque.
+pub fn panic_message(payload: Box<dyn std::any::Any + Send>) -> String {
     if let Some(s) = payload.downcast_ref::<&str>() {
         (*s).to_owned()
     } else if let Some(s) = payload.downcast_ref::<String>() {
@@ -83,9 +83,8 @@ fn panic_message(payload: Box<dyn std::any::Any + Send>) -> String {
 /// Executes indexed jobs across a fixed-size scoped thread pool.
 ///
 /// The runner is a value, not a pool: it holds no threads, only the
-/// worker count, so it is `Copy` and can be embedded in experiment
-/// configuration (see [`Experiment::with_runner`]). Threads are spawned
-/// per [`SweepRunner::run`] call and joined before it returns.
+/// worker count, so it is `Copy`. Threads are spawned per
+/// [`SweepRunner::run`] call and joined before it returns.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct SweepRunner {
     threads: usize,
@@ -134,7 +133,7 @@ impl SweepRunner {
     /// started last would otherwise overhang the pool).
     ///
     /// Weights are whatever monotone cost proxy the caller has up
-    /// front; [`ScenarioMatrix::run_with_memo`] uses each workload's trace-op
+    /// front; [`ScenarioMatrix::run`] uses each workload's trace-op
     /// count ([`Workload::total_trace_ops`](lams_workloads::Workload::total_trace_ops)).
     pub fn run_weighted<T, F>(&self, weights: &[u64], f: F) -> Vec<T>
     where
@@ -283,34 +282,6 @@ impl SweepJob {
             _ => ops,
         }
     }
-
-    /// Executes the job: `(engine result, arrays remapped by LSM)`.
-    ///
-    /// When the matrix itself runs on several workers, the LSM candidate
-    /// ladder inside a job is forced sequential: the outer fan-out
-    /// already saturates the cores, and nesting a second scoped pool per
-    /// job would oversubscribe to ~2N live threads. Results are
-    /// bit-identical either way (the ladder's selection is
-    /// order-reassembled), so this is purely a scheduling choice.
-    ///
-    /// Shared artifacts (compiled programs, the Locality pilot) are
-    /// served from `memo`, which the enclosing
-    /// matrix shares across all workers (first-writer-wins; see
-    /// [`crate::memo`]).
-    fn execute(&self, parallel_matrix: bool, memo: &ArtifactCache) -> Result<(RunResult, usize)> {
-        match self.kind {
-            PolicyKind::LocalityMap => {
-                let runner = if parallel_matrix {
-                    SweepRunner::sequential()
-                } else {
-                    self.experiment.runner()
-                };
-                let (result, art) = self.experiment.run_lsm_memo(runner, memo)?;
-                Ok((result, art.assignment.len()))
-            }
-            kind => Ok((self.experiment.run_memo(kind, memo)?, 0)),
-        }
-    }
 }
 
 /// An explicit enumeration of sweep jobs, grouped into comparison
@@ -366,30 +337,19 @@ impl ScenarioMatrix {
         &self.jobs
     }
 
-    /// Number of enumerated jobs.
-    pub fn len(&self) -> usize {
-        self.jobs.len()
-    }
-
-    /// Whether no jobs have been enumerated.
-    pub fn is_empty(&self) -> bool {
-        self.jobs.is_empty()
-    }
-
-    /// The distinct group labels, in first-appearance order — the order
-    /// [`ScenarioMatrix::run_with_memo`] returns reports in.
-    pub fn groups(&self) -> Vec<&str> {
-        let mut seen: Vec<&str> = Vec::new();
-        for job in &self.jobs {
-            if !seen.contains(&job.group.as_str()) {
-                seen.push(&job.group);
-            }
-        }
-        seen
-    }
-
-    /// Executes every job on `runner` against `memo` and reassembles
-    /// one [`ComparisonReport`] per group, in first-appearance order.
+    /// Executes every job on `runner` and reassembles one
+    /// [`ComparisonReport`] per group, in first-appearance order.
+    ///
+    /// Each job is [`Experiment::run`] of its policy — for LSM,
+    /// [`Experiment::run_lsm`] and its remap count — on the job's
+    /// experiment and that experiment's memo
+    /// ([`Experiment::with_memo`]); jobs pushed with [`push_all`](Self::push_all)
+    /// share one experiment, so they share its memo. Give every
+    /// experiment one [`ArtifactCache`](crate::ArtifactCache) to share
+    /// compiled traces and Locality pilots across the whole matrix
+    /// (first-writer-wins; results are bit-identical for any cache
+    /// state and thread count — differentially tested in
+    /// `crates/core/tests/memo.rs`).
     ///
     /// The queue is ordered **longest-job-first** by up-front trace
     /// length ([`SweepJob::weight`]), which tightens the pool's makespan
@@ -397,32 +357,29 @@ impl ScenarioMatrix {
     /// bit-identical to FIFO order for any thread count (pinned in
     /// `crates/core/tests/sweep.rs`).
     ///
-    /// All workers share `memo` (first-writer-wins; results are
-    /// bit-identical for any cache state and thread count —
-    /// differentially tested in `crates/core/tests/memo.rs`), so jobs
-    /// sharing a workload pay for compiled traces and Locality pilots
-    /// once across the whole matrix. Callers keep the cache, so hit/miss
-    /// counters ([`ArtifactCache::stats`]) and the warmed artifacts
-    /// survive the run — chain several matrices over one memo, or pass
-    /// [`ArtifactCache::disabled`] for the uncached reference path.
-    ///
     /// # Errors
     ///
     /// Returns the group label and the error of the earliest enumerated
     /// failing job.
-    pub fn run_with_memo(
+    pub fn run(
         &self,
         runner: &SweepRunner,
-        memo: &ArtifactCache,
     ) -> std::result::Result<Vec<ComparisonReport>, (&str, Error)> {
-        let parallel = runner.threads() > 1 && self.jobs.len() > 1;
         let weights: Vec<u64> = self.jobs.iter().map(SweepJob::weight).collect();
         // Panic-isolated: a panicking job becomes that job's
         // `Error::JobPanicked` instead of unwinding through (and wedging)
         // the worker pool — sibling jobs still complete, and the
         // earliest-failing-job error rule below applies to panics too.
-        let results =
-            runner.run_weighted_caught(&weights, |i| self.jobs[i].execute(parallel, memo));
+        let results = runner.run_weighted_caught(&weights, |i| -> Result<(RunResult, usize)> {
+            let job = &self.jobs[i];
+            match job.kind {
+                PolicyKind::LocalityMap => {
+                    let (result, art) = job.experiment.run_lsm()?;
+                    Ok((result, art.assignment.len()))
+                }
+                kind => Ok((job.experiment.run(kind)?, 0)),
+            }
+        });
 
         let mut order: Vec<&str> = Vec::new();
         let mut grouped: Vec<(MachineConfig, Vec<RunOutcome>)> = Vec::new();
@@ -492,11 +449,9 @@ mod tests {
         m.push("b", exp.clone(), PolicyKind::Random);
         m.push("a", exp.clone(), PolicyKind::Random);
         m.push("b", exp, PolicyKind::Locality);
-        assert_eq!(m.len(), 3);
-        assert_eq!(m.groups(), vec!["b", "a"]);
-        let reports = m
-            .run_with_memo(&SweepRunner::sequential(), &ArtifactCache::new())
-            .unwrap();
+        let groups: Vec<&str> = m.jobs().iter().map(SweepJob::group).collect();
+        assert_eq!(groups, vec!["b", "a", "b"]);
+        let reports = m.run(&SweepRunner::sequential()).unwrap();
         assert_eq!(reports.len(), 2);
         assert_eq!(reports[0].workload(), "b");
         assert_eq!(reports[0].outcomes().len(), 2);
@@ -512,9 +467,7 @@ mod tests {
         for threads in [1, 2, 8] {
             let mut m = ScenarioMatrix::new();
             m.push_all("Track", &exp, PolicyKind::ALL);
-            let reports = m
-                .run_with_memo(&SweepRunner::new(threads), &ArtifactCache::new())
-                .unwrap();
+            let reports = m.run(&SweepRunner::new(threads)).unwrap();
             assert_eq!(reports.len(), 1);
             assert_eq!(
                 format!("{:?}", reports[0]),

@@ -1,7 +1,8 @@
 //! Differential and property tests for bus-mode scheduling: the engine
 //! (full event-horizon batching, parked misses, one bus event) against
 //! the per-op oracle (`support/oracle.rs`), over random programs, bus
-//! occupancies, both bus modes, window sizes and quantum overrides.
+//! occupancies, both bus modes, window sizes and quanta (LS and RS
+//! wrapped in `support/quantum.rs`'s adapter).
 //!
 //! Pinned contracts (see `docs/bus-model.md`):
 //!
@@ -23,11 +24,14 @@ use lams_core::{
     SharingMatrix,
 };
 use lams_layout::Layout;
-use lams_mpsoc::{BusConfig, MachineConfig};
+use lams_mpsoc::{BusConfig, CoreId, MachineConfig};
+use lams_procgraph::ProcessId;
 use lams_workloads::{suite, synthetic_app, AppSpec, Scale, SyntheticConfig, Workload};
 
 #[path = "support/oracle.rs"]
 mod oracle;
+#[path = "support/quantum.rs"]
+mod quantum;
 
 /// A synthetic application and its workload.
 fn arb_workload() -> impl Strategy<Value = (AppSpec, Workload)> {
@@ -44,18 +48,19 @@ fn arb_workload() -> impl Strategy<Value = (AppSpec, Workload)> {
     })
 }
 
-fn engine_cfg(machine: MachineConfig, quantum: Option<u64>) -> EngineConfig {
-    let mut cfg = EngineConfig::from(machine);
-    cfg.quantum_override = quantum;
-    cfg
-}
-
-fn policy_factories(w: &Workload, cores: usize) -> Vec<Box<dyn Fn() -> Box<dyn Policy>>> {
+/// RS, RRS and LS, each with its quantum replaced by `quantum` where
+/// that is `Some`.
+fn policy_factories(
+    w: &Workload,
+    cores: usize,
+    quantum: Option<u64>,
+) -> Vec<Box<dyn Fn() -> Box<dyn Policy>>> {
     let sharing = SharingMatrix::from_workload(w);
+    let with = move |p: Box<dyn Policy>| quantum::with_quantum(p, quantum);
     vec![
-        Box::new(|| Box::new(RandomPolicy::new(7))),
-        Box::new(|| Box::new(RoundRobinPolicy::new(900))),
-        Box::new(move || Box::new(LocalityPolicy::new(sharing.clone(), cores))),
+        Box::new(move || with(Box::new(RandomPolicy::new(7)))),
+        Box::new(move || with(Box::new(RoundRobinPolicy::new(900)))),
+        Box::new(move || with(Box::new(LocalityPolicy::new(sharing.clone(), cores)))),
     ]
 }
 
@@ -82,8 +87,8 @@ proptest! {
         let machine = MachineConfig::paper_default()
             .with_cores(cores)
             .with_bus(BusConfig::windowed(OCCUPANCIES[occ_i], WINDOWS[win_i]));
-        for make in policy_factories(&w, cores) {
-            oracle::check(std::slice::from_ref(&app), &w, &layout, &make, engine_cfg(machine, quantum))
+        for make in policy_factories(&w, cores, quantum) {
+            oracle::check(std::slice::from_ref(&app), &w, &layout, &make, EngineConfig::from(machine))
                 .expect("engine runs");
         }
     }
@@ -100,10 +105,10 @@ proptest! {
         let layout = Layout::linear(w.arrays());
         let quantum = [None, Some(300), Some(2_000)][q_i];
         let base = MachineConfig::paper_default().with_cores(cores);
-        for make in policy_factories(&w, cores) {
+        for make in policy_factories(&w, cores, quantum) {
             let run = |bus: BusConfig, make: &dyn Fn() -> Box<dyn Policy>| {
                 let mut p = make();
-                execute(&w, &layout, p.as_mut(), engine_cfg(base.with_bus(bus), quantum))
+                execute(&w, &layout, p.as_mut(), EngineConfig::from(base.with_bus(bus)))
                     .expect("engine runs")
             };
             let fcfs = run(BusConfig::fcfs(OCCUPANCIES[occ_i]), &make);
@@ -171,7 +176,7 @@ fn windowed_bus_engages_on_suite_apps_and_matches_the_oracle() {
         let w = Workload::single(app.clone()).unwrap();
         let layout = Layout::linear(w.arrays());
         let apps = [app];
-        for make in policy_factories(&w, base.num_cores) {
+        for make in policy_factories(&w, base.num_cores, None) {
             let run = |machine: MachineConfig| {
                 oracle::check(&apps, &w, &layout, &make, machine.into()).expect("engine runs")
             };

@@ -17,10 +17,11 @@ use lams_mpsoc::{machine_fingerprint, BusConfig, CacheConfig, MachineConfig};
 use lams_presburger::{AffineExpr, AffineMap, IterSpace};
 use lams_workloads::{suite, AccessSpec, AppSpec, ProcessSpec, Scale, Workload};
 
-/// The fig6-style golden matrix: every suite app at Tiny scale under
-/// RS/RRS/LS on the Table 2 machine, RS seed 12345 — exactly the grid
-/// whose makespans the `0xd7f2a86da3cb3e3d` checksum below pins.
-fn golden_matrix() -> ScenarioMatrix {
+/// The fig6-style golden matrix on `memo`: every suite app at Tiny
+/// scale under RS/RRS/LS on the Table 2 machine, RS seed 12345 —
+/// exactly the grid whose makespans the `0xd7f2a86da3cb3e3d` checksum
+/// below pins.
+fn golden_matrix(memo: &Arc<ArtifactCache>) -> ScenarioMatrix {
     let kinds = [
         PolicyKind::Random,
         PolicyKind::RoundRobin,
@@ -28,7 +29,9 @@ fn golden_matrix() -> ScenarioMatrix {
     ];
     let mut m = ScenarioMatrix::new();
     for app in suite::all(Scale::Tiny) {
-        let exp = Experiment::isolated(&app, MachineConfig::paper_default()).with_seed(12345);
+        let exp = Experiment::isolated(&app, MachineConfig::paper_default())
+            .with_seed(12345)
+            .with_memo(Arc::clone(memo));
         m.push_all(&app.name, &exp, &kinds);
     }
     m
@@ -57,12 +60,11 @@ fn report_makespans(reports: &[lams_core::ComparisonReport]) -> Vec<u64> {
 
 #[test]
 fn cached_sweep_is_bit_identical_to_uncached_and_checksum_pinned() {
-    let matrix = golden_matrix();
     // Uncached reference: the pass-through cache recomputes everything,
     // exactly the pre-memo behaviour.
     let uncached = ArtifactCache::disabled();
-    let reference = matrix
-        .run_with_memo(&SweepRunner::sequential(), &uncached)
+    let reference = golden_matrix(&uncached)
+        .run(&SweepRunner::sequential())
         .expect("uncached sweep runs");
     assert_eq!(uncached.stats().hits(), 0, "disabled cache must not hit");
 
@@ -76,8 +78,8 @@ fn cached_sweep_is_bit_identical_to_uncached_and_checksum_pinned() {
 
     for threads in [1usize, 4] {
         let memo = ArtifactCache::shared();
-        let cached = matrix
-            .run_with_memo(&SweepRunner::new(threads), &memo)
+        let cached = golden_matrix(&memo)
+            .run(&SweepRunner::new(threads))
             .expect("cached sweep runs");
         assert_eq!(
             format!("{cached:?}"),
@@ -108,25 +110,29 @@ fn cached_sweep_is_bit_identical_to_uncached_and_checksum_pinned() {
     }
 }
 
-#[test]
-fn lsm_ladder_is_bit_identical_cached_vs_uncached_across_threads() {
-    // A concurrent mix makes LSM do real work: adjacencies, conflicts,
-    // a deduplicated candidate ladder, remaps.
+/// A concurrent two-app mix under every policy, on `memo`: enough for
+/// LSM to do real work — adjacencies, conflicts, a deduplicated
+/// candidate ladder, remaps.
+fn mix_matrix(memo: &Arc<ArtifactCache>) -> ScenarioMatrix {
     let apps = vec![suite::shape(Scale::Tiny), suite::track(Scale::Tiny)];
     let exp = Experiment::concurrent(&apps, MachineConfig::paper_default().with_cores(4))
-        .with_seed(12345);
+        .with_seed(12345)
+        .with_memo(Arc::clone(memo));
     let mut matrix = ScenarioMatrix::new();
     matrix.push_all("mix2", &exp, PolicyKind::ALL);
+    matrix
+}
 
-    let uncached = ArtifactCache::disabled();
-    let reference = matrix
-        .run_with_memo(&SweepRunner::sequential(), &uncached)
+#[test]
+fn lsm_ladder_is_bit_identical_cached_vs_uncached_across_threads() {
+    let reference = mix_matrix(&ArtifactCache::disabled())
+        .run(&SweepRunner::sequential())
         .expect("uncached mix sweep runs");
 
     for threads in [1usize, 4] {
         let memo = ArtifactCache::shared();
-        let cached = matrix
-            .run_with_memo(&SweepRunner::new(threads), &memo)
+        let cached = mix_matrix(&memo)
+            .run(&SweepRunner::new(threads))
             .expect("cached mix sweep runs");
         assert_eq!(
             format!("{cached:?}"),
@@ -204,9 +210,10 @@ fn repeated_lsm_runs_reuse_every_artifact() {
     assert!(stats_after_second.hits() > stats_after_first.hits());
 }
 
-/// A small two-app matrix for the bounded-cache cross-products (the
-/// full golden matrix would multiply runtimes for no extra coverage).
-fn small_matrix() -> ScenarioMatrix {
+/// A small two-app matrix on `memo` for the bounded-cache
+/// cross-products (the full golden matrix would multiply runtimes for no
+/// extra coverage).
+fn small_matrix(memo: &Arc<ArtifactCache>) -> ScenarioMatrix {
     let kinds = [
         PolicyKind::Random,
         PolicyKind::RoundRobin,
@@ -214,7 +221,9 @@ fn small_matrix() -> ScenarioMatrix {
     ];
     let mut m = ScenarioMatrix::new();
     for app in [suite::shape(Scale::Tiny), suite::track(Scale::Tiny)] {
-        let exp = Experiment::isolated(&app, MachineConfig::paper_default()).with_seed(12345);
+        let exp = Experiment::isolated(&app, MachineConfig::paper_default())
+            .with_seed(12345)
+            .with_memo(Arc::clone(memo));
         m.push_all(&app.name, &exp, &kinds);
     }
     m
@@ -222,22 +231,21 @@ fn small_matrix() -> ScenarioMatrix {
 
 /// A bounded cache at `capacity` (the policy argument is a vestige:
 /// there is one eviction algorithm).
-fn bounded(capacity: usize) -> ArtifactCache {
-    ArtifactCache::bounded(capacity, EvictionPolicy::default())
+fn bounded(capacity: usize) -> Arc<ArtifactCache> {
+    Arc::new(ArtifactCache::bounded(capacity, EvictionPolicy::default()))
 }
 
 #[test]
 fn bounded_cache_every_capacity_is_bit_identical_to_disabled() {
-    let matrix = small_matrix();
-    let reference = matrix
-        .run_with_memo(&SweepRunner::sequential(), &ArtifactCache::disabled())
+    let reference = small_matrix(&ArtifactCache::disabled())
+        .run(&SweepRunner::sequential())
         .expect("uncached sweep runs");
     let reference_repr = format!("{reference:?}");
     for capacity in [0usize, 1, 3, 1024] {
         for threads in [1usize, 4] {
-            let memo = Arc::new(bounded(capacity));
-            let got = matrix
-                .run_with_memo(&SweepRunner::new(threads), &memo)
+            let memo = bounded(capacity);
+            let got = small_matrix(&memo)
+                .run(&SweepRunner::new(threads))
                 .expect("bounded sweep runs");
             assert_eq!(
                 format!("{got:?}"),
@@ -266,10 +274,9 @@ fn tight_capacity_actually_evicts_and_still_serves() {
     // A dense matrix against a one-entry cache: the single slot must
     // churn (evictions observable) while results stay correct (checked
     // against the fig6 checksum like the unbounded path).
-    let matrix = golden_matrix();
-    let memo = Arc::new(bounded(1));
-    let reports = matrix
-        .run_with_memo(&SweepRunner::sequential(), &memo)
+    let memo = bounded(1);
+    let reports = golden_matrix(&memo)
+        .run(&SweepRunner::sequential())
         .expect("bounded sweep runs");
     assert_eq!(
         checksum(&report_makespans(&reports)),
@@ -405,13 +412,12 @@ proptest! {
         capacity in 0usize..9,
         threads in 1usize..5,
     ) {
-        let matrix = small_matrix();
-        let reference = matrix
-            .run_with_memo(&SweepRunner::sequential(), &ArtifactCache::disabled())
+        let reference = small_matrix(&ArtifactCache::disabled())
+            .run(&SweepRunner::sequential())
             .expect("uncached sweep runs");
-        let memo = Arc::new(bounded(capacity));
-        let got = matrix
-            .run_with_memo(&SweepRunner::new(threads), &memo)
+        let memo = bounded(capacity);
+        let got = small_matrix(&memo)
+            .run(&SweepRunner::new(threads))
             .expect("bounded sweep runs");
         prop_assert_eq!(format!("{got:?}"), format!("{reference:?}"));
         let stats = memo.stats();
@@ -566,14 +572,8 @@ fn lsm_ladder_with_per_process_reuse_is_bit_identical_when_bounded() {
     // per-process reuse path must stay bit-identical to the disabled
     // cache at every capacity — including 0 (store nothing) and 1
     // (maximal churn) — at 1 and 4 threads.
-    let apps = vec![suite::shape(Scale::Tiny), suite::track(Scale::Tiny)];
-    let exp = Experiment::concurrent(&apps, MachineConfig::paper_default().with_cores(4))
-        .with_seed(12345);
-    let mut matrix = ScenarioMatrix::new();
-    matrix.push_all("mix2", &exp, PolicyKind::ALL);
-
-    let reference = matrix
-        .run_with_memo(&SweepRunner::sequential(), &ArtifactCache::disabled())
+    let reference = mix_matrix(&ArtifactCache::disabled())
+        .run(&SweepRunner::sequential())
         .expect("uncached mix sweep runs");
     let reference_repr = format!("{reference:?}");
 
@@ -581,8 +581,8 @@ fn lsm_ladder_with_per_process_reuse_is_bit_identical_when_bounded() {
     // ladder candidates remap a strict subset of the arrays, so the
     // untouched processes' programs must come from the per-process slot.
     let memo = ArtifactCache::shared();
-    let got = matrix
-        .run_with_memo(&SweepRunner::sequential(), &memo)
+    let got = mix_matrix(&memo)
+        .run(&SweepRunner::sequential())
         .expect("cached mix sweep runs");
     assert_eq!(format!("{got:?}"), reference_repr, "unbounded delta reuse");
     let stats = memo.stats();
@@ -593,9 +593,9 @@ fn lsm_ladder_with_per_process_reuse_is_bit_identical_when_bounded() {
 
     for capacity in [0usize, 1, 6, 1024] {
         for threads in [1usize, 4] {
-            let memo = Arc::new(bounded(capacity));
-            let got = matrix
-                .run_with_memo(&SweepRunner::new(threads), &memo)
+            let memo = bounded(capacity);
+            let got = mix_matrix(&memo)
+                .run(&SweepRunner::new(threads))
                 .expect("bounded mix sweep runs");
             assert_eq!(
                 format!("{got:?}"),

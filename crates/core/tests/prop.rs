@@ -14,11 +14,14 @@ use lams_core::{
 };
 use lams_layout::{HalfPage, Layout, RemapAssignment};
 use lams_mpsoc::TraceOp;
-use lams_mpsoc::{BusConfig, CacheConfig, MachineConfig};
+use lams_mpsoc::{BusConfig, CacheConfig, CoreId, MachineConfig};
+use lams_procgraph::ProcessId;
 use lams_workloads::{suite, synthetic_app, AppSpec, Scale, SyntheticConfig, Workload};
 
 #[path = "support/oracle.rs"]
 mod oracle;
+#[path = "support/quantum.rs"]
+mod quantum;
 
 #[path = "../../procgraph/tests/support/critical_path.rs"]
 mod critical_path;
@@ -152,8 +155,10 @@ proptest! {
 
     /// Differential over the whole configuration space, as a
     /// cross-product and not axis by axis: policy × cores × quantum
-    /// override × bus mode × arrival stream × queue capacity × deadline
-    /// × layout × pass count × miss split (`MachineConfig::explain`).
+    /// (the policy's own, or 300 or 2,000 cycles through
+    /// `support/quantum.rs`) × bus mode × arrival stream × queue
+    /// capacity × deadline × layout × pass count × miss split
+    /// (`MachineConfig::explain`).
     /// The batched engine must equal the oracle on every compared field,
     /// or fail with the same typed error.
     #[test]
@@ -180,7 +185,7 @@ proptest! {
             i => machine = machine.with_bus(BusConfig::windowed(occ, [1, 4, 64, 1000][i - 2])),
         }
         let mut cfg = EngineConfig::from(machine);
-        cfg.quantum_override = [None, Some(300), Some(2_000)][q_i];
+        let quantum = [None, Some(300), Some(2_000)][q_i];
         if arr_i > 0 {
             // Each shape at an under- and an over-loaded rate.
             let shapes = [ArrivalShape::Poisson, ArrivalShape::Burst, ArrivalShape::Diurnal];
@@ -191,11 +196,12 @@ proptest! {
         }
         let sharing = SharingMatrix::from_workload(&w);
         let make = move || -> Box<dyn Policy> {
-            match policy_i {
+            let policy: Box<dyn Policy> = match policy_i {
                 0 => Box::new(RandomPolicy::new(7)),
                 1 => Box::new(RoundRobinPolicy::new(900)),
                 _ => Box::new(LocalityPolicy::new(sharing.clone(), cores)),
-            }
+            };
+            quantum::with_quantum(policy, quantum)
         };
         // Half the cases run to completion; the rest split evenly over
         // the three budgets below.

@@ -231,10 +231,7 @@ pub fn simulate(
             machine.wait_until(core, start);
             running[core] = Some(Slot {
                 pid,
-                quantum_end: config
-                    .quantum_override
-                    .or(policy.quantum())
-                    .map(|q| start + q),
+                quantum_end: policy.quantum().map(|q| start + q),
                 lazy_preempt: false,
             });
             core_sequences[core].push(pid);

@@ -1,14 +1,18 @@
 //! Differential tests for the sweep subsystem's determinism contract:
-//! [`SweepRunner`] at 1, 2 and 8 threads must yield **byte-identical**
-//! [`ComparisonReport`]s (including LSM artifacts) to the plain
-//! sequential path — one policy run after another, the shape of the
-//! pre-sweep `Experiment::run_all` loop — plus property tests that job
-//! enumeration order is stable and runner output order never depends on
-//! the thread count.
+//! [`ScenarioMatrix::run`] at 1, 2 and 8 threads must yield
+//! **byte-identical** [`ComparisonReport`]s (including LSM remap counts)
+//! to the plain sequential path — each job's [`Experiment::run`] or
+//! [`Experiment::run_lsm`], one after another — plus property tests
+//! that job enumeration order is stable and runner output order never
+//! depends on the thread count.
+
+use std::sync::Arc;
 
 use proptest::prelude::*;
 
-use lams_core::{ArtifactCache, Experiment, PolicyKind, ScenarioMatrix, SweepRunner};
+use lams_core::{
+    ArtifactCache, EvictionPolicy, Experiment, PolicyKind, ScenarioMatrix, SweepRunner,
+};
 use lams_mpsoc::MachineConfig;
 use lams_workloads::{suite, Scale};
 
@@ -23,67 +27,67 @@ fn mix_experiment() -> Experiment {
     Experiment::concurrent(&apps, machine4()).with_seed(12345)
 }
 
+/// The one path: at 1, 2 and 8 threads, [`ScenarioMatrix::run`]
+/// returns, job for job, what [`Experiment::run`] — for LSM,
+/// [`Experiment::run_lsm`] and its remap count — returns on the same
+/// experiments, whether they carry a shared, a one-entry or a disabled
+/// memo.
 #[test]
 fn parallel_run_all_is_byte_identical_to_sequential_path() {
-    let exp = mix_experiment();
-
-    // The pre-refactor sequential path: each policy run one after
-    // another on one thread, outcomes collected in order.
-    let mut expected: Vec<(PolicyKind, String, usize)> = Vec::new();
-    for &kind in PolicyKind::ALL {
-        let (result, remapped) = match kind {
-            PolicyKind::LocalityMap => {
-                let (r, art) = exp.run_lsm().expect("lsm runs");
-                (r, art.assignment.len())
-            }
-            _ => (exp.run(kind).expect("policy runs"), 0),
-        };
-        expected.push((kind, format!("{result:?}"), remapped));
-    }
-
-    for threads in [1usize, 2, 8] {
-        let report = exp
-            .clone()
-            .with_runner(SweepRunner::new(threads))
-            .run_all(PolicyKind::ALL)
-            .expect("sweep runs");
-        assert_eq!(report.outcomes().len(), expected.len());
-        for (outcome, (kind, result_repr, remapped)) in report.outcomes().iter().zip(&expected) {
-            assert_eq!(outcome.kind, *kind, "{threads} threads");
-            assert_eq!(
-                format!("{:?}", outcome.result),
-                *result_repr,
-                "result drifted for {kind} at {threads} threads"
-            );
-            assert_eq!(
-                outcome.remapped_arrays, *remapped,
-                "remap count drifted for {kind} at {threads} threads"
-            );
+    let memos = [
+        ("shared", ArtifactCache::shared()),
+        (
+            "bounded(1)",
+            Arc::new(ArtifactCache::bounded(1, EvictionPolicy::default())),
+        ),
+        ("disabled", ArtifactCache::disabled()),
+    ];
+    for (name, memo) in memos {
+        let shape = Experiment::isolated(&suite::shape(Scale::Tiny), machine4()).with_seed(7);
+        let mut matrix = ScenarioMatrix::new();
+        for (label, exp) in [("mix2", mix_experiment()), ("shape", shape)] {
+            matrix.push_all(label, &exp.with_memo(Arc::clone(&memo)), PolicyKind::ALL);
+        }
+        let expected: Vec<(PolicyKind, String, usize)> = matrix
+            .jobs()
+            .iter()
+            .map(|job| {
+                let (result, remapped) = match job.kind() {
+                    PolicyKind::LocalityMap => {
+                        let (r, art) = job.experiment().run_lsm().expect("lsm runs");
+                        (r, art.assignment.len())
+                    }
+                    kind => (job.experiment().run(kind).expect("policy runs"), 0),
+                };
+                (job.kind(), format!("{result:?}"), remapped)
+            })
+            .collect();
+        for threads in [1usize, 2, 8] {
+            let reports = matrix.run(&SweepRunner::new(threads)).expect("sweep runs");
+            let got: Vec<(PolicyKind, String, usize)> = reports
+                .iter()
+                .flat_map(|r| r.outcomes())
+                .map(|o| (o.kind, format!("{:?}", o.result), o.remapped_arrays))
+                .collect();
+            assert_eq!(got, expected, "{name} memo at {threads} threads");
         }
     }
 }
 
+/// A matrix run looks its artifacts up in the memo its experiments
+/// carry: there is no other memo for the lookups to land in.
 #[test]
-fn lsm_artifacts_are_byte_identical_across_thread_counts() {
+fn matrix_lookups_land_in_the_experiments_memo() {
     let exp = mix_experiment();
-    let (seq_result, seq_art) = exp
-        .clone()
-        .with_runner(SweepRunner::sequential())
-        .run_lsm()
-        .expect("lsm runs");
-    let seq_repr = (format!("{seq_result:?}"), format!("{seq_art:?}"));
-    for threads in [2usize, 8] {
-        let (result, art) = exp
-            .clone()
-            .with_runner(SweepRunner::new(threads))
-            .run_lsm()
-            .expect("lsm runs");
-        assert_eq!(
-            (format!("{result:?}"), format!("{art:?}")),
-            seq_repr,
-            "LSM drifted at {threads} threads"
-        );
-    }
+    let mut matrix = ScenarioMatrix::new();
+    matrix.push_all("mix2", &exp, PolicyKind::ALL);
+    let before = exp.memo().stats();
+    assert_eq!(before.hits() + before.misses(), 0, "{before}");
+    matrix.run(&SweepRunner::new(2)).expect("sweep runs");
+    // The LSM ladder reuses its pilot's per-process programs, so the
+    // run hits whatever order the workers take the jobs in.
+    let after = exp.memo().stats();
+    assert!(after.misses() > 0 && after.hits() > 0, "{after}");
 }
 
 #[test]
@@ -99,14 +103,14 @@ fn multi_group_matrix_is_byte_identical_across_thread_counts() {
         m
     };
     let reference: Vec<String> = build()
-        .run_with_memo(&SweepRunner::sequential(), &ArtifactCache::new())
+        .run(&SweepRunner::sequential())
         .expect("sweep runs")
         .iter()
         .map(|r| format!("{r:?}"))
         .collect();
     for threads in [2usize, 8] {
         let reports: Vec<String> = build()
-            .run_with_memo(&SweepRunner::new(threads), &ArtifactCache::new())
+            .run(&SweepRunner::new(threads))
             .expect("sweep runs")
             .iter()
             .map(|r| format!("{r:?}"))
@@ -145,9 +149,7 @@ fn ljf_queue_keeps_reports_bit_identical() {
         .collect();
     for threads in [1usize, 2, 8] {
         let m = build();
-        let reports = m
-            .run_with_memo(&SweepRunner::new(threads), &ArtifactCache::new())
-            .expect("sweep runs");
+        let reports = m.run(&SweepRunner::new(threads)).expect("sweep runs");
         let got: Vec<String> = reports
             .iter()
             .flat_map(|r| r.outcomes().iter().map(|o| format!("{:?}", o.result)))
@@ -194,7 +196,7 @@ proptest! {
     fn job_enumeration_order_is_stable(group_ids in prop::collection::vec(0u8..5, 0usize..24)) {
         // Build the same matrix twice from one spec: the enumerated job
         // list must be identical, preserve push order exactly, and the
-        // group order must be first-appearance order.
+        // reports must come back in first-appearance order of groups.
         let app = suite::shape(Scale::Tiny);
         let exp = Experiment::isolated(&app, machine4());
         let build = || {
@@ -206,7 +208,7 @@ proptest! {
             m
         };
         let (a, b) = (build(), build());
-        prop_assert_eq!(a.len(), group_ids.len());
+        prop_assert_eq!(a.jobs().len(), group_ids.len());
         let describe = |m: &ScenarioMatrix| -> Vec<(String, PolicyKind)> {
             m.jobs().iter().map(|j| (j.group().to_owned(), j.kind())).collect()
         };
@@ -221,7 +223,8 @@ proptest! {
                 first_appearance.push(label);
             }
         }
-        let groups: Vec<String> = a.groups().iter().map(|&g| g.to_owned()).collect();
+        let reports = a.run(&SweepRunner::sequential()).expect("sweep runs");
+        let groups: Vec<&str> = reports.iter().map(|r| r.workload()).collect();
         prop_assert_eq!(groups, first_appearance);
     }
 }

@@ -12,29 +12,33 @@ use lams_core::{
     RunResult, SharingMatrix,
 };
 use lams_layout::Layout;
-use lams_mpsoc::{BusConfig, MachineConfig};
+use lams_mpsoc::{BusConfig, CoreId, MachineConfig};
+use lams_procgraph::ProcessId;
 use lams_trace::TraceBundle;
 use lams_workloads::{suite, AppSpec, Scale, Workload};
 
 #[path = "support/oracle.rs"]
 mod oracle;
+#[path = "support/quantum.rs"]
+mod quantum;
 
 /// An owned [`oracle::PolicyFactory`].
 type PolicyFactory = Box<oracle::PolicyFactory<'static>>;
 
-/// Runs one policy through the IR engine and the oracle, asserts exact
-/// equality, and returns the engine's result.
+/// Runs one policy, its quantum replaced by `quantum` where that is
+/// `Some`, through the IR engine and the oracle, asserts exact equality,
+/// and returns the engine's result.
 fn assert_ir_matches_scalar(
     app: &AppSpec,
     w: &Workload,
     layout: &Layout,
     make_policy: &oracle::PolicyFactory<'_>,
     machine: MachineConfig,
-    quantum_override: Option<u64>,
+    quantum: Option<u64>,
 ) -> RunResult {
-    let mut cfg = EngineConfig::from(machine);
-    cfg.quantum_override = quantum_override;
-    oracle::check(std::slice::from_ref(app), w, layout, make_policy, cfg).expect("engine runs")
+    let make = || quantum::with_quantum(make_policy(), quantum);
+    let cfg = EngineConfig::from(machine);
+    oracle::check(std::slice::from_ref(app), w, layout, &make, cfg).expect("engine runs")
 }
 
 #[test]

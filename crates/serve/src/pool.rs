@@ -26,6 +26,7 @@ use std::sync::{Arc, Condvar, Mutex, PoisonError};
 use std::thread::JoinHandle;
 use std::time::Duration;
 
+use lams_core::sweep::panic_message;
 use lams_core::{ArtifactCache, Scenario, Source};
 
 use crate::fault::FaultPlan;
@@ -269,16 +270,6 @@ fn run_isolated(inner: &Inner, job: &Job) -> Response {
                 panic_message(payload),
             )
         }
-    }
-}
-
-fn panic_message(payload: Box<dyn std::any::Any + Send>) -> String {
-    if let Some(s) = payload.downcast_ref::<&str>() {
-        (*s).to_string()
-    } else if let Some(s) = payload.downcast_ref::<String>() {
-        s.clone()
-    } else {
-        "non-string panic payload".to_string()
     }
 }
 

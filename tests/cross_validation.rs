@@ -7,6 +7,7 @@
 //! perf rewrites.
 
 use std::collections::BTreeSet;
+use std::sync::Arc;
 
 use lams::core::{
     execute, ArrivalConfig, ArrivalPlan, ArtifactCache, EngineConfig, Experiment, LocalityPolicy,
@@ -285,15 +286,19 @@ fn golden_bus_mode_grid_is_thread_invariant() {
     ];
     for (bus, table, _) in golden_bus_grids() {
         let machine = MachineConfig::paper_default().with_bus(bus);
-        let mut matrix = ScenarioMatrix::new();
-        for app in suite::all(Scale::Tiny) {
-            let exp = Experiment::isolated(&app, machine).with_seed(12345);
-            matrix.push_all(&app.name, &exp, &kinds);
-        }
         let mut reference = None;
         for threads in [1usize, 4] {
+            // A fresh memo per run, shared by the whole grid.
+            let memo = ArtifactCache::shared();
+            let mut matrix = ScenarioMatrix::new();
+            for app in suite::all(Scale::Tiny) {
+                let exp = Experiment::isolated(&app, machine)
+                    .with_seed(12345)
+                    .with_memo(Arc::clone(&memo));
+                matrix.push_all(&app.name, &exp, &kinds);
+            }
             let reports = matrix
-                .run_with_memo(&SweepRunner::new(threads), &ArtifactCache::new())
+                .run(&SweepRunner::new(threads))
                 .expect("bus-mode sweep runs");
             let makespans: Vec<u64> = reports
                 .iter()
@@ -472,18 +477,19 @@ fn golden_open_pipeline_run_is_reproduced_exactly() {
 #[test]
 fn open_system_grid_is_thread_and_memo_invariant() {
     let arrivals = ArrivalConfig::poisson(900, 42);
-    let mut matrix = ScenarioMatrix::new();
-    for app in suite::all(Scale::Tiny) {
-        let exp = Experiment::isolated(&app, MachineConfig::paper_default())
-            .with_seed(12345)
-            .with_arrivals(arrivals);
-        matrix.push_all(&app.name, &exp, PolicyKind::ALL);
-    }
     let mut reference = None;
     for threads in [1usize, 4, 8] {
         for memo in [ArtifactCache::disabled(), ArtifactCache::shared()] {
+            let mut matrix = ScenarioMatrix::new();
+            for app in suite::all(Scale::Tiny) {
+                let exp = Experiment::isolated(&app, MachineConfig::paper_default())
+                    .with_seed(12345)
+                    .with_arrivals(arrivals)
+                    .with_memo(Arc::clone(&memo));
+                matrix.push_all(&app.name, &exp, PolicyKind::ALL);
+            }
             let reports = matrix
-                .run_with_memo(&SweepRunner::new(threads), &memo)
+                .run(&SweepRunner::new(threads))
                 .expect("open-system sweep runs");
             let dbg = format!("{reports:?}");
             match &reference {

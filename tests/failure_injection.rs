@@ -15,6 +15,9 @@ use lams::procgraph::ProcessId;
 use lams::trace::{Lane, ProgramBuilder, TraceBundle, TraceRecord};
 use lams::workloads::{AccessSpec, AppSpec, ProcessSpec, Workload};
 
+#[path = "../crates/core/tests/support/quantum.rs"]
+mod quantum;
+
 /// A policy that never dispatches anything — contract violation.
 #[derive(Debug)]
 struct Refusenik;
@@ -139,8 +142,8 @@ fn clock_overflow_is_a_typed_error() {
         for (max_cycles, quantum) in [(None, None), (Some(1 << 40), None), (None, Some(100))] {
             let mut cfg = EngineConfig::paper_default();
             cfg.max_cycles = max_cycles;
-            cfg.quantum_override = quantum;
-            let r = execute_bundle(&bundle, &mut RandomPolicy::new(0), cfg);
+            let mut policy = quantum::with_quantum(Box::new(RandomPolicy::new(0)), quantum);
+            let r = execute_bundle(&bundle, policy.as_mut(), cfg);
             assert!(
                 matches!(r, Err(Error::Mpsoc(MpsocError::ClockOverflow { core: _ }))),
                 "deadline {max_cycles:?}, quantum {quantum:?}: {r:?}"
@@ -264,10 +267,9 @@ fn zero_cycle_bus_window_is_rejected() {
 fn quantum_override_is_honoured() {
     let w = Workload::single(one_proc_app()).unwrap();
     let layout = Layout::linear(w.arrays());
-    let mut p = RandomPolicy::new(0); // run-to-completion by itself
-    let mut cfg = EngineConfig::paper_default();
-    cfg.quantum_override = Some(100);
-    let r = execute(&w, &layout, &mut p, cfg).unwrap();
+    // Run-to-completion by itself, preempted by the adapter's quantum.
+    let mut p = quantum::with_quantum(Box::new(RandomPolicy::new(0)), Some(100));
+    let r = execute(&w, &layout, p.as_mut(), EngineConfig::paper_default()).unwrap();
     // The single process takes ~900 cycles of work, so an enforced
     // 100-cycle quantum preempts it repeatedly.
     assert!(r.processes[&ProcessId::new(0)].dispatches > 1);
