@@ -22,7 +22,7 @@
 
 use lams_bench::{csv_table, emit, exit_with, Figure};
 use lams_core::{PolicyKind, Scenario, DEFAULT_QUANTUM};
-use lams_mpsoc::BusMode;
+use lams_mpsoc::BusConfig;
 use lams_workloads::Scale;
 
 fn main() {
@@ -56,17 +56,18 @@ fn main() {
     if let Some(bus) = fig.base().bus {
         // Bus axis: sweep the transfer occupancy around the requested
         // value (halved, as given, doubled) under the same mode.
-        let spec = |occ| match bus.mode {
-            BusMode::Fcfs => format!("fcfs:{occ}"),
-            BusMode::Windowed { window_cycles } => format!("windowed:{occ}:{window_cycles}"),
-        };
         let occ = bus.occupancy_cycles;
         let Some(doubled) = occ.checked_mul(2) else {
-            let e = format!("bad --bus '{}': its doubled occupancy overflows", spec(occ));
+            let e = format!("bad --bus '{bus}': its doubled occupancy overflows");
             exit_with(2, e);
         };
-        for occ in [occ / 2, occ, doubled] {
-            points.push((format!("# bus occupancy {occ}"), fig.with("bus", spec(occ))));
+        for occupancy_cycles in [occ / 2, occ, doubled] {
+            let bus = BusConfig {
+                occupancy_cycles,
+                ..bus
+            };
+            let label = format!("# bus occupancy {occupancy_cycles}");
+            points.push((label, fig.with("bus", bus)));
         }
     }
 

@@ -31,6 +31,7 @@
 //! Generator math and determinism rules are documented in
 //! `docs/arrivals.md`.
 
+use lams_mpsoc::SplitMix64;
 use lams_procgraph::ProcessId;
 
 /// The arrival-stream shape.
@@ -185,37 +186,28 @@ impl std::str::FromStr for ArrivalConfig {
 }
 
 impl std::fmt::Display for ArrivalConfig {
+    /// Writes the `SHAPE:LOAD:SEED[:QCAP]` spec [`FromStr`](std::str::FromStr)
+    /// reads.
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         write!(
             f,
-            "{} load={}.{:03} seed={}",
+            "{}:{}.{:03}:{}",
             self.shape,
             self.load_milli / 1000,
             self.load_milli % 1000,
             self.seed
         )?;
         if let Some(cap) = self.queue_capacity {
-            write!(f, " qcap={cap}")?;
+            write!(f, ":{cap}")?;
         }
         Ok(())
     }
 }
 
-/// splitmix64 — the same generator `lams_serve::fault` uses for fault
-/// seeding: passes practical randomness tests, two lines of code, and
-/// bit-stable forever.
-fn splitmix64(state: &mut u64) -> u64 {
-    *state = state.wrapping_add(0x9E37_79B9_7F4A_7C15);
-    let mut z = *state;
-    z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
-    z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
-    z ^ (z >> 31)
-}
-
 /// A uniform draw in `(0, 1]` from 53 random bits (never 0, so
 /// `ln` below is always defined).
-fn unit(state: &mut u64) -> f64 {
-    ((splitmix64(state) >> 11) + 1) as f64 / 9_007_199_254_740_992.0 // 2^53
+fn unit(rng: &mut SplitMix64) -> f64 {
+    ((rng.next_u64() >> 11) + 1) as f64 / 9_007_199_254_740_992.0 // 2^53
 }
 
 /// Natural log from IEEE basic operations only (`+ - * /` are
@@ -304,8 +296,8 @@ fn gap(u: f64, mean: f64) -> u64 {
 
 /// An exponential inter-arrival draw with the given mean, in cycles
 /// (rounded to nearest; simultaneous arrivals are legal).
-fn exp_gap(state: &mut u64, mean: f64) -> u64 {
-    gap(unit(state), mean)
+fn exp_gap(rng: &mut SplitMix64, mean: f64) -> u64 {
+    gap(unit(rng), mean)
 }
 
 /// FNV-1a offset basis: the checksum of the empty plan.
@@ -378,12 +370,12 @@ impl ArrivalPlan {
         let mean_service = ((total / n as u128) as u64).max(1);
         let load_milli = config.load_milli.max(1);
         let inter_mean = (mean_service as f64 * 1000.0) / (load_milli as f64 * cores.max(1) as f64);
-        let mut state = config.seed;
+        let mut rng = SplitMix64::new(config.seed);
         let mut t: u64 = 0;
         match config.shape {
             ArrivalShape::Poisson => {
                 for _ in 0..n {
-                    t = t.saturating_add(exp_gap(&mut state, inter_mean));
+                    t = t.saturating_add(exp_gap(&mut rng, inter_mean));
                     plan.push(t);
                 }
             }
@@ -391,8 +383,8 @@ impl ArrivalPlan {
                 let mut left_in_burst = 0u64;
                 for _ in 0..n {
                     if left_in_burst == 0 {
-                        let burst = 1 + (splitmix64(&mut state) % 8);
-                        t = t.saturating_add(exp_gap(&mut state, inter_mean * burst as f64));
+                        let burst = 1 + (rng.next_u64() % 8);
+                        t = t.saturating_add(exp_gap(&mut rng, inter_mean * burst as f64));
                         left_in_burst = burst;
                     }
                     left_in_burst -= 1;
@@ -409,7 +401,7 @@ impl ArrivalPlan {
                     let frac = phase - (phase as u64) as f64;
                     let tri = 1.0 - (2.0 * frac - 1.0).abs();
                     let factor = 0.5 + tri;
-                    t = t.saturating_add(exp_gap(&mut state, inter_mean / factor));
+                    t = t.saturating_add(exp_gap(&mut rng, inter_mean / factor));
                     plan.push(t);
                 }
             }
@@ -574,8 +566,8 @@ mod tests {
     /// the checksum a second, plain byte-wise FNV-1a pass over the
     /// finished plan.
     fn reference_plan(config: ArrivalConfig, service: &[u64], cores: usize) -> (Vec<u64>, u64) {
-        fn exp_gap(state: &mut u64, mean: f64) -> u64 {
-            let draw = -ln_det(unit(state)) * mean;
+        fn exp_gap(rng: &mut SplitMix64, mean: f64) -> u64 {
+            let draw = -ln_det(unit(rng)) * mean;
             (draw + 0.5) as u64
         }
         let n = service.len();
@@ -586,13 +578,13 @@ mod tests {
         let mean_service = ((total / n as u128) as u64).max(1);
         let load_milli = config.load_milli.max(1);
         let inter_mean = (mean_service as f64 * 1000.0) / (load_milli as f64 * cores.max(1) as f64);
-        let mut state = config.seed;
+        let mut rng = SplitMix64::new(config.seed);
         let mut arrivals = Vec::with_capacity(n);
         let mut t: u64 = 0;
         match config.shape {
             ArrivalShape::Poisson => {
                 for _ in 0..n {
-                    t = t.saturating_add(exp_gap(&mut state, inter_mean));
+                    t = t.saturating_add(exp_gap(&mut rng, inter_mean));
                     arrivals.push(t);
                 }
             }
@@ -600,8 +592,8 @@ mod tests {
                 let mut left_in_burst = 0u64;
                 for _ in 0..n {
                     if left_in_burst == 0 {
-                        let burst = 1 + (splitmix64(&mut state) % 8);
-                        t = t.saturating_add(exp_gap(&mut state, inter_mean * burst as f64));
+                        let burst = 1 + (rng.next_u64() % 8);
+                        t = t.saturating_add(exp_gap(&mut rng, inter_mean * burst as f64));
                         left_in_burst = burst;
                     }
                     left_in_burst -= 1;
@@ -615,7 +607,7 @@ mod tests {
                     let frac = phase - (phase as u64) as f64;
                     let tri = 1.0 - (2.0 * frac - 1.0).abs();
                     let factor = 0.5 + tri;
-                    t = t.saturating_add(exp_gap(&mut state, inter_mean / factor));
+                    t = t.saturating_add(exp_gap(&mut rng, inter_mean / factor));
                     arrivals.push(t);
                 }
             }
@@ -744,9 +736,9 @@ mod tests {
         for &p in &powers {
             assert_ln_close(p);
         }
-        let mut state = 2024;
+        let mut rng = SplitMix64::new(2024);
         for _ in 0..if FULL { 4_000_000 } else { 100_000 } {
-            assert_ln_close(unit(&mut state));
+            assert_ln_close(unit(&mut rng));
         }
     }
 
@@ -755,11 +747,11 @@ mod tests {
     #[test]
     fn a_gap_the_bound_cannot_settle_is_ln_det_s() {
         let round = |l: f64, mean: f64| (-l * mean + 0.5) as u64;
-        let mut state = 99;
+        let mut rng = SplitMix64::new(99);
         let mut split = 0;
         for i in 0..if FULL { 200_000 } else { 20_000 } {
-            let before = state;
-            let u = unit(&mut state);
+            let before = rng.clone();
+            let u = unit(&mut rng);
             let (fast, exact) = (ln_fast(u), ln_det(u));
             if fast == exact {
                 continue;
@@ -791,7 +783,7 @@ mod tests {
     fn a_load_below_a_thousandth_parses_to_one() {
         let c: ArrivalConfig = "poisson:0.0001:1".parse().unwrap();
         assert_eq!(c.load_milli, 1);
-        assert_eq!(c.to_string(), "poisson load=0.001 seed=1");
+        assert_eq!(c.to_string(), "poisson:0.001:1");
         let s: crate::Scenario = "app=shape scale=tiny policy=rs arrivals=poisson:0.0001:1"
             .parse()
             .unwrap();
@@ -881,7 +873,7 @@ mod tests {
         assert_eq!(c.shape, ArrivalShape::Burst);
         assert_eq!(c.load_milli, 1250);
         assert_eq!(c.queue_capacity, Some(256));
-        assert_eq!(c.to_string(), "burst load=1.250 seed=42 qcap=256");
+        assert_eq!(c.to_string(), "burst:1.250:42:256");
         for bad in [
             "",
             "poisson",

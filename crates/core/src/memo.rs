@@ -51,7 +51,7 @@
 //! value everyone shares. Because every cached artifact is a pure
 //! function of its key, the race is benign and results are
 //! **bit-identical to the uncached path for any thread count**
-//! (differentially tested in `crates/core/tests/memo.rs`, pinned by the
+//! (checked against the oracle in `tests/scenarios.rs`, pinned by the
 //! fig6 goldens in `tests/cross_validation.rs`).
 //!
 //! There is no *staleness* invalidation: workloads and layouts are
@@ -64,8 +64,8 @@
 //! Eviction is *safe by construction*: every artifact is a pure
 //! function of its key, so evicting early only means recomputing later
 //! — any capacity, including 0, stays bit-identical to an unbounded or
-//! disabled cache (differentially tested in
-//! `crates/core/tests/memo.rs`).
+//! disabled cache (checked against the oracle in
+//! `tests/scenarios.rs`).
 //!
 //! Hit/miss/eviction/occupancy counters are kept per cache
 //! ([`MemoStats`]) and surfaced by the daemon's `stats` response, the
@@ -273,8 +273,8 @@ impl ArtifactCache {
     ///
     /// Any capacity is **bit-identical** to unbounded/disabled — every
     /// artifact is a pure function of its key, so eviction only trades
-    /// recompute time for memory (differential proptests in
-    /// `crates/core/tests/memo.rs`).
+    /// recompute time for memory (checked against the oracle in
+    /// `tests/scenarios.rs`).
     ///
     /// The policy argument selects nothing: [`EvictionPolicy`] has one
     /// variant, and the parameter stays only because the frozen repo

@@ -1,9 +1,6 @@
 //! RS — random scheduling (Section 4, strategy 1).
 
-use rand::rngs::SmallRng;
-use rand::{Rng, SeedableRng};
-
-use lams_mpsoc::CoreId;
+use lams_mpsoc::{CoreId, SplitMix64};
 use lams_procgraph::ProcessId;
 
 use crate::Policy;
@@ -16,14 +13,14 @@ use crate::Policy;
 /// identical schedules on identical workloads.
 #[derive(Debug, Clone)]
 pub struct RandomPolicy {
-    rng: SmallRng,
+    rng: SplitMix64,
 }
 
 impl RandomPolicy {
     /// Creates the policy with an RNG seed.
     pub fn new(seed: u64) -> Self {
         RandomPolicy {
-            rng: SmallRng::seed_from_u64(seed),
+            rng: SplitMix64::new(seed),
         }
     }
 }
@@ -50,7 +47,7 @@ impl Policy for RandomPolicy {
         if ready.is_empty() {
             None
         } else {
-            Some(ready[self.rng.gen_range(0..ready.len())])
+            Some(ready[(self.rng.next_u64() % ready.len() as u64) as usize])
         }
     }
 }

@@ -15,11 +15,11 @@
 //! The order is deterministic given the same lookup/insert sequence,
 //! and it never affects simulation *results* — every cached artifact is
 //! a pure function of its key, so eviction only changes when an
-//! artifact is recomputed, never what it contains. The differential
-//! tests in `crates/core/tests/memo.rs` hold a bounded cache
-//! bit-identical to
-//! [`ArtifactCache::disabled`](crate::ArtifactCache::disabled) for
-//! every capacity, including 0 and 1.
+//! artifact is recomputed, never what it contains. The scenario
+//! generator (`tests/scenarios.rs`) holds runs on bounded caches of
+//! capacity 0, 1 and 3 and on
+//! [`ArtifactCache::disabled`](crate::ArtifactCache::disabled) to one
+//! oracle.
 
 use std::collections::hash_map::{Entry, HashMap};
 use std::hash::Hash;

@@ -20,7 +20,7 @@ use std::fmt::{self, Display};
 use std::str::FromStr;
 use std::sync::Arc;
 
-use lams_mpsoc::{BusConfig, BusMode, CacheConfig, MachineConfig};
+use lams_mpsoc::{BusConfig, CacheConfig, MachineConfig};
 use lams_trace::TraceBundle;
 use lams_workloads::{suite, Scale, Workload};
 
@@ -298,30 +298,13 @@ impl Display for Scenario {
         }
         write!(f, " policy={}", self.policy.abbrev().to_ascii_lowercase())?;
         if let Some(bus) = self.bus {
-            match bus.mode {
-                BusMode::Fcfs => write!(f, " bus=fcfs:{}", bus.occupancy_cycles)?,
-                BusMode::Windowed { window_cycles } => {
-                    write!(f, " bus=windowed:{}:{window_cycles}", bus.occupancy_cycles)?;
-                }
-            }
+            write!(f, " bus={bus}")?;
         }
         if let Some(a) = self.arrivals {
-            let load = a.load_milli;
-            write!(
-                f,
-                " arrivals={}:{}.{:03}:{}",
-                a.shape,
-                load / 1000,
-                load % 1000,
-                a.seed
-            )?;
-            if let Some(cap) = a.queue_capacity {
-                write!(f, ":{cap}")?;
-            }
+            write!(f, " arrivals={a}")?;
         }
         if let Some(c) = self.cache {
-            let (size, ways, line) = (c.size_bytes, c.associativity, c.line_bytes);
-            write!(f, " cache={size}:{ways}:{line}")?;
+            write!(f, " cache={c}")?;
         }
         let knobs = [
             ("cores", self.cores.map(|n| n as u64)),

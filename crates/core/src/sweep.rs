@@ -31,9 +31,9 @@
 //! thread fan-out: each job is one [`Experiment::run`] (or
 //! [`Experiment::run_lsm`], whose candidate ladder is a plain in-order
 //! loop) on the experiment's own memo.
-//! Differential tests in `crates/core/tests/sweep.rs` hold this contract
-//! against those calls; the golden makespans in
-//! `tests/cross_validation.rs` pin it across PRs.
+//! The scenario generator (`tests/scenarios.rs`) holds a matrix at one
+//! thread and at several to the reference oracle; the golden makespans
+//! in `tests/cross_validation.rs` pin it across PRs.
 //!
 //! Errors are reported deterministically too: when several jobs fail,
 //! the error of the *earliest enumerated* failing job is returned. A
@@ -348,14 +348,14 @@ impl ScenarioMatrix {
     /// experiment one [`ArtifactCache`](crate::ArtifactCache) to share
     /// compiled traces and Locality pilots across the whole matrix
     /// (first-writer-wins; results are bit-identical for any cache
-    /// state and thread count — differentially tested in
-    /// `crates/core/tests/memo.rs`).
+    /// state and thread count — checked against the oracle by
+    /// `tests/scenarios.rs`).
     ///
     /// The queue is ordered **longest-job-first** by up-front trace
     /// length ([`SweepJob::weight`]), which tightens the pool's makespan
     /// on skewed matrices (fig7's `|T|` ladder); reports are
-    /// bit-identical to FIFO order for any thread count (pinned in
-    /// `crates/core/tests/sweep.rs`).
+    /// bit-identical to FIFO order for any thread count (checked by
+    /// `tests/scenarios.rs`).
     ///
     /// # Errors
     ///

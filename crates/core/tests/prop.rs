@@ -2,21 +2,21 @@
 //! staged workloads, every policy completes every process exactly once,
 //! respects dependences, and is deterministic — plus the differential
 //! check of the batched event-horizon engine against the naive per-op
-//! oracle (`support/oracle.rs`) over the whole configuration space, and
-//! the same check one level up, through `Experiment` and its memo.
+//! oracle (`support/oracle.rs`) over the whole configuration space. The
+//! same check one level up — `Scenario`, `Experiment` and its memo, the
+//! sweep matrix, replay and the daemon — is `tests/scenarios.rs`.
 
 use proptest::prelude::*;
 
 use lams_core::{
-    execute, ArrivalConfig, ArrivalShape, ArtifactCache, EngineConfig, Error, Experiment,
-    LocalityPolicy, Policy, PolicyKind, RandomPolicy, RoundRobinPolicy, SharingMatrix,
-    DEFAULT_QUANTUM,
+    execute, ArrivalConfig, ArrivalShape, EngineConfig, Error, LocalityPolicy, Policy,
+    RandomPolicy, RoundRobinPolicy, SharingMatrix,
 };
 use lams_layout::{HalfPage, Layout, RemapAssignment};
 use lams_mpsoc::TraceOp;
 use lams_mpsoc::{BusConfig, CacheConfig, CoreId, MachineConfig};
 use lams_procgraph::ProcessId;
-use lams_workloads::{suite, synthetic_app, AppSpec, Scale, SyntheticConfig, Workload};
+use lams_workloads::{synthetic_app, AppSpec, SyntheticConfig, Workload};
 
 #[path = "support/oracle.rs"]
 mod oracle;
@@ -229,121 +229,6 @@ proptest! {
                 Err(Error::DeadlineExceeded { budget_cycles: end - 1, elapsed_cycles: end })
             ),
             _ => {}
-        }
-    }
-}
-
-/// The same differential one level up: what `Experiment` hands the
-/// engine — policy construction, the memoised programs, the pilot and
-/// LS-result slots, the LSM layout its own artifacts name — must equal
-/// the oracle on that layout. Batch and open-system variants share one
-/// memo in both orders, which is where a result slot keyed without the
-/// arrival stream would be served to the wrong run.
-#[test]
-fn experiment_runs_match_the_oracle_across_memo_modes_and_arrivals() {
-    let apps = [suite::shape(Scale::Tiny), suite::track(Scale::Tiny)];
-    let machine = MachineConfig::paper_default().with_cores(4);
-    let base = Experiment::concurrent(&apps, machine)
-        .with_seed(5)
-        .with_relayout_threshold(0.0);
-    let w = base.workload();
-    let sharing = SharingMatrix::from_workload(w);
-    let open = Some(ArrivalConfig::poisson(900, 7));
-    let expected = |kind: PolicyKind, layout: &Layout, arrivals: Option<ArrivalConfig>| {
-        let mut policy: Box<dyn Policy> = match kind {
-            PolicyKind::Random => Box::new(RandomPolicy::new(5)),
-            PolicyKind::RoundRobin => Box::new(RoundRobinPolicy::new(DEFAULT_QUANTUM)),
-            _ => Box::new(LocalityPolicy::new(sharing.clone(), machine.num_cores)),
-        };
-        let mut cfg = EngineConfig::from(machine);
-        cfg.arrivals = arrivals;
-        oracle::simulate(&apps, w, layout, policy.as_mut(), cfg).expect("oracle runs")
-    };
-    let linear = Layout::linear(w.arrays());
-    for (memo, order) in [
-        (ArtifactCache::shared(), [None, open]),
-        (ArtifactCache::shared(), [open, None]),
-        (ArtifactCache::disabled(), [None, open]),
-    ] {
-        for arrivals in order {
-            let mut exp = base.clone().with_memo(memo.clone());
-            if let Some(a) = arrivals {
-                exp = exp.with_arrivals(a);
-            }
-            for kind in [
-                PolicyKind::Random,
-                PolicyKind::RoundRobin,
-                PolicyKind::Locality,
-            ] {
-                let got = exp.run(kind).expect("experiment runs");
-                assert_eq!(
-                    oracle::observe(&got),
-                    expected(kind, &linear, arrivals),
-                    "{kind} with arrivals {arrivals:?}"
-                );
-            }
-            let (got, art) = exp.run_lsm().expect("lsm runs");
-            assert!(!art.assignment.is_empty(), "threshold 0 remaps something");
-            let layout = Layout::remapped(w.arrays(), &machine.cache, &art.assignment);
-            assert_eq!(
-                oracle::observe(&got),
-                expected(PolicyKind::LocalityMap, &layout, arrivals),
-                "LSM with arrivals {arrivals:?}"
-            );
-        }
-    }
-}
-
-/// A deadline is outside every memo key, so a warm slot holds the
-/// *unbudgeted* result: whoever serves it must re-check the request's
-/// own budget. Warm and cold runs answer identically — the result when
-/// it fits, the cold path's exact `DeadlineExceeded` when it does not.
-#[test]
-fn a_warm_memo_hit_still_enforces_the_deadline() {
-    // Shape alone never leaves the pilot slot; the mix's ladder also
-    // simulates candidates slower than its pilot, so a budget the pilot
-    // fits still deadlines in the LS-result slots.
-    let apps = [suite::shape(Scale::Tiny), suite::track(Scale::Tiny)];
-    let machine = MachineConfig::paper_default();
-    for base in [
-        Experiment::isolated(&apps[0], machine),
-        Experiment::concurrent(&apps, machine.with_cores(4)).with_relayout_threshold(0.0),
-    ] {
-        warm_and_cold_agree_under_budgets(&base);
-    }
-}
-
-fn warm_and_cold_agree_under_budgets(base: &Experiment) {
-    let warm = ArtifactCache::shared();
-    let unbudgeted = |kind| {
-        let exp = base.clone().with_memo(warm.clone());
-        exp.run(kind)
-            .expect("unbudgeted run fills the memo")
-            .makespan_cycles
-    };
-    let ls = unbudgeted(PolicyKind::Locality);
-    let lsm = unbudgeted(PolicyKind::LocalityMap);
-    for budget in [0, ls - 1, ls, ls + 1, lsm - 1, lsm, lsm + 1] {
-        let run = |kind, memo| {
-            let exp = base.clone().with_memo(memo).with_deadline_cycles(budget);
-            exp.run(kind).map(|r| oracle::observe(&r))
-        };
-        let hot = run(PolicyKind::Locality, warm.clone());
-        assert_eq!(hot.is_ok(), budget >= ls, "LS budget {budget}");
-        assert_eq!(
-            hot,
-            run(PolicyKind::Locality, ArtifactCache::disabled()),
-            "LS budget {budget}"
-        );
-        // LSM deadlines on whichever ladder run overruns first, and a
-        // warm memo skips the runs that fit: the verdict and its type
-        // are pinned, the overrun cycle is not.
-        let hot = run(PolicyKind::LocalityMap, warm.clone());
-        let cold = run(PolicyKind::LocalityMap, ArtifactCache::disabled());
-        match (&hot, &cold) {
-            (Ok(_), Ok(_)) => assert_eq!(hot, cold, "LSM budget {budget}"),
-            (Err(Error::DeadlineExceeded { .. }), Err(Error::DeadlineExceeded { .. })) => {}
-            _ => panic!("LSM budget {budget}: warm {hot:?} vs cold {cold:?}"),
         }
     }
 }

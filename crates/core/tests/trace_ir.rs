@@ -4,17 +4,15 @@
 //! it writes from the application specs — makespans, dispatch sequences,
 //! per-process execution records and cache statistics — across
 //! policies, core counts, preemption quanta, remapped layouts and bus
-//! modes; plus the `.ltr` record→replay round trip, which must
-//! reproduce the direct run exactly.
+//! modes. (The `.ltr` record→replay round trip is held to the same
+//! oracle by the scenario generator, `tests/scenarios.rs`.)
 
 use lams_core::{
-    execute, execute_bundle, EngineConfig, LocalityPolicy, Policy, RandomPolicy, RoundRobinPolicy,
-    RunResult, SharingMatrix,
+    EngineConfig, LocalityPolicy, Policy, RandomPolicy, RoundRobinPolicy, RunResult, SharingMatrix,
 };
 use lams_layout::Layout;
 use lams_mpsoc::{BusConfig, CoreId, MachineConfig};
 use lams_procgraph::ProcessId;
-use lams_trace::TraceBundle;
 use lams_workloads::{suite, AppSpec, Scale, Workload};
 
 #[path = "support/oracle.rs"]
@@ -147,71 +145,6 @@ fn bus_mode_batching_is_differentially_pinned() {
         format!("{contended:?}"),
         "bus model changed nothing"
     );
-}
-
-#[test]
-fn record_replay_round_trip_reproduces_reports() {
-    // Record → serialize → decode → replay must equal the direct run
-    // for every policy, including LS driven by the bundle-derived
-    // sharing matrix.
-    for app in [suite::shape(Scale::Tiny), suite::usonic(Scale::Tiny)] {
-        let w = Workload::single(app).unwrap();
-        let layout = Layout::linear(w.arrays());
-        let machine = MachineConfig::paper_default();
-        let bundle = w.record(&layout);
-        let decoded = TraceBundle::from_bytes(&bundle.to_bytes()).expect("round trip");
-        assert_eq!(decoded, bundle);
-        assert_eq!(
-            decoded.total_ops(),
-            w.total_trace_ops(),
-            "recorded op counts drifted"
-        );
-
-        // RS and RRS need no workload knowledge at all.
-        let direct_rs = {
-            let mut p = RandomPolicy::new(12345);
-            execute(&w, &layout, &mut p, machine).unwrap()
-        };
-        let replay_rs = {
-            let mut p = RandomPolicy::new(12345);
-            execute_bundle(&decoded, &mut p, machine).unwrap()
-        };
-        assert_eq!(format!("{direct_rs:?}"), format!("{replay_rs:?}"));
-
-        // LS from the bundle's address-overlap sharing equals LS from
-        // the symbolic footprints.
-        let sharing_direct = SharingMatrix::from_workload(&w);
-        let sharing_replay = SharingMatrix::from_bundle(&decoded);
-        assert_eq!(sharing_direct, sharing_replay, "sharing drifted");
-        let direct_ls = {
-            let mut p = LocalityPolicy::new(sharing_direct, machine.num_cores);
-            execute(&w, &layout, &mut p, machine).unwrap()
-        };
-        let replay_ls = {
-            let mut p = LocalityPolicy::new(sharing_replay, machine.num_cores);
-            execute_bundle(&decoded, &mut p, machine).unwrap()
-        };
-        assert_eq!(format!("{direct_ls:?}"), format!("{replay_ls:?}"));
-    }
-}
-
-#[test]
-fn concurrent_mix_replays_identically() {
-    let apps = vec![suite::shape(Scale::Tiny), suite::track(Scale::Tiny)];
-    let w = Workload::concurrent(apps).unwrap();
-    let layout = Layout::linear(w.arrays());
-    let machine = MachineConfig::paper_default().with_cores(4);
-    let bundle = w.record(&layout);
-    assert!(!bundle.edges.is_empty(), "mix should carry dependences");
-    let direct = {
-        let mut p = RoundRobinPolicy::new(20_000);
-        execute(&w, &layout, &mut p, machine).unwrap()
-    };
-    let replay = {
-        let mut p = RoundRobinPolicy::new(20_000);
-        execute_bundle(&bundle, &mut p, machine).unwrap()
-    };
-    assert_eq!(format!("{direct:?}"), format!("{replay:?}"));
 }
 
 #[test]

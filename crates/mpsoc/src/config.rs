@@ -147,13 +147,13 @@ impl std::str::FromStr for CacheConfig {
 }
 
 impl fmt::Display for CacheConfig {
+    /// Writes the `SIZE:ASSOC:LINE` spec [`FromStr`](std::str::FromStr)
+    /// reads.
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         write!(
             f,
-            "{}KB {}-way, {}B lines",
-            self.size_bytes / 1024,
-            self.associativity,
-            self.line_bytes
+            "{}:{}:{}",
+            self.size_bytes, self.associativity, self.line_bytes
         )
     }
 }
@@ -182,15 +182,6 @@ pub enum BusMode {
         /// Epoch length in cycles (`>= 1`).
         window_cycles: u64,
     },
-}
-
-impl fmt::Display for BusMode {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        match self {
-            BusMode::Fcfs => write!(f, "fcfs"),
-            BusMode::Windowed { window_cycles } => write!(f, "windowed/{window_cycles}"),
-        }
-    }
 }
 
 /// Shared-bus contention model for off-chip accesses (an optional
@@ -290,8 +281,15 @@ impl std::str::FromStr for BusConfig {
 }
 
 impl fmt::Display for BusConfig {
+    /// Writes the `fcfs:OCC` or `windowed:OCC:WINDOW` spec
+    /// [`FromStr`](std::str::FromStr) reads.
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        write!(f, "{} x{}cy", self.mode, self.occupancy_cycles)
+        match self.mode {
+            BusMode::Fcfs => write!(f, "fcfs:{}", self.occupancy_cycles),
+            BusMode::Windowed { window_cycles } => {
+                write!(f, "windowed:{}:{window_cycles}", self.occupancy_cycles)
+            }
+        }
     }
 }
 
@@ -404,12 +402,15 @@ impl Default for MachineConfig {
 
 impl fmt::Display for MachineConfig {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        let c = &self.cache;
         write!(
             f,
-            "{} cores @ {} MHz, cache {}, hit {}cy, miss {}cy",
+            "{} cores @ {} MHz, cache {}KB {}-way, {}B lines, hit {}cy, miss {}cy",
             self.num_cores,
             self.clock_hz / 1_000_000,
-            self.cache,
+            c.size_bytes / 1024,
+            c.associativity,
+            c.line_bytes,
             self.hit_latency,
             self.miss_latency
         )?;
@@ -493,7 +494,7 @@ mod tests {
         assert!(!s.contains("bus"));
         assert_eq!(m.with_explain(true).to_string(), s, "explain is not shown");
         let s = m.with_bus(BusConfig::windowed(20, 64)).to_string();
-        assert!(s.contains("bus windowed/64 x20cy"), "{s}");
+        assert!(s.contains("bus windowed:20:64"), "{s}");
     }
 
     #[test]
@@ -518,6 +519,9 @@ mod tests {
         assert_eq!(parse("windowed:20:256:9"), None);
         assert_eq!(parse("tdm:20"), None);
         assert_eq!(parse(""), None);
+        for spec in ["fcfs:20", "windowed:20:256"] {
+            assert_eq!(parse(spec).unwrap().to_string(), spec);
+        }
     }
 
     #[test]
@@ -525,6 +529,7 @@ mod tests {
         let parse = |s: &str| s.parse::<CacheConfig>().ok();
         assert_eq!(parse("8192:2:32"), Some(CacheConfig::paper_default()));
         assert_eq!(parse("4096:1:32"), CacheConfig::new(4096, 1, 32).ok());
+        assert_eq!(CacheConfig::paper_default().to_string(), "8192:2:32");
         for bad in [
             "",
             "8192",

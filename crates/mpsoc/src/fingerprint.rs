@@ -129,6 +129,32 @@ impl FingerprintHasher {
     }
 }
 
+/// splitmix64: the workspace's one seeded generator, behind RS's picks,
+/// synthetic applications, arrival streams and fault plans. Two lines of
+/// arithmetic, bit-stable on every platform; every golden derived from
+/// a seeded draw pins its stream, so it must never change.
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub struct SplitMix64 {
+    state: u64,
+}
+
+impl SplitMix64 {
+    /// The stream of `seed`.
+    pub fn new(seed: u64) -> Self {
+        SplitMix64 { state: seed }
+    }
+
+    /// The next 64 bits of the stream.
+    #[inline]
+    pub fn next_u64(&mut self) -> u64 {
+        self.state = self.state.wrapping_add(0x9E37_79B9_7F4A_7C15);
+        let mut z = self.state;
+        z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
+        z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
+        z ^ (z >> 31)
+    }
+}
+
 /// Content fingerprint of a [`MachineConfig`](crate::MachineConfig):
 /// every field that influences simulation results.
 #[deny(unused_variables)]

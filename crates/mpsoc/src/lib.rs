@@ -163,7 +163,7 @@ pub use cache::{AccessOutcome, Cache, Classifier, Explain, MissKind, Plain};
 pub use config::{BusConfig, BusMode, CacheConfig, MachineConfig};
 pub use energy::EnergyModel;
 pub use error::{Error, Result};
-pub use fingerprint::{machine_fingerprint, Fingerprint, FingerprintHasher};
+pub use fingerprint::{machine_fingerprint, Fingerprint, FingerprintHasher, SplitMix64};
 pub use machine::{BatchOutcome, CoreId, Machine};
 pub use source::{Segment, SegmentLane, TraceSource};
 pub use stats::{CacheStats, CoreStats, MachineStats};

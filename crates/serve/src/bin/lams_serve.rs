@@ -41,25 +41,6 @@ fn die(msg: &str) -> ! {
     std::process::exit(2);
 }
 
-fn parse_faults(spec: &str) -> FaultPlan {
-    if let Some(rest) = spec.strip_prefix("seed:") {
-        let mut parts = rest.split(':');
-        let seed = parts.next().and_then(|s| s.parse().ok());
-        let jobs = parts.next().and_then(|s| s.parse().ok());
-        match (seed, jobs, parts.next()) {
-            (Some(seed), Some(jobs), None) => return FaultPlan::seeded(seed, jobs),
-            _ => die(&format!(
-                "invalid --faults '{spec}' (expected seed:SEED:JOBS)"
-            )),
-        }
-    }
-    FaultPlan::parse(spec).unwrap_or_else(|| {
-        die(&format!(
-            "invalid --faults '{spec}' (expected panic:SEQ,stall:SEQ:MS,… or seed:SEED:JOBS)"
-        ))
-    })
-}
-
 /// `--key`'s value parsed as a `T`, if it was given; a malformed
 /// value exits 2.
 fn parsed<T: std::str::FromStr>(fields: &mut Fields<'_>, key: &str) -> Option<T> {
@@ -88,7 +69,13 @@ fn main() {
         queue_depth: parsed(&mut fields, "queue").unwrap_or(defaults.queue_depth),
         cache_capacity: parsed(&mut fields, "cache-capacity"),
         default_deadline: parsed(&mut fields, "deadline"),
-        fault_plan: faults.map_or_else(FaultPlan::none, parse_faults),
+        fault_plan: faults.map_or_else(FaultPlan::none, |spec| {
+            FaultPlan::parse(spec).unwrap_or_else(|| {
+                die(&format!(
+                    "invalid --faults '{spec}' (expected panic:SEQ,stall:SEQ:MS,… or seed:SEED:JOBS)"
+                ))
+            })
+        }),
         ..defaults
     };
 

@@ -15,6 +15,8 @@
 //! side of the failure-injection tests instead; the server's job is
 //! only to survive them.
 
+use lams_mpsoc::SplitMix64;
+
 /// One injected fault, bound to a job sequence number.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum Fault {
@@ -42,7 +44,8 @@ impl FaultPlan {
     }
 
     /// Parses a comma-separated spec: `panic:SEQ` and `stall:SEQ:MS`
-    /// items, e.g. `panic:3,stall:5:20`. Returns `None` on malformed
+    /// items, e.g. `panic:3,stall:5:20`, and `seed:SEED:JOBS` for the
+    /// faults of [`FaultPlan::seeded`]. Returns `None` on malformed
     /// specs — a typo must not silently run a fault-free campaign.
     pub fn parse(spec: &str) -> Option<Self> {
         let mut faults = Vec::new();
@@ -56,6 +59,11 @@ impl FaultPlan {
                     let seq = parts.next()?.parse().ok()?;
                     let millis = parts.next()?.parse().ok()?;
                     faults.push(Fault::Stall { seq, millis });
+                }
+                "seed" => {
+                    let seed = parts.next()?.parse().ok()?;
+                    let jobs = parts.next()?.parse().ok()?;
+                    faults.extend(FaultPlan::seeded(seed, jobs).faults);
                 }
                 _ => return None,
             }
@@ -71,23 +79,14 @@ impl FaultPlan {
     /// ms), chosen by a fixed splitmix64 stream of `seed`. The same
     /// seed always yields the same plan.
     pub fn seeded(seed: u64, jobs: u64) -> Self {
-        let mut state = seed;
-        let mut next = move || {
-            // splitmix64: tiny, seedable, and good enough to spread
-            // faults across a campaign.
-            state = state.wrapping_add(0x9E37_79B9_7F4A_7C15);
-            let mut z = state;
-            z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
-            z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
-            z ^ (z >> 31)
-        };
+        let mut rng = SplitMix64::new(seed);
         let mut faults = Vec::new();
         for seq in 0..jobs {
-            match next() % 16 {
+            match rng.next_u64() % 16 {
                 0 | 1 => faults.push(Fault::Panic(seq)),
                 2 | 3 => faults.push(Fault::Stall {
                     seq,
-                    millis: 1 + next() % 8,
+                    millis: 1 + rng.next_u64() % 8,
                 }),
                 _ => {}
             }
@@ -132,6 +131,10 @@ mod tests {
         assert_eq!(plan.stall_ms(5), Some(20));
         assert_eq!(plan.stall_ms(3), None);
         assert_eq!(FaultPlan::parse("").unwrap(), FaultPlan::none());
+        assert_eq!(
+            FaultPlan::parse("seed:42:64"),
+            Some(FaultPlan::seeded(42, 64))
+        );
     }
 
     #[test]
@@ -143,6 +146,9 @@ mod tests {
             "stall:1:2:3",
             "crash:1",
             "panic:1:9",
+            "seed:1",
+            "seed:1:x",
+            "seed:1:16:2",
         ] {
             assert_eq!(FaultPlan::parse(bad), None, "{bad}");
         }
@@ -161,5 +167,31 @@ mod tests {
         for f in short.faults() {
             assert!(a.faults().contains(f));
         }
+    }
+
+    #[test]
+    fn seeded_plan_stream_is_pinned() {
+        let stall = |seq, millis| Fault::Stall { seq, millis };
+        let want = [
+            stall(1, 3),
+            stall(3, 7),
+            stall(13, 6),
+            Fault::Panic(16),
+            Fault::Panic(20),
+            Fault::Panic(21),
+            Fault::Panic(22),
+            stall(26, 6),
+            stall(31, 2),
+            Fault::Panic(32),
+            Fault::Panic(33),
+            stall(35, 2),
+            Fault::Panic(37),
+            stall(38, 3),
+            Fault::Panic(43),
+            Fault::Panic(49),
+            Fault::Panic(51),
+            stall(58, 5),
+        ];
+        assert_eq!(FaultPlan::seeded(42, 64).faults(), want);
     }
 }

@@ -54,3 +54,14 @@ fn a_repeated_flag_is_rejected_with_usage() {
         "{stderr}"
     );
 }
+
+#[test]
+fn faults_read_one_grammar() {
+    for spec in ["seed:1", "bogus:1"] {
+        let (code, stderr) = run(&["--faults", spec]);
+        assert_eq!(code, Some(2), "{spec}: {stderr}");
+        assert!(stderr.contains("invalid --faults"), "{spec}: {stderr}");
+    }
+    let (code, stderr) = run(&["--faults", "seed:7:16"]);
+    assert_eq!(code, Some(0), "{stderr}");
+}

@@ -1,15 +1,12 @@
 //! One [`Scenario`] value behind both verbs: every scenario prints as
-//! the wire line it parses from, and a `replay` of a recorded bundle
-//! answers what a `run` of its workload answers under the keys both
-//! verbs share.
-
-use std::path::PathBuf;
+//! the wire line it parses from. (That a `replay` of a recorded bundle
+//! answers what a `run` of its workload answers is the scenario
+//! generator's check, `tests/scenarios.rs`.)
 
 use lams_core::{ArrivalConfig, ArrivalShape, ArtifactCache, PolicyKind, Scenario, Source};
-use lams_layout::Layout;
 use lams_mpsoc::{BusConfig, CacheConfig};
-use lams_serve::{execute_work, Request, Response, Work};
-use lams_workloads::{suite, Scale, Workload};
+use lams_serve::{execute_work, Request, Work};
+use lams_workloads::Scale;
 use proptest::prelude::*;
 
 const SCALES: [Scale; 5] = [
@@ -204,75 +201,11 @@ fn hand_written_request_lines_round_trip() {
     }
 }
 
-/// The fields a `run` and a `replay` of the same scenario must share.
-fn shared(response: &Response) -> Vec<(&'static str, String)> {
-    let Response::Ok { fields, .. } = response else {
-        panic!("not ok: {response}");
-    };
-    fields
-        .iter()
-        .filter(|(k, _)| ["makespan", "cache_hits", "cache_misses", "processes"].contains(k))
-        .cloned()
-        .collect()
-}
-
 fn work(line: &str) -> Work {
     match Request::parse(line).unwrap() {
         Some(Request::Run(r)) => Work::Run(r),
         Some(Request::Replay(r)) => Work::Replay(r),
         other => panic!("{line}: {other:?}"),
-    }
-}
-
-/// Records `w` on its linear layout, as `trace_tool record` does.
-fn record(w: &Workload, tag: &str) -> PathBuf {
-    let path = std::env::temp_dir().join(format!(
-        "lams_scenario_test_{}_{tag}.ltr",
-        std::process::id()
-    ));
-    let bundle = w.record(&Layout::linear(w.arrays()));
-    std::fs::write(&path, bundle.to_bytes()).unwrap();
-    path
-}
-
-#[test]
-fn replay_answers_what_run_answers_under_every_shared_key() {
-    let sources = [
-        (
-            "app=shape",
-            Workload::single(suite::shape(Scale::Tiny)).unwrap(),
-        ),
-        (
-            "mix=2",
-            Workload::concurrent(suite::mix(2, Scale::Tiny)).unwrap(),
-        ),
-    ];
-    let cache = ArtifactCache::shared();
-    for (source, w) in &sources {
-        let path = record(w, &source[..3]);
-        for policy in ["rs", "rrs", "ls"] {
-            for knobs in [
-                "",
-                "bus=fcfs:20",
-                "bus=windowed:20:256",
-                "arrivals=poisson:0.8:42",
-                "cache=4096:1:32",
-            ] {
-                let keys = format!("policy={policy} {knobs}");
-                let run = execute_work(
-                    &work(&format!("run id=r {source} scale=tiny {keys}")),
-                    None,
-                    &cache,
-                );
-                let replay = execute_work(
-                    &work(&format!("replay id=r file={} {keys}", path.display())),
-                    None,
-                    &cache,
-                );
-                assert_eq!(shared(&replay), shared(&run), "{source} {keys}");
-            }
-        }
-        std::fs::remove_file(&path).ok();
     }
 }
 

@@ -6,7 +6,6 @@
 
 use std::io::{BufRead, BufReader, Write};
 use std::net::TcpStream;
-use std::sync::Arc;
 
 use lams_core::{execute_bundle, ArtifactCache, EngineConfig, RandomPolicy};
 use lams_layout::Layout;
@@ -503,21 +502,4 @@ fn shared_cache_is_one_instance_across_connections() {
     let bye = ask_once("shutdown id=4");
     assert_eq!(bye, "ok id=4 draining=1");
     handle.wait().expect("accept loop exits");
-}
-
-#[test]
-fn execute_work_is_reusable_in_process() {
-    // The frozen `benchmark/src/serve.rs` drives the executor directly;
-    // pin that entry point too.
-    let cache = ArtifactCache::shared();
-    let line = "run id=x app=shape scale=tiny policy=ls";
-    let Some(lams_serve::Request::Run(req)) = lams_serve::Request::parse(line).unwrap() else {
-        panic!("not a run request");
-    };
-    let first = lams_serve::execute_work(&Work::Run(req.clone()), None, &cache);
-    let second = lams_serve::execute_work(&Work::Run(req), None, &cache);
-    assert!(first.is_ok() && second.is_ok(), "{first} / {second}");
-    assert_eq!(first.to_string(), second.to_string());
-    assert!(cache.stats().hits() > 0);
-    let _ = Arc::strong_count(&cache);
 }

@@ -1,10 +1,8 @@
 //! Seeded random application generation, for property tests and
 //! parameter sweeps beyond the fixed Table 1 suite.
 
-use rand::rngs::SmallRng;
-use rand::{Rng, SeedableRng};
-
 use lams_layout::{ArrayDecl, ArrayTable};
+use lams_mpsoc::SplitMix64;
 
 use super::apps::{map1, map2, rows_space, v};
 use crate::{AccessSpec, AppSpec, ProcessSpec};
@@ -55,7 +53,7 @@ impl Default for SyntheticConfig {
 /// assert_eq!(w.num_processes(), 24);
 /// ```
 pub fn synthetic_app(config: SyntheticConfig) -> AppSpec {
-    let mut rng = SmallRng::seed_from_u64(config.seed);
+    let mut rng = SplitMix64::new(config.seed);
     let stages = config.stages.max(1);
     let pps = config.procs_per_stage.max(1) as i64;
     let n = config.dim.max(pps); // at least one row per process
@@ -75,15 +73,15 @@ pub fn synthetic_app(config: SyntheticConfig) -> AppSpec {
         let output = stage_arrays[s + 1];
         for kk in 0..pps {
             let h = if config.max_halo > 0 {
-                rng.gen_range(0..=config.max_halo)
+                (rng.next_u64() % (config.max_halo as u64 + 1)) as i64
             } else {
                 0
             };
             let lo = (kk * r - h).max(0);
             let hi = ((kk + 1) * r + h).min(n);
-            let passes = rng.gen_range(1..=2);
+            let passes = 1 + (rng.next_u64() % 2) as i64;
             let mut accesses = vec![AccessSpec::read(input, map2(v("i"), v("j")))];
-            if rng.gen_bool(0.5) {
+            if rng.next_u64() < 1 << 63 {
                 accesses.push(AccessSpec::read(table, map1(v("j"))));
             }
             accesses.push(AccessSpec::write(output, map2(v("i"), v("j"))));
@@ -91,7 +89,7 @@ pub fn synthetic_app(config: SyntheticConfig) -> AppSpec {
                 name: format!("syn.s{s}.{kk}"),
                 space: rows_space(passes, lo, hi, n),
                 accesses,
-                compute_cycles_per_iter: rng.gen_range(1..=4),
+                compute_cycles_per_iter: 1 + rng.next_u64() % 4,
             });
             if s > 0 {
                 // Depend on the previous-stage processes whose row blocks
