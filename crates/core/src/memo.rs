@@ -433,7 +433,10 @@ impl ArtifactCache {
     /// deadline are bit-identical to unbudgeted ones. A hit may
     /// therefore hold a run longer than the *caller's* budget, which
     /// the memo never sees: the caller enforces it on what it is
-    /// served, as [`Experiment`](crate::Experiment) does.
+    /// served. [`Experiment`](crate::Experiment) re-runs an LS hit over
+    /// its budget, which fails with exactly the cold run's error, and
+    /// counts an LSM candidate's hit over its budget as no better than
+    /// the pilot, without re-running it.
     ///
     /// # Errors
     ///

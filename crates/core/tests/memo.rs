@@ -143,6 +143,32 @@ fn repeated_lsm_runs_reuse_every_artifact() {
     assert!(stats_after_second.hits() > stats_after_first.hits());
 }
 
+#[test]
+fn a_served_candidate_over_the_budget_is_not_re_simulated() {
+    // Unbudgeted, Usonic's ladder fills the memo; under a budget of its
+    // answer, the candidates the memo holds over that budget cannot beat
+    // the pilot, so the budgeted run simulates nothing: the pilot, the
+    // answer and every candidate are LS-result hits.
+    let machine = MachineConfig::paper_default().with_cores(4);
+    let exp = Experiment::isolated(&suite::usonic(Scale::Tiny), machine);
+    let (free, _) = exp.run_lsm().expect("lsm runs");
+    let before = exp.memo().stats();
+    let budgeted = exp.clone().with_deadline_cycles(13_506);
+    let (capped, _) = budgeted.run_lsm().expect("lsm fits its answer");
+    let after = exp.memo().stats();
+    assert_eq!(free.makespan_cycles, 13_506);
+    assert_eq!(format!("{capped:?}"), format!("{free:?}"));
+    assert_eq!(
+        (after.program_hits, after.program_misses),
+        (before.program_hits, before.program_misses),
+        "a candidate was re-simulated: {after}"
+    );
+    assert!(after.pilot_hits > before.pilot_hits, "{after}");
+    let new_hits = after.hits() - before.hits();
+    assert_eq!(new_hits, after.pilot_hits - before.pilot_hits, "{after}");
+    assert_eq!(after.misses(), before.misses(), "{after}");
+}
+
 /// A bounded cache at `capacity` (the policy argument is a vestige:
 /// there is one eviction algorithm).
 fn bounded(capacity: usize) -> Arc<ArtifactCache> {

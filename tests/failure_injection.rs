@@ -347,6 +347,32 @@ fn experiment_deadline_threads_through_every_policy() {
 }
 
 #[test]
+fn an_lsm_budget_refuses_only_its_pilots_overrun() {
+    // Under a budget, LSM answers what it answers unbudgeted whenever its
+    // pilot (LS on the linear layout) and its answer fit: a ladder
+    // candidate that overruns is not better, not the run's error.
+    use lams::workloads::{suite, Scale};
+    let machine = MachineConfig::paper_default().with_cores(4);
+    let lsm = |exp: Experiment, budget| {
+        let run = exp
+            .with_deadline_cycles(budget)
+            .run(PolicyKind::LocalityMap);
+        run.map(|r| r.makespan_cycles)
+    };
+    let usonic = || Experiment::isolated(&suite::usonic(Scale::Tiny), machine);
+    let mix3 = || Experiment::concurrent(&suite::mix(3, Scale::Tiny), machine);
+    assert_eq!(lsm(usonic(), 13_506), Ok(13_506));
+    assert_eq!(lsm(mix3(), 33_198), Ok(32_974));
+    // At its own answer mix-3 is refused: its pilot ends at 33,198, and
+    // the pilot's overrun is the request's.
+    let refused = Error::DeadlineExceeded {
+        budget_cycles: 32_974,
+        elapsed_cycles: 33_045,
+    };
+    assert_eq!(lsm(mix3(), 32_974), Err(refused));
+}
+
+#[test]
 fn deadline_and_arrivals_compose_in_both_orders() {
     // Ordering 1: the open-system run fits its budget — the deadline is
     // invisible and the result is bit-identical to the unbounded run

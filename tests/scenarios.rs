@@ -18,7 +18,7 @@ use std::sync::Arc;
 
 use lams_core::{
     ArrivalConfig, ArrivalShape, ArtifactCache, EngineConfig, Error, EvictionPolicy, Experiment,
-    PolicyKind, RunResult, Scenario, ScenarioMatrix, SharingMatrix, Source, SweepRunner,
+    MemoStats, PolicyKind, RunResult, Scenario, ScenarioMatrix, SharingMatrix, Source, SweepRunner,
     DEFAULT_QUANTUM,
 };
 use lams_layout::Layout;
@@ -42,8 +42,12 @@ type Answer = Result<Observed, Error>;
 fn every_path_answers_what_the_oracle_answers() {
     let dir = std::env::temp_dir().join(format!("lams_scenarios_{}", std::process::id()));
     std::fs::create_dir_all(&dir).expect("a scratch directory");
-    for id in 0..if FULL { 256 } else { 8 } {
-        let case = Case::draw(id, &dir);
+    // The ids past `n` draw LSM budgeted at exactly its answer, which a
+    // ladder candidate that overruns the budget must not refuse.
+    let n = if FULL { 256 } else { 8 };
+    let lsm_at_answer = (n..n + n / 4).map(|id| (id, true));
+    for (id, at_answer) in (0..n).map(|id| (id, false)).chain(lsm_at_answer) {
+        let case = Case::draw(id, &dir, at_answer);
         let (s, layout, remapped) = case.resolve();
         if catch_unwind(AssertUnwindSafe(|| case.check(&s, &layout, remapped))).is_err() {
             panic!("case {id} failed; reproduce it with\n{}", case.line(&s));
@@ -135,11 +139,13 @@ struct Case {
 }
 
 impl Case {
-    fn draw(id: u64, dir: &Path) -> Case {
+    /// Case `id`; `at_answer` makes it a suite LSM case budgeted at
+    /// exactly its answer.
+    fn draw(id: u64, dir: &Path, at_answer: bool) -> Case {
         let mut d = Draw(SplitMix64::new(id));
         let scales = &[Scale::Tiny, Scale::Small][..if FULL { 2 } else { 1 }];
         let path = dir.join(format!("case{id}.ltr"));
-        let (source, apps) = match d.below(3) {
+        let (source, apps) = match d.below(if at_answer { 2 } else { 3 }) {
             0 => {
                 let (name, scale) = (d.pick(&suite::NAMES), d.pick(scales));
                 let app = suite::by_name(name, scale).expect("a suite name");
@@ -166,6 +172,11 @@ impl Case {
         // No LSM on a file: a bundle has no symbolic arrays.
         let file = matches!(source, Source::File(_));
         let policy = d.pick(&PolicyKind::ALL[..if file { 3 } else { 4 }]);
+        let policy = if at_answer {
+            PolicyKind::LocalityMap
+        } else {
+            policy
+        };
         let (kb, ways) = (d.pick(&[2, 4, 8, 16, 32]), d.pick(&[1, 2, 4]));
         let cache = CacheConfig::new(kb * 1024, ways, 32).expect("a valid geometry");
         let occupancy = d.pick(&[9, 20, 75]);
@@ -195,6 +206,7 @@ impl Case {
             4 => Some((100, 1)),
             _ => Some((d.range(1, 99), 0)),
         };
+        let budget = if at_answer { Some((100, 0)) } else { budget };
         let recorded = (policy != PolicyKind::LocalityMap).then(|| {
             record(&workload, &path);
             path
@@ -282,36 +294,18 @@ impl Case {
 
     /// What every path must answer for `s`, the miss split on.
     fn expect(&self, layout: &Layout, s: &Scenario) -> Answer {
-        let want = self.oracle(layout, s, s.policy);
-        if s.policy != PolicyKind::LocalityMap || s.deadline.is_none() {
-            return want;
+        if s.policy == PolicyKind::LocalityMap && s.deadline.is_some() {
+            // Under a budget, LSM's pilot (LS on the linear layout, on
+            // the batch schedule) runs first, and its overrun is the
+            // answer; a ladder candidate's overrun is no answer at all.
+            let batch = Scenario {
+                arrivals: None,
+                ..s.clone()
+            };
+            let linear = Layout::linear(self.workload.arrays());
+            self.oracle(&linear, &batch, PolicyKind::Locality)?;
         }
-        // Under a budget, LSM's ladder runs before its reported run, on
-        // the batch schedule: its pilot (LS on the linear layout) can
-        // overrun first, with the pilot's error, and so can a candidate
-        // layout the ladder names to no caller, with a deadline of that
-        // budget.
-        let batch = Scenario {
-            arrivals: None,
-            ..s.clone()
-        };
-        let linear = Layout::linear(self.workload.arrays());
-        self.oracle(&linear, &batch, PolicyKind::Locality)?;
-        let cold = observe(&run(s, true, &ArtifactCache::disabled()));
-        match &cold {
-            Err(Error::DeadlineExceeded {
-                budget_cycles,
-                elapsed_cycles,
-            }) if cold != want => {
-                assert_eq!(Some(*budget_cycles), s.deadline);
-                assert!(elapsed_cycles > budget_cycles, "{cold:?}");
-                cold
-            }
-            _ => {
-                assert_eq!(cold, want, "a cold LSM run");
-                want
-            }
-        }
+        self.oracle(layout, s, s.policy)
     }
 
     fn check(&self, s: &Scenario, layout: &Layout, remapped: usize) {
@@ -347,9 +341,44 @@ impl Case {
         assert_eq!(observe(&run(s, explain, &memo)), *want, "warm shared memo");
         let after = memo.stats();
         let suite_source = !matches!(s.source, Source::File(_));
+        let budgeted_lsm = s.policy == PolicyKind::LocalityMap && s.deadline.is_some();
         if suite_source && want.is_ok() {
-            let reused = after.misses() == before.misses() && after.hits() > before.hits();
+            // Errors are never cached, so under a budget an LSM ladder
+            // candidate that overran cold simulates again, in the
+            // LS-result slot; the pilot, at least, is served, and
+            // nothing else is recomputed.
+            let reran = after.pilot_misses - before.pilot_misses;
+            let reused = after.misses() - before.misses() == reran && after.hits() > before.hits();
             assert!(reused, "a warm run recomputed or never hit: {after}");
+            if budgeted_lsm {
+                let served = after.pilot_hits > before.pilot_hits;
+                assert!(
+                    served && reran < before.pilot_misses,
+                    "{before} then {after}"
+                );
+            } else {
+                assert_eq!(reran, 0, "a warm run re-simulated: {after}");
+            }
+        }
+        if suite_source && want.is_ok() && budgeted_lsm {
+            // After its unbudgeted twin every candidate is in the memo,
+            // and one served over the budget is not re-run: the budgeted
+            // run looks up exactly what the twin's warm run does.
+            let (_, twin, explain, twin_want) = &variants[1];
+            let memo = ArtifactCache::shared();
+            let lookups = |v: &Scenario, want: &Answer| {
+                let before = memo.stats();
+                assert_eq!(observe(&run(v, *explain, &memo)), *want, "after the twin");
+                delta(&before, &memo.stats())
+            };
+            lookups(twin, twin_want);
+            let budgeted = lookups(s, want);
+            assert_eq!(budgeted, lookups(twin, twin_want), "budgeted, then twin");
+            assert_eq!(
+                [budgeted[1], budgeted[3], budgeted[5]],
+                [0; 3],
+                "{budgeted:?}"
+            );
         }
 
         // Every memo, the scenario after its twins and before them.
@@ -489,6 +518,23 @@ fn run(s: &Scenario, explain: bool, memo: &Arc<ArtifactCache>) -> Result<RunResu
 
 fn observe(r: &Result<RunResult, Error>) -> Answer {
     r.as_ref().map(oracle::observe).map_err(Clone::clone)
+}
+
+/// The lookups made between `before` and `after`, per kind: program
+/// sets, per-process programs and LS results, each as (hits, misses).
+fn delta(before: &MemoStats, after: &MemoStats) -> [u64; 6] {
+    let count = |m: &MemoStats| {
+        [
+            m.program_hits,
+            m.program_misses,
+            m.per_process_hits,
+            m.per_process_misses,
+            m.pilot_hits,
+            m.pilot_misses,
+        ]
+    };
+    let (b, a) = (count(before), count(after));
+    std::array::from_fn(|i| a[i] - b[i])
 }
 
 /// `o` as a machine explaining its misses or not reports it: a plain
