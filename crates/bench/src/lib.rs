@@ -1,9 +1,11 @@
 //! Shared helpers for the paper-reproduction binaries.
 //!
-//! The real content of this crate is its binaries: `table1`, `table2`,
-//! `fig2a`, `fig6`, `fig7`, `sweep` and `ablation` each regenerate one
-//! table or figure of *Kandemir & Chen, DATE 2005*; `trace_tool` goes
-//! beyond it. Host-time measurement lives in `benchmark/` (see
+//! The real content of this crate is its binaries. `repro` writes the
+//! checked-in `REPRO.md` of *Kandemir & Chen, DATE 2005*: Tables 1–2,
+//! Figure 2, and Figures 6–7 at every scale with a count of where the
+//! paper's orderings hold. `fig6` and `fig7` print one scale of Figures
+//! 6–7 with every column, and `sweep` and `ablation` vary one knob;
+//! `trace_tool` goes beyond the paper. Host-time measurement lives in `benchmark/` (see
 //! `BENCHMARK.json`), not here.
 //!
 //! Every binary reads its flags through [`lams_core::Fields::from_flags`],

@@ -18,7 +18,7 @@ fn run(bin: &str, args: &[&str]) -> (Option<i32>, String) {
 
 #[test]
 fn malformed_flag_values_exit_2() {
-    let cases: [(&str, &[&str]); 10] = [
+    let cases: [(&str, &[&str]); 8] = [
         (
             env!("CARGO_BIN_EXE_sweep"),
             &["--scale", "tiny", "--tasks", "x"],
@@ -40,8 +40,6 @@ fn malformed_flag_values_exit_2() {
             env!("CARGO_BIN_EXE_ablation"),
             &["--scale", "tiny", "--tasks", "-1"],
         ),
-        (env!("CARGO_BIN_EXE_table1"), &["--scale", "x"]),
-        (env!("CARGO_BIN_EXE_table2"), &["--threads", "x"]),
         (
             env!("CARGO_BIN_EXE_trace_tool"),
             &["run", "--app", "shape", "--scale", "x"],
@@ -87,12 +85,7 @@ fn malformed_flag_values_exit_2() {
 
 #[test]
 fn every_binary_refuses_a_flag_it_does_not_read() {
-    let cases: [(&str, &[&str], &str); 25] = [
-        (
-            env!("CARGO_BIN_EXE_fig2a"),
-            &["--scale", "tiny"],
-            "fig2a takes no --scale",
-        ),
+    let cases: [(&str, &[&str], &str); 18] = [
         (
             env!("CARGO_BIN_EXE_fig6"),
             &["--quantun", "5"],
@@ -117,32 +110,6 @@ fn every_binary_refuses_a_flag_it_does_not_read() {
             env!("CARGO_BIN_EXE_ablation"),
             &["--scale", "tiny", "--bus", "fcfs:20"],
             "ablation takes no --bus",
-        ),
-        (
-            env!("CARGO_BIN_EXE_table1"),
-            &["--scale", "tiny", "--tasks", "2"],
-            "table1 takes no --tasks",
-        ),
-        (
-            env!("CARGO_BIN_EXE_table2"),
-            &["--scale", "tiny"],
-            "table2 takes no --scale",
-        ),
-        (
-            env!("CARGO_BIN_EXE_table2"),
-            &["--threads", "2", "--help"],
-            "table2 takes no --help",
-        ),
-        // `fig2a` reads no flag, so a repeated one is refused by name.
-        (
-            env!("CARGO_BIN_EXE_fig2a"),
-            &["--threads", "1", "--threads", "1"],
-            "fig2a takes no --threads",
-        ),
-        (
-            env!("CARGO_BIN_EXE_fig2a"),
-            &["tiny"],
-            "fig2a takes no argument 'tiny'",
         ),
         (
             env!("CARGO_BIN_EXE_fig6"),
@@ -190,29 +157,25 @@ fn every_binary_refuses_a_flag_it_does_not_read() {
             "ablation takes no argument '4'",
         ),
         (
-            env!("CARGO_BIN_EXE_table1"),
-            &["--scale", "tiny", "--scale", "small"],
-            "--scale is given twice",
+            env!("CARGO_BIN_EXE_repro"),
+            &["--scale", "tiny"],
+            "repro takes no --scale",
         ),
         (
-            env!("CARGO_BIN_EXE_table1"),
-            &["small"],
-            "table1 takes no argument 'small'",
+            env!("CARGO_BIN_EXE_repro"),
+            &["--threads", "2"],
+            "repro takes no --threads",
+        ),
+        // `repro` reads no flag, so a repeated one is refused by name.
+        (
+            env!("CARGO_BIN_EXE_repro"),
+            &["--threads", "1", "--threads", "1"],
+            "repro takes no --threads",
         ),
         (
-            env!("CARGO_BIN_EXE_table2"),
-            &["--threads", "1", "--threads", "4"],
-            "--threads is given twice",
-        ),
-        (
-            env!("CARGO_BIN_EXE_table2"),
-            &["bogus"],
-            "table2 takes no argument 'bogus'",
-        ),
-        (
-            env!("CARGO_BIN_EXE_table2"),
-            &["--threads", "2", "bogus"],
-            "table2 takes no argument 'bogus'",
+            env!("CARGO_BIN_EXE_repro"),
+            &["tiny"],
+            "repro takes no argument 'tiny'",
         ),
     ];
     for (bin, args, msg) in cases {
@@ -230,7 +193,7 @@ fn a_closed_stdout_ends_a_binary_quietly() {
     report(&[
         "record", "--app", "shape", "--scale", "small", "--out", bundle,
     ]);
-    let cases: [(&str, &[&str]); 3] = [
+    let cases: [(&str, &[&str]); 4] = [
         (
             env!("CARGO_BIN_EXE_trace_tool"),
             &["inspect", bundle, "--limit", "100000"],
@@ -240,6 +203,8 @@ fn a_closed_stdout_ends_a_binary_quietly() {
             env!("CARGO_BIN_EXE_sweep"),
             &["--scale", "tiny", "--tasks", "2"],
         ),
+        // The header line comes before any simulation.
+        (env!("CARGO_BIN_EXE_repro"), &[]),
     ];
     for (bin, args) in cases {
         let mut child = Command::new(bin)

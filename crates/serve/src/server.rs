@@ -17,7 +17,7 @@ use std::io::{self, BufRead, BufReader, Read, Write};
 use std::net::{SocketAddr, TcpListener, TcpStream};
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::mpsc::{Receiver, Sender};
-use std::sync::{Arc, Mutex, PoisonError};
+use std::sync::Arc;
 
 use lams_core::{ArtifactCache, EvictionPolicy};
 
@@ -345,7 +345,8 @@ impl TcpServer {
     }
 
     /// Accepts connections until a `shutdown` request arrives on any of
-    /// them, then joins connection threads and drains the pool.
+    /// them, joining finished connection threads on each accept, then
+    /// joins the live ones and drains the pool.
     ///
     /// # Errors
     ///
@@ -353,7 +354,7 @@ impl TcpServer {
     /// end that connection).
     pub fn run(self) -> io::Result<()> {
         let addr = self.local_addr()?;
-        let conns: Mutex<Vec<std::thread::JoinHandle<()>>> = Mutex::new(Vec::new());
+        let mut conns = Vec::new();
         for stream in self.listener.incoming() {
             if self.stop.load(Ordering::SeqCst) {
                 break;
@@ -371,12 +372,10 @@ impl TcpServer {
                     let _ = TcpStream::connect(addr);
                 }
             });
-            conns
-                .lock()
-                .unwrap_or_else(PoisonError::into_inner)
-                .push(handle);
+            reap(&mut conns);
+            conns.push(handle);
         }
-        for h in conns.into_inner().unwrap_or_else(PoisonError::into_inner) {
+        for h in conns {
             let _ = h.join();
         }
         self.service.drain();
@@ -393,6 +392,13 @@ impl TcpServer {
         let addr = self.local_addr()?;
         let thread = std::thread::spawn(move || self.run());
         Ok(TcpServerHandle { addr, thread })
+    }
+}
+
+/// Joins the finished threads in `conns` and keeps the live ones.
+fn reap<T>(conns: &mut Vec<std::thread::JoinHandle<T>>) {
+    for h in conns.extract_if(.., |h| h.is_finished()) {
+        let _ = h.join();
     }
 }
 
@@ -437,6 +443,25 @@ impl TcpServerHandle {
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    #[test]
+    fn reap_joins_finished_connections_and_keeps_live_ones() {
+        let (release, wait) = std::sync::mpsc::channel::<()>();
+        let live = std::thread::spawn(move || wait.recv().is_ok());
+        let done: Vec<_> = (0..3).map(|_| std::thread::spawn(|| true)).collect();
+        while !done.iter().all(std::thread::JoinHandle::is_finished) {
+            std::thread::yield_now();
+        }
+        let mut conns: Vec<_> = done.into_iter().chain([live]).collect();
+        reap(&mut conns);
+        assert_eq!(conns.len(), 1, "the finished threads are joined");
+        assert!(!conns[0].is_finished(), "the live thread is kept");
+        // A reap with nothing finished keeps everything.
+        reap(&mut conns);
+        assert_eq!(conns.len(), 1);
+        release.send(()).unwrap();
+        assert!(conns.pop().unwrap().join().unwrap());
+    }
 
     #[test]
     fn bounded_reader_caps_lines_without_buffering_them() {
